@@ -1,7 +1,7 @@
 """GF(2) workbench for a small quantum LDPC code family and its GHZ protocols."""
 
 from .f2linalg import BitMatrix
-from .css_code import CssCode, PauliSupport, validate, distance
+from .css_code import CssCode, validate, distance
 from .code_factory import (
     ClassicalCode,
     parity_code,
@@ -21,7 +21,6 @@ from .code_factory import (
 __all__ = [
     "BitMatrix",
     "CssCode",
-    "PauliSupport",
     "ClassicalCode",
     "validate",
     "distance",

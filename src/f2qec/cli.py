@@ -17,9 +17,10 @@ import sys
 from . import experiment as ex
 from . import protocol as pr
 from .code_factory import build_25_4_3, build_34_4_3, build_generalized
-from .css_code import CssCode, distance, permutation_logical_action, validate
+from .css_code import CssCode, distance, permutation_logical_action
 from .decoder import DecodeProblem, bp_osd, logical_correction
 from .f2linalg import vector_from_bits, vector_to_bits
+from .stab_sim import cycles_from_text
 
 DEFAULT_THREADS_ENV = "F2QEC_THREADS"
 
@@ -57,21 +58,9 @@ def _cmd_distance(args) -> int:
     return 0
 
 
-def _parse_cycles(notation: str, n: int) -> tuple[int, ...]:
-    perm = list(range(n))
-    body = notation.strip()
-    if body in ("()", ""):
-        return tuple(perm)
-    for chunk in body.strip("()").split(")("):
-        cyc = [int(tok) for tok in chunk.split()]
-        for i, q in enumerate(cyc):
-            perm[q] = cyc[(i + 1) % len(cyc)]
-    return tuple(perm)
-
-
 def _cmd_logical_action(args) -> int:
     code = _load_code(args.code)
-    perm = _parse_cycles(args.perm, code.n)
+    perm = cycles_from_text(args.perm, code.n)
     action = permutation_logical_action(code, perm)
     cnots = action.cnot_pairs()
     print(json.dumps({

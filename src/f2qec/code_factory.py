@@ -266,6 +266,39 @@ class TannerChoice:
     steps: tuple[tuple[tuple[int, int], str, int], ...]
 
 
+def _secondary_columns(code: CssCode) -> dict[tuple[int, int], int]:
+    return {(c[1], c[2]): q for q, c in enumerate(code.coords) if c[0] == "S"}
+
+
+def _recombine(xrows: list, zrows: list, q: int, coord, kind: str,
+               retained: int | None = None) -> int:
+    """One recombination step on secondary qubit q, in place; returns the retained row.
+
+    Every check of the given kind incident on q is multiplied by the
+    retained one (the lowest-index incident check when none is given),
+    which is then deleted; every remaining check is truncated on q.
+    """
+    bit = 1 << q
+    grp = xrows if kind == "X" else zrows
+    incident = [r for r in range(len(grp)) if grp[r] & bit]
+    if retained is None:
+        if not incident:
+            raise ValueError(f"no incident {kind} check at {coord}")
+        retained = incident[0]
+    elif retained not in incident:
+        raise ValueError(f"retained check {retained} is not incident on {coord}")
+    keep = grp[retained]
+    for r in incident:
+        if r != retained:
+            grp[r] ^= keep
+    del grp[retained]
+    mask = ~bit
+    for rows in (xrows, zrows):
+        for r in range(len(rows)):
+            rows[r] &= mask
+    return retained
+
+
 def quantum_tanner_transform(code: CssCode, choice: TannerChoice) -> CssCode:
     """Remove every secondary qubit by same-type check recombination.
 
@@ -275,10 +308,7 @@ def quantum_tanner_transform(code: CssCode, choice: TannerChoice) -> CssCode:
     truncated on that qubit.  The output lives on the primary lattice
     with k and d unchanged.
     """
-    sec_cols = {}
-    for q, c in enumerate(code.coords):
-        if c[0] == "S":
-            sec_cols[(c[1], c[2])] = q
+    sec_cols = _secondary_columns(code)
     if not sec_cols:
         raise ValueError("code has no secondary qubits to remove")
     seen = set()
@@ -295,21 +325,7 @@ def quantum_tanner_transform(code: CssCode, choice: TannerChoice) -> CssCode:
     xrows = list(code.hx.data)
     zrows = list(code.hz.data)
     for (coord, kind, retained) in choice.steps:
-        q = sec_cols[coord]
-        bit = 1 << q
-        grp = xrows if kind == "X" else zrows
-        incident = [r for r in range(len(grp)) if grp[r] & bit]
-        if retained not in incident:
-            raise ValueError(f"retained check {retained} is not incident on {coord}")
-        keep = grp[retained]
-        for r in incident:
-            if r != retained:
-                grp[r] ^= keep
-        del grp[retained]
-        mask = ~bit
-        for rows in (xrows, zrows):
-            for r in range(len(rows)):
-                rows[r] &= mask
+        _recombine(xrows, zrows, sec_cols[coord], coord, kind, retained)
 
     drop = sorted(sec_cols.values())
     hx = BitMatrix.from_ints(xrows, code.n).delete_columns(drop)
@@ -343,31 +359,13 @@ def default_tanner_choice(code: CssCode) -> TannerChoice:
     check is the lowest-index incident row at that step, which makes the
     plan fully deterministic.
     """
-    sec_cols = {}
-    for q, c in enumerate(code.coords):
-        if c[0] == "S":
-            sec_cols[(c[1], c[2])] = q
+    sec_cols = _secondary_columns(code)
     xrows = list(code.hx.data)
     zrows = list(code.hz.data)
     steps = []
     for coord in sorted(sec_cols):
-        q = sec_cols[coord]
-        bit = 1 << q
         kind = "X" if (coord[0] + coord[1]) % 2 == 0 else "Z"
-        grp = xrows if kind == "X" else zrows
-        incident = [r for r in range(len(grp)) if grp[r] & bit]
-        if not incident:
-            raise ValueError(f"no incident {kind} check at {coord}")
-        retained = incident[0]
-        keep = grp[retained]
-        for r in incident:
-            if r != retained:
-                grp[r] ^= keep
-        del grp[retained]
-        mask = ~bit
-        for rows in (xrows, zrows):
-            for r in range(len(rows)):
-                rows[r] &= mask
+        retained = _recombine(xrows, zrows, sec_cols[coord], coord, kind)
         steps.append((coord, kind, retained))
     return TannerChoice(tuple(steps))
 

@@ -19,20 +19,6 @@ MAX_DISTANCE_ENUM = 10**7
 
 
 @dataclass(frozen=True)
-class PauliSupport:
-    """A pure-X or pure-Z Pauli given by its qubit support."""
-
-    kind: str  # "X" or "Z"
-    support: tuple[int, ...]
-
-    def mask(self) -> int:
-        m = 0
-        for q in self.support:
-            m |= 1 << q
-        return m
-
-
-@dataclass(frozen=True)
 class CssCode:
     n: int
     hx: BitMatrix
@@ -47,6 +33,14 @@ class CssCode:
     @property
     def k(self) -> int:
         return len(self.logicals_x)
+
+    @property
+    def logical_x_product(self) -> int:
+        """Support of the product of every logical X."""
+        out = 0
+        for m in self.logicals_x:
+            out ^= m
+        return out
 
     def meta_get(self, key: str) -> int | None:
         for k, v in self.meta:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .css_code import CssCode
+from .css_code import CssCode, mask_to_support
 from .f2linalg import BitMatrix, parity
 
 LLR_CLIP = 30.0
@@ -42,14 +42,6 @@ class DecodeResult:
     soft_weight: float
     posteriors: tuple[float, ...] = ()
 
-    def support(self) -> tuple[int, ...]:
-        out = []
-        v = self.error_estimate
-        while v:
-            out.append((v & -v).bit_length() - 1)
-            v &= v - 1
-        return tuple(out)
-
 
 def uniform_priors(n: int, p: float = 0.01) -> tuple[float, ...]:
     return (p,) * n
@@ -60,16 +52,14 @@ def _clip(v: float) -> float:
 
 
 class MinSumDecoder:
-    """Reusable min-sum BP instance for one check matrix and prior vector.
+    """Reusable plain min-sum BP instance for one check matrix and prior vector.
 
-    The normalization factor defaults to 1.0 (plain min-sum); posteriors
-    are exposed for ordered-statistics post-processing.
+    Posteriors are exposed for ordered-statistics post-processing.
     """
 
-    def __init__(self, h: BitMatrix, priors, iters: int = 10, scale: float = 1.0):
+    def __init__(self, h: BitMatrix, priors, iters: int = 10):
         self.h = h
         self.iters = iters
-        self.scale = scale
         self.priors = tuple(priors)
         self.prior_llrs = [_clip(math.log((1.0 - p) / p)) for p in self.priors]
         self.check_nbrs = [[j for j in range(h.cols) if h.get(r, j)] for r in range(h.rows)]
@@ -115,7 +105,7 @@ class MinSumDecoder:
                 for idx, j in enumerate(nbrs):
                     s = sign_all if msgs[idx] >= 0 else -sign_all
                     mag = min2 if idx == arg1 else min1
-                    c2v[(j, r)] = self.scale * s * mag
+                    c2v[(j, r)] = s * mag
             hard = 0
             for j in range(n):
                 total = self.prior_llrs[j] + sum(c2v[(j, r)] for r in self.var_nbrs[j])
@@ -142,8 +132,8 @@ def _soft_weight(estimate: int, llrs) -> float:
     return total
 
 
-def bp_min_sum(problem: DecodeProblem, iters: int = 10, scale: float = 1.0) -> DecodeResult:
-    return MinSumDecoder(problem.h, problem.priors, iters=iters, scale=scale).decode(problem.syndrome)
+def bp_min_sum(problem: DecodeProblem, iters: int = 10) -> DecodeResult:
+    return MinSumDecoder(problem.h, problem.priors, iters=iters).decode(problem.syndrome)
 
 
 def osd_combination_sweep(problem: DecodeProblem, bp_soft_output, depth: int = 14) -> DecodeResult:
@@ -197,9 +187,6 @@ def osd_combination_sweep(problem: DecodeProblem, bp_soft_output, depth: int = 1
             coeff &= coeff - 1
         return e
 
-    def support_key(e: int):
-        return tuple(sorted(DecodeResult(e, True, "", 0.0).support()))
-
     best = candidate(())
     if best is None:
         raise ValueError("syndrome is inconsistent with the check matrix")
@@ -211,25 +198,30 @@ def osd_combination_sweep(problem: DecodeProblem, bp_soft_output, depth: int = 1
         if e is None:
             continue
         w = _soft_weight(e, prior_llrs)
-        if w < best_w - 1e-12 or (abs(w - best_w) <= 1e-12 and support_key(e) < support_key(best)):
+        if w < best_w - 1e-12 or (abs(w - best_w) <= 1e-12
+                                  and mask_to_support(e) < mask_to_support(best)):
             best, best_w = e, w
     return DecodeResult(best, True, "BP+OSD", best_w, tuple(llrs))
 
 
-def bp_osd(problem: DecodeProblem, iters: int = 10, depth: int = 14,
-           scale: float = 1.0) -> DecodeResult:
-    """Min-sum BP with ordered-statistics post-processing.
+def bp_then_osd(bp: MinSumDecoder, problem: DecodeProblem, depth: int = 14) -> DecodeResult:
+    """BP on a prebuilt decoder for problem.h, then the ordered-statistics sweep.
 
     A non-converged BP answer is always replaced by the sweep result; a
     converged one is kept only while no sweep candidate beats its
     channel-prior score, which keeps the combined soft weight at or
     below the plain OSD-0 solution.
     """
-    bp = bp_min_sum(problem, iters=iters, scale=scale)
-    osd = osd_combination_sweep(problem, bp.posteriors, depth=depth)
-    if bp.converged and bp.soft_weight < osd.soft_weight - 1e-12:
-        return bp
+    res = bp.decode(problem.syndrome)
+    osd = osd_combination_sweep(problem, res.posteriors, depth=depth)
+    if res.converged and res.soft_weight < osd.soft_weight - 1e-12:
+        return res
     return osd
+
+
+def bp_osd(problem: DecodeProblem, iters: int = 10, depth: int = 14) -> DecodeResult:
+    """Min-sum BP with ordered-statistics post-processing (see bp_then_osd)."""
+    return bp_then_osd(MinSumDecoder(problem.h, problem.priors, iters=iters), problem, depth)
 
 
 def mwe_oracle(problem: DecodeProblem, w_max: int) -> DecodeResult:

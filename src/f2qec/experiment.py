@@ -19,7 +19,7 @@ from . import protocol as pr
 from . import stab_sim as ss
 from .code_factory import build_25_4_3, build_generalized
 from .css_code import CssCode, mask_to_support
-from .decoder import DecodeProblem, MinSumDecoder, osd_combination_sweep
+from .decoder import DecodeProblem, MinSumDecoder, bp_then_osd
 from .f2linalg import BitMatrix, parity
 
 MODES = ("physical", "logical", "logical-noqec", "generalized")
@@ -64,25 +64,22 @@ class RunConfig:
         }
 
     def digest(self) -> str:
-        return hashlib.sha256(json.dumps(self.to_dict(), sort_keys=True).encode()).hexdigest()[:16]
+        """Hash of every field the results depend on (all but threads)."""
+        d = self.to_dict()
+        del d["threads"]
+        return hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()[:16]
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        noise = ss.NoiseModel(float(d.get("p1", 0.0)), float(d.get("p2", 0.0)),
-                              float(d.get("p_spam", 0.0)))
-        return cls(
-            mode=d.get("mode", "logical"),
-            shots_z=int(d.get("shots_z", 1000)),
-            shots_x=int(d.get("shots_x", 1000)),
-            noise=noise,
-            seed=int(d.get("seed", 0)),
-            l=int(d.get("l", 3)),
-            c=int(d.get("c", 1)),
-            bp_iters=int(d.get("bp_iters", 10)),
-            osd_depth=int(d.get("osd_depth", 14)),
-            prior_mode=d.get("prior_mode", "marginal"),
-            threads=int(d.get("threads", 1)),
-        )
+        """Inverse of to_dict; missing keys take the defaults, unknown keys are an error."""
+        fields = cls().to_dict()
+        unknown = sorted(set(d) - set(fields))
+        if unknown:
+            raise ValueError(f"unknown config key {unknown[0]!r}")
+        fields.update(d)
+        noise = ss.NoiseModel(*(float(fields.pop(k)) for k in ("p1", "p2", "p_spam")))
+        return cls(noise=noise, **{k: v if k in ("mode", "prior_mode") else int(v)
+                                   for k, v in fields.items()})
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
@@ -243,7 +240,7 @@ class _LogicalDecoders:
     """
 
     def __init__(self, code: CssCode, circuit: ss.Circuit, cfg: RunConfig, basis: str,
-                 recipe: pr.FrameRecipe | None = None):
+                 recipe: pr.FrameRecipe):
         nm = cfg.noise
         self.code = code
         self.basis = basis
@@ -252,12 +249,11 @@ class _LogicalDecoders:
         if cfg.prior_mode == "uniform":
             data_priors = (0.01,) * code.n
         else:
-            data_priors = data_error_priors(circuit, nm, code.n, basis)
-            if recipe is not None:
-                permuted = [0.0] * code.n
-                for q, img in enumerate(recipe.permutation):
-                    permuted[img] = data_priors[q]
-                data_priors = tuple(permuted)
+            marginal = data_error_priors(circuit, nm, code.n, basis)
+            permuted = [0.0] * code.n
+            for q, img in enumerate(recipe.permutation):
+                permuted[img] = marginal[q]
+            data_priors = tuple(permuted)
         if basis == "z":
             self.h = code.hz
             self.priors = data_priors
@@ -270,18 +266,10 @@ class _LogicalDecoders:
             self.priors = data_priors + frame_priors
         self.bp = MinSumDecoder(self.h, self.priors, iters=cfg.bp_iters)
         self.osd_depth = cfg.osd_depth
-        self.product_mask = 0
-        for m in code.logicals_x:
-            self.product_mask ^= m
 
     def estimate(self, syndrome: int) -> int:
-        res = self.bp.decode(syndrome)
-        osd = osd_combination_sweep(
-            DecodeProblem(self.h, self.priors, syndrome), res.posteriors,
-            depth=self.osd_depth)
-        if res.converged and res.soft_weight < osd.soft_weight - 1e-12:
-            return res.error_estimate
-        return osd.error_estimate
+        problem = DecodeProblem(self.h, self.priors, syndrome)
+        return bp_then_osd(self.bp, problem, self.osd_depth).error_estimate
 
     def corrected_mismatch(self, syndrome: int, raw, qec: bool) -> bool:
         if self.basis == "z":
@@ -294,10 +282,19 @@ class _LogicalDecoders:
         value = raw[0]
         if qec and syndrome:
             est = self.estimate(syndrome)
-            value ^= parity(est & self.data_mask, self.product_mask)
-            if self.recipe is not None:
-                value ^= parity(est >> self.code.n, self.recipe.meas_parity_coeffs)
+            value ^= parity(est & self.data_mask, self.code.logical_x_product)
+            value ^= parity(est >> self.code.n, self.recipe.meas_parity_coeffs)
         return value != 0
+
+    def verdict(self, record: ss.ShotRecord, qec: bool = True) -> bool | None:
+        """None when postselection rejects the shot, else whether its
+        (optionally decoded) readout mismatches the GHZ target."""
+        frame = pr.frame_from_shot(self.recipe, record)
+        if not frame.accepted:
+            return None
+        bits = [record[tag] for tag in self.recipe.data_tags]
+        syndrome, raw = pr.readout_reduce(self.code, self.basis, bits, frame)
+        return self.corrected_mismatch(syndrome, raw, qec)
 
 
 # --- running ------------------------------------------------------------------
@@ -308,13 +305,9 @@ def _build_pipeline(cfg: RunConfig, basis: str):
         return pr.physical_ghz_circuit(basis), None, None
     if cfg.mode == "generalized":
         code = build_generalized(cfg.l, cfg.c)
-    else:
-        code = build_25_4_3()
-    if cfg.mode == "generalized":
-        circ, recipe = pr.generalized_ghz_circuit(code, basis)
-    else:
-        circ, recipe = pr.logical_ghz_circuit(code, basis)
-    return circ, recipe, code
+        return (*pr.generalized_ghz_circuit(code, basis), code)
+    code = build_25_4_3()
+    return (*pr.logical_ghz_circuit(code, basis), code)
 
 
 def _physical_mismatch(record: ss.ShotRecord, basis: str) -> bool:
@@ -341,59 +334,46 @@ def _run_chunk(cfg: RunConfig, basis: str, start: int, count: int, keep_records:
         stats.shots += 1
         if keep_records:
             records.append({"basis": basis, "shot": start + i, "outcomes": rec.outcomes})
-        if recipe is None:
-            stats.accepted += 1
-            if _physical_mismatch(rec, basis):
-                stats.mismatches += 1
-            continue
-        frame = pr.frame_from_shot(recipe, rec)
-        if not frame.accepted:
-            continue
+        if decoders is None:
+            mismatch = _physical_mismatch(rec, basis)
+        else:
+            mismatch = decoders.verdict(rec, qec)
+            if mismatch is None:
+                continue
         stats.accepted += 1
-        bits = [rec[tag] for tag in recipe.data_tags]
-        syndrome, raw = pr.readout_reduce(code, basis, bits, frame)
-        if decoders.corrected_mismatch(syndrome, raw, qec):
-            stats.mismatches += 1
+        stats.mismatches += mismatch
     return stats, records
-
-
-def _merge(parts):
-    total = BasisStats()
-    for p in parts:
-        total.shots += p.shots
-        total.accepted += p.accepted
-        total.mismatches += p.mismatches
-    return total
 
 
 def run(config: RunConfig, out_dir: str | None = None) -> RunSummary:
     """Simulate, postselect, decode, and aggregate one experiment.
 
     With out_dir set, writes <out_dir>/<mode>/summary.json and a
-    shots.jsonl archive headed by the config hash.  Results depend only
-    on the config (per-shot seeding), not on thread count.
+    shots.jsonl archive headed by the config hash.  Each basis is split
+    into config.threads contiguous chunks run in worker processes; results
+    and archive rows depend only on the config (per-shot seeding), not on
+    the thread count.
     """
     keep = out_dir is not None
-    per_basis = {}
-    archives = []
+    jobs = []
     for basis, shots in (("z", config.shots_z), ("x", config.shots_x)):
-        if shots == 0:
-            per_basis[basis] = BasisStats()
-            continue
-        if config.threads > 1 and not keep:
-            chunk = (shots + config.threads - 1) // config.threads
-            jobs = []
-            with ProcessPoolExecutor(max_workers=config.threads) as pool:
-                for start in range(0, shots, chunk):
-                    jobs.append(pool.submit(_run_chunk, config, basis, start,
-                                            min(chunk, shots - start), False))
-                parts = [j.result()[0] for j in jobs]
-            per_basis[basis] = _merge(parts)
-        else:
-            stats, records = _run_chunk(config, basis, 0, shots, keep)
-            per_basis[basis] = stats
-            if keep:
-                archives.extend(records)
+        chunk = max(1, -(-shots // config.threads))
+        jobs += [(basis, start, min(chunk, shots - start)) for start in range(0, shots, chunk)]
+    if config.threads > 1:
+        with ProcessPoolExecutor(max_workers=config.threads) as pool:
+            futures = [pool.submit(_run_chunk, config, *job, keep) for job in jobs]
+            results = [f.result() for f in futures]
+    else:
+        results = [_run_chunk(config, *job, keep) for job in jobs]
+    per_basis = {"z": BasisStats(), "x": BasisStats()}
+    archives = []
+    for (basis, _, _), (stats, records) in zip(jobs, results):
+        total = per_basis[basis]
+        total.shots += stats.shots
+        total.accepted += stats.accepted
+        total.mismatches += stats.mismatches
+        if keep:
+            archives.extend(records)
     summary = RunSummary(config, per_basis["z"], per_basis["x"])
     if out_dir is not None:
         mode_dir = os.path.join(out_dir, config.mode)
@@ -474,15 +454,6 @@ def report(summaries, fmt: str = "text") -> str:
     return "\n".join(lines) + "\n"
 
 
-def summary_from_rates(mode: str, z_p: float, z_n: int, x_p: float, x_n: int) -> RunSummary:
-    """Summary object for externally given mismatch rates (for reporting)."""
-    cfg = RunConfig(mode=mode if mode in MODES else "logical",
-                    shots_z=z_n, shots_x=x_n)
-    z = BasisStats(z_n, z_n, round(z_p * z_n))
-    x = BasisStats(x_n, x_n, round(x_p * x_n))
-    return RunSummary(cfg, z, x)
-
-
 # --- exhaustive single-fault ledger ---------------------------------------------
 
 
@@ -527,24 +498,21 @@ def fault_tolerance_ledger(basis: str, cfg: RunConfig | None = None) -> LedgerRe
     gadget_end = next(i for i, ins in enumerate(circ.instructions) if ins.op == "RELABEL")
     entries = []
     for case in ss.enumerate_single_faults(circ):
-        frame = pr.frame_from_shot(recipe, case.record)
-        if not frame.accepted:
-            entries.append(LedgerEntry(case.instruction_index, case.kind, case.pauli, "rejected"))
-            continue
-        bits = [case.record[tag] for tag in recipe.data_tags]
-        syndrome, raw = pr.readout_reduce(code, basis, bits, frame)
-        if not decoders.corrected_mismatch(syndrome, raw, qec=True):
-            entries.append(LedgerEntry(case.instruction_index, case.kind, case.pauli, "correct"))
-            continue
-        outcome = "extra"
-        if case.instruction_index < gadget_end:
+        mismatch = decoders.verdict(case.record)
+        if mismatch is None:
+            outcome = "rejected"
+        elif not mismatch:
+            outcome = "correct"
+        elif case.instruction_index >= gadget_end:
+            outcome = "extra"
+        else:
             ins = circ.instructions[case.instruction_index]
             touches = []
             if case.kind == "gate2":
                 touches = [(ins.qubits[0], case.pauli[0]), (ins.qubits[1], case.pauli[1])]
             elif case.kind in ("gate1", "prep"):
                 touches = [(ins.qubits[0], case.pauli)]
-            if any(q in xbar_support and p in ("Z", "Y") for q, p in touches):
-                outcome = "nonft-set"
+            hit = any(q in xbar_support and p in ("Z", "Y") for q, p in touches)
+            outcome = "nonft-set" if hit else "extra"
         entries.append(LedgerEntry(case.instruction_index, case.kind, case.pauli, outcome))
     return LedgerReport(basis, entries)

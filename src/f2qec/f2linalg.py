@@ -18,10 +18,6 @@ def parity(a: int, b: int) -> int:
     return (a & b).bit_count() & 1
 
 
-def weight(v: int) -> int:
-    return v.bit_count()
-
-
 def vector_from_bits(bits: Iterable[int]) -> int:
     v = 0
     for j, b in enumerate(bits):
@@ -174,26 +170,32 @@ class BitMatrix:
 
     # -- elimination ---------------------------------------------------
 
-    def rref(self) -> tuple["BitMatrix", tuple[int, ...]]:
-        """Reduced row echelon form and ascending pivot columns."""
-        work = list(self.data)
+    def _eliminate(self, tags: Sequence[int]) -> tuple[list[int], list[int], tuple[int, ...]]:
+        """Gauss-Jordan elimination picking the lowest-index pivot row.
+
+        Each row carries its tag through the row operations; returns the
+        reduced rows, their tags and the ascending pivot columns.
+        """
+        rows, tags = list(self.data), list(tags)
         pivots = []
-        r = 0
         for c in range(self.cols):
-            piv = None
-            for i in range(r, len(work)):
-                if (work[i] >> c) & 1:
-                    piv = i
-                    break
+            r = len(pivots)
+            piv = next((i for i in range(r, len(rows)) if (rows[i] >> c) & 1), None)
             if piv is None:
                 continue
-            work[r], work[piv] = work[piv], work[r]
-            for i in range(len(work)):
-                if i != r and ((work[i] >> c) & 1):
-                    work[i] ^= work[r]
+            rows[r], rows[piv] = rows[piv], rows[r]
+            tags[r], tags[piv] = tags[piv], tags[r]
+            for i in range(len(rows)):
+                if i != r and (rows[i] >> c) & 1:
+                    rows[i] ^= rows[r]
+                    tags[i] ^= tags[r]
             pivots.append(c)
-            r += 1
-        return BitMatrix(self.rows, self.cols, tuple(work)), tuple(pivots)
+        return rows, tags, tuple(pivots)
+
+    def rref(self) -> tuple["BitMatrix", tuple[int, ...]]:
+        """Reduced row echelon form and ascending pivot columns."""
+        rows, _, pivots = self._eliminate([0] * self.rows)
+        return BitMatrix(self.rows, self.cols, tuple(rows)), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -213,11 +215,7 @@ class BitMatrix:
         return BitMatrix(len(basis), self.cols, tuple(basis))
 
     def in_row_space(self, v: int) -> bool:
-        red, pivots = self.rref()
-        for i, p in enumerate(pivots):
-            if (v >> p) & 1:
-                v ^= red.data[i]
-        return v == 0
+        return self.solution_with_coefficients(v) is not None
 
     def row_space_equal(self, other: "BitMatrix") -> bool:
         if self.cols != other.cols:
@@ -230,57 +228,17 @@ class BitMatrix:
 
     def solve(self, s: int) -> int | None:
         """Any x with self @ x = s, or None when inconsistent."""
-        # Eliminate over columns: rows of the transpose, tagged with the
-        # originating column index so a solution can be read back.
-        aug = [(col, 1 << j) for j, col in enumerate(self.transpose().data)]
-        r = 0
-        for c in range(self.rows):
-            piv = None
-            for i in range(r, len(aug)):
-                if (aug[i][0] >> c) & 1:
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            aug[r], aug[piv] = aug[piv], aug[r]
-            for i in range(len(aug)):
-                if i != r and ((aug[i][0] >> c) & 1):
-                    aug[i] = (aug[i][0] ^ aug[r][0], aug[i][1] ^ aug[r][1])
-            r += 1
-        x = 0
-        v = s
-        for i in range(r):
-            lead = aug[i][0] & -aug[i][0]
-            if v & lead:
-                v ^= aug[i][0]
-                x ^= aug[i][1]
-        return x if v == 0 else None
+        return self.transpose().solution_with_coefficients(s)
 
     def solution_with_coefficients(self, s: int) -> int | None:
         """Coefficient mask c with XOR of rows {i : bit i of c} = s, or None."""
-        tagged = [(self.data[i], 1 << i) for i in range(self.rows)]
-        r = 0
-        for c in range(self.cols):
-            piv = None
-            for i in range(r, len(tagged)):
-                if (tagged[i][0] >> c) & 1:
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            tagged[r], tagged[piv] = tagged[piv], tagged[r]
-            for i in range(len(tagged)):
-                if i != r and ((tagged[i][0] >> c) & 1):
-                    tagged[i] = (tagged[i][0] ^ tagged[r][0], tagged[i][1] ^ tagged[r][1])
-            r += 1
+        rows, tags, pivots = self._eliminate([1 << i for i in range(self.rows)])
         coeff = 0
-        v = s
-        for i in range(r):
-            lead = tagged[i][0] & -tagged[i][0]
-            if v & lead:
-                v ^= tagged[i][0]
-                coeff ^= tagged[i][1]
-        return coeff if v == 0 else None
+        for row, tag, p in zip(rows, tags, pivots):
+            if (s >> p) & 1:
+                s ^= row
+                coeff ^= tag
+        return coeff if s == 0 else None
 
     # -- serialization ---------------------------------------------------
 
@@ -301,22 +259,3 @@ class BitMatrix:
     def loads(cls, s: str) -> "BitMatrix":
         return cls.from_json(json.loads(s))
 
-
-def rank(m: BitMatrix) -> int:
-    return m.rank()
-
-
-def rref(m: BitMatrix) -> tuple[BitMatrix, tuple[int, ...]]:
-    return m.rref()
-
-
-def kernel_basis(m: BitMatrix) -> BitMatrix:
-    return m.kernel_basis()
-
-
-def row_space_equal(a: BitMatrix, b: BitMatrix) -> bool:
-    return a.row_space_equal(b)
-
-
-def solve(m: BitMatrix, s: int) -> int | None:
-    return m.solve(s)

@@ -164,7 +164,6 @@ class FrameRecipe:
     parity_check_coeffs: int          # stabilizer part of the pulled-back X product
     meas_parity_coeffs: int           # same coefficients over final check slots
     xbar_gadget_start: int            # instruction index of the first gadget
-    product_x_mask: int
 
 
 @dataclass(frozen=True)
@@ -204,10 +203,8 @@ def _ghz_pipeline(code: CssCode, basis: str, data_perms, measured_logical: int,
     n = code.n
     total = n + ANCILLA_COUNT
     ins = [ss.prepz(q) for q in range(n)]
-    g = 0
-    for r, order in enumerate(schedule.x_orders):
-        ins += _x_gadget(n + (g % ANCILLA_COUNT), order, f"x{r}")
-        g += 1
+    ins += syndrome_extraction_circuit(code, schedule, which="X").instructions
+    g = code.hx.rows
     xbar_start = len(ins)
     support = mask_to_support(code.logicals_x[measured_logical])
     xbar_tags = []
@@ -223,16 +220,13 @@ def _ghz_pipeline(code: CssCode, basis: str, data_perms, measured_logical: int,
     meas = ss.measz if basis == "z" else ss.measx
     ins += [meas(q, f"d{q}") for q in range(n)]
 
-    product_mask = 0
-    for m in code.logicals_x:
-        product_mask ^= m
     # The X-product readout operator pulls back through the relabelings to
     # the measured logical times an X-stabilizer element; the recorded
     # extraction outcomes over that element join the parity frame.
     inverse = [0] * n
     for q, img in enumerate(composed):
         inverse[img] = q
-    pulled = apply_permutation(product_mask, inverse)
+    pulled = apply_permutation(code.logical_x_product, inverse)
     basis_m = BitMatrix.from_ints(list(code.hx.data) + list(code.logicals_x), n)
     coeff = basis_m.solution_with_coefficients(pulled)
     if coeff is None or (coeff >> code.hx.rows) != (1 << measured_logical):
@@ -242,7 +236,7 @@ def _ghz_pipeline(code: CssCode, basis: str, data_perms, measured_logical: int,
     # A flagged final check slot implies a wrong recorded outcome; the same
     # stabilizer coefficients expressed over final slots let the decoder's
     # measurement-error estimate repair the parity frame.
-    mu = frame_map.transpose().solve(lam)
+    mu = frame_map.solution_with_coefficients(lam)
     if mu is None:
         raise ValueError("frame map is not invertible")
     recipe = FrameRecipe(
@@ -257,36 +251,19 @@ def _ghz_pipeline(code: CssCode, basis: str, data_perms, measured_logical: int,
         parity_check_coeffs=lam,
         meas_parity_coeffs=mu,
         xbar_gadget_start=xbar_start,
-        product_x_mask=product_mask,
     )
     return ss.Circuit(total, tuple(ins)), recipe
-
-
-def _mirror_columns(nrows, ncols):
-    return tuple((q // ncols) * ncols + (ncols - 1 - (q % ncols)) for q in range(nrows * ncols))
-
-
-def _mirror_rows(nrows, ncols):
-    return tuple((nrows - 1 - (q // ncols)) * ncols + (q % ncols) for q in range(nrows * ncols))
-
-
-def _swap_blocks(size, block_a, block_b, width):
-    """Permutation swapping index blocks [a*w,(a+1)*w) and [b*w,(b+1)*w) pairwise."""
-    perm = list(range(size))
-    for t in range(width):
-        perm[block_a * width + t] = block_b * width + t
-        perm[block_b * width + t] = block_a * width + t
-    return tuple(perm)
 
 
 def vertical_fold_swap(nrows: int = 5, ncols: int = 5) -> tuple[int, ...]:
     """Mirror the lattice columns; on the flagship code this is the
     column swap {1,2} <-> {5,4}."""
-    return _mirror_columns(nrows, ncols)
+    return tuple((q // ncols) * ncols + (ncols - 1 - (q % ncols)) for q in range(nrows * ncols))
 
 
 def horizontal_fold_swap(nrows: int = 5, ncols: int = 5) -> tuple[int, ...]:
-    return _mirror_rows(nrows, ncols)
+    """Mirror the lattice rows."""
+    return tuple((nrows - 1 - (q // ncols)) * ncols + (q % ncols) for q in range(nrows * ncols))
 
 
 def logical_ghz_circuit(code: CssCode | None = None, basis: str = "z") -> tuple[ss.Circuit, FrameRecipe]:
@@ -398,15 +375,12 @@ def readout_reduce(code: CssCode, basis: str, data_bits, frame: FrameState | Non
         raw = tuple(parity(b, lz) for lz in code.logicals_z)
         return syndrome, raw
     if basis == "x":
-        product = 0
-        for m in code.logicals_x:
-            product ^= m
         syndrome = code.hx.mul_vec(b)
         sign = 0
         if frame is not None:
             syndrome ^= frame.x_frame
             sign = frame.parity_frame
-        return syndrome, (parity(b, product) ^ sign,)
+        return syndrome, (parity(b, code.logical_x_product) ^ sign,)
     raise ValueError("basis must be 'z' or 'x'")
 
 

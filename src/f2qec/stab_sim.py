@@ -20,10 +20,13 @@ noise-free.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+
+from .css_code import apply_permutation
 
 _PAULIS_1Q = ("X", "Y", "Z")
 # two-qubit Paulis indexed 1..15 as (first, second) with 0=I,1=X,2=Y,3=Z
@@ -48,7 +51,7 @@ class Instruction:
         if self.op == "INJECT":
             return f"INJECT {self.pauli} {self.qubits[0]}"
         if self.op == "RELABEL":
-            return "RELABEL " + _cycles_to_text(self.perm)
+            return "RELABEL " + cycles_to_text(self.perm)
         if self.op == "BARRIER":
             return "BARRIER"
         raise ValueError(f"unknown op {self.op}")
@@ -65,7 +68,8 @@ def relabel(perm): return Instruction("RELABEL", perm=tuple(perm))
 def barrier(): return Instruction("BARRIER")
 
 
-def _cycles_to_text(perm: tuple[int, ...]) -> str:
+def cycles_to_text(perm: tuple[int, ...]) -> str:
+    """Cycle notation of perm without fixed points; the identity is '()'."""
     seen = set()
     parts = []
     for start in range(len(perm)):
@@ -83,16 +87,32 @@ def _cycles_to_text(perm: tuple[int, ...]) -> str:
     return "".join(parts) if parts else "()"
 
 
-def _cycles_from_text(text: str, n: int) -> tuple[int, ...]:
-    perm = list(range(n))
+_CYCLE = re.compile(r"\(([^()]*)\)")
+
+
+def cycles_from_text(text: str, n: int) -> tuple[int, ...]:
+    """Permutation of range(n) from cycle notation such as '(0 4)(1 3)'.
+
+    '()' and the empty string are the identity.  Raises ValueError on
+    unbalanced parentheses, stray text, non-integer tokens, qubits outside
+    range(n) and qubits repeated across or within cycles.
+    """
     body = text.strip()
-    if body == "()":
-        return tuple(perm)
-    if not body.startswith("(") or not body.endswith(")"):
+    if _CYCLE.sub("", body).strip():
         raise ValueError(f"bad cycle notation: {text!r}")
-    for chunk in body[1:-1].split(")("):
-        cyc = [int(tok) for tok in chunk.split()]
+    perm = list(range(n))
+    seen = set()
+    for chunk in _CYCLE.findall(body):
+        try:
+            cyc = [int(tok) for tok in chunk.split()]
+        except ValueError:
+            raise ValueError(f"non-integer qubit in cycle notation: {text!r}") from None
         for i, q in enumerate(cyc):
+            if not 0 <= q < n:
+                raise ValueError(f"qubit {q} out of range for {n} qubits")
+            if q in seen:
+                raise ValueError(f"qubit {q} repeated in cycle notation")
+            seen.add(q)
             perm[q] = cyc[(i + 1) % len(cyc)]
     return tuple(perm)
 
@@ -127,15 +147,7 @@ class Circuit:
 
     def fault_location_count(self) -> int:
         """Single-fault cases: 3 per 1q gate, 15 per CNOT, 1 per prep and meas."""
-        total = 0
-        for i in self.instructions:
-            if i.op == "H":
-                total += 3
-            elif i.op == "CNOT":
-                total += 15
-            elif i.op in ("PREPZ", "PREPX", "MEASZ", "MEASX"):
-                total += 1
-        return total
+        return sum(len(_faults_at(i)) for i in self.instructions)
 
     def to_text(self) -> str:
         lines = [f"QUBITS {self.n_qubits}"]
@@ -165,7 +177,7 @@ class Circuit:
                 p, q = rest.split()
                 out.append(inject(p, int(q)))
             elif op == "RELABEL":
-                out.append(relabel(_cycles_from_text(rest, n)))
+                out.append(relabel(cycles_from_text(rest, n)))
             elif op == "BARRIER":
                 out.append(barrier())
             else:
@@ -206,9 +218,6 @@ class ShotRecord:
 
     def __getitem__(self, tag: str) -> int:
         return self.outcomes[tag]
-
-    def to_json(self) -> dict:
-        return {"outcomes": self.outcomes}
 
 
 # --- exact tableau engine -------------------------------------------------
@@ -330,13 +339,7 @@ class Tableau:
     def relabel(self, perm: Sequence[int]):
         for rows in (self.xs, self.zs):
             for i in range(2 * self.n):
-                v = rows[i]
-                out = 0
-                while v:
-                    qb = (v & -v).bit_length() - 1
-                    out |= 1 << perm[qb]
-                    v &= v - 1
-                rows[i] = out
+                rows[i] = apply_permutation(rows[i], perm)
 
 
 def simulate_tableau(circuit: Circuit, seed) -> ShotRecord:
@@ -412,10 +415,9 @@ _OPCODE = {"PREPZ": _OP_PREPZ, "PREPX": _OP_PREPX, "H": _OP_H, "CNOT": _OP_CNOT,
            "MEASZ": _OP_MEASZ, "MEASX": _OP_MEASX, "INJECT": _OP_INJECT, "RELABEL": _OP_RELABEL}
 
 
-def _compile(circuit: Circuit):
-    """Flatten instructions for the frame loop; returns (ops, tag list)."""
+def _compile(circuit: Circuit) -> list[tuple]:
+    """Flatten instructions into (opcode, a, b, extra) tuples for the frame loop."""
     ops = []
-    tags = []
     for ins in circuit.instructions:
         if ins.op == "BARRIER":
             continue
@@ -424,14 +426,13 @@ def _compile(circuit: Circuit):
             ops.append((code, ins.qubits[0], ins.qubits[1], None))
         elif code in (_OP_MEASZ, _OP_MEASX):
             ops.append((code, ins.qubits[0], 0, ins.tag))
-            tags.append(ins.tag)
         elif code == _OP_INJECT:
-            ops.append((code, ins.qubits[0], 0, ins.pauli))
+            ops.append(_inject_op(ins.pauli, ins.qubits[0]))
         elif code == _OP_RELABEL:
             ops.append((code, 0, 0, ins.perm))
         else:
             ops.append((code, ins.qubits[0], 0, None))
-    return ops, tags
+    return ops
 
 
 def reference_record(circuit: Circuit, master_seed) -> ShotRecord:
@@ -456,16 +457,13 @@ def shot_rng(master_seed, shot_index: int):
     return np.random.default_rng(list(_seed_key(master_seed)) + [0, shot_index])
 
 
-def _scatter(v: int, perm) -> int:
-    out = 0
-    while v:
-        q = (v & -v).bit_length() - 1
-        out |= 1 << perm[q]
-        v &= v - 1
-    return out
+def _frame_shot(ops, ref, nm: NoiseModel, rng) -> tuple[dict, int, int]:
+    """Propagate one Pauli frame through the compiled ops.
 
-
-def _frame_shot(ops, ref, nm: NoiseModel, rng) -> dict:
+    Returns the outcomes (reference XOR frame, plus sampled flips) and the
+    residual X and Z frames.  A zero noise model draws nothing from rng, so
+    explicit INJECT ops are then the only faults.
+    """
     p1, p2, ps = nm.p1, nm.p2, nm.p_spam
     noisy = not nm.is_zero()
     x = z = 0
@@ -528,9 +526,9 @@ def _frame_shot(ops, ref, nm: NoiseModel, rng) -> dict:
             if extra != "X":
                 z ^= bmask
         elif code == _OP_RELABEL:
-            x = _scatter(x, extra)
-            z = _scatter(z, extra)
-    return outcomes
+            x = apply_permutation(x, extra)
+            z = apply_permutation(z, extra)
+    return outcomes, x, z
 
 
 def sample_pauli_frame(circuit: Circuit, nm: NoiseModel, seed, shots: int,
@@ -540,12 +538,12 @@ def sample_pauli_frame(circuit: Circuit, nm: NoiseModel, seed, shots: int,
     Shot i uses its own generator derived from (seed, start + i), so shot
     sets are order-independent and can be partitioned across workers.
     """
-    ops, _ = _compile(circuit)
+    ops = _compile(circuit)
     ref = reference_record(circuit, seed).outcomes
     out = []
     for i in range(start, start + shots):
         rng = shot_rng(seed, i)
-        out.append(ShotRecord(_frame_shot(ops, ref, nm, rng)))
+        out.append(ShotRecord(_frame_shot(ops, ref, nm, rng)[0]))
     return out
 
 
@@ -572,44 +570,49 @@ def enumerate_single_faults(circuit: Circuit) -> list[FaultCase]:
     measurement outcome.  The returned records are noiseless runs with
     exactly that fault applied, sharing one reference frame.
     """
-    ops, _ = _compile(circuit)
+    ops = _compile(circuit)
     ref = reference_record(circuit, 0).outcomes
+    zero = NoiseModel.zero()
     cases = []
-    indexed = []
-    pos = 0
+    pos = -1
     for idx, ins in enumerate(circuit.instructions):
         if ins.op == "BARRIER":
             continue
-        indexed.append((idx, pos))
         pos += 1
-    for idx, op_pos in indexed:
-        ins = circuit.instructions[idx]
-        if ins.op == "H":
-            for p in _PAULIS_1Q:
-                rec, fx, fz = _run_with_fault(ops, ref, op_pos, [(ins.qubits[0], p)], None)
-                cases.append(FaultCase(idx, "gate1", p, rec, fx, fz))
-        elif ins.op == "CNOT":
-            for pidx in range(1, 16):
-                pc, pt = _P1Q[pidx >> 2], _P1Q[pidx & 3]
-                injections = []
-                if pc != "I":
-                    injections.append((ins.qubits[0], pc))
-                if pt != "I":
-                    injections.append((ins.qubits[1], pt))
-                rec, fx, fz = _run_with_fault(ops, ref, op_pos, injections, None)
-                cases.append(FaultCase(idx, "gate2", pc + pt, rec, fx, fz))
-        elif ins.op == "PREPZ":
-            rec, fx, fz = _run_with_fault(ops, ref, op_pos, [(ins.qubits[0], "X")], None)
-            cases.append(FaultCase(idx, "prep", "X", rec, fx, fz))
-        elif ins.op == "PREPX":
-            rec, fx, fz = _run_with_fault(ops, ref, op_pos, [(ins.qubits[0], "Z")], None)
-            cases.append(FaultCase(idx, "prep", "Z", rec, fx, fz))
-        elif ins.op in ("MEASZ", "MEASX"):
-            rec, fx, fz = _run_with_fault(ops, ref, op_pos, [], ins.tag)
-            cases.append(FaultCase(idx, "meas", "flip", rec, fx, fz))
-    for case in cases:
-        case.record.fault = (case.instruction_index, case.kind, case.pauli)
+        for kind, pauli, before, after in _faults_at(ins):
+            run = ops[:pos] + before + [ops[pos]] + after + ops[pos + 1:]
+            outcomes, fx, fz = _frame_shot(run, ref, zero, None)
+            record = ShotRecord(outcomes, (idx, kind, pauli))
+            cases.append(FaultCase(idx, kind, pauli, record, fx, fz))
     return cases
+
+
+def _inject_op(pauli: str, q: int):
+    return (_OP_INJECT, q, 0, pauli)
+
+
+def _faults_at(ins: Instruction):
+    """(kind, label, INJECT ops before, INJECT ops after) for each fault at ins.
+
+    A measurement flip injects the anticommuting Pauli on both sides of
+    the measurement: the outcome flips and the residual frame does not.
+    """
+    if ins.op == "H":
+        return [("gate1", p, [], [_inject_op(p, ins.qubits[0])]) for p in _PAULIS_1Q]
+    if ins.op == "CNOT":
+        out = []
+        for pidx in range(1, 16):
+            pc, pt = _P1Q[pidx >> 2], _P1Q[pidx & 3]
+            after = [_inject_op(p, q) for p, q in zip((pc, pt), ins.qubits) if p != "I"]
+            out.append(("gate2", pc + pt, [], after))
+        return out
+    if ins.op in ("PREPZ", "PREPX"):
+        p = "X" if ins.op == "PREPZ" else "Z"
+        return [("prep", p, [], [_inject_op(p, ins.qubits[0])])]
+    if ins.op in ("MEASZ", "MEASX"):
+        flip = [_inject_op("X" if ins.op == "MEASZ" else "Z", ins.qubits[0])]
+        return [("meas", "flip", flip, flip)]
+    return []
 
 
 def noiseless_frames(circuit: Circuit) -> tuple[ShotRecord, int, int]:
@@ -618,54 +621,7 @@ def noiseless_frames(circuit: Circuit) -> tuple[ShotRecord, int, int]:
     Injected Paulis in the circuit propagate like faults, so this exposes
     where an explicit injection ends up at circuit end.
     """
-    ops, _ = _compile(circuit)
+    ops = _compile(circuit)
     ref = reference_record(circuit, 0).outcomes
-    return _run_with_fault(ops, ref, -1, [], None)
-
-
-def _run_with_fault(ops, ref, after_pos: int, injections, flip_tag):
-    x = z = 0
-    outcomes = {}
-    flips = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-    for pos, (code, a, b, extra) in enumerate(ops):
-        if code == _OP_CNOT:
-            x ^= ((x >> a) & 1) << b
-            z ^= ((z >> b) & 1) << a
-        elif code == _OP_MEASZ:
-            out = ref[extra] ^ ((x >> a) & 1)
-            if flip_tag == extra:
-                out ^= 1
-            outcomes[extra] = out
-        elif code == _OP_MEASX:
-            out = ref[extra] ^ ((z >> a) & 1)
-            if flip_tag == extra:
-                out ^= 1
-            outcomes[extra] = out
-        elif code in (_OP_PREPZ, _OP_PREPX):
-            bmask = 1 << a
-            x &= ~bmask
-            z &= ~bmask
-        elif code == _OP_H:
-            bmask = 1 << a
-            xb = x & bmask
-            zb = z & bmask
-            if bool(xb) != bool(zb):
-                x ^= bmask
-                z ^= bmask
-        elif code == _OP_INJECT:
-            bmask = 1 << a
-            if extra != "Z":
-                x ^= bmask
-            if extra != "X":
-                z ^= bmask
-        elif code == _OP_RELABEL:
-            x = _scatter(x, extra)
-            z = _scatter(z, extra)
-        if pos == after_pos:
-            for q, p in injections:
-                fx, fz = flips[p]
-                if fx:
-                    x ^= 1 << q
-                if fz:
-                    z ^= 1 << q
+    outcomes, x, z = _frame_shot(ops, ref, NoiseModel.zero(), None)
     return ShotRecord(outcomes), x, z

@@ -110,17 +110,17 @@ def test_criterion_5_fault_tolerance_ledger():
         totals[basis] = {k: ledger.count(k) for k in
                          ("correct", "rejected", "nonft-set", "extra")}
     # the Z readout survives every single fault outright
-    assert totals["z"]["nonft-set"] == 0
-    assert totals["x"]["nonft-set"] > 0
+    assert totals["z"] == {"correct": 697, "rejected": 102, "nonft-set": 0, "extra": 0}
+    assert totals["x"] == {"correct": 665, "rejected": 102, "nonft-set": 32, "extra": 0}
     # every X-check record flip decodes to at most a weight-1 correction
     from f2qec.css_code import single_check_flip_witness
 
     witnesses = single_check_flip_witness(code)
     assert all(q is not None for q in witnesses["x"].values())
     zig = pr.validate_schedule(code, pr.zigzag_schedule(code))
-    assert zig.ok
+    assert zig.ok and zig.violations == []
     bad = pr.validate_schedule(code, pr.row_major_schedule(code))
-    assert not bad.ok
+    assert len(bad.violations) == 64
     elapsed = time.time() - t0
     assert elapsed < 600.0
     _note(5, f"single-fault enumeration: z={totals['z']}, x={totals['x']}; "

@@ -33,6 +33,16 @@ def test_logical_action_cycles(tmp_path, capsys):
     assert out["cnots"] == [[0, 1], [2, 3]]
 
 
+def test_logical_action_rejects_bad_cycles(tmp_path, capsys):
+    code_path = str(tmp_path / "code.json")
+    main(["build-code", "--family", "paper2543", "--out", code_path])
+    capsys.readouterr()
+    for perm in ("(0 99)", "(0 1)(1 2)", "(0 a)", "(0 1"):
+        assert main(["logical-action", code_path, "--perm", perm]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "error" in json.loads(err[0])
+
+
 def test_validate_schedule_default_and_exit_codes(tmp_path, capsys):
     code_path = str(tmp_path / "code.json")
     main(["build-code", "--family", "paper2543", "--out", code_path])
@@ -77,6 +87,14 @@ def test_run_ghz_missing_config(capsys):
     assert main(["run-ghz", "--config", "does_not_exist.cfg"]) == 1
     err = capsys.readouterr().err
     assert "does_not_exist.cfg" in err
+
+
+def test_run_ghz_unknown_config_key(tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("mode = physical\nshot_z = 10\n")
+    assert main(["run-ghz", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "shot_z" in json.loads(err[0])["error"]
 
 
 def test_decode_stream(tmp_path, capsys):

@@ -1,4 +1,8 @@
+import json
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from f2qec.code_factory import (
     REFERENCE_TANNER_CHOICE_25_4_3,
@@ -246,3 +250,32 @@ def test_csscode_json_round_trip():
     assert again.logicals_x == code.logicals_x
     assert again.coords == code.coords
     assert again.meta == code.meta
+
+
+@st.composite
+def _css_codes(draw):
+    from f2qec.css_code import CssCode
+
+    n = draw(st.integers(1, 12))
+    masks = st.integers(0, (1 << n) - 1)
+    k = draw(st.integers(0, 4))
+    nrows_x, nrows_z = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    meta = draw(st.dictionaries(st.sampled_from(["l", "c", "nv", "nh"]), st.integers(0, 9)))
+    return CssCode(
+        n=n,
+        hx=BitMatrix.from_ints(draw(st.lists(masks, min_size=nrows_x, max_size=nrows_x)), n),
+        hz=BitMatrix.from_ints(draw(st.lists(masks, min_size=nrows_z, max_size=nrows_z)), n),
+        logicals_x=tuple(draw(st.lists(masks, min_size=k, max_size=k))),
+        logicals_z=tuple(draw(st.lists(masks, min_size=k, max_size=k))),
+        coords=tuple(("P", q // 5 + 1, q % 5 + 1) for q in range(n)),
+        d=draw(st.one_of(st.none(), st.integers(1, 9))),
+        name=draw(st.text("abcdefgh_0123456789", max_size=12)),
+        meta=tuple(sorted(meta.items())),
+    )
+
+
+@given(_css_codes())
+def test_csscode_json_round_trip_property(code):
+    from f2qec.css_code import CssCode
+
+    assert CssCode.from_json(json.loads(json.dumps(code.to_json()))) == code

@@ -7,6 +7,14 @@ from f2qec import experiment as ex
 from f2qec import stab_sim as ss
 
 
+def summary_from_rates(mode: str, z_p: float, z_n: int, x_p: float, x_n: int) -> ex.RunSummary:
+    """Summary object for externally given mismatch rates."""
+    cfg = ex.RunConfig(mode=mode, shots_z=z_n, shots_x=x_n)
+    z = ex.BasisStats(z_n, z_n, round(z_p * z_n))
+    x = ex.BasisStats(x_n, x_n, round(x_p * x_n))
+    return ex.RunSummary(cfg, z, x)
+
+
 def test_standard_error_values():
     assert ex.standard_error(0.5, 100) == pytest.approx(0.05)
     assert ex.standard_error(0.013, 5000) == pytest.approx(0.0016, abs=2e-4)
@@ -68,6 +76,25 @@ def test_run_determinism_and_thread_independence():
     assert s3.x.mismatches == s1.x.mismatches
 
 
+def test_threads_with_archive_match_serial_run(tmp_path):
+    nm = ss.NoiseModel(1e-3, 5e-3, 5e-3)
+    base = ex.RunConfig(mode="logical", shots_z=41, shots_x=30, noise=nm, seed=5)
+    two = ex.RunConfig.from_dict({**base.to_dict(), "threads": 2})
+    assert two.digest() == base.digest()
+    out = []
+    for name, cfg in (("one", base), ("two", two)):
+        ex.run(cfg, out_dir=str(tmp_path / name))
+        mode_dir = tmp_path / name / "logical"
+        saved = json.loads((mode_dir / "summary.json").read_text())
+        lines = (mode_dir / "shots.jsonl").read_text().splitlines()
+        out.append((saved, json.loads(lines[0]), lines[1:]))
+    (saved1, head1, rows1), (saved2, head2, rows2) = out
+    assert saved1["config_hash"] == saved2["config_hash"] == head1["config_hash"] == head2["config_hash"]
+    assert saved1["z"] == saved2["z"] and saved1["x"] == saved2["x"]
+    assert len(rows1) == 71
+    assert rows1 == rows2
+
+
 def test_archive_header_and_summary(tmp_path):
     cfg = ex.RunConfig(mode="physical", shots_z=20, shots_x=10,
                        noise=ss.NoiseModel.zero(), seed=2)
@@ -91,9 +118,9 @@ def test_zero_shot_run_reports_no_data():
 
 def test_report_three_row_table_and_fidelity_lines():
     summaries = {
-        "physical": ex.summary_from_rates("physical", 0.013, 5000, 0.009, 5000),
-        "logical-noqec": ex.summary_from_rates("logical-noqec", 0.057, 2450, 0.029, 2450),
-        "logical": ex.summary_from_rates("logical", 0.003, 2450, 0.002, 2450),
+        "physical": summary_from_rates("physical", 0.013, 5000, 0.009, 5000),
+        "logical-noqec": summary_from_rates("logical-noqec", 0.057, 2450, 0.029, 2450),
+        "logical": summary_from_rates("logical", 0.003, 2450, 0.002, 2450),
     }
     text = ex.report(summaries, "text")
     assert "Physical" in text and "Logical (no QEC)" in text and "Logical (with QEC)" in text
@@ -105,7 +132,7 @@ def test_report_three_row_table_and_fidelity_lines():
 
 
 def test_report_json_csv_round_trip():
-    summaries = {"physical": ex.summary_from_rates("physical", 0.013, 5000, 0.009, 5000)}
+    summaries = {"physical": summary_from_rates("physical", 0.013, 5000, 0.009, 5000)}
     js = json.loads(ex.report(summaries, "json"))
     assert js["physical"]["z"]["p"] == pytest.approx(0.013)
     csv = ex.report(summaries, "csv")
@@ -128,6 +155,15 @@ def test_config_file_round_trip(tmp_path):
     assert cfg.noise.p2 == pytest.approx(2e-3)
     again = ex.RunConfig.from_dict(cfg.to_dict())
     assert again == cfg
+
+
+def test_config_rejects_unknown_keys(tmp_path):
+    with pytest.raises(ValueError, match="shot_z"):
+        ex.RunConfig.from_dict({"mode": "logical", "shot_z": 10})
+    path = tmp_path / "typo.cfg"
+    path.write_text("mode = physical\nshot_z = 10\n")
+    with pytest.raises(ValueError, match="shot_z"):
+        ex.RunConfig.from_file(str(path))
 
 
 def test_config_validation():

@@ -2,10 +2,12 @@ import json
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from f2qec.f2linalg import BitMatrix, parity, vector_from_bits, vector_to_bits
 
-from conftest import gauss_rank
+from conftest import all_span_vectors, gauss_rank, matvec
 
 
 def random_matrix(rng, rows, cols):
@@ -88,6 +90,23 @@ def test_solve_identity_and_underdetermined():
 def test_solve_inconsistent_returns_none():
     m = BitMatrix.from_strings(["11", "11"])
     assert m.solve(0b01) is None
+
+
+@given(st.integers(1, 6), st.integers(1, 7), st.data())
+def test_solve_and_rank_agree_with_bruteforce(rows, cols, data):
+    bits = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=cols, max_size=cols),
+                              min_size=rows, max_size=rows))
+    target = data.draw(st.lists(st.integers(0, 1), min_size=rows, max_size=rows))
+    m = BitMatrix.from_rows(bits)
+    assert m.rank() == gauss_rank(bits)
+    columns = [list(c) for c in zip(*bits)]
+    solvable = target in all_span_vectors(columns)
+    x = m.solve(vector_from_bits(target))
+    if solvable:
+        assert x is not None
+        assert matvec(bits, vector_to_bits(x, cols)) == target
+    else:
+        assert x is None
 
 
 def test_rank_nullity_and_solution_invariants():

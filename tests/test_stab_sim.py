@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from f2qec import stab_sim as ss
 from f2qec.protocol import physical_ghz_circuit, syndrome_extraction_circuit, zigzag_schedule
@@ -49,6 +51,69 @@ def test_text_ir_rejects_garbage():
         ss.Circuit.from_text("CNOT 0 1\n")  # missing header
     with pytest.raises(ValueError):
         ss.Circuit.from_text("QUBITS 2\nWIBBLE 0\n")
+    with pytest.raises(ValueError):
+        ss.Circuit.from_text("QUBITS 3\nRELABEL (0 9)\n")
+
+
+@pytest.mark.parametrize("text", [
+    "(0 5)",        # qubit out of range
+    "(-1 2)",
+    "(0 1)(1 2)",   # qubit repeated across cycles
+    "(0 1 0)",      # qubit repeated within a cycle
+    "(0 x)",        # non-integer token
+    "(0 1.5)",
+    "(0 1",         # unbalanced parentheses
+    "0 1)",
+    "((0 1)",
+    "(0 1))",
+    "(0 1) 2",      # stray text
+])
+def test_cycle_parser_rejects_bad_input(text):
+    with pytest.raises(ValueError):
+        ss.cycles_from_text(text, 4)
+
+
+def test_cycle_parser_identity_forms():
+    assert ss.cycles_from_text("()", 3) == (0, 1, 2)
+    assert ss.cycles_from_text("", 3) == (0, 1, 2)
+    assert ss.cycles_from_text(" (0 2) (1) ", 3) == (2, 1, 0)
+
+
+@given(st.integers(1, 12).flatmap(lambda n: st.permutations(range(n))))
+def test_cycle_text_round_trip(perm):
+    perm = tuple(perm)
+    assert ss.cycles_from_text(ss.cycles_to_text(perm), len(perm)) == perm
+
+
+def _instruction(n):
+    q = st.integers(0, n - 1)
+    single = st.builds(lambda op, a: ss.Instruction(op, (a,)),
+                       st.sampled_from(["PREPZ", "PREPX", "H"]), q)
+    two = st.tuples(q, q).filter(lambda ab: ab[0] != ab[1]).map(lambda ab: ss.cnot(*ab))
+    inject = st.builds(ss.inject, st.sampled_from("XYZ"), q)
+    relabel = st.permutations(range(n)).map(ss.relabel)
+    meas = st.builds(lambda op, a: (op, a), st.sampled_from(["MEASZ", "MEASX"]), q)
+    return st.one_of(single, two, inject, relabel, meas, st.just(ss.barrier()))
+
+
+@st.composite
+def _circuits(draw):
+    n = draw(st.integers(2, 6))
+    ins = []
+    for k, item in enumerate(draw(st.lists(_instruction(n), max_size=25))):
+        if isinstance(item, tuple):
+            item = ss.Instruction(item[0], (item[1],), tag=f"m{k}")
+        ins.append(item)
+    return ss.Circuit(n, tuple(ins))
+
+
+@settings(deadline=None)
+@given(_circuits())
+def test_text_ir_round_trip_property(circ):
+    text = circ.to_text()
+    again = ss.Circuit.from_text(text)
+    assert again == circ
+    assert again.to_text() == text
 
 
 def test_circuit_validation():
