@@ -30,9 +30,38 @@ def _fail(msg: str) -> int:
     return 1
 
 
-def _load_code(path: str) -> CssCode:
+def _load_json(path: str, parse, what: str):
+    """parse(JSON content of path), with a wrongly shaped document a ValueError."""
     with open(path) as fh:
-        return CssCode.from_json(json.load(fh))
+        obj = json.load(fh)
+    try:
+        return parse(obj)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed {what} file {path}: {exc!r}") from None
+
+
+def _load_code(path: str) -> CssCode:
+    return _load_json(path, CssCode.from_json, "code")
+
+
+def _is_int_list(v) -> bool:
+    return isinstance(v, list) and all(isinstance(t, int) for t in v)
+
+
+def _schedule_from_json(raw) -> pr.Schedule:
+    if not all(_is_int_list(order) for key in ("x", "z") for order in raw[key]):
+        raise ValueError("schedule orders must be lists of qubit indices")
+    return pr.Schedule(tuple(map(tuple, raw["x"])), tuple(map(tuple, raw["z"])))
+
+
+def _threads_from_env() -> int | None:
+    """The F2QEC_THREADS thread count, or None when the variable is unset."""
+    raw = os.environ.get(DEFAULT_THREADS_ENV)
+    if raw is None:
+        return None
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ValueError(f"{DEFAULT_THREADS_ENV} must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def _cmd_build_code(args) -> int:
@@ -75,10 +104,7 @@ def _cmd_logical_action(args) -> int:
 def _cmd_validate_schedule(args) -> int:
     code = _load_code(args.code)
     if args.schedule:
-        with open(args.schedule) as fh:
-            raw = json.load(fh)
-        sched = pr.Schedule(tuple(tuple(o) for o in raw["x"]),
-                            tuple(tuple(o) for o in raw["z"]))
+        sched = _load_json(args.schedule, _schedule_from_json, "schedule")
     else:
         sched = pr.zigzag_schedule(code)
     report = pr.validate_schedule(code, sched)
@@ -120,8 +146,9 @@ def _cmd_run_ghz(args) -> int:
         overrides["shots_x"] = nx
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if args.threads is not None:
-        overrides["threads"] = args.threads
+    threads = args.threads if args.threads is not None else _threads_from_env()
+    if threads is not None:
+        overrides["threads"] = threads
     if overrides:
         cfg = ex.RunConfig.from_dict({**cfg.to_dict(), **overrides})
     summary = ex.run(cfg, out_dir=args.out)
@@ -135,17 +162,21 @@ def _cmd_decode(args) -> int:
     priors = (args.prior,) * h.cols
     out_lines = []
     with open(args.syndromes) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             row = json.loads(line)
-            syndrome = vector_from_bits(row["syndrome"])
+            bits = row.get("syndrome") if isinstance(row, dict) else None
+            if not _is_int_list(bits) or len(bits) != h.rows or set(bits) - {0, 1}:
+                raise ValueError(f"{args.syndromes} line {lineno}: expected "
+                                 f'{{"syndrome": [...]}} with {h.rows} bits')
+            syndrome = vector_from_bits(bits)
             result = bp_osd(DecodeProblem(h, priors, syndrome),
                             iters=args.bp_iters, depth=args.osd_depth)
             mask = logical_correction(code, result.error_estimate, args.basis)
             out_lines.append(json.dumps({
-                "syndrome": row["syndrome"],
+                "syndrome": bits,
                 "estimate": vector_to_bits(result.error_estimate, h.cols),
                 "logical_mask": vector_to_bits(mask, code.k),
                 "converged": result.converged,
@@ -162,8 +193,7 @@ def _cmd_report(args) -> int:
     for mode in ex.MODES:
         path = os.path.join(args.dir, mode, "summary.json")
         if os.path.exists(path):
-            with open(path) as fh:
-                summaries[mode] = ex.RunSummary.from_json(json.load(fh))
+            summaries[mode] = _load_json(path, ex.RunSummary.from_json, "summary")
     if not summaries:
         return _fail(f"no summaries under {args.dir}")
     print(ex.report(summaries, args.format))
@@ -214,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     rg.add_argument("--basis-shots", help="Nz,Nx")
     rg.add_argument("--seed", type=int)
     rg.add_argument("--threads", type=int,
-                    default=int(os.environ.get(DEFAULT_THREADS_ENV, "0")) or None)
+                    help=f"worker processes; default ${DEFAULT_THREADS_ENV}, else the config")
     rg.add_argument("--out", help="output directory for summary and shot archive")
     rg.set_defaults(func=_cmd_run_ghz)
 
@@ -239,9 +269,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        return _fail(f"file not found: {exc.filename}")
-    except (ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         return _fail(str(exc))
 
 

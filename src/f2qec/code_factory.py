@@ -9,7 +9,9 @@ choice that reproduces it from the hypergraph product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import accumulate
+from operator import xor
 
 from .css_code import CssCode
 from .f2linalg import BitMatrix
@@ -40,22 +42,16 @@ class ClassicalCode:
 
 def min_codeword_weight(G: BitMatrix) -> int | None:
     """Exact minimum weight over nonzero codewords, or None if k too large."""
-    if G.rows == 0:
+    if not 0 < G.rows <= MAX_CODEWORD_ENUM_K:
         return None
-    if G.rows > MAX_CODEWORD_ENUM_K:
-        return None
-    best = None
-    for coeff in range(1, 1 << G.rows):
-        v = 0
-        c = coeff
-        while c:
-            i = (c & -c).bit_length() - 1
-            v ^= G.row(i)
-            c &= c - 1
-        w = v.bit_count()
-        if best is None or w < best:
-            best = w
-    return best
+    # Gray-code order: consecutive codewords differ by one generator row
+    steps = (G.row((t & -t).bit_length() - 1) for t in range(1, 1 << G.rows))
+    return min(v.bit_count() for v in accumulate(steps, xor))
+
+
+def _unit_rows(cols, n: int) -> BitMatrix:
+    """Rows e_c for each c in cols, as vectors of length n."""
+    return BitMatrix.from_ints([1 << c for c in cols], n)
 
 
 def _make_code(name: str, H: BitMatrix, n: int) -> ClassicalCode:
@@ -93,39 +89,21 @@ def concatenate(outer: ClassicalCode, inner_per_bit) -> ClassicalCode:
     """
     if len(inner_per_bit) != outer.n:
         raise ValueError("need exactly one inner code per outer bit")
-    offsets = []
-    pos = 0
     for inner in inner_per_bit:
         if inner.k != 1:
             raise ValueError("inner codes must encode a single bit")
         if not inner.G.get(0, 0):
             raise ValueError("inner generator must cover the representative bit")
-        offsets.append(pos)
-        pos += inner.n
-    n = pos
+    *offsets, n = accumulate((inner.n for inner in inner_per_bit), initial=0)
 
-    rows = []
-    for j, inner in enumerate(inner_per_bit):
-        for r in range(inner.H.rows):
-            rows.append(inner.H.row(r) << offsets[j])
-    for r in range(outer.H.rows):
-        v = 0
-        for j in range(outer.n):
-            if outer.H.get(r, j):
-                v |= 1 << offsets[j]
-        rows.append(v)
-    H = BitMatrix.from_ints(rows, n)
-
-    grows = []
-    for i in range(outer.k):
-        v = 0
-        for j, inner in enumerate(inner_per_bit):
-            if outer.G.get(i, j):
-                v |= inner.G.row(0) << offsets[j]
-        grows.append(v)
-    G = BitMatrix.from_ints(grows, n)
-    name = f"{outer.name}_concat"
-    return ClassicalCode(name, n, outer.k, min_codeword_weight(G), H, G)
+    blocks = list(zip(inner_per_bit, offsets))
+    # row j of lift is the representative bit of block j, row j of reps its codeword
+    lift = _unit_rows(offsets, n)
+    reps = BitMatrix.from_ints([inner.G.row(0) << off for inner, off in blocks], n)
+    inner_h = BitMatrix.from_ints([r << off for inner, off in blocks for r in inner.H.data], n)
+    H = inner_h.vstack(outer.H @ lift)
+    G = outer.G @ reps
+    return ClassicalCode(f"{outer.name}_concat", n, outer.k, min_codeword_weight(G), H, G)
 
 
 def weight_reduce(l: int) -> ClassicalCode:
@@ -139,8 +117,7 @@ def weight_reduce(l: int) -> ClassicalCode:
     if l < 3:
         raise ValueError("weight reduction needs l >= 3")
     if l == 3:
-        code = parity_code(3)
-        return ClassicalCode("weight_reduced_3", 3, 2, 2, code.H, code.G)
+        return replace(parity_code(3), name="weight_reduced_3")
     n = 2 * l - 3
     aux = lambda t: l + t  # noqa: E731 - local index helper
     rows = [(1 << 0) | (1 << 1) | (1 << aux(0))]
@@ -176,6 +153,11 @@ def hypergraph_product(h: BitMatrix, h_second: BitMatrix | None = None) -> CssCo
     qubits are ("S", i', j') and occupy the trailing columns.  X checks act
     on primary columns, Z checks on primary rows.  Both factors must have
     full row rank (no redundant checks).
+
+    With Hv (mv x nv) vertical and Hh (mh x nh) horizontal:
+    hx = [Hv (x) I_nh | I_mv (x) Hh^T], hz = [I_nv (x) Hh | Hv^T (x) I_mh];
+    logical X (a, b) is e_pv[a] (x) gh_b and logical Z (a, b) is
+    gv_a (x) e_ph[b], where g are the reduced kernel bases and p their pivots.
     """
     hv = h
     hh = h if h_second is None else h_second
@@ -184,50 +166,13 @@ def hypergraph_product(h: BitMatrix, h_second: BitMatrix | None = None) -> CssCo
     if hv.rank() != mv or hh.rank() != mh:
         raise ValueError("hypergraph product requires full-rank check matrices")
 
-    nprim = nv * nh
-    n = nprim + mv * mh
-    pidx = lambda i, j: i * nh + j  # noqa: E731
-    sidx = lambda ip, jp: nprim + ip * mh + jp  # noqa: E731
-
-    xrows = []
-    for a in range(mv):
-        for b in range(nh):
-            v = 0
-            for u in range(nv):
-                if hv.get(a, u):
-                    v |= 1 << pidx(u, b)
-            for bp in range(mh):
-                if hh.get(bp, b):
-                    v |= 1 << sidx(a, bp)
-            xrows.append(v)
-    zrows = []
-    for i in range(nv):
-        for jp in range(mh):
-            v = 0
-            for w in range(nh):
-                if hh.get(jp, w):
-                    v |= 1 << pidx(i, w)
-            for up in range(mv):
-                if hv.get(up, i):
-                    v |= 1 << sidx(up, jp)
-            zrows.append(v)
-
+    eye = BitMatrix.identity
+    hx = hv.kron(eye(nh)).hstack(eye(mv).kron(hh.transpose()))
+    hz = eye(nv).kron(hh).hstack(hv.transpose().kron(eye(mh)))
     gv, pv = hv.kernel_basis().rref()
     gh, ph = hh.kernel_basis().rref()
-    logicals_x = []
-    logicals_z = []
-    for alpha in range(gv.rows):
-        for beta in range(gh.rows):
-            xm = 0
-            for j in range(nh):
-                if gh.get(beta, j):
-                    xm |= 1 << pidx(pv[alpha], j)
-            logicals_x.append(xm)
-            zm = 0
-            for i in range(nv):
-                if gv.get(alpha, i):
-                    zm |= 1 << pidx(i, ph[beta])
-            logicals_z.append(zm)
+    logicals_x = _unit_rows(pv, nv).kron(gh).data
+    logicals_z = gv.kron(_unit_rows(ph, nh)).data
 
     coords = tuple(
         [("P", i + 1, j + 1) for i in range(nv) for j in range(nh)]
@@ -237,11 +182,11 @@ def hypergraph_product(h: BitMatrix, h_second: BitMatrix | None = None) -> CssCo
     dh = min_codeword_weight(gh)
     d = min(dv, dh) if dv is not None and dh is not None else None
     return CssCode(
-        n=n,
-        hx=BitMatrix.from_ints(xrows, n),
-        hz=BitMatrix.from_ints(zrows, n),
-        logicals_x=tuple(logicals_x),
-        logicals_z=tuple(logicals_z),
+        n=hx.cols,
+        hx=hx,
+        hz=hz,
+        logicals_x=logicals_x,
+        logicals_z=logicals_z,
         coords=coords,
         d=d,
         name="hgp",
@@ -257,97 +202,66 @@ def hypergraph_product(h: BitMatrix, h_second: BitMatrix | None = None) -> CssCo
 class TannerChoice:
     """Ordered recombination plan for discarding the secondary lattice.
 
-    Each step is ((i', j'), kind, retained) where (i', j') is a 1-based
-    secondary coordinate, kind selects which check type gets recombined,
-    and retained is the row index (within the current check list of that
-    type) of the check that is kept on the qubit and then deleted.
+    Each step is ((i', j'), kind): a 1-based secondary coordinate and the
+    check type ("X" or "Z") recombined on that qubit.  The lowest-index
+    incident check of that type is the one retained; keeping another would
+    change only the generators, never the row spaces.
     """
 
-    steps: tuple[tuple[tuple[int, int], str, int], ...]
+    steps: tuple[tuple[tuple[int, int], str], ...]
 
 
 def _secondary_columns(code: CssCode) -> dict[tuple[int, int], int]:
     return {(c[1], c[2]): q for q, c in enumerate(code.coords) if c[0] == "S"}
 
 
-def _recombine(xrows: list, zrows: list, q: int, coord, kind: str,
-               retained: int | None = None) -> int:
-    """One recombination step on secondary qubit q, in place; returns the retained row.
-
-    Every check of the given kind incident on q is multiplied by the
-    retained one (the lowest-index incident check when none is given),
-    which is then deleted; every remaining check is truncated on q.
-    """
-    bit = 1 << q
-    grp = xrows if kind == "X" else zrows
-    incident = [r for r in range(len(grp)) if grp[r] & bit]
-    if retained is None:
-        if not incident:
-            raise ValueError(f"no incident {kind} check at {coord}")
-        retained = incident[0]
-    elif retained not in incident:
-        raise ValueError(f"retained check {retained} is not incident on {coord}")
-    keep = grp[retained]
-    for r in incident:
-        if r != retained:
-            grp[r] ^= keep
-    del grp[retained]
-    mask = ~bit
-    for rows in (xrows, zrows):
-        for r in range(len(rows)):
-            rows[r] &= mask
-    return retained
-
-
 def quantum_tanner_transform(code: CssCode, choice: TannerChoice) -> CssCode:
     """Remove every secondary qubit by same-type check recombination.
 
-    At each step, all checks of the chosen type incident on the chosen
-    secondary qubit are multiplied by the retained check, which is then
-    deleted along with the qubit; opposite-type checks are simply
-    truncated on that qubit.  The output lives on the primary lattice
-    with k and d unchanged.
+    At each step, every check of the chosen type incident on the chosen
+    secondary qubit is multiplied by the lowest-index one, which is then
+    deleted; opposite-type checks are simply truncated on that qubit.  The
+    output lives on the primary lattice with k and d unchanged.
     """
     sec_cols = _secondary_columns(code)
     if not sec_cols:
         raise ValueError("code has no secondary qubits to remove")
     seen = set()
-    for (coord, kind, _r) in choice.steps:
+    for coord, kind in choice.steps:
         if coord not in sec_cols:
             raise ValueError(f"unknown secondary coordinate {coord}")
         if coord in seen:
             raise ValueError(f"secondary coordinate {coord} chosen twice")
+        if kind not in ("X", "Z"):
+            raise ValueError(f"check kind must be X or Z, got {kind!r}")
         seen.add(coord)
     uncovered = set(sec_cols) - seen
     if uncovered:
         raise ValueError(f"uncovered secondary qubits: {sorted(uncovered)}")
 
-    xrows = list(code.hx.data)
-    zrows = list(code.hz.data)
-    for (coord, kind, retained) in choice.steps:
-        _recombine(xrows, zrows, sec_cols[coord], coord, kind, retained)
+    # Secondary bits are left in place until every step is done: a step
+    # only looks at its own qubit, and each qubit is visited once.
+    checks = {"X": list(code.hx.data), "Z": list(code.hz.data)}
+    for coord, kind in choice.steps:
+        grp = checks[kind]
+        bit = 1 << sec_cols[coord]
+        incident = [r for r, v in enumerate(grp) if v & bit]
+        if not incident:
+            raise ValueError(f"no incident {kind} check at {coord}")
+        keep = grp.pop(incident[0])
+        for r in incident[1:]:
+            grp[r - 1] ^= keep
 
     drop = sorted(sec_cols.values())
-    hx = BitMatrix.from_ints(xrows, code.n).delete_columns(drop)
-    hz = BitMatrix.from_ints(zrows, code.n).delete_columns(drop)
-    nprim = code.n - len(drop)
-    prim_mask = (1 << nprim) - 1
+    hx = BitMatrix.from_ints(checks["X"], code.n).delete_columns(drop)
+    hz = BitMatrix.from_ints(checks["Z"], code.n).delete_columns(drop)
+    nprim = hx.cols
     for m in code.logicals_x + code.logicals_z:
-        if m & ~prim_mask:
+        if m >> nprim:
             raise ValueError("logical operator touches the secondary lattice")
-    out = CssCode(
-        n=nprim,
-        hx=hx,
-        hz=hz,
-        logicals_x=code.logicals_x,
-        logicals_z=code.logicals_z,
-        coords=tuple(c for c in code.coords if c[0] == "P"),
-        d=code.d,
-        name=code.name + "_qtt",
-        meta=code.meta,
-    )
-    k = nprim - hx.rank() - hz.rank()
-    if k != out.k:
+    out = replace(code, n=nprim, hx=hx, hz=hz, name=code.name + "_qtt",
+                  coords=tuple(c for c in code.coords if c[0] == "P"))
+    if nprim - hx.rank() - hz.rank() != out.k:
         raise ValueError("transform changed the logical count")
     return out
 
@@ -355,19 +269,11 @@ def quantum_tanner_transform(code: CssCode, choice: TannerChoice) -> CssCode:
 def default_tanner_choice(code: CssCode) -> TannerChoice:
     """Checkerboard recombination plan: X at even (i'+j'), Z at odd.
 
-    Secondary qubits are processed in row-major order and the retained
-    check is the lowest-index incident row at that step, which makes the
-    plan fully deterministic.
+    Secondary qubits are taken in row-major order, which makes the plan
+    fully deterministic.
     """
-    sec_cols = _secondary_columns(code)
-    xrows = list(code.hx.data)
-    zrows = list(code.hz.data)
-    steps = []
-    for coord in sorted(sec_cols):
-        kind = "X" if (coord[0] + coord[1]) % 2 == 0 else "Z"
-        retained = _recombine(xrows, zrows, sec_cols[coord], coord, kind)
-        steps.append((coord, kind, retained))
-    return TannerChoice(tuple(steps))
+    return TannerChoice(tuple((coord, "X" if sum(coord) % 2 == 0 else "Z")
+                              for coord in sorted(_secondary_columns(code))))
 
 
 # --- canned codes ---------------------------------------------------------
@@ -425,23 +331,17 @@ def build_25_4_3() -> CssCode:
 
 
 # Reference recombination plan for the 25-qubit code, committed as data.
-# Regenerated by default_tanner_choice(hypergraph_product(parent H)); the
-# test suite pins the equality.
+# Equals default_tanner_choice(build_34_4_3()); the test suite pins the equality.
 REFERENCE_TANNER_CHOICE_25_4_3 = TannerChoice((
-    ((1, 1), "X", 0), ((1, 2), "Z", 1), ((1, 3), "X", 2),
-    ((2, 1), "Z", 2), ((2, 2), "X", 4), ((2, 3), "Z", 3),
-    ((3, 1), "X", 7), ((3, 2), "Z", 7), ((3, 3), "X", 9),
+    ((1, 1), "X"), ((1, 2), "Z"), ((1, 3), "X"),
+    ((2, 1), "Z"), ((2, 2), "X"), ((2, 3), "Z"),
+    ((3, 1), "X"), ((3, 2), "Z"), ((3, 3), "X"),
 ))
 
 
 def build_34_4_3() -> CssCode:
     """Hypergraph product of the [5,2,3] seed with itself (pre-transform)."""
-    code = hypergraph_product(parent_code_5_2_3().H)
-    return CssCode(
-        n=code.n, hx=code.hx, hz=code.hz,
-        logicals_x=code.logicals_x, logicals_z=code.logicals_z,
-        coords=code.coords, d=3, name="code_34_4_3", meta=code.meta,
-    )
+    return replace(hypergraph_product(parent_code_5_2_3().H), d=3, name="code_34_4_3")
 
 
 def build_generalized(l: int, c: int) -> CssCode:
@@ -459,10 +359,8 @@ def build_generalized(l: int, c: int) -> CssCode:
     vert = concatenate(weight_reduce(l), [repetition_code(c)] * (2 * l - 3))
     horiz = concatenate(parity_code(3), [repetition_code(c)] * 3)
     prod = hypergraph_product(vert.H, horiz.H)
-    code = quantum_tanner_transform(prod, default_tanner_choice(prod))
-    return CssCode(
-        n=code.n, hx=code.hx, hz=code.hz,
-        logicals_x=code.logicals_x, logicals_z=code.logicals_z,
-        coords=code.coords, d=2 * c, name=f"generalized_l{l}_c{c}",
+    return replace(
+        quantum_tanner_transform(prod, default_tanner_choice(prod)),
+        d=2 * c, name=f"generalized_l{l}_c{c}",
         meta=tuple(sorted((("l", l), ("c", c), ("nv", vert.n), ("nh", horiz.n)))),
     )

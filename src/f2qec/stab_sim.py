@@ -138,6 +138,8 @@ class Circuit:
                 raise ValueError("relabel is not a permutation of all qubits")
             if ins.op == "CNOT" and ins.qubits[0] == ins.qubits[1]:
                 raise ValueError("CNOT needs distinct qubits")
+            if ins.op == "INJECT" and ins.pauli not in _PAULIS_1Q:
+                raise ValueError(f"INJECT Pauli must be X, Y or Z, got {ins.pauli!r}")
 
     def tags(self) -> tuple[str, ...]:
         return tuple(i.tag for i in self.instructions if i.op in ("MEASZ", "MEASX"))
@@ -157,9 +159,10 @@ class Circuit:
     @classmethod
     def from_text(cls, text: str) -> "Circuit":
         lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.strip().startswith("#")]
-        if not lines or not lines[0].startswith("QUBITS"):
-            raise ValueError("circuit text must start with a QUBITS header")
-        n = int(lines[0].split()[1])
+        header = lines[0].split() if lines else []
+        if len(header) != 2 or header[0] != "QUBITS" or not header[1].isdecimal():
+            raise ValueError("circuit text must start with a 'QUBITS <count>' header")
+        n = int(header[1])
         out = []
         for ln in lines[1:]:
             parts = ln.split(None, 1)

@@ -127,3 +127,69 @@ def test_identical_invocations_identical_outputs(tmp_path, capsys):
         outs.append(open(out_dir / "logical" / "summary.json").read())
     capsys.readouterr()
     assert outs[0] == outs[1]
+
+
+def _one_line_error(capsys) -> str:
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    return json.loads(err[0])["error"]
+
+
+def test_bad_threads_env_is_ignored_by_other_subcommands(tmp_path, capsys, monkeypatch):
+    for value in ("abc", "0", "-2"):
+        monkeypatch.setenv("F2QEC_THREADS", value)
+        # subcommands other than run-ghz never read the variable
+        assert main(["report", str(tmp_path)]) == 1
+        assert "no summaries" in _one_line_error(capsys)
+
+
+def test_run_ghz_rejects_bad_threads_env(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mode = physical\nshots_z = 5\nshots_x = 5\n")
+    for value in ("abc", "0", "-2", "1.5"):
+        monkeypatch.setenv("F2QEC_THREADS", value)
+        assert main(["run-ghz", "--config", str(cfg)]) == 1
+        assert "F2QEC_THREADS" in _one_line_error(capsys)
+    # an explicit --threads wins and the variable is not read
+    assert main(["run-ghz", "--config", str(cfg), "--threads", "1"]) == 0
+
+
+def test_validate_schedule_rejects_malformed_schedule(tmp_path, capsys):
+    code_path = str(tmp_path / "code.json")
+    main(["build-code", "--family", "paper2543", "--out", code_path])
+    capsys.readouterr()
+    sched_path = tmp_path / "sched.json"
+    sched_path.write_text(json.dumps({"x": [1, 2], "z": []}))
+    assert main(["validate-schedule", code_path, "--schedule", str(sched_path)]) == 1
+    assert "schedule" in _one_line_error(capsys)
+
+
+def test_decode_rejects_malformed_syndrome_rows(tmp_path, capsys):
+    code_path = str(tmp_path / "code.json")
+    main(["build-code", "--family", "paper2543", "--out", code_path])
+    capsys.readouterr()
+    for row in ({"syndrome": 5}, [1, 2], {"syndrome": [0] * 10}, {"syndrome": [2] * 11}):
+        stream = tmp_path / "syn.jsonl"
+        stream.write_text(json.dumps(row) + "\n")
+        assert main(["decode", "--code", code_path, "--basis", "z",
+                     "--syndromes", str(stream), "--out", str(tmp_path / "dec.jsonl")]) == 1
+        assert "syndrome" in _one_line_error(capsys)
+
+
+def test_distance_rejects_malformed_code_file(tmp_path, capsys):
+    code_path = tmp_path / "code.json"
+    code_path.write_text("[]")
+    assert main(["distance", str(code_path), "--wmax", "2"]) == 1
+    assert "malformed code file" in _one_line_error(capsys)
+
+
+def test_report_rejects_malformed_summary(tmp_path, capsys):
+    (tmp_path / "physical").mkdir()
+    (tmp_path / "physical" / "summary.json").write_text("[]")
+    assert main(["report", str(tmp_path)]) == 1
+    assert "malformed summary file" in _one_line_error(capsys)
+
+
+def test_build_code_out_directory_is_a_json_error(tmp_path, capsys):
+    assert main(["build-code", "--family", "paper2543", "--out", str(tmp_path)]) == 1
+    assert str(tmp_path) in _one_line_error(capsys)

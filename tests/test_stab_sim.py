@@ -53,6 +53,13 @@ def test_text_ir_rejects_garbage():
         ss.Circuit.from_text("QUBITS 2\nWIBBLE 0\n")
     with pytest.raises(ValueError):
         ss.Circuit.from_text("QUBITS 3\nRELABEL (0 9)\n")
+    for header in ("QUBITS\n", "QUBITS x\n", "QUBITS 3 4\n", "QUBITS -1\n", "QUBITSX 3\n"):
+        with pytest.raises(ValueError):
+            ss.Circuit.from_text(header)
+    with pytest.raises(ValueError):
+        ss.Circuit.from_text("QUBITS 3\nINJECT Q 0\n")  # not a single-qubit Pauli
+    with pytest.raises(ValueError):
+        ss.Circuit(3, (ss.inject("Q", 0),))
 
 
 @pytest.mark.parametrize("text", [
