@@ -30,6 +30,42 @@ def _fail(msg: str) -> int:
     return 1
 
 
+class _UsageError(Exception):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage and type errors raised for main to report as JSON."""
+
+    def error(self, message):
+        raise _UsageError(f"{self.prog}: {message}")
+
+
+def _count(minimum: int):
+    """argparse type: an integer that is at least minimum."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
+        return value
+    return parse
+
+
+_NON_NEGATIVE = _count(0)
+_POSITIVE = _count(1)
+
+
+def _shot_pair(text: str) -> tuple[int, int]:
+    """argparse type: 'Nz,Nx', two non-negative shot counts."""
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise argparse.ArgumentTypeError(f"expected Nz,Nx, got {text!r}")
+    return _NON_NEGATIVE(parts[0]), _NON_NEGATIVE(parts[1])
+
+
 def _load_json(path: str, parse, what: str):
     """parse(JSON content of path), with a wrongly shaped document a ValueError."""
     with open(path) as fh:
@@ -141,9 +177,7 @@ def _cmd_run_ghz(args) -> int:
     if args.mode:
         overrides["mode"] = args.mode
     if args.basis_shots:
-        nz, nx = (int(t) for t in args.basis_shots.split(","))
-        overrides["shots_z"] = nz
-        overrides["shots_x"] = nx
+        overrides["shots_z"], overrides["shots_x"] = args.basis_shots
     if args.seed is not None:
         overrides["seed"] = args.seed
     threads = args.threads if args.threads is not None else _threads_from_env()
@@ -201,20 +235,19 @@ def _cmd_report(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="f2qec",
-                                description="quantum LDPC GHZ workbench")
+    p = _Parser(prog="f2qec", description="quantum LDPC GHZ workbench")
     sub = p.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build-code", help="construct a code and write it as JSON")
     b.add_argument("--family", required=True, choices=["paper2543", "hgp", "generalized"])
-    b.add_argument("--l", type=int, default=3)
-    b.add_argument("--c", type=int, default=1)
+    b.add_argument("--l", type=_NON_NEGATIVE, default=3)
+    b.add_argument("--c", type=_NON_NEGATIVE, default=1)
     b.add_argument("--out", required=True)
     b.set_defaults(func=_cmd_build_code)
 
     d = sub.add_parser("distance", help="exhaustive distance search up to a weight cap")
     d.add_argument("code")
-    d.add_argument("--wmax", type=int, required=True)
+    d.add_argument("--wmax", type=_NON_NEGATIVE, required=True)
     d.set_defaults(func=_cmd_distance)
 
     la = sub.add_parser("logical-action",
@@ -233,17 +266,17 @@ def build_parser() -> argparse.ArgumentParser:
     ec = sub.add_parser("emit-circuit", help="write a GHZ pipeline in the text IR")
     ec.add_argument("--mode", required=True, choices=["physical", "logical", "generalized"])
     ec.add_argument("--basis", required=True, choices=["z", "x"])
-    ec.add_argument("--l", type=int, default=3)
-    ec.add_argument("--c", type=int, default=1)
+    ec.add_argument("--l", type=_NON_NEGATIVE, default=3)
+    ec.add_argument("--c", type=_NON_NEGATIVE, default=1)
     ec.add_argument("--out", required=True)
     ec.set_defaults(func=_cmd_emit_circuit)
 
     rg = sub.add_parser("run-ghz", help="Monte Carlo GHZ experiment from a config file")
     rg.add_argument("--config", required=True)
     rg.add_argument("--mode")
-    rg.add_argument("--basis-shots", help="Nz,Nx")
+    rg.add_argument("--basis-shots", type=_shot_pair, help="Nz,Nx")
     rg.add_argument("--seed", type=int)
-    rg.add_argument("--threads", type=int,
+    rg.add_argument("--threads", type=_POSITIVE,
                     help=f"worker processes; default ${DEFAULT_THREADS_ENV}, else the config")
     rg.add_argument("--out", help="output directory for summary and shot archive")
     rg.set_defaults(func=_cmd_run_ghz)
@@ -254,8 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     dc.add_argument("--syndromes", required=True)
     dc.add_argument("--out", required=True)
     dc.add_argument("--prior", type=float, default=0.01)
-    dc.add_argument("--bp-iters", type=int, default=10)
-    dc.add_argument("--osd-depth", type=int, default=14)
+    dc.add_argument("--bp-iters", type=_NON_NEGATIVE, default=10)
+    dc.add_argument("--osd-depth", type=_NON_NEGATIVE, default=14)
     dc.set_defaults(func=_cmd_decode)
 
     rp = sub.add_parser("report", help="render summaries from a run directory")
@@ -266,10 +299,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (OSError, ValueError, KeyError) as exc:
+    except (_UsageError, OSError, ValueError, KeyError) as exc:
         return _fail(str(exc))
 
 

@@ -351,8 +351,8 @@ def run(config: RunConfig, out_dir: str | None = None) -> RunSummary:
     With out_dir set, writes <out_dir>/<mode>/summary.json and a
     shots.jsonl archive headed by the config hash.  Each basis is split
     into config.threads contiguous chunks run in worker processes; results
-    and archive rows depend only on the config (per-shot seeding), not on
-    the thread count.
+    and archive rows depend only on the config (the sampler seeds fixed
+    blocks of shots, not chunks), not on the thread count.
     """
     keep = out_dir is not None
     jobs = []

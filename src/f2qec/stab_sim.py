@@ -6,6 +6,11 @@ faults onto a fixed noiseless reference run.  Noise is a three-rate
 model: depolarizing after one- and two-qubit gates, independent flips on
 preparations and measurement outcomes.
 
+The sampler propagates the frames of many shots at once, one bool column
+per shot, and draws its noise in seeded blocks of SHOT_BLOCK shots.
+Single-fault enumeration runs the same kernel without noise, one column
+per fault case.
+
 Text IR (round-trip exact), one instruction per line after a header:
 
     QUBITS 5
@@ -22,7 +27,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -149,7 +154,7 @@ class Circuit:
 
     def fault_location_count(self) -> int:
         """Single-fault cases: 3 per 1q gate, 15 per CNOT, 1 per prep and meas."""
-        return sum(len(_faults_at(i)) for i in self.instructions)
+        return sum(len(_FAULTS[i.op][1]) for i in self.instructions if i.op in _FAULTS)
 
     def to_text(self) -> str:
         lines = [f"QUBITS {self.n_qubits}"]
@@ -209,9 +214,6 @@ class NoiseModel:
     @classmethod
     def zero(cls) -> "NoiseModel":
         return cls(0.0, 0.0, 0.0)
-
-    def is_zero(self) -> bool:
-        return self.p1 == 0.0 and self.p2 == 0.0 and self.p_spam == 0.0
 
 
 @dataclass
@@ -412,30 +414,141 @@ def noisy_expansion(circuit: Circuit, nm: NoiseModel, rng) -> Circuit:
 
 
 # --- Pauli-frame sampler ---------------------------------------------------
+#
+# Frames of many shots propagate at once, one bool column per shot (the
+# Stim technique: Gidney, Quantum 5, 497 (2021), arXiv:2103.02202).  Each
+# qubit's X and Z frame is a row over the columns: a CNOT is two row XORs,
+# H swaps a qubit's rows, a preparation overwrites them, a measurement
+# reads one into the record and RELABEL permutes them.  Every fault, be it
+# sampled noise or an enumerated single fault, is a per-op flip mask over
+# the columns, so sampling and enumeration run the same kernel.
 
-_OP_PREPZ, _OP_PREPX, _OP_H, _OP_CNOT, _OP_MEASZ, _OP_MEASX, _OP_INJECT, _OP_RELABEL = range(8)
-_OPCODE = {"PREPZ": _OP_PREPZ, "PREPX": _OP_PREPX, "H": _OP_H, "CNOT": _OP_CNOT,
-           "MEASZ": _OP_MEASZ, "MEASX": _OP_MEASX, "INJECT": _OP_INJECT, "RELABEL": _OP_RELABEL}
+# Shots per seeded block: shot s belongs to block s // SHOT_BLOCK, whose
+# noise comes from its own generator, so any shot range, however split
+# across workers, reproduces the same shots.
+SHOT_BLOCK = 1024
+
+_OP_PREP, _OP_H, _OP_CNOT, _OP_MEASZ, _OP_MEASX, _OP_INJECT, _OP_RELABEL = range(7)
+_OPCODE = {"PREPZ": _OP_PREP, "PREPX": _OP_PREP, "H": _OP_H, "CNOT": _OP_CNOT,
+           "MEASZ": _OP_MEASZ, "MEASX": _OP_MEASX, "INJECT": _OP_INJECT,
+           "RELABEL": _OP_RELABEL}
+
+# A fault is a Pauli on an op's (first, second) qubit coded 4 * first +
+# second, with 0=I, 1=X, 2=Y, 3=Z as in _P1Q.  _FAULT_FLIPS[code] holds its
+# (x first, z first, x second, z second) frame flips.
+_FAULT_FLIPS = np.array([[p in (1, 2), p in (2, 3), q in (1, 2), q in (2, 3)]
+                         for p in range(4) for q in range(4)], dtype=bool)
 
 
-def _compile(circuit: Circuit) -> list[tuple]:
-    """Flatten instructions into (opcode, a, b, extra) tuples for the frame loop."""
+# (kind, ((label, Pauli code), ...)) of the single faults at each op.  Gate
+# and preparation faults act after the op.  A measurement fault flips the
+# outcome only: it is coded as the Pauli that anticommutes with the
+# measured observable, and leaves no trace in the residual frame.
+_FAULTS = {
+    "H": ("gate1", tuple((p, 4 * i) for i, p in enumerate(_P1Q) if i)),
+    "CNOT": ("gate2", tuple((_P1Q[c >> 2] + _P1Q[c & 3], c) for c in range(1, 16))),
+    "PREPZ": ("prep", (("X", 4),)),
+    "PREPX": ("prep", (("Z", 12),)),
+    "MEASZ": ("meas", (("flip", 4),)),
+    "MEASX": ("meas", (("flip", 12),)),
+}
+
+
+class _Site(NamedTuple):
+    """A fault location: its op position, instruction index, kind and faults."""
+
+    pos: int
+    index: int
+    kind: str
+    faults: tuple   # ((label, Pauli code), ...)
+
+
+class _Program(NamedTuple):
+    """A circuit compiled for the frame kernel.
+
+    ops are (opcode, a, b, extra) tuples: extra is the record row of a
+    measurement, the (x, z) flips of an INJECT and the inverse permutation
+    of a RELABEL.
+    """
+
+    n_qubits: int
+    ops: tuple
+    tags: tuple
+    sites: tuple
+
+
+def _compile(circuit: Circuit) -> _Program:
     ops = []
-    for ins in circuit.instructions:
+    sites = []
+    n_meas = 0
+    for idx, ins in enumerate(circuit.instructions):
         if ins.op == "BARRIER":
             continue
+        if ins.op in _FAULTS:
+            sites.append(_Site(len(ops), idx, *_FAULTS[ins.op]))
         code = _OPCODE[ins.op]
-        if code == _OP_CNOT:
-            ops.append((code, ins.qubits[0], ins.qubits[1], None))
-        elif code in (_OP_MEASZ, _OP_MEASX):
-            ops.append((code, ins.qubits[0], 0, ins.tag))
+        a, b = (ins.qubits + (0, 0))[:2]
+        extra = None
+        if code in (_OP_MEASZ, _OP_MEASX):
+            extra = n_meas
+            n_meas += 1
         elif code == _OP_INJECT:
-            ops.append(_inject_op(ins.pauli, ins.qubits[0]))
+            extra = (ins.pauli != "Z", ins.pauli != "X")
         elif code == _OP_RELABEL:
-            ops.append((code, 0, 0, ins.perm))
+            extra = np.argsort(ins.perm)
+        ops.append((code, a, b, extra))
+    return _Program(circuit.n_qubits, tuple(ops), circuit.tags(), tuple(sites))
+
+
+def _propagate(prog: _Program, flips: np.ndarray):
+    """Propagate Pauli frames through prog, one column per shot or fault case.
+
+    flips[k] (4 x columns) is applied at op k as _FAULT_FLIPS describes.
+    Returns the measurement flips (one row per record tag) and the
+    residual X and Z frames (one row per qubit).
+    """
+    cols = flips.shape[-1]
+    x = np.zeros((prog.n_qubits, cols), dtype=bool)
+    z = np.zeros_like(x)
+    meas = np.empty((len(prog.tags), cols), dtype=bool)
+    for (code, a, b, extra), f in zip(prog.ops, flips):
+        if code == _OP_CNOT:
+            x[b] ^= x[a]
+            z[a] ^= z[b]
+            x[a] ^= f[0]
+            z[a] ^= f[1]
+            x[b] ^= f[2]
+            z[b] ^= f[3]
+        elif code == _OP_MEASZ:
+            np.bitwise_xor(x[a], f[0], out=meas[extra])
+        elif code == _OP_MEASX:
+            np.bitwise_xor(z[a], f[1], out=meas[extra])
+        elif code == _OP_PREP:
+            x[a] = f[0]
+            z[a] = f[1]
+        elif code == _OP_H:
+            x[a], z[a] = z[a] ^ f[0], x[a] ^ f[1]
+        elif code == _OP_INJECT:
+            x[a] ^= extra[0]
+            z[a] ^= extra[1]
         else:
-            ops.append((code, ins.qubits[0], 0, None))
-    return ops
+            x = x[extra]
+            z = z[extra]
+    return meas, x, z
+
+
+def _records(prog: _Program, meas: np.ndarray, ref: ShotRecord) -> list[dict]:
+    """Outcome dicts, one per column: the reference XOR the measurement flips."""
+    ref_bits = np.array([ref[t] for t in prog.tags], dtype=bool)
+    flat = np.ascontiguousarray((meas ^ ref_bits[:, None]).T, dtype=np.uint8).tobytes()
+    n = len(prog.tags)
+    return [dict(zip(prog.tags, flat[i * n:(i + 1) * n])) for i in range(meas.shape[1])]
+
+
+def _column_ints(rows: np.ndarray) -> list[int]:
+    """Each column of a (qubits x columns) bool array as an int, bit q = row q."""
+    packed = np.packbits(rows, axis=0, bitorder="little")
+    return [int.from_bytes(col.tobytes(), "little") for col in np.ascontiguousarray(packed.T)]
 
 
 def reference_record(circuit: Circuit, master_seed) -> ShotRecord:
@@ -455,98 +568,62 @@ def _seed_key(seed) -> tuple[int, ...]:
     return tuple(int(s) & 0xFFFFFFFFFFFF for s in seed)
 
 
-def shot_rng(master_seed, shot_index: int):
-    """Per-shot generator; independent of evaluation order."""
-    return np.random.default_rng(list(_seed_key(master_seed)) + [0, shot_index])
+def _noise_table(prog: _Program, nm: NoiseModel) -> list[tuple]:
+    """(rate, op positions, fault codes) for each kind of fault location with a nonzero rate."""
+    rate = {"gate1": nm.p1, "gate2": nm.p2, "prep": nm.p_spam, "meas": nm.p_spam}
+    table = []
+    for kind, p in rate.items():
+        sites = [s for s in prog.sites if s.kind == kind]
+        if sites and p > 0.0:
+            table.append((p, np.array([s.pos for s in sites]),
+                          np.array([[code for _, code in s.faults] for s in sites])))
+    return table
 
 
-def _frame_shot(ops, ref, nm: NoiseModel, rng) -> tuple[dict, int, int]:
-    """Propagate one Pauli frame through the compiled ops.
+def _noise_flips(prog: _Program, table: list[tuple], rng) -> np.ndarray:
+    """Flip masks of one block of SHOT_BLOCK shots.
 
-    Returns the outcomes (reference XOR frame, plus sampled flips) and the
-    residual X and Z frames.  A zero noise model draws nothing from rng, so
-    explicit INJECT ops are then the only faults.
+    Each fault location fails with its kind's rate, independently per shot,
+    and a failing location draws one of its single faults uniformly: one
+    of 3 Paulis after H, one of 15 Pauli pairs after a CNOT, the flip of a
+    preparation or of a measurement outcome.  Only the failing (location,
+    shot) cells are drawn: their number is binomial and they are a
+    uniform subset, which is the law of an independent flip per cell.
     """
-    p1, p2, ps = nm.p1, nm.p2, nm.p_spam
-    noisy = not nm.is_zero()
-    x = z = 0
-    outcomes = {}
-    rnd = rng.random if noisy else None
-    for code, a, b, extra in ops:
-        if code == _OP_CNOT:
-            x ^= ((x >> a) & 1) << b
-            z ^= ((z >> b) & 1) << a
-            if noisy and rnd() < p2:
-                idx = int(rng.integers(1, 16))
-                pc, pt = idx >> 2, idx & 3
-                if pc == 1 or pc == 2:
-                    x ^= 1 << a
-                if pc == 2 or pc == 3:
-                    z ^= 1 << a
-                if pt == 1 or pt == 2:
-                    x ^= 1 << b
-                if pt == 2 or pt == 3:
-                    z ^= 1 << b
-        elif code == _OP_MEASZ:
-            out = ref[extra] ^ ((x >> a) & 1)
-            if noisy and rnd() < ps:
-                out ^= 1
-            outcomes[extra] = out
-        elif code == _OP_MEASX:
-            out = ref[extra] ^ ((z >> a) & 1)
-            if noisy and rnd() < ps:
-                out ^= 1
-            outcomes[extra] = out
-        elif code == _OP_PREPZ:
-            bmask = 1 << a
-            x &= ~bmask
-            z &= ~bmask
-            if noisy and rnd() < ps:
-                x |= bmask
-        elif code == _OP_PREPX:
-            bmask = 1 << a
-            x &= ~bmask
-            z &= ~bmask
-            if noisy and rnd() < ps:
-                z |= bmask
-        elif code == _OP_H:
-            bmask = 1 << a
-            xb = x & bmask
-            zb = z & bmask
-            if bool(xb) != bool(zb):
-                x ^= bmask
-                z ^= bmask
-            if noisy and rnd() < p1:
-                c = int(rng.integers(0, 3))
-                if c != 2:
-                    x ^= bmask
-                if c != 0:
-                    z ^= bmask
-        elif code == _OP_INJECT:
-            bmask = 1 << a
-            if extra != "Z":
-                x ^= bmask
-            if extra != "X":
-                z ^= bmask
-        elif code == _OP_RELABEL:
-            x = apply_permutation(x, extra)
-            z = apply_permutation(z, extra)
-    return outcomes, x, z
+    flips = np.zeros((len(prog.ops), 4, SHOT_BLOCK), dtype=bool)
+    for p, pos, codes in table:
+        cells = codes.shape[0] * SHOT_BLOCK
+        site, shot = np.divmod(rng.choice(cells, rng.binomial(cells, p), replace=False),
+                               SHOT_BLOCK)
+        pick = codes[site, rng.integers(codes.shape[1], size=len(site))]
+        flips[pos[site], :, shot] = _FAULT_FLIPS[pick]
+    return flips
 
 
 def sample_pauli_frame(circuit: Circuit, nm: NoiseModel, seed, shots: int,
                        start: int = 0) -> list[ShotRecord]:
-    """Sample shot records by fault propagation against a fixed reference.
+    """Sample shots start .. start + shots - 1 by frame propagation.
 
-    Shot i uses its own generator derived from (seed, start + i), so shot
-    sets are order-independent and can be partitioned across workers.
+    The outcomes are the reference run's XOR the propagated faults.  The
+    noise of each block of SHOT_BLOCK shots comes from its own generator,
+    seeded by (seed, block); a range that starts or ends inside a block
+    samples the whole block and keeps its part.  So a shot's outcomes
+    depend only on (circuit, noise, seed, shot index), and shot sets can
+    be partitioned across workers in any way.
     """
-    ops = _compile(circuit)
-    ref = reference_record(circuit, seed).outcomes
+    if shots <= 0:
+        return []
+    prog = _compile(circuit)
+    ref = reference_record(circuit, seed)
+    table = _noise_table(prog, nm)
     out = []
-    for i in range(start, start + shots):
-        rng = shot_rng(seed, i)
-        out.append(ShotRecord(_frame_shot(ops, ref, nm, rng)[0]))
+    stop = start + shots
+    for block in range(start // SHOT_BLOCK, (stop - 1) // SHOT_BLOCK + 1):
+        rng = np.random.default_rng(list(_seed_key(seed)) + [0, block])
+        meas, _, _ = _propagate(prog, _noise_flips(prog, table, rng))
+        lo = block * SHOT_BLOCK
+        keep = meas[:, max(start - lo, 0):min(stop - lo, SHOT_BLOCK)]
+        out += [ShotRecord(o) for o in _records(prog, keep, ref)]
     return out
 
 
@@ -571,51 +648,24 @@ def enumerate_single_faults(circuit: Circuit) -> list[FaultCase]:
     Locations: after each 1q gate (3 Paulis), after each CNOT (15 Pauli
     pairs), after each preparation (the flip Pauli), and a flip on each
     measurement outcome.  The returned records are noiseless runs with
-    exactly that fault applied, sharing one reference frame.
+    exactly that fault applied, sharing one reference frame.  Each case is
+    one column of the frame kernel, SHOT_BLOCK cases per run.
     """
-    ops = _compile(circuit)
-    ref = reference_record(circuit, 0).outcomes
-    zero = NoiseModel.zero()
-    cases = []
-    pos = -1
-    for idx, ins in enumerate(circuit.instructions):
-        if ins.op == "BARRIER":
-            continue
-        pos += 1
-        for kind, pauli, before, after in _faults_at(ins):
-            run = ops[:pos] + before + [ops[pos]] + after + ops[pos + 1:]
-            outcomes, fx, fz = _frame_shot(run, ref, zero, None)
-            record = ShotRecord(outcomes, (idx, kind, pauli))
-            cases.append(FaultCase(idx, kind, pauli, record, fx, fz))
-    return cases
-
-
-def _inject_op(pauli: str, q: int):
-    return (_OP_INJECT, q, 0, pauli)
-
-
-def _faults_at(ins: Instruction):
-    """(kind, label, INJECT ops before, INJECT ops after) for each fault at ins.
-
-    A measurement flip injects the anticommuting Pauli on both sides of
-    the measurement: the outcome flips and the residual frame does not.
-    """
-    if ins.op == "H":
-        return [("gate1", p, [], [_inject_op(p, ins.qubits[0])]) for p in _PAULIS_1Q]
-    if ins.op == "CNOT":
-        out = []
-        for pidx in range(1, 16):
-            pc, pt = _P1Q[pidx >> 2], _P1Q[pidx & 3]
-            after = [_inject_op(p, q) for p, q in zip((pc, pt), ins.qubits) if p != "I"]
-            out.append(("gate2", pc + pt, [], after))
-        return out
-    if ins.op in ("PREPZ", "PREPX"):
-        p = "X" if ins.op == "PREPZ" else "Z"
-        return [("prep", p, [], [_inject_op(p, ins.qubits[0])])]
-    if ins.op in ("MEASZ", "MEASX"):
-        flip = [_inject_op("X" if ins.op == "MEASZ" else "Z", ins.qubits[0])]
-        return [("meas", "flip", flip, flip)]
-    return []
+    prog = _compile(circuit)
+    ref = reference_record(circuit, 0)
+    cases = [(site, label, code) for site in prog.sites for label, code in site.faults]
+    out = []
+    for lo in range(0, len(cases), SHOT_BLOCK):
+        chunk = cases[lo:lo + SHOT_BLOCK]
+        flips = np.zeros((len(prog.ops), 4, len(chunk)), dtype=bool)
+        flips[[site.pos for site, _, _ in chunk], :, np.arange(len(chunk))] = \
+            _FAULT_FLIPS[[code for _, _, code in chunk]]
+        meas, x, z = _propagate(prog, flips)
+        for (site, label, _), outcomes, fx, fz in zip(
+                chunk, _records(prog, meas, ref), _column_ints(x), _column_ints(z)):
+            fault = (site.index, site.kind, label)
+            out.append(FaultCase(*fault, ShotRecord(outcomes, fault), fx, fz))
+    return out
 
 
 def noiseless_frames(circuit: Circuit) -> tuple[ShotRecord, int, int]:
@@ -624,7 +674,7 @@ def noiseless_frames(circuit: Circuit) -> tuple[ShotRecord, int, int]:
     Injected Paulis in the circuit propagate like faults, so this exposes
     where an explicit injection ends up at circuit end.
     """
-    ops = _compile(circuit)
-    ref = reference_record(circuit, 0).outcomes
-    outcomes, x, z = _frame_shot(ops, ref, NoiseModel.zero(), None)
-    return ShotRecord(outcomes), x, z
+    prog = _compile(circuit)
+    meas, x, z = _propagate(prog, np.zeros((len(prog.ops), 4, 1), dtype=bool))
+    [outcomes] = _records(prog, meas, reference_record(circuit, 0))
+    return ShotRecord(outcomes), _column_ints(x)[0], _column_ints(z)[0]

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from f2qec.cli import main
 
 
@@ -193,3 +195,54 @@ def test_report_rejects_malformed_summary(tmp_path, capsys):
 def test_build_code_out_directory_is_a_json_error(tmp_path, capsys):
     assert main(["build-code", "--family", "paper2543", "--out", str(tmp_path)]) == 1
     assert str(tmp_path) in _one_line_error(capsys)
+
+
+def test_usage_errors_are_json(tmp_path, capsys):
+    code_path = str(tmp_path / "code.json")
+    main(["build-code", "--family", "paper2543", "--out", code_path])
+    capsys.readouterr()
+    for argv, words in (
+        (["distance", code_path, "--wmax", "abc"], "--wmax"),   # mistyped value
+        (["distance", code_path], "--wmax"),                    # missing flag
+        (["distance", code_path, "--wmax", "2", "--bogus"], "--bogus"),
+        (["bogus"], "bogus"),                                   # unknown subcommand
+        ([], "command"),
+        (["run-ghz", "--config", "x.cfg", "--seed", "1.5"], "--seed"),
+        (["report", str(tmp_path), "--format", "yaml"], "--format"),
+    ):
+        assert main(argv) == 1, argv
+        assert words in _one_line_error(capsys), argv
+
+
+def test_help_still_exits_zero(capsys):
+    for argv in (["--help"], ["distance", "--help"]):
+        try:
+            main(argv)
+        except SystemExit as exc:
+            assert exc.code == 0
+        else:
+            raise AssertionError(f"{argv} did not exit")
+        assert "usage: f2qec" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["distance", "CODE", "--wmax", "-1"], "--wmax"),
+    (["build-code", "--family", "generalized", "--l", "-1", "--out", "x.json"], "--l"),
+    (["emit-circuit", "--mode", "generalized", "--basis", "z", "--c", "-2",
+      "--out", "x.txt"], "--c"),
+    (["decode", "--code", "CODE", "--basis", "z", "--syndromes", "s.jsonl",
+      "--out", "d.jsonl", "--bp-iters", "-1"], "--bp-iters"),
+    (["decode", "--code", "CODE", "--basis", "z", "--syndromes", "s.jsonl",
+      "--out", "d.jsonl", "--osd-depth", "-3"], "--osd-depth"),
+    (["run-ghz", "--config", "x.cfg", "--threads", "0"], "--threads"),
+    (["run-ghz", "--config", "x.cfg", "--threads", "-4"], "--threads"),
+    (["run-ghz", "--config", "x.cfg", "--basis-shots", "10,-1"], "--basis-shots"),
+    (["run-ghz", "--config", "x.cfg", "--basis-shots", "10"], "--basis-shots"),
+])
+def test_negative_counts_are_rejected(tmp_path, capsys, argv, flag):
+    code_path = str(tmp_path / "code.json")
+    main(["build-code", "--family", "paper2543", "--out", code_path])
+    capsys.readouterr()
+    argv = [code_path if a == "CODE" else a for a in argv]
+    assert main(argv) == 1
+    assert flag in _one_line_error(capsys)

@@ -1,10 +1,14 @@
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from f2qec import stab_sim as ss
+from f2qec import protocol as pr
 from f2qec.protocol import physical_ghz_circuit, syndrome_extraction_circuit, zigzag_schedule
-from f2qec.code_factory import build_25_4_3
+from f2qec.code_factory import build_25_4_3, build_generalized
 
 
 def test_physical_ghz_z_outcomes_all_equal():
@@ -190,6 +194,39 @@ def test_fault_enumeration_count_formula():
     assert all(c.record.fault == (c.instruction_index, c.kind, c.pauli) for c in cases[:20])
 
 
+def _fault_digest(circuit):
+    h = hashlib.sha256()
+    cases = ss.enumerate_single_faults(circuit)
+    for c in cases:
+        h.update(json.dumps([c.instruction_index, c.kind, c.pauli,
+                             sorted(c.record.outcomes.items()), c.final_x, c.final_z]).encode())
+    return len(cases), h.hexdigest()[:16]
+
+
+def test_fault_enumeration_is_pinned_byte_for_byte():
+    # digests of every FaultCase (location, Pauli, record, residual frames);
+    # any change to a propagation rule or to the enumeration order shows here
+    code = build_25_4_3()
+    gen = build_generalized(4, 1)
+    circuits = {
+        "logical-z": pr.logical_ghz_circuit(code, "z")[0],
+        "logical-x": pr.logical_ghz_circuit(code, "x")[0],
+        "zigzag": syndrome_extraction_circuit(code, zigzag_schedule(code), "both"),
+        "row-major": syndrome_extraction_circuit(code, pr.row_major_schedule(code), "both"),
+        "generalized-4-z": pr.generalized_ghz_circuit(gen, "z")[0],
+        "generalized-4-x": pr.generalized_ghz_circuit(gen, "x")[0],
+    }
+    pinned = {
+        "logical-z": (799, "8a5ca6c75cbdb9a9"),
+        "logical-x": (799, "8b2d672a0a390b63"),
+        "zigzag": (1197, "bb253fba2cc29486"),
+        "row-major": (1197, "7467fa5286fa93de"),
+        "generalized-4-z": (469, "dd35cc42929531b1"),
+        "generalized-4-x": (469, "41871db466029770"),
+    }
+    assert {name: _fault_digest(c) for name, c in circuits.items()} == pinned
+
+
 def test_ancilla_x_before_first_cnot_is_stabilizer():
     code = build_25_4_3()
     sched = zigzag_schedule(code)
@@ -241,13 +278,58 @@ def test_noisy_expansion_matches_frame_sampler_statistically():
     assert abs(frame_rate - tableau_rate) < 5 * max(sigma, 1e-3)
 
 
+def test_frame_sampler_matches_tableau_with_h_relabel_and_inject():
+    # the outcome distribution of the frame sampler against the exact engine
+    # driven by sampled injections, per outcome cell, on a circuit whose
+    # faults pass through H, a RELABEL and an explicit INJECT
+    import math
+
+    import numpy as np
+
+    circ = ss.Circuit(4, (
+        ss.prepz(0), ss.prepz(1), ss.prepx(2), ss.prepz(3),
+        ss.h(0), ss.inject("X", 1), ss.cnot(1, 3),
+        ss.relabel((1, 2, 3, 0)),
+        ss.cnot(2, 0), ss.h(1), ss.cnot(1, 3), ss.cnot(2, 3),
+        ss.measz(0, "a"), ss.measz(1, "b"), ss.measz(2, "c"), ss.measx(3, "d"),
+    ))
+    nm = ss.NoiseModel(0.05, 0.05, 0.05)
+    shots = 20000
+    tags = circ.tags()
+    frame, tab = {}, {}
+    for rec in ss.sample_pauli_frame(circ, nm, 17, shots):
+        key = tuple(rec[t] for t in tags)
+        frame[key] = frame.get(key, 0) + 1
+    rng = np.random.default_rng(31)
+    for _ in range(shots):
+        rec = ss.simulate_tableau(ss.noisy_expansion(circ, nm, rng), 0)
+        key = tuple(rec[t] for t in tags)
+        tab[key] = tab.get(key, 0) + 1
+    assert max(frame, key=frame.get) == (0, 0, 1, 0)  # the noiseless outcome
+    for key in set(frame) | set(tab):
+        f, t = frame.get(key, 0) / shots, tab.get(key, 0) / shots
+        pooled = (f + t) / 2
+        sigma = math.sqrt(max(pooled * (1 - pooled), 1e-9) * 2 / shots)
+        assert abs(f - t) <= 4 * sigma + 1e-9, (key, f, t, sigma)
+
+
 def test_shot_rng_partitionable():
+    # shot outcomes depend only on the shot index: any split of a range, and
+    # ranges that start or end inside a seeded block, give the same shots
     circ = physical_ghz_circuit("z")
-    nm = ss.NoiseModel(0.01, 0.02, 0.03)
-    whole = ss.sample_pauli_frame(circ, nm, 5, 20)
-    first = ss.sample_pauli_frame(circ, nm, 5, 10)
-    second = ss.sample_pauli_frame(circ, nm, 5, 10, start=10)
-    assert [r.outcomes for r in whole] == [r.outcomes for r in first + second]
+    nm = ss.NoiseModel(0.1, 0.2, 0.3)
+    b = ss.SHOT_BLOCK
+    whole = [r.outcomes for r in ss.sample_pauli_frame(circ, nm, 5, 2 * b + 100)]
+    assert len({tuple(o.values()) for o in whole}) > 8
+    for cuts in ((0, 300, 700), (0, 300, b + 50, 2 * b + 100), (0, b, 2 * b + 100)):
+        parts = []
+        for lo, hi in zip(cuts, cuts[1:]):
+            parts += ss.sample_pauli_frame(circ, nm, 5, hi - lo, start=lo)
+        assert [r.outcomes for r in parts] == whole[:cuts[-1]]
+    mid = ss.sample_pauli_frame(circ, nm, 5, 20, start=b - 10)
+    assert [r.outcomes for r in mid] == whole[b - 10:b + 10]
+    assert ss.sample_pauli_frame(circ, nm, 5, 0, start=7) == []
+    assert whole != [r.outcomes for r in ss.sample_pauli_frame(circ, nm, 6, 2 * b + 100)]
 
 
 def test_noise_model_validation():
@@ -255,4 +337,3 @@ def test_noise_model_validation():
         ss.NoiseModel(p1=-0.1)
     with pytest.raises(ValueError):
         ss.NoiseModel(p2=1.5)
-    assert ss.NoiseModel.zero().is_zero()
