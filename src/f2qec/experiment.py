@@ -49,6 +49,9 @@ class RunConfig:
             raise ValueError(f"mode must be one of {MODES}")
         if self.shots_z < 0 or self.shots_x < 0:
             raise ValueError("shot counts must be >= 0")
+        for name in ("bp_iters", "osd_depth"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.prior_mode not in ("marginal", "uniform"):
             raise ValueError("prior_mode must be 'marginal' or 'uniform'")
         if self.threads < 1:

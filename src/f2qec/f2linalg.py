@@ -2,14 +2,17 @@
 
 Rows are stored as Python integers (bit j = column j), so row XOR is a
 single word-level operation.  All matrices are immutable after
-construction; elimination always picks the lowest-index pivot so reduced
-forms and pivot lists are reproducible.
+construction, so each is eliminated at most once and every reduced form,
+rank, kernel and solve reads that one cached reduction; elimination always
+picks the lowest-index pivot so reduced forms and pivot lists are
+reproducible.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 
@@ -65,7 +68,6 @@ class BitMatrix:
 
     @classmethod
     def from_strings(cls, strings: Sequence[str]) -> "BitMatrix":
-        cols = len(strings[0]) if strings else 0
         return cls.from_rows([[int(ch) for ch in s] for s in strings])
 
     @classmethod
@@ -170,13 +172,15 @@ class BitMatrix:
 
     # -- elimination ---------------------------------------------------
 
-    def _eliminate(self, tags: Sequence[int]) -> tuple[list[int], list[int], tuple[int, ...]]:
+    @cached_property
+    def _reduction(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
         """Gauss-Jordan elimination picking the lowest-index pivot row.
 
-        Each row carries its tag through the row operations; returns the
-        reduced rows, their tags and the ascending pivot columns.
+        Computed once per matrix.  Each row carries a tag, the mask of the
+        original rows XORed into it; returns the reduced rows, their tags
+        and the ascending pivot columns.
         """
-        rows, tags = list(self.data), list(tags)
+        rows, tags = list(self.data), [1 << i for i in range(self.rows)]
         pivots = []
         for c in range(self.cols):
             r = len(pivots)
@@ -190,26 +194,26 @@ class BitMatrix:
                     rows[i] ^= rows[r]
                     tags[i] ^= tags[r]
             pivots.append(c)
-        return rows, tags, tuple(pivots)
+        return tuple(rows), tuple(tags), tuple(pivots)
 
     def rref(self) -> tuple["BitMatrix", tuple[int, ...]]:
         """Reduced row echelon form and ascending pivot columns."""
-        rows, _, pivots = self._eliminate([0] * self.rows)
-        return BitMatrix(self.rows, self.cols, tuple(rows)), pivots
+        rows, _, pivots = self._reduction
+        return BitMatrix(self.rows, self.cols, rows), pivots
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(self._reduction[2])
 
     def kernel_basis(self) -> "BitMatrix":
         """Rows form a basis of {x : self @ x = 0}."""
-        red, pivots = self.rref()
+        rows, _, pivots = self._reduction
         pivset = set(pivots)
         free = [c for c in range(self.cols) if c not in pivset]
         basis = []
         for f in free:
             v = 1 << f
             for i, p in enumerate(pivots):
-                if (red.data[i] >> f) & 1:
+                if (rows[i] >> f) & 1:
                     v |= 1 << p
             basis.append(v)
         return BitMatrix(len(basis), self.cols, tuple(basis))
@@ -232,7 +236,7 @@ class BitMatrix:
 
     def solution_with_coefficients(self, s: int) -> int | None:
         """Coefficient mask c with XOR of rows {i : bit i of c} = s, or None."""
-        rows, tags, pivots = self._eliminate([1 << i for i in range(self.rows)])
+        rows, tags, pivots = self._reduction
         coeff = 0
         for row, tag, p in zip(rows, tags, pivots):
             if (s >> p) & 1:

@@ -18,7 +18,6 @@ from .css_code import CssCode, apply_permutation, mask_to_support
 from .f2linalg import BitMatrix, parity
 
 ANCILLA_COUNT = 6
-MAX_COSET_RANK = 16
 
 
 @dataclass(frozen=True)
@@ -396,64 +395,33 @@ class ScheduleReport:
         return not self.violations
 
 
-def _span_set(h: BitMatrix) -> list[int]:
-    basis = [r for r in h.rref()[0].data if r]
-    if len(basis) > MAX_COSET_RANK:
-        raise ValueError("stabilizer rank too large for coset enumeration")
-    span = [0]
-    for b in basis:
-        span += [s ^ b for s in span]
-    return span
-
-
-def _min_coset_rep(v: int, span) -> int:
-    best = v
-    bw = v.bit_count()
-    for s in span:
-        u = v ^ s
-        w = u.bit_count()
-        if w < bw or (w == bw and u < best):
-            best, bw = u, w
-    return best
-
-
 def validate_schedule(code: CssCode, schedule: Schedule) -> ScheduleReport:
     """Flag gadget faults that would shortcut the code distance.
 
-    Enumerates every single fault in the extraction circuit, reduces the
-    propagated data error modulo same-type stabilizers, and reports a
-    violation when the residue is a logical operator outright or, for
-    d >= 3, when one extra single-qubit fault would complete one.
+    Enumerates every single fault in the extraction circuit and asks three
+    questions of each propagated data error v, per Pauli type.  If v is a
+    same-type stabilizer, the fault is harmless.  Otherwise, if v commutes
+    with the opposite-type checks, the single fault is a logical operator.
+    Otherwise, for d >= 3, if no single-qubit error turns v into a
+    stabilizer but one at qubit q turns it into a logical operator, the
+    first such q is reported.  Each question is a row-space membership or
+    a syndrome test, so any stabilizer rank is fine.
     """
     circuit = syndrome_extraction_circuit(code, schedule, which="both")
     n = code.n
     data_mask = (1 << n) - 1
-    span_x = _span_set(code.hx)
-    span_z = _span_set(code.hz)
-    set_x = set(span_x)
-    set_z = set(span_z)
     d = code.d if code.d is not None else 3
     violations = []
     for case in ss.enumerate_single_faults(circuit):
-        for v, h_other, span, stab_set in (
-            (case.final_x & data_mask, code.hz, span_x, set_x),
-            (case.final_z & data_mask, code.hx, span_z, set_z),
-        ):
-            if not v:
+        fault = (case.instruction_index, case.kind, case.pauli)
+        for v, h_same, h_other in ((case.final_x & data_mask, code.hx, code.hz),
+                                   (case.final_z & data_mask, code.hz, code.hx)):
+            if h_same.in_row_space(v):
                 continue
-            rep = _min_coset_rep(v, span)
-            if rep == 0:
-                continue
-            if h_other.mul_vec(rep) == 0:
-                violations.append((case.instruction_index, case.kind, case.pauli,
-                                   "single fault is a logical operator"))
-                continue
-            if rep.bit_count() >= 2 and d >= 3:
-                syn = h_other.mul_vec(rep)
-                for q in range(n):
-                    u = rep ^ (1 << q)
-                    if u and h_other.mul_vec(u) == 0 and u not in stab_set:
-                        violations.append((case.instruction_index, case.kind, case.pauli,
-                                           f"one more fault at qubit {q} completes a logical"))
-                        break
+            if h_other.mul_vec(v) == 0:
+                violations.append((*fault, "single fault is a logical operator"))
+            elif d >= 3 and not any(h_same.in_row_space(v ^ (1 << q)) for q in range(n)):
+                q = next((q for q in range(n) if h_other.mul_vec(v ^ (1 << q)) == 0), None)
+                if q is not None:
+                    violations.append((*fault, f"one more fault at qubit {q} completes a logical"))
     return ScheduleReport(violations)

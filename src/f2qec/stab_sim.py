@@ -7,9 +7,9 @@ model: depolarizing after one- and two-qubit gates, independent flips on
 preparations and measurement outcomes.
 
 The sampler propagates the frames of many shots at once, one bool column
-per shot, and draws its noise in seeded blocks of SHOT_BLOCK shots.
-Single-fault enumeration runs the same kernel without noise, one column
-per fault case.
+per shot, and draws its noise and the random frames that preparations
+and measurements leave in seeded blocks of SHOT_BLOCK shots.  Single-fault
+enumeration runs the same kernel without either, one column per fault case.
 
 Text IR (round-trip exact), one instruction per line after a header:
 
@@ -219,7 +219,6 @@ class NoiseModel:
 @dataclass
 class ShotRecord:
     outcomes: dict
-    fault: tuple | None = None
 
     def __getitem__(self, tag: str) -> int:
         return self.outcomes[tag]
@@ -422,6 +421,13 @@ def noisy_expansion(circuit: Circuit, nm: NoiseModel, rng) -> Circuit:
 # reads one into the record and RELABEL permutes them.  Every fault, be it
 # sampled noise or an enumerated single fault, is a per-op flip mask over
 # the columns, so sampling and enumeration run the same kernel.
+#
+# A Z-basis preparation or measurement leaves its qubit in a Z eigenstate,
+# where a Z frame is a stabilizer and changes nothing; the sampler sets
+# that frame to a uniformly random bit per shot, which makes a later X
+# measurement of the qubit random, as it is in the tableau engine.  X-basis
+# ones do the same with the X frame.  These bits ride in the flip-mask slot
+# that the op's own fault does not use.
 
 # Shots per seeded block: shot s belongs to block s // SHOT_BLOCK, whose
 # noise comes from its own generator, so any shot range, however split
@@ -438,6 +444,9 @@ _OPCODE = {"PREPZ": _OP_PREP, "PREPX": _OP_PREP, "H": _OP_H, "CNOT": _OP_CNOT,
 # (x first, z first, x second, z second) frame flips.
 _FAULT_FLIPS = np.array([[p in (1, 2), p in (2, 3), q in (1, 2), q in (2, 3)]
                          for p in range(4) for q in range(4)], dtype=bool)
+
+# The flip-mask slot (0 = X, 1 = Z frame) that each collapsing op leaves random.
+_COLLAPSE_SLOT = {"PREPZ": 1, "MEASZ": 1, "PREPX": 0, "MEASX": 0}
 
 
 # (kind, ((label, Pauli code), ...)) of the single faults at each op.  Gate
@@ -475,17 +484,21 @@ class _Program(NamedTuple):
     ops: tuple
     tags: tuple
     sites: tuple
+    collapses: np.ndarray   # rows: op positions and _COLLAPSE_SLOT slots
 
 
 def _compile(circuit: Circuit) -> _Program:
     ops = []
     sites = []
+    collapses = []
     n_meas = 0
     for idx, ins in enumerate(circuit.instructions):
         if ins.op == "BARRIER":
             continue
         if ins.op in _FAULTS:
             sites.append(_Site(len(ops), idx, *_FAULTS[ins.op]))
+        if ins.op in _COLLAPSE_SLOT:
+            collapses.append((len(ops), _COLLAPSE_SLOT[ins.op]))
         code = _OPCODE[ins.op]
         a, b = (ins.qubits + (0, 0))[:2]
         extra = None
@@ -497,15 +510,17 @@ def _compile(circuit: Circuit) -> _Program:
         elif code == _OP_RELABEL:
             extra = np.argsort(ins.perm)
         ops.append((code, a, b, extra))
-    return _Program(circuit.n_qubits, tuple(ops), circuit.tags(), tuple(sites))
+    return _Program(circuit.n_qubits, tuple(ops), circuit.tags(), tuple(sites),
+                    np.array(collapses, dtype=np.intp).reshape(-1, 2).T)
 
 
 def _propagate(prog: _Program, flips: np.ndarray):
     """Propagate Pauli frames through prog, one column per shot or fault case.
 
-    flips[k] (4 x columns) is applied at op k as _FAULT_FLIPS describes.
-    Returns the measurement flips (one row per record tag) and the
-    residual X and Z frames (one row per qubit).
+    flips[k] (4 x columns) is applied at op k as _FAULT_FLIPS describes; at
+    a measurement, the measured frame's slot flips the outcome and the other
+    slot flips the other frame.  Returns the measurement flips (one row per
+    record tag) and the residual X and Z frames (one row per qubit).
     """
     cols = flips.shape[-1]
     x = np.zeros((prog.n_qubits, cols), dtype=bool)
@@ -521,8 +536,10 @@ def _propagate(prog: _Program, flips: np.ndarray):
             z[b] ^= f[3]
         elif code == _OP_MEASZ:
             np.bitwise_xor(x[a], f[0], out=meas[extra])
+            z[a] ^= f[1]
         elif code == _OP_MEASX:
             np.bitwise_xor(z[a], f[1], out=meas[extra])
+            x[a] ^= f[0]
         elif code == _OP_PREP:
             x[a] = f[0]
             z[a] = f[1]
@@ -604,12 +621,13 @@ def sample_pauli_frame(circuit: Circuit, nm: NoiseModel, seed, shots: int,
                        start: int = 0) -> list[ShotRecord]:
     """Sample shots start .. start + shots - 1 by frame propagation.
 
-    The outcomes are the reference run's XOR the propagated faults.  The
-    noise of each block of SHOT_BLOCK shots comes from its own generator,
-    seeded by (seed, block); a range that starts or ends inside a block
-    samples the whole block and keeps its part.  So a shot's outcomes
-    depend only on (circuit, noise, seed, shot index), and shot sets can
-    be partitioned across workers in any way.
+    The outcomes are the reference run's XOR the propagated faults and
+    random frames.  The noise of each block of SHOT_BLOCK shots, then its
+    random frame bits, come from the block's own generator, seeded by
+    (seed, block); a range that starts or ends inside a block samples the
+    whole block and keeps its part.  So a shot's outcomes depend only on
+    (circuit, noise, seed, shot index), and shot sets can be partitioned
+    across workers in any way.
     """
     if shots <= 0:
         return []
@@ -620,7 +638,10 @@ def sample_pauli_frame(circuit: Circuit, nm: NoiseModel, seed, shots: int,
     stop = start + shots
     for block in range(start // SHOT_BLOCK, (stop - 1) // SHOT_BLOCK + 1):
         rng = np.random.default_rng(list(_seed_key(seed)) + [0, block])
-        meas, _, _ = _propagate(prog, _noise_flips(prog, table, rng))
+        flips = _noise_flips(prog, table, rng)
+        pos, slot = prog.collapses
+        flips[pos, slot] ^= rng.integers(0, 2, (len(pos), SHOT_BLOCK), dtype=bool)
+        meas, _, _ = _propagate(prog, flips)
         lo = block * SHOT_BLOCK
         keep = meas[:, max(start - lo, 0):min(stop - lo, SHOT_BLOCK)]
         out += [ShotRecord(o) for o in _records(prog, keep, ref)]
@@ -663,8 +684,7 @@ def enumerate_single_faults(circuit: Circuit) -> list[FaultCase]:
         meas, x, z = _propagate(prog, flips)
         for (site, label, _), outcomes, fx, fz in zip(
                 chunk, _records(prog, meas, ref), _column_ints(x), _column_ints(z)):
-            fault = (site.index, site.kind, label)
-            out.append(FaultCase(*fault, ShotRecord(outcomes, fault), fx, fz))
+            out.append(FaultCase(site.index, site.kind, label, ShotRecord(outcomes), fx, fz))
     return out
 
 

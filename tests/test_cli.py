@@ -64,6 +64,15 @@ def test_validate_schedule_default_and_exit_codes(tmp_path, capsys):
     assert main(["validate-schedule", code_path, "--schedule", str(sched_path)]) == 2
 
 
+def test_validate_schedule_on_a_large_generalized_code(tmp_path, capsys):
+    # l = 9 has 17 independent X checks
+    code_path = str(tmp_path / "gen9.json")
+    assert main(["build-code", "--family", "generalized", "--l", "9", "--out", code_path]) == 0
+    capsys.readouterr()
+    assert main(["validate-schedule", code_path]) == 0
+    assert json.loads(capsys.readouterr().out) == {"ok": True, "violations": []}
+
+
 def test_emit_circuit_round_trip(tmp_path, capsys):
     out = str(tmp_path / "circ.txt")
     assert main(["emit-circuit", "--mode", "logical", "--basis", "x", "--out", out]) == 0
@@ -97,6 +106,14 @@ def test_run_ghz_unknown_config_key(tmp_path, capsys):
     assert main(["run-ghz", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "shot_z" in json.loads(err[0])["error"]
+
+
+@pytest.mark.parametrize("line", ["bp_iters = -3", "osd_depth = -1"])
+def test_run_ghz_rejects_negative_decoder_settings(tmp_path, capsys, line):
+    cfg = tmp_path / "neg.cfg"
+    cfg.write_text(f"mode = logical\nshots_z = 5\nshots_x = 5\n{line}\n")
+    assert main(["run-ghz", "--config", str(cfg)]) == 1
+    assert line.split()[0] in _one_line_error(capsys)
 
 
 def test_decode_stream(tmp_path, capsys):

@@ -178,6 +178,15 @@ def test_config_validation():
         ex.RunConfig(prior_mode="psychic")
 
 
+@pytest.mark.parametrize("key", ["bp_iters", "osd_depth"])
+def test_config_rejects_negative_decoder_settings(key):
+    with pytest.raises(ValueError, match=key):
+        ex.RunConfig(**{key: -1})
+    with pytest.raises(ValueError, match=key):
+        ex.RunConfig.from_dict({key: "-3"})
+    assert getattr(ex.RunConfig(**{key: 0}), key) == 0
+
+
 def test_priors_reflect_gate_counts(flagship_code):
     from f2qec import protocol as pr
 

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from f2qec import protocol as pr
@@ -159,6 +162,44 @@ def test_validate_schedule_flags_row_major(flagship_code):
     report = pr.validate_schedule(flagship_code, pr.row_major_schedule(flagship_code))
     assert not report.ok
     assert any("completes a logical" in v[3] for v in report.violations)
+
+
+# sha256 of json.dumps(violations) for the zigzag and the row-major schedule
+_NO_VIOLATIONS = "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"
+_SCHEDULE_REPORT_DIGESTS = {
+    "flagship": (_NO_VIOLATIONS,
+                 "15f1cbbf8062e36abd5e1c2e313455c7cdccf1067981ed8de137be5c49f6de7c"),
+    3: (_NO_VIOLATIONS, "3afba0bba2895c05951a3663862c987c9398dd88f7a9349b9a87adcc2ec3df06"),
+    4: (_NO_VIOLATIONS, "3afba0bba2895c05951a3663862c987c9398dd88f7a9349b9a87adcc2ec3df06"),
+    5: (_NO_VIOLATIONS, "3a804e38eefa5d48f0450a5fc69ff860e41b9048b073269237994b25e956ab42"),
+    6: (_NO_VIOLATIONS, "3a804e38eefa5d48f0450a5fc69ff860e41b9048b073269237994b25e956ab42"),
+    7: (_NO_VIOLATIONS, "d1f07d950043fa0be25c0b4e69f76b94df98442ded16423de8f8a758f9d69210"),
+    8: (_NO_VIOLATIONS, "d1f07d950043fa0be25c0b4e69f76b94df98442ded16423de8f8a758f9d69210"),
+}
+
+
+def _report_digests(code):
+    return tuple(
+        hashlib.sha256(json.dumps(pr.validate_schedule(code, make(code)).violations)
+                       .encode()).hexdigest()
+        for make in (pr.zigzag_schedule, pr.row_major_schedule))
+
+
+@pytest.mark.parametrize("name", list(_SCHEDULE_REPORT_DIGESTS))
+def test_schedule_reports_are_pinned_byte_for_byte(name):
+    # the digests are those of a minimum-weight coset search over all
+    # 2^rank stabilizers, which is feasible up to l = 8
+    code = build_25_4_3() if name == "flagship" else build_generalized(name, 1)
+    assert _report_digests(code) == _SCHEDULE_REPORT_DIGESTS[name]
+
+
+def test_validate_schedule_has_no_stabilizer_rank_limit():
+    code = build_generalized(9, 1)
+    assert code.hx.rank() == 17
+    assert pr.validate_schedule(code, pr.zigzag_schedule(code)).ok
+    violations = pr.validate_schedule(code, pr.row_major_schedule(code)).violations
+    assert len(violations) == 128
+    assert {v[3] for v in violations} == {"single fault is a logical operator"}
 
 
 def test_postselection_rejects_disagreement(flagship_code):
