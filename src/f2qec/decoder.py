@@ -132,10 +132,6 @@ def _soft_weight(estimate: int, llrs) -> float:
     return total
 
 
-def bp_min_sum(problem: DecodeProblem, iters: int = 10) -> DecodeResult:
-    return MinSumDecoder(problem.h, problem.priors, iters=iters).decode(problem.syndrome)
-
-
 def osd_combination_sweep(problem: DecodeProblem, bp_soft_output, depth: int = 14) -> DecodeResult:
     """Ordered-statistics search seeded by BP posteriors.
 

@@ -2,8 +2,10 @@
 
 Runs the physical and logical pipelines under the three-rate noise model,
 applies postselection and decoding, and aggregates mismatch rates with
-binomial standard errors and GHZ fidelity bounds.  Shot records can be
-archived as JSON lines and re-decoded without re-simulation.
+binomial standard errors and GHZ fidelity bounds.  Each shot's verdict is
+a function of its key word, a fixed GF(2) map of its measurement record,
+so the shots of a chunk are grouped by key word and each distinct word is
+postselected and decoded once.  Shot records can be archived as JSON lines.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 from . import protocol as pr
 from . import stab_sim as ss
@@ -227,11 +231,18 @@ def frame_error_priors(code: CssCode, nm: ss.NoiseModel):
     return tuple(out)
 
 
-# --- decoding paths ----------------------------------------------------------
+# --- classification by key word ---------------------------------------------
 
 
-class _LogicalDecoders:
-    """Reusable decode state for one (code, pipeline, noise) combination.
+class _Classifier:
+    """The verdict on a shot of one pipeline, from its key word alone.
+
+    A key word (protocol.FrameRecipe.key; in the physical mode the four
+    data bits in Z and their parity in X) holds, from its lowest bit, the
+    acceptance bits, the readout syndrome and the raw logical bits.  With
+    QEC, a nonzero syndrome is decoded and the estimate's flips of the raw
+    bits are applied.  The readout matches the GHZ target when all raw
+    bits are equal in Z, and when the raw parity bit is 0 in X.
 
     The Z basis decodes X errors on the plain Z-check matrix.  The X
     basis decodes the frame-corrected syndrome on the X-check matrix
@@ -242,62 +253,66 @@ class _LogicalDecoders:
     coefficients.  Priors follow each qubit through the relabelings.
     """
 
-    def __init__(self, code: CssCode, circuit: ss.Circuit, cfg: RunConfig, basis: str,
-                 recipe: pr.FrameRecipe):
-        nm = cfg.noise
-        self.code = code
-        self.basis = basis
-        self.recipe = recipe
-        self.data_mask = (1 << code.n) - 1
+    def __init__(self, cfg: RunConfig, basis: str, circuit: ss.Circuit,
+                 recipe: pr.FrameRecipe | None):
+        self.basis, self.recipe, self.bp = basis, recipe, None
+        if recipe is None:
+            key = BitMatrix.identity(4) if basis == "z" else BitMatrix.from_ints([0b1111], 4)
+            self.n_accept = self.n_syndrome = 0
+        else:
+            key, code = recipe.key, recipe.code
+            self.n_accept, self.n_syndrome = 2, (code.hz if basis == "z" else code.hx).rows
+            if cfg.mode != "logical-noqec":
+                self._init_decoder(cfg, circuit)
+        raw_ones = (1 << (key.rows - self.n_accept - self.n_syndrome)) - 1
+        self.targets = (0, raw_ones) if basis == "z" else (0,)
+        self.key = np.array(key.to_lists(), dtype=np.uint8)
+
+    def _init_decoder(self, cfg: RunConfig, circuit: ss.Circuit):
+        recipe, code = self.recipe, self.recipe.code
         if cfg.prior_mode == "uniform":
-            data_priors = (0.01,) * code.n
+            data, frame = (0.01,) * code.n, (0.01,) * code.hx.rows
         else:
-            marginal = data_error_priors(circuit, nm, code.n, basis)
-            permuted = [0.0] * code.n
-            for q, img in enumerate(recipe.permutation):
-                permuted[img] = marginal[q]
-            data_priors = tuple(permuted)
-        if basis == "z":
-            self.h = code.hz
-            self.priors = data_priors
+            marginal = data_error_priors(circuit, cfg.noise, code.n, self.basis)
+            data = tuple(marginal[q] for q in np.argsort(recipe.permutation))
+            frame = frame_error_priors(code, cfg.noise)
+        if self.basis == "z":
+            self.h, self.priors, flips = code.hz, data, code.logicals_z
         else:
-            if cfg.prior_mode == "uniform":
-                frame_priors = (0.01,) * code.hx.rows
-            else:
-                frame_priors = frame_error_priors(code, nm)
             self.h = code.hx.hstack(BitMatrix.identity(code.hx.rows))
-            self.priors = data_priors + frame_priors
+            self.priors = data + frame
+            flips = (code.logical_x_product | recipe.meas_parity_coeffs << code.n,)
+        # row i: the estimate bits whose parity flips raw bit i
+        self.raw_flips = BitMatrix.from_ints(flips, self.h.cols)
         self.bp = MinSumDecoder(self.h, self.priors, iters=cfg.bp_iters)
         self.osd_depth = cfg.osd_depth
 
-    def estimate(self, syndrome: int) -> int:
-        problem = DecodeProblem(self.h, self.priors, syndrome)
-        return bp_then_osd(self.bp, problem, self.osd_depth).error_estimate
-
-    def corrected_mismatch(self, syndrome: int, raw, qec: bool) -> bool:
-        if self.basis == "z":
-            bits = list(raw)
-            if qec and syndrome:
-                est = self.estimate(syndrome)
-                for i, lz in enumerate(self.code.logicals_z):
-                    bits[i] ^= parity(est, lz)
-            return len(set(bits)) != 1
-        value = raw[0]
-        if qec and syndrome:
-            est = self.estimate(syndrome)
-            value ^= parity(est & self.data_mask, self.code.logical_x_product)
-            value ^= parity(est >> self.code.n, self.recipe.meas_parity_coeffs)
-        return value != 0
-
-    def verdict(self, record: ss.ShotRecord, qec: bool = True) -> bool | None:
-        """None when postselection rejects the shot, else whether its
-        (optionally decoded) readout mismatches the GHZ target."""
-        frame = pr.frame_from_shot(self.recipe, record)
-        if not frame.accepted:
+    def verdict(self, word: int) -> bool | None:
+        """None when postselection rejects the word's shots, else whether
+        their (decoded, when the mode uses QEC) readout mismatches."""
+        if word & ((1 << self.n_accept) - 1):
             return None
-        bits = [record[tag] for tag in self.recipe.data_tags]
-        syndrome, raw = pr.readout_reduce(self.code, self.basis, bits, frame)
-        return self.corrected_mismatch(syndrome, raw, qec)
+        syndrome = (word >> self.n_accept) & ((1 << self.n_syndrome) - 1)
+        raw = word >> (self.n_accept + self.n_syndrome)
+        if syndrome and self.bp is not None:
+            problem = DecodeProblem(self.h, self.priors, syndrome)
+            est = bp_then_osd(self.bp, problem, self.osd_depth).error_estimate
+            raw ^= self.raw_flips.mul_vec(est)
+        return raw not in self.targets
+
+    def classify(self, bits: np.ndarray):
+        """Verdicts on the shots in bits (record tags x shots), one per distinct key word.
+
+        Returns the verdicts, each shot's index into them and the number
+        of shots that share each.  Words are compared as packed bytes, so
+        a key of any width is exact.
+        """
+        rows = (self.key @ bits.astype(np.uint8)) & 1
+        packed = np.packbits(rows, axis=0, bitorder="little").T
+        words, inverse, counts = np.unique(packed, axis=0, return_inverse=True,
+                                           return_counts=True)
+        verdicts = [self.verdict(int.from_bytes(w.tobytes(), "little")) for w in words]
+        return verdicts, inverse.reshape(-1), counts
 
 
 # --- running ------------------------------------------------------------------
@@ -305,19 +320,10 @@ class _LogicalDecoders:
 
 def _build_pipeline(cfg: RunConfig, basis: str):
     if cfg.mode == "physical":
-        return pr.physical_ghz_circuit(basis), None, None
+        return pr.physical_ghz_circuit(basis), None
     if cfg.mode == "generalized":
-        code = build_generalized(cfg.l, cfg.c)
-        return (*pr.generalized_ghz_circuit(code, basis), code)
-    code = build_25_4_3()
-    return (*pr.logical_ghz_circuit(code, basis), code)
-
-
-def _physical_mismatch(record: ss.ShotRecord, basis: str) -> bool:
-    bits = [record[f"d{q}"] for q in range(4)]
-    if basis == "z":
-        return len(set(bits)) != 1
-    return sum(bits) % 2 != 0
+        return pr.generalized_ghz_circuit(build_generalized(cfg.l, cfg.c), basis)
+    return pr.logical_ghz_circuit(build_25_4_3(), basis)
 
 
 def _basis_seed(cfg: RunConfig, basis: str):
@@ -325,26 +331,19 @@ def _basis_seed(cfg: RunConfig, basis: str):
 
 
 def _run_chunk(cfg: RunConfig, basis: str, start: int, count: int, keep_records: bool):
-    circ, recipe, code = _build_pipeline(cfg, basis)
-    stats = BasisStats()
-    records = [] if keep_records else None
-    decoders = None
-    qec = cfg.mode in ("logical", "generalized")
-    if recipe is not None:
-        decoders = _LogicalDecoders(code, circ, cfg, basis, recipe)
-    shots = ss.sample_pauli_frame(circ, cfg.noise, _basis_seed(cfg, basis), count, start=start)
-    for i, rec in enumerate(shots):
-        stats.shots += 1
-        if keep_records:
-            records.append({"basis": basis, "shot": start + i, "outcomes": rec.outcomes})
-        if decoders is None:
-            mismatch = _physical_mismatch(rec, basis)
-        else:
-            mismatch = decoders.verdict(rec, qec)
-            if mismatch is None:
-                continue
-        stats.accepted += 1
-        stats.mismatches += mismatch
+    circ, recipe = _build_pipeline(cfg, basis)
+    classifier = _Classifier(cfg, basis, circ, recipe)
+    bits = ss.sample_outcomes(circ, cfg.noise, _basis_seed(cfg, basis), count, start=start)
+    stats = BasisStats(shots=count)
+    verdicts, _, counts = classifier.classify(bits)
+    for mismatch, n in zip(verdicts, counts.tolist()):
+        if mismatch is not None:
+            stats.accepted += n
+            stats.mismatches += n * mismatch
+    records = None
+    if keep_records:
+        records = [{"basis": basis, "shot": start + i, "outcomes": outcomes}
+                   for i, outcomes in enumerate(ss.outcome_dicts(circ.tags(), bits))]
     return stats, records
 
 
@@ -496,12 +495,16 @@ def fault_tolerance_ledger(basis: str, cfg: RunConfig | None = None) -> LedgerRe
         cfg = RunConfig(mode="logical", noise=ss.NoiseModel(3e-5, 2e-3, 2e-3))
     code = build_25_4_3()
     circ, recipe = pr.logical_ghz_circuit(code, basis)
-    decoders = _LogicalDecoders(code, circ, cfg, basis, recipe)
+    classifier = _Classifier(replace(cfg, mode="logical"), basis, circ, recipe)
     xbar_support = set(mask_to_support(code.logicals_x[recipe.measured_logical]))
     gadget_end = next(i for i, ins in enumerate(circ.instructions) if ins.op == "RELABEL")
+    cases = ss.enumerate_single_faults(circ)
+    tags = circ.tags()
+    bits = np.array([[case.record[t] for t in tags] for case in cases], dtype=bool).T
+    verdicts, inverse, _ = classifier.classify(bits)
     entries = []
-    for case in ss.enumerate_single_faults(circ):
-        mismatch = decoders.verdict(case.record)
+    for case, i in zip(cases, inverse.tolist()):
+        mismatch = verdicts[i]
         if mismatch is None:
             outcome = "rejected"
         elif not mismatch:

@@ -4,8 +4,8 @@ Builds syndrome-extraction gadgets with distance-preserving CNOT
 schedules, the triple logical-X measurement gadget, and the full
 physical and logical GHZ pipelines (transversal init, extraction,
 logical measurement with postselection, two relabeling layers, and
-transversal readout).  A FrameRecipe captures everything needed to turn
-raw shot records into syndromes and logical bits.
+transversal readout).  A FrameRecipe turns raw shot records into
+syndromes and logical bits, per shot or as one GF(2) key matrix.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from . import stab_sim as ss
 from .code_factory import build_25_4_3
 from .css_code import CssCode, apply_permutation, mask_to_support
-from .f2linalg import BitMatrix, parity
+from .f2linalg import BitMatrix, parity, vector_from_bits
 
 ANCILLA_COUNT = 6
 
@@ -150,7 +150,14 @@ def physical_ghz_circuit(basis: str) -> ss.Circuit:
 
 @dataclass(frozen=True)
 class FrameRecipe:
-    """Shot-independent bookkeeping for a logical GHZ pipeline."""
+    """Shot-independent bookkeeping for a logical GHZ pipeline.
+
+    key maps the record bits (circuit tag order: extraction outcomes m,
+    xbar_0..2, data b) to a key word whose rows are the acceptance bits
+    xbar_0^xbar_1 and xbar_0^xbar_2, the readout syndrome (hz*b in Z,
+    hx*b ^ frame_map*m in X) and the raw logical bits (the logical-Z
+    parities of b in Z; X-product*b ^ parity_check_coeffs*m ^ xbar_0 in X).
+    """
 
     code: CssCode
     basis: str
@@ -163,6 +170,7 @@ class FrameRecipe:
     parity_check_coeffs: int          # stabilizer part of the pulled-back X product
     meas_parity_coeffs: int           # same coefficients over final check slots
     xbar_gadget_start: int            # instruction index of the first gadget
+    key: BitMatrix                    # record bits -> key word
 
 
 @dataclass(frozen=True)
@@ -238,6 +246,14 @@ def _ghz_pipeline(code: CssCode, basis: str, data_perms, measured_logical: int,
     mu = frame_map.solution_with_coefficients(lam)
     if mu is None:
         raise ValueError("frame map is not invertible")
+    r = code.hx.rows
+    xbar = 1 << r
+    key = [xbar | xbar << 1, xbar | xbar << 2]
+    if basis == "z":
+        key += [c << (r + 3) for c in code.hz.data + code.logicals_z]
+    else:
+        key += [c << (r + 3) | f for c, f in zip(code.hx.data, frame_map.data)]
+        key.append(code.logical_x_product << (r + 3) | lam | xbar)
     recipe = FrameRecipe(
         code=code,
         basis=basis,
@@ -250,6 +266,7 @@ def _ghz_pipeline(code: CssCode, basis: str, data_perms, measured_logical: int,
         parity_check_coeffs=lam,
         meas_parity_coeffs=mu,
         xbar_gadget_start=xbar_start,
+        key=BitMatrix.from_ints(key, r + 3 + n),
     )
     return ss.Circuit(total, tuple(ins)), recipe
 
@@ -337,13 +354,11 @@ def circuit_report(circuit: ss.Circuit) -> dict:
     }
 
 
-# --- per-shot frame handling ------------------------------------------------
+# --- per-shot frame handling: the oracle for FrameRecipe.key ---------------
 
 
-def frame_from_shot(recipe: FrameRecipe, record: ss.ShotRecord) -> FrameState:
-    m = 0
-    for c, tag in enumerate(recipe.x_check_tags):
-        m |= record[tag] << c
+def frame_from_shot(recipe: FrameRecipe, record: dict) -> FrameState:
+    m = vector_from_bits(record[tag] for tag in recipe.x_check_tags)
     outs = [record[tag] for tag in recipe.xbar_tags]
     accepted = len(set(outs)) == 1
     sign = outs[0] if accepted else 0
@@ -365,10 +380,7 @@ def readout_reduce(code: CssCode, basis: str, data_bits, frame: FrameState | Non
     """
     if len(data_bits) != code.n:
         raise ValueError(f"expected {code.n} data bits, got {len(data_bits)}")
-    b = 0
-    for q, bit in enumerate(data_bits):
-        if bit & 1:
-            b |= 1 << q
+    b = vector_from_bits(data_bits)
     if basis == "z":
         syndrome = code.hz.mul_vec(b)
         raw = tuple(parity(b, lz) for lz in code.logicals_z)

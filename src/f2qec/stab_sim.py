@@ -216,14 +216,6 @@ class NoiseModel:
         return cls(0.0, 0.0, 0.0)
 
 
-@dataclass
-class ShotRecord:
-    outcomes: dict
-
-    def __getitem__(self, tag: str) -> int:
-        return self.outcomes[tag]
-
-
 # --- exact tableau engine -------------------------------------------------
 
 
@@ -346,8 +338,8 @@ class Tableau:
                 rows[i] = apply_permutation(rows[i], perm)
 
 
-def simulate_tableau(circuit: Circuit, seed) -> ShotRecord:
-    """Exact single-shot stabilizer simulation with a seeded outcome stream."""
+def simulate_tableau(circuit: Circuit, seed) -> dict[str, int]:
+    """Exact single-shot stabilizer simulation: {tag: outcome}, from a seeded outcome stream."""
     rng = np.random.default_rng(seed)
     tab = Tableau(circuit.n_qubits)
     outcomes = {}
@@ -373,7 +365,7 @@ def simulate_tableau(circuit: Circuit, seed) -> ShotRecord:
             pass
         else:
             raise ValueError(f"unknown op {op}")
-    return ShotRecord(outcomes)
+    return outcomes
 
 
 def noisy_expansion(circuit: Circuit, nm: NoiseModel, rng) -> Circuit:
@@ -554,12 +546,14 @@ def _propagate(prog: _Program, flips: np.ndarray):
     return meas, x, z
 
 
-def _records(prog: _Program, meas: np.ndarray, ref: ShotRecord) -> list[dict]:
-    """Outcome dicts, one per column: the reference XOR the measurement flips."""
-    ref_bits = np.array([ref[t] for t in prog.tags], dtype=bool)
-    flat = np.ascontiguousarray((meas ^ ref_bits[:, None]).T, dtype=np.uint8).tobytes()
-    n = len(prog.tags)
-    return [dict(zip(prog.tags, flat[i * n:(i + 1) * n])) for i in range(meas.shape[1])]
+def outcome_dicts(tags: tuple[str, ...], bits: np.ndarray) -> list[dict[str, int]]:
+    """One {tag: bit} dict per column of a (tags x columns) outcome array."""
+    return [dict(zip(tags, col)) for col in bits.T.astype(np.uint8).tolist()]
+
+
+def _outcomes(prog: _Program, meas: np.ndarray, ref: dict[str, int]) -> np.ndarray:
+    """Outcome bits, one column per shot: the reference XOR the measurement flips."""
+    return meas ^ np.array([ref[t] for t in prog.tags], dtype=bool)[:, None]
 
 
 def _column_ints(rows: np.ndarray) -> list[int]:
@@ -568,7 +562,7 @@ def _column_ints(rows: np.ndarray) -> list[int]:
     return [int.from_bytes(col.tobytes(), "little") for col in np.ascontiguousarray(packed.T)]
 
 
-def reference_record(circuit: Circuit, master_seed) -> ShotRecord:
+def reference_record(circuit: Circuit, master_seed) -> dict[str, int]:
     """Noiseless tableau run fixing the outcome frame for the sampler.
 
     Explicit Pauli injections are faults, not part of the ideal circuit,
@@ -617,35 +611,40 @@ def _noise_flips(prog: _Program, table: list[tuple], rng) -> np.ndarray:
     return flips
 
 
-def sample_pauli_frame(circuit: Circuit, nm: NoiseModel, seed, shots: int,
-                       start: int = 0) -> list[ShotRecord]:
-    """Sample shots start .. start + shots - 1 by frame propagation.
+def sample_outcomes(circuit: Circuit, nm: NoiseModel, seed, shots: int,
+                    start: int = 0) -> np.ndarray:
+    """Outcome bits of shots start .. start + shots - 1 by frame propagation.
 
-    The outcomes are the reference run's XOR the propagated faults and
-    random frames.  The noise of each block of SHOT_BLOCK shots, then its
-    random frame bits, come from the block's own generator, seeded by
-    (seed, block); a range that starts or ends inside a block samples the
-    whole block and keeps its part.  So a shot's outcomes depend only on
-    (circuit, noise, seed, shot index), and shot sets can be partitioned
-    across workers in any way.
+    Returns a bool array with one row per record tag, in circuit.tags()
+    order, and one column per shot.  The outcomes are the reference run's
+    XOR the propagated faults and random frames.  The noise of each block
+    of SHOT_BLOCK shots, then its random frame bits, come from the block's
+    own generator, seeded by (seed, block); a range that starts or ends
+    inside a block samples the whole block and keeps its part.  So a shot's
+    outcomes depend only on (circuit, noise, seed, shot index), and shot
+    sets can be partitioned across workers in any way.
     """
-    if shots <= 0:
-        return []
     prog = _compile(circuit)
-    ref = reference_record(circuit, seed)
+    meas = np.empty((len(prog.tags), max(shots, 0)), dtype=bool)
+    if shots <= 0:
+        return meas
     table = _noise_table(prog, nm)
-    out = []
     stop = start + shots
     for block in range(start // SHOT_BLOCK, (stop - 1) // SHOT_BLOCK + 1):
         rng = np.random.default_rng(list(_seed_key(seed)) + [0, block])
         flips = _noise_flips(prog, table, rng)
         pos, slot = prog.collapses
         flips[pos, slot] ^= rng.integers(0, 2, (len(pos), SHOT_BLOCK), dtype=bool)
-        meas, _, _ = _propagate(prog, flips)
-        lo = block * SHOT_BLOCK
-        keep = meas[:, max(start - lo, 0):min(stop - lo, SHOT_BLOCK)]
-        out += [ShotRecord(o) for o in _records(prog, keep, ref)]
-    return out
+        base = block * SHOT_BLOCK
+        lo, hi = max(start, base), min(stop, base + SHOT_BLOCK)
+        meas[:, lo - start:hi - start] = _propagate(prog, flips)[0][:, lo - base:hi - base]
+    return _outcomes(prog, meas, reference_record(circuit, seed))
+
+
+def sample_pauli_frame(circuit: Circuit, nm: NoiseModel, seed, shots: int,
+                       start: int = 0) -> list[dict[str, int]]:
+    """The shots of sample_outcomes as {tag: bit} dicts, one per shot."""
+    return outcome_dicts(circuit.tags(), sample_outcomes(circuit, nm, seed, shots, start))
 
 
 # --- deterministic single-fault enumeration --------------------------------
@@ -658,7 +657,7 @@ class FaultCase:
     instruction_index: int
     kind: str          # "gate1", "gate2", "prep", "meas"
     pauli: str         # "X"/"Y"/"Z", two-letter pair, or "flip"
-    record: ShotRecord = field(compare=False)
+    record: dict = field(compare=False)   # {tag: bit}
     final_x: int = 0   # residual X-frame at circuit end
     final_z: int = 0
 
@@ -683,12 +682,13 @@ def enumerate_single_faults(circuit: Circuit) -> list[FaultCase]:
             _FAULT_FLIPS[[code for _, _, code in chunk]]
         meas, x, z = _propagate(prog, flips)
         for (site, label, _), outcomes, fx, fz in zip(
-                chunk, _records(prog, meas, ref), _column_ints(x), _column_ints(z)):
-            out.append(FaultCase(site.index, site.kind, label, ShotRecord(outcomes), fx, fz))
+                chunk, outcome_dicts(prog.tags, _outcomes(prog, meas, ref)),
+                _column_ints(x), _column_ints(z)):
+            out.append(FaultCase(site.index, site.kind, label, outcomes, fx, fz))
     return out
 
 
-def noiseless_frames(circuit: Circuit) -> tuple[ShotRecord, int, int]:
+def noiseless_frames(circuit: Circuit) -> tuple[dict[str, int], int, int]:
     """Noiseless frame run; returns the record and the residual (x, z) frames.
 
     Injected Paulis in the circuit propagate like faults, so this exposes
@@ -696,5 +696,5 @@ def noiseless_frames(circuit: Circuit) -> tuple[ShotRecord, int, int]:
     """
     prog = _compile(circuit)
     meas, x, z = _propagate(prog, np.zeros((len(prog.ops), 4, 1), dtype=bool))
-    [outcomes] = _records(prog, meas, reference_record(circuit, 0))
-    return ShotRecord(outcomes), _column_ints(x)[0], _column_ints(z)[0]
+    [outcomes] = outcome_dicts(prog.tags, _outcomes(prog, meas, reference_record(circuit, 0)))
+    return outcomes, _column_ints(x)[0], _column_ints(z)[0]

@@ -4,7 +4,6 @@ from f2qec.code_factory import build_25_4_3
 from f2qec.decoder import (
     DecodeProblem,
     MinSumDecoder,
-    bp_min_sum,
     bp_osd,
     logical_correction,
     mwe_oracle,
@@ -27,7 +26,7 @@ def problem(h, syndrome, p=0.01):
 
 def test_zero_syndrome_decodes_to_zero(code):
     for h in (code.hx, code.hz):
-        res = bp_min_sum(problem(h, 0))
+        res = MinSumDecoder(h, uniform_priors(h.cols)).decode(0)
         assert res.error_estimate == 0 and res.converged
         osd = osd_combination_sweep(problem(h, 0), res.posteriors)
         assert osd.error_estimate == 0
@@ -52,7 +51,7 @@ def test_bp_failure_found_and_handed_to_osd(code):
             syn = code.hz.mul_vec((1 << a) | (1 << b))
             if syn == 0:
                 continue
-            res = bp_min_sum(problem(code.hz, syn))
+            res = MinSumDecoder(code.hz, uniform_priors(code.hz.cols)).decode(syn)
             if not res.converged:
                 failure = (syn, res)
                 break
@@ -67,7 +66,7 @@ def test_bp_failure_found_and_handed_to_osd(code):
 
 def test_osd_depth_zero_is_syndrome_consistent(code):
     syn = code.hz.mul_vec((1 << brick(1, 3)) | (1 << brick(3, 3)))
-    res = bp_min_sum(problem(code.hz, syn))
+    res = MinSumDecoder(code.hz, uniform_priors(code.hz.cols)).decode(syn)
     osd0 = osd_combination_sweep(problem(code.hz, syn), res.posteriors, depth=0)
     assert code.hz.mul_vec(osd0.error_estimate) == syn
 
@@ -77,7 +76,7 @@ def test_osd_sweep_never_worse_than_osd0(code):
         syn = code.hx.mul_vec(1 << q)
         if syn == 0:
             continue
-        res = bp_min_sum(problem(code.hx, syn))
+        res = MinSumDecoder(code.hx, uniform_priors(code.hx.cols)).decode(syn)
         osd0 = osd_combination_sweep(problem(code.hx, syn), res.posteriors, depth=0)
         full = osd_combination_sweep(problem(code.hx, syn), res.posteriors, depth=14)
         assert full.soft_weight <= osd0.soft_weight + 1e-12
@@ -85,7 +84,7 @@ def test_osd_sweep_never_worse_than_osd0(code):
 
 def test_osd_order_invariant_under_llr_scaling(code):
     syn = code.hz.mul_vec((1 << brick(2, 2)) | (1 << brick(4, 4)))
-    res = bp_min_sum(problem(code.hz, syn))
+    res = MinSumDecoder(code.hz, uniform_priors(code.hz.cols)).decode(syn)
     a = osd_combination_sweep(problem(code.hz, syn), res.posteriors)
     scaled = tuple(2.0 * v for v in res.posteriors)
     b = osd_combination_sweep(problem(code.hz, syn), scaled)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -205,3 +206,68 @@ def test_priors_reflect_gate_counts(flagship_code):
     heavy = max(range(10), key=lambda r: flagship_code.hx.row(r).bit_count())
     light = min(range(10), key=lambda r: flagship_code.hx.row(r).bit_count())
     assert frame[heavy] > frame[light]
+
+
+@pytest.mark.parametrize("mode, l, shots, pinned", [
+    ("physical", 3, 1500, ("30343cc50dd2ae17", "f61384a776950f62")),
+    ("logical", 3, 1500, ("b4f5487becdd7c55", "233fe9777a93f554")),
+    ("logical-noqec", 3, 1500, ("3c1b12a8ad12dbb3", "456ce585c7bfb92c")),
+    ("generalized", 4, 1500, ("99c683e96b21f5a4", "d9f42d528f0d1155")),
+    # l = 20: a 68-bit Z key word, wider than any machine integer
+    ("generalized", 20, 300, ("ceb090a1c97de105", "4646602b69a196cf")),
+])
+def test_seeded_run_files_are_pinned_byte_for_byte(tmp_path, mode, l, shots, pinned):
+    cfg = ex.RunConfig(mode=mode, shots_z=shots, shots_x=shots,
+                       noise=ss.NoiseModel(1e-3, 5e-3, 5e-3), seed=4, l=l)
+    ex.run(cfg, out_dir=str(tmp_path))
+    digests = tuple(hashlib.sha256((tmp_path / mode / name).read_bytes()).hexdigest()[:16]
+                    for name in ("summary.json", "shots.jsonl"))
+    assert digests == pinned
+
+
+def _per_shot_verdict(cfg, basis, recipe, h, priors, rec):
+    """The verdict on one shot record, walked through the per-shot frame
+    and readout functions with a fresh BP+OSD call."""
+    from f2qec import protocol as pr
+    from f2qec.decoder import DecodeProblem, bp_osd
+    from f2qec.f2linalg import parity
+
+    if recipe is None:
+        bits = [rec[f"d{q}"] for q in range(4)]
+        return len(set(bits)) != 1 if basis == "z" else sum(bits) % 2 == 1
+    frame = pr.frame_from_shot(recipe, rec)
+    if not frame.accepted:
+        return None
+    code = recipe.code
+    syndrome, raw = pr.readout_reduce(code, basis, [rec[t] for t in recipe.data_tags], frame)
+    raw = list(raw)
+    if cfg.mode != "logical-noqec" and syndrome:
+        est = bp_osd(DecodeProblem(h, priors, syndrome), cfg.bp_iters, cfg.osd_depth).error_estimate
+        if basis == "z":
+            raw = [b ^ parity(est, lz) for b, lz in zip(raw, code.logicals_z)]
+        else:
+            raw[0] ^= (parity(est & ((1 << code.n) - 1), code.logical_x_product)
+                       ^ parity(est >> code.n, recipe.meas_parity_coeffs))
+    return len(set(raw)) != 1 if basis == "z" else raw[0] == 1
+
+
+@pytest.mark.parametrize("mode", ex.MODES)
+def test_key_word_verdicts_match_per_shot_reference(mode):
+    # the run's path (key words, one verdict per distinct word) gives every
+    # seeded shot the verdict of the per-shot record walk
+    import numpy as np
+
+    cfg = ex.RunConfig(mode=mode, noise=ss.NoiseModel(1e-3, 5e-3, 5e-3), l=4)
+    seen = set()
+    for basis in ("z", "x"):
+        circ, recipe = ex._build_pipeline(cfg, basis)
+        classifier = ex._Classifier(cfg, basis, circ, recipe)
+        records = ss.sample_pauli_frame(circ, cfg.noise, 8, 1200)
+        bits = np.array([[rec[t] for t in circ.tags()] for rec in records], dtype=bool).T
+        verdicts, inverse, counts = classifier.classify(bits)
+        assert counts.sum() == len(records)
+        h, priors = getattr(classifier, "h", None), getattr(classifier, "priors", None)
+        for rec, i in zip(records, inverse):
+            assert verdicts[i] == _per_shot_verdict(cfg, basis, recipe, h, priors, rec)
+            seen.add(verdicts[i])
+    assert seen == ({True, False} if mode == "physical" else {None, True, False})
