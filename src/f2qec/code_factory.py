@@ -10,6 +10,7 @@ choice that reproduces it from the hypergraph product.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import accumulate
 from operator import xor
 
@@ -26,7 +27,6 @@ class ClassicalCode:
     name: str
     n: int
     k: int
-    d: int | None
     H: BitMatrix
     G: BitMatrix
 
@@ -38,6 +38,11 @@ class ClassicalCode:
             raise ValueError("H @ G.T != 0")
         if self.G.rows != self.k:
             raise ValueError("generator row count disagrees with k")
+
+    @cached_property
+    def d(self) -> int | None:
+        """Minimum distance, enumerated on first use (see min_codeword_weight)."""
+        return min_codeword_weight(self.G)
 
 
 def min_codeword_weight(G: BitMatrix) -> int | None:
@@ -56,8 +61,7 @@ def _unit_rows(cols, n: int) -> BitMatrix:
 
 def _make_code(name: str, H: BitMatrix, n: int) -> ClassicalCode:
     G = H.kernel_basis().rref()[0]
-    k = G.rows
-    return ClassicalCode(name, n, k, min_codeword_weight(G), H, G)
+    return ClassicalCode(name, n, G.rows, H, G)
 
 
 def parity_code(l: int) -> ClassicalCode:
@@ -75,7 +79,7 @@ def repetition_code(c: int) -> ClassicalCode:
     rows = [(0b11 << i) for i in range(c - 1)]
     H = BitMatrix.from_ints(rows, c)
     G = BitMatrix.from_ints([(1 << c) - 1], c)
-    return ClassicalCode(f"repetition_{c}", c, 1, c, H, G)
+    return ClassicalCode(f"repetition_{c}", c, 1, H, G)
 
 
 def concatenate(outer: ClassicalCode, inner_per_bit) -> ClassicalCode:
@@ -103,7 +107,7 @@ def concatenate(outer: ClassicalCode, inner_per_bit) -> ClassicalCode:
     inner_h = BitMatrix.from_ints([r << off for inner, off in blocks for r in inner.H.data], n)
     H = inner_h.vstack(outer.H @ lift)
     G = outer.G @ reps
-    return ClassicalCode(f"{outer.name}_concat", n, outer.k, min_codeword_weight(G), H, G)
+    return ClassicalCode(f"{outer.name}_concat", n, outer.k, H, G)
 
 
 def weight_reduce(l: int) -> ClassicalCode:
@@ -138,7 +142,7 @@ def parent_code_5_2_3() -> ClassicalCode:
     """
     H = BitMatrix.from_strings(["11000", "01110", "00011"])
     G = BitMatrix.from_strings(["11100", "11011"])
-    return ClassicalCode("parent_5_2_3", 5, 2, 3, H, G)
+    return ClassicalCode("parent_5_2_3", 5, 2, H, G)
 
 
 # --- hypergraph product ------------------------------------------------
@@ -158,9 +162,16 @@ def hypergraph_product(h: BitMatrix, h_second: BitMatrix | None = None) -> CssCo
     hx = [Hv (x) I_nh | I_mv (x) Hh^T], hz = [I_nv (x) Hh | Hv^T (x) I_mh];
     logical X (a, b) is e_pv[a] (x) gh_b and logical Z (a, b) is
     gv_a (x) e_ph[b], where g are the reduced kernel bases and p their pivots.
+    The distance d is the smaller classical distance of the two factors.
     """
-    hv = h
     hh = h if h_second is None else h_second
+    code = _product(h, hh)
+    dv, dh = (min_codeword_weight(f.kernel_basis()) for f in (h, hh))
+    return replace(code, d=min(dv, dh) if dv is not None and dh is not None else None)
+
+
+def _product(hv: BitMatrix, hh: BitMatrix) -> CssCode:
+    """The hypergraph product without its distance (see hypergraph_product)."""
     mv, nv = hv.rows, hv.cols
     mh, nh = hh.rows, hh.cols
     if hv.rank() != mv or hh.rank() != mh:
@@ -178,9 +189,6 @@ def hypergraph_product(h: BitMatrix, h_second: BitMatrix | None = None) -> CssCo
         [("P", i + 1, j + 1) for i in range(nv) for j in range(nh)]
         + [("S", ip + 1, jp + 1) for ip in range(mv) for jp in range(mh)]
     )
-    dv = min_codeword_weight(gv)
-    dh = min_codeword_weight(gh)
-    d = min(dv, dh) if dv is not None and dh is not None else None
     return CssCode(
         n=hx.cols,
         hx=hx,
@@ -188,7 +196,6 @@ def hypergraph_product(h: BitMatrix, h_second: BitMatrix | None = None) -> CssCo
         logicals_x=logicals_x,
         logicals_z=logicals_z,
         coords=coords,
-        d=d,
         name="hgp",
         meta=tuple(sorted((("nv", nv), ("nh", nh), ("mv", mv), ("mh", mh),
                            ("kv", gv.rows), ("kh", gh.rows)))),
@@ -341,7 +348,8 @@ REFERENCE_TANNER_CHOICE_25_4_3 = TannerChoice((
 
 def build_34_4_3() -> CssCode:
     """Hypergraph product of the [5,2,3] seed with itself (pre-transform)."""
-    return replace(hypergraph_product(parent_code_5_2_3().H), d=3, name="code_34_4_3")
+    h = parent_code_5_2_3().H
+    return replace(_product(h, h), d=3, name="code_34_4_3")
 
 
 def build_generalized(l: int, c: int) -> CssCode:
@@ -358,7 +366,7 @@ def build_generalized(l: int, c: int) -> CssCode:
         raise ValueError("need c >= 1")
     vert = concatenate(weight_reduce(l), [repetition_code(c)] * (2 * l - 3))
     horiz = concatenate(parity_code(3), [repetition_code(c)] * 3)
-    prod = hypergraph_product(vert.H, horiz.H)
+    prod = _product(vert.H, horiz.H)
     return replace(
         quantum_tanner_transform(prod, default_tanner_choice(prod)),
         d=2 * c, name=f"generalized_l{l}_c{c}",

@@ -2,6 +2,10 @@
 post-processing with a combination sweep, and an exhaustive minimum-weight
 oracle for ground truth on small codes.
 
+The sweep takes one BitMatrix reduction per call, of the ranked check
+matrix with the syndrome appended: every candidate is the zero-pattern
+solution XOR the flips of its free columns, each read off that reduction.
+
 Error estimates and syndromes are packed bit masks.  Tie-breaking is
 always lowest-index-first so every decoder is deterministic.
 """
@@ -51,39 +55,40 @@ def _clip(v: float) -> float:
     return max(-LLR_CLIP, min(LLR_CLIP, v))
 
 
+def _prior_llrs(priors) -> list[float]:
+    return [_clip(math.log((1.0 - p) / p)) for p in priors]
+
+
 class MinSumDecoder:
     """Reusable plain min-sum BP instance for one check matrix and prior vector.
 
-    Posteriors are exposed for ordered-statistics post-processing.
+    Messages live in per-check lists: slot i of check r belongs to the
+    i-th variable of check_nbrs[r], and var_nbrs[j] lists (check, slot)
+    in ascending check order.  Posteriors are exposed for
+    ordered-statistics post-processing.
     """
 
     def __init__(self, h: BitMatrix, priors, iters: int = 10):
         self.h = h
         self.iters = iters
         self.priors = tuple(priors)
-        self.prior_llrs = [_clip(math.log((1.0 - p) / p)) for p in self.priors]
-        self.check_nbrs = [[j for j in range(h.cols) if h.get(r, j)] for r in range(h.rows)]
+        self.prior_llrs = _prior_llrs(self.priors)
+        self.check_nbrs = [mask_to_support(row) for row in h.data]
         self.var_nbrs = [[] for _ in range(h.cols)]
         for r, nbrs in enumerate(self.check_nbrs):
-            for j in nbrs:
-                self.var_nbrs[j].append(r)
+            for slot, j in enumerate(nbrs):
+                self.var_nbrs[j].append((r, slot))
 
     def decode(self, syndrome: int) -> DecodeResult:
-        h = self.h
-        m, n = h.rows, h.cols
+        prior = self.prior_llrs
         if syndrome == 0:
-            return DecodeResult(0, True, "BP", 0.0, tuple(self.prior_llrs))
-        v2c = {}
-        for r in range(m):
-            for j in self.check_nbrs[r]:
-                v2c[(j, r)] = self.prior_llrs[j]
-        c2v = {k: 0.0 for k in v2c}
-        posteriors = list(self.prior_llrs)
+            return DecodeResult(0, True, "BP", 0.0, tuple(prior))
+        v2c = [[prior[j] for j in nbrs] for nbrs in self.check_nbrs]
+        c2v = [[0.0] * len(nbrs) for nbrs in self.check_nbrs]
+        posteriors = list(prior)
         hard = 0
         for _ in range(self.iters):
-            for r in range(m):
-                nbrs = self.check_nbrs[r]
-                msgs = [v2c[(j, r)] for j in nbrs]
+            for r, msgs in enumerate(v2c):
                 sign_all = -1.0 if (syndrome >> r) & 1 else 1.0
                 mags = []
                 for v in msgs:
@@ -102,24 +107,19 @@ class MinSumDecoder:
                         arg1 = idx
                     elif v < min2:
                         min2 = v
-                for idx, j in enumerate(nbrs):
-                    s = sign_all if msgs[idx] >= 0 else -sign_all
-                    mag = min2 if idx == arg1 else min1
-                    c2v[(j, r)] = s * mag
+                c2v[r] = [(sign_all if v >= 0 else -sign_all) * (min2 if idx == arg1 else min1)
+                          for idx, v in enumerate(msgs)]
             hard = 0
-            for j in range(n):
-                total = self.prior_llrs[j] + sum(c2v[(j, r)] for r in self.var_nbrs[j])
-                total = _clip(total)
+            for j, nbrs in enumerate(self.var_nbrs):
+                total = _clip(prior[j] + sum(c2v[r][slot] for r, slot in nbrs))
                 posteriors[j] = total
-                for r in self.var_nbrs[j]:
-                    v2c[(j, r)] = _clip(total - c2v[(j, r)])
+                for r, slot in nbrs:
+                    v2c[r][slot] = _clip(total - c2v[r][slot])
                 if total < 0:
                     hard |= 1 << j
-            if h.mul_vec(hard) == syndrome:
-                return DecodeResult(hard, True, "BP",
-                                    _soft_weight(hard, self.prior_llrs), tuple(posteriors))
-        return DecodeResult(hard, False, "BP",
-                            _soft_weight(hard, self.prior_llrs), tuple(posteriors))
+            if self.h.mul_vec(hard) == syndrome:
+                return DecodeResult(hard, True, "BP", _soft_weight(hard, prior), tuple(posteriors))
+        return DecodeResult(hard, False, "BP", _soft_weight(hard, prior), tuple(posteriors))
 
 
 def _soft_weight(estimate: int, llrs) -> float:
@@ -133,71 +133,46 @@ def _soft_weight(estimate: int, llrs) -> float:
 
 
 def osd_combination_sweep(problem: DecodeProblem, bp_soft_output, depth: int = 14) -> DecodeResult:
-    """Ordered-statistics search seeded by BP posteriors.
+    """Ordered-statistics search seeded by BP posteriors, from one reduction.
 
     Columns are ranked most-likely-in-error first (ascending posterior
-    LLR, lowest index on ties); the first rank(h) independent columns
-    form the solving basis.  Candidates are the zero pattern, all single
-    flips over the free columns, and all pairs within the `depth`
-    most-likely free columns.  Candidates are scored by channel-prior
-    log-likelihood (posteriors only order the columns); the minimum
-    wins, lowest support on ties, and the returned estimate always
-    satisfies the syndrome.
+    LLR, lowest index on ties).  One reduced row echelon form of the
+    ranked matrix with the syndrome appended as a last column gives
+    everything: its pivots are the solving basis (the first rank(h)
+    independent ranked columns), its syndrome column the zero-pattern
+    estimate, and each free column c the flip of c plus the basis columns
+    summing to it.  Candidates are the zero pattern XOR each single flip,
+    then XOR each pair of the `depth` most-likely flips.  They are scored
+    by channel-prior log-likelihood (posteriors only order the columns);
+    the minimum wins, lowest support on ties, and the returned estimate
+    always satisfies the syndrome.
     """
     h = problem.h
-    llrs = list(bp_soft_output)
-    prior_llrs = [_clip(math.log((1.0 - p) / p)) for p in problem.priors]
+    llrs = tuple(bp_soft_output)
+    prior_llrs = _prior_llrs(problem.priors)
     order = sorted(range(h.cols), key=lambda j: (llrs[j], j))
-    cols = h.transpose()
-    basis_js = []
-    reduced = []  # (pivot bit, reduced column, combination over basis positions)
-    for j in order:
-        v = cols.row(j)
-        tag = 0
-        for pivot, vec, vtag in reduced:
-            if v & pivot:
-                v ^= vec
-                tag ^= vtag
-        if v:
-            reduced.append((v & -v, v, tag ^ (1 << len(basis_js))))
-            basis_js.append(j)
-    free_js = [j for j in order if j not in set(basis_js)]
-
-    def candidate(free_pattern: tuple[int, ...]) -> int | None:
-        rhs = problem.syndrome
-        t = 0
-        for j in free_pattern:
-            rhs ^= cols.row(j)
-            t |= 1 << j
-        coeff = 0
-        for pivot, vec, vtag in reduced:
-            if rhs & pivot:
-                rhs ^= vec
-                coeff ^= vtag
-        if rhs:
-            return None
-        e = t
-        while coeff:
-            pos = (coeff & -coeff).bit_length() - 1
-            e |= 1 << basis_js[pos]
-            coeff &= coeff - 1
-        return e
-
-    best = candidate(())
-    if best is None:
+    syndrome = BitMatrix.from_ints([(problem.syndrome >> r) & 1 for r in range(h.rows)], 1)
+    reduced, pivots = h.permute_columns(order).hstack(syndrome).rref()
+    if pivots and pivots[-1] == h.cols:
         raise ValueError("syndrome is inconsistent with the check matrix")
-    best_w = _soft_weight(best, prior_llrs)
-    sweeps = [(j,) for j in free_js]
-    sweeps += [pair for pair in combinations(free_js[:depth], 2)]
-    for pattern in sweeps:
-        e = candidate(pattern)
-        if e is None:
-            continue
+    # bit i of reduced column c: ranked column c needs basis column i
+    combos = reduced.transpose().data
+    basis = [1 << order[c] for c in pivots]
+
+    def on_basis(combo: int) -> int:
+        return sum(basis[i] for i in mask_to_support(combo))
+
+    zero = on_basis(combos[h.cols])
+    flips = [(1 << order[c]) | on_basis(combos[c]) for c in range(h.cols) if c not in pivots]
+    candidates = [zero ^ f for f in flips]
+    candidates += [zero ^ a ^ b for a, b in combinations(flips[:depth], 2)]
+    best, best_w = zero, _soft_weight(zero, prior_llrs)
+    for e in candidates:
         w = _soft_weight(e, prior_llrs)
         if w < best_w - 1e-12 or (abs(w - best_w) <= 1e-12
                                   and mask_to_support(e) < mask_to_support(best)):
             best, best_w = e, w
-    return DecodeResult(best, True, "BP+OSD", best_w, tuple(llrs))
+    return DecodeResult(best, True, "BP+OSD", best_w, llrs)
 
 
 def bp_then_osd(bp: MinSumDecoder, problem: DecodeProblem, depth: int = 14) -> DecodeResult:

@@ -241,8 +241,10 @@ class _Classifier:
     data bits in Z and their parity in X) holds, from its lowest bit, the
     acceptance bits, the readout syndrome and the raw logical bits.  With
     QEC, a nonzero syndrome is decoded and the estimate's flips of the raw
-    bits are applied.  The readout matches the GHZ target when all raw
-    bits are equal in Z, and when the raw parity bit is 0 in X.
+    bits are applied; the flips are kept by syndrome, so words that differ
+    only in their raw bits share one decode.  The readout matches the GHZ
+    target when all raw bits are equal in Z, and when the raw parity bit
+    is 0 in X.
 
     The Z basis decodes X errors on the plain Z-check matrix.  The X
     basis decodes the frame-corrected syndrome on the X-check matrix
@@ -286,6 +288,7 @@ class _Classifier:
         self.raw_flips = BitMatrix.from_ints(flips, self.h.cols)
         self.bp = MinSumDecoder(self.h, self.priors, iters=cfg.bp_iters)
         self.osd_depth = cfg.osd_depth
+        self.decoded = {}  # syndrome -> its estimate's raw-bit flips
 
     def verdict(self, word: int) -> bool | None:
         """None when postselection rejects the word's shots, else whether
@@ -295,9 +298,11 @@ class _Classifier:
         syndrome = (word >> self.n_accept) & ((1 << self.n_syndrome) - 1)
         raw = word >> (self.n_accept + self.n_syndrome)
         if syndrome and self.bp is not None:
-            problem = DecodeProblem(self.h, self.priors, syndrome)
-            est = bp_then_osd(self.bp, problem, self.osd_depth).error_estimate
-            raw ^= self.raw_flips.mul_vec(est)
+            if syndrome not in self.decoded:
+                problem = DecodeProblem(self.h, self.priors, syndrome)
+                est = bp_then_osd(self.bp, problem, self.osd_depth).error_estimate
+                self.decoded[syndrome] = self.raw_flips.mul_vec(est)
+            raw ^= self.decoded[syndrome]
         return raw not in self.targets
 
     def classify(self, bits: np.ndarray):

@@ -687,14 +687,3 @@ def enumerate_single_faults(circuit: Circuit) -> list[FaultCase]:
             out.append(FaultCase(site.index, site.kind, label, outcomes, fx, fz))
     return out
 
-
-def noiseless_frames(circuit: Circuit) -> tuple[dict[str, int], int, int]:
-    """Noiseless frame run; returns the record and the residual (x, z) frames.
-
-    Injected Paulis in the circuit propagate like faults, so this exposes
-    where an explicit injection ends up at circuit end.
-    """
-    prog = _compile(circuit)
-    meas, x, z = _propagate(prog, np.zeros((len(prog.ops), 4, 1), dtype=bool))
-    [outcomes] = outcome_dicts(prog.tags, _outcomes(prog, meas, reference_record(circuit, 0)))
-    return outcomes, _column_ints(x)[0], _column_ints(z)[0]

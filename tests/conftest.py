@@ -90,3 +90,49 @@ def flagship_code():
     from f2qec import build_25_4_3
 
     return build_25_4_3()
+
+
+def reference_osd(h, priors, posteriors, syndrome, depth):
+    """OSD combination sweep from its definition: (estimate, soft weight).
+
+    Columns are ranked by (posterior, index); a ranked column joins the
+    basis when it raises the rank.  Each candidate pattern on the free
+    columns is completed by solving the basis columns for what is left of
+    the syndrome.  Candidates are the zero pattern, every single free
+    column, and every pair among the first `depth` free columns, scored by
+    clipped prior LLRs summed in ascending column order; a candidate wins
+    when it is lower by more than 1e-12, or tied with a smaller support.
+    Raises ValueError when the syndrome is not in the column space.
+    """
+    import math
+
+    from f2qec.decoder import LLR_CLIP
+    from f2qec.f2linalg import BitMatrix
+
+    llr = [max(-LLR_CLIP, min(LLR_CLIP, math.log((1 - p) / p))) for p in priors]
+    column = [h.transpose().row(j) for j in range(h.cols)]
+    order = sorted(range(h.cols), key=lambda j: (posteriors[j], j))
+    basis = []
+    for j in order:
+        if BitMatrix.from_ints([column[k] for k in basis + [j]], h.rows).rank() > len(basis):
+            basis.append(j)
+    free = [j for j in order if j not in basis]
+    on_basis = BitMatrix.from_ints([column[k] for k in basis], h.rows).transpose()
+
+    def solve(pattern):
+        rhs = syndrome
+        for j in pattern:
+            rhs ^= column[j]
+        x = on_basis.solve(rhs)
+        if x is None:
+            raise ValueError("syndrome is not in the column space")
+        support = sorted(list(pattern) + [basis[i] for i in range(len(basis)) if (x >> i) & 1])
+        return support, sum(llr[j] for j in support)
+
+    best, best_w = solve(())
+    patterns = [(j,) for j in free] + list(combinations(free[:depth], 2))
+    for pattern in patterns:
+        support, w = solve(pattern)
+        if w < best_w - 1e-12 or (abs(w - best_w) <= 1e-12 and support < best):
+            best, best_w = support, w
+    return sum(1 << j for j in best), best_w

@@ -1,4 +1,7 @@
+import random
+
 import pytest
+from conftest import reference_osd
 
 from f2qec.code_factory import build_25_4_3
 from f2qec.decoder import (
@@ -166,3 +169,57 @@ def test_min_sum_decoder_reusable(code):
     dec = MinSumDecoder(code.hz, uniform_priors(25))
     syn = code.hz.mul_vec(1 << 7)
     assert dec.decode(syn).error_estimate == dec.decode(syn).error_estimate
+
+
+def test_decoder_outputs_are_pinned_by_digest(code):
+    # every field of BP and BP+OSD, posteriors included, on weight-1 and
+    # short-range weight-2 errors; any change to the float summation order
+    # moves this digest
+    import hashlib
+
+    from f2qec.f2linalg import BitMatrix
+
+    lines = []
+    for h in (code.hz, code.hx, code.hx.hstack(BitMatrix.identity(code.hx.rows))):
+        errors = [1 << a for a in range(h.cols)]
+        errors += [(1 << a) | (1 << b) for a in range(h.cols) for b in range(a + 1, h.cols)
+                   if b - a in (1, 7)]
+        for priors in ((0.01,) * h.cols, tuple(0.001 * (1 + j % 7) for j in range(h.cols))):
+            bp = MinSumDecoder(h, priors, iters=10)
+            for e in errors:
+                s = h.mul_vec(e)
+                for r in (bp.decode(s), bp_osd(DecodeProblem(h, priors, s), iters=10, depth=14)):
+                    lines.append(repr((r.error_estimate, r.converged, r.method,
+                                       r.soft_weight, r.posteriors)))
+    assert len(lines) == 924
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest().startswith("5b4a58ac0187e7c9")
+
+
+def test_osd_matches_reference_on_random_small_matrices():
+    # redundant rows, tied priors and tied posteriors on purpose; the
+    # syndromes are arbitrary, so some are outside the column space
+    from f2qec.f2linalg import BitMatrix
+
+    rng = random.Random(7)
+    raised = 0
+    for _ in range(300):
+        n, m = rng.randint(1, 9), rng.randint(1, 5)
+        rows = [rng.getrandbits(n) for _ in range(m)]
+        rows += [rows[0] ^ rows[-1]] * rng.randint(0, 1)
+        h = BitMatrix.from_ints(rows, n)
+        priors = tuple(rng.choice((0.01, 0.05, 0.2)) for _ in range(n))
+        posteriors = tuple(float(rng.randint(-2, 3)) for _ in range(n))
+        syndrome = rng.getrandbits(h.rows)
+        for depth in (0, 2, 14):
+            problem = DecodeProblem(h, priors, syndrome)
+            try:
+                want = reference_osd(h, priors, posteriors, syndrome, depth)
+            except ValueError:
+                with pytest.raises(ValueError, match="inconsistent"):
+                    osd_combination_sweep(problem, posteriors, depth)
+                raised += 1
+                continue
+            got = osd_combination_sweep(problem, posteriors, depth)
+            assert (got.error_estimate, got.soft_weight) == want
+            assert got.posteriors == posteriors and got.method == "BP+OSD"
+    assert 0 < raised < 900

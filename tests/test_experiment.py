@@ -271,3 +271,35 @@ def test_key_word_verdicts_match_per_shot_reference(mode):
             assert verdicts[i] == _per_shot_verdict(cfg, basis, recipe, h, priors, rec)
             seen.add(verdicts[i])
     assert seen == ({True, False} if mode == "physical" else {None, True, False})
+
+
+def test_each_distinct_syndrome_is_decoded_once(monkeypatch):
+    # words that differ only in their raw bits share a syndrome, and
+    # BP+OSD runs once for it; the syndromes come from the per-shot walk
+    from f2qec import protocol as pr
+
+    calls, decode = [], ex.bp_then_osd
+
+    def counting(bp, problem, depth):
+        calls.append((problem.h.cols, problem.syndrome))
+        return decode(bp, problem, depth)
+
+    monkeypatch.setattr(ex, "bp_then_osd", counting)
+    cfg = ex.RunConfig(mode="logical", shots_z=1500, shots_x=1500,
+                       noise=ss.NoiseModel(1e-3, 5e-3, 5e-3), seed=4)
+    ex.run(cfg)
+    want = []
+    for basis in ("z", "x"):
+        circ, recipe = ex._build_pipeline(cfg, basis)
+        bits = ss.sample_outcomes(circ, cfg.noise, ex._basis_seed(cfg, basis), 1500)
+        syndromes = set()
+        for rec in ss.outcome_dicts(circ.tags(), bits):
+            frame = pr.frame_from_shot(recipe, rec)
+            if frame.accepted:
+                data = [rec[t] for t in recipe.data_tags]
+                syndrome, _ = pr.readout_reduce(recipe.code, basis, data, frame)
+                if syndrome:
+                    syndromes.add(syndrome)
+        cols = recipe.code.n + (recipe.code.hx.rows if basis == "x" else 0)
+        want += [(cols, s) for s in sorted(syndromes)]
+    assert sorted(calls) == sorted(want)

@@ -256,12 +256,14 @@ def test_ancilla_x_before_first_cnot_is_stabilizer():
     sched = zigzag_schedule(code)
     anc = code.n
     order = sched.x_orders[8]  # a weight-6 check
-    ins = [ss.prepx(anc), ss.inject("X", anc)]
+    ins = [ss.prepx(anc)]
     ins += [ss.cnot(anc, q) for q in order]
     ins += [ss.measx(anc, "m")]
     circ = ss.Circuit(code.n + 1, tuple(ins))
-    _, fx, _ = ss.noiseless_frames(circ)
-    data_error = fx & ((1 << code.n) - 1)
+    # X on the control before the first CNOT is XX after it
+    [case] = [c for c in ss.enumerate_single_faults(circ)
+              if c.instruction_index == 1 and c.pauli == "XX"]
+    data_error = case.final_x & ((1 << code.n) - 1)
     assert data_error == code.hx.row(8)
     assert code.hx.in_row_space(data_error)
 
