@@ -517,12 +517,8 @@ def fault_tolerance_ledger(basis: str, cfg: RunConfig | None = None) -> LedgerRe
         elif case.instruction_index >= gadget_end:
             outcome = "extra"
         else:
-            ins = circ.instructions[case.instruction_index]
-            touches = []
-            if case.kind == "gate2":
-                touches = [(ins.qubits[0], case.pauli[0]), (ins.qubits[1], case.pauli[1])]
-            elif case.kind in ("gate1", "prep"):
-                touches = [(ins.qubits[0], case.pauli)]
+            # one Pauli letter per qubit; a measurement's "flip" has no Z or Y
+            touches = zip(circ.instructions[case.instruction_index].qubits, case.pauli)
             hit = any(q in xbar_support and p in ("Z", "Y") for q, p in touches)
             outcome = "nonft-set" if hit else "extra"
         entries.append(LedgerEntry(case.instruction_index, case.kind, case.pauli, outcome))

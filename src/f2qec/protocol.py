@@ -37,17 +37,6 @@ def _coord_map(code: CssCode) -> dict[int, tuple[int, int]]:
     return out
 
 
-def _rectangle(support, coords):
-    pts = [coords[q] for q in support]
-    rows = sorted({i for i, _ in pts})
-    cols = sorted({j for _, j in pts})
-    if len(pts) != len(rows) * len(cols):
-        return None, None
-    if {(i, j) for i in rows for j in cols} != set(pts):
-        return None, None
-    return rows, cols
-
-
 def zigzag_schedule(code: CssCode) -> Schedule:
     """Serpentine CNOT orders running against each logical grain.
 
@@ -57,29 +46,23 @@ def zigzag_schedule(code: CssCode) -> Schedule:
     two sites wide along its own grain.
     """
     coords = _coord_map(code)
-    by_coord = {v: k for k, v in coords.items()}
 
-    def order_x(support):
-        rows, cols = _rectangle(support, coords)
-        if rows is None or len(cols) > 2:
-            raise ValueError("X check support is not a rectangle of width <= 2 columns")
-        path = [(i, cols[0]) for i in rows]
-        if len(cols) == 2:
-            path += [(i, cols[1]) for i in reversed(rows)]
-        return tuple(by_coord[p] for p in path)
+    def serpentine(kind, h, r):
+        # In (site, line) coordinates an X check's lines are its columns;
+        # a Z check's are its rows.  The points are distinct, so they fill
+        # the rectangle exactly when their count is #sites x #lines.
+        pts = {(coords[q] if kind == "X" else coords[q][::-1]): q
+               for q in mask_to_support(h.row(r))}
+        sites = sorted({s for s, _ in pts})
+        lines = sorted({ln for _, ln in pts})
+        if len(pts) != len(sites) * len(lines) or len(lines) > 2:
+            raise ValueError(f"{kind} check support is not a rectangle of width <= 2 "
+                             + ("columns" if kind == "X" else "rows"))
+        return tuple(pts[s, ln] for k, ln in enumerate(lines)
+                     for s in (reversed(sites) if k % 2 else sites))
 
-    def order_z(support):
-        rows, cols = _rectangle(support, coords)
-        if rows is None or len(rows) > 2:
-            raise ValueError("Z check support is not a rectangle of width <= 2 rows")
-        path = [(rows[0], j) for j in cols]
-        if len(rows) == 2:
-            path += [(rows[1], j) for j in reversed(cols)]
-        return tuple(by_coord[p] for p in path)
-
-    xo = tuple(order_x(mask_to_support(code.hx.row(r))) for r in range(code.hx.rows))
-    zo = tuple(order_z(mask_to_support(code.hz.row(r))) for r in range(code.hz.rows))
-    return Schedule(xo, zo)
+    return Schedule(*(tuple(serpentine(kind, h, r) for r in range(h.rows))
+                      for kind, h in (("X", code.hx), ("Z", code.hz))))
 
 
 def row_major_schedule(code: CssCode) -> Schedule:
@@ -92,14 +75,6 @@ def row_major_schedule(code: CssCode) -> Schedule:
 # --- gadget and circuit builders -------------------------------------------
 
 
-def _x_gadget(anc, order, tag):
-    return [ss.prepx(anc)] + [ss.cnot(anc, q) for q in order] + [ss.measx(anc, tag)]
-
-
-def _z_gadget(anc, order, tag):
-    return [ss.prepz(anc)] + [ss.cnot(q, anc) for q in order] + [ss.measz(anc, tag)]
-
-
 def _logical_x_gadget(anc, order, tag):
     # |0>-ancilla convention: Hadamards sandwich the fan-out CNOTs.
     out = [ss.prepz(anc), ss.h(anc)]
@@ -108,29 +83,28 @@ def _logical_x_gadget(anc, order, tag):
     return out
 
 
-def _check_schedule(code: CssCode, schedule: Schedule):
+def syndrome_extraction_circuit(code: CssCode, schedule: Schedule, which: str = "X") -> ss.Circuit:
+    """One ancilla gadget per selected check, in schedule order.
+
+    Every order must be a permutation of its check support, whichever
+    checks are selected.  An X gadget fans out from a |+> ancilla; a Z
+    gadget collects into a |0> ancilla.
+    """
     if len(schedule.x_orders) != code.hx.rows or len(schedule.z_orders) != code.hz.rows:
         raise ValueError("schedule does not cover every check")
-    for r, order in enumerate(schedule.x_orders):
-        if tuple(sorted(order)) != mask_to_support(code.hx.row(r)):
-            raise ValueError(f"X order {r} is not a permutation of the check support")
-    for r, order in enumerate(schedule.z_orders):
-        if tuple(sorted(order)) != mask_to_support(code.hz.row(r)):
-            raise ValueError(f"Z order {r} is not a permutation of the check support")
-
-
-def syndrome_extraction_circuit(code: CssCode, schedule: Schedule, which: str = "X") -> ss.Circuit:
-    """One ancilla gadget per selected check, in schedule order."""
-    _check_schedule(code, schedule)
     ins = []
     g = 0
-    if which in ("X", "both"):
-        for r, order in enumerate(schedule.x_orders):
-            ins += _x_gadget(code.n + (g % ANCILLA_COUNT), order, f"x{r}")
-            g += 1
-    if which in ("Z", "both"):
-        for r, order in enumerate(schedule.z_orders):
-            ins += _z_gadget(code.n + (g % ANCILLA_COUNT), order, f"z{r}")
+    for kind, h, orders in (("X", code.hx, schedule.x_orders), ("Z", code.hz, schedule.z_orders)):
+        for r, order in enumerate(orders):
+            if tuple(sorted(order)) != mask_to_support(h.row(r)):
+                raise ValueError(f"{kind} order {r} is not a permutation of the check support")
+            if which not in (kind, "both"):
+                continue
+            anc, tag = code.n + (g % ANCILLA_COUNT), f"{kind.lower()}{r}"
+            if kind == "X":
+                ins += [ss.prepx(anc), *(ss.cnot(anc, q) for q in order), ss.measx(anc, tag)]
+            else:
+                ins += [ss.prepz(anc), *(ss.cnot(q, anc) for q in order), ss.measz(anc, tag)]
             g += 1
     if which not in ("X", "Z", "both"):
         raise ValueError("which must be X, Z, or both")
@@ -290,9 +264,9 @@ def logical_ghz_circuit(code: CssCode | None = None, basis: str = "z") -> tuple[
     tracked offline), the vertical then horizontal fold-swap relabelings,
     and transversal readout in the requested basis.
     """
-    if code is None:
-        code = build_25_4_3()
     ref = build_25_4_3()
+    if code is None:
+        code = ref
     if code.hx != ref.hx or code.hz != ref.hz:
         raise ValueError("logical pipeline is defined for the 25-qubit code")
     perms = (vertical_fold_swap(), horizontal_fold_swap())
@@ -314,29 +288,19 @@ def generalized_ghz_circuit(code: CssCode, basis: str = "z") -> tuple[ss.Circuit
     nh = code.meta_get("nh")
     if None in (l, c, nv, nh):
         raise ValueError("code does not carry generalized-family metadata")
-    col_swap = []
-    row_swap = []
-    for q in range(nv * nh):
-        i, j = q // nh, q % nh
-        jb, jt = j // c, j % c
-        if jb == 1:
-            j2 = 2 * c + jt
-        elif jb == 2:
-            j2 = c + jt
-        else:
-            j2 = j
-        col_swap.append(i * nh + j2)
-        ib, it = i // c, i % c
-        if ib == l - 2:
-            i2 = (l - 1) * c + it
-        elif ib == l - 1:
-            i2 = (l - 2) * c + it
-        else:
-            i2 = i
-        row_swap.append(i2 * nh + j)
-    measured = (l - 2) * 2
-    return _ghz_pipeline(code, basis, (tuple(col_swap), tuple(row_swap)),
-                         measured_logical=measured, schedule=zigzag_schedule(code))
+    cols = _swap_blocks(nh, c, 1, 2)
+    rows = _swap_blocks(nv, c, l - 2, l - 1)
+    col_swap = tuple(i * nh + cols[j] for i in range(nv) for j in range(nh))
+    row_swap = tuple(rows[i] * nh + j for i in range(nv) for j in range(nh))
+    return _ghz_pipeline(code, basis, (col_swap, row_swap),
+                         measured_logical=(l - 2) * 2, schedule=zigzag_schedule(code))
+
+
+def _swap_blocks(n: int, c: int, a: int, b: int) -> list[int]:
+    """The permutation of range(n) that exchanges width-c blocks a and b."""
+    p = list(range(n))
+    p[a * c:(a + 1) * c], p[b * c:(b + 1) * c] = p[b * c:(b + 1) * c], p[a * c:(a + 1) * c]
+    return p
 
 
 def circuit_report(circuit: ss.Circuit) -> dict:
@@ -418,22 +382,28 @@ def validate_schedule(code: CssCode, schedule: Schedule) -> ScheduleReport:
     stabilizer but one at qubit q turns it into a logical operator, the
     first such q is reported.  Each question is a row-space membership or
     a syndrome test, so any stabilizer rank is fine.
+
+    Stabilizers have zero opposite syndrome (hx hz^T = 0), so the third
+    question only concerns the qubits whose column of the opposite checks
+    equals the opposite syndrome s of v; s is computed once per fault.
     """
     circuit = syndrome_extraction_circuit(code, schedule, which="both")
-    n = code.n
-    data_mask = (1 << n) - 1
+    data_mask = (1 << code.n) - 1
     d = code.d if code.d is not None else 3
+    types = ((code.hx, code.hz, code.hz.transpose().data),
+             (code.hz, code.hx, code.hx.transpose().data))
     violations = []
     for case in ss.enumerate_single_faults(circuit):
         fault = (case.instruction_index, case.kind, case.pauli)
-        for v, h_same, h_other in ((case.final_x & data_mask, code.hx, code.hz),
-                                   (case.final_z & data_mask, code.hz, code.hx)):
+        for v, (h_same, h_other, columns) in zip((case.final_x & data_mask,
+                                                  case.final_z & data_mask), types):
             if h_same.in_row_space(v):
                 continue
-            if h_other.mul_vec(v) == 0:
+            s = h_other.mul_vec(v)
+            if s == 0:
                 violations.append((*fault, "single fault is a logical operator"))
-            elif d >= 3 and not any(h_same.in_row_space(v ^ (1 << q)) for q in range(n)):
-                q = next((q for q in range(n) if h_other.mul_vec(v ^ (1 << q)) == 0), None)
-                if q is not None:
-                    violations.append((*fault, f"one more fault at qubit {q} completes a logical"))
+            elif d >= 3:
+                qs = [q for q, col in enumerate(columns) if col == s]
+                if qs and not any(h_same.in_row_space(v ^ (1 << q)) for q in qs):
+                    violations.append((*fault, f"one more fault at qubit {qs[0]} completes a logical"))
     return ScheduleReport(violations)

@@ -36,6 +36,14 @@ from .css_code import apply_permutation
 _PAULIS_1Q = ("X", "Y", "Z")
 # two-qubit Paulis indexed 1..15 as (first, second) with 0=I,1=X,2=Y,3=Z
 _P1Q = ("I", "X", "Y", "Z")
+# the number of qubits each op acts on
+_ARITY = {"PREPZ": 1, "PREPX": 1, "H": 1, "CNOT": 2, "MEASZ": 1, "MEASX": 1,
+          "INJECT": 1, "RELABEL": 0, "BARRIER": 0}
+
+
+def _is_index(tok: str) -> bool:
+    # int() and str.isdecimal() also take other scripts' digits, which do not round-trip
+    return tok.isascii() and tok.isdecimal()
 
 
 @dataclass(frozen=True)
@@ -99,8 +107,9 @@ def cycles_from_text(text: str, n: int) -> tuple[int, ...]:
     """Permutation of range(n) from cycle notation such as '(0 4)(1 3)'.
 
     '()' and the empty string are the identity.  Raises ValueError on
-    unbalanced parentheses, stray text, non-integer tokens, qubits outside
-    range(n) and qubits repeated across or within cycles.
+    unbalanced parentheses, stray text, tokens other than ASCII decimal
+    integers, qubits outside range(n) and qubits repeated across or within
+    cycles.
     """
     body = text.strip()
     if _CYCLE.sub("", body).strip():
@@ -108,10 +117,9 @@ def cycles_from_text(text: str, n: int) -> tuple[int, ...]:
     perm = list(range(n))
     seen = set()
     for chunk in _CYCLE.findall(body):
-        try:
-            cyc = [int(tok) for tok in chunk.split()]
-        except ValueError:
-            raise ValueError(f"non-integer qubit in cycle notation: {text!r}") from None
+        if not all(map(_is_index, chunk.split())):
+            raise ValueError(f"qubits must be non-negative ASCII integers: {text!r}")
+        cyc = [int(tok) for tok in chunk.split()]
         for i, q in enumerate(cyc):
             if not 0 <= q < n:
                 raise ValueError(f"qubit {q} out of range for {n} qubits")
@@ -130,12 +138,16 @@ class Circuit:
     def __post_init__(self):
         tags = set()
         for ins in self.instructions:
+            if ins.op not in _ARITY:
+                raise ValueError(f"unknown op {ins.op!r}")
+            if len(ins.qubits) != _ARITY[ins.op]:
+                raise ValueError(f"{ins.op} acts on {_ARITY[ins.op]} qubit(s), got {len(ins.qubits)}")
             for q in ins.qubits:
                 if not 0 <= q < self.n_qubits:
                     raise ValueError(f"qubit {q} out of range")
             if ins.op in ("MEASZ", "MEASX"):
-                if not ins.tag:
-                    raise ValueError("measurement without tag")
+                if ins.tag.split() != [ins.tag]:
+                    raise ValueError(f"measurement tag must be one word, got {ins.tag!r}")
                 if ins.tag in tags:
                     raise ValueError(f"duplicate measurement tag {ins.tag}")
                 tags.add(ins.tag)
@@ -165,31 +177,30 @@ class Circuit:
     def from_text(cls, text: str) -> "Circuit":
         lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.strip().startswith("#")]
         header = lines[0].split() if lines else []
-        if len(header) != 2 or header[0] != "QUBITS" or not header[1].isdecimal():
+        if len(header) != 2 or header[0] != "QUBITS" or not _is_index(header[1]):
             raise ValueError("circuit text must start with a 'QUBITS <count>' header")
         n = int(header[1])
         out = []
         for ln in lines[1:]:
-            parts = ln.split(None, 1)
-            op = parts[0]
-            rest = parts[1] if len(parts) > 1 else ""
-            if op in ("PREPZ", "PREPX", "H"):
-                out.append(Instruction(op, (int(rest),)))
-            elif op == "CNOT":
-                a, b = rest.split()
-                out.append(cnot(int(a), int(b)))
-            elif op in ("MEASZ", "MEASX"):
-                q, tag = rest.split()
-                out.append(Instruction(op, (int(q),), tag=tag))
-            elif op == "INJECT":
-                p, q = rest.split()
-                out.append(inject(p, int(q)))
-            elif op == "RELABEL":
-                out.append(relabel(cycles_from_text(rest, n)))
-            elif op == "BARRIER":
-                out.append(barrier())
-            else:
-                raise ValueError(f"unknown instruction {op!r}")
+            op, *args = ln.split()
+            try:
+                if op == "RELABEL":
+                    out.append(relabel(cycles_from_text(" ".join(args), n)))
+                    continue
+                if op not in _ARITY:
+                    raise ValueError(f"unknown instruction {op!r}")
+                # a measurement's tag and an INJECT's Pauli are one operand more
+                want = _ARITY[op] + (op in ("MEASZ", "MEASX", "INJECT"))
+                if len(args) != want:
+                    raise ValueError(f"{op} takes {want} operand(s), got {len(args)}")
+                qubits = args[1:] if op == "INJECT" else args[:_ARITY[op]]
+                if not all(map(_is_index, qubits)):
+                    raise ValueError("qubits must be non-negative ASCII integers")
+            except ValueError as e:
+                raise ValueError(f"line {ln!r}: {e}") from None
+            out.append(Instruction(op, tuple(map(int, qubits)),
+                                   tag=args[-1] if op in ("MEASZ", "MEASX") else "",
+                                   pauli=args[0] if op == "INJECT" else ""))
         return cls(n, tuple(out))
 
 

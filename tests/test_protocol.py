@@ -232,3 +232,37 @@ def test_single_record_flip_maps_to_weight_one_correction(flagship_code):
     for r in range(flagship_code.hx.rows):
         est = bp_osd(DecodeProblem(flagship_code.hx, uniform_priors(25), 1 << r))
         assert est.error_estimate.bit_count() <= 1
+
+
+def _sha(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_schedule_orders_are_pinned():
+    codes = [build_25_4_3()] + [build_generalized(l, 1) for l in range(3, 9)]
+    lines = [json.dumps([s.x_orders, s.z_orders])
+             for code in codes
+             for s in (pr.zigzag_schedule(code), pr.row_major_schedule(code))]
+    assert len(lines) == 14
+    assert _sha(lines).startswith("fac5836185f261cc")
+
+
+def test_generalized_relabelings_are_pinned():
+    lines = []
+    for l in range(3, 9):
+        circ, _ = pr.generalized_ghz_circuit(build_generalized(l, 1), "z")
+        lines.append(json.dumps([list(i.perm) for i in circ.instructions if i.op == "RELABEL"]))
+    assert _sha(lines).startswith("259bd36182fcb739")
+
+
+def test_zigzag_rejects_wide_supports():
+    with pytest.raises(ValueError, match="^X check support is not a rectangle of width <= 2 columns$"):
+        pr.zigzag_schedule(build_generalized(3, 2))
+    from f2qec.css_code import CssCode
+    from f2qec.f2linalg import BitMatrix
+
+    toy = CssCode(n=3, hx=BitMatrix.zeros(0, 3), hz=BitMatrix.from_strings(["111"]),
+                  logicals_x=(), logicals_z=(),
+                  coords=(("P", 1, 1), ("P", 2, 1), ("P", 3, 1)))
+    with pytest.raises(ValueError, match="^Z check support is not a rectangle of width <= 2 rows$"):
+        pr.zigzag_schedule(toy)

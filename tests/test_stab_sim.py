@@ -64,6 +64,20 @@ def test_text_ir_rejects_garbage():
         ss.Circuit.from_text("QUBITS 3\nINJECT Q 0\n")  # not a single-qubit Pauli
     with pytest.raises(ValueError):
         ss.Circuit(3, (ss.inject("Q", 0),))
+    # missing or extra operands, and digits other than ASCII ones, name the line
+    for line in ("BARRIER junk", "H", "H 0 1", "CNOT 0", "CNOT 0 1 2", "MEASZ 0",
+                 "MEASX 0 m extra", "INJECT X", "PREPZ x", "H ١", "CNOT 0 ١",
+                 "MEASZ ١ m", "INJECT Z ١", "RELABEL (0 ١)", "H -1"):
+        with pytest.raises(ValueError, match="^line "):
+            ss.Circuit.from_text(f"QUBITS 3\n{line}\n")
+    with pytest.raises(ValueError):
+        ss.Circuit.from_text("QUBITS ٣\n")
+    # the constructor rejects unknown ops, wrong qubit counts and tags that cannot round-trip
+    for ins in (ss.Instruction("FOO", (0,)), ss.Instruction("CNOT", (0,)),
+                ss.Instruction("H", ()), ss.Instruction("BARRIER", (0,)),
+                ss.Instruction("MEASZ", (0,), tag="a b"), ss.Instruction("MEASZ", (0,), tag="")):
+        with pytest.raises(ValueError):
+            ss.Circuit(2, (ins,))
 
 
 @pytest.mark.parametrize("text", [
