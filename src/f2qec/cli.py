@@ -81,7 +81,8 @@ def _load_code(path: str) -> CssCode:
 
 
 def _is_int_list(v) -> bool:
-    return isinstance(v, list) and all(isinstance(t, int) for t in v)
+    """A JSON list of integers; true and false are not integers here."""
+    return isinstance(v, list) and all(type(t) is int for t in v)
 
 
 def _schedule_from_json(raw) -> pr.Schedule:
@@ -200,7 +201,10 @@ def _cmd_decode(args) -> int:
             line = line.strip()
             if not line:
                 continue
-            row = json.loads(line)
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError:
+                row = None
             bits = row.get("syndrome") if isinstance(row, dict) else None
             if not _is_int_list(bits) or len(bits) != h.rows or set(bits) - {0, 1}:
                 raise ValueError(f"{args.syndromes} line {lineno}: expected "

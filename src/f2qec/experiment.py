@@ -335,7 +335,28 @@ def _basis_seed(cfg: RunConfig, basis: str):
     return (cfg.seed, 0 if basis == "z" else 1)
 
 
-def _run_chunk(cfg: RunConfig, basis: str, start: int, count: int, keep_records: bool):
+def _archive_rows(basis: str, tags: tuple[str, ...], bits: np.ndarray, start: int) -> str:
+    """The shots.jsonl rows of the columns of bits (tags x shots), numbered from start.
+
+    Each row is json.dumps({"basis", "outcomes", "shot"}, sort_keys=True) byte
+    for byte.  The rows share one template, the ASCII-escaped keys in sorted
+    order, and differ only in one digit per tag at fixed offsets and in the
+    trailing shot number.
+    """
+    order = sorted(range(len(tags)), key=tags.__getitem__)
+    text, offsets = f'{{"basis": {json.dumps(basis)}, "outcomes": {{', []
+    for j, t in enumerate(order):
+        text += (", " if j else "") + json.dumps(tags[t]) + ": "
+        offsets.append(len(text))
+        text += "0"
+    text += '}, "shot": '
+    rows = np.tile(np.frombuffer(text.encode(), dtype=np.uint8), (bits.shape[1], 1))
+    rows[:, offsets] = bits[order].T + ord("0")
+    body, w = rows.tobytes().decode(), len(text)
+    return "".join(body[i * w:(i + 1) * w] + f"{start + i}}}\n" for i in range(bits.shape[1]))
+
+
+def _run_chunk(cfg: RunConfig, basis: str, start: int, count: int, keep_rows: bool):
     circ, recipe = _build_pipeline(cfg, basis)
     classifier = _Classifier(cfg, basis, circ, recipe)
     bits = ss.sample_outcomes(circ, cfg.noise, _basis_seed(cfg, basis), count, start=start)
@@ -345,11 +366,7 @@ def _run_chunk(cfg: RunConfig, basis: str, start: int, count: int, keep_records:
         if mismatch is not None:
             stats.accepted += n
             stats.mismatches += n * mismatch
-    records = None
-    if keep_records:
-        records = [{"basis": basis, "shot": start + i, "outcomes": outcomes}
-                   for i, outcomes in enumerate(ss.outcome_dicts(circ.tags(), bits))]
-    return stats, records
+    return stats, _archive_rows(basis, circ.tags(), bits, start) if keep_rows else None
 
 
 def run(config: RunConfig, out_dir: str | None = None) -> RunSummary:
@@ -373,14 +390,11 @@ def run(config: RunConfig, out_dir: str | None = None) -> RunSummary:
     else:
         results = [_run_chunk(config, *job, keep) for job in jobs]
     per_basis = {"z": BasisStats(), "x": BasisStats()}
-    archives = []
-    for (basis, _, _), (stats, records) in zip(jobs, results):
+    for (basis, _, _), (stats, _) in zip(jobs, results):
         total = per_basis[basis]
         total.shots += stats.shots
         total.accepted += stats.accepted
         total.mismatches += stats.mismatches
-        if keep:
-            archives.extend(records)
     summary = RunSummary(config, per_basis["z"], per_basis["x"])
     if out_dir is not None:
         mode_dir = os.path.join(out_dir, config.mode)
@@ -390,8 +404,7 @@ def run(config: RunConfig, out_dir: str | None = None) -> RunSummary:
         with open(os.path.join(mode_dir, "shots.jsonl"), "w") as fh:
             fh.write(json.dumps({"config_hash": config.digest(),
                                  "config": config.to_dict()}) + "\n")
-            for row in archives:
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
+            fh.writelines(rows for _, rows in results)
     return summary
 
 

@@ -187,12 +187,17 @@ def test_decode_rejects_malformed_syndrome_rows(tmp_path, capsys):
     code_path = str(tmp_path / "code.json")
     main(["build-code", "--family", "paper2543", "--out", code_path])
     capsys.readouterr()
-    for row in ({"syndrome": 5}, [1, 2], {"syndrome": [0] * 10}, {"syndrome": [2] * 11}):
+    good = json.dumps({"syndrome": [0] * 11})
+    # each bad row follows two good ones; JSON booleans are not bits
+    for row in ({"syndrome": 5}, [1, 2], {"syndrome": [0] * 10}, {"syndrome": [2] * 11},
+                {"syndrome": [True] + [False] * 10}, "{syndrome: [0]}"):
         stream = tmp_path / "syn.jsonl"
-        stream.write_text(json.dumps(row) + "\n")
+        text = row if isinstance(row, str) else json.dumps(row)
+        stream.write_text(f"{good}\n{good}\n{text}\n")
         assert main(["decode", "--code", code_path, "--basis", "z",
                      "--syndromes", str(stream), "--out", str(tmp_path / "dec.jsonl")]) == 1
-        assert "syndrome" in _one_line_error(capsys)
+        error = _one_line_error(capsys)
+        assert "syndrome" in error and f"{stream} line 3" in error
 
 
 def test_distance_rejects_malformed_code_file(tmp_path, capsys):

@@ -2,7 +2,10 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from f2qec import experiment as ex
 from f2qec import stab_sim as ss
@@ -110,6 +113,43 @@ def test_archive_header_and_summary(tmp_path):
     summary = json.loads(open(tmp_path / "physical" / "summary.json").read())
     assert ex.RunSummary.from_json(summary).z.shots == 20
     assert s.z.acceptance == 1.0
+
+
+def _archive_lines(tmp_path, cfg):
+    ex.run(cfg, out_dir=str(tmp_path))
+    lines = (tmp_path / cfg.mode / "shots.jsonl").read_text().splitlines()
+    assert json.loads(lines[0]) == {"config_hash": cfg.digest(), "config": cfg.to_dict()}
+    return [json.loads(line) for line in lines[1:]]
+
+
+def test_archive_of_a_basis_without_shots_has_only_the_other_basis(tmp_path):
+    cfg = ex.RunConfig(mode="physical", shots_z=7, shots_x=0,
+                       noise=ss.NoiseModel(0.0, 0.0, 0.1), seed=3)
+    rows = _archive_lines(tmp_path, cfg)
+    assert [(r["basis"], r["shot"]) for r in rows] == [("z", i) for i in range(7)]
+
+
+def test_archive_of_a_zero_shot_run_is_the_header_alone(tmp_path):
+    cfg = ex.RunConfig(mode="logical", shots_z=0, shots_x=0, threads=2)
+    assert _archive_lines(tmp_path, cfg) == []
+
+
+_TAG = st.text(alphabet=["a", "b", "0", "1", "9", "_", '"', "\\", "\u00e9"], min_size=1, max_size=4)
+
+
+@given(basis=st.sampled_from("zx"), tags=st.lists(_TAG, unique=True, max_size=8),
+       shots=st.integers(0, 5), start=st.integers(0, 10 ** 12), seed=st.integers(0, 2 ** 32 - 1))
+@example(basis="z", tags=["b9", "b10", "a"], shots=3, start=0, seed=1)
+@example(basis="x", tags=['q"', "q\\", "\u00e9", "e"], shots=2, start=4095, seed=2)
+@example(basis="z", tags=["b1"], shots=0, start=7, seed=3)
+def test_archive_rows_equal_json_dumps_of_each_row(basis, tags, shots, start, seed):
+    # the template writer against the definition: one sorted-key
+    # json.dumps per shot, with escaping and non-ASCII tags
+    bits = np.random.default_rng(seed).integers(0, 2, (len(tags), shots)).astype(bool)
+    want = "".join(json.dumps({"basis": basis, "shot": start + i, "outcomes": dict(zip(tags, col))},
+                              sort_keys=True) + "\n"
+                   for i, col in enumerate(bits.T.astype(np.uint8).tolist()))
+    assert ex._archive_rows(basis, tuple(tags), bits, start) == want
 
 
 def test_zero_shot_run_reports_no_data():
@@ -255,8 +295,6 @@ def _per_shot_verdict(cfg, basis, recipe, h, priors, rec):
 def test_key_word_verdicts_match_per_shot_reference(mode):
     # the run's path (key words, one verdict per distinct word) gives every
     # seeded shot the verdict of the per-shot record walk
-    import numpy as np
-
     cfg = ex.RunConfig(mode=mode, noise=ss.NoiseModel(1e-3, 5e-3, 5e-3), l=4)
     seen = set()
     for basis in ("z", "x"):
