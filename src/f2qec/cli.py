@@ -41,21 +41,23 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _count(minimum: int):
-    """argparse type: an integer that is at least minimum."""
-    def parse(text: str) -> int:
+def _number(kind, minimum=None):
+    """argparse type: an ASCII int or float (see experiment.parse_number), at least minimum."""
+    def parse(text: str):
         try:
-            value = int(text)
+            value = ex.parse_number(kind, text)
         except ValueError:
             value = None
-        if value is None or value < minimum:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
+        if value is None or (minimum is not None and value < minimum):
+            bound = "" if minimum is None else f" >= {minimum}"
+            raise argparse.ArgumentTypeError(f"expected an ASCII {kind.__name__}{bound}, "
+                                             f"got {text!r}")
         return value
     return parse
 
 
-_NON_NEGATIVE = _count(0)
-_POSITIVE = _count(1)
+_NON_NEGATIVE = _number(int, 0)
+_POSITIVE = _number(int, 1)
 
 
 def _shot_pair(text: str) -> tuple[int, int]:
@@ -96,9 +98,10 @@ def _threads_from_env() -> int | None:
     raw = os.environ.get(DEFAULT_THREADS_ENV)
     if raw is None:
         return None
-    if not raw.strip().isdecimal() or int(raw) < 1:
-        raise ValueError(f"{DEFAULT_THREADS_ENV} must be a positive integer, got {raw!r}")
-    return int(raw)
+    try:
+        return _POSITIVE(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"{DEFAULT_THREADS_ENV}: {exc}") from None
 
 
 def _cmd_build_code(args) -> int:
@@ -106,10 +109,8 @@ def _cmd_build_code(args) -> int:
         code = build_25_4_3()
     elif args.family == "hgp":
         code = build_34_4_3()
-    elif args.family == "generalized":
-        code = build_generalized(args.l, args.c)
     else:
-        return _fail(f"unknown family {args.family}")
+        code = build_generalized(args.l, args.c)
     with open(args.out, "w") as fh:
         json.dump(code.to_json(), fh, indent=1, sort_keys=True)
     print(f"wrote {code.name} ({code.n} qubits, k={code.k}) to {args.out}")
@@ -157,10 +158,8 @@ def _cmd_emit_circuit(args) -> int:
         circ = pr.physical_ghz_circuit(args.basis)
     elif args.mode == "logical":
         circ, _ = pr.logical_ghz_circuit(build_25_4_3(), args.basis)
-    elif args.mode == "generalized":
-        circ, _ = pr.generalized_ghz_circuit(build_generalized(args.l, args.c), args.basis)
     else:
-        return _fail(f"unknown mode {args.mode}")
+        circ, _ = pr.generalized_ghz_circuit(build_generalized(args.l, args.c), args.basis)
     with open(args.out, "w") as fh:
         fh.write(circ.to_text())
     rep = pr.circuit_report(circ)
@@ -279,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     rg.add_argument("--config", required=True)
     rg.add_argument("--mode")
     rg.add_argument("--basis-shots", type=_shot_pair, help="Nz,Nx")
-    rg.add_argument("--seed", type=int)
+    rg.add_argument("--seed", type=_number(int))
     rg.add_argument("--threads", type=_POSITIVE,
                     help=f"worker processes; default ${DEFAULT_THREADS_ENV}, else the config")
     rg.add_argument("--out", help="output directory for summary and shot archive")
@@ -290,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     dc.add_argument("--basis", required=True, choices=["z", "x"])
     dc.add_argument("--syndromes", required=True)
     dc.add_argument("--out", required=True)
-    dc.add_argument("--prior", type=float, default=0.01)
+    dc.add_argument("--prior", type=_number(float), default=0.01)
     dc.add_argument("--bp-iters", type=_NON_NEGATIVE, default=10)
     dc.add_argument("--osd-depth", type=_NON_NEGATIVE, default=14)
     dc.set_defaults(func=_cmd_decode)

@@ -15,7 +15,7 @@ from itertools import accumulate
 from operator import xor
 
 from .css_code import CssCode
-from .f2linalg import BitMatrix
+from .f2linalg import BitMatrix, support_to_mask
 
 MAX_CODEWORD_ENUM_K = 22
 
@@ -287,11 +287,7 @@ def default_tanner_choice(code: CssCode) -> TannerChoice:
 
 
 def _lattice_mask(rows, cols, width=5) -> int:
-    m = 0
-    for i in rows:
-        for j in cols:
-            m |= 1 << ((i - 1) * width + (j - 1))
-    return m
+    return support_to_mask((i - 1) * width + (j - 1) for i in rows for j in cols)
 
 
 def build_25_4_3() -> CssCode:

@@ -3,7 +3,7 @@
 A code is a pair of GF(2) check matrices (hx, hz) with hx @ hz.T = 0,
 plus explicit logical operator supports and optional per-qubit lattice
 coordinates.  Pauli operators are represented as packed bit masks over
-the qubit indices (bit q = qubit q).
+the qubit indices (bit q = qubit q), with the mask helpers of f2linalg.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
-from .f2linalg import BitMatrix, parity
+from .f2linalg import (BitMatrix, apply_permutation, inverse_permutation, mask_to_support,
+                       parity, support_to_mask)
 
 MAX_DISTANCE_ENUM = 10**7
 
@@ -48,12 +49,6 @@ class CssCode:
                 return v
         return None
 
-    def logical_x_support(self, i: int) -> tuple[int, ...]:
-        return mask_to_support(self.logicals_x[i])
-
-    def logical_z_support(self, i: int) -> tuple[int, ...]:
-        return mask_to_support(self.logicals_z[i])
-
     def to_json(self) -> dict:
         return {
             "n": self.n,
@@ -64,8 +59,8 @@ class CssCode:
             "hx": self.hx.to_json(),
             "hz": self.hz.to_json(),
             "logicals": {
-                "x": [list(self.logical_x_support(i)) for i in range(self.k)],
-                "z": [list(self.logical_z_support(i)) for i in range(self.k)],
+                "x": [list(mask_to_support(m)) for m in self.logicals_x],
+                "z": [list(mask_to_support(m)) for m in self.logicals_z],
             },
             "meta": {k: v for k, v in self.meta},
         }
@@ -94,22 +89,6 @@ class CssCode:
         return cls.from_json(json.loads(s))
 
 
-def mask_to_support(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        q = (mask & -mask).bit_length() - 1
-        out.append(q)
-        mask &= mask - 1
-    return tuple(out)
-
-
-def support_to_mask(support) -> int:
-    m = 0
-    for q in support:
-        m |= 1 << q
-    return m
-
-
 @dataclass
 class Diagnostics:
     failures: list[str] = field(default_factory=list)
@@ -126,28 +105,21 @@ class Diagnostics:
 def validate(code: CssCode) -> Diagnostics:
     """Check commutation, rank consistency, and symplectic pairing."""
     diag = Diagnostics()
-    for i in range(code.hx.rows):
-        for j in range(code.hz.rows):
-            if parity(code.hx.row(i), code.hz.row(j)):
-                diag.check(False, f"hx row {i} anticommutes with hz row {j}")
+    for i, row in enumerate((code.hx @ code.hz.transpose()).data):
+        for j in mask_to_support(row):
+            diag.check(False, f"hx row {i} anticommutes with hz row {j}")
     k = code.n - code.hx.rank() - code.hz.rank()
     diag.check(k == code.k, f"rank-derived k={k} but {code.k} logical pairs given")
     diag.check(len(code.logicals_x) == len(code.logicals_z), "unpaired logicals")
     for i, lx in enumerate(code.logicals_x):
         for j, lz in enumerate(code.logicals_z):
-            want = 1 if i == j else 0
-            if parity(lx, lz) != want:
-                diag.check(False, f"logical pairing failure at ({i}, {j})")
+            diag.check(parity(lx, lz) == (i == j), f"logical pairing failure at ({i}, {j})")
     for i, lx in enumerate(code.logicals_x):
-        if any(parity(lx, code.hz.row(r)) for r in range(code.hz.rows)):
-            diag.check(False, f"logical X {i} anticommutes with a Z check")
-        if code.hx.in_row_space(lx):
-            diag.check(False, f"logical X {i} is a stabilizer")
+        diag.check(not code.hz.mul_vec(lx), f"logical X {i} anticommutes with a Z check")
+        diag.check(not code.hx.in_row_space(lx), f"logical X {i} is a stabilizer")
     for i, lz in enumerate(code.logicals_z):
-        if any(parity(lz, code.hx.row(r)) for r in range(code.hx.rows)):
-            diag.check(False, f"logical Z {i} anticommutes with an X check")
-        if code.hz.in_row_space(lz):
-            diag.check(False, f"logical Z {i} is a stabilizer")
+        diag.check(not code.hx.mul_vec(lz), f"logical Z {i} anticommutes with an X check")
+        diag.check(not code.hz.in_row_space(lz), f"logical Z {i} is a stabilizer")
     return diag
 
 
@@ -161,22 +133,20 @@ def distance(code: CssCode, w_max: int) -> tuple[int | None, int | None]:
     total = sum(comb(code.n, w) for w in range(1, w_max + 1))
     if total > MAX_DISTANCE_ENUM:
         raise ValueError(f"enumeration of {total} supports exceeds the feasibility bound")
-    dx = _min_weight_logical(code.hz, code.hx, code.n, w_max)
-    dz = _min_weight_logical(code.hx, code.hz, code.n, w_max)
+    dx = _min_weight_logical(code.hz, code.hx, w_max)
+    dz = _min_weight_logical(code.hx, code.hz, w_max)
     return dx, dz
 
 
-def _min_weight_logical(h_other: BitMatrix, h_same: BitMatrix, n: int, w_max: int) -> int | None:
+def _min_weight_logical(h_other: BitMatrix, h_same: BitMatrix, w_max: int) -> int | None:
     # Column syndromes against the opposite-type checks.
-    cols = [h_other.mul_vec(1 << q) for q in range(n)]
+    cols = h_other.transpose().data
     for w in range(1, w_max + 1):
-        for combo in combinations(range(n), w):
+        for combo in combinations(range(len(cols)), w):
             syn = 0
-            v = 0
             for q in combo:
                 syn ^= cols[q]
-                v |= 1 << q
-            if syn == 0 and not h_same.in_row_space(v):
+            if syn == 0 and not h_same.in_row_space(support_to_mask(combo)):
                 return w
     return None
 
@@ -212,36 +182,18 @@ class LogicalCliffordAction:
             row = self.x_matrix.row(i)
             if not (row >> i) & 1:
                 return None
-            rest = row ^ (1 << i)
-            while rest:
-                t = (rest & -rest).bit_length() - 1
+            for t in mask_to_support(row ^ (1 << i)):
                 pairs.append((i, t))
                 targets.add(t)
-                rest &= rest - 1
         for t in targets:
             if self.x_matrix.row(t) != 1 << t:
                 return None
         return tuple(sorted(pairs))
 
 
-def apply_permutation(mask: int, perm) -> int:
-    """Image of a Pauli mask under qubit relabeling q -> perm[q]."""
-    out = 0
-    while mask:
-        q = (mask & -mask).bit_length() - 1
-        out |= 1 << perm[q]
-        mask &= mask - 1
-    return out
-
-
 def is_automorphism(code: CssCode, perm) -> bool:
-    px = BitMatrix.from_ints(
-        [apply_permutation(code.hx.row(i), perm) for i in range(code.hx.rows)], code.n
-    )
-    pz = BitMatrix.from_ints(
-        [apply_permutation(code.hz.row(i), perm) for i in range(code.hz.rows)], code.n
-    )
-    return px.row_space_equal(code.hx) and pz.row_space_equal(code.hz)
+    inverse = inverse_permutation(perm)
+    return all(h.permute_columns(inverse).row_space_equal(h) for h in (code.hx, code.hz))
 
 
 def permutation_logical_action(code: CssCode, perm) -> LogicalCliffordAction:
@@ -282,11 +234,7 @@ def single_check_flip_witness(code: CssCode) -> dict:
     """
     out = {"x": {}, "z": {}}
     for key, h in (("x", code.hx), ("z", code.hz)):
+        cols = h.transpose().data
         for r in range(h.rows):
-            found = None
-            for q in range(code.n):
-                if h.mul_vec(1 << q) == 1 << r:
-                    found = q
-                    break
-            out[key][r] = found
+            out[key][r] = next((q for q, col in enumerate(cols) if col == 1 << r), None)
     return out

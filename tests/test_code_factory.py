@@ -20,8 +20,8 @@ from f2qec.code_factory import (
     repetition_code,
     weight_reduce,
 )
-from f2qec.css_code import mask_to_support, validate
-from f2qec.f2linalg import BitMatrix
+from f2qec.css_code import validate
+from f2qec.f2linalg import BitMatrix, mask_to_support
 
 from conftest import code_distances, min_codeword_weight_bruteforce
 

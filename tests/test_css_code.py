@@ -1,16 +1,17 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from f2qec.code_factory import build_25_4_3, build_34_4_3, build_generalized, hypergraph_product, parity_code
 from f2qec.css_code import (
     CssCode,
-    apply_permutation,
     distance,
     is_automorphism,
     permutation_logical_action,
     single_check_flip_witness,
     validate,
 )
-from f2qec.f2linalg import BitMatrix
+from f2qec.f2linalg import BitMatrix, apply_permutation
 from f2qec.protocol import horizontal_fold_swap, vertical_fold_swap
 
 
@@ -38,6 +39,30 @@ def test_validate_flags_corrupted_check(flagship_code):
     diag = validate(broken)
     assert not diag.ok
     assert any("anticommutes" in f for f in diag.failures)
+
+
+def test_validate_reports_every_failure_in_order(flagship_code):
+    hz = list(flagship_code.hz.data)
+    hx = list(flagship_code.hx.data)
+    hz[0] ^= 1 << brick(4, 1)
+    hx[3] ^= 1 << brick(3, 4)
+    broken = CssCode(
+        n=25,
+        hx=BitMatrix.from_ints(hx, 25),
+        hz=BitMatrix.from_ints(hz, 25),
+        logicals_x=flagship_code.logicals_x,
+        logicals_z=flagship_code.logicals_z,
+    )
+    assert validate(broken).failures == [
+        "hx row 3 anticommutes with hz row 0",
+        "hx row 3 anticommutes with hz row 5",
+        "hx row 3 anticommutes with hz row 7",
+        "hx row 3 anticommutes with hz row 8",
+        "hx row 6 anticommutes with hz row 0",
+        "logical X 2 anticommutes with a Z check",
+        "logical X 3 anticommutes with a Z check",
+        "logical Z 1 anticommutes with an X check",
+    ]
 
 
 def test_validate_small_product_code():
@@ -140,6 +165,19 @@ def test_fold_swap_automorphism_on_lattice(flagship_code):
     px = [apply_permutation(flagship_code.hx.row(r), vertical_fold_swap())
           for r in range(10)]
     assert BitMatrix.from_ints(px, 25).row_space_equal(flagship_code.hx)
+
+
+@given(st.one_of(st.permutations(range(25)),
+                 st.sampled_from([vertical_fold_swap(), horizontal_fold_swap(), tuple(range(25))])))
+def test_is_automorphism_against_relabeled_rows(perm):
+    code = build_25_4_3()
+
+    def relabel(mask):
+        return sum(1 << perm[q] for q in range(25) if (mask >> q) & 1)
+
+    want = all(BitMatrix.from_ints([relabel(r) for r in h.data], 25).row_space_equal(h)
+               for h in (code.hx, code.hz))
+    assert is_automorphism(code, perm) == want
 
 
 def test_single_check_flip_witnesses(flagship_code):

@@ -217,6 +217,13 @@ def test_config_validation():
         ex.RunConfig(shots_z=-2)
     with pytest.raises(ValueError):
         ex.RunConfig(prior_mode="psychic")
+    # int() and float() take other scripts' digits, '_' groups and bools
+    for key, value in [("shots_z", "١٠"), ("shots_x", "1_0"), ("seed", "٣"),
+                       ("p2", "0.00_2"), ("p1", "３e-5"), ("threads", True), ("l", False)]:
+        with pytest.raises(ValueError, match="ASCII"):
+            ex.RunConfig.from_dict({key: value})
+    cfg = ex.RunConfig.from_dict({"shots_z": " 10 ", "shots_x": 7, "seed": "-3", "p2": "2e-3"})
+    assert (cfg.shots_z, cfg.shots_x, cfg.seed, cfg.noise.p2) == (10, 7, -3, 2e-3)
 
 
 @pytest.mark.parametrize("key", ["bp_iters", "osd_depth"])

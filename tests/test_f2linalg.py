@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from f2qec.f2linalg import BitMatrix, parity, vector_from_bits, vector_to_bits
+from f2qec.f2linalg import (
+    BitMatrix,
+    apply_permutation,
+    inverse_permutation,
+    mask_to_support,
+    parity,
+    support_to_mask,
+    vector_from_bits,
+    vector_to_bits,
+)
 
 from conftest import all_span_vectors, gauss_rank, matvec
 
@@ -153,6 +162,53 @@ def test_matmul_transpose_kron_against_lists():
     assert k.rows == 6 and k.cols == 8
     assert k.to_lists()[0][:4] == al[0]
     assert k.to_lists()[3][4:] == al[0]
+
+
+@st.composite
+def bit_matrices(draw, max_rows=6, max_cols=7):
+    rows = draw(st.integers(0, max_rows))
+    cols = draw(st.integers(1, max_cols))
+    data = draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=rows, max_size=rows))
+    return BitMatrix.from_ints(data, cols)
+
+
+@given(st.integers(0, (1 << 70) - 1))
+def test_mask_support_round_trip_against_bits(mask):
+    support = mask_to_support(mask)
+    assert support == tuple(j for j in range(70) if (mask >> j) & 1)
+    assert support_to_mask(support) == mask
+
+
+@given(bit_matrices())
+def test_transpose_against_bits(m):
+    t = m.transpose()
+    assert (t.rows, t.cols) == (m.cols, m.rows)
+    assert all(t.get(j, i) == m.get(i, j) for i in range(m.rows) for j in range(m.cols))
+
+
+@given(bit_matrices(max_rows=4, max_cols=4), bit_matrices(max_rows=4, max_cols=4))
+def test_kron_against_bits(a, b):
+    k = a.kron(b)
+    assert (k.rows, k.cols) == (a.rows * b.rows, a.cols * b.cols)
+    for i in range(a.rows):
+        for j in range(a.cols):
+            for r in range(b.rows):
+                for c in range(b.cols):
+                    assert k.get(i * b.rows + r, j * b.cols + c) == a.get(i, j) & b.get(r, c)
+
+
+@given(st.permutations(range(9)), st.integers(0, (1 << 9) - 1))
+def test_apply_permutation_against_bits(perm, mask):
+    image = apply_permutation(mask, perm)
+    assert all((image >> perm[q]) & 1 == (mask >> q) & 1 for q in range(9))
+
+
+@given(bit_matrices(max_cols=9), st.data())
+def test_permute_columns_by_inverse_relabels_each_row(m, data):
+    perm = data.draw(st.permutations(range(m.cols)))
+    relabeled = m.permute_columns(inverse_permutation(perm))
+    for i in range(m.rows):
+        assert all(relabeled.get(i, perm[q]) == m.get(i, q) for q in range(m.cols))
 
 
 def test_json_round_trip_bit_exact():

@@ -6,7 +6,7 @@ import pytest
 from f2qec import protocol as pr
 from f2qec import stab_sim as ss
 from f2qec.code_factory import build_25_4_3, build_generalized
-from f2qec.css_code import mask_to_support
+from f2qec.f2linalg import mask_to_support
 
 
 def brick(i, j):
