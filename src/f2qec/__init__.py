@@ -11,8 +11,6 @@ from .code_factory import (
     parent_code_5_2_3,
     hypergraph_product,
     quantum_tanner_transform,
-    default_tanner_choice,
-    TannerChoice,
     build_25_4_3,
     build_34_4_3,
     build_generalized,
@@ -31,8 +29,6 @@ __all__ = [
     "parent_code_5_2_3",
     "hypergraph_product",
     "quantum_tanner_transform",
-    "default_tanner_choice",
-    "TannerChoice",
     "build_25_4_3",
     "build_34_4_3",
     "build_generalized",

@@ -2,9 +2,10 @@
 
 Builds parity/repetition codes and their concatenations, takes hypergraph
 products, and applies the check-recombination transform that discards the
-secondary (check-by-check) lattice.  The flagship 25-qubit distance-3
-code ships as canned data together with the reference recombination
-choice that reproduces it from the hypergraph product.
+secondary (check-by-check) lattice with a checkerboard recombination
+plan.  The flagship 25-qubit distance-3 code ships as canned data; the
+transform reproduces its row spaces from the hypergraph product of the
+[5,2,3] seed code with itself.
 """
 
 from __future__ import annotations
@@ -22,22 +23,23 @@ MAX_CODEWORD_ENUM_K = 22
 
 @dataclass(frozen=True)
 class ClassicalCode:
-    """Linear binary code given by parity checks H and generator G."""
+    """Linear binary code given by its parity checks H."""
 
     name: str
-    n: int
-    k: int
     H: BitMatrix
-    G: BitMatrix
 
-    def __post_init__(self):
-        if self.H.cols != self.n or self.G.cols != self.n:
-            raise ValueError("matrix width disagrees with n")
-        prod = self.H @ self.G.transpose()
-        if any(prod.data):
-            raise ValueError("H @ G.T != 0")
-        if self.G.rows != self.k:
-            raise ValueError("generator row count disagrees with k")
+    @property
+    def n(self) -> int:
+        return self.H.cols
+
+    @cached_property
+    def G(self) -> BitMatrix:
+        """Generator: the reduced basis of the kernel of H."""
+        return self.H.kernel_basis().rref()[0]
+
+    @property
+    def k(self) -> int:
+        return self.G.rows
 
     @cached_property
     def d(self) -> int | None:
@@ -59,17 +61,11 @@ def _unit_rows(cols, n: int) -> BitMatrix:
     return BitMatrix.from_ints([1 << c for c in cols], n)
 
 
-def _make_code(name: str, H: BitMatrix, n: int) -> ClassicalCode:
-    G = H.kernel_basis().rref()[0]
-    return ClassicalCode(name, n, G.rows, H, G)
-
-
 def parity_code(l: int) -> ClassicalCode:
     """[l, l-1, 2] code with a single global parity check."""
     if l < 2:
         raise ValueError("parity code needs l >= 2")
-    H = BitMatrix.from_ints([(1 << l) - 1], l)
-    return _make_code(f"parity_{l}", H, l)
+    return ClassicalCode(f"parity_{l}", BitMatrix.from_ints([(1 << l) - 1], l))
 
 
 def repetition_code(c: int) -> ClassicalCode:
@@ -77,9 +73,7 @@ def repetition_code(c: int) -> ClassicalCode:
     if c < 1:
         raise ValueError("repetition code needs c >= 1")
     rows = [(0b11 << i) for i in range(c - 1)]
-    H = BitMatrix.from_ints(rows, c)
-    G = BitMatrix.from_ints([(1 << c) - 1], c)
-    return ClassicalCode(f"repetition_{c}", c, 1, H, G)
+    return ClassicalCode(f"repetition_{c}", BitMatrix.from_ints(rows, c))
 
 
 def concatenate(outer: ClassicalCode, inner_per_bit) -> ClassicalCode:
@@ -88,7 +82,7 @@ def concatenate(outer: ClassicalCode, inner_per_bit) -> ClassicalCode:
     Blocks are laid out contiguously in outer-bit order with the
     representative bit first; outer checks are lifted onto the
     representative bit of each block.  Every inner code must have k = 1
-    and a generator whose first coordinate is 1 (so the representative
+    and a codeword whose first coordinate is 1 (so the representative
     carries the encoded bit).
     """
     if len(inner_per_bit) != outer.n:
@@ -97,17 +91,14 @@ def concatenate(outer: ClassicalCode, inner_per_bit) -> ClassicalCode:
         if inner.k != 1:
             raise ValueError("inner codes must encode a single bit")
         if not inner.G.get(0, 0):
-            raise ValueError("inner generator must cover the representative bit")
+            raise ValueError("inner codeword must cover the representative bit")
     *offsets, n = accumulate((inner.n for inner in inner_per_bit), initial=0)
 
-    blocks = list(zip(inner_per_bit, offsets))
-    # row j of lift is the representative bit of block j, row j of reps its codeword
+    # row j of lift is the representative bit of block j
     lift = _unit_rows(offsets, n)
-    reps = BitMatrix.from_ints([inner.G.row(0) << off for inner, off in blocks], n)
-    inner_h = BitMatrix.from_ints([r << off for inner, off in blocks for r in inner.H.data], n)
-    H = inner_h.vstack(outer.H @ lift)
-    G = outer.G @ reps
-    return ClassicalCode(f"{outer.name}_concat", n, outer.k, H, G)
+    inner_h = BitMatrix.from_ints([r << off for inner, off in zip(inner_per_bit, offsets)
+                                   for r in inner.H.data], n)
+    return ClassicalCode(f"{outer.name}_concat", inner_h.vstack(outer.H @ lift))
 
 
 def weight_reduce(l: int) -> ClassicalCode:
@@ -128,8 +119,7 @@ def weight_reduce(l: int) -> ClassicalCode:
     for t in range(1, l - 3):
         rows.append((1 << aux(t - 1)) | (1 << (t + 1)) | (1 << aux(t)))
     rows.append((1 << aux(l - 4)) | (1 << (l - 2)) | (1 << (l - 1)))
-    H = BitMatrix.from_ints(rows, n)
-    return _make_code(f"weight_reduced_{l}", H, n)
+    return ClassicalCode(f"weight_reduced_{l}", BitMatrix.from_ints(rows, n))
 
 
 def parent_code_5_2_3() -> ClassicalCode:
@@ -140,9 +130,7 @@ def parent_code_5_2_3() -> ClassicalCode:
     the two repetition pairs at columns {0,1} and {3,4} with the bare
     parity bit at column 2, giving the banded check chain below.
     """
-    H = BitMatrix.from_strings(["11000", "01110", "00011"])
-    G = BitMatrix.from_strings(["11100", "11011"])
-    return ClassicalCode("parent_5_2_3", 5, 2, H, G)
+    return ClassicalCode("parent_5_2_3", BitMatrix.from_strings(["11000", "01110", "00011"]))
 
 
 # --- hypergraph product ------------------------------------------------
@@ -205,63 +193,37 @@ def _product(hv: BitMatrix, hh: BitMatrix) -> CssCode:
 # --- quantum Tanner transform -------------------------------------------
 
 
-@dataclass(frozen=True)
-class TannerChoice:
-    """Ordered recombination plan for discarding the secondary lattice.
-
-    Each step is ((i', j'), kind): a 1-based secondary coordinate and the
-    check type ("X" or "Z") recombined on that qubit.  The lowest-index
-    incident check of that type is the one retained; keeping another would
-    change only the generators, never the row spaces.
-    """
-
-    steps: tuple[tuple[tuple[int, int], str], ...]
-
-
-def _secondary_columns(code: CssCode) -> dict[tuple[int, int], int]:
-    return {(c[1], c[2]): q for q, c in enumerate(code.coords) if c[0] == "S"}
-
-
-def quantum_tanner_transform(code: CssCode, choice: TannerChoice) -> CssCode:
+def quantum_tanner_transform(code: CssCode) -> CssCode:
     """Remove every secondary qubit by same-type check recombination.
 
-    At each step, every check of the chosen type incident on the chosen
-    secondary qubit is multiplied by the lowest-index one, which is then
-    deleted; opposite-type checks are simply truncated on that qubit.  The
-    output lives on the primary lattice with k and d unchanged.
+    The plan is the checkerboard: secondary qubits are visited in sorted
+    (i', j') order, recombining X checks where i'+j' is even and Z checks
+    where it is odd.  At each qubit, every incident check of that type is
+    multiplied by the lowest-index one, which is then deleted (retaining
+    another would change only the generators, never the row spaces);
+    opposite-type checks are simply truncated on that qubit.  The output
+    lives on the primary lattice with k and d unchanged.
     """
-    sec_cols = _secondary_columns(code)
+    sec_cols = {(c[1], c[2]): q for q, c in enumerate(code.coords) if c[0] == "S"}
     if not sec_cols:
         raise ValueError("code has no secondary qubits to remove")
-    seen = set()
-    for coord, kind in choice.steps:
-        if coord not in sec_cols:
-            raise ValueError(f"unknown secondary coordinate {coord}")
-        if coord in seen:
-            raise ValueError(f"secondary coordinate {coord} chosen twice")
-        if kind not in ("X", "Z"):
-            raise ValueError(f"check kind must be X or Z, got {kind!r}")
-        seen.add(coord)
-    uncovered = set(sec_cols) - seen
-    if uncovered:
-        raise ValueError(f"uncovered secondary qubits: {sorted(uncovered)}")
 
-    # Secondary bits are left in place until every step is done: a step
+    # Secondary bits are left in place until every qubit is done: a step
     # only looks at its own qubit, and each qubit is visited once.
-    checks = {"X": list(code.hx.data), "Z": list(code.hz.data)}
-    for coord, kind in choice.steps:
+    checks = (list(code.hx.data), list(code.hz.data))
+    for coord in sorted(sec_cols):
+        kind = sum(coord) % 2  # 0 recombines X checks, 1 Z checks
         grp = checks[kind]
         bit = 1 << sec_cols[coord]
         incident = [r for r, v in enumerate(grp) if v & bit]
         if not incident:
-            raise ValueError(f"no incident {kind} check at {coord}")
+            raise ValueError(f"no incident {'XZ'[kind]} check at {coord}")
         keep = grp.pop(incident[0])
         for r in incident[1:]:
             grp[r - 1] ^= keep
 
     drop = sorted(sec_cols.values())
-    hx = BitMatrix.from_ints(checks["X"], code.n).delete_columns(drop)
-    hz = BitMatrix.from_ints(checks["Z"], code.n).delete_columns(drop)
+    hx, hz = (BitMatrix.from_ints(grp, code.n).delete_columns(drop) for grp in checks)
     nprim = hx.cols
     for m in code.logicals_x + code.logicals_z:
         if m >> nprim:
@@ -271,16 +233,6 @@ def quantum_tanner_transform(code: CssCode, choice: TannerChoice) -> CssCode:
     if nprim - hx.rank() - hz.rank() != out.k:
         raise ValueError("transform changed the logical count")
     return out
-
-
-def default_tanner_choice(code: CssCode) -> TannerChoice:
-    """Checkerboard recombination plan: X at even (i'+j'), Z at odd.
-
-    Secondary qubits are taken in row-major order, which makes the plan
-    fully deterministic.
-    """
-    return TannerChoice(tuple((coord, "X" if sum(coord) % 2 == 0 else "Z")
-                              for coord in sorted(_secondary_columns(code))))
 
 
 # --- canned codes ---------------------------------------------------------
@@ -296,8 +248,7 @@ def build_25_4_3() -> CssCode:
     Check supports are rectangles whose width along the corresponding
     logical grain is at most 2 (X logicals run along rows, Z logicals
     along columns).  The row spaces equal the transform of the
-    hypergraph product of the [5,2,3] seed code under the reference
-    recombination choice.
+    hypergraph product of the [5,2,3] seed code.
     """
     zrects = [
         ([1], [1, 2]), ([1], [4, 5]), ([5], [1, 2]), ([5], [4, 5]),
@@ -333,19 +284,9 @@ def build_25_4_3() -> CssCode:
     )
 
 
-# Reference recombination plan for the 25-qubit code, committed as data.
-# Equals default_tanner_choice(build_34_4_3()); the test suite pins the equality.
-REFERENCE_TANNER_CHOICE_25_4_3 = TannerChoice((
-    ((1, 1), "X"), ((1, 2), "Z"), ((1, 3), "X"),
-    ((2, 1), "Z"), ((2, 2), "X"), ((2, 3), "Z"),
-    ((3, 1), "X"), ((3, 2), "Z"), ((3, 3), "X"),
-))
-
-
 def build_34_4_3() -> CssCode:
     """Hypergraph product of the [5,2,3] seed with itself (pre-transform)."""
-    h = parent_code_5_2_3().H
-    return replace(_product(h, h), d=3, name="code_34_4_3")
+    return replace(hypergraph_product(parent_code_5_2_3().H), name="code_34_4_3")
 
 
 def build_generalized(l: int, c: int) -> CssCode:
@@ -362,9 +303,8 @@ def build_generalized(l: int, c: int) -> CssCode:
         raise ValueError("need c >= 1")
     vert = concatenate(weight_reduce(l), [repetition_code(c)] * (2 * l - 3))
     horiz = concatenate(parity_code(3), [repetition_code(c)] * 3)
-    prod = _product(vert.H, horiz.H)
     return replace(
-        quantum_tanner_transform(prod, default_tanner_choice(prod)),
+        quantum_tanner_transform(_product(vert.H, horiz.H)),
         d=2 * c, name=f"generalized_l{l}_c{c}",
         meta=tuple(sorted((("l", l), ("c", c), ("nv", vert.n), ("nh", horiz.n)))),
     )

@@ -31,6 +31,14 @@ class CssCode:
     name: str = ""
     meta: tuple[tuple[str, int], ...] = ()
 
+    def __post_init__(self):
+        if self.hx.cols != self.n or self.hz.cols != self.n:
+            raise ValueError(f"check matrices have {self.hx.cols} and {self.hz.cols} "
+                             f"columns, but n = {self.n!r}")
+        for m in self.logicals_x + self.logicals_z:
+            if m >> self.n:
+                raise ValueError(f"logical operator {m:#x} acts outside the {self.n} qubits")
+
     @property
     def k(self) -> int:
         return len(self.logicals_x)

@@ -15,7 +15,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,9 +95,17 @@ class RunConfig:
         if unknown:
             raise ValueError(f"unknown config key {unknown[0]!r}")
         fields.update(d)
-        noise = ss.NoiseModel(*(parse_number(float, fields.pop(k)) for k in ("p1", "p2", "p_spam")))
-        return cls(noise=noise, **{k: v if k in ("mode", "prior_mode") else parse_number(int, v)
-                                   for k, v in fields.items()})
+
+        def number(kind, key):
+            try:
+                return parse_number(kind, fields[key])
+            except ValueError as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from None
+
+        rates = ("p1", "p2", "p_spam")
+        noise = ss.NoiseModel(*(number(float, k) for k in rates))
+        return cls(noise=noise, **{k: v if k in ("mode", "prior_mode") else number(int, k)
+                                   for k, v in fields.items() if k not in rates})
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
@@ -508,8 +516,8 @@ class LedgerReport:
         return [e for e in self.entries if e.outcome == "extra"]
 
 
-def fault_tolerance_ledger(basis: str, cfg: RunConfig | None = None) -> LedgerReport:
-    """Classify every single fault in the logical pipeline.
+def fault_tolerance_ledger(basis: str) -> LedgerReport:
+    """Classify every single fault in the logical pipeline at the paper rates.
 
     Each fault either decodes correctly, is rejected by the triple
     logical-X postselection, or corrupts the output.  The known
@@ -520,11 +528,10 @@ def fault_tolerance_ledger(basis: str, cfg: RunConfig | None = None) -> LedgerRe
     measurement record inconsistent with the state.  Corrupting faults
     outside that set are reported as "extra".
     """
-    if cfg is None:
-        cfg = RunConfig(mode="logical", noise=ss.NoiseModel(3e-5, 2e-3, 2e-3))
     code = build_25_4_3()
     circ, recipe = pr.logical_ghz_circuit(code, basis)
-    classifier = _Classifier(replace(cfg, mode="logical"), basis, circ, recipe)
+    cfg = RunConfig(mode="logical", noise=ss.NoiseModel(3e-5, 2e-3, 2e-3))
+    classifier = _Classifier(cfg, basis, circ, recipe)
     xbar_support = set(mask_to_support(code.logicals_x[recipe.measured_logical]))
     gadget_end = next(i for i, ins in enumerate(circ.instructions) if ins.op == "RELABEL")
     cases = ss.enumerate_single_faults(circ)

@@ -244,18 +244,18 @@ def _ghz_pipeline(code: CssCode, basis: str, data_perms, measured_logical: int,
     return ss.Circuit(total, tuple(ins)), recipe
 
 
-def vertical_fold_swap(nrows: int = 5, ncols: int = 5) -> tuple[int, ...]:
-    """Mirror the lattice columns; on the flagship code this is the
-    column swap {1,2} <-> {5,4}."""
-    return tuple((q // ncols) * ncols + (ncols - 1 - (q % ncols)) for q in range(nrows * ncols))
+def vertical_fold_swap() -> tuple[int, ...]:
+    """Mirror the columns of the 5x5 lattice; on the flagship code this is
+    the column swap {1,2} <-> {5,4}."""
+    return tuple((q // 5) * 5 + 4 - q % 5 for q in range(25))
 
 
-def horizontal_fold_swap(nrows: int = 5, ncols: int = 5) -> tuple[int, ...]:
-    """Mirror the lattice rows."""
-    return tuple((nrows - 1 - (q // ncols)) * ncols + (q % ncols) for q in range(nrows * ncols))
+def horizontal_fold_swap() -> tuple[int, ...]:
+    """Mirror the rows of the 5x5 lattice."""
+    return tuple((4 - q // 5) * 5 + q % 5 for q in range(25))
 
 
-def logical_ghz_circuit(code: CssCode | None = None, basis: str = "z") -> tuple[ss.Circuit, FrameRecipe]:
+def logical_ghz_circuit(code: CssCode, basis: str) -> tuple[ss.Circuit, FrameRecipe]:
     """Full logical GHZ pipeline on the 25-qubit code.
 
     Transversal |0> init, X-check extraction in zigzag order, triple
@@ -264,8 +264,6 @@ def logical_ghz_circuit(code: CssCode | None = None, basis: str = "z") -> tuple[
     and transversal readout in the requested basis.
     """
     ref = build_25_4_3()
-    if code is None:
-        code = ref
     if code.hx != ref.hx or code.hz != ref.hz:
         raise ValueError("logical pipeline is defined for the 25-qubit code")
     perms = (vertical_fold_swap(), horizontal_fold_swap())
@@ -273,7 +271,7 @@ def logical_ghz_circuit(code: CssCode | None = None, basis: str = "z") -> tuple[
                          schedule=zigzag_schedule(code))
 
 
-def generalized_ghz_circuit(code: CssCode, basis: str = "z") -> tuple[ss.Circuit, FrameRecipe]:
+def generalized_ghz_circuit(code: CssCode, basis: str) -> tuple[ss.Circuit, FrameRecipe]:
     """GHZ pipeline on a generalized-family code (2(l-1) logical qubits).
 
     Measures the logical X of the last-row, first-column logical qubit

@@ -39,6 +39,8 @@ _P1Q = ("I", "X", "Y", "Z")
 # the number of qubits each op acts on
 _ARITY = {"PREPZ": 1, "PREPX": 1, "H": 1, "CNOT": 2, "MEASZ": 1, "MEASX": 1,
           "INJECT": 1, "RELABEL": 0, "BARRIER": 0}
+# the one operand field besides the qubits that an op takes, if any
+_OPERAND = {"MEASZ": "tag", "MEASX": "tag", "INJECT": "pauli", "RELABEL": "perm"}
 
 
 def _is_index(tok: str) -> bool:
@@ -142,6 +144,9 @@ class Circuit:
                 raise ValueError(f"unknown op {ins.op!r}")
             if len(ins.qubits) != _ARITY[ins.op]:
                 raise ValueError(f"{ins.op} acts on {_ARITY[ins.op]} qubit(s), got {len(ins.qubits)}")
+            for name in ("tag", "pauli", "perm"):
+                if getattr(ins, name) and _OPERAND.get(ins.op) != name:
+                    raise ValueError(f"{ins.op} takes no {name}, got {getattr(ins, name)!r}")
             for q in ins.qubits:
                 if not 0 <= q < self.n_qubits:
                     raise ValueError(f"qubit {q} out of range")

@@ -207,6 +207,27 @@ def test_distance_rejects_malformed_code_file(tmp_path, capsys):
     assert "malformed code file" in _one_line_error(capsys)
 
 
+def _cut_hz(obj):
+    obj["hz"]["data"] = [row[:24] for row in obj["hz"]["data"]]
+    obj["hz"]["cols"] = 24
+
+
+@pytest.mark.parametrize("spoil, words", [
+    (lambda obj: obj.update(n=26), "n = 26"),                      # n disagrees with the checks
+    (_cut_hz, "24 columns"),                                       # hz one column short
+    (lambda obj: obj["logicals"]["x"][0].append(30), "outside"),  # logical beyond qubit 24
+], ids=["n", "hz-width", "logical-range"])
+def test_distance_rejects_code_file_out_of_shape(tmp_path, capsys, spoil, words):
+    code_path = tmp_path / "code.json"
+    main(["build-code", "--family", "paper2543", "--out", str(code_path)])
+    capsys.readouterr()
+    obj = json.loads(code_path.read_text())
+    spoil(obj)
+    code_path.write_text(json.dumps(obj))
+    assert main(["distance", str(code_path), "--wmax", "2"]) == 1
+    assert words in _one_line_error(capsys)
+
+
 def test_report_rejects_malformed_summary(tmp_path, capsys):
     (tmp_path / "physical").mkdir()
     (tmp_path / "physical" / "summary.json").write_text("[]")

@@ -1,18 +1,17 @@
 import hashlib
 import json
+from itertools import accumulate
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from f2qec.code_factory import (
-    REFERENCE_TANNER_CHOICE_25_4_3,
-    TannerChoice,
+    ClassicalCode,
     build_25_4_3,
     build_34_4_3,
     build_generalized,
     concatenate,
-    default_tanner_choice,
     hypergraph_product,
     parent_code_5_2_3,
     parity_code,
@@ -23,7 +22,7 @@ from f2qec.code_factory import (
 from f2qec.css_code import validate
 from f2qec.f2linalg import BitMatrix, mask_to_support
 
-from conftest import code_distances, min_codeword_weight_bruteforce
+from conftest import code_distances, gauss_rank, min_codeword_weight_bruteforce
 
 
 def test_parity_code_examples():
@@ -110,11 +109,33 @@ def test_weight_reduce_last_pair_swap_is_automorphism():
         assert permuted.row(last) == code.H.row(last)
 
 
-def test_parent_code_matches_generator_orthogonality():
-    c = parent_code_5_2_3()
+# check matrices of 1..7 bits, rank-deficient ones included (repeated or dependent rows)
+_check_matrices = st.integers(1, 7).flatmap(
+    lambda n: st.lists(st.integers(0, (1 << n) - 1), max_size=5).map(
+        lambda rows: BitMatrix.from_ints(rows, n)))
+
+
+@given(_check_matrices)
+@example(parent_code_5_2_3().H)
+def test_parent_code_matches_generator_orthogonality(h):
+    c = ClassicalCode("random", h)
     prod = c.H @ c.G.transpose()
     assert all(r == 0 for r in prod.data)
-    assert c.H.kernel_basis().row_space_equal(c.G)
+    assert gauss_rank(c.G.to_lists()) == c.G.rows == c.k
+    assert c.k == c.n - gauss_rank(h.to_lists())
+    assert c.d == min_codeword_weight_bruteforce(c.G.to_lists())
+
+
+@given(_check_matrices.filter(lambda h: h.cols <= 4), st.data())
+def test_concatenated_generator_spans_outer_codewords_on_representatives(h, data):
+    outer = ClassicalCode("outer", h)
+    inners = [repetition_code(data.draw(st.integers(1, 3))) for _ in range(outer.n)]
+    out = concatenate(outer, inners)
+    # row j of reps is block j's inner codeword, shifted to the block's offset
+    *offsets, n = accumulate((inner.n for inner in inners), initial=0)
+    reps = BitMatrix.from_ints([inner.G.row(0) << off for inner, off in zip(inners, offsets)], n)
+    assert out.n == n and out.k == outer.k
+    assert out.G.row_space_equal(outer.G @ reps)
 
 
 def test_hypergraph_product_parameter_formula():
@@ -208,7 +229,7 @@ def test_hypergraph_product_matches_entrywise_definition():
 def test_qtt_on_five_qubit_product():
     code = hypergraph_product(parity_code(2).H)
     assert code.n == 5
-    out = quantum_tanner_transform(code, default_tanner_choice(code))
+    out = quantum_tanner_transform(code)
     assert out.n == 4
     assert out.k == 1
     assert (code_distances(out.to_json(), 2)) == (2, 2)
@@ -216,25 +237,18 @@ def test_qtt_on_five_qubit_product():
     assert all(r == 0 for r in prod.data)
 
 
-def test_qtt_choice_errors():
-    code = hypergraph_product(parity_code(2).H)
-    with pytest.raises(ValueError):
-        quantum_tanner_transform(code, TannerChoice(()))  # uncovered qubit
-    with pytest.raises(ValueError):
-        quantum_tanner_transform(
-            code, TannerChoice((((1, 1), "X"), ((1, 1), "X"))))  # duplicate
-    with pytest.raises(ValueError):
-        quantum_tanner_transform(code, TannerChoice((((1, 1), "Y"),)))  # unknown check kind
+@pytest.mark.parametrize("build", [
+    build_25_4_3,                                                          # canned flagship
+    lambda: quantum_tanner_transform(hypergraph_product(parity_code(2).H)),  # already transformed
+], ids=["flagship", "transformed"])
+def test_qtt_rejects_codes_without_secondary_qubits(build):
+    with pytest.raises(ValueError, match="no secondary qubits"):
+        quantum_tanner_transform(build())
 
 
 def test_reference_choice_reproduces_flagship_row_spaces():
     hgp = build_34_4_3()
-    choice = default_tanner_choice(hgp)
-    assert choice == REFERENCE_TANNER_CHOICE_25_4_3
-    # alternation between check kinds, as intended
-    kinds = [k for _, k in choice.steps]
-    assert all(a != b for a, b in zip(kinds, kinds[1:]))
-    out = quantum_tanner_transform(hgp, choice)
+    out = quantum_tanner_transform(hgp)
     flagship = build_25_4_3()
     assert out.n == flagship.n == 25
     assert out.k == flagship.k == 4
@@ -251,7 +265,7 @@ def test_construction_is_pinned_byte_for_byte():
     # digests of the serialized codes; any change to a generator, a logical
     # representative, a coordinate or a metadata field shows up here
     assert _digest(build_34_4_3()) == "9c866e6855615b23"
-    qtt = quantum_tanner_transform(build_34_4_3(), REFERENCE_TANNER_CHOICE_25_4_3)
+    qtt = quantum_tanner_transform(build_34_4_3())
     assert _digest(qtt) == "3a621730d6d24e00"
     pinned = {(3, 1): "a621178feca685d4", (4, 1): "3ca92fb816374c89",
               (4, 2): "bc366e476f0877f6", (5, 2): "00c6bfaa34819354",

@@ -222,6 +222,11 @@ def test_config_validation():
                        ("p2", "0.00_2"), ("p1", "３e-5"), ("threads", True), ("l", False)]:
         with pytest.raises(ValueError, match="ASCII"):
             ex.RunConfig.from_dict({key: value})
+    # a value that does not parse as a number names its key
+    for key, value in [("shots_z", "abc"), ("p2", "x"), ("shots_z", "١٠"),
+                       ("osd_depth", "1.5"), ("p_spam", "")]:
+        with pytest.raises(ValueError, match=key):
+            ex.RunConfig.from_dict({key: value})
     cfg = ex.RunConfig.from_dict({"shots_z": " 10 ", "shots_x": 7, "seed": "-3", "p2": "2e-3"})
     assert (cfg.shots_z, cfg.shots_x, cfg.seed, cfg.noise.p2) == (10, 7, -3, 2e-3)
 

@@ -35,3 +35,15 @@ def test_unused_import_is_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_package_all_is_exactly_its_imports():
+    import f2qec
+
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = [alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert sorted(f2qec.__all__) == sorted(imported)
+    assert len(set(f2qec.__all__)) == len(f2qec.__all__)
+    for name in f2qec.__all__:
+        assert getattr(f2qec, name) is not None, name

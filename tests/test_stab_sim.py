@@ -72,10 +72,15 @@ def test_text_ir_rejects_garbage():
             ss.Circuit.from_text(f"QUBITS 3\n{line}\n")
     with pytest.raises(ValueError):
         ss.Circuit.from_text("QUBITS ٣\n")
-    # the constructor rejects unknown ops, wrong qubit counts and tags that cannot round-trip
+    # the constructor rejects unknown ops, wrong qubit counts, tags that cannot
+    # round-trip and operands that the op does not take (to_text would drop them)
     for ins in (ss.Instruction("FOO", (0,)), ss.Instruction("CNOT", (0,)),
                 ss.Instruction("H", ()), ss.Instruction("BARRIER", (0,)),
-                ss.Instruction("MEASZ", (0,), tag="a b"), ss.Instruction("MEASZ", (0,), tag="")):
+                ss.Instruction("MEASZ", (0,), tag="a b"), ss.Instruction("MEASZ", (0,), tag=""),
+                ss.Instruction("H", (0,), tag="x"), ss.Instruction("CNOT", (0, 1), pauli="X"),
+                ss.Instruction("PREPZ", (0,), perm=(1, 0)),
+                ss.Instruction("MEASZ", (0,), tag="m", pauli="Z"),
+                ss.Instruction("RELABEL", perm=(1, 0), tag="t")):
         with pytest.raises(ValueError):
             ss.Circuit(2, (ins,))
 
