@@ -2,9 +2,11 @@
 post-processing with a combination sweep, and an exhaustive minimum-weight
 oracle for ground truth on small codes.
 
-The sweep takes one BitMatrix reduction per call, of the ranked check
-matrix with the syndrome appended: every candidate is the zero-pattern
-solution XOR the flips of its free columns, each read off that reduction.
+BP reads the Tanner graph of its check matrix from `BitMatrix.entries`,
+which is built once per matrix.  The sweep takes one BitMatrix reduction
+per call, of the ranked check matrix with the syndrome appended: every
+candidate is the zero-pattern solution XOR the flips of its free columns,
+all read off the reduced rows in one walk.
 
 Error estimates and syndromes are packed bit masks.  Tie-breaking is
 always lowest-index-first so every decoder is deterministic.
@@ -51,21 +53,19 @@ def uniform_priors(n: int, p: float = 0.01) -> tuple[float, ...]:
     return (p,) * n
 
 
-def _clip(v: float) -> float:
-    return max(-LLR_CLIP, min(LLR_CLIP, v))
-
-
 def _prior_llrs(priors) -> list[float]:
-    return [_clip(math.log((1.0 - p) / p)) for p in priors]
+    return [max(-LLR_CLIP, min(LLR_CLIP, math.log((1.0 - p) / p))) for p in priors]
 
 
 class MinSumDecoder:
     """Reusable plain min-sum BP instance for one check matrix and prior vector.
 
-    Messages live in per-check lists: slot i of check r belongs to the
-    i-th variable of check_nbrs[r], and var_nbrs[j] lists (check, slot)
-    in ascending check order.  Posteriors are exposed for
-    ordered-statistics post-processing.
+    Messages live in flat per-entry lists, numbered as `BitMatrix.entries`
+    numbers the set entries of h: each check owns a contiguous run of
+    entries and each variable lists its entries in ascending check order.
+    That graph is computed once per matrix, so building a decoder costs
+    only the prior LLRs.  Posteriors are exposed for ordered-statistics
+    post-processing.
     """
 
     def __init__(self, h: BitMatrix, priors, iters: int = 10):
@@ -73,63 +73,80 @@ class MinSumDecoder:
         self.iters = iters
         self.priors = tuple(priors)
         self.prior_llrs = _prior_llrs(self.priors)
-        self.check_nbrs = [mask_to_support(row) for row in h.data]
-        self.var_nbrs = [[] for _ in range(h.cols)]
-        for r, nbrs in enumerate(self.check_nbrs):
-            for slot, j in enumerate(nbrs):
-                self.var_nbrs[j].append((r, slot))
 
     def decode(self, syndrome: int) -> DecodeResult:
         prior = self.prior_llrs
         if syndrome == 0:
             return DecodeResult(0, True, "BP", 0.0, tuple(prior))
-        v2c = [[prior[j] for j in nbrs] for nbrs in self.check_nbrs]
-        c2v = [[0.0] * len(nbrs) for nbrs in self.check_nbrs]
+        columns, spans, by_column = self.h.entries
+        checks = [(start, stop, -1.0 if (syndrome >> r) & 1 else 1.0)
+                  for r, (start, stop) in enumerate(spans) if stop > start]
+        variables = list(zip(prior, by_column))
+        parities = [(row, (syndrome >> r) & 1) for r, row in enumerate(self.h.data)]
+        v2c = [prior[j] for j in columns]
+        c2v = [0.0] * len(columns)
         posteriors = list(prior)
         hard = 0
         for _ in range(self.iters):
-            for r, msgs in enumerate(v2c):
-                sign_all = -1.0 if (syndrome >> r) & 1 else 1.0
-                mags = []
-                for v in msgs:
+            for start, stop, sign in checks:
+                msgs = v2c[start:stop]
+                # sign picks up every incoming sign; the two smallest
+                # magnitudes give every leave-one-out minimum
+                min1 = min2 = math.inf
+                arg1 = 0
+                for idx, v in enumerate(msgs):
                     if v < 0:
-                        sign_all = -sign_all
-                        mags.append(-v)
-                    else:
-                        mags.append(v)
-                # two smallest magnitudes give every leave-one-out minimum
-                min1 = min2 = float("inf")
-                arg1 = -1
-                for idx, v in enumerate(mags):
+                        sign = -sign
+                        v = -v
                     if v < min1:
                         min2 = min1
                         min1 = v
                         arg1 = idx
                     elif v < min2:
                         min2 = v
-                c2v[r] = [(sign_all if v >= 0 else -sign_all) * (min2 if idx == arg1 else min1)
-                          for idx, v in enumerate(msgs)]
+                pos, neg = sign * min1, -sign * min1
+                e = start
+                for v in msgs:
+                    c2v[e] = pos if v >= 0 else neg
+                    e += 1
+                c2v[start + arg1] = (sign if msgs[arg1] >= 0 else -sign) * min2
             hard = 0
-            for j, nbrs in enumerate(self.var_nbrs):
-                total = _clip(prior[j] + sum(c2v[r][slot] for r, slot in nbrs))
+            for j, (p, entries) in enumerate(variables):
+                # an explicit left-to-right sum: sum() compensates float
+                # rounding from Python 3.12 on, which would move the posteriors
+                s = 0
+                for e in entries:
+                    s += c2v[e]
+                total = p + s
+                # clip as max(-LLR_CLIP, min(LLR_CLIP, total)) does: two degree-1
+                # checks can send opposite infinite messages, and their NaN sum
+                # clips to +LLR_CLIP
+                if total < -LLR_CLIP:
+                    total = -LLR_CLIP
+                elif not total <= LLR_CLIP:
+                    total = LLR_CLIP
                 posteriors[j] = total
-                for r, slot in nbrs:
-                    v2c[r][slot] = _clip(total - c2v[r][slot])
+                for e in entries:
+                    v = total - c2v[e]
+                    if v > LLR_CLIP:
+                        v = LLR_CLIP
+                    elif v < -LLR_CLIP:
+                        v = -LLR_CLIP
+                    v2c[e] = v
                 if total < 0:
                     hard |= 1 << j
-            if self.h.mul_vec(hard) == syndrome:
+            for row, bit in parities:
+                if (row & hard).bit_count() & 1 != bit:
+                    break
+            else:
                 return DecodeResult(hard, True, "BP", _soft_weight(hard, prior), tuple(posteriors))
         return DecodeResult(hard, False, "BP", _soft_weight(hard, prior), tuple(posteriors))
 
 
 def _soft_weight(estimate: int, llrs) -> float:
-    # The OSD scoring loop keeps its own set-bit walk: via mask_to_support it ran 1.7-2.7x slower.
     total = 0.0
-    v = estimate
-    while v:
-        j = (v & -v).bit_length() - 1
+    for j in mask_to_support(estimate):
         total += llrs[j]
-        v &= v - 1
     return total
 
 
@@ -142,33 +159,49 @@ def osd_combination_sweep(problem: DecodeProblem, bp_soft_output, depth: int = 1
     everything: its pivots are the solving basis (the first rank(h)
     independent ranked columns), its syndrome column the zero-pattern
     estimate, and each free column c the flip of c plus the basis columns
-    summing to it.  Candidates are the zero pattern XOR each single flip,
-    then XOR each pair of the `depth` most-likely flips.  They are scored
-    by channel-prior log-likelihood (posteriors only order the columns);
-    the minimum wins, lowest support on ties, and the returned estimate
-    always satisfies the syndrome.
+    summing to it.  One walk over the reduced rows reads all of them off:
+    each row ORs its basis column into the zero pattern and the flips of
+    the free columns it contains.  Candidates are the zero pattern XOR
+    each single flip, then XOR each pair of the `depth` most-likely flips.
+    They are scored by channel-prior log-likelihood (posteriors only order
+    the columns, and a candidate that provably cannot win or tie is not
+    scored); the minimum wins, lowest support on ties, and the returned
+    estimate always satisfies the syndrome.
     """
     h = problem.h
+    n = h.cols
     llrs = tuple(bp_soft_output)
     prior_llrs = _prior_llrs(problem.priors)
-    order = sorted(range(h.cols), key=lambda j: (llrs[j], j))
-    syndrome = BitMatrix.from_ints([(problem.syndrome >> r) & 1 for r in range(h.rows)], 1)
-    reduced, pivots = h.permute_columns(order).hstack(syndrome).rref()
-    if pivots and pivots[-1] == h.cols:
+    order = [j for _, j in sorted(zip(llrs, range(n)))]
+    columns = h.transpose().data
+    ranked = BitMatrix(n + 1, h.rows, tuple([columns[j] for j in order] + [problem.syndrome]))
+    reduced, pivots = ranked.transpose().rref()
+    if pivots and pivots[-1] == n:
         raise ValueError("syndrome is inconsistent with the check matrix")
-    # bit i of reduced column c: ranked column c needs basis column i
-    combos = reduced.transpose().data
-    basis = [1 << order[c] for c in pivots]
-
-    def on_basis(combo: int) -> int:
-        return sum(basis[i] for i in mask_to_support(combo))
-
-    zero = on_basis(combos[h.cols])
-    flips = [(1 << order[c]) | on_basis(combos[c]) for c in range(h.cols) if c not in pivots]
+    # flip[c]: ranked column c plus the basis columns summing to it, for
+    # each free column c; flip[n] is the zero pattern
+    flip = [1 << j for j in order] + [0]
+    for row, p in zip(reduced.data, pivots):
+        basis = 1 << order[p]
+        for c in mask_to_support(row):
+            flip[c] |= basis
+    zero = flip[n]
+    is_pivot = set(pivots)
+    flips = [f for c, f in enumerate(flip[:n]) if c not in is_pivot]
     candidates = [zero ^ f for f in flips]
     candidates += [zero ^ a ^ b for a, b in combinations(flips[:depth], 2)]
+    # Float rounding is monotone, so a weight-k candidate scores at least
+    # floor[k], k copies of the smallest prior LLR summed the same way; one
+    # whose floor exceeds the best by more than the tie margin can neither
+    # win nor tie, and is not scored.
+    floor = [0.0]
+    lowest = min(prior_llrs, default=0.0)
+    for _ in range(n):
+        floor.append(floor[-1] + lowest)
     best, best_w = zero, _soft_weight(zero, prior_llrs)
     for e in candidates:
+        if floor[e.bit_count()] - best_w > 1e-12:
+            continue
         w = _soft_weight(e, prior_llrs)
         if w < best_w - 1e-12 or (abs(w - best_w) <= 1e-12
                                   and mask_to_support(e) < mask_to_support(best)):

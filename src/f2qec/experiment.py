@@ -10,7 +10,6 @@ postselected and decoded once.  Shot records can be archived as JSON lines.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -83,6 +82,10 @@ class RunConfig:
 
     def digest(self) -> str:
         """Hash of every field the results depend on (all but threads)."""
+        # imported here: hashlib loads OpenSSL, about 3.6 MB that only a
+        # run's summary needs and decoding or fault analysis does not
+        import hashlib
+
         d = self.to_dict()
         del d["threads"]
         return hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()[:16]

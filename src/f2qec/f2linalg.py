@@ -7,7 +7,8 @@ helpers below are its one vocabulary.  All matrices are immutable after
 construction, so each is eliminated at most once and every reduced form,
 rank, kernel and solve reads that one cached reduction; elimination always
 picks the lowest-index pivot so reduced forms and pivot lists are
-reproducible.
+reproducible.  The transpose and the numbering of the set entries are
+cached the same way.
 """
 
 from __future__ import annotations
@@ -123,11 +124,35 @@ class BitMatrix:
     # -- algebra -------------------------------------------------------
 
     def transpose(self) -> "BitMatrix":
+        """The transpose, whose rows are the column masks; computed once per matrix."""
+        return self._transposed
+
+    @cached_property
+    def _transposed(self) -> "BitMatrix":
         out = [0] * self.cols
         for i, r in enumerate(self.data):
             for j in mask_to_support(r):
                 out[j] |= 1 << i
         return BitMatrix(self.cols, self.rows, tuple(out))
+
+    @cached_property
+    def entries(self) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...],
+                               tuple[tuple[int, ...], ...]]:
+        """The set entries numbered row by row, ascending column within a row.
+
+        Computed once per matrix: the column of each entry, the (start,
+        stop) entry numbers of each row, and the entry numbers of each
+        column in ascending row order.
+        """
+        columns, spans = [], []
+        by_column = [[] for _ in range(self.cols)]
+        for r in self.data:
+            start = len(columns)
+            for j in mask_to_support(r):
+                by_column[j].append(len(columns))
+                columns.append(j)
+            spans.append((start, len(columns)))
+        return tuple(columns), tuple(spans), tuple(map(tuple, by_column))
 
     def __matmul__(self, other: "BitMatrix") -> "BitMatrix":
         if self.cols != other.rows:
@@ -198,21 +223,31 @@ class BitMatrix:
         original rows XORed into it; returns the reduced rows, their tags
         and the ascending pivot columns.
         """
-        rows, tags = list(self.data), [1 << i for i in range(self.rows)]
+        cols = self.cols
+        column_mask = (1 << cols) - 1
+        # the tag rides above the column bits, so one XOR updates row and tag
+        rows = [row | 1 << (cols + i) for i, row in enumerate(self.data)]
         pivots = []
-        for c in range(self.cols):
-            r = len(pivots)
-            piv = next((i for i in range(r, len(rows)) if (rows[i] >> c) & 1), None)
-            if piv is None:
-                continue
-            rows[r], rows[piv] = rows[piv], rows[r]
-            tags[r], tags[piv] = tags[piv], tags[r]
-            for i in range(len(rows)):
-                if i != r and (rows[i] >> c) & 1:
-                    rows[i] ^= rows[r]
-                    tags[i] ^= tags[r]
-            pivots.append(c)
-        return tuple(rows), tuple(tags), tuple(pivots)
+        for r in range(self.rows):
+            # rows r.. are zero left of the next pivot column, so it is the
+            # lowest column any of them has set
+            rest = 0
+            for row in rows[r:]:
+                rest |= row
+            rest &= column_mask
+            if not rest:
+                break
+            bit = rest & -rest
+            piv = r
+            while not rows[piv] & bit:
+                piv += 1
+            prow = rows[piv]
+            rows[piv] = rows[r]
+            rows = [row ^ prow if row & bit else row for row in rows]
+            rows[r] = prow
+            pivots.append(bit.bit_length() - 1)
+        return (tuple(row & column_mask for row in rows), tuple(row >> cols for row in rows),
+                tuple(pivots))
 
     def rref(self) -> tuple["BitMatrix", tuple[int, ...]]:
         """Reduced row echelon form and ascending pivot columns."""

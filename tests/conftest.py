@@ -9,23 +9,34 @@ from itertools import combinations
 import pytest
 
 
-def gauss_rank(rows):
-    """Row rank over GF(2) by textbook elimination on lists."""
+def gauss_jordan(rows):
+    """Textbook Gauss-Jordan elimination on lists, lowest-index pivot row first.
+
+    Returns (reduced rows, tags, pivot columns); tag i lists, as 0/1 per
+    original row, the rows summed into reduced row i.
+    """
     rows = [list(r) for r in rows]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
+    tags = [[int(i == k) for k in range(len(rows))] for i in range(len(rows))]
+    pivots = []
+    ncols = len(rows[0]) if rows else 0
     for c in range(ncols):
+        rank = len(pivots)
         piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
+        tags[rank], tags[piv] = tags[piv], tags[rank]
         for i in range(len(rows)):
             if i != rank and rows[i][c]:
                 rows[i] = [(a + b) % 2 for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
+                tags[i] = [(a + b) % 2 for a, b in zip(tags[i], tags[rank])]
+        pivots.append(c)
+    return rows, tags, pivots
+
+
+def gauss_rank(rows):
+    """Row rank over GF(2) by textbook elimination on lists."""
+    return len(gauss_jordan(rows)[2])
 
 
 def all_span_vectors(rows):
@@ -127,7 +138,10 @@ def reference_osd(h, priors, posteriors, syndrome, depth):
         if x is None:
             raise ValueError("syndrome is not in the column space")
         support = sorted(list(pattern) + [basis[i] for i in range(len(basis)) if (x >> i) & 1])
-        return support, sum(llr[j] for j in support)
+        weight = 0.0
+        for j in support:  # left to right: sum() compensates rounding from Python 3.12 on
+            weight += llr[j]
+        return support, weight
 
     best, best_w = solve(())
     patterns = [(j,) for j in free] + list(combinations(free[:depth], 2))
@@ -136,3 +150,70 @@ def reference_osd(h, priors, posteriors, syndrome, depth):
         if w < best_w - 1e-12 or (abs(w - best_w) <= 1e-12 and support < best):
             best, best_w = support, w
     return sum(1 << j for j in best), best_w
+
+
+def reference_min_sum(h, priors, syndrome, iters):
+    """Plain min-sum BP from its definition, with explicit loops.
+
+    Returns (estimate, converged, "BP", soft weight, posteriors).  Flooding
+    schedule: check r sends each neighbour its syndrome sign times the
+    signs and the smallest magnitude of the other incoming messages; each
+    variable adds its clipped prior LLR to the incoming messages summed
+    left to right in ascending check order, and sends each check that
+    total minus the check's own message.  Totals and variable messages are
+    clipped to [-LLR_CLIP, LLR_CLIP].  The estimate is the negative totals
+    and stops the iterations once it reproduces the syndrome; the soft
+    weight sums its prior LLRs in ascending column order.  A zero
+    syndrome returns at once.
+    """
+    import math
+
+    from f2qec.decoder import LLR_CLIP
+
+    def clip(v):
+        return max(-LLR_CLIP, min(LLR_CLIP, v))
+
+    def soft_weight(e):
+        w = 0.0
+        for j in range(h.cols):
+            if (e >> j) & 1:
+                w += prior[j]
+        return w
+
+    prior = [clip(math.log((1.0 - p) / p)) for p in priors]
+    if syndrome == 0:
+        return 0, True, "BP", 0.0, tuple(prior)
+    checks = [[j for j in range(h.cols) if (h.row(r) >> j) & 1] for r in range(h.rows)]
+    v2c = {(r, j): prior[j] for r in range(h.rows) for j in checks[r]}
+    c2v = {}
+    posteriors = list(prior)
+    hard = 0
+    for _ in range(iters):
+        for r, nbrs in enumerate(checks):
+            for j in nbrs:
+                sign = -1.0 if (syndrome >> r) & 1 else 1.0
+                smallest = math.inf
+                for k in nbrs:
+                    if k != j:
+                        v = v2c[(r, k)]
+                        if v < 0:
+                            sign = -sign
+                        if abs(v) < smallest:
+                            smallest = abs(v)
+                c2v[(r, j)] = sign * smallest
+        hard = 0
+        for j in range(h.cols):
+            incoming = 0
+            for r in range(h.rows):
+                if j in checks[r]:
+                    incoming += c2v[(r, j)]
+            total = clip(prior[j] + incoming)
+            posteriors[j] = total
+            for r in range(h.rows):
+                if j in checks[r]:
+                    v2c[(r, j)] = clip(total - c2v[(r, j)])
+            if total < 0:
+                hard |= 1 << j
+        if all(bin(h.row(r) & hard).count("1") % 2 == (syndrome >> r) & 1 for r in range(h.rows)):
+            return hard, True, "BP", soft_weight(hard), tuple(posteriors)
+    return hard, False, "BP", soft_weight(hard), tuple(posteriors)

@@ -1,7 +1,11 @@
+import hashlib
 import random
+from itertools import combinations
 
 import pytest
-from conftest import reference_osd
+from conftest import reference_min_sum, reference_osd
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from f2qec.code_factory import build_25_4_3
 from f2qec.decoder import (
@@ -13,6 +17,7 @@ from f2qec.decoder import (
     osd_combination_sweep,
     uniform_priors,
 )
+from f2qec.f2linalg import BitMatrix
 
 def brick(i, j):
     return (i - 1) * 5 + (j - 1)
@@ -117,8 +122,6 @@ def test_mwe_oracle_no_solution_raises(code):
 
 
 def test_mwe_lexicographic_tie_break():
-    from f2qec.f2linalg import BitMatrix
-
     h = BitMatrix.from_strings(["11", "11"])
     res = mwe_oracle(problem(h, 0b11), 1)
     assert res.error_estimate == 0b01  # qubit 0 wins the tie
@@ -175,10 +178,6 @@ def test_decoder_outputs_are_pinned_by_digest(code):
     # every field of BP and BP+OSD, posteriors included, on weight-1 and
     # short-range weight-2 errors; any change to the float summation order
     # moves this digest
-    import hashlib
-
-    from f2qec.f2linalg import BitMatrix
-
     lines = []
     for h in (code.hz, code.hx, code.hx.hstack(BitMatrix.identity(code.hx.rows))):
         errors = [1 << a for a in range(h.cols)]
@@ -198,8 +197,6 @@ def test_decoder_outputs_are_pinned_by_digest(code):
 def test_osd_matches_reference_on_random_small_matrices():
     # redundant rows, tied priors and tied posteriors on purpose; the
     # syndromes are arbitrary, so some are outside the column space
-    from f2qec.f2linalg import BitMatrix
-
     rng = random.Random(7)
     raised = 0
     for _ in range(300):
@@ -223,3 +220,64 @@ def test_osd_matches_reference_on_random_small_matrices():
             assert (got.error_estimate, got.soft_weight) == want
             assert got.posteriors == posteriors and got.method == "BP+OSD"
     assert 0 < raised < 900
+
+
+def test_bp_osd_outputs_on_weight_three_syndromes_are_pinned_by_digest(code):
+    # every field of BP+OSD on each distinct syndrome of a weight-1..3
+    # error: weight 3 is where the OSD pair candidates decide
+    lines = []
+    for h in (code.hz, code.hx, code.hx.hstack(BitMatrix.identity(code.hx.rows))):
+        syndromes = {}
+        for w in (1, 2, 3):
+            for support in combinations(range(h.cols), w):
+                syndromes.setdefault(h.mul_vec(sum(1 << q for q in support)), None)
+        syndromes.pop(0, None)
+        for priors in ((0.01,) * h.cols, tuple(0.001 * (1 + j % 7) for j in range(h.cols))):
+            for s in syndromes:
+                r = bp_osd(DecodeProblem(h, priors, s), iters=10, depth=14)
+                lines.append(repr((r.error_estimate, r.converged, r.method,
+                                   r.soft_weight, r.posteriors)))
+    assert len(lines) == 3618
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest().startswith("c652c980220bbab5")
+
+
+@st.composite
+def _decode_cases(draw):
+    """Small check matrices with redundant rows and all-zero columns, priors
+    that include 0.5 (a zero LLR, so signed zeros), and syndromes that may
+    lie outside the column space."""
+    n = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=5))
+    rows += [rows[i] ^ rows[j] for i, j in draw(st.lists(
+        st.tuples(st.integers(0, len(rows) - 1), st.integers(0, len(rows) - 1)), max_size=2))]
+    dead = draw(st.integers(0, (1 << n) - 1))  # columns cleared in every row
+    h = BitMatrix.from_ints([r & ~dead for r in rows], n)
+    priors = tuple(draw(st.lists(st.sampled_from((0.5, 0.2, 0.05, 0.01, 0.001)),
+                                 min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        syndrome = h.mul_vec(draw(st.integers(0, (1 << n) - 1)))
+    else:
+        syndrome = draw(st.integers(0, (1 << h.rows) - 1))
+    return h, priors, syndrome, draw(st.integers(0, 10)), draw(st.integers(0, 14))
+
+
+def _fields(r):
+    return repr((r.error_estimate, r.converged, r.method, r.soft_weight, r.posteriors))
+
+
+@given(_decode_cases())
+# two degree-1 checks on one column disagree: their messages sum to inf - inf
+@example(case=(BitMatrix.from_ints([1, 1], 1), (0.01,), 0b01, 3, 0))
+def test_bp_and_bp_osd_match_the_reference_on_random_matrices(case):
+    h, priors, syndrome, iters, depth = case
+    bp = reference_min_sum(h, priors, syndrome, iters)
+    assert _fields(MinSumDecoder(h, priors, iters).decode(syndrome)) == repr(bp)
+    problem = DecodeProblem(h, priors, syndrome)
+    try:
+        estimate, weight = reference_osd(h, priors, bp[4], syndrome, depth)
+    except ValueError:
+        with pytest.raises(ValueError, match="inconsistent"):
+            bp_osd(problem, iters, depth)
+        return
+    want = bp if bp[1] and bp[3] < weight - 1e-12 else (estimate, True, "BP+OSD", weight, bp[4])
+    assert _fields(bp_osd(problem, iters, depth)) == repr(want)

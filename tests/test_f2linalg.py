@@ -16,7 +16,7 @@ from f2qec.f2linalg import (
     vector_to_bits,
 )
 
-from conftest import all_span_vectors, gauss_rank, matvec
+from conftest import all_span_vectors, gauss_jordan, gauss_rank, matvec
 
 
 def random_matrix(rng, rows, cols):
@@ -184,6 +184,27 @@ def test_transpose_against_bits(m):
     t = m.transpose()
     assert (t.rows, t.cols) == (m.cols, m.rows)
     assert all(t.get(j, i) == m.get(i, j) for i in range(m.rows) for j in range(m.cols))
+
+
+@given(bit_matrices())
+def test_entries_number_the_set_bits_row_by_row(m):
+    columns, spans, by_column = m.entries
+    stops = [stop for _, stop in spans]
+    assert [start for start, _ in spans] == ([0] + stops)[:len(spans)]
+    assert [columns[start:stop] for start, stop in spans] == [mask_to_support(r) for r in m.data]
+    assert by_column == tuple(tuple(e for e, c in enumerate(columns) if c == j)
+                              for j in range(m.cols))
+
+
+@given(bit_matrices(max_rows=8))
+def test_reduction_matches_textbook_elimination(m):
+    rows, tags, pivots = gauss_jordan(m.to_lists())
+    reduced, piv = m.rref()
+    assert reduced.to_lists() == rows and list(piv) == pivots
+    # reduced row i needs exactly its pivot row, so its coefficients are its tag
+    for row, tag in zip(reduced.data, tags):
+        if row:
+            assert m.solution_with_coefficients(row) == vector_from_bits(tag)
 
 
 @given(bit_matrices(max_rows=4, max_cols=4), bit_matrices(max_rows=4, max_cols=4))
