@@ -168,10 +168,14 @@ def osd_combination_sweep(problem: DecodeProblem, bp_soft_output, depth: int = 1
     scored); the minimum wins, lowest support on ties, and the returned
     estimate always satisfies the syndrome.
     """
+    return _sweep(problem, bp_soft_output, depth, _prior_llrs(problem.priors))
+
+
+def _sweep(problem: DecodeProblem, bp_soft_output, depth: int, prior_llrs) -> DecodeResult:
+    """osd_combination_sweep, given the prior LLRs of problem.priors."""
     h = problem.h
     n = h.cols
     llrs = tuple(bp_soft_output)
-    prior_llrs = _prior_llrs(problem.priors)
     order = [j for _, j in sorted(zip(llrs, range(n)))]
     columns = h.transpose().data
     ranked = BitMatrix(n + 1, h.rows, tuple([columns[j] for j in order] + [problem.syndrome]))
@@ -218,7 +222,10 @@ def bp_then_osd(bp: MinSumDecoder, problem: DecodeProblem, depth: int = 14) -> D
     below the plain OSD-0 solution.
     """
     res = bp.decode(problem.syndrome)
-    osd = osd_combination_sweep(problem, res.posteriors, depth=depth)
+    # the decoder holds the prior LLRs already when it was built with problem's priors
+    prior_llrs = (bp.prior_llrs if bp.priors == tuple(problem.priors)
+                  else _prior_llrs(problem.priors))
+    osd = _sweep(problem, res.posteriors, depth, prior_llrs)
     if res.converged and res.soft_weight < osd.soft_weight - 1e-12:
         return res
     return osd

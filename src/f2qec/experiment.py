@@ -537,23 +537,21 @@ def fault_tolerance_ledger(basis: str) -> LedgerReport:
     classifier = _Classifier(cfg, basis, circ, recipe)
     xbar_support = set(mask_to_support(code.logicals_x[recipe.measured_logical]))
     gadget_end = next(i for i, ins in enumerate(circ.instructions) if ins.op == "RELABEL")
-    cases = ss.enumerate_single_faults(circ)
-    tags = circ.tags()
-    bits = np.array([[case.record[t] for t in tags] for case in cases], dtype=bool).T
-    verdicts, inverse, _ = classifier.classify(bits)
+    table = ss.single_fault_table(circ)
+    verdicts, inverse, _ = classifier.classify(table.records)
     entries = []
-    for case, i in zip(cases, inverse.tolist()):
+    for (index, kind, pauli), i in zip(table.cases, inverse.tolist()):
         mismatch = verdicts[i]
         if mismatch is None:
             outcome = "rejected"
         elif not mismatch:
             outcome = "correct"
-        elif case.instruction_index >= gadget_end:
+        elif index >= gadget_end:
             outcome = "extra"
         else:
             # one Pauli letter per qubit; a measurement's "flip" has no Z or Y
-            touches = zip(circ.instructions[case.instruction_index].qubits, case.pauli)
+            touches = zip(circ.instructions[index].qubits, pauli)
             hit = any(q in xbar_support and p in ("Z", "Y") for q, p in touches)
             outcome = "nonft-set" if hit else "extra"
-        entries.append(LedgerEntry(case.instruction_index, case.kind, case.pauli, outcome))
+        entries.append(LedgerEntry(index, kind, pauli, outcome))
     return LedgerReport(basis, entries)

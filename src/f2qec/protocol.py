@@ -380,27 +380,38 @@ def validate_schedule(code: CssCode, schedule: Schedule) -> ScheduleReport:
     first such q is reported.  Each question is a row-space membership or
     a syndrome test, so any stabilizer rank is fine.
 
-    Stabilizers have zero opposite syndrome (hx hz^T = 0), so the third
-    question only concerns the qubits whose column of the opposite checks
-    equals the opposite syndrome s of v; s is computed once per fault.
+    The answers depend on v alone, and many faults leave the same v, so
+    each distinct v is decided once per type and its verdict is reported
+    for every fault that leaves it.  Stabilizers have zero opposite
+    syndrome (hx hz^T = 0), so the third question only concerns the
+    qubits whose column of the opposite checks equals the opposite
+    syndrome s of v.
     """
-    circuit = syndrome_extraction_circuit(code, schedule, which="both")
+    table = ss.single_fault_table(syndrome_extraction_circuit(code, schedule, which="both"))
     data_mask = (1 << code.n) - 1
     d = code.d if code.d is not None else 3
-    types = ((code.hx, code.hz, code.hz.transpose().data),
-             (code.hz, code.hx, code.hx.transpose().data))
-    violations = []
-    for case in ss.enumerate_single_faults(circuit):
-        fault = (case.instruction_index, case.kind, case.pauli)
-        for v, (h_same, h_other, columns) in zip((case.final_x & data_mask,
-                                                  case.final_z & data_mask), types):
-            if h_same.in_row_space(v):
-                continue
-            s = h_other.mul_vec(v)
-            if s == 0:
-                violations.append((*fault, "single fault is a logical operator"))
-            elif d >= 3:
-                qs = [q for q, col in enumerate(columns) if col == s]
-                if qs and not any(h_same.in_row_space(v ^ (1 << q)) for q in qs):
-                    violations.append((*fault, f"one more fault at qubit {qs[0]} completes a logical"))
+
+    def decide(v, h_same, h_other, columns):
+        if h_same.in_row_space(v):
+            return None
+        s = h_other.mul_vec(v)
+        if s == 0:
+            return "single fault is a logical operator"
+        if d >= 3:
+            qs = [q for q, col in enumerate(columns) if col == s]
+            if qs and not any(h_same.in_row_space(v ^ (1 << q)) for q in qs):
+                return f"one more fault at qubit {qs[0]} completes a logical"
+        return None
+
+    per_type = []
+    for final, h_same, h_other in ((table.final_x, code.hx, code.hz),
+                                   (table.final_z, code.hz, code.hx)):
+        columns = h_other.transpose().data
+        residuals = [v & data_mask for v in final]
+        # each distinct data residual -> its violation message, or None
+        verdict = {v: decide(v, h_same, h_other, columns) for v in set(residuals)}
+        per_type.append([verdict[v] for v in residuals])
+    violations = [(*fault, message)
+                  for fault, messages in zip(table.cases, zip(*per_type))
+                  for message in messages if message is not None]
     return ScheduleReport(violations)

@@ -9,7 +9,10 @@ preparations and measurement outcomes.
 The sampler propagates the frames of many shots at once, one bool column
 per shot, and draws its noise and the random frames that preparations
 and measurements leave in seeded blocks of SHOT_BLOCK shots.  Single-fault
-enumeration runs the same kernel without either, one column per fault case.
+enumeration runs the same kernel without either, one column per fault case,
+and returns one table: every case's location, its outcome bits as one bool
+array (record tags x cases) and its residual frames as packed ints.
+FaultCase objects, with {tag: bit} records, are a per-case view of it.
 
 Text IR (round-trip exact), one instruction per line after a header:
 
@@ -575,7 +578,14 @@ def _outcomes(prog: _Program, meas: np.ndarray, ref: dict[str, int]) -> np.ndarr
 def _column_ints(rows: np.ndarray) -> list[int]:
     """Each column of a (qubits x columns) bool array as an int, bit q = row q."""
     packed = np.packbits(rows, axis=0, bitorder="little")
-    return [int.from_bytes(col.tobytes(), "little") for col in np.ascontiguousarray(packed.T)]
+    # the bytes of each column padded to 64-bit words: words[k] holds word k of every column
+    padded = np.zeros((rows.shape[1], -(-packed.shape[0] // 8) * 8), dtype=np.uint8)
+    padded[:, :packed.shape[0]] = packed.T
+    words = padded.view("<u8").T.tolist()
+    ints = words[0] if words else [0] * rows.shape[1]
+    for k, word in enumerate(words[1:], 1):
+        ints = [a | b << (64 * k) for a, b in zip(ints, word)]
+    return ints
 
 
 def reference_record(circuit: Circuit, master_seed) -> dict[str, int]:
@@ -678,28 +688,52 @@ class FaultCase:
     final_z: int = 0
 
 
-def enumerate_single_faults(circuit: Circuit) -> list[FaultCase]:
-    """Every single-Pauli fault location, in deterministic order.
+class SingleFaultTable(NamedTuple):
+    """Every single fault of a circuit, one column per fault case.
+
+    cases[c] is case c's (instruction_index, kind, pauli); records[:, c]
+    its outcome bits, one row per record tag with the reference record
+    XORed in; final_x[c] and final_z[c] its residual X and Z frames at
+    the circuit end as ints, bit q = qubit q.
+    """
+
+    cases: list
+    records: np.ndarray
+    final_x: list
+    final_z: list
+
+
+def single_fault_table(circuit: Circuit) -> SingleFaultTable:
+    """Every single-Pauli fault location, in deterministic order, as one table.
 
     Locations: after each 1q gate (3 Paulis), after each CNOT (15 Pauli
     pairs), after each preparation (the flip Pauli), and a flip on each
-    measurement outcome.  The returned records are noiseless runs with
-    exactly that fault applied, sharing one reference frame.  Each case is
-    one column of the frame kernel, SHOT_BLOCK cases per run.
+    measurement outcome.  Each case is a noiseless run with exactly that
+    fault applied, sharing one reference frame, and one column of the
+    frame kernel, which runs SHOT_BLOCK cases at a time.
     """
     prog = _compile(circuit)
     ref = reference_record(circuit, 0)
-    cases = [(site, label, code) for site in prog.sites for label, code in site.faults]
-    out = []
-    for lo in range(0, len(cases), SHOT_BLOCK):
-        chunk = cases[lo:lo + SHOT_BLOCK]
+    faults = [(site, label, code) for site in prog.sites for label, code in site.faults]
+    records = np.empty((len(prog.tags), len(faults)), dtype=bool)
+    final_x, final_z = [], []
+    for lo in range(0, len(faults), SHOT_BLOCK):
+        chunk = faults[lo:lo + SHOT_BLOCK]
         flips = np.zeros((len(prog.ops), 4, len(chunk)), dtype=bool)
         flips[[site.pos for site, _, _ in chunk], :, np.arange(len(chunk))] = \
             _FAULT_FLIPS[[code for _, _, code in chunk]]
         meas, x, z = _propagate(prog, flips)
-        for (site, label, _), outcomes, fx, fz in zip(
-                chunk, outcome_dicts(prog.tags, _outcomes(prog, meas, ref)),
-                _column_ints(x), _column_ints(z)):
-            out.append(FaultCase(site.index, site.kind, label, outcomes, fx, fz))
-    return out
+        records[:, lo:lo + len(chunk)] = _outcomes(prog, meas, ref)
+        final_x += _column_ints(x)
+        final_z += _column_ints(z)
+    cases = [(site.index, site.kind, label) for site, label, _ in faults]
+    return SingleFaultTable(cases, records, final_x, final_z)
 
+
+def enumerate_single_faults(circuit: Circuit) -> list[FaultCase]:
+    """The cases of single_fault_table(circuit) as FaultCase objects, with {tag: bit} records."""
+    table = single_fault_table(circuit)
+    return [FaultCase(index, kind, pauli, record, fx, fz)
+            for (index, kind, pauli), record, fx, fz in zip(
+                table.cases, outcome_dicts(circuit.tags(), table.records),
+                table.final_x, table.final_z)]

@@ -353,3 +353,14 @@ def test_each_distinct_syndrome_is_decoded_once(monkeypatch):
         cols = recipe.code.n + (recipe.code.hx.rows if basis == "x" else 0)
         want += [(cols, s) for s in sorted(syndromes)]
     assert sorted(calls) == sorted(want)
+
+
+def test_fault_tolerance_ledger_is_pinned_entry_by_entry():
+    # every entry of both bases (location, Pauli, outcome) in order; the
+    # per-outcome totals of criterion 5 cannot see two entries trading places
+    entries = {basis: [[e.instruction_index, e.kind, e.pauli, e.outcome]
+                       for e in ex.fault_tolerance_ledger(basis).entries]
+               for basis in ("z", "x")}
+    digest = hashlib.sha256(json.dumps(entries, sort_keys=True).encode()).hexdigest()
+    assert (len(entries["z"]), len(entries["x"])) == (799, 799)
+    assert digest == "ae612ce90f93ad0148b7bfdd24c3bd5604f073970fdf1eae3c56ae8d68fcf20a"

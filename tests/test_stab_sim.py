@@ -270,6 +270,36 @@ def test_fault_enumeration_is_pinned_byte_for_byte():
     assert {name: _fault_digest(c) for name, c in circuits.items()} == pinned
 
 
+@pytest.mark.parametrize("ops, shape, cases", [
+    ((), (0, 0), []),
+    ((ss.relabel((1, 0)), ss.barrier()), (0, 0), []),
+    ((ss.prepz(0),), (0, 1), [ss.FaultCase(0, "prep", "X", {}, final_x=1, final_z=0)]),
+])
+def test_single_fault_table_edge_shapes(ops, shape, cases):
+    # no fault site at all, and a fault site with no measurement to record it
+    circ = ss.Circuit(2, ops)
+    table = ss.single_fault_table(circ)
+    assert table.records.shape == shape and table.records.dtype == bool
+    assert len(table.cases) == len(table.final_x) == len(table.final_z) == shape[1]
+    got = ss.enumerate_single_faults(circ)
+    assert got == cases and [c.record for c in got] == [c.record for c in cases]
+
+
+def test_single_fault_table_frames_wider_than_a_word():
+    # 130 qubits: each residual frame spans three 64-bit words
+    n = 130
+    circ = ss.Circuit(n, tuple(ss.prepz(q) for q in range(n)) + (ss.cnot(0, n - 1),))
+    table = ss.single_fault_table(circ)
+    assert table.cases == [(q, "prep", "X") for q in range(n)] + [
+        (n, "gate2", a + b) for a in "IXYZ" for b in "IXYZ" if a + b != "II"]
+    want_x = [1 | 1 << (n - 1)] + [1 << q for q in range(1, n)]
+    want_z = [0] * n
+    for _, _, (a, b) in table.cases[n:]:
+        want_x.append((a in "XY") | (b in "XY") << (n - 1))
+        want_z.append((a in "YZ") | (b in "YZ") << (n - 1))
+    assert (table.final_x, table.final_z) == (want_x, want_z)
+
+
 def test_ancilla_x_before_first_cnot_is_stabilizer():
     code = build_25_4_3()
     sched = zigzag_schedule(code)
