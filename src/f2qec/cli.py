@@ -154,12 +154,7 @@ def _cmd_validate_schedule(args) -> int:
 
 
 def _cmd_emit_circuit(args) -> int:
-    if args.mode == "physical":
-        circ = pr.physical_ghz_circuit(args.basis)
-    elif args.mode == "logical":
-        circ, _ = pr.logical_ghz_circuit(build_25_4_3(), args.basis)
-    else:
-        circ, _ = pr.generalized_ghz_circuit(build_generalized(args.l, args.c), args.basis)
+    circ, _ = ex.build_pipeline(ex.RunConfig(mode=args.mode, l=args.l, c=args.c), args.basis)
     with open(args.out, "w") as fh:
         fh.write(circ.to_text())
     rep = pr.circuit_report(circ)

@@ -38,6 +38,13 @@ class CssCode:
         for m in self.logicals_x + self.logicals_z:
             if m >> self.n:
                 raise ValueError(f"logical operator {m:#x} acts outside the {self.n} qubits")
+        # true and false are not integers here
+        if self.d is not None and (type(self.d) is not int or self.d < 1):
+            raise ValueError(f"distance d must be a positive integer or null, got {self.d!r}")
+        if self.coords and (len(self.coords) != self.n or not all(
+                len(c) == 3 and isinstance(c[0], str) and type(c[1]) is type(c[2]) is int
+                for c in self.coords)):
+            raise ValueError(f"coords must be {self.n} [label, row, col] triples")
 
     @property
     def k(self) -> int:

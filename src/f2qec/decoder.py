@@ -168,17 +168,17 @@ def osd_combination_sweep(problem: DecodeProblem, bp_soft_output, depth: int = 1
     scored); the minimum wins, lowest support on ties, and the returned
     estimate always satisfies the syndrome.
     """
-    return _sweep(problem, bp_soft_output, depth, _prior_llrs(problem.priors))
+    return _sweep(problem.h, problem.syndrome, bp_soft_output, depth,
+                  _prior_llrs(problem.priors))
 
 
-def _sweep(problem: DecodeProblem, bp_soft_output, depth: int, prior_llrs) -> DecodeResult:
-    """osd_combination_sweep, given the prior LLRs of problem.priors."""
-    h = problem.h
+def _sweep(h: BitMatrix, syndrome: int, bp_soft_output, depth: int, prior_llrs) -> DecodeResult:
+    """osd_combination_sweep on h and syndrome, scored by the given prior LLRs."""
     n = h.cols
     llrs = tuple(bp_soft_output)
     order = [j for _, j in sorted(zip(llrs, range(n)))]
     columns = h.transpose().data
-    ranked = BitMatrix(n + 1, h.rows, tuple([columns[j] for j in order] + [problem.syndrome]))
+    ranked = BitMatrix(n + 1, h.rows, tuple([columns[j] for j in order] + [syndrome]))
     reduced, pivots = ranked.transpose().rref()
     if pivots and pivots[-1] == n:
         raise ValueError("syndrome is inconsistent with the check matrix")
@@ -213,19 +213,17 @@ def _sweep(problem: DecodeProblem, bp_soft_output, depth: int, prior_llrs) -> De
     return DecodeResult(best, True, "BP+OSD", best_w, llrs)
 
 
-def bp_then_osd(bp: MinSumDecoder, problem: DecodeProblem, depth: int = 14) -> DecodeResult:
-    """BP on a prebuilt decoder for problem.h, then the ordered-statistics sweep.
+def bp_then_osd(bp: MinSumDecoder, syndrome: int, depth: int = 14) -> DecodeResult:
+    """BP on a prebuilt decoder, then the ordered-statistics sweep on the
+    decoder's own check matrix and prior LLRs.
 
     A non-converged BP answer is always replaced by the sweep result; a
     converged one is kept only while no sweep candidate beats its
     channel-prior score, which keeps the combined soft weight at or
     below the plain OSD-0 solution.
     """
-    res = bp.decode(problem.syndrome)
-    # the decoder holds the prior LLRs already when it was built with problem's priors
-    prior_llrs = (bp.prior_llrs if bp.priors == tuple(problem.priors)
-                  else _prior_llrs(problem.priors))
-    osd = _sweep(problem, res.posteriors, depth, prior_llrs)
+    res = bp.decode(syndrome)
+    osd = _sweep(bp.h, syndrome, res.posteriors, depth, bp.prior_llrs)
     if res.converged and res.soft_weight < osd.soft_weight - 1e-12:
         return res
     return osd
@@ -233,7 +231,8 @@ def bp_then_osd(bp: MinSumDecoder, problem: DecodeProblem, depth: int = 14) -> D
 
 def bp_osd(problem: DecodeProblem, iters: int = 10, depth: int = 14) -> DecodeResult:
     """Min-sum BP with ordered-statistics post-processing (see bp_then_osd)."""
-    return bp_then_osd(MinSumDecoder(problem.h, problem.priors, iters=iters), problem, depth)
+    return bp_then_osd(MinSumDecoder(problem.h, problem.priors, iters=iters),
+                       problem.syndrome, depth)
 
 
 def mwe_oracle(problem: DecodeProblem, w_max: int) -> DecodeResult:

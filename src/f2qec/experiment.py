@@ -22,8 +22,8 @@ from . import protocol as pr
 from . import stab_sim as ss
 from .code_factory import build_25_4_3, build_generalized
 from .css_code import CssCode
-from .decoder import DecodeProblem, MinSumDecoder, bp_then_osd
-from .f2linalg import BitMatrix, mask_to_support
+from .decoder import MinSumDecoder, bp_then_osd
+from .f2linalg import BitMatrix, inverse_permutation, mask_to_support
 
 MODES = ("physical", "logical", "logical-noqec", "generalized")
 PRIOR_FLOOR = 1e-6
@@ -66,8 +66,8 @@ class RunConfig:
         for name in ("bp_iters", "osd_depth"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.prior_mode not in ("marginal", "uniform"):
-            raise ValueError("prior_mode must be 'marginal' or 'uniform'")
+        if self.prior_mode != "marginal":
+            raise ValueError("prior_mode must be 'marginal'")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
 
@@ -121,6 +121,8 @@ class RunConfig:
                 if "=" not in line:
                     raise ValueError(f"bad config line: {line!r}")
                 key, val = (s.strip() for s in line.split("=", 1))
+                if key in d:
+                    raise ValueError(f"config key {key!r} repeated")
                 d[key] = val
         return cls.from_dict(d)
 
@@ -294,21 +296,17 @@ class _Classifier:
 
     def _init_decoder(self, cfg: RunConfig, circuit: ss.Circuit):
         recipe, code = self.recipe, self.recipe.code
-        if cfg.prior_mode == "uniform":
-            data, frame = (0.01,) * code.n, (0.01,) * code.hx.rows
-        else:
-            marginal = data_error_priors(circuit, cfg.noise, code.n, self.basis)
-            data = tuple(marginal[q] for q in np.argsort(recipe.permutation))
-            frame = frame_error_priors(code, cfg.noise)
+        marginal = data_error_priors(circuit, cfg.noise, code.n, self.basis)
+        priors = tuple(marginal[q] for q in inverse_permutation(recipe.permutation))
         if self.basis == "z":
-            self.h, self.priors, flips = code.hz, data, code.logicals_z
+            h, flips = code.hz, code.logicals_z
         else:
-            self.h = code.hx.hstack(BitMatrix.identity(code.hx.rows))
-            self.priors = data + frame
+            h = code.hx.hstack(BitMatrix.identity(code.hx.rows))
+            priors += frame_error_priors(code, cfg.noise)
             flips = (code.logical_x_product | recipe.meas_parity_coeffs << code.n,)
         # row i: the estimate bits whose parity flips raw bit i
-        self.raw_flips = BitMatrix.from_ints(flips, self.h.cols)
-        self.bp = MinSumDecoder(self.h, self.priors, iters=cfg.bp_iters)
+        self.raw_flips = BitMatrix.from_ints(flips, h.cols)
+        self.bp = MinSumDecoder(h, priors, iters=cfg.bp_iters)
         self.osd_depth = cfg.osd_depth
         self.decoded = {}  # syndrome -> its estimate's raw-bit flips
 
@@ -321,8 +319,7 @@ class _Classifier:
         raw = word >> (self.n_accept + self.n_syndrome)
         if syndrome and self.bp is not None:
             if syndrome not in self.decoded:
-                problem = DecodeProblem(self.h, self.priors, syndrome)
-                est = bp_then_osd(self.bp, problem, self.osd_depth).error_estimate
+                est = bp_then_osd(self.bp, syndrome, self.osd_depth).error_estimate
                 self.decoded[syndrome] = self.raw_flips.mul_vec(est)
             raw ^= self.decoded[syndrome]
         return raw not in self.targets
@@ -345,7 +342,9 @@ class _Classifier:
 # --- running ------------------------------------------------------------------
 
 
-def _build_pipeline(cfg: RunConfig, basis: str):
+def build_pipeline(cfg: RunConfig, basis: str):
+    """The circuit of cfg's mode in one readout basis and its FrameRecipe
+    (None in the physical mode)."""
     if cfg.mode == "physical":
         return pr.physical_ghz_circuit(basis), None
     if cfg.mode == "generalized":
@@ -379,7 +378,7 @@ def _archive_rows(basis: str, tags: tuple[str, ...], bits: np.ndarray, start: in
 
 
 def _run_chunk(cfg: RunConfig, basis: str, start: int, count: int, keep_rows: bool):
-    circ, recipe = _build_pipeline(cfg, basis)
+    circ, recipe = build_pipeline(cfg, basis)
     classifier = _Classifier(cfg, basis, circ, recipe)
     bits = ss.sample_outcomes(circ, cfg.noise, _basis_seed(cfg, basis), count, start=start)
     stats = BasisStats(shots=count)
@@ -531,9 +530,9 @@ def fault_tolerance_ledger(basis: str) -> LedgerReport:
     measurement record inconsistent with the state.  Corrupting faults
     outside that set are reported as "extra".
     """
-    code = build_25_4_3()
-    circ, recipe = pr.logical_ghz_circuit(code, basis)
     cfg = RunConfig(mode="logical", noise=ss.NoiseModel(3e-5, 2e-3, 2e-3))
+    circ, recipe = build_pipeline(cfg, basis)
+    code = recipe.code
     classifier = _Classifier(cfg, basis, circ, recipe)
     xbar_support = set(mask_to_support(code.logicals_x[recipe.measured_logical]))
     gadget_end = next(i for i, ins in enumerate(circ.instructions) if ins.op == "RELABEL")

@@ -97,6 +97,10 @@ class BitMatrix:
 
     @classmethod
     def from_strings(cls, strings: Sequence[str]) -> "BitMatrix":
+        """One row per string of ASCII '0' and '1' characters."""
+        for i, s in enumerate(strings):
+            if not isinstance(s, str) or not set(s) <= {"0", "1"}:
+                raise ValueError(f"matrix row {i} must be a string of 0 and 1, got {s!r}")
         return cls.from_rows([[int(ch) for ch in s] for s in strings])
 
     @classmethod

@@ -30,12 +30,9 @@ class Schedule:
 
 
 def _coord_map(code: CssCode) -> dict[int, tuple[int, int]]:
-    out = {}
-    for q, c in enumerate(code.coords):
-        if c[0] != "P":
-            raise ValueError("schedule construction needs primary lattice coordinates")
-        out[q] = (c[1], c[2])
-    return out
+    if not code.coords or any(c[0] != "P" for c in code.coords):
+        raise ValueError("schedule construction needs primary lattice coordinates")
+    return {q: (c[1], c[2]) for q, c in enumerate(code.coords)}
 
 
 def zigzag_schedule(code: CssCode) -> Schedule:
@@ -135,7 +132,6 @@ class FrameRecipe:
     """
 
     code: CssCode
-    basis: str
     x_check_tags: tuple[str, ...]
     xbar_tags: tuple[str, ...]
     data_tags: tuple[str, ...]
@@ -229,7 +225,6 @@ def _ghz_pipeline(code: CssCode, basis: str, data_perms, measured_logical: int,
         key.append(code.logical_x_product << (r + 3) | lam | xbar)
     recipe = FrameRecipe(
         code=code,
-        basis=basis,
         x_check_tags=tuple(f"x{r}" for r in range(code.hx.rows)),
         xbar_tags=tuple(xbar_tags),
         data_tags=tuple(f"d{q}" for q in range(n)),

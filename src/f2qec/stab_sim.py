@@ -60,19 +60,10 @@ class Instruction:
     perm: tuple[int, ...] = ()
 
     def to_text(self) -> str:
-        if self.op in ("PREPZ", "PREPX", "H"):
-            return f"{self.op} {self.qubits[0]}"
-        if self.op == "CNOT":
-            return f"CNOT {self.qubits[0]} {self.qubits[1]}"
-        if self.op in ("MEASZ", "MEASX"):
-            return f"{self.op} {self.qubits[0]} {self.tag}"
-        if self.op == "INJECT":
-            return f"INJECT {self.pauli} {self.qubits[0]}"
         if self.op == "RELABEL":
             return "RELABEL " + cycles_to_text(self.perm)
-        if self.op == "BARRIER":
-            return "BARRIER"
-        raise ValueError(f"unknown op {self.op}")
+        # only the op's own operand is set: a Pauli goes before the qubits, a tag after
+        return " ".join(w for w in (self.op, self.pauli, *map(str, self.qubits), self.tag) if w)
 
 
 def prepz(q): return Instruction("PREPZ", (q,))
@@ -172,10 +163,6 @@ class Circuit:
     def two_qubit_gate_count(self) -> int:
         return sum(1 for i in self.instructions if i.op == "CNOT")
 
-    def fault_location_count(self) -> int:
-        """Single-fault cases: 3 per 1q gate, 15 per CNOT, 1 per prep and meas."""
-        return sum(len(_FAULTS[i.op][1]) for i in self.instructions if i.op in _FAULTS)
-
     def to_text(self) -> str:
         lines = [f"QUBITS {self.n_qubits}"]
         lines.extend(ins.to_text() for ins in self.instructions)
@@ -197,18 +184,17 @@ class Circuit:
                     continue
                 if op not in _ARITY:
                     raise ValueError(f"unknown instruction {op!r}")
-                # a measurement's tag and an INJECT's Pauli are one operand more
-                want = _ARITY[op] + (op in ("MEASZ", "MEASX", "INJECT"))
+                operand = _OPERAND.get(op)
+                want = _ARITY[op] + (operand is not None)
                 if len(args) != want:
                     raise ValueError(f"{op} takes {want} operand(s), got {len(args)}")
-                qubits = args[1:] if op == "INJECT" else args[:_ARITY[op]]
-                if not all(map(_is_index, qubits)):
+                # a Pauli comes before the qubits, a tag after them
+                fields = {operand: args.pop(0 if operand == "pauli" else -1)} if operand else {}
+                if not all(map(_is_index, args)):
                     raise ValueError("qubits must be non-negative ASCII integers")
             except ValueError as e:
                 raise ValueError(f"line {ln!r}: {e}") from None
-            out.append(Instruction(op, tuple(map(int, qubits)),
-                                   tag=args[-1] if op in ("MEASZ", "MEASX") else "",
-                                   pauli=args[0] if op == "INJECT" else ""))
+            out.append(Instruction(op, tuple(map(int, args)), **fields))
         return cls(n, tuple(out))
 
 

@@ -216,7 +216,19 @@ def _cut_hz(obj):
     (lambda obj: obj.update(n=26), "n = 26"),                      # n disagrees with the checks
     (_cut_hz, "24 columns"),                                       # hz one column short
     (lambda obj: obj["logicals"]["x"][0].append(30), "outside"),  # logical beyond qubit 24
-], ids=["n", "hz-width", "logical-range"])
+    (lambda obj: obj.update(d=True), "distance d"),               # a JSON bool is not an int
+    (lambda obj: obj.update(d=2.5), "distance d"),
+    (lambda obj: obj.update(d="three"), "distance d"),
+    (lambda obj: obj.update(d=-3), "distance d"),
+    (lambda obj: obj["coords"].__setitem__(0, []), "coords"),    # empty coordinate
+    (lambda obj: obj["coords"].__setitem__(0, ["P", 1]), "coords"),  # pair, not triple
+    (lambda obj: obj["coords"].pop(), "coords"),                  # one qubit uncovered
+    (lambda obj: obj["hx"]["data"].__setitem__(0, obj["hx"]["data"][0].replace("1", "2")),
+     "row 0"),                                                    # a '2' is not a bit
+    (lambda obj: obj["hz"]["data"].__setitem__(3, "\u0661" + obj["hz"]["data"][3][1:]),
+     "row 3"),                                                    # Arabic-Indic one
+], ids=["n", "hz-width", "logical-range", "d-bool", "d-float", "d-text", "d-negative",
+        "coord-empty", "coord-pair", "coords-short", "hx-digit-2", "hz-non-ascii"])
 def test_distance_rejects_code_file_out_of_shape(tmp_path, capsys, spoil, words):
     code_path = tmp_path / "code.json"
     main(["build-code", "--family", "paper2543", "--out", str(code_path)])
@@ -226,6 +238,21 @@ def test_distance_rejects_code_file_out_of_shape(tmp_path, capsys, spoil, words)
     code_path.write_text(json.dumps(obj))
     assert main(["distance", str(code_path), "--wmax", "2"]) == 1
     assert words in _one_line_error(capsys)
+    assert main(["validate-schedule", str(code_path)]) == 1
+    assert words in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("coords", [[], [["S", 1, 1]] * 25], ids=["none", "secondary"])
+def test_validate_schedule_needs_primary_coordinates(tmp_path, capsys, coords):
+    # the default zigzag schedule is built from the lattice coordinates
+    code_path = tmp_path / "code.json"
+    main(["build-code", "--family", "paper2543", "--out", str(code_path)])
+    capsys.readouterr()
+    obj = json.loads(code_path.read_text())
+    obj["coords"] = coords
+    code_path.write_text(json.dumps(obj))
+    assert main(["validate-schedule", str(code_path)]) == 1
+    assert "primary lattice coordinates" in _one_line_error(capsys)
 
 
 def test_report_rejects_malformed_summary(tmp_path, capsys):

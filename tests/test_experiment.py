@@ -208,6 +208,10 @@ def test_config_rejects_unknown_keys(tmp_path):
     path.write_text("mode = physical\nshot_z = 10\n")
     with pytest.raises(ValueError, match="shot_z"):
         ex.RunConfig.from_file(str(path))
+    # a repeated key is an error too, not a silent last-one-wins
+    path.write_text("shots_z = 10\nmode = physical\nshots_z = 20\n")
+    with pytest.raises(ValueError, match="'shots_z' repeated"):
+        ex.RunConfig.from_file(str(path))
 
 
 def test_config_validation():
@@ -215,8 +219,9 @@ def test_config_validation():
         ex.RunConfig(mode="bogus")
     with pytest.raises(ValueError):
         ex.RunConfig(shots_z=-2)
-    with pytest.raises(ValueError):
-        ex.RunConfig(prior_mode="psychic")
+    for prior_mode in ("psychic", "uniform"):
+        with pytest.raises(ValueError, match="prior_mode"):
+            ex.RunConfig(prior_mode=prior_mode)
     # int() and float() take other scripts' digits, '_' groups and bools
     for key, value in [("shots_z", "١٠"), ("shots_x", "1_0"), ("seed", "٣"),
                        ("p2", "0.00_2"), ("p1", "３e-5"), ("threads", True), ("l", False)]:
@@ -310,13 +315,14 @@ def test_key_word_verdicts_match_per_shot_reference(mode):
     cfg = ex.RunConfig(mode=mode, noise=ss.NoiseModel(1e-3, 5e-3, 5e-3), l=4)
     seen = set()
     for basis in ("z", "x"):
-        circ, recipe = ex._build_pipeline(cfg, basis)
+        circ, recipe = ex.build_pipeline(cfg, basis)
         classifier = ex._Classifier(cfg, basis, circ, recipe)
         records = ss.sample_pauli_frame(circ, cfg.noise, 8, 1200)
         bits = np.array([[rec[t] for t in circ.tags()] for rec in records], dtype=bool).T
         verdicts, inverse, counts = classifier.classify(bits)
         assert counts.sum() == len(records)
-        h, priors = getattr(classifier, "h", None), getattr(classifier, "priors", None)
+        bp = classifier.bp
+        h, priors = (None, None) if bp is None else (bp.h, bp.priors)
         for rec, i in zip(records, inverse):
             assert verdicts[i] == _per_shot_verdict(cfg, basis, recipe, h, priors, rec)
             seen.add(verdicts[i])
@@ -330,9 +336,9 @@ def test_each_distinct_syndrome_is_decoded_once(monkeypatch):
 
     calls, decode = [], ex.bp_then_osd
 
-    def counting(bp, problem, depth):
-        calls.append((problem.h.cols, problem.syndrome))
-        return decode(bp, problem, depth)
+    def counting(bp, syndrome, depth):
+        calls.append((bp.h.cols, syndrome))
+        return decode(bp, syndrome, depth)
 
     monkeypatch.setattr(ex, "bp_then_osd", counting)
     cfg = ex.RunConfig(mode="logical", shots_z=1500, shots_x=1500,
@@ -340,7 +346,7 @@ def test_each_distinct_syndrome_is_decoded_once(monkeypatch):
     ex.run(cfg)
     want = []
     for basis in ("z", "x"):
-        circ, recipe = ex._build_pipeline(cfg, basis)
+        circ, recipe = ex.build_pipeline(cfg, basis)
         bits = ss.sample_outcomes(circ, cfg.noise, ex._basis_seed(cfg, basis), 1500)
         syndromes = set()
         for rec in ss.outcome_dicts(circ.tags(), bits):

@@ -34,6 +34,14 @@ def test_rank_of_banded_parent_check_matrix():
     assert h.rank() == 3
 
 
+def test_from_strings_takes_only_ascii_zero_and_one():
+    assert BitMatrix.from_strings(["10", "01"]) == BitMatrix.identity(2)
+    # int() keeps the low bit of '2' and reads other scripts' digits
+    for rows in (["10", "02"], ["1\u0661"], ["1 "], ["10", 1]):
+        with pytest.raises(ValueError, match=f"row {len(rows) - 1}"):
+            BitMatrix.from_strings(rows)
+
+
 def test_rref_identity_and_single_row():
     red, piv = BitMatrix.identity(3).rref()
     assert red == BitMatrix.identity(3)

@@ -37,6 +37,33 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def unread_private_names(source: str) -> list[str]:
+    """Module-level _names (functions, classes, assignments) that the module never reads."""
+    tree = ast.parse(source)
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(name for name in defined
+                  if name.startswith("_") and not name.startswith("__") and name not in read)
+
+
+def test_unread_private_name_is_found():
+    source = "_A = 1\n_B, C = 2, 3\ndef _f():\n    return _A\nclass _K:\n    pass\n"
+    assert unread_private_names(source) == ["_B", "_K", "_f"]
+    assert unread_private_names("__all__ = []\n_x: int = 1\nprint(_x)\n") == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unread_private_names(path):
+    assert unread_private_names(path.read_text()) == []
+
+
 def test_package_all_is_exactly_its_imports():
     import f2qec
 

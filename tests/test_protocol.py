@@ -222,7 +222,7 @@ def test_relabelings_are_noise_free(flagship_code):
     relabels = [i for i in circ.instructions if i.op == "RELABEL"]
     assert len(relabels) == 2
     # noise sites count only gates, preps, and measurements
-    assert circ.fault_location_count() == 47 * 15 + 6 * 3 + (25 + 13) + (13 + 25)
+    assert len(ss.single_fault_table(circ).cases) == 47 * 15 + 6 * 3 + (25 + 13) + (13 + 25)
 
 
 def test_single_record_flip_maps_to_weight_one_correction(flagship_code):
@@ -266,3 +266,30 @@ def test_zigzag_rejects_wide_supports():
                   coords=(("P", 1, 1), ("P", 2, 1), ("P", 3, 1)))
     with pytest.raises(ValueError, match="^Z check support is not a rectangle of width <= 2 rows$"):
         pr.zigzag_schedule(toy)
+
+
+_PIPELINE_TEXT_DIGESTS = {
+    ("physical", "z"): "e823281b383a2cb7ebc708c993b3c5d31a9928372d00a67c478ed5a44efb946a",
+    ("physical", "x"): "b1e7a1d5e4c075c414e03661d45f080c59fdf7f66dd45a4a1e567a657047a4e7",
+    ("logical", "z"): "e49748ed02c5703e74dc1ef4917e5d9ca8e6483997ff40148960ec78b181a182",
+    ("logical", "x"): "53d6e591d0246287097b43fcb407484539bf182df4898b933337638e16c5635b",
+    (3, "z"): "47960d9069a70959d00dd35e42172403cb1bc20050db7180b8d16bfee6be9941",
+    (3, "x"): "f6e6b9d31d3b73545ef0f7384d2a19dac7741169de4228b24ad06d6c98490d65",
+    (4, "z"): "5b055c1871c02ca68f3c6be51e59f54a6fa734b565be139b99fed8d3f8ee6748",
+    (4, "x"): "2e3b3487389be54b57de8105a4cbc8f812f3c4897a932c5371eed5706aa196a0",
+}
+
+
+@pytest.mark.parametrize("name, basis", list(_PIPELINE_TEXT_DIGESTS))
+def test_pipeline_text_is_pinned_byte_for_byte(name, basis):
+    # the emitted text of each pipeline (an int name is the generalized
+    # code with that l and c = 1), and its exact round trip
+    if name == "physical":
+        circ = pr.physical_ghz_circuit(basis)
+    elif name == "logical":
+        circ, _ = pr.logical_ghz_circuit(build_25_4_3(), basis)
+    else:
+        circ, _ = pr.generalized_ghz_circuit(build_generalized(name, 1), basis)
+    text = circ.to_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == _PIPELINE_TEXT_DIGESTS[name, basis]
+    assert ss.Circuit.from_text(text) == circ

@@ -230,7 +230,7 @@ def test_fault_enumeration_count_formula():
     code = build_25_4_3()
     circ = syndrome_extraction_circuit(code, zigzag_schedule(code), "X")
     expected = 38 * 15 + 10 + 10  # CNOTs, ancilla preps, ancilla measurements
-    assert circ.fault_location_count() == expected
+    assert len(ss.single_fault_table(circ).cases) == expected
     cases = ss.enumerate_single_faults(circ)
     assert len(cases) == expected
     # deterministic ordering
