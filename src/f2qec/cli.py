@@ -76,6 +76,8 @@ def _load_json(path: str, parse, what: str):
         return parse(obj)
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed {what} file {path}: {exc!r}") from None
+    except ValueError as exc:
+        raise ValueError(f"{what} file {path}: {exc}") from None
 
 
 def _load_code(path: str) -> CssCode:

@@ -82,12 +82,17 @@ class CssCode:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CssCode":
-        lx = tuple(support_to_mask(s) for s in obj["logicals"]["x"])
-        lz = tuple(support_to_mask(s) for s in obj["logicals"]["z"])
+        lx = tuple(_support_mask(s, "x") for s in obj["logicals"]["x"])
+        lz = tuple(_support_mask(s, "z") for s in obj["logicals"]["z"])
+        k = obj.get("k", len(lx))
+        # true and false are not integers here
+        if type(k) is not int or k != len(lx) or k != len(lz):
+            raise ValueError(f"k = {json.dumps(k)}, but the file lists {len(lx)} X and "
+                             f"{len(lz)} Z logicals")
         return cls(
             n=obj["n"],
-            hx=BitMatrix.from_json(obj["hx"]),
-            hz=BitMatrix.from_json(obj["hz"]),
+            hx=_matrix(obj, "hx"),
+            hz=_matrix(obj, "hz"),
             logicals_x=lx,
             logicals_z=lz,
             coords=tuple(tuple(c) for c in obj.get("coords", [])),
@@ -102,6 +107,22 @@ class CssCode:
     @classmethod
     def loads(cls, s: str) -> "CssCode":
         return cls.from_json(json.loads(s))
+
+
+def _support_mask(support, basis: str) -> int:
+    """A code file's logical support as a mask: a list of distinct qubit indices."""
+    if not isinstance(support, list) or not all(type(q) is int and q >= 0 for q in support) \
+            or len(set(support)) != len(support):
+        raise ValueError(f"logicals.{basis} support must list distinct qubit indices, "
+                         f"got {json.dumps(support)}")
+    return support_to_mask(support)
+
+
+def _matrix(obj: dict, name: str) -> BitMatrix:
+    try:
+        return BitMatrix.from_json(obj[name])
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
 @dataclass

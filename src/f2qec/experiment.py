@@ -208,10 +208,20 @@ class RunSummary:
 
     @classmethod
     def from_json(cls, obj: dict) -> "RunSummary":
-        cfg = RunConfig.from_dict(obj["config"])
-        z = BasisStats(obj["z"]["shots"], obj["z"]["accepted"], obj["z"]["mismatches"])
-        x = BasisStats(obj["x"]["shots"], obj["x"]["accepted"], obj["x"]["mismatches"])
-        return cls(cfg, z, x)
+        return cls(RunConfig.from_dict(obj["config"]), _basis_stats(obj, "z"), _basis_stats(obj, "x"))
+
+
+def _basis_stats(obj: dict, basis: str) -> BasisStats:
+    """One basis's counts of a summary file: ints with 0 <= mismatches <= accepted <= shots."""
+    counts = {name: obj[basis][name] for name in ("shots", "accepted", "mismatches")}
+    for name, value in counts.items():
+        # true and false are not integers here
+        if type(value) is not int:
+            raise ValueError(f"{basis}.{name} must be an integer, got {json.dumps(value)}")
+    if not 0 <= counts["mismatches"] <= counts["accepted"] <= counts["shots"]:
+        raise ValueError(f"{basis} counts must have 0 <= mismatches <= accepted <= shots, "
+                         f"got {json.dumps(counts)}")
+    return BasisStats(**counts)
 
 
 # --- priors ------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Stabilizer circuit simulation.
 
-Two engines share one instruction set: an exact tableau simulator (the
+Two engines run the same Circuit: an exact tableau simulator (the
 correctness oracle) and a fast Pauli-frame sampler that XORs propagated
-faults onto a fixed noiseless reference run.  Noise is a three-rate
-model: depolarizing after one- and two-qubit gates, independent flips on
-preparations and measurement outcomes.
+faults onto a fixed noiseless reference run.  An INJECT is a Pauli gate in
+both: the reference run applies it, and it changes no frame.  Noise is a
+three-rate model: depolarizing after one- and two-qubit gates, independent
+flips on preparations and measurement outcomes.
 
 The sampler propagates the frames of many shots at once, one bool column
 per shot, and draws its noise and the random frames that preparations
@@ -19,6 +20,7 @@ Text IR (round-trip exact), one instruction per line after a header:
     QUBITS 5
     PREPX 0
     CNOT 0 1
+    INJECT Z 2
     MEASZ 1 m0
     RELABEL (0 4)(1 3)
 
@@ -34,14 +36,14 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .f2linalg import apply_permutation
+from .f2linalg import apply_permutation, inverse_permutation
 
 _PAULIS_1Q = ("X", "Y", "Z")
 # two-qubit Paulis indexed 1..15 as (first, second) with 0=I,1=X,2=Y,3=Z
 _P1Q = ("I", "X", "Y", "Z")
 # the number of qubits each op acts on
 _ARITY = {"PREPZ": 1, "PREPX": 1, "H": 1, "CNOT": 2, "MEASZ": 1, "MEASX": 1,
-          "INJECT": 1, "RELABEL": 0, "BARRIER": 0}
+          "INJECT": 1, "RELABEL": 0}
 # the one operand field besides the qubits that an op takes, if any
 _OPERAND = {"MEASZ": "tag", "MEASX": "tag", "INJECT": "pauli", "RELABEL": "perm"}
 
@@ -74,7 +76,6 @@ def measz(q, tag): return Instruction("MEASZ", (q,), tag=tag)
 def measx(q, tag): return Instruction("MEASX", (q,), tag=tag)
 def inject(pauli, q): return Instruction("INJECT", (q,), pauli=pauli)
 def relabel(perm): return Instruction("RELABEL", perm=tuple(perm))
-def barrier(): return Instruction("BARRIER")
 
 
 def cycles_to_text(perm: tuple[int, ...]) -> str:
@@ -366,8 +367,6 @@ def simulate_tableau(circuit: Circuit, seed) -> dict[str, int]:
             tab.pauli(ins.pauli, ins.qubits[0])
         elif op == "RELABEL":
             tab.relabel(ins.perm)
-        elif op == "BARRIER":
-            pass
         else:
             raise ValueError(f"unknown op {op}")
     return outcomes
@@ -415,9 +414,12 @@ def noisy_expansion(circuit: Circuit, nm: NoiseModel, rng) -> Circuit:
 # Stim technique: Gidney, Quantum 5, 497 (2021), arXiv:2103.02202).  Each
 # qubit's X and Z frame is a row over the columns: a CNOT is two row XORs,
 # H swaps a qubit's rows, a preparation overwrites them, a measurement
-# reads one into the record and RELABEL permutes them.  Every fault, be it
-# sampled noise or an enumerated single fault, is a per-op flip mask over
-# the columns, so sampling and enumeration run the same kernel.
+# reads one into the record and RELABEL permutes them.  An INJECT is a
+# Pauli gate, which the noiseless reference run applies; it leaves every
+# frame as it is.  The kernel walks circuit.instructions itself, and every
+# fault, be it sampled noise or an enumerated single fault, is a flip mask
+# over the columns in the row of its instruction, so sampling and
+# enumeration run the same kernel.
 #
 # A Z-basis preparation or measurement leaves its qubit in a Z eigenstate,
 # where a Z frame is a stabilizer and changes nothing; the sampler sets
@@ -430,11 +432,6 @@ def noisy_expansion(circuit: Circuit, nm: NoiseModel, rng) -> Circuit:
 # noise comes from its own generator, so any shot range, however split
 # across workers, reproduces the same shots.
 SHOT_BLOCK = 1024
-
-_OP_PREP, _OP_H, _OP_CNOT, _OP_MEASZ, _OP_MEASX, _OP_INJECT, _OP_RELABEL = range(7)
-_OPCODE = {"PREPZ": _OP_PREP, "PREPX": _OP_PREP, "H": _OP_H, "CNOT": _OP_CNOT,
-           "MEASZ": _OP_MEASZ, "MEASX": _OP_MEASX, "INJECT": _OP_INJECT,
-           "RELABEL": _OP_RELABEL}
 
 # A fault is a Pauli on an op's (first, second) qubit coded 4 * first +
 # second, with 0=I, 1=X, 2=Y, 3=Z as in _P1Q.  _FAULT_FLIPS[code] holds its
@@ -461,93 +458,61 @@ _FAULTS = {
 
 
 class _Site(NamedTuple):
-    """A fault location: its op position, instruction index, kind and faults."""
+    """A fault location: its instruction index, kind and faults."""
 
-    pos: int
     index: int
     kind: str
     faults: tuple   # ((label, Pauli code), ...)
 
 
-class _Program(NamedTuple):
-    """A circuit compiled for the frame kernel.
-
-    ops are (opcode, a, b, extra) tuples: extra is the record row of a
-    measurement, the (x, z) flips of an INJECT and the inverse permutation
-    of a RELABEL.
-    """
-
-    n_qubits: int
-    ops: tuple
-    tags: tuple
-    sites: tuple
-    collapses: np.ndarray   # rows: op positions and _COLLAPSE_SLOT slots
+def _sites(circuit: Circuit) -> list[_Site]:
+    return [_Site(k, *_FAULTS[ins.op]) for k, ins in enumerate(circuit.instructions)
+            if ins.op in _FAULTS]
 
 
-def _compile(circuit: Circuit) -> _Program:
-    ops = []
-    sites = []
-    collapses = []
-    n_meas = 0
-    for idx, ins in enumerate(circuit.instructions):
-        if ins.op == "BARRIER":
-            continue
-        if ins.op in _FAULTS:
-            sites.append(_Site(len(ops), idx, *_FAULTS[ins.op]))
-        if ins.op in _COLLAPSE_SLOT:
-            collapses.append((len(ops), _COLLAPSE_SLOT[ins.op]))
-        code = _OPCODE[ins.op]
-        a, b = (ins.qubits + (0, 0))[:2]
-        extra = None
-        if code in (_OP_MEASZ, _OP_MEASX):
-            extra = n_meas
-            n_meas += 1
-        elif code == _OP_INJECT:
-            extra = (ins.pauli != "Z", ins.pauli != "X")
-        elif code == _OP_RELABEL:
-            extra = np.argsort(ins.perm)
-        ops.append((code, a, b, extra))
-    return _Program(circuit.n_qubits, tuple(ops), circuit.tags(), tuple(sites),
-                    np.array(collapses, dtype=np.intp).reshape(-1, 2).T)
+def _propagate(circuit: Circuit, flips: np.ndarray):
+    """Propagate Pauli frames through circuit, one column per shot or fault case.
 
-
-def _propagate(prog: _Program, flips: np.ndarray):
-    """Propagate Pauli frames through prog, one column per shot or fault case.
-
-    flips[k] (4 x columns) is applied at op k as _FAULT_FLIPS describes; at
-    a measurement, the measured frame's slot flips the outcome and the other
-    slot flips the other frame.  Returns the measurement flips (one row per
-    record tag) and the residual X and Z frames (one row per qubit).
+    flips[k] (4 x columns) is applied at instruction k as _FAULT_FLIPS
+    describes; at a measurement, the measured frame's slot flips the
+    outcome and the other slot flips the other frame.  An INJECT is a
+    Pauli gate, which the reference run applies and which changes no
+    frame.  Returns the measurement flips (one row per record tag) and the
+    residual X and Z frames (one row per qubit).
     """
     cols = flips.shape[-1]
-    x = np.zeros((prog.n_qubits, cols), dtype=bool)
+    x = np.zeros((circuit.n_qubits, cols), dtype=bool)
     z = np.zeros_like(x)
-    meas = np.empty((len(prog.tags), cols), dtype=bool)
-    for (code, a, b, extra), f in zip(prog.ops, flips):
-        if code == _OP_CNOT:
+    meas = np.empty((len(circuit.tags()), cols), dtype=bool)
+    row = 0
+    for ins, f in zip(circuit.instructions, flips):
+        op, qs = ins.op, ins.qubits
+        if op == "CNOT":
+            a, b = qs
             x[b] ^= x[a]
             z[a] ^= z[b]
             x[a] ^= f[0]
             z[a] ^= f[1]
             x[b] ^= f[2]
             z[b] ^= f[3]
-        elif code == _OP_MEASZ:
-            np.bitwise_xor(x[a], f[0], out=meas[extra])
-            z[a] ^= f[1]
-        elif code == _OP_MEASX:
-            np.bitwise_xor(z[a], f[1], out=meas[extra])
-            x[a] ^= f[0]
-        elif code == _OP_PREP:
-            x[a] = f[0]
-            z[a] = f[1]
-        elif code == _OP_H:
+        elif op == "MEASZ":
+            np.bitwise_xor(x[qs[0]], f[0], out=meas[row])
+            z[qs[0]] ^= f[1]
+            row += 1
+        elif op == "MEASX":
+            np.bitwise_xor(z[qs[0]], f[1], out=meas[row])
+            x[qs[0]] ^= f[0]
+            row += 1
+        elif op in ("PREPZ", "PREPX"):
+            x[qs[0]] = f[0]
+            z[qs[0]] = f[1]
+        elif op == "H":
+            a = qs[0]
             x[a], z[a] = z[a] ^ f[0], x[a] ^ f[1]
-        elif code == _OP_INJECT:
-            x[a] ^= extra[0]
-            z[a] ^= extra[1]
-        else:
-            x = x[extra]
-            z = z[extra]
+        elif op == "RELABEL":
+            inv = inverse_permutation(ins.perm)
+            x = x[inv]
+            z = z[inv]
     return meas, x, z
 
 
@@ -556,9 +521,9 @@ def outcome_dicts(tags: tuple[str, ...], bits: np.ndarray) -> list[dict[str, int
     return [dict(zip(tags, col)) for col in bits.T.astype(np.uint8).tolist()]
 
 
-def _outcomes(prog: _Program, meas: np.ndarray, ref: dict[str, int]) -> np.ndarray:
+def _outcomes(circuit: Circuit, meas: np.ndarray, ref: dict[str, int]) -> np.ndarray:
     """Outcome bits, one column per shot: the reference XOR the measurement flips."""
-    return meas ^ np.array([ref[t] for t in prog.tags], dtype=bool)[:, None]
+    return meas ^ np.array([ref[t] for t in circuit.tags()], dtype=bool)[:, None]
 
 
 def _column_ints(rows: np.ndarray) -> list[int]:
@@ -575,14 +540,12 @@ def _column_ints(rows: np.ndarray) -> list[int]:
 
 
 def reference_record(circuit: Circuit, master_seed) -> dict[str, int]:
-    """Noiseless tableau run fixing the outcome frame for the sampler.
+    """Noiseless tableau run of the circuit as written, fixing the outcome frame for the sampler.
 
-    Explicit Pauli injections are faults, not part of the ideal circuit,
-    so they are stripped here and applied by the frame propagation.
+    An INJECT is a Pauli gate here as in any tableau run, so its effect is
+    in the reference record and the frame kernel leaves it out.
     """
-    ideal = Circuit(circuit.n_qubits,
-                    tuple(i for i in circuit.instructions if i.op != "INJECT"))
-    return simulate_tableau(ideal, seed=list(_seed_key(master_seed)) + [1])
+    return simulate_tableau(circuit, seed=list(_seed_key(master_seed)) + [1])
 
 
 def _seed_key(seed) -> tuple[int, ...]:
@@ -591,19 +554,20 @@ def _seed_key(seed) -> tuple[int, ...]:
     return tuple(int(s) & 0xFFFFFFFFFFFF for s in seed)
 
 
-def _noise_table(prog: _Program, nm: NoiseModel) -> list[tuple]:
-    """(rate, op positions, fault codes) for each kind of fault location with a nonzero rate."""
+def _noise_table(circuit: Circuit, nm: NoiseModel) -> list[tuple]:
+    """(rate, instruction indices, fault codes) of each kind of fault location with nonzero rate."""
     rate = {"gate1": nm.p1, "gate2": nm.p2, "prep": nm.p_spam, "meas": nm.p_spam}
     table = []
+    all_sites = _sites(circuit)
     for kind, p in rate.items():
-        sites = [s for s in prog.sites if s.kind == kind]
+        sites = [s for s in all_sites if s.kind == kind]
         if sites and p > 0.0:
-            table.append((p, np.array([s.pos for s in sites]),
+            table.append((p, np.array([s.index for s in sites]),
                           np.array([[code for _, code in s.faults] for s in sites])))
     return table
 
 
-def _noise_flips(prog: _Program, table: list[tuple], rng) -> np.ndarray:
+def _noise_flips(circuit: Circuit, table: list[tuple], rng) -> np.ndarray:
     """Flip masks of one block of SHOT_BLOCK shots.
 
     Each fault location fails with its kind's rate, independently per shot,
@@ -613,7 +577,7 @@ def _noise_flips(prog: _Program, table: list[tuple], rng) -> np.ndarray:
     shot) cells are drawn: their number is binomial and they are a
     uniform subset, which is the law of an independent flip per cell.
     """
-    flips = np.zeros((len(prog.ops), 4, SHOT_BLOCK), dtype=bool)
+    flips = np.zeros((len(circuit.instructions), 4, SHOT_BLOCK), dtype=bool)
     for p, pos, codes in table:
         cells = codes.shape[0] * SHOT_BLOCK
         site, shot = np.divmod(rng.choice(cells, rng.binomial(cells, p), replace=False),
@@ -636,21 +600,22 @@ def sample_outcomes(circuit: Circuit, nm: NoiseModel, seed, shots: int,
     outcomes depend only on (circuit, noise, seed, shot index), and shot
     sets can be partitioned across workers in any way.
     """
-    prog = _compile(circuit)
-    meas = np.empty((len(prog.tags), max(shots, 0)), dtype=bool)
+    meas = np.empty((len(circuit.tags()), max(shots, 0)), dtype=bool)
     if shots <= 0:
         return meas
-    table = _noise_table(prog, nm)
+    table = _noise_table(circuit, nm)
+    # rows: the instruction indices and _COLLAPSE_SLOT slots of the collapsing ops
+    pos, slot = np.array([(k, _COLLAPSE_SLOT[ins.op]) for k, ins in enumerate(circuit.instructions)
+                          if ins.op in _COLLAPSE_SLOT], dtype=np.intp).reshape(-1, 2).T
     stop = start + shots
     for block in range(start // SHOT_BLOCK, (stop - 1) // SHOT_BLOCK + 1):
         rng = np.random.default_rng(list(_seed_key(seed)) + [0, block])
-        flips = _noise_flips(prog, table, rng)
-        pos, slot = prog.collapses
+        flips = _noise_flips(circuit, table, rng)
         flips[pos, slot] ^= rng.integers(0, 2, (len(pos), SHOT_BLOCK), dtype=bool)
         base = block * SHOT_BLOCK
         lo, hi = max(start, base), min(stop, base + SHOT_BLOCK)
-        meas[:, lo - start:hi - start] = _propagate(prog, flips)[0][:, lo - base:hi - base]
-    return _outcomes(prog, meas, reference_record(circuit, seed))
+        meas[:, lo - start:hi - start] = _propagate(circuit, flips)[0][:, lo - base:hi - base]
+    return _outcomes(circuit, meas, reference_record(circuit, seed))
 
 
 def sample_pauli_frame(circuit: Circuit, nm: NoiseModel, seed, shots: int,
@@ -696,20 +661,21 @@ def single_fault_table(circuit: Circuit) -> SingleFaultTable:
     pairs), after each preparation (the flip Pauli), and a flip on each
     measurement outcome.  Each case is a noiseless run with exactly that
     fault applied, sharing one reference frame, and one column of the
-    frame kernel, which runs SHOT_BLOCK cases at a time.
+    frame kernel, which runs SHOT_BLOCK cases at a time.  The residual
+    frames are relative to the circuit as written, so they leave out the
+    Paulis of its INJECTs.
     """
-    prog = _compile(circuit)
     ref = reference_record(circuit, 0)
-    faults = [(site, label, code) for site in prog.sites for label, code in site.faults]
-    records = np.empty((len(prog.tags), len(faults)), dtype=bool)
+    faults = [(site, label, code) for site in _sites(circuit) for label, code in site.faults]
+    records = np.empty((len(circuit.tags()), len(faults)), dtype=bool)
     final_x, final_z = [], []
     for lo in range(0, len(faults), SHOT_BLOCK):
         chunk = faults[lo:lo + SHOT_BLOCK]
-        flips = np.zeros((len(prog.ops), 4, len(chunk)), dtype=bool)
-        flips[[site.pos for site, _, _ in chunk], :, np.arange(len(chunk))] = \
+        flips = np.zeros((len(circuit.instructions), 4, len(chunk)), dtype=bool)
+        flips[[site.index for site, _, _ in chunk], :, np.arange(len(chunk))] = \
             _FAULT_FLIPS[[code for _, _, code in chunk]]
-        meas, x, z = _propagate(prog, flips)
-        records[:, lo:lo + len(chunk)] = _outcomes(prog, meas, ref)
+        meas, x, z = _propagate(circuit, flips)
+        records[:, lo:lo + len(chunk)] = _outcomes(circuit, meas, ref)
         final_x += _column_ints(x)
         final_z += _column_ints(z)
     cases = [(site.index, site.kind, label) for site, label, _ in faults]

@@ -1,7 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from f2qec import experiment as ex
 from f2qec.cli import main
 
 
@@ -17,7 +19,7 @@ def test_build_generalized_family(tmp_path, capsys):
     code_path = str(tmp_path / "gen.json")
     assert main(["build-code", "--family", "generalized", "--l", "4", "--c", "1",
                  "--out", code_path]) == 0
-    obj = json.loads(open(code_path).read())
+    obj = json.loads(Path(code_path).read_text())
     assert obj["n"] == 15 and obj["k"] == 6
     capsys.readouterr()
     assert main(["distance", code_path, "--wmax", "2"]) == 0
@@ -78,7 +80,7 @@ def test_emit_circuit_round_trip(tmp_path, capsys):
     assert main(["emit-circuit", "--mode", "logical", "--basis", "x", "--out", out]) == 0
     from f2qec.stab_sim import Circuit
 
-    circ = Circuit.from_text(open(out).read())
+    circ = Circuit.from_text(Path(out).read_text())
     assert circ.two_qubit_gate_count() == 47
 
 
@@ -129,7 +131,7 @@ def test_decode_stream(tmp_path, capsys):
     out = tmp_path / "dec.jsonl"
     assert main(["decode", "--code", code_path, "--basis", "z",
                  "--syndromes", str(stream), "--out", str(out)]) == 0
-    row = json.loads(open(out).read().splitlines()[0])
+    row = json.loads(out.read_text().splitlines()[0])
     assert row["converged"] is True
     assert row["estimate"][6] == 1 and sum(row["estimate"]) == 1
     assert len(row["logical_mask"]) == 4
@@ -143,7 +145,7 @@ def test_identical_invocations_identical_outputs(tmp_path, capsys):
     for d in ("a", "b"):
         out_dir = tmp_path / d
         assert main(["run-ghz", "--config", str(cfg), "--out", str(out_dir)]) == 0
-        outs.append(open(out_dir / "logical" / "summary.json").read())
+        outs.append((out_dir / "logical" / "summary.json").read_text())
     capsys.readouterr()
     assert outs[0] == outs[1]
 
@@ -224,11 +226,20 @@ def _cut_hz(obj):
     (lambda obj: obj["coords"].__setitem__(0, ["P", 1]), "coords"),  # pair, not triple
     (lambda obj: obj["coords"].pop(), "coords"),                  # one qubit uncovered
     (lambda obj: obj["hx"]["data"].__setitem__(0, obj["hx"]["data"][0].replace("1", "2")),
-     "row 0"),                                                    # a '2' is not a bit
+     "hx: matrix row 0"),                                         # a '2' is not a bit
     (lambda obj: obj["hz"]["data"].__setitem__(3, "\u0661" + obj["hz"]["data"][3][1:]),
-     "row 3"),                                                    # Arabic-Indic one
+     "hz: matrix row 3"),                                         # Arabic-Indic one
+    (lambda obj: obj.update(k=99), "k = 99"),                     # k disagrees with the logicals
+    (lambda obj: obj.update(k=True), "k = true"),
+    (lambda obj: obj["logicals"]["x"].__setitem__(0, [True, 7, 12]), "[true, 7, 12]"),  # bool qubit
+    (lambda obj: obj["logicals"]["z"][0].append(obj["logicals"]["z"][0][0]),
+     "logicals.z"),                                               # repeated qubit
+    (lambda obj: obj["logicals"]["x"][0].append(-1), "logicals.x"),
+    (lambda obj: obj["logicals"]["z"].__setitem__(1, "0 1"), "logicals.z"),  # not a list
 ], ids=["n", "hz-width", "logical-range", "d-bool", "d-float", "d-text", "d-negative",
-        "coord-empty", "coord-pair", "coords-short", "hx-digit-2", "hz-non-ascii"])
+        "coord-empty", "coord-pair", "coords-short", "hx-digit-2", "hz-non-ascii",
+        "k-mismatch", "k-bool", "logical-bool", "logical-repeat", "logical-negative",
+        "logical-text"])
 def test_distance_rejects_code_file_out_of_shape(tmp_path, capsys, spoil, words):
     code_path = tmp_path / "code.json"
     main(["build-code", "--family", "paper2543", "--out", str(code_path)])
@@ -255,11 +266,25 @@ def test_validate_schedule_needs_primary_coordinates(tmp_path, capsys, coords):
     assert "primary lattice coordinates" in _one_line_error(capsys)
 
 
-def test_report_rejects_malformed_summary(tmp_path, capsys):
+@pytest.mark.parametrize("counts, words", [
+    (None, "malformed summary file"),                           # not an object
+    ({"accepted": "5"}, "z.accepted must be an integer"),
+    ({"mismatches": True}, "z.mismatches must be an integer"),  # a JSON bool is not an int
+    ({"shots": 2.0}, "z.shots must be an integer"),
+    ({"accepted": 500}, "accepted <= shots"),
+    ({"mismatches": 41}, "mismatches <= accepted"),
+    ({"mismatches": -1}, "0 <= mismatches"),
+], ids=["not-an-object", "accepted-text", "mismatches-bool", "shots-float", "accepted-over-shots",
+        "mismatches-over-accepted", "mismatches-negative"])
+def test_report_rejects_malformed_summary(tmp_path, capsys, counts, words):
+    obj = ex.RunSummary(ex.RunConfig(), ex.BasisStats(50, 40, 3), ex.BasisStats(50, 40, 3)).to_json()
+    if counts is not None:
+        obj["z"].update(counts)
     (tmp_path / "physical").mkdir()
-    (tmp_path / "physical" / "summary.json").write_text("[]")
+    (tmp_path / "physical" / "summary.json").write_text("[]" if counts is None else json.dumps(obj))
     assert main(["report", str(tmp_path)]) == 1
-    assert "malformed summary file" in _one_line_error(capsys)
+    error = _one_line_error(capsys)
+    assert words in error and "summary.json" in error
 
 
 def test_build_code_out_directory_is_a_json_error(tmp_path, capsys):

@@ -106,11 +106,11 @@ def test_archive_header_and_summary(tmp_path):
     cfg = ex.RunConfig(mode="physical", shots_z=20, shots_x=10,
                        noise=ss.NoiseModel.zero(), seed=2)
     s = ex.run(cfg, out_dir=str(tmp_path))
-    lines = open(tmp_path / "physical" / "shots.jsonl").read().splitlines()
+    lines = (tmp_path / "physical" / "shots.jsonl").read_text().splitlines()
     head = json.loads(lines[0])
     assert head["config_hash"] == cfg.digest()
     assert len(lines) == 1 + 30
-    summary = json.loads(open(tmp_path / "physical" / "summary.json").read())
+    summary = json.loads((tmp_path / "physical" / "summary.json").read_text())
     assert ex.RunSummary.from_json(summary).z.shots == 20
     assert s.z.acceptance == 1.0
 

@@ -41,7 +41,7 @@ def test_tableau_seed_determinism():
 def test_text_ir_round_trip():
     circ = ss.Circuit(4, (
         ss.prepx(0), ss.prepz(1), ss.h(2), ss.cnot(0, 1),
-        ss.inject("Y", 3), ss.relabel((1, 0, 3, 2)), ss.barrier(),
+        ss.inject("Y", 3), ss.relabel((1, 0, 3, 2)),
         ss.measz(1, "a"), ss.measx(0, "b"),
     ))
     text = circ.to_text()
@@ -53,8 +53,9 @@ def test_text_ir_round_trip():
 def test_text_ir_rejects_garbage():
     with pytest.raises(ValueError):
         ss.Circuit.from_text("CNOT 0 1\n")  # missing header
-    with pytest.raises(ValueError):
-        ss.Circuit.from_text("QUBITS 2\nWIBBLE 0\n")
+    for op in ("WIBBLE 0", "BARRIER"):
+        with pytest.raises(ValueError, match="unknown instruction"):
+            ss.Circuit.from_text(f"QUBITS 2\n{op}\n")
     with pytest.raises(ValueError):
         ss.Circuit.from_text("QUBITS 3\nRELABEL (0 9)\n")
     for header in ("QUBITS\n", "QUBITS x\n", "QUBITS 3 4\n", "QUBITS -1\n", "QUBITSX 3\n"):
@@ -65,7 +66,7 @@ def test_text_ir_rejects_garbage():
     with pytest.raises(ValueError):
         ss.Circuit(3, (ss.inject("Q", 0),))
     # missing or extra operands, and digits other than ASCII ones, name the line
-    for line in ("BARRIER junk", "H", "H 0 1", "CNOT 0", "CNOT 0 1 2", "MEASZ 0",
+    for line in ("H", "H 0 1", "CNOT 0", "CNOT 0 1 2", "MEASZ 0",
                  "MEASX 0 m extra", "INJECT X", "PREPZ x", "H ١", "CNOT 0 ١",
                  "MEASZ ١ m", "INJECT Z ١", "RELABEL (0 ١)", "H -1"):
         with pytest.raises(ValueError, match="^line "):
@@ -75,7 +76,7 @@ def test_text_ir_rejects_garbage():
     # the constructor rejects unknown ops, wrong qubit counts, tags that cannot
     # round-trip and operands that the op does not take (to_text would drop them)
     for ins in (ss.Instruction("FOO", (0,)), ss.Instruction("CNOT", (0,)),
-                ss.Instruction("H", ()), ss.Instruction("BARRIER", (0,)),
+                ss.Instruction("H", ()), ss.Instruction("RELABEL", (0,), perm=(0, 1)),
                 ss.Instruction("MEASZ", (0,), tag="a b"), ss.Instruction("MEASZ", (0,), tag=""),
                 ss.Instruction("H", (0,), tag="x"), ss.Instruction("CNOT", (0, 1), pauli="X"),
                 ss.Instruction("PREPZ", (0,), perm=(1, 0)),
@@ -123,7 +124,7 @@ def _instruction(n):
     inject = st.builds(ss.inject, st.sampled_from("XYZ"), q)
     relabel = st.permutations(range(n)).map(ss.relabel)
     meas = st.builds(lambda op, a: (op, a), st.sampled_from(["MEASZ", "MEASX"]), q)
-    return st.one_of(single, two, inject, relabel, meas, st.just(ss.barrier()))
+    return st.one_of(single, two, inject, relabel, meas)
 
 
 @st.composite
@@ -185,6 +186,44 @@ def test_zero_noise_random_outcomes_match_tableau(name):
         pooled = (frame[key] + tab[key]) / 2
         sigma = math.sqrt(pooled * (1 - pooled) * 2 / shots)
         assert abs(frame[key] - tab[key]) <= 4 * sigma, (key, frame[key], tab[key])
+
+
+# one circuit per op whose zero-noise outcome support changes if the frame
+# kernel skips the op (INJECT has no frame effect: the reference applies it)
+_OP_SUPPORT_CASES = {
+    "PREPZ": "PREPX 0\nPREPZ 0\nMEASZ 0 a",
+    "PREPX": "PREPZ 0\nPREPX 0\nMEASX 0 a",
+    "H": "PREPZ 0\nH 0\nMEASX 0 a",
+    "CNOT": "PREPX 0\nPREPZ 1\nCNOT 0 1\nMEASZ 0 a\nMEASZ 1 b",
+    "MEASZ": "PREPX 0\nMEASZ 0 a\nMEASX 0 b",
+    "MEASX": "PREPZ 0\nMEASX 0 a\nMEASZ 0 b",
+    "INJECT": "PREPX 0\nPREPZ 1\nINJECT X 1\nINJECT Z 0\nMEASX 0 a\nMEASZ 1 b",
+    "RELABEL": "PREPX 0\nPREPZ 1\nRELABEL (0 1)\nMEASZ 0 a\nMEASZ 1 b",
+}
+
+
+@pytest.mark.parametrize("op", sorted(ss._ARITY))
+def test_zero_noise_support_matches_tableau_per_op(op):
+    circ = ss.Circuit.from_text("QUBITS 2\n" + _OP_SUPPORT_CASES[op])
+    assert op in {ins.op for ins in circ.instructions}
+    tags = circ.tags()
+    shots = 200
+    frame = {tuple(rec[t] for t in tags)
+             for rec in ss.sample_pauli_frame(circ, ss.NoiseModel.zero(), 3, shots)}
+    tab = {tuple(ss.simulate_tableau(circ, seed)[t] for t in tags) for seed in range(shots)}
+    assert frame == tab
+
+
+def test_reference_record_applies_inject_and_residuals_exclude_it():
+    # the INJECT is a Pauli gate of the circuit as written: the reference
+    # record holds its effect and the residual frames of faults do not
+    circ = ss.Circuit.from_text("QUBITS 2\nPREPZ 0\nPREPZ 1\nINJECT X 0\nCNOT 0 1\nMEASZ 1 b\n")
+    assert ss.reference_record(circ, 0) == {"b": 1}
+    assert ss.sample_pauli_frame(circ, ss.NoiseModel.zero(), 0, 4) == [{"b": 1}] * 4
+    table = ss.single_fault_table(circ)
+    assert table.cases[:2] == [(0, "prep", "X"), (1, "prep", "X")]
+    assert table.final_x[:2] == [3, 2]
+    assert table.records[0, :2].tolist() == [False, False]
 
 
 def test_inject_pauli_flip_base_case():
@@ -272,7 +311,7 @@ def test_fault_enumeration_is_pinned_byte_for_byte():
 
 @pytest.mark.parametrize("ops, shape, cases", [
     ((), (0, 0), []),
-    ((ss.relabel((1, 0)), ss.barrier()), (0, 0), []),
+    ((ss.relabel((1, 0)),), (0, 0), []),
     ((ss.prepz(0),), (0, 1), [ss.FaultCase(0, "prep", "X", {}, final_x=1, final_z=0)]),
 ])
 def test_single_fault_table_edge_shapes(ops, shape, cases):
