@@ -217,7 +217,7 @@ def _cmd_decode(args) -> int:
                 "method": result.method,
             }))
     with open(args.out, "w") as fh:
-        fh.write("\n".join(out_lines) + "\n")
+        fh.writelines(line + "\n" for line in out_lines)
     print(f"decoded {len(out_lines)} syndromes to {args.out}")
     return 0
 

@@ -4,8 +4,8 @@ Runs the physical and logical pipelines under the three-rate noise model,
 applies postselection and decoding, and aggregates mismatch rates with
 binomial standard errors and GHZ fidelity bounds.  Each shot's verdict is
 a function of its key word, a fixed GF(2) map of its measurement record,
-so the shots of a chunk are grouped by key word and each distinct word is
-postselected and decoded once.  Shot records can be archived as JSON lines.
+so each distinct key word of a chunk is postselected and decoded once.
+Shot records can be archived as JSON lines.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -34,12 +35,11 @@ _LEG_FRACTION = 8.0 / 15.0
 
 
 def parse_number(kind, value):
-    """kind(value) for int or float; non-ASCII text, '_' and True/False are a ValueError.
-
-    int() and float() take them: other scripts' digits, digit groups, and bool as an int.
-    """
+    """kind(value) for int or float; a ValueError where int() or float() would take other
+    scripts' digits, '_' groups or a bool, or int() would truncate a non-string float."""
     text = value if isinstance(value, str) else ""
-    if type(value) is bool or not text.isascii() or "_" in text:
+    if (type(value) is bool or not text.isascii() or "_" in text
+            or (kind is int and type(value) not in (int, str))):
         raise ValueError(f"expected an ASCII {kind.__name__}, got {value!r}")
     return kind(value)
 
@@ -280,6 +280,11 @@ class _Classifier:
     target when all raw bits are equal in Z, and when the raw parity bit
     is 0 in X.
 
+    The key word of a noiseless record has acceptance 0, syndrome 0 and
+    raw bits in the target coset, so XORing it into a word changes no
+    verdict: shots can be classified by their absolute records or by their
+    flips from any noiseless record, such as single_fault_table's records.
+
     The Z basis decodes X errors on the plain Z-check matrix.  The X
     basis decodes the frame-corrected syndrome on the X-check matrix
     augmented with one column per check, so a wrong recorded extraction
@@ -334,19 +339,15 @@ class _Classifier:
             raw ^= self.decoded[syndrome]
         return raw not in self.targets
 
-    def classify(self, bits: np.ndarray):
-        """Verdicts on the shots in bits (record tags x shots), one per distinct key word.
+    def classify(self, bits: np.ndarray) -> list:
+        """The verdict on each shot in bits (record tags x shots), in column order.
 
-        Returns the verdicts, each shot's index into them and the number
-        of shots that share each.  Words are compared as packed bytes, so
-        a key of any width is exact.
+        Key words are Python ints, exact at any width, and each distinct
+        word is judged once.
         """
-        rows = (self.key @ bits.astype(np.uint8)) & 1
-        packed = np.packbits(rows, axis=0, bitorder="little").T
-        words, inverse, counts = np.unique(packed, axis=0, return_inverse=True,
-                                           return_counts=True)
-        verdicts = [self.verdict(int.from_bytes(w.tobytes(), "little")) for w in words]
-        return verdicts, inverse.reshape(-1), counts
+        words = ss.column_ints((self.key @ bits.astype(np.uint8)) & 1)
+        judged = {w: self.verdict(w) for w in set(words)}
+        return [judged[w] for w in words]
 
 
 # --- running ------------------------------------------------------------------
@@ -391,12 +392,8 @@ def _run_chunk(cfg: RunConfig, basis: str, start: int, count: int, keep_rows: bo
     circ, recipe = build_pipeline(cfg, basis)
     classifier = _Classifier(cfg, basis, circ, recipe)
     bits = ss.sample_outcomes(circ, cfg.noise, _basis_seed(cfg, basis), count, start=start)
-    stats = BasisStats(shots=count)
-    verdicts, _, counts = classifier.classify(bits)
-    for mismatch, n in zip(verdicts, counts.tolist()):
-        if mismatch is not None:
-            stats.accepted += n
-            stats.mismatches += n * mismatch
+    tally = Counter(classifier.classify(bits))
+    stats = BasisStats(shots=count, accepted=count - tally[None], mismatches=tally[True])
     return stats, _archive_rows(basis, circ.tags(), bits, start) if keep_rows else None
 
 
@@ -547,10 +544,8 @@ def fault_tolerance_ledger(basis: str) -> LedgerReport:
     xbar_support = set(mask_to_support(code.logicals_x[recipe.measured_logical]))
     gadget_end = next(i for i, ins in enumerate(circ.instructions) if ins.op == "RELABEL")
     table = ss.single_fault_table(circ)
-    verdicts, inverse, _ = classifier.classify(table.records)
     entries = []
-    for (index, kind, pauli), i in zip(table.cases, inverse.tolist()):
-        mismatch = verdicts[i]
+    for (index, kind, pauli), mismatch in zip(table.cases, classifier.classify(table.records)):
         if mismatch is None:
             outcome = "rejected"
         elif not mismatch:

@@ -11,9 +11,10 @@ The sampler propagates the frames of many shots at once, one bool column
 per shot, and draws its noise and the random frames that preparations
 and measurements leave in seeded blocks of SHOT_BLOCK shots.  Single-fault
 enumeration runs the same kernel without either, one column per fault case,
-and returns one table: every case's location, its outcome bits as one bool
-array (record tags x cases) and its residual frames as packed ints.
-FaultCase objects, with {tag: bit} records, are a per-case view of it.
+and returns one table, with no tableau run: every case's location, the
+outcome flips it causes as one bool array (record tags x cases) and its
+residual frames as packed ints.  FaultCase objects are a per-case view of
+it, with absolute {tag: bit} records: the reference record XOR the flips.
 
 Text IR (round-trip exact), one instruction per line after a header:
 
@@ -526,8 +527,8 @@ def _outcomes(circuit: Circuit, meas: np.ndarray, ref: dict[str, int]) -> np.nda
     return meas ^ np.array([ref[t] for t in circuit.tags()], dtype=bool)[:, None]
 
 
-def _column_ints(rows: np.ndarray) -> list[int]:
-    """Each column of a (qubits x columns) bool array as an int, bit q = row q."""
+def column_ints(rows: np.ndarray) -> list[int]:
+    """Each column of a (rows x columns) bit array as an int, bit r = row r; exact at any width."""
     packed = np.packbits(rows, axis=0, bitorder="little")
     # the bytes of each column padded to 64-bit words: words[k] holds word k of every column
     padded = np.zeros((rows.shape[1], -(-packed.shape[0] // 8) * 8), dtype=np.uint8)
@@ -643,9 +644,9 @@ class SingleFaultTable(NamedTuple):
     """Every single fault of a circuit, one column per fault case.
 
     cases[c] is case c's (instruction_index, kind, pauli); records[:, c]
-    its outcome bits, one row per record tag with the reference record
-    XORed in; final_x[c] and final_z[c] its residual X and Z frames at
-    the circuit end as ints, bit q = qubit q.
+    the outcome flips it causes, one row per record tag (the noiseless
+    record is reference_record XOR these); final_x[c] and final_z[c] its
+    residual X and Z frames at the circuit end as ints, bit q = qubit q.
     """
 
     cases: list
@@ -659,13 +660,12 @@ def single_fault_table(circuit: Circuit) -> SingleFaultTable:
 
     Locations: after each 1q gate (3 Paulis), after each CNOT (15 Pauli
     pairs), after each preparation (the flip Pauli), and a flip on each
-    measurement outcome.  Each case is a noiseless run with exactly that
-    fault applied, sharing one reference frame, and one column of the
-    frame kernel, which runs SHOT_BLOCK cases at a time.  The residual
-    frames are relative to the circuit as written, so they leave out the
-    Paulis of its INJECTs.
+    measurement outcome.  Each case is one column of the frame kernel,
+    which runs SHOT_BLOCK cases at a time, and its record is the flips
+    that exactly that fault causes; no tableau runs.  The residual frames
+    are relative to the circuit as written, so they leave out the Paulis
+    of its INJECTs.
     """
-    ref = reference_record(circuit, 0)
     faults = [(site, label, code) for site in _sites(circuit) for label, code in site.faults]
     records = np.empty((len(circuit.tags()), len(faults)), dtype=bool)
     final_x, final_z = [], []
@@ -675,17 +675,19 @@ def single_fault_table(circuit: Circuit) -> SingleFaultTable:
         flips[[site.index for site, _, _ in chunk], :, np.arange(len(chunk))] = \
             _FAULT_FLIPS[[code for _, _, code in chunk]]
         meas, x, z = _propagate(circuit, flips)
-        records[:, lo:lo + len(chunk)] = _outcomes(circuit, meas, ref)
-        final_x += _column_ints(x)
-        final_z += _column_ints(z)
+        records[:, lo:lo + len(chunk)] = meas
+        final_x += column_ints(x)
+        final_z += column_ints(z)
     cases = [(site.index, site.kind, label) for site, label, _ in faults]
     return SingleFaultTable(cases, records, final_x, final_z)
 
 
 def enumerate_single_faults(circuit: Circuit) -> list[FaultCase]:
-    """The cases of single_fault_table(circuit) as FaultCase objects, with {tag: bit} records."""
+    """The cases of single_fault_table(circuit) as FaultCase objects, with absolute
+    {tag: bit} records: reference_record(circuit, 0) XOR each case's flips."""
     table = single_fault_table(circuit)
+    records = _outcomes(circuit, table.records, reference_record(circuit, 0))
     return [FaultCase(index, kind, pauli, record, fx, fz)
             for (index, kind, pauli), record, fx, fz in zip(
-                table.cases, outcome_dicts(circuit.tags(), table.records),
+                table.cases, outcome_dicts(circuit.tags(), records),
                 table.final_x, table.final_z)]

@@ -137,6 +137,22 @@ def test_decode_stream(tmp_path, capsys):
     assert len(row["logical_mask"]) == 4
 
 
+@pytest.mark.parametrize("count", [0, 2])
+def test_decode_writes_one_line_per_syndrome(tmp_path, capsys, count):
+    # an empty stream decodes to an empty file, not to a lone newline
+    code_path = str(tmp_path / "code.json")
+    main(["build-code", "--family", "paper2543", "--out", code_path])
+    stream = tmp_path / "syn.jsonl"
+    stream.write_text("\n" + (json.dumps({"syndrome": [0] * 11}) + "\n") * count)
+    out = tmp_path / "dec.jsonl"
+    assert main(["decode", "--code", code_path, "--basis", "z",
+                 "--syndromes", str(stream), "--out", str(out)]) == 0
+    text = out.read_text()
+    assert text.count("\n") == count and text.endswith("\n" if count else "")
+    assert [json.loads(line)["syndrome"] for line in text.splitlines()] == [[0] * 11] * count
+    assert f"decoded {count} syndromes" in capsys.readouterr().out
+
+
 def test_identical_invocations_identical_outputs(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("mode = logical\nshots_z = 30\nshots_x = 30\n"
@@ -266,20 +282,21 @@ def test_validate_schedule_needs_primary_coordinates(tmp_path, capsys, coords):
     assert "primary lattice coordinates" in _one_line_error(capsys)
 
 
-@pytest.mark.parametrize("counts, words", [
-    (None, "malformed summary file"),                           # not an object
-    ({"accepted": "5"}, "z.accepted must be an integer"),
-    ({"mismatches": True}, "z.mismatches must be an integer"),  # a JSON bool is not an int
-    ({"shots": 2.0}, "z.shots must be an integer"),
-    ({"accepted": 500}, "accepted <= shots"),
-    ({"mismatches": 41}, "mismatches <= accepted"),
-    ({"mismatches": -1}, "0 <= mismatches"),
+@pytest.mark.parametrize("part, counts, words", [
+    ("z", None, "malformed summary file"),                           # not an object
+    ("z", {"accepted": "5"}, "z.accepted must be an integer"),
+    ("z", {"mismatches": True}, "z.mismatches must be an integer"),  # a JSON bool is not an int
+    ("z", {"shots": 2.0}, "z.shots must be an integer"),
+    ("z", {"accepted": 500}, "accepted <= shots"),
+    ("z", {"mismatches": 41}, "mismatches <= accepted"),
+    ("z", {"mismatches": -1}, "0 <= mismatches"),
+    ("config", {"shots_z": 10.9}, "config key 'shots_z'"),           # int() would truncate it
 ], ids=["not-an-object", "accepted-text", "mismatches-bool", "shots-float", "accepted-over-shots",
-        "mismatches-over-accepted", "mismatches-negative"])
-def test_report_rejects_malformed_summary(tmp_path, capsys, counts, words):
+        "mismatches-over-accepted", "mismatches-negative", "config-shots-float"])
+def test_report_rejects_malformed_summary(tmp_path, capsys, part, counts, words):
     obj = ex.RunSummary(ex.RunConfig(), ex.BasisStats(50, 40, 3), ex.BasisStats(50, 40, 3)).to_json()
     if counts is not None:
-        obj["z"].update(counts)
+        obj[part].update(counts)
     (tmp_path / "physical").mkdir()
     (tmp_path / "physical" / "summary.json").write_text("[]" if counts is None else json.dumps(obj))
     assert main(["report", str(tmp_path)]) == 1

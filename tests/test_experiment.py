@@ -224,7 +224,9 @@ def test_config_validation():
             ex.RunConfig(prior_mode=prior_mode)
     # int() and float() take other scripts' digits, '_' groups and bools
     for key, value in [("shots_z", "١٠"), ("shots_x", "1_0"), ("seed", "٣"),
-                       ("p2", "0.00_2"), ("p1", "３e-5"), ("threads", True), ("l", False)]:
+                       ("p2", "0.00_2"), ("p1", "３e-5"), ("threads", True), ("l", False),
+                       # int() truncates a float
+                       ("seed", 1.5), ("shots_z", 2.7), ("l", 4.0)]:
         with pytest.raises(ValueError, match="ASCII"):
             ex.RunConfig.from_dict({key: value})
     # a value that does not parse as a number names its key
@@ -234,6 +236,8 @@ def test_config_validation():
             ex.RunConfig.from_dict({key: value})
     cfg = ex.RunConfig.from_dict({"shots_z": " 10 ", "shots_x": 7, "seed": "-3", "p2": "2e-3"})
     assert (cfg.shots_z, cfg.shots_x, cfg.seed, cfg.noise.p2) == (10, 7, -3, 2e-3)
+    cfg = ex.RunConfig.from_dict({"p1": 0, "p2": 2e-3})
+    assert (cfg.noise.p1, cfg.noise.p2) == (0.0, 2e-3)
 
 
 @pytest.mark.parametrize("key", ["bp_iters", "osd_depth"])
@@ -319,13 +323,13 @@ def test_key_word_verdicts_match_per_shot_reference(mode):
         classifier = ex._Classifier(cfg, basis, circ, recipe)
         records = ss.sample_pauli_frame(circ, cfg.noise, 8, 1200)
         bits = np.array([[rec[t] for t in circ.tags()] for rec in records], dtype=bool).T
-        verdicts, inverse, counts = classifier.classify(bits)
-        assert counts.sum() == len(records)
+        verdicts = classifier.classify(bits)
+        assert len(verdicts) == len(records)
         bp = classifier.bp
         h, priors = (None, None) if bp is None else (bp.h, bp.priors)
-        for rec, i in zip(records, inverse):
-            assert verdicts[i] == _per_shot_verdict(cfg, basis, recipe, h, priors, rec)
-            seen.add(verdicts[i])
+        for rec, verdict in zip(records, verdicts):
+            assert verdict == _per_shot_verdict(cfg, basis, recipe, h, priors, rec)
+            seen.add(verdict)
     assert seen == ({True, False} if mode == "physical" else {None, True, False})
 
 
@@ -370,3 +374,60 @@ def test_fault_tolerance_ledger_is_pinned_entry_by_entry():
     digest = hashlib.sha256(json.dumps(entries, sort_keys=True).encode()).hexdigest()
     assert (len(entries["z"]), len(entries["x"])) == (799, 799)
     assert digest == "ae612ce90f93ad0148b7bfdd24c3bd5604f073970fdf1eae3c56ae8d68fcf20a"
+
+
+@pytest.mark.parametrize("basis", ["z", "x"])
+@pytest.mark.parametrize("mode", ex.MODES)
+def test_noiseless_key_words_change_no_verdict(mode, basis):
+    # the key word of a noiseless record is accepted, has no syndrome and
+    # raw bits in the target coset, so XORing one into shots keeps every
+    # verdict: the classifier may read flips instead of absolute records
+    cfg = ex.RunConfig(mode=mode, noise=ss.NoiseModel(1e-3, 5e-3, 5e-3), l=4)
+    circ, recipe = ex.build_pipeline(cfg, basis)
+    classifier = ex._Classifier(cfg, basis, circ, recipe)
+    tags = circ.tags()
+    noiseless = np.array([[ss.simulate_tableau(circ, seed)[t] for t in tags]
+                          for seed in range(16)], dtype=bool).T
+    low = classifier.n_accept + classifier.n_syndrome
+    for word in ss.column_ints((classifier.key @ noiseless.astype(np.uint8)) & 1):
+        assert word & ((1 << low) - 1) == 0 and word >> low in classifier.targets
+    assert classifier.classify(noiseless) == [False] * 16
+    bits = ss.sample_outcomes(circ, cfg.noise, 8, 1200)
+    verdicts = classifier.classify(bits)
+    assert len(set(verdicts)) > 1
+    for n in noiseless.T[:4]:
+        assert classifier.classify(bits ^ n[:, None]) == verdicts
+
+
+@pytest.mark.parametrize("basis", ["z", "x"])
+def test_ledger_verdicts_on_flips_equal_those_on_absolute_records(basis):
+    cfg = ex.RunConfig(mode="logical", noise=ss.NoiseModel(3e-5, 2e-3, 2e-3))
+    circ, recipe = ex.build_pipeline(cfg, basis)
+    classifier = ex._Classifier(cfg, basis, circ, recipe)
+    table = ss.single_fault_table(circ)
+    ref = ss.reference_record(circ, 0)
+    assert any(ref.values())
+    absolute = table.records ^ np.array([ref[t] for t in circ.tags()], dtype=bool)[:, None]
+    assert classifier.classify(absolute) == classifier.classify(table.records)
+
+
+def test_fault_analysis_runs_no_tableau(monkeypatch):
+    # the ledger and validate_schedule read single_fault_table, which is
+    # built by the frame kernel alone
+    from f2qec import protocol as pr
+    from f2qec.code_factory import build_25_4_3
+
+    code = build_25_4_3()
+    schedules = (pr.zigzag_schedule(code), pr.row_major_schedule(code))
+
+    def analyses():
+        return ([ex.fault_tolerance_ledger(basis) for basis in ("z", "x")],
+                [pr.validate_schedule(code, schedule) for schedule in schedules])
+
+    want = analyses()
+
+    def no_tableau(circuit, seed):
+        raise AssertionError("the tableau engine ran")
+
+    monkeypatch.setattr(ss, "simulate_tableau", no_tableau)
+    assert analyses() == want

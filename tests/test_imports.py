@@ -37,19 +37,23 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def unread_private_names(source: str) -> list[str]:
-    """Module-level _names (functions, classes, assignments) that the module never reads."""
-    tree = ast.parse(source)
+def module_names(source: str) -> set[str]:
+    """Names a module defines at its top level: functions, classes and assigned names."""
     defined = set()
-    for node in tree.body:
+    for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             defined.add(node.name)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             defined.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
-    read = {node.id for node in ast.walk(tree)
+    return defined
+
+
+def unread_private_names(source: str) -> list[str]:
+    """Module-level _names (functions, classes, assignments) that the module never reads."""
+    read = {node.id for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    return sorted(name for name in defined
+    return sorted(name for name in module_names(source)
                   if name.startswith("_") and not name.startswith("__") and name not in read)
 
 
@@ -74,3 +78,39 @@ def test_package_all_is_exactly_its_imports():
     assert len(set(f2qec.__all__)) == len(f2qec.__all__)
     for name in f2qec.__all__:
         assert getattr(f2qec, name) is not None, name
+
+
+ROOT = SRC.parent.parent
+READERS = sorted(p for folder in (SRC, ROOT / "tests", ROOT / "perfbench")
+                 for p in folder.rglob("*.py"))
+
+
+def public_names(source: str) -> set[str]:
+    """Module-level names without a leading _."""
+    return {name for name in module_names(source) if not name.startswith("_")}
+
+
+def read_names(source: str) -> set[str]:
+    """Names a module reads: loaded names, attributes and names it imports from a module."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_public_name_reads_are_found():
+    assert public_names("A = 1\n_b = 2\ndef f():\n    pass\nclass K:\n    pass\n") == {"A", "f", "K"}
+    assert read_names("from m import f\nx = m.K\nA = 1\n") == {"f", "m", "K"}
+
+
+def test_every_public_name_is_read():
+    # a public name that nothing in the package, its tests or its benchmark
+    # reads is dead code: delete it rather than keep it for a caller to come
+    read = set().union(*(read_names(p.read_text()) for p in READERS))
+    unread = {path.name: sorted(public_names(path.read_text()) - read) for path in MODULES}
+    assert {name: names for name, names in unread.items() if names} == {}

@@ -216,14 +216,16 @@ def test_zero_noise_support_matches_tableau_per_op(op):
 
 def test_reference_record_applies_inject_and_residuals_exclude_it():
     # the INJECT is a Pauli gate of the circuit as written: the reference
-    # record holds its effect and the residual frames of faults do not
+    # record holds its effect and the residual frames of faults do not;
+    # the table holds each fault's flips, a FaultCase the absolute record
     circ = ss.Circuit.from_text("QUBITS 2\nPREPZ 0\nPREPZ 1\nINJECT X 0\nCNOT 0 1\nMEASZ 1 b\n")
     assert ss.reference_record(circ, 0) == {"b": 1}
     assert ss.sample_pauli_frame(circ, ss.NoiseModel.zero(), 0, 4) == [{"b": 1}] * 4
     table = ss.single_fault_table(circ)
     assert table.cases[:2] == [(0, "prep", "X"), (1, "prep", "X")]
     assert table.final_x[:2] == [3, 2]
-    assert table.records[0, :2].tolist() == [False, False]
+    assert table.records[0, :2].tolist() == [True, True]
+    assert [c.record for c in ss.enumerate_single_faults(circ)[:2]] == [{"b": 0}] * 2
 
 
 def test_inject_pauli_flip_base_case():
