@@ -20,7 +20,7 @@ from .code_factory import build_25_4_3, build_34_4_3, build_generalized
 from .css_code import CssCode, distance, permutation_logical_action
 from .decoder import DecodeProblem, bp_osd, logical_correction
 from .f2linalg import vector_from_bits, vector_to_bits
-from .stab_sim import cycles_from_text
+from .stab_sim import SEED_LIMIT, cycles_from_text
 
 DEFAULT_THREADS_ENV = "F2QEC_THREADS"
 
@@ -41,15 +41,18 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _number(kind, minimum=None):
-    """argparse type: an ASCII int or float (see experiment.parse_number), at least minimum."""
+def _number(kind, minimum=None, limit=None):
+    """argparse type: an ASCII int or float (see experiment.parse_number), at
+    least minimum and below limit."""
     def parse(text: str):
         try:
             value = ex.parse_number(kind, text)
         except ValueError:
             value = None
-        if value is None or (minimum is not None and value < minimum):
+        if (value is None or (minimum is not None and value < minimum)
+                or (limit is not None and value >= limit)):
             bound = "" if minimum is None else f" >= {minimum}"
+            bound += "" if limit is None else f" and < {limit}"
             raise argparse.ArgumentTypeError(f"expected an ASCII {kind.__name__}{bound}, "
                                              f"got {text!r}")
         return value
@@ -275,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     rg.add_argument("--config", required=True)
     rg.add_argument("--mode")
     rg.add_argument("--basis-shots", type=_shot_pair, help="Nz,Nx")
-    rg.add_argument("--seed", type=_number(int))
+    rg.add_argument("--seed", type=_number(int, 0, SEED_LIMIT))
     rg.add_argument("--threads", type=_POSITIVE,
                     help=f"worker processes; default ${DEFAULT_THREADS_ENV}, else the config")
     rg.add_argument("--out", help="output directory for summary and shot archive")

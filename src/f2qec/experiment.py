@@ -6,6 +6,13 @@ binomial standard errors and GHZ fidelity bounds.  Each shot's verdict is
 a function of its key word, a fixed GF(2) map of its measurement record,
 so each distinct key word of a chunk is postselected and decoded once.
 Shot records can be archived as JSON lines.
+
+What depends only on the configuration lives as long as the process: each
+pipeline (with the record map its circuit caches) and each classifier,
+with its decoder and the syndromes it has decoded, is built on first use
+and kept in a fixed-size LRU memo.  Nothing is kept per seed: a repeated
+request samples and classifies again, and its files do not depend on what
+the process ran before.
 """
 
 from __future__ import annotations
@@ -15,7 +22,8 @@ import math
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,6 +40,8 @@ PRIOR_CEIL = 0.49
 # fraction of the 15 two-qubit depolarizing Paulis carrying a given
 # component on a given leg
 _LEG_FRACTION = 8.0 / 15.0
+# pipelines and classifiers that a process keeps, the least recently used dropped first
+_MEMO_SIZE = 16
 
 
 def parse_number(kind, value):
@@ -63,6 +73,9 @@ class RunConfig:
             raise ValueError(f"mode must be one of {MODES}")
         if self.shots_z < 0 or self.shots_x < 0:
             raise ValueError("shot counts must be >= 0")
+        if not 0 <= self.seed < ss.SEED_LIMIT:
+            # the sampler keeps 48 bits of a seed: wider ones would alias
+            raise ValueError(f"seed must be in [0, 2**48), got {self.seed}")
         for name in ("bp_iters", "osd_depth"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -280,6 +293,11 @@ class _Classifier:
     target when all raw bits are equal in Z, and when the raw parity bit
     is 0 in X.
 
+    A classifier's verdicts do not depend on what it judged before: the
+    decoded table only saves repeating a deterministic decode.  So runs and
+    the ledger share one per configuration and basis (see _classifier),
+    and a syndrome is decoded once per process.
+
     The key word of a noiseless record has acceptance 0, syndrome 0 and
     raw bits in the target coset, so XORing it into a word changes no
     verdict: shots can be classified by their absolute records or by their
@@ -355,12 +373,36 @@ class _Classifier:
 
 def build_pipeline(cfg: RunConfig, basis: str):
     """The circuit of cfg's mode in one readout basis and its FrameRecipe
-    (None in the physical mode)."""
-    if cfg.mode == "physical":
+    (None in the physical mode).
+
+    Built once per process and shared by every caller, so the record map
+    that the circuit caches (stab_sim.Tableau) is built once as well.
+    """
+    return _pipeline(cfg.mode, cfg.l, cfg.c, basis)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _pipeline(mode: str, l: int, c: int, basis: str):
+    if mode == "physical":
         return pr.physical_ghz_circuit(basis), None
-    if cfg.mode == "generalized":
-        return pr.generalized_ghz_circuit(build_generalized(cfg.l, cfg.c), basis)
+    if mode == "generalized":
+        return pr.generalized_ghz_circuit(build_generalized(l, c), basis)
     return pr.logical_ghz_circuit(build_25_4_3(), basis)
+
+
+def _classifier(cfg: RunConfig, basis: str) -> _Classifier:
+    """The process's classifier of cfg's pipeline in one basis.
+
+    A verdict depends on neither the seed, the shot counts nor the thread
+    count, so configurations that differ only there share one classifier,
+    its decoder and the raw-bit flips of every syndrome it has decoded.
+    """
+    return _shared_classifier(replace(cfg, seed=0, shots_z=0, shots_x=0, threads=1), basis)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _shared_classifier(cfg: RunConfig, basis: str) -> _Classifier:
+    return _Classifier(cfg, basis, *build_pipeline(cfg, basis))
 
 
 def _basis_seed(cfg: RunConfig, basis: str):
@@ -389,10 +431,9 @@ def _archive_rows(basis: str, tags: tuple[str, ...], bits: np.ndarray, start: in
 
 
 def _run_chunk(cfg: RunConfig, basis: str, start: int, count: int, keep_rows: bool):
-    circ, recipe = build_pipeline(cfg, basis)
-    classifier = _Classifier(cfg, basis, circ, recipe)
+    circ, _ = build_pipeline(cfg, basis)
     bits = ss.sample_outcomes(circ, cfg.noise, _basis_seed(cfg, basis), count, start=start)
-    tally = Counter(classifier.classify(bits))
+    tally = Counter(_classifier(cfg, basis).classify(bits))
     stats = BasisStats(shots=count, accepted=count - tally[None], mismatches=tally[True])
     return stats, _archive_rows(basis, circ.tags(), bits, start) if keep_rows else None
 
@@ -402,17 +443,19 @@ def run(config: RunConfig, out_dir: str | None = None) -> RunSummary:
 
     With out_dir set, writes <out_dir>/<mode>/summary.json and a
     shots.jsonl archive headed by the config hash.  Each basis is split
-    into config.threads contiguous chunks run in worker processes; results
-    and archive rows depend only on the config (the sampler seeds fixed
-    blocks of shots, not chunks), not on the thread count.
+    into config.threads contiguous chunks, run in at most as many worker
+    processes as there are chunks or CPUs; results and archive rows depend
+    only on the config (the sampler seeds fixed blocks of shots, not
+    chunks), not on the thread count.
     """
     keep = out_dir is not None
     jobs = []
     for basis, shots in (("z", config.shots_z), ("x", config.shots_x)):
         chunk = max(1, -(-shots // config.threads))
         jobs += [(basis, start, min(chunk, shots - start)) for start in range(0, shots, chunk)]
-    if config.threads > 1:
-        with ProcessPoolExecutor(max_workers=config.threads) as pool:
+    workers = min(config.threads, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_chunk, config, *job, keep) for job in jobs]
             results = [f.result() for f in futures]
     else:
@@ -540,7 +583,7 @@ def fault_tolerance_ledger(basis: str) -> LedgerReport:
     cfg = RunConfig(mode="logical", noise=ss.NoiseModel(3e-5, 2e-3, 2e-3))
     circ, recipe = build_pipeline(cfg, basis)
     code = recipe.code
-    classifier = _Classifier(cfg, basis, circ, recipe)
+    classifier = _classifier(cfg, basis)
     xbar_support = set(mask_to_support(code.logicals_x[recipe.measured_logical]))
     gadget_end = next(i for i, ins in enumerate(circ.instructions) if ins.op == "RELABEL")
     table = ss.single_fault_table(circ)

@@ -7,6 +7,12 @@ both: the reference run applies it, and it changes no frame.  Noise is a
 three-rate model: depolarizing after one- and two-qubit gates, independent
 flips on preparations and measurement outcomes.
 
+The tableau runs once per circuit, with symbolic signs: it gives each
+outcome as an affine GF(2) function of the circuit's random outcomes, and
+the circuit keeps that record map.  A seeded run, the reference run
+included, evaluates the map at the seed's draws, the same draws that a
+tableau taking them as it ran would have made.
+
 The sampler propagates the frames of many shots at once, one bool column
 per shot, and draws its noise and the random frames that preparations
 and measurements leave in seeded blocks of SHOT_BLOCK shots.  Single-fault
@@ -33,6 +39,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -159,6 +166,11 @@ class Circuit:
             if ins.op == "INJECT" and ins.pauli not in _PAULIS_1Q:
                 raise ValueError(f"INJECT Pauli must be X, Y or Z, got {ins.pauli!r}")
 
+    @cached_property
+    def _record_map(self) -> tuple[int, dict[str, int]]:
+        """The tableau's record map, built on first use as BitMatrix builds its transpose."""
+        return _tableau_pass(self)
+
     def tags(self) -> tuple[str, ...]:
         return tuple(i.tag for i in self.instructions if i.op in ("MEASZ", "MEASX"))
 
@@ -227,7 +239,16 @@ class NoiseModel:
 
 
 class Tableau:
-    """Aaronson-Gottesman tableau over packed integer rows."""
+    """Aaronson-Gottesman tableau over packed integer rows, with symbolic signs.
+
+    The X and Z bits of every row follow the gates alone; only the signs
+    depend on the random measurement outcomes.  So the tableau draws no
+    outcome: the j-th random measurement is named draw j, and row i's sign
+    is rs[i] + 2 * (fs[i] . draws) mod 4, a mod-4 constant plus a GF(2)
+    form over the draws.  Forms are ints with draw j at bit j + 1, so that
+    an affine function of the draws, such as a measurement outcome, is one
+    int whose bit 0 is its constant.
+    """
 
     def __init__(self, n: int):
         self.n = n
@@ -235,6 +256,8 @@ class Tableau:
         self.xs = [0] * (2 * n)
         self.zs = [0] * (2 * n)
         self.rs = [0] * (2 * n)
+        self.fs = [0] * (2 * n)
+        self.draws = 0
         for i in range(n):
             self.xs[i] = 1 << i          # destabilizer X_i
             self.zs[n + i] = 1 << i      # stabilizer Z_i
@@ -253,6 +276,7 @@ class Tableau:
     def _rowsum(self, h: int, i: int):
         g = self._g_sum(self.xs[i], self.zs[i], self.xs[h], self.zs[h])
         self.rs[h] = (self.rs[h] + self.rs[i] + g) % 4
+        self.fs[h] ^= self.fs[i]
         self.xs[h] ^= self.xs[i]
         self.zs[h] ^= self.zs[i]
 
@@ -282,8 +306,11 @@ class Tableau:
             if zt:
                 self.zs[i] ^= bc
 
-    def pauli(self, kind: str, q: int):
-        b = 1 << q
+    def pauli(self, kind: str, q: int, when: int = 1):
+        """Apply the Pauli where the affine function when of the draws is 1."""
+        if not when:
+            return
+        b, sign, form = 1 << q, 2 * (when & 1), when & ~1
         for i in range(2 * self.n):
             anti = False
             if kind == "X":
@@ -293,9 +320,11 @@ class Tableau:
             else:  # Y
                 anti = bool(self.xs[i] & b) != bool(self.zs[i] & b)
             if anti:
-                self.rs[i] = (self.rs[i] + 2) % 4
+                self.rs[i] = (self.rs[i] + sign) % 4
+                self.fs[i] ^= form
 
-    def measure_z(self, q: int, rng) -> int:
+    def measure_z(self, q: int) -> int:
+        """The outcome as an affine function of the draws; a random one is a new draw."""
         n = self.n
         b = 1 << q
         p = None
@@ -304,40 +333,42 @@ class Tableau:
                 p = i
                 break
         if p is not None:
-            outcome = int(rng.integers(0, 2))
+            outcome = 2 << self.draws
+            self.draws += 1
             for i in range(2 * n):
                 if i != p and (self.xs[i] & b):
                     self._rowsum(i, p)
             self.xs[p - n] = self.xs[p]
             self.zs[p - n] = self.zs[p]
             self.rs[p - n] = self.rs[p]
+            self.fs[p - n] = self.fs[p]
             self.xs[p] = 0
             self.zs[p] = b
-            self.rs[p] = 2 * outcome
+            self.rs[p] = 0
+            self.fs[p] = outcome
             return outcome
         # deterministic outcome: accumulate into a scratch row
-        sx, sz, sr = 0, 0, 0
+        sx, sz, sr, sf = 0, 0, 0, 0
         for i in range(n):
             if self.xs[i] & b:
                 g = self._g_sum(self.xs[i + n], self.zs[i + n], sx, sz)
                 sr = (sr + self.rs[i + n] + g) % 4
+                sf ^= self.fs[i + n]
                 sx ^= self.xs[i + n]
                 sz ^= self.zs[i + n]
-        return (sr >> 1) & 1
+        return (sr >> 1) & 1 | sf
 
-    def measure_x(self, q: int, rng) -> int:
+    def measure_x(self, q: int) -> int:
         self.h_gate(q)
-        out = self.measure_z(q, rng)
+        out = self.measure_z(q)
         self.h_gate(q)
         return out
 
-    def prep_z(self, q: int, rng):
-        if self.measure_z(q, rng):
-            self.pauli("X", q)
+    def prep_z(self, q: int):
+        self.pauli("X", q, self.measure_z(q))
 
-    def prep_x(self, q: int, rng):
-        if self.measure_x(q, rng):
-            self.pauli("Z", q)
+    def prep_x(self, q: int):
+        self.pauli("Z", q, self.measure_x(q))
 
     def relabel(self, perm: Sequence[int]):
         for rows in (self.xs, self.zs):
@@ -345,32 +376,48 @@ class Tableau:
                 rows[i] = apply_permutation(rows[i], perm)
 
 
-def simulate_tableau(circuit: Circuit, seed) -> dict[str, int]:
-    """Exact single-shot stabilizer simulation: {tag: outcome}, from a seeded outcome stream."""
-    rng = np.random.default_rng(seed)
+def _tableau_pass(circuit: Circuit) -> tuple[int, dict[str, int]]:
+    """One tableau pass over the circuit: the number k of random outcomes
+    and each tag's outcome as an affine function of them (see Tableau)."""
     tab = Tableau(circuit.n_qubits)
     outcomes = {}
     for ins in circuit.instructions:
         op = ins.op
         if op == "PREPZ":
-            tab.prep_z(ins.qubits[0], rng)
+            tab.prep_z(ins.qubits[0])
         elif op == "PREPX":
-            tab.prep_x(ins.qubits[0], rng)
+            tab.prep_x(ins.qubits[0])
         elif op == "H":
             tab.h_gate(ins.qubits[0])
         elif op == "CNOT":
             tab.cnot(ins.qubits[0], ins.qubits[1])
         elif op == "MEASZ":
-            outcomes[ins.tag] = tab.measure_z(ins.qubits[0], rng)
+            outcomes[ins.tag] = tab.measure_z(ins.qubits[0])
         elif op == "MEASX":
-            outcomes[ins.tag] = tab.measure_x(ins.qubits[0], rng)
+            outcomes[ins.tag] = tab.measure_x(ins.qubits[0])
         elif op == "INJECT":
             tab.pauli(ins.pauli, ins.qubits[0])
         elif op == "RELABEL":
             tab.relabel(ins.perm)
         else:
             raise ValueError(f"unknown op {op}")
-    return outcomes
+    return tab.draws, outcomes
+
+
+def simulate_tableau(circuit: Circuit, seed) -> dict[str, int]:
+    """Exact single-shot stabilizer simulation: {tag: outcome}, from a seeded outcome stream.
+
+    The circuit's record map (one tableau pass, kept on the circuit) is
+    evaluated at k uniform bits, drawn by k scalar rng.integers(0, 2)
+    calls in the order that the random outcomes occur.  A Generator passed
+    as seed gives up exactly those k draws.
+    """
+    rng = np.random.default_rng(seed)
+    k, forms = circuit._record_map
+    draws = 1
+    for j in range(k):
+        draws |= int(rng.integers(0, 2)) << (j + 1)
+    return {tag: (form & draws).bit_count() & 1 for tag, form in forms.items()}
 
 
 def noisy_expansion(circuit: Circuit, nm: NoiseModel, rng) -> Circuit:
@@ -543,16 +590,23 @@ def column_ints(rows: np.ndarray) -> list[int]:
 def reference_record(circuit: Circuit, master_seed) -> dict[str, int]:
     """Noiseless tableau run of the circuit as written, fixing the outcome frame for the sampler.
 
-    An INJECT is a Pauli gate here as in any tableau run, so its effect is
-    in the reference record and the frame kernel leaves it out.
+    The circuit's record map is evaluated at the draws of a generator
+    seeded from master_seed, so after the first call on a circuit a new
+    seed costs its draws, not a tableau pass.  An INJECT is a Pauli gate
+    here as in any tableau run, so its effect is in the reference record
+    and the frame kernel leaves it out.
     """
     return simulate_tableau(circuit, seed=list(_seed_key(master_seed)) + [1])
 
 
+# Each seed word keeps its low 48 bits, so seeds that agree there run alike.
+SEED_LIMIT = 1 << 48
+
+
 def _seed_key(seed) -> tuple[int, ...]:
     if isinstance(seed, int):
-        return (seed & 0xFFFFFFFFFFFF,)
-    return tuple(int(s) & 0xFFFFFFFFFFFF for s in seed)
+        return (seed & (SEED_LIMIT - 1),)
+    return tuple(int(s) & (SEED_LIMIT - 1) for s in seed)
 
 
 def _noise_table(circuit: Circuit, nm: NoiseModel) -> list[tuple]:

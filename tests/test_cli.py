@@ -118,6 +118,15 @@ def test_run_ghz_rejects_negative_decoder_settings(tmp_path, capsys, line):
     assert line.split()[0] in _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("seed", ["-1", "281474976710656"])
+def test_run_ghz_rejects_a_config_seed_outside_48_bits(tmp_path, capsys, seed):
+    # seeds that agree in their low 48 bits would write the same shots
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text(f"mode = physical\nshots_z = 5\nshots_x = 5\nseed = {seed}\n")
+    assert main(["run-ghz", "--config", str(cfg)]) == 1
+    assert "seed must be in [0, 2**48)" in _one_line_error(capsys)
+
+
 def test_decode_stream(tmp_path, capsys):
     code_path = str(tmp_path / "code.json")
     main(["build-code", "--family", "paper2543", "--out", code_path])
@@ -291,8 +300,11 @@ def test_validate_schedule_needs_primary_coordinates(tmp_path, capsys, coords):
     ("z", {"mismatches": 41}, "mismatches <= accepted"),
     ("z", {"mismatches": -1}, "0 <= mismatches"),
     ("config", {"shots_z": 10.9}, "config key 'shots_z'"),           # int() would truncate it
+    ("config", {"seed": -1}, "seed must be in [0, 2**48)"),
+    ("config", {"seed": 2 ** 48}, "seed must be in [0, 2**48)"),
 ], ids=["not-an-object", "accepted-text", "mismatches-bool", "shots-float", "accepted-over-shots",
-        "mismatches-over-accepted", "mismatches-negative", "config-shots-float"])
+        "mismatches-over-accepted", "mismatches-negative", "config-shots-float",
+        "config-seed-negative", "config-seed-too-wide"])
 def test_report_rejects_malformed_summary(tmp_path, capsys, part, counts, words):
     obj = ex.RunSummary(ex.RunConfig(), ex.BasisStats(50, 40, 3), ex.BasisStats(50, 40, 3)).to_json()
     if counts is not None:
@@ -367,6 +379,9 @@ def test_help_still_exits_zero(capsys):
     (["run-ghz", "--config", "x.cfg", "--seed", "1_0"], "--seed"),
     (["run-ghz", "--config", "x.cfg", "--threads", "١"], "--threads"),
     (["run-ghz", "--config", "x.cfg", "--basis-shots", "٥,1_0"], "--basis-shots"),
+    # seeds outside [0, 2**48) would alias ones inside
+    (["run-ghz", "--config", "x.cfg", "--seed", "-1"], "--seed"),
+    (["run-ghz", "--config", "x.cfg", "--seed", "281474976710656"], "--seed"),
 ])
 def test_negative_counts_are_rejected(tmp_path, capsys, argv, flag):
     code_path = str(tmp_path / "code.json")

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+from concurrent.futures import Future
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +11,13 @@ from hypothesis import strategies as st
 
 from f2qec import experiment as ex
 from f2qec import stab_sim as ss
+
+
+def _forget_configurations():
+    """Empty the process-wide pipeline and classifier memos; the circuits go
+    with them, and so do the record maps cached on the circuits."""
+    ex._pipeline.cache_clear()
+    ex._shared_classifier.cache_clear()
 
 
 def summary_from_rates(mode: str, z_p: float, z_n: int, x_p: float, x_n: int) -> ex.RunSummary:
@@ -234,8 +243,16 @@ def test_config_validation():
                        ("osd_depth", "1.5"), ("p_spam", "")]:
         with pytest.raises(ValueError, match=key):
             ex.RunConfig.from_dict({key: value})
-    cfg = ex.RunConfig.from_dict({"shots_z": " 10 ", "shots_x": 7, "seed": "-3", "p2": "2e-3"})
-    assert (cfg.shots_z, cfg.shots_x, cfg.seed, cfg.noise.p2) == (10, 7, -3, 2e-3)
+    cfg = ex.RunConfig.from_dict({"shots_z": " 10 ", "shots_x": 7, "seed": "3", "p2": "2e-3"})
+    assert (cfg.shots_z, cfg.shots_x, cfg.seed, cfg.noise.p2) == (10, 7, 3, 2e-3)
+    # the sampler keeps the low 48 bits of a seed, so a seed outside
+    # [0, 2**48) would write the shots of one inside it
+    for seed in (-1, "-3", 2 ** 48, str(2 ** 48 + 5)):
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*48\)"):
+            ex.RunConfig.from_dict({"seed": seed})
+    with pytest.raises(ValueError, match="seed"):
+        ex.RunConfig(seed=-1)
+    assert ex.RunConfig.from_dict({"seed": str(2 ** 48 - 1)}).seed == 2 ** 48 - 1
     cfg = ex.RunConfig.from_dict({"p1": 0, "p2": 2e-3})
     assert (cfg.noise.p1, cfg.noise.p2) == (0.0, 2e-3)
 
@@ -269,21 +286,82 @@ def test_priors_reflect_gate_counts(flagship_code):
     assert frame[heavy] > frame[light]
 
 
-@pytest.mark.parametrize("mode, l, shots, pinned", [
+_RUN_PINS = [
     ("physical", 3, 1500, ("30343cc50dd2ae17", "f61384a776950f62")),
     ("logical", 3, 1500, ("b4f5487becdd7c55", "233fe9777a93f554")),
     ("logical-noqec", 3, 1500, ("3c1b12a8ad12dbb3", "456ce585c7bfb92c")),
     ("generalized", 4, 1500, ("99c683e96b21f5a4", "d9f42d528f0d1155")),
     # l = 20: a 68-bit Z key word, wider than any machine integer
     ("generalized", 20, 300, ("ceb090a1c97de105", "4646602b69a196cf")),
-])
+]
+
+
+def _pinned_run_digests(out_dir, cfg):
+    """Digests of the run's summary.json and shots.jsonl, read as if run on one thread."""
+    ex.run(cfg, out_dir=str(out_dir))
+    return tuple(hashlib.sha256((out_dir / cfg.mode / name).read_bytes().replace(
+        f'"threads": {cfg.threads}'.encode(), b'"threads": 1')).hexdigest()[:16]
+        for name in ("summary.json", "shots.jsonl"))
+
+
+@pytest.mark.parametrize("mode, l, shots, pinned", _RUN_PINS)
 def test_seeded_run_files_are_pinned_byte_for_byte(tmp_path, mode, l, shots, pinned):
     cfg = ex.RunConfig(mode=mode, shots_z=shots, shots_x=shots,
                        noise=ss.NoiseModel(1e-3, 5e-3, 5e-3), seed=4, l=l)
-    ex.run(cfg, out_dir=str(tmp_path))
-    digests = tuple(hashlib.sha256((tmp_path / mode / name).read_bytes()).hexdigest()[:16]
-                    for name in ("summary.json", "shots.jsonl"))
-    assert digests == pinned
+    assert _pinned_run_digests(tmp_path, cfg) == pinned
+
+
+@pytest.mark.parametrize("mode, l, shots, pinned", _RUN_PINS)
+def test_seeded_run_files_do_not_depend_on_earlier_runs(tmp_path, mode, l, shots, pinned):
+    # cold: the process keeps no pipeline, classifier or record map of the
+    # config; warm: the config ran before with another seed, and then runs
+    # in two worker processes after the warm serial run
+    cfg = ex.RunConfig(mode=mode, shots_z=shots, shots_x=shots,
+                       noise=ss.NoiseModel(1e-3, 5e-3, 5e-3), seed=4, l=l)
+    _forget_configurations()
+    assert _pinned_run_digests(tmp_path / "cold", cfg) == pinned
+    ex.run(replace(cfg, seed=11))
+    assert _pinned_run_digests(tmp_path / "warm", cfg) == pinned
+    assert _pinned_run_digests(tmp_path / "two", replace(cfg, threads=2)) == pinned
+
+
+def test_ledger_does_not_depend_on_earlier_runs():
+    _forget_configurations()
+    cold = [ex.fault_tolerance_ledger(basis).entries for basis in ("z", "x")]
+    ex.run(ex.RunConfig(mode="logical", shots_z=1500, shots_x=1500,
+                        noise=ss.NoiseModel(3e-5, 2e-3, 2e-3), seed=6))
+    assert [ex.fault_tolerance_ledger(basis).entries for basis in ("z", "x")] == cold
+
+
+@pytest.mark.parametrize("cpus, want", [(4, [4]), (64, [5]), (1, []), (None, [])])
+def test_run_starts_no_more_workers_than_chunks_or_cpus(monkeypatch, cpus, want):
+    # 100000 threads on 3 + 2 shots make five one-shot chunks; the recording
+    # executor runs each submitted chunk in this process and starts none
+    started = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(ex, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(ex.os, "cpu_count", lambda: cpus)
+    cfg = ex.RunConfig(mode="physical", shots_z=3, shots_x=2,
+                       noise=ss.NoiseModel(0.0, 0.1, 0.1), seed=2, threads=100000)
+    summary = ex.run(cfg)
+    assert started == want
+    assert summary.to_json() == {**ex.run(replace(cfg, threads=1)).to_json(),
+                                 "config": cfg.to_dict()}
 
 
 def _per_shot_verdict(cfg, basis, recipe, h, priors, rec):
@@ -333,36 +411,48 @@ def test_key_word_verdicts_match_per_shot_reference(mode):
     assert seen == ({True, False} if mode == "physical" else {None, True, False})
 
 
-def test_each_distinct_syndrome_is_decoded_once(monkeypatch):
-    # words that differ only in their raw bits share a syndrome, and
-    # BP+OSD runs once for it; the syndromes come from the per-shot walk
+def _walked_syndromes(cfg):
+    """The (decoder columns, syndrome) of every accepted shot of cfg with a
+    nonzero syndrome, from the per-shot walk."""
     from f2qec import protocol as pr
 
-    calls, decode = [], ex.bp_then_osd
-
-    def counting(bp, syndrome, depth):
-        calls.append((bp.h.cols, syndrome))
-        return decode(bp, syndrome, depth)
-
-    monkeypatch.setattr(ex, "bp_then_osd", counting)
-    cfg = ex.RunConfig(mode="logical", shots_z=1500, shots_x=1500,
-                       noise=ss.NoiseModel(1e-3, 5e-3, 5e-3), seed=4)
-    ex.run(cfg)
-    want = []
-    for basis in ("z", "x"):
+    out = set()
+    for basis, shots in (("z", cfg.shots_z), ("x", cfg.shots_x)):
         circ, recipe = ex.build_pipeline(cfg, basis)
-        bits = ss.sample_outcomes(circ, cfg.noise, ex._basis_seed(cfg, basis), 1500)
-        syndromes = set()
+        bits = ss.sample_outcomes(circ, cfg.noise, ex._basis_seed(cfg, basis), shots)
+        cols = recipe.code.n + (recipe.code.hx.rows if basis == "x" else 0)
         for rec in ss.outcome_dicts(circ.tags(), bits):
             frame = pr.frame_from_shot(recipe, rec)
             if frame.accepted:
                 data = [rec[t] for t in recipe.data_tags]
                 syndrome, _ = pr.readout_reduce(recipe.code, basis, data, frame)
                 if syndrome:
-                    syndromes.add(syndrome)
-        cols = recipe.code.n + (recipe.code.hx.rows if basis == "x" else 0)
-        want += [(cols, s) for s in sorted(syndromes)]
-    assert sorted(calls) == sorted(want)
+                    out.add((cols, syndrome))
+    return out
+
+
+def test_each_distinct_syndrome_is_decoded_once(monkeypatch):
+    # words that differ only in their raw bits share a syndrome, and
+    # BP+OSD runs once for it; a second run with a new seed decodes only
+    # the syndromes that the first did not, since the process keeps them
+    calls, decode = [], ex.bp_then_osd
+
+    def counting(bp, syndrome, depth):
+        calls.append((bp.h.cols, syndrome))
+        return decode(bp, syndrome, depth)
+
+    _forget_configurations()
+    monkeypatch.setattr(ex, "bp_then_osd", counting)
+    cfg = ex.RunConfig(mode="logical", shots_z=1500, shots_x=1500,
+                       noise=ss.NoiseModel(1e-3, 5e-3, 5e-3), seed=4)
+    ex.run(cfg)
+    first = _walked_syndromes(cfg)
+    assert sorted(calls) == sorted(first)
+    calls.clear()
+    again = replace(cfg, seed=5)
+    ex.run(again)
+    new = _walked_syndromes(again) - first
+    assert new and sorted(calls) == sorted(new)
 
 
 def test_fault_tolerance_ledger_is_pinned_entry_by_entry():

@@ -228,6 +228,96 @@ def test_reference_record_applies_inject_and_residuals_exclude_it():
     assert [c.record for c in ss.enumerate_single_faults(circ)[:2]] == [{"b": 0}] * 2
 
 
+# the INJECT circuits of this module's tests, plus one whose injections act
+# on random outcomes
+_INJECT_CIRCUITS = (
+    _OP_SUPPORT_CASES["INJECT"],
+    "PREPZ 0\nPREPZ 1\nINJECT X 0\nCNOT 0 1\nMEASZ 1 b",
+    "PREPZ 0\nPREPZ 1\nINJECT X 0\nMEASZ 0 a\nMEASZ 1 b",
+    "PREPZ 0\nPREPZ 1\nINJECT X 0\nCNOT 0 1\nMEASZ 0 a\nMEASZ 1 b",
+    "PREPX 0\nPREPX 1\nINJECT Z 1\nCNOT 0 1\nMEASX 0 a\nMEASX 1 b",
+    "PREPZ 0\nPREPZ 1\nPREPZ 2\nPREPZ 3\nINJECT X 2\nMEASZ 0 d0\nMEASZ 1 d1\nMEASZ 2 d2\nMEASZ 3 d3",
+    "PREPZ 0\nPREPZ 1\nPREPZ 2\nPREPZ 3\nINJECT X 2\nRELABEL (0 2 1)\nRELABEL (0 1 2)\n"
+    "MEASZ 0 d0\nMEASZ 1 d1\nMEASZ 2 d2\nMEASZ 3 d3",
+    "PREPZ 0\nPREPZ 1\nINJECT X 0\nRELABEL (0 1)\nMEASZ 0 a\nMEASZ 1 b",
+    "PREPZ 0\nPREPZ 1\nPREPX 2\nPREPZ 3\nH 0\nINJECT X 1\nCNOT 1 3\nRELABEL (0 1 2 3)\n"
+    "CNOT 2 0\nH 1\nCNOT 1 3\nCNOT 2 3\nMEASZ 0 a\nMEASZ 1 b\nMEASZ 2 c\nMEASX 3 d",
+    "PREPX 0\nPREPZ 1\nPREPZ 2\nCNOT 0 1\nINJECT Y 0\nH 2\nCNOT 2 1\nMEASX 0 a\nMEASZ 1 b\n"
+    "INJECT Z 2\nMEASX 2 c\nMEASZ 0 d\nPREPZ 0\nINJECT Y 0\nMEASZ 0 e",
+)
+
+
+_TABLEAU_PINS = {
+    'logical-z': ('d264bd05c00ce059', 'a0312de40c73deb1', 'bcb5221b48005d93', 2712206038956343624),
+    'logical-x': ('5008192cab86a4c8', '0c65a61d377aa5ba', '887aacdc27a750be', 3134778821347614261),
+    'physical-z': ('1e413f486a8f3e74', 'a91a459d509c09e2', '5d9ab6e7b489c0db', 2201417940421080015),
+    'physical-x': ('0e1c4c1450e65bf3', '67e479f3d516153f', 'ce9e9ab07ab2e168', 1271849698618325204),
+    'inject-0': ('d1e5d6c2cf3cd887', 'ea441b49c1dc98c5', '649daf45c6f190f6', 76908341883967297),
+    'inject-1': ('e54b218bdd5cf06a', '88e843241ec5e9c6', '8268846c1a1312b6', 2568173283686080823),
+    'inject-2': ('1a595e78138c207c', 'd63f200b3db5d2e8', 'e52f01f68b417194', 92799195681513881),
+    'inject-3': ('d1e5d6c2cf3cd887', 'ea441b49c1dc98c5', '867401fd4df0d42c', 6272472867482),
+    'inject-4': ('d1e5d6c2cf3cd887', 'ea441b49c1dc98c5', 'd9cf63c3316591c6', 616144638779475399),
+    'inject-5': ('e0d85c92b683d3b6', 'b89b703411d8cbee', '6f62e6ceec907ac5', 944240704095886564),
+    'inject-6': ('e0d85c92b683d3b6', 'b89b703411d8cbee', '6f62e6ceec907ac5', 944240704095886564),
+    'inject-7': ('4846e486fa39ab6c', '33220b7a3a50d91f', 'f1b4dc04bf7eab62', 92799195681513881),
+    'inject-8': ('c6fa2bb82204cfa8', '2d3b34f2563c6885', '0f07a4854331065d', 2815752526528671715),
+    'inject-9': ('ae5bf3e6b91708c6', '892153d894420a72', '4ccc7e6a13003823', 1581421331462447524),
+}
+
+
+def _pinned_tableau_circuits():
+    code = build_25_4_3()
+    circuits = {f"logical-{b}": pr.logical_ghz_circuit(code, b)[0] for b in "zx"}
+    circuits.update({f"physical-{b}": physical_ghz_circuit(b) for b in "zx"})
+    circuits.update({f"inject-{i}": ss.Circuit.from_text(f"QUBITS 4\n{text}")
+                     for i, text in enumerate(_INJECT_CIRCUITS)})
+    return circuits
+
+
+def _records_digest(records):
+    text = json.dumps([sorted(rec.items()) for rec in records])
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_tableau_records_are_pinned_byte_for_byte():
+    # simulate_tableau at seeds 0..199, reference_record at (seed, basis)
+    # tuples and a stream of runs that share one Generator with
+    # noisy_expansion; the values were taken from the tableau that drew each
+    # random outcome while it ran, before it became a per-circuit map
+    import numpy as np
+
+    circuits = _pinned_tableau_circuits()
+    got = {}
+    for name, circ in circuits.items():
+        rng = np.random.default_rng(5)
+        stream = [ss.simulate_tableau(ss.noisy_expansion(circ, ss.NoiseModel(0.05, 0.05, 0.05),
+                                                         rng), rng) for _ in range(40)]
+        got[name] = (_records_digest(ss.simulate_tableau(circ, seed) for seed in range(200)),
+                     _records_digest(ss.reference_record(circ, (seed, index))
+                                     for seed in (0, 1, 7, 2 ** 31 - 1, 2 ** 48 - 1)
+                                     for index in (0, 1)),
+                     _records_digest(stream), int(rng.integers(0, 2 ** 62)))
+    assert got == _TABLEAU_PINS
+
+
+@settings(deadline=None)
+@given(_circuits(), st.integers(0, 2 ** 32 - 1))
+def test_cached_record_map_matches_a_freshly_built_circuit(circ, seed):
+    # the record map that simulate_tableau caches on a circuit serves every
+    # later seed as an equal circuit built afresh does, and a shared
+    # Generator gives up the same draws either way
+    import numpy as np
+
+    for s in range(seed, seed + 20):
+        fresh = ss.Circuit(circ.n_qubits, circ.instructions)
+        assert ss.simulate_tableau(circ, s) == ss.simulate_tableau(fresh, s)
+    reused, rebuilt = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(10):
+        assert (ss.simulate_tableau(circ, reused)
+                == ss.simulate_tableau(ss.Circuit.from_text(circ.to_text()), rebuilt))
+    assert reused.integers(0, 2 ** 62) == rebuilt.integers(0, 2 ** 62)
+
+
 def test_inject_pauli_flip_base_case():
     circ = ss.Circuit(2, (ss.prepz(0), ss.prepz(1), ss.inject("X", 0),
                           ss.measz(0, "a"), ss.measz(1, "b")))
