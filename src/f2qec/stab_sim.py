@@ -13,14 +13,14 @@ the circuit keeps that record map.  A seeded run, the reference run
 included, evaluates the map at the seed's draws, the same draws that a
 tableau taking them as it ran would have made.
 
-The sampler propagates the frames of many shots at once, one bool column
-per shot, and draws its noise and the random frames that preparations
-and measurements leave in seeded blocks of SHOT_BLOCK shots.  Single-fault
-enumeration runs the same kernel without either, one column per fault case,
-and returns one table, with no tableau run: every case's location, the
-outcome flips it causes as one bool array (record tags x cases) and its
-residual frames as packed ints.  FaultCase objects are a per-case view of
-it, with absolute {tag: bit} records: the reference record XOR the flips.
+The frame kernel runs once per circuit too, on unit flips, and the circuit
+keeps its fault map: the outcome flips and residual frames that each flip
+slot of each instruction causes alone.  The sampler XORs the map rows of
+the faults and random frames it draws in seeded blocks of SHOT_BLOCK shots;
+single-fault enumeration reads one table off it, with no tableau run: each
+case's location, its outcome flips as one bool array (record tags x cases)
+and its residual frames as packed ints.  FaultCase objects are a per-case
+view, with absolute {tag: bit} records: the reference record XOR the flips.
 
 Text IR (round-trip exact), one instruction per line after a header:
 
@@ -170,6 +170,22 @@ class Circuit:
     def _record_map(self) -> tuple[int, dict[str, int]]:
         """The tableau's record map, built on first use as BitMatrix builds its transpose."""
         return _tableau_pass(self)
+
+    @cached_property
+    def _fault_map(self) -> np.ndarray:
+        """The frame kernel run on unit flips, on first use: row 4k + s is what flip
+        slot s at instruction k alone causes, its record flips (one per tag),
+        then its residual X and residual Z frames (one per qubit)."""
+        k = len(self.instructions)
+        unit = np.eye(4 * k, dtype=bool).reshape(k, 4, 4 * k)
+        rows = np.hstack([r.T for r in _propagate(self, unit)])
+        rows.flags.writeable = False
+        return rows
+
+    @cached_property
+    def _noise_map(self) -> tuple[dict, np.ndarray]:
+        """The record flips that the sampler draws, read off _fault_map on first use."""
+        return _noise_rows(self)
 
     def tags(self) -> tuple[str, ...]:
         return tuple(i.tag for i in self.instructions if i.op in ("MEASZ", "MEASX"))
@@ -458,16 +474,15 @@ def noisy_expansion(circuit: Circuit, nm: NoiseModel, rng) -> Circuit:
 
 # --- Pauli-frame sampler ---------------------------------------------------
 #
-# Frames of many shots propagate at once, one bool column per shot (the
-# Stim technique: Gidney, Quantum 5, 497 (2021), arXiv:2103.02202).  Each
-# qubit's X and Z frame is a row over the columns: a CNOT is two row XORs,
-# H swaps a qubit's rows, a preparation overwrites them, a measurement
-# reads one into the record and RELABEL permutes them.  An INJECT is a
-# Pauli gate, which the noiseless reference run applies; it leaves every
-# frame as it is.  The kernel walks circuit.instructions itself, and every
-# fault, be it sampled noise or an enumerated single fault, is a flip mask
-# over the columns in the row of its instruction, so sampling and
-# enumeration run the same kernel.
+# Frames propagate many at once, one bool column each (the Stim technique:
+# Gidney, Quantum 5, 497 (2021), arXiv:2103.02202).  Each qubit's X and Z
+# frame is a row over the columns: a CNOT is two row XORs, H swaps a
+# qubit's rows, a preparation overwrites them, a measurement reads one into
+# the record and RELABEL permutes them.  An INJECT is a Pauli gate, which
+# the noiseless reference run applies; it leaves every frame as it is.  A
+# fault is a flip mask in the row of its instruction.  The kernel is linear
+# and runs once per circuit, one column per unit flip (Circuit._fault_map);
+# the sampler and the single-fault table both read that map.
 #
 # A Z-basis preparation or measurement leaves its qubit in a Z eigenstate,
 # where a Z frame is a stabilizer and changes nothing; the sampler sets
@@ -476,9 +491,7 @@ def noisy_expansion(circuit: Circuit, nm: NoiseModel, rng) -> Circuit:
 # ones do the same with the X frame.  These bits ride in the flip-mask slot
 # that the op's own fault does not use.
 
-# Shots per seeded block: shot s belongs to block s // SHOT_BLOCK, whose
-# noise comes from its own generator, so any shot range, however split
-# across workers, reproduces the same shots.
+# Shots per seeded block: shot s takes its draws from block s // SHOT_BLOCK's generator.
 SHOT_BLOCK = 1024
 
 # A fault is a Pauli on an op's (first, second) qubit coded 4 * first +
@@ -505,28 +518,20 @@ _FAULTS = {
 }
 
 
-class _Site(NamedTuple):
-    """A fault location: its instruction index, kind and faults."""
-
-    index: int
-    kind: str
-    faults: tuple   # ((label, Pauli code), ...)
-
-
-def _sites(circuit: Circuit) -> list[_Site]:
-    return [_Site(k, *_FAULTS[ins.op]) for k, ins in enumerate(circuit.instructions)
+def _sites(circuit: Circuit) -> list[tuple]:
+    """(instruction index, kind, ((label, Pauli code), ...)) of each fault location."""
+    return [(k, *_FAULTS[ins.op]) for k, ins in enumerate(circuit.instructions)
             if ins.op in _FAULTS]
 
 
 def _propagate(circuit: Circuit, flips: np.ndarray):
-    """Propagate Pauli frames through circuit, one column per shot or fault case.
+    """Propagate Pauli frames through circuit, one column per flip pattern.
 
     flips[k] (4 x columns) is applied at instruction k as _FAULT_FLIPS
     describes; at a measurement, the measured frame's slot flips the
-    outcome and the other slot flips the other frame.  An INJECT is a
-    Pauli gate, which the reference run applies and which changes no
-    frame.  Returns the measurement flips (one row per record tag) and the
-    residual X and Z frames (one row per qubit).
+    outcome and the other slot flips the other frame.  Returns the
+    measurement flips (one row per record tag) and the residual X and Z
+    frames (one row per qubit).
     """
     cols = flips.shape[-1]
     x = np.zeros((circuit.n_qubits, cols), dtype=bool)
@@ -562,6 +567,34 @@ def _propagate(circuit: Circuit, flips: np.ndarray):
             x = x[inv]
             z = z[inv]
     return meas, x, z
+
+
+def _noise_rows(circuit: Circuit) -> tuple[dict, np.ndarray]:
+    """The record flips of each kind's faults (sites x faults per site x tags)
+    and of each collapsing op's random frame bit (ops x tags), read off the
+    fault map; float32 0/1, so a sum of rows taken mod 2 is their XOR."""
+    records = circuit._fault_map[:, :len(circuit.tags())]
+    sites, kinds = _sites(circuit), {}
+    for kind in dict.fromkeys(kind for _, kind, _ in sites):
+        mine = [(k, faults) for k, of, faults in sites if of == kind]
+        kinds[kind] = _fault_effects(records, np.array([[k] for k, _ in mine]), np.array(
+            [[code for _, code in faults] for _, faults in mine])).astype(np.float32)
+    collapse = records[[4 * k + _COLLAPSE_SLOT[ins.op] for k, ins in enumerate(circuit.instructions)
+                        if ins.op in _COLLAPSE_SLOT]].astype(np.float32)
+    for array in (collapse, *kinds.values()):
+        array.flags.writeable = False
+    return kinds, collapse
+
+
+def _fault_effects(rows: np.ndarray, index: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """The effect of fault code codes[i] at instruction index[i], index broadcast
+    against codes, on the columns of rows (the fault map or some of its
+    columns): the XOR of the rows of its flip slots, codes.shape + (columns,)."""
+    flips = _FAULT_FLIPS[codes]
+    out = np.zeros(codes.shape + rows.shape[1:], dtype=bool)
+    for slot in range(4):
+        out ^= rows[4 * index + slot] & flips[..., slot, None]
+    return out
 
 
 def outcome_dicts(tags: tuple[str, ...], bits: np.ndarray) -> list[dict[str, int]]:
@@ -609,67 +642,43 @@ def _seed_key(seed) -> tuple[int, ...]:
     return tuple(int(s) & (SEED_LIMIT - 1) for s in seed)
 
 
-def _noise_table(circuit: Circuit, nm: NoiseModel) -> list[tuple]:
-    """(rate, instruction indices, fault codes) of each kind of fault location with nonzero rate."""
-    rate = {"gate1": nm.p1, "gate2": nm.p2, "prep": nm.p_spam, "meas": nm.p_spam}
-    table = []
-    all_sites = _sites(circuit)
-    for kind, p in rate.items():
-        sites = [s for s in all_sites if s.kind == kind]
-        if sites and p > 0.0:
-            table.append((p, np.array([s.index for s in sites]),
-                          np.array([[code for _, code in s.faults] for s in sites])))
-    return table
-
-
-def _noise_flips(circuit: Circuit, table: list[tuple], rng) -> np.ndarray:
-    """Flip masks of one block of SHOT_BLOCK shots.
-
-    Each fault location fails with its kind's rate, independently per shot,
-    and a failing location draws one of its single faults uniformly: one
-    of 3 Paulis after H, one of 15 Pauli pairs after a CNOT, the flip of a
-    preparation or of a measurement outcome.  Only the failing (location,
-    shot) cells are drawn: their number is binomial and they are a
-    uniform subset, which is the law of an independent flip per cell.
-    """
-    flips = np.zeros((len(circuit.instructions), 4, SHOT_BLOCK), dtype=bool)
-    for p, pos, codes in table:
-        cells = codes.shape[0] * SHOT_BLOCK
-        site, shot = np.divmod(rng.choice(cells, rng.binomial(cells, p), replace=False),
-                               SHOT_BLOCK)
-        pick = codes[site, rng.integers(codes.shape[1], size=len(site))]
-        flips[pos[site], :, shot] = _FAULT_FLIPS[pick]
-    return flips
-
-
 def sample_outcomes(circuit: Circuit, nm: NoiseModel, seed, shots: int,
                     start: int = 0) -> np.ndarray:
-    """Outcome bits of shots start .. start + shots - 1 by frame propagation.
+    """Outcome bits of shots start .. start + shots - 1: one row per record
+    tag, in circuit.tags() order, and one column per shot.
 
-    Returns a bool array with one row per record tag, in circuit.tags()
-    order, and one column per shot.  The outcomes are the reference run's
-    XOR the propagated faults and random frames.  The noise of each block
-    of SHOT_BLOCK shots, then its random frame bits, come from the block's
-    own generator, seeded by (seed, block); a range that starts or ends
-    inside a block samples the whole block and keeps its part.  So a shot's
-    outcomes depend only on (circuit, noise, seed, shot index), and shot
-    sets can be partitioned across workers in any way.
+    Each fault location fails with its kind's rate, independently per shot,
+    and a failing one draws one of its single faults uniformly.  Only the
+    failing (location, shot) cells are drawn: a binomial number of them, as
+    a uniform subset, which is the law of an independent flip per cell.
+    Then each collapsing op draws its random frame bit per shot.  A shot is
+    the reference run XOR the fault map rows of its faults and set bits.
+    Each block of SHOT_BLOCK shots draws from its own generator, seeded by
+    (seed, block), and a range that starts or ends inside a block draws it
+    whole, so a shot depends only on (circuit, noise, seed, shot index).
     """
     meas = np.empty((len(circuit.tags()), max(shots, 0)), dtype=bool)
     if shots <= 0:
         return meas
-    table = _noise_table(circuit, nm)
-    # rows: the instruction indices and _COLLAPSE_SLOT slots of the collapsing ops
-    pos, slot = np.array([(k, _COLLAPSE_SLOT[ins.op]) for k, ins in enumerate(circuit.instructions)
-                          if ins.op in _COLLAPSE_SLOT], dtype=np.intp).reshape(-1, 2).T
+    kinds, collapse = circuit._noise_map
+    rate = {"gate1": nm.p1, "gate2": nm.p2, "prep": nm.p_spam, "meas": nm.p_spam}
+    noise = [(p, kinds[kind]) for kind, p in rate.items() if kind in kinds and p > 0.0]
     stop = start + shots
     for block in range(start // SHOT_BLOCK, (stop - 1) // SHOT_BLOCK + 1):
         rng = np.random.default_rng(list(_seed_key(seed)) + [0, block])
-        flips = _noise_flips(circuit, table, rng)
-        flips[pos, slot] ^= rng.integers(0, 2, (len(pos), SHOT_BLOCK), dtype=bool)
+        counts = np.zeros((SHOT_BLOCK, len(meas)), dtype=np.float32)  # one row per shot
+        for p, columns in noise:
+            cells = columns.shape[0] * SHOT_BLOCK
+            site, shot = np.divmod(rng.choice(cells, rng.binomial(cells, p), replace=False),
+                                   SHOT_BLOCK)
+            rows = columns[site, rng.integers(columns.shape[1], size=len(site))]
+            cell = shot[:, None] * len(meas) + np.arange(len(meas))  # 1-D add.at is the fast one
+            np.add.at(counts.reshape(-1), cell.reshape(-1), rows.reshape(-1))
+        bits = rng.integers(0, 2, (len(collapse), SHOT_BLOCK), dtype=bool)
+        counts += bits.T.astype(np.float32) @ collapse
         base = block * SHOT_BLOCK
         lo, hi = max(start, base), min(stop, base + SHOT_BLOCK)
-        meas[:, lo - start:hi - start] = _propagate(circuit, flips)[0][:, lo - base:hi - base]
+        meas[:, lo - start:hi - start] = (counts[lo - base:hi - base].astype(np.int32) & 1).T
     return _outcomes(circuit, meas, reference_record(circuit, seed))
 
 
@@ -714,26 +723,17 @@ def single_fault_table(circuit: Circuit) -> SingleFaultTable:
 
     Locations: after each 1q gate (3 Paulis), after each CNOT (15 Pauli
     pairs), after each preparation (the flip Pauli), and a flip on each
-    measurement outcome.  Each case is one column of the frame kernel,
-    which runs SHOT_BLOCK cases at a time, and its record is the flips
-    that exactly that fault causes; no tableau runs.  The residual frames
-    are relative to the circuit as written, so they leave out the Paulis
-    of its INJECTs.
+    measurement outcome.  A case's column is the XOR of the fault map rows
+    of its flip slots, so nothing propagates and no tableau runs.  The
+    residual frames are relative to the circuit as written, so they leave
+    out the Paulis of its INJECTs.
     """
-    faults = [(site, label, code) for site in _sites(circuit) for label, code in site.faults]
-    records = np.empty((len(circuit.tags()), len(faults)), dtype=bool)
-    final_x, final_z = [], []
-    for lo in range(0, len(faults), SHOT_BLOCK):
-        chunk = faults[lo:lo + SHOT_BLOCK]
-        flips = np.zeros((len(circuit.instructions), 4, len(chunk)), dtype=bool)
-        flips[[site.index for site, _, _ in chunk], :, np.arange(len(chunk))] = \
-            _FAULT_FLIPS[[code for _, _, code in chunk]]
-        meas, x, z = _propagate(circuit, flips)
-        records[:, lo:lo + len(chunk)] = meas
-        final_x += column_ints(x)
-        final_z += column_ints(z)
-    cases = [(site.index, site.kind, label) for site, label, _ in faults]
-    return SingleFaultTable(cases, records, final_x, final_z)
+    faults = [(k, kind, label, code) for k, kind, pairs in _sites(circuit) for label, code in pairs]
+    effects = _fault_effects(circuit._fault_map, np.array([f[0] for f in faults], dtype=np.intp),
+                             np.array([f[3] for f in faults], dtype=np.intp))
+    tags = len(circuit.tags())
+    records, x, z = np.split(effects.T, [tags, tags + circuit.n_qubits])
+    return SingleFaultTable([f[:3] for f in faults], records, column_ints(x), column_ints(z))
 
 
 def enumerate_single_faults(circuit: Circuit) -> list[FaultCase]:

@@ -217,3 +217,47 @@ def reference_min_sum(h, priors, syndrome, iters):
         if all(bin(h.row(r) & hard).count("1") % 2 == (syndrome >> r) & 1 for r in range(h.rows)):
             return hard, True, "BP", soft_weight(hard), tuple(posteriors)
     return hard, False, "BP", soft_weight(hard), tuple(posteriors)
+
+
+def reference_noise_flips(circuit, nm, rng, shots):
+    """One seeded block's noise and random frames as one dense flip array.
+
+    Returns a bool array (instructions x 4 x shots) of flip slots (x first,
+    z first, x second, z second) per instruction and shot, for the frame
+    kernel to propagate.  The fault kinds are drawn in the order gate1 (H),
+    gate2 (CNOT), prep, meas, each only when it has a location and a
+    nonzero rate: a binomial number of failing (location, shot) cells,
+    chosen without replacement, then one fault per cell, uniform over its
+    location's faults.  These are X, Y, Z after H; the 15 non-identity
+    Pauli pairs after a CNOT, coded 4 * first + second with 0=I, 1=X, 2=Y,
+    3=Z; X after PREPZ and Z after PREPX; the Pauli that anticommutes with
+    a measurement, which flips its outcome.  Then every PREPZ and MEASZ
+    gets a uniform bit in its Z slot and every PREPX and MEASX one in its
+    X slot, one row of bits per op.
+    """
+    import numpy as np
+
+    flips = np.array([[p in (1, 2), p in (2, 3), q in (1, 2), q in (2, 3)]
+                      for p in range(4) for q in range(4)], dtype=bool)
+    faults = {"H": ("gate1", (4, 8, 12)), "CNOT": ("gate2", tuple(range(1, 16))),
+              "PREPZ": ("prep", (4,)), "PREPX": ("prep", (12,)),
+              "MEASZ": ("meas", (4,)), "MEASX": ("meas", (12,))}
+    rates = {"gate1": nm.p1, "gate2": nm.p2, "prep": nm.p_spam, "meas": nm.p_spam}
+    out = np.zeros((len(circuit.instructions), 4, shots), dtype=bool)
+    for kind, p in rates.items():
+        sites = [(k, faults[ins.op][1]) for k, ins in enumerate(circuit.instructions)
+                 if ins.op in faults and faults[ins.op][0] == kind]
+        if not sites or p <= 0.0:
+            continue
+        pos = np.array([k for k, _ in sites])
+        codes = np.array([c for _, c in sites])
+        cells = len(sites) * shots
+        site, shot = np.divmod(rng.choice(cells, rng.binomial(cells, p), replace=False), shots)
+        pick = codes[site, rng.integers(codes.shape[1], size=len(site))]
+        out[pos[site], :, shot] = flips[pick]
+    collapse = [(k, int(ins.op in ("PREPZ", "MEASZ"))) for k, ins in enumerate(circuit.instructions)
+                if ins.op in ("PREPZ", "MEASZ", "PREPX", "MEASX")]
+    bits = rng.integers(0, 2, (len(collapse), shots), dtype=bool)
+    for (k, slot), row in zip(collapse, bits):
+        out[k, slot] ^= row
+    return out

@@ -550,3 +550,124 @@ def test_noise_model_validation():
         ss.NoiseModel(p1=-0.1)
     with pytest.raises(ValueError):
         ss.NoiseModel(p2=1.5)
+
+
+# circuits with no record tag, with no fault site and with no collapsing op
+_EDGE_CIRCUITS = ("PREPZ 0\nH 0\nCNOT 0 1", "", "INJECT X 0\nRELABEL (0 1)",
+                  "H 0\nCNOT 0 1\nINJECT Y 1")
+
+
+def _dense_flip_outcomes(circ, nm, seed, shots, start):
+    # the reference sampler: each block's flips drawn as one dense array,
+    # propagated by the frame kernel and XORed onto the reference record
+    import numpy as np
+    from conftest import reference_noise_flips
+
+    b = ss.SHOT_BLOCK
+    first, last = start // b, (start + shots - 1) // b
+    meas = np.hstack([ss._propagate(circ, reference_noise_flips(
+        circ, nm, np.random.default_rng([seed, 0, block]), b))[0] for block in range(first, last + 1)])
+    ref = ss.reference_record(circ, seed)
+    meas = meas[:, start - first * b:start - first * b + shots]
+    return meas ^ np.array([ref[t] for t in circ.tags()], dtype=bool)[:, None]
+
+
+def _check_sampler_against_dense_flips(circ, rates, seed, start, shots):
+    nm = ss.NoiseModel(*rates)
+    got = ss.sample_outcomes(circ, nm, seed, shots, start)
+    assert got.shape == (len(circ.tags()), shots) and got.dtype == bool
+    assert (got == _dense_flip_outcomes(circ, nm, seed, shots, start)).all()
+
+
+@settings(deadline=None)
+@given(_circuits(), st.tuples(*[st.sampled_from([0.0, 0.5]) | st.floats(0.0, 0.5)] * 3),
+       st.integers(0, 2 ** 32 - 1), st.integers(0, 3 * ss.SHOT_BLOCK), st.integers(1, 2 * ss.SHOT_BLOCK))
+def test_sampler_matches_the_dense_flip_kernel(circ, rates, seed, start, shots):
+    # the fault map read by the sampler gives the shots that propagating
+    # each block's dense flips gives, bit for bit and draw for draw
+    _check_sampler_against_dense_flips(circ, rates, seed, start, shots)
+
+
+@pytest.mark.parametrize("text", _EDGE_CIRCUITS)
+def test_sampler_matches_the_dense_flip_kernel_on_edge_shapes(text):
+    circ = ss.Circuit.from_text(f"QUBITS 2\n{text}\n")
+    for start, shots in ((0, 5), (ss.SHOT_BLOCK - 3, ss.SHOT_BLOCK + 6)):
+        _check_sampler_against_dense_flips(circ, (0.3, 0.4, 0.5), 7, start, shots)
+
+
+def _faulted(circ, case):
+    # the circuit with one single fault of its table written as INJECTs
+    index, kind, pauli = case
+    ins = circ.instructions[index]
+    if kind == "meas":
+        # the anticommuting Pauli before and after the measurement flips its outcome only
+        flip = (ss.inject("X" if ins.op == "MEASZ" else "Z", ins.qubits[0]),)
+        around = flip + (ins,) + flip
+    else:
+        around = (ins,) + tuple(ss.inject(p, q) for q, p in zip(ins.qubits, pauli) if p != "I")
+    return ss.Circuit(circ.n_qubits,
+                      circ.instructions[:index] + around + circ.instructions[index + 1:])
+
+
+def _draw_coefficients(circ):
+    # row j: which record tags the circuit's j-th random outcome enters, in the record map
+    k, forms = circ._record_map
+    return [[(forms[t] >> (j + 1)) & 1 for t in circ.tags()] for j in range(k)]
+
+
+@settings(deadline=None)
+@given(_circuits(), st.integers(0, 2 ** 32 - 1))
+def test_single_fault_table_matches_the_tableau(circ, seed):
+    # a case's record flips equal what the tableau shows for the faulted
+    # circuit at the same seed, up to the random outcomes: their difference
+    # lies in the span of the draws' coefficients in the record map; the
+    # sampler's random frame rows lie in that span, and span it exactly once
+    # every qubit is prepared before use (see the xfail test below)
+    from conftest import gauss_rank
+
+    tags = circ.tags()
+    draws = _draw_coefficients(circ)
+    rank = gauss_rank(draws)
+    clean = ss.simulate_tableau(circ, seed)
+    table = ss.single_fault_table(circ)
+    for c, case in enumerate(table.cases):
+        faulted = ss.simulate_tableau(_faulted(circ, case), seed)
+        diff = [int(table.records[r, c]) ^ faulted[t] ^ clean[t] for r, t in enumerate(tags)]
+        assert gauss_rank(draws + [diff]) == rank, case
+    assert gauss_rank(draws + circ._noise_map[1].astype(int).tolist()) == rank
+    prepared = ss.Circuit(circ.n_qubits, tuple(map(ss.prepz, range(circ.n_qubits))) + circ.instructions)
+    draws, collapse = _draw_coefficients(prepared), prepared._noise_map[1].astype(int).tolist()
+    assert gauss_rank(collapse) == gauss_rank(draws) == gauss_rank(draws + collapse)
+
+
+@pytest.mark.xfail(strict=True, reason="the sampler gives a qubit's initial |0> no random Z frame")
+def test_x_measurement_of_an_unprepared_qubit_is_random():
+    # the tableau starts every qubit in |0>, so an X measurement before any
+    # preparation is random there, while the sampler always reads 0
+    circ = ss.Circuit.from_text("QUBITS 1\nMEASX 0 a\n")
+    assert {ss.simulate_tableau(circ, seed)["a"] for seed in range(20)} == {0, 1}
+    assert set(ss.sample_outcomes(circ, ss.NoiseModel.zero(), 3, 200)[0].tolist()) == {False, True}
+
+
+def test_frame_kernel_runs_once_per_circuit(monkeypatch):
+    calls = []
+    kernel = ss._propagate
+    monkeypatch.setattr(ss, "_propagate", lambda *args: calls.append(args) or kernel(*args))
+    text = "QUBITS 3\nPREPZ 0\nPREPX 1\nH 2\nCNOT 1 0\nCNOT 0 2\nMEASZ 0 a\nMEASX 1 b\nMEASZ 2 c\n"
+    circ = ss.Circuit.from_text(text)
+    nm = ss.NoiseModel(0.01, 0.02, 0.03)
+    assert ss.sample_outcomes(circ, nm, 1, 2 * ss.SHOT_BLOCK, start=ss.SHOT_BLOCK // 2).shape == (
+        3, 2 * ss.SHOT_BLOCK)  # three blocks
+    ss.sample_outcomes(circ, nm, 2, 10)
+    ss.single_fault_table(circ)
+    ss.enumerate_single_faults(circ)
+    assert len(calls) == 1
+    again = ss.Circuit.from_text(text)
+    assert again == circ
+    ss.single_fault_table(again)
+    assert len(calls) == 2
+    kinds, collapse = circ._noise_map
+    for array in (circ._fault_map, collapse, *kinds.values()):
+        assert array.size
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 1
