@@ -13,14 +13,16 @@ the circuit keeps that record map.  A seeded run, the reference run
 included, evaluates the map at the seed's draws, the same draws that a
 tableau taking them as it ran would have made.
 
-The frame kernel runs once per circuit too, on unit flips, and the circuit
-keeps its fault map: the outcome flips and residual frames that each flip
-slot of each instruction causes alone.  The sampler XORs the map rows of
-the faults and random frames it draws in seeded blocks of SHOT_BLOCK shots;
-single-fault enumeration reads one table off it, with no tableau run: each
-case's location, its outcome flips as one bool array (record tags x cases)
-and its residual frames as packed ints.  FaultCase objects are a per-case
-view, with absolute {tag: bit} records: the reference record XOR the flips.
+The frame kernel runs once per circuit too, one column per fault mechanism
+(each single fault, each collapsing op's random frame bit and each qubit's
+random initial Z frame), and the circuit keeps its fault map: one row per
+mechanism, the outcome flips and residual frames that it causes alone.
+The sampler XORs the map rows of the mechanisms it draws in seeded blocks
+of SHOT_BLOCK shots; single-fault enumeration reads one table off the
+single-fault rows, with no tableau run: each case's location, its outcome
+flips as one bool array (record tags x cases) and its residual frames as
+packed ints.  FaultCase objects are a per-case view, with absolute
+{tag: bit} records: the reference record XOR the flips.
 
 Text IR (round-trip exact), one instruction per line after a header:
 
@@ -173,12 +175,20 @@ class Circuit:
 
     @cached_property
     def _fault_map(self) -> np.ndarray:
-        """The frame kernel run on unit flips, on first use: row 4k + s is what flip
-        slot s at instruction k alone causes, its record flips (one per tag),
-        then its residual X and residual Z frames (one per qubit)."""
-        k = len(self.instructions)
-        unit = np.eye(4 * k, dtype=bool).reshape(k, 4, 4 * k)
-        rows = np.hstack([r.T for r in _propagate(self, unit)])
+        """The frame kernel run on the fault mechanisms, on first use: one row per
+        mechanism, its record flips (one per tag), then its residual X and
+        residual Z frames (one per qubit).  The rows are the single faults in
+        _sites order, each collapsing op's random frame bit in instruction
+        order, then each qubit's initial Z frame in qubit order."""
+        sites = _sites(self)
+        collapse = [k for k, ins in enumerate(self.instructions) if ins.op in _COLLAPSE_PAULI]
+        index = [k for k, _, faults in sites for _ in faults] + collapse
+        codes = [code for _, _, faults in sites for _, code in faults] + [
+            _COLLAPSE_PAULI[self.instructions[k].op] for k in collapse]
+        flips = np.zeros((len(self.instructions), 4, len(index) + self.n_qubits), dtype=bool)
+        flips[index, :, np.arange(len(index))] = _FAULT_FLIPS[codes]
+        start_z = np.eye(self.n_qubits, flips.shape[-1], len(index), dtype=bool)
+        rows = np.hstack([r.T for r in _propagate(self, flips, start_z)])
         rows.flags.writeable = False
         return rows
 
@@ -481,15 +491,16 @@ def noisy_expansion(circuit: Circuit, nm: NoiseModel, rng) -> Circuit:
 # the record and RELABEL permutes them.  An INJECT is a Pauli gate, which
 # the noiseless reference run applies; it leaves every frame as it is.  A
 # fault is a flip mask in the row of its instruction.  The kernel is linear
-# and runs once per circuit, one column per unit flip (Circuit._fault_map);
-# the sampler and the single-fault table both read that map.
+# and runs once per circuit, one column per fault mechanism
+# (Circuit._fault_map); the sampler and the single-fault table both read
+# that map's rows.
 #
 # A Z-basis preparation or measurement leaves its qubit in a Z eigenstate,
 # where a Z frame is a stabilizer and changes nothing; the sampler sets
 # that frame to a uniformly random bit per shot, which makes a later X
 # measurement of the qubit random, as it is in the tableau engine.  X-basis
-# ones do the same with the X frame.  These bits ride in the flip-mask slot
-# that the op's own fault does not use.
+# ones do the same with the X frame, and every qubit starts in |0> with a
+# random Z frame.  Each of these bits is a mechanism with its own map row.
 
 # Shots per seeded block: shot s takes its draws from block s // SHOT_BLOCK's generator.
 SHOT_BLOCK = 1024
@@ -500,8 +511,8 @@ SHOT_BLOCK = 1024
 _FAULT_FLIPS = np.array([[p in (1, 2), p in (2, 3), q in (1, 2), q in (2, 3)]
                          for p in range(4) for q in range(4)], dtype=bool)
 
-# The flip-mask slot (0 = X, 1 = Z frame) that each collapsing op leaves random.
-_COLLAPSE_SLOT = {"PREPZ": 1, "MEASZ": 1, "PREPX": 0, "MEASX": 0}
+# The frame that each collapsing op leaves random, as the fault code of its Pauli.
+_COLLAPSE_PAULI = {"PREPZ": 12, "MEASZ": 12, "PREPX": 4, "MEASX": 4}
 
 
 # (kind, ((label, Pauli code), ...)) of the single faults at each op.  Gate
@@ -524,19 +535,19 @@ def _sites(circuit: Circuit) -> list[tuple]:
             if ins.op in _FAULTS]
 
 
-def _propagate(circuit: Circuit, flips: np.ndarray):
+def _propagate(circuit: Circuit, flips: np.ndarray, start_z: np.ndarray):
     """Propagate Pauli frames through circuit, one column per flip pattern.
 
+    The Z frame starts as start_z (qubits x columns) and the X frame as 0.
     flips[k] (4 x columns) is applied at instruction k as _FAULT_FLIPS
     describes; at a measurement, the measured frame's slot flips the
     outcome and the other slot flips the other frame.  Returns the
     measurement flips (one row per record tag) and the residual X and Z
     frames (one row per qubit).
     """
-    cols = flips.shape[-1]
-    x = np.zeros((circuit.n_qubits, cols), dtype=bool)
-    z = np.zeros_like(x)
-    meas = np.empty((len(circuit.tags()), cols), dtype=bool)
+    x = np.zeros_like(start_z)
+    z = start_z.copy()
+    meas = np.empty((len(circuit.tags()), flips.shape[-1]), dtype=bool)
     row = 0
     for ins, f in zip(circuit.instructions, flips):
         op, qs = ins.op, ins.qubits
@@ -570,31 +581,23 @@ def _propagate(circuit: Circuit, flips: np.ndarray):
 
 
 def _noise_rows(circuit: Circuit) -> tuple[dict, np.ndarray]:
-    """The record flips of each kind's faults (sites x faults per site x tags)
-    and of each collapsing op's random frame bit (ops x tags), read off the
-    fault map; float32 0/1, so a sum of rows taken mod 2 is their XOR."""
+    """The fault map's record rows that the sampler draws: each kind's faults
+    (sites x faults per site x tags), then the random frame rows (bits x
+    tags): every collapse bit, and each initial Z frame that flips some
+    record.  float32 0/1, so a sum of rows taken mod 2 is their XOR."""
     records = circuit._fault_map[:, :len(circuit.tags())]
     sites, kinds = _sites(circuit), {}
+    first = np.cumsum([0] + [len(faults) for _, _, faults in sites])  # each site's first row
     for kind in dict.fromkeys(kind for _, kind, _ in sites):
-        mine = [(k, faults) for k, of, faults in sites if of == kind]
-        kinds[kind] = _fault_effects(records, np.array([[k] for k, _ in mine]), np.array(
-            [[code for _, code in faults] for _, faults in mine])).astype(np.float32)
-    collapse = records[[4 * k + _COLLAPSE_SLOT[ins.op] for k, ins in enumerate(circuit.instructions)
-                        if ins.op in _COLLAPSE_SLOT]].astype(np.float32)
+        mine = [i for i, site in enumerate(sites) if site[1] == kind]
+        kinds[kind] = records[first[mine, None] + np.arange(len(sites[mine[0]][2]))].astype(np.float32)
+    frames = records[first[-1]:]
+    drawn = frames.any(axis=1)
+    drawn[:len(frames) - circuit.n_qubits] = True  # a collapse bit is drawn even if it flips nothing
+    collapse = frames[drawn].astype(np.float32)
     for array in (collapse, *kinds.values()):
         array.flags.writeable = False
     return kinds, collapse
-
-
-def _fault_effects(rows: np.ndarray, index: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """The effect of fault code codes[i] at instruction index[i], index broadcast
-    against codes, on the columns of rows (the fault map or some of its
-    columns): the XOR of the rows of its flip slots, codes.shape + (columns,)."""
-    flips = _FAULT_FLIPS[codes]
-    out = np.zeros(codes.shape + rows.shape[1:], dtype=bool)
-    for slot in range(4):
-        out ^= rows[4 * index + slot] & flips[..., slot, None]
-    return out
 
 
 def outcome_dicts(tags: tuple[str, ...], bits: np.ndarray) -> list[dict[str, int]]:
@@ -651,8 +654,9 @@ def sample_outcomes(circuit: Circuit, nm: NoiseModel, seed, shots: int,
     and a failing one draws one of its single faults uniformly.  Only the
     failing (location, shot) cells are drawn: a binomial number of them, as
     a uniform subset, which is the law of an independent flip per cell.
-    Then each collapsing op draws its random frame bit per shot.  A shot is
-    the reference run XOR the fault map rows of its faults and set bits.
+    Then each collapsing op, and each initial Z frame that can flip an
+    outcome, draws its random frame bit per shot.  A shot is the reference
+    run XOR the fault map rows of its faults and set bits.
     Each block of SHOT_BLOCK shots draws from its own generator, seeded by
     (seed, block), and a range that starts or ends inside a block draws it
     whole, so a shot depends only on (circuit, noise, seed, shot index).
@@ -723,17 +727,15 @@ def single_fault_table(circuit: Circuit) -> SingleFaultTable:
 
     Locations: after each 1q gate (3 Paulis), after each CNOT (15 Pauli
     pairs), after each preparation (the flip Pauli), and a flip on each
-    measurement outcome.  A case's column is the XOR of the fault map rows
-    of its flip slots, so nothing propagates and no tableau runs.  The
-    residual frames are relative to the circuit as written, so they leave
-    out the Paulis of its INJECTs.
+    measurement outcome.  The cases are the fault map's first rows, so
+    nothing propagates and no tableau runs, and records is a read-only
+    view of the map.  The residual frames are relative to the circuit as
+    written, so they leave out the Paulis of its INJECTs.
     """
-    faults = [(k, kind, label, code) for k, kind, pairs in _sites(circuit) for label, code in pairs]
-    effects = _fault_effects(circuit._fault_map, np.array([f[0] for f in faults], dtype=np.intp),
-                             np.array([f[3] for f in faults], dtype=np.intp))
-    tags = len(circuit.tags())
-    records, x, z = np.split(effects.T, [tags, tags + circuit.n_qubits])
-    return SingleFaultTable([f[:3] for f in faults], records, column_ints(x), column_ints(z))
+    cases = [(k, kind, label) for k, kind, faults in _sites(circuit) for label, _ in faults]
+    records, x, z = np.split(circuit._fault_map[:len(cases)].T,
+                             [len(circuit.tags()), len(circuit.tags()) + circuit.n_qubits])
+    return SingleFaultTable(cases, records, column_ints(x), column_ints(z))
 
 
 def enumerate_single_faults(circuit: Circuit) -> list[FaultCase]:

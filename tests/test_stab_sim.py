@@ -565,7 +565,7 @@ def _dense_flip_outcomes(circ, nm, seed, shots, start):
 
     b = ss.SHOT_BLOCK
     first, last = start // b, (start + shots - 1) // b
-    meas = np.hstack([ss._propagate(circ, reference_noise_flips(
+    meas = np.hstack([ss._propagate(circ, *reference_noise_flips(
         circ, nm, np.random.default_rng([seed, 0, block]), b))[0] for block in range(first, last + 1)])
     ref = ss.reference_record(circ, seed)
     meas = meas[:, start - first * b:start - first * b + shots]
@@ -620,9 +620,8 @@ def _draw_coefficients(circ):
 def test_single_fault_table_matches_the_tableau(circ, seed):
     # a case's record flips equal what the tableau shows for the faulted
     # circuit at the same seed, up to the random outcomes: their difference
-    # lies in the span of the draws' coefficients in the record map; the
-    # sampler's random frame rows lie in that span, and span it exactly once
-    # every qubit is prepared before use (see the xfail test below)
+    # lies in the span of the draws' coefficients in the record map, and the
+    # sampler's random frame rows span exactly that space
     from conftest import gauss_rank
 
     tags = circ.tags()
@@ -634,16 +633,14 @@ def test_single_fault_table_matches_the_tableau(circ, seed):
         faulted = ss.simulate_tableau(_faulted(circ, case), seed)
         diff = [int(table.records[r, c]) ^ faulted[t] ^ clean[t] for r, t in enumerate(tags)]
         assert gauss_rank(draws + [diff]) == rank, case
-    assert gauss_rank(draws + circ._noise_map[1].astype(int).tolist()) == rank
-    prepared = ss.Circuit(circ.n_qubits, tuple(map(ss.prepz, range(circ.n_qubits))) + circ.instructions)
-    draws, collapse = _draw_coefficients(prepared), prepared._noise_map[1].astype(int).tolist()
-    assert gauss_rank(collapse) == gauss_rank(draws) == gauss_rank(draws + collapse)
+    collapse = circ._noise_map[1].astype(int).tolist()
+    assert gauss_rank(collapse) == rank == gauss_rank(draws + collapse)
 
 
-@pytest.mark.xfail(strict=True, reason="the sampler gives a qubit's initial |0> no random Z frame")
 def test_x_measurement_of_an_unprepared_qubit_is_random():
     # the tableau starts every qubit in |0>, so an X measurement before any
-    # preparation is random there, while the sampler always reads 0
+    # preparation is random there; the sampler's random initial Z frame
+    # makes it random too
     circ = ss.Circuit.from_text("QUBITS 1\nMEASX 0 a\n")
     assert {ss.simulate_tableau(circ, seed)["a"] for seed in range(20)} == {0, 1}
     assert set(ss.sample_outcomes(circ, ss.NoiseModel.zero(), 3, 200)[0].tolist()) == {False, True}
@@ -671,3 +668,64 @@ def test_frame_kernel_runs_once_per_circuit(monkeypatch):
         assert array.size
         with pytest.raises(ValueError):
             array[(0,) * array.ndim] = 1
+
+
+def test_fault_map_rows_are_the_mechanisms_in_order():
+    # one row per mechanism: the single faults in _sites order, the collapse
+    # bits in instruction order, then each qubit's initial Z frame; the
+    # columns are the records a and b, the residual X frame, the residual Z frame
+    import numpy as np
+
+    circ = ss.Circuit.from_text("QUBITS 2\nPREPX 0\nCNOT 0 1\nMEASZ 1 a\nMEASX 0 b\n")
+    # a Pauli pair after the CNOT is the residual frame, and a and b read x1 and z0
+    cnot = [[q in (1, 2), p in (2, 3), p in (1, 2), q in (1, 2), p in (2, 3), q in (2, 3)]
+            for p, q in (divmod(code, 4) for code in range(1, 16))]
+    rows = ([[0, 1, 0, 0, 1, 0]]  # Z after PREPX 0
+            + cnot
+            + [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0]]  # the outcome flips of a and b
+            + [[1, 0, 1, 1, 0, 0], [0, 0, 0, 0, 0, 1], [0, 0, 1, 0, 0, 0]]  # PREPX 0, MEASZ 1, MEASX 0
+            + [[0] * 6, [0, 1, 0, 0, 1, 1]])  # PREPX resets qubit 0; qubit 1's Z reaches b
+    assert circ._fault_map.astype(int).tolist() == [list(map(int, row)) for row in rows]
+    kinds, collapse = circ._noise_map
+    assert kinds["prep"].tolist() == [[[0, 1]]]
+    assert kinds["gate2"].tolist() == [[row[:2] for row in cnot]]
+    assert kinds["meas"].tolist() == [[[1, 0]], [[0, 1]]]
+    assert collapse.tolist() == [[1, 0], [0, 0], [0, 0], [0, 1]]  # qubit 0's initial frame is not drawn
+    table = ss.single_fault_table(circ)
+    assert table.cases[:2] == [(0, "prep", "Z"), (1, "gate2", "IX")] and len(table.cases) == 18
+    assert table.records.T.astype(int).tolist() == [row[:2] for row in rows[:18]]
+    assert table.final_x[0] == 0 and table.final_z[0] == 1
+    assert np.shares_memory(table.records, circ._fault_map)
+    with pytest.raises(ValueError):
+        table.records[0, 0] = True
+
+
+def test_a_site_at_rate_one_adds_one_of_its_rows_to_each_shot():
+    # the one H fails in every shot and no other site can fail; the random
+    # frames reach no outcome, so each shot is the reference record XOR one
+    # of the H's fault rows (X leaves both outcomes; Y and Z flip a)
+    import numpy as np
+
+    circ = ss.Circuit.from_text("QUBITS 2\nPREPZ 0\nPREPZ 1\nCNOT 0 1\nH 0\nMEASX 0 a\nMEASZ 1 b\n")
+    ref = ss.reference_record(circ, 4)
+    flips = ss.sample_outcomes(circ, ss.NoiseModel(1.0, 0.0, 0.0), 4, 300) ^ np.array(
+        [[ref["a"]], [ref["b"]]], dtype=bool)
+    rows = {tuple(row) for row in circ._noise_map[0]["gate1"][0].astype(bool).tolist()}
+    assert rows == {(False, False), (True, False)}
+    assert {tuple(shot) for shot in flips.T.tolist()} == rows
+
+
+def test_unprepared_data_qubits_make_x_check_outcomes_random(flagship_code):
+    # syndrome_extraction_circuit never prepares its data qubits, so its
+    # X-check outcomes are random in the tableau; the zero-noise shots span
+    # the space of the draws' coefficients in the record map
+    import numpy as np
+    from conftest import gauss_rank
+
+    circ = syndrome_extraction_circuit(flagship_code, zigzag_schedule(flagship_code), "both")
+    ref = ss.reference_record(circ, 9)
+    flips = ss.sample_outcomes(circ, ss.NoiseModel.zero(), 9, 200) ^ np.array(
+        [[ref[t]] for t in circ.tags()], dtype=bool)
+    draws, shots = _draw_coefficients(circ), flips.T.astype(int).tolist()
+    assert gauss_rank(draws) > 0
+    assert gauss_rank(shots) == gauss_rank(draws) == gauss_rank(draws + shots)
