@@ -140,7 +140,6 @@ class FrameRecipe:
     frame_map: BitMatrix              # recorded check outcomes -> final frame
     parity_check_coeffs: int          # stabilizer part of the pulled-back X product
     meas_parity_coeffs: int           # same coefficients over final check slots
-    xbar_gadget_start: int            # instruction index of the first gadget
     key: BitMatrix                    # record bits -> key word
 
 
@@ -183,7 +182,6 @@ def _ghz_pipeline(code: CssCode, basis: str, data_perms, measured_logical: int,
     ins = [ss.prepz(q) for q in range(n)]
     ins += syndrome_extraction_circuit(code, schedule, which="X").instructions
     g = code.hx.rows
-    xbar_start = len(ins)
     support = mask_to_support(code.logicals_x[measured_logical])
     xbar_tags = []
     for rep in range(3):
@@ -233,7 +231,6 @@ def _ghz_pipeline(code: CssCode, basis: str, data_perms, measured_logical: int,
         frame_map=frame_map,
         parity_check_coeffs=lam,
         meas_parity_coeffs=mu,
-        xbar_gadget_start=xbar_start,
         key=BitMatrix.from_ints(key, r + 3 + n),
     )
     return ss.Circuit(total, tuple(ins)), recipe

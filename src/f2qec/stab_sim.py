@@ -2,27 +2,27 @@
 
 Two engines run the same Circuit: an exact tableau simulator (the
 correctness oracle) and a fast Pauli-frame sampler that XORs propagated
-faults onto a fixed noiseless reference run.  An INJECT is a Pauli gate in
-both: the reference run applies it, and it changes no frame.  Noise is a
+faults onto noiseless records.  An INJECT is a Pauli gate in both: the
+noiseless records include it, and it changes no frame.  Noise is a
 three-rate model: depolarizing after one- and two-qubit gates, independent
 flips on preparations and measurement outcomes.
 
 The tableau runs once per circuit, with symbolic signs: it gives each
 outcome as an affine GF(2) function of the circuit's random outcomes, and
-the circuit keeps that record map.  A seeded run, the reference run
-included, evaluates the map at the seed's draws, the same draws that a
-tableau taking them as it ran would have made.
+the circuit keeps that record map.  Its draws are the only noiseless
+randomness: a seeded run, the reference run included, evaluates the map at
+the seed's draws, the same draws that a tableau taking them as it ran would
+have made, and the sampler evaluates it at fresh draws per shot.
 
-The frame kernel runs once per circuit too, one column per fault mechanism
-(each single fault, each collapsing op's random frame bit and each qubit's
-random initial Z frame), and the circuit keeps its fault map: one row per
-mechanism, the outcome flips and residual frames that it causes alone.
-The sampler XORs the map rows of the mechanisms it draws in seeded blocks
-of SHOT_BLOCK shots; single-fault enumeration reads one table off the
-single-fault rows, with no tableau run: each case's location, its outcome
-flips as one bool array (record tags x cases) and its residual frames as
-packed ints.  FaultCase objects are a per-case view, with absolute
-{tag: bit} records: the reference record XOR the flips.
+The frame kernel runs once per circuit too, one column per single fault,
+and the circuit keeps its fault map: one row per single fault, the outcome
+flips and residual frames that it causes alone.  The sampler XORs the map
+rows of the faults it draws in seeded blocks of SHOT_BLOCK shots onto each
+shot's noiseless record; single-fault enumeration reads one table off the
+map, with no tableau run: each case's location, its outcome flips as one
+bool array (record tags x cases) and its residual frames as packed ints.
+FaultCase objects are a per-case view, with absolute {tag: bit} records:
+the reference record XOR the flips.
 
 Text IR (round-trip exact), one instruction per line after a header:
 
@@ -175,26 +175,22 @@ class Circuit:
 
     @cached_property
     def _fault_map(self) -> np.ndarray:
-        """The frame kernel run on the fault mechanisms, on first use: one row per
-        mechanism, its record flips (one per tag), then its residual X and
-        residual Z frames (one per qubit).  The rows are the single faults in
-        _sites order, each collapsing op's random frame bit in instruction
-        order, then each qubit's initial Z frame in qubit order."""
+        """The frame kernel run on the single faults, on first use: one row per
+        fault, in _sites order, its record flips (one per tag), then its
+        residual X and residual Z frames (one per qubit)."""
         sites = _sites(self)
-        collapse = [k for k, ins in enumerate(self.instructions) if ins.op in _COLLAPSE_PAULI]
-        index = [k for k, _, faults in sites for _ in faults] + collapse
-        codes = [code for _, _, faults in sites for _, code in faults] + [
-            _COLLAPSE_PAULI[self.instructions[k].op] for k in collapse]
-        flips = np.zeros((len(self.instructions), 4, len(index) + self.n_qubits), dtype=bool)
+        index = [k for k, _, faults in sites for _ in faults]
+        codes = [code for _, _, faults in sites for _, code in faults]
+        flips = np.zeros((len(self.instructions), 4, len(index)), dtype=bool)
         flips[index, :, np.arange(len(index))] = _FAULT_FLIPS[codes]
-        start_z = np.eye(self.n_qubits, flips.shape[-1], len(index), dtype=bool)
-        rows = np.hstack([r.T for r in _propagate(self, flips, start_z)])
+        rows = np.hstack([r.T for r in _propagate(self, flips)])
         rows.flags.writeable = False
         return rows
 
     @cached_property
-    def _noise_map(self) -> tuple[dict, np.ndarray]:
-        """The record flips that the sampler draws, read off _fault_map on first use."""
+    def _noise_map(self) -> tuple[dict, np.ndarray, np.ndarray]:
+        """What the sampler draws from, on first use: the fault map's record
+        rows and the record map's draw coefficients and constant bits."""
         return _noise_rows(self)
 
     def tags(self) -> tuple[str, ...]:
@@ -489,18 +485,16 @@ def noisy_expansion(circuit: Circuit, nm: NoiseModel, rng) -> Circuit:
 # frame is a row over the columns: a CNOT is two row XORs, H swaps a
 # qubit's rows, a preparation overwrites them, a measurement reads one into
 # the record and RELABEL permutes them.  An INJECT is a Pauli gate, which
-# the noiseless reference run applies; it leaves every frame as it is.  A
-# fault is a flip mask in the row of its instruction.  The kernel is linear
-# and runs once per circuit, one column per fault mechanism
-# (Circuit._fault_map); the sampler and the single-fault table both read
-# that map's rows.
+# the noiseless records include; it leaves every frame as it is.  A fault
+# is a flip mask in the row of its instruction.  The kernel is linear and
+# runs once per circuit, one column per single fault (Circuit._fault_map);
+# the sampler and the single-fault table both read that map's rows.
 #
-# A Z-basis preparation or measurement leaves its qubit in a Z eigenstate,
-# where a Z frame is a stabilizer and changes nothing; the sampler sets
-# that frame to a uniformly random bit per shot, which makes a later X
-# measurement of the qubit random, as it is in the tableau engine.  X-basis
-# ones do the same with the X frame, and every qubit starts in |0> with a
-# random Z frame.  Each of these bits is a mechanism with its own map row.
+# Frames carry the faults only.  A random outcome, such as an X
+# measurement after a Z preparation or of a qubit that no preparation
+# precedes, is random in the noiseless record itself: each shot draws the
+# circuit's k random outcomes afresh and evaluates the tableau's record
+# map at them, as simulate_tableau does for one seeded shot.
 
 # Shots per seeded block: shot s takes its draws from block s // SHOT_BLOCK's generator.
 SHOT_BLOCK = 1024
@@ -510,9 +504,6 @@ SHOT_BLOCK = 1024
 # (x first, z first, x second, z second) frame flips.
 _FAULT_FLIPS = np.array([[p in (1, 2), p in (2, 3), q in (1, 2), q in (2, 3)]
                          for p in range(4) for q in range(4)], dtype=bool)
-
-# The frame that each collapsing op leaves random, as the fault code of its Pauli.
-_COLLAPSE_PAULI = {"PREPZ": 12, "MEASZ": 12, "PREPX": 4, "MEASX": 4}
 
 
 # (kind, ((label, Pauli code), ...)) of the single faults at each op.  Gate
@@ -535,18 +526,18 @@ def _sites(circuit: Circuit) -> list[tuple]:
             if ins.op in _FAULTS]
 
 
-def _propagate(circuit: Circuit, flips: np.ndarray, start_z: np.ndarray):
+def _propagate(circuit: Circuit, flips: np.ndarray):
     """Propagate Pauli frames through circuit, one column per flip pattern.
 
-    The Z frame starts as start_z (qubits x columns) and the X frame as 0.
-    flips[k] (4 x columns) is applied at instruction k as _FAULT_FLIPS
-    describes; at a measurement, the measured frame's slot flips the
-    outcome and the other slot flips the other frame.  Returns the
-    measurement flips (one row per record tag) and the residual X and Z
-    frames (one row per qubit).
+    Both frames start at 0: a frame holds faults only, and the noiseless
+    randomness is in the record map.  flips[k] (4 x columns) is applied at
+    instruction k as _FAULT_FLIPS describes; at a measurement, the measured
+    frame's slot flips the outcome and the other slot flips the other
+    frame.  Returns the measurement flips (one row per record tag) and the
+    residual X and Z frames (one row per qubit).
     """
-    x = np.zeros_like(start_z)
-    z = start_z.copy()
+    x = np.zeros((circuit.n_qubits, flips.shape[-1]), dtype=bool)
+    z = np.zeros_like(x)
     meas = np.empty((len(circuit.tags()), flips.shape[-1]), dtype=bool)
     row = 0
     for ins, f in zip(circuit.instructions, flips):
@@ -580,34 +571,32 @@ def _propagate(circuit: Circuit, flips: np.ndarray, start_z: np.ndarray):
     return meas, x, z
 
 
-def _noise_rows(circuit: Circuit) -> tuple[dict, np.ndarray]:
-    """The fault map's record rows that the sampler draws: each kind's faults
-    (sites x faults per site x tags), then the random frame rows (bits x
-    tags): every collapse bit, and each initial Z frame that flips some
-    record.  float32 0/1, so a sum of rows taken mod 2 is their XOR."""
-    records = circuit._fault_map[:, :len(circuit.tags())]
+def _noise_rows(circuit: Circuit) -> tuple[dict, np.ndarray, np.ndarray]:
+    """The rows that the sampler adds: the fault map's record rows of each
+    kind's faults (sites x faults per site x tags), then the record map's
+    draw coefficients (k x tags: row j, the tags that random outcome j
+    enters) and constant bits (tags).  float32 0/1, so a sum of rows taken
+    mod 2 is their XOR."""
+    tags = circuit.tags()
+    records = circuit._fault_map[:, :len(tags)]
     sites, kinds = _sites(circuit), {}
     first = np.cumsum([0] + [len(faults) for _, _, faults in sites])  # each site's first row
     for kind in dict.fromkeys(kind for _, kind, _ in sites):
         mine = [i for i, site in enumerate(sites) if site[1] == kind]
         kinds[kind] = records[first[mine, None] + np.arange(len(sites[mine[0]][2]))].astype(np.float32)
-    frames = records[first[-1]:]
-    drawn = frames.any(axis=1)
-    drawn[:len(frames) - circuit.n_qubits] = True  # a collapse bit is drawn even if it flips nothing
-    collapse = frames[drawn].astype(np.float32)
-    for array in (collapse, *kinds.values()):
+    k, forms = circuit._record_map
+    width = k // 8 + 1  # bytes of a form: its constant at bit 0, draw j at bit j + 1
+    packed = np.frombuffer(b"".join(forms[t].to_bytes(width, "little") for t in tags), dtype=np.uint8)
+    bits = np.unpackbits(packed.reshape(len(tags), width), axis=1, count=k + 1, bitorder="little")
+    const, draws = bits[:, 0].astype(np.float32), bits[:, 1:].T.astype(np.float32)
+    for array in (draws, const, *kinds.values()):
         array.flags.writeable = False
-    return kinds, collapse
+    return kinds, draws, const
 
 
 def outcome_dicts(tags: tuple[str, ...], bits: np.ndarray) -> list[dict[str, int]]:
     """One {tag: bit} dict per column of a (tags x columns) outcome array."""
     return [dict(zip(tags, col)) for col in bits.T.astype(np.uint8).tolist()]
-
-
-def _outcomes(circuit: Circuit, meas: np.ndarray, ref: dict[str, int]) -> np.ndarray:
-    """Outcome bits, one column per shot: the reference XOR the measurement flips."""
-    return meas ^ np.array([ref[t] for t in circuit.tags()], dtype=bool)[:, None]
 
 
 def column_ints(rows: np.ndarray) -> list[int]:
@@ -624,13 +613,15 @@ def column_ints(rows: np.ndarray) -> list[int]:
 
 
 def reference_record(circuit: Circuit, master_seed) -> dict[str, int]:
-    """Noiseless tableau run of the circuit as written, fixing the outcome frame for the sampler.
+    """Noiseless tableau run of the circuit as written: one seeded noiseless record.
 
     The circuit's record map is evaluated at the draws of a generator
     seeded from master_seed, so after the first call on a circuit a new
     seed costs its draws, not a tableau pass.  An INJECT is a Pauli gate
-    here as in any tableau run, so its effect is in the reference record
-    and the frame kernel leaves it out.
+    here as in any tableau run, so its effect is in the record and the
+    frame kernel leaves it out.  enumerate_single_faults XORs each case's
+    flips onto this record at seed 0; the sampler does not call it, and
+    draws each shot's random outcomes itself.
     """
     return simulate_tableau(circuit, seed=list(_seed_key(master_seed)) + [1])
 
@@ -654,9 +645,10 @@ def sample_outcomes(circuit: Circuit, nm: NoiseModel, seed, shots: int,
     and a failing one draws one of its single faults uniformly.  Only the
     failing (location, shot) cells are drawn: a binomial number of them, as
     a uniform subset, which is the law of an independent flip per cell.
-    Then each collapsing op, and each initial Z frame that can flip an
-    outcome, draws its random frame bit per shot.  A shot is the reference
-    run XOR the fault map rows of its faults and set bits.
+    Then each shot draws the circuit's k random outcomes as k uniform bits,
+    and its noiseless record is the tableau's record map at them: the
+    constant bits XOR the draw coefficients of its set bits.  A shot is
+    that record XOR the fault map rows of its faults.
     Each block of SHOT_BLOCK shots draws from its own generator, seeded by
     (seed, block), and a range that starts or ends inside a block draws it
     whole, so a shot depends only on (circuit, noise, seed, shot index).
@@ -664,13 +656,13 @@ def sample_outcomes(circuit: Circuit, nm: NoiseModel, seed, shots: int,
     meas = np.empty((len(circuit.tags()), max(shots, 0)), dtype=bool)
     if shots <= 0:
         return meas
-    kinds, collapse = circuit._noise_map
+    kinds, draws, const = circuit._noise_map
     rate = {"gate1": nm.p1, "gate2": nm.p2, "prep": nm.p_spam, "meas": nm.p_spam}
     noise = [(p, kinds[kind]) for kind, p in rate.items() if kind in kinds and p > 0.0]
     stop = start + shots
     for block in range(start // SHOT_BLOCK, (stop - 1) // SHOT_BLOCK + 1):
         rng = np.random.default_rng(list(_seed_key(seed)) + [0, block])
-        counts = np.zeros((SHOT_BLOCK, len(meas)), dtype=np.float32)  # one row per shot
+        counts = np.full((SHOT_BLOCK, len(meas)), const, dtype=np.float32)  # one row per shot
         for p, columns in noise:
             cells = columns.shape[0] * SHOT_BLOCK
             site, shot = np.divmod(rng.choice(cells, rng.binomial(cells, p), replace=False),
@@ -678,12 +670,12 @@ def sample_outcomes(circuit: Circuit, nm: NoiseModel, seed, shots: int,
             rows = columns[site, rng.integers(columns.shape[1], size=len(site))]
             cell = shot[:, None] * len(meas) + np.arange(len(meas))  # 1-D add.at is the fast one
             np.add.at(counts.reshape(-1), cell.reshape(-1), rows.reshape(-1))
-        bits = rng.integers(0, 2, (len(collapse), SHOT_BLOCK), dtype=bool)
-        counts += bits.T.astype(np.float32) @ collapse
+        bits = rng.integers(0, 2, (len(draws), SHOT_BLOCK), dtype=bool)
+        counts += bits.T.astype(np.float32) @ draws
         base = block * SHOT_BLOCK
         lo, hi = max(start, base), min(stop, base + SHOT_BLOCK)
         meas[:, lo - start:hi - start] = (counts[lo - base:hi - base].astype(np.int32) & 1).T
-    return _outcomes(circuit, meas, reference_record(circuit, seed))
+    return meas
 
 
 def sample_pauli_frame(circuit: Circuit, nm: NoiseModel, seed, shots: int,
@@ -711,8 +703,8 @@ class SingleFaultTable(NamedTuple):
     """Every single fault of a circuit, one column per fault case.
 
     cases[c] is case c's (instruction_index, kind, pauli); records[:, c]
-    the outcome flips it causes, one row per record tag (the noiseless
-    record is reference_record XOR these); final_x[c] and final_z[c] its
+    the outcome flips it causes, one row per record tag (the faulted
+    record is a noiseless one, such as reference_record's, XOR these); final_x[c] and final_z[c] its
     residual X and Z frames at the circuit end as ints, bit q = qubit q.
     """
 
@@ -727,13 +719,13 @@ def single_fault_table(circuit: Circuit) -> SingleFaultTable:
 
     Locations: after each 1q gate (3 Paulis), after each CNOT (15 Pauli
     pairs), after each preparation (the flip Pauli), and a flip on each
-    measurement outcome.  The cases are the fault map's first rows, so
-    nothing propagates and no tableau runs, and records is a read-only
-    view of the map.  The residual frames are relative to the circuit as
+    measurement outcome.  The cases are the fault map's rows, so nothing
+    propagates and no tableau runs, and records is a read-only view of the
+    map.  The residual frames are relative to the circuit as
     written, so they leave out the Paulis of its INJECTs.
     """
     cases = [(k, kind, label) for k, kind, faults in _sites(circuit) for label, _ in faults]
-    records, x, z = np.split(circuit._fault_map[:len(cases)].T,
+    records, x, z = np.split(circuit._fault_map.T,
                              [len(circuit.tags()), len(circuit.tags()) + circuit.n_qubits])
     return SingleFaultTable(cases, records, column_ints(x), column_ints(z))
 
@@ -741,8 +733,8 @@ def single_fault_table(circuit: Circuit) -> SingleFaultTable:
 def enumerate_single_faults(circuit: Circuit) -> list[FaultCase]:
     """The cases of single_fault_table(circuit) as FaultCase objects, with absolute
     {tag: bit} records: reference_record(circuit, 0) XOR each case's flips."""
-    table = single_fault_table(circuit)
-    records = _outcomes(circuit, table.records, reference_record(circuit, 0))
+    table, ref = single_fault_table(circuit), reference_record(circuit, 0)
+    records = table.records ^ np.array([ref[t] for t in circuit.tags()], dtype=bool)[:, None]
     return [FaultCase(index, kind, pauli, record, fx, fz)
             for (index, kind, pauli), record, fx, fz in zip(
                 table.cases, outcome_dicts(circuit.tags(), records),

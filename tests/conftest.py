@@ -219,46 +219,22 @@ def reference_min_sum(h, priors, syndrome, iters):
     return hard, False, "BP", soft_weight(hard), tuple(posteriors)
 
 
-def _initial_z_flips_a_record(circuit, q):
-    """Whether a Z on qubit q before the first instruction flips some outcome,
-    followed through the circuit as sets of the qubits its X and Z parts are on."""
-    x, z = set(), {q}
-    for ins in circuit.instructions:
-        op, qs = ins.op, ins.qubits
-        if op == "CNOT":
-            x ^= {qs[1]} if qs[0] in x else set()
-            z ^= {qs[0]} if qs[1] in z else set()
-        elif op == "H":
-            a = {qs[0]}
-            x, z = (x - a) | (z & a), (z - a) | (x & a)
-        elif op in ("PREPZ", "PREPX"):
-            x -= set(qs)
-            z -= set(qs)
-        elif (op == "MEASZ" and qs[0] in x) or (op == "MEASX" and qs[0] in z):
-            return True
-        elif op == "RELABEL":
-            x, z = {ins.perm[p] for p in x}, {ins.perm[p] for p in z}
-    return False
-
-
 def reference_noise_flips(circuit, nm, rng, shots):
-    """One seeded block's noise and random frames as one dense flip array.
+    """One seeded block's noise as one dense flip array, and its random outcomes.
 
     Returns a bool array (instructions x 4 x shots) of flip slots (x first,
-    z first, x second, z second) per instruction and shot, and the Z frame
-    (qubits x shots) that every shot starts with, for the frame kernel to
-    propagate.  The fault kinds are drawn in the order gate1 (H),
-    gate2 (CNOT), prep, meas, each only when it has a location and a
-    nonzero rate: a binomial number of failing (location, shot) cells,
+    z first, x second, z second) per instruction and shot, for the frame
+    kernel to propagate from zero frames, and a bool array (k x shots) of
+    the circuit's k random outcomes per shot.  The fault kinds are drawn
+    in the order gate1 (H), gate2 (CNOT), prep, meas, each only when it
+    has a location and a nonzero rate: a binomial number of failing (location, shot) cells,
     chosen without replacement, then one fault per cell, uniform over its
     location's faults.  These are X, Y, Z after H; the 15 non-identity
     Pauli pairs after a CNOT, coded 4 * first + second with 0=I, 1=X, 2=Y,
     3=Z; X after PREPZ and Z after PREPX; the Pauli that anticommutes with
-    a measurement, which flips its outcome.  Then every PREPZ and MEASZ
-    gets a uniform bit in its Z slot and every PREPX and MEASX one in its
-    X slot, one row of bits per op, and in the same draw, after those rows,
-    each qubit whose initial Z frame flips some outcome gets one as its
-    starting Z frame, in qubit order.
+    a measurement, which flips its outcome.  Then one draw gives k uniform
+    bits per shot, k being the number of random outcomes in the circuit's
+    record map.
     """
     import numpy as np
 
@@ -280,12 +256,4 @@ def reference_noise_flips(circuit, nm, rng, shots):
         site, shot = np.divmod(rng.choice(cells, rng.binomial(cells, p), replace=False), shots)
         pick = codes[site, rng.integers(codes.shape[1], size=len(site))]
         out[pos[site], :, shot] = flips[pick]
-    collapse = [(k, int(ins.op in ("PREPZ", "MEASZ"))) for k, ins in enumerate(circuit.instructions)
-                if ins.op in ("PREPZ", "MEASZ", "PREPX", "MEASX")]
-    initial = [q for q in range(circuit.n_qubits) if _initial_z_flips_a_record(circuit, q)]
-    bits = rng.integers(0, 2, (len(collapse) + len(initial), shots), dtype=bool)
-    for (k, slot), row in zip(collapse, bits):
-        out[k, slot] ^= row
-    start_z = np.zeros((circuit.n_qubits, shots), dtype=bool)
-    start_z[initial] = bits[len(collapse):]
-    return out, start_z
+    return out, rng.integers(0, 2, (circuit._record_map[0], shots), dtype=bool)

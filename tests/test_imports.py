@@ -5,6 +5,8 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "f2qec"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+# the lints of unused imports and unread private names also cover the tests
+LINTED = MODULES + sorted(pathlib.Path(__file__).resolve().parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -32,7 +34,7 @@ def test_unused_import_is_found():
     assert unused_imports("from a import B\nx: 'B' = 1\n") == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", LINTED, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
@@ -63,7 +65,7 @@ def test_unread_private_name_is_found():
     assert unread_private_names("__all__ = []\n_x: int = 1\nprint(_x)\n") == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", LINTED, ids=lambda p: p.name)
 def test_no_unread_private_names(path):
     assert unread_private_names(path.read_text()) == []
 

@@ -112,13 +112,18 @@ def test_noiseless_generalized_pipelines():
                     assert raw == (0,)
 
 
+def _gadget_start(circ, recipe):
+    # the first logical-X gadget follows the last extraction measurement
+    return 1 + max(k for k, ins in enumerate(circ.instructions) if ins.tag in recipe.x_check_tags)
+
+
 def test_injected_z_before_gadgets_spoils_x_parity(flagship_code):
     # A lone Z on the measured logical's support before its gadget triple
     # passes postselection yet leaves the recorded sign inconsistent with
     # the state: the known unprotected channel of the logical measurement.
     circ, recipe = pr.logical_ghz_circuit(flagship_code, "x")
     ins = list(circ.instructions)
-    ins.insert(recipe.xbar_gadget_start, ss.inject("Z", brick(4, 1)))
+    ins.insert(_gadget_start(circ, recipe), ss.inject("Z", brick(4, 1)))
     injected = ss.Circuit(circ.n_qubits, tuple(ins))
     for seed in range(10):
         rec = ss.simulate_tableau(injected, seed)
@@ -130,7 +135,7 @@ def test_injected_z_before_gadgets_spoils_x_parity(flagship_code):
         # the same injection never touches the Z readout
         circz, recipez = pr.logical_ghz_circuit(flagship_code, "z")
         insz = list(circz.instructions)
-        insz.insert(recipez.xbar_gadget_start, ss.inject("Z", brick(4, 1)))
+        insz.insert(_gadget_start(circz, recipez), ss.inject("Z", brick(4, 1)))
         recz = ss.simulate_tableau(ss.Circuit(circz.n_qubits, tuple(insz)), seed)
         framez = pr.frame_from_shot(recipez, recz)
         _, rawz = pr.readout_reduce(flagship_code, "z", [recz[t] for t in recipez.data_tags], framez)

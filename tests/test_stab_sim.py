@@ -552,24 +552,30 @@ def test_noise_model_validation():
         ss.NoiseModel(p2=1.5)
 
 
-# circuits with no record tag, with no fault site and with no collapsing op
+# circuits with no record tag, with no fault site and with no collapsing op,
+# then one whose outcomes are a constant 1 and a random bit
 _EDGE_CIRCUITS = ("PREPZ 0\nH 0\nCNOT 0 1", "", "INJECT X 0\nRELABEL (0 1)",
-                  "H 0\nCNOT 0 1\nINJECT Y 1")
+                  "H 0\nCNOT 0 1\nINJECT Y 1", "INJECT X 0\nMEASZ 0 a\nH 1\nMEASZ 1 b")
 
 
 def _dense_flip_outcomes(circ, nm, seed, shots, start):
-    # the reference sampler: each block's flips drawn as one dense array,
-    # propagated by the frame kernel and XORed onto the reference record
+    # the reference sampler: each block's flips drawn as one dense array and
+    # propagated by the frame kernel, each shot's random outcomes put into
+    # every tag's affine form of the record map one by one, and the two XORed
     import numpy as np
     from conftest import reference_noise_flips
 
     b = ss.SHOT_BLOCK
     first, last = start // b, (start + shots - 1) // b
-    meas = np.hstack([ss._propagate(circ, *reference_noise_flips(
-        circ, nm, np.random.default_rng([seed, 0, block]), b))[0] for block in range(first, last + 1)])
-    ref = ss.reference_record(circ, seed)
-    meas = meas[:, start - first * b:start - first * b + shots]
-    return meas ^ np.array([ref[t] for t in circ.tags()], dtype=bool)[:, None]
+    flips, draws = zip(*(reference_noise_flips(circ, nm, np.random.default_rng([seed, 0, block]), b)
+                         for block in range(first, last + 1)))
+    lo = start - first * b
+    meas = np.hstack([ss._propagate(circ, f)[0] for f in flips])[:, lo:lo + shots]
+    forms = circ._record_map[1]
+    points = [1 | sum(bit << (j + 1) for j, bit in enumerate(col))
+              for col in np.hstack(draws)[:, lo:lo + shots].T.tolist()]
+    noiseless = [[(forms[t] & point).bit_count() & 1 for point in points] for t in circ.tags()]
+    return meas ^ np.array(noiseless, dtype=bool).reshape(meas.shape)
 
 
 def _check_sampler_against_dense_flips(circ, rates, seed, start, shots):
@@ -583,8 +589,9 @@ def _check_sampler_against_dense_flips(circ, rates, seed, start, shots):
 @given(_circuits(), st.tuples(*[st.sampled_from([0.0, 0.5]) | st.floats(0.0, 0.5)] * 3),
        st.integers(0, 2 ** 32 - 1), st.integers(0, 3 * ss.SHOT_BLOCK), st.integers(1, 2 * ss.SHOT_BLOCK))
 def test_sampler_matches_the_dense_flip_kernel(circ, rates, seed, start, shots):
-    # the fault map read by the sampler gives the shots that propagating
-    # each block's dense flips gives, bit for bit and draw for draw
+    # the fault map and the record map read by the sampler give the shots
+    # that propagating each block's dense flips onto the record map's value
+    # at the block's random outcomes gives, bit for bit and draw for draw
     _check_sampler_against_dense_flips(circ, rates, seed, start, shots)
 
 
@@ -620,8 +627,8 @@ def _draw_coefficients(circ):
 def test_single_fault_table_matches_the_tableau(circ, seed):
     # a case's record flips equal what the tableau shows for the faulted
     # circuit at the same seed, up to the random outcomes: their difference
-    # lies in the span of the draws' coefficients in the record map, and the
-    # sampler's random frame rows span exactly that space
+    # lies in the span of the draws' coefficients in the record map, the
+    # coefficients that the sampler draws through
     from conftest import gauss_rank
 
     tags = circ.tags()
@@ -633,14 +640,13 @@ def test_single_fault_table_matches_the_tableau(circ, seed):
         faulted = ss.simulate_tableau(_faulted(circ, case), seed)
         diff = [int(table.records[r, c]) ^ faulted[t] ^ clean[t] for r, t in enumerate(tags)]
         assert gauss_rank(draws + [diff]) == rank, case
-    collapse = circ._noise_map[1].astype(int).tolist()
-    assert gauss_rank(collapse) == rank == gauss_rank(draws + collapse)
+    assert circ._noise_map[1].tolist() == draws
 
 
 def test_x_measurement_of_an_unprepared_qubit_is_random():
     # the tableau starts every qubit in |0>, so an X measurement before any
-    # preparation is random there; the sampler's random initial Z frame
-    # makes it random too
+    # preparation is a random outcome of the record map; the sampler draws
+    # the map's random outcomes per shot, so it is random there too
     circ = ss.Circuit.from_text("QUBITS 1\nMEASX 0 a\n")
     assert {ss.simulate_tableau(circ, seed)["a"] for seed in range(20)} == {0, 1}
     assert set(ss.sample_outcomes(circ, ss.NoiseModel.zero(), 3, 200)[0].tolist()) == {False, True}
@@ -663,17 +669,17 @@ def test_frame_kernel_runs_once_per_circuit(monkeypatch):
     assert again == circ
     ss.single_fault_table(again)
     assert len(calls) == 2
-    kinds, collapse = circ._noise_map
-    for array in (circ._fault_map, collapse, *kinds.values()):
+    kinds, draws, const = circ._noise_map
+    for array in (circ._fault_map, draws, const, *kinds.values()):
         assert array.size
         with pytest.raises(ValueError):
             array[(0,) * array.ndim] = 1
 
 
 def test_fault_map_rows_are_the_mechanisms_in_order():
-    # one row per mechanism: the single faults in _sites order, the collapse
-    # bits in instruction order, then each qubit's initial Z frame; the
-    # columns are the records a and b, the residual X frame, the residual Z frame
+    # one row per single fault, in _sites order; the columns are the records
+    # a and b, the residual X frame, the residual Z frame.  The random
+    # outcomes are the record map's: PREPX 0, then a, then b are draws 0, 1, 2
     import numpy as np
 
     circ = ss.Circuit.from_text("QUBITS 2\nPREPX 0\nCNOT 0 1\nMEASZ 1 a\nMEASX 0 b\n")
@@ -682,18 +688,16 @@ def test_fault_map_rows_are_the_mechanisms_in_order():
             for p, q in (divmod(code, 4) for code in range(1, 16))]
     rows = ([[0, 1, 0, 0, 1, 0]]  # Z after PREPX 0
             + cnot
-            + [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0]]  # the outcome flips of a and b
-            + [[1, 0, 1, 1, 0, 0], [0, 0, 0, 0, 0, 1], [0, 0, 1, 0, 0, 0]]  # PREPX 0, MEASZ 1, MEASX 0
-            + [[0] * 6, [0, 1, 0, 0, 1, 1]])  # PREPX resets qubit 0; qubit 1's Z reaches b
+            + [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0]])  # the outcome flips of a and b
     assert circ._fault_map.astype(int).tolist() == [list(map(int, row)) for row in rows]
-    kinds, collapse = circ._noise_map
+    kinds, draws, const = circ._noise_map
     assert kinds["prep"].tolist() == [[[0, 1]]]
     assert kinds["gate2"].tolist() == [[row[:2] for row in cnot]]
     assert kinds["meas"].tolist() == [[[1, 0]], [[0, 1]]]
-    assert collapse.tolist() == [[1, 0], [0, 0], [0, 0], [0, 1]]  # qubit 0's initial frame is not drawn
+    assert draws.tolist() == [[0, 0], [1, 0], [0, 1]] and const.tolist() == [0, 0]
     table = ss.single_fault_table(circ)
     assert table.cases[:2] == [(0, "prep", "Z"), (1, "gate2", "IX")] and len(table.cases) == 18
-    assert table.records.T.astype(int).tolist() == [row[:2] for row in rows[:18]]
+    assert table.records.T.astype(int).tolist() == [row[:2] for row in rows]
     assert table.final_x[0] == 0 and table.final_z[0] == 1
     assert np.shares_memory(table.records, circ._fault_map)
     with pytest.raises(ValueError):
@@ -701,9 +705,9 @@ def test_fault_map_rows_are_the_mechanisms_in_order():
 
 
 def test_a_site_at_rate_one_adds_one_of_its_rows_to_each_shot():
-    # the one H fails in every shot and no other site can fail; the random
-    # frames reach no outcome, so each shot is the reference record XOR one
-    # of the H's fault rows (X leaves both outcomes; Y and Z flip a)
+    # the one H fails in every shot and no other site can fail; no outcome
+    # is random, so each shot is the reference record XOR one of the H's
+    # fault rows (X leaves both outcomes; Y and Z flip a)
     import numpy as np
 
     circ = ss.Circuit.from_text("QUBITS 2\nPREPZ 0\nPREPZ 1\nCNOT 0 1\nH 0\nMEASX 0 a\nMEASZ 1 b\n")
