@@ -22,8 +22,6 @@ from .decoder import DecodeProblem, bp_osd, logical_correction
 from .f2linalg import vector_from_bits, vector_to_bits
 from .stab_sim import SEED_LIMIT, cycles_from_text
 
-DEFAULT_THREADS_ENV = "F2QEC_THREADS"
-
 
 def _fail(msg: str) -> int:
     print(json.dumps({"error": msg}), file=sys.stderr)
@@ -60,7 +58,6 @@ def _number(kind, minimum=None, limit=None):
 
 
 _NON_NEGATIVE = _number(int, 0)
-_POSITIVE = _number(int, 1)
 
 
 def _shot_pair(text: str) -> tuple[int, int]:
@@ -96,17 +93,6 @@ def _schedule_from_json(raw) -> pr.Schedule:
     if not all(_is_int_list(order) for key in ("x", "z") for order in raw[key]):
         raise ValueError("schedule orders must be lists of qubit indices")
     return pr.Schedule(tuple(map(tuple, raw["x"])), tuple(map(tuple, raw["z"])))
-
-
-def _threads_from_env() -> int | None:
-    """The F2QEC_THREADS thread count, or None when the variable is unset."""
-    raw = os.environ.get(DEFAULT_THREADS_ENV)
-    if raw is None:
-        return None
-    try:
-        return _POSITIVE(raw)
-    except argparse.ArgumentTypeError as exc:
-        raise ValueError(f"{DEFAULT_THREADS_ENV}: {exc}") from None
 
 
 def _cmd_build_code(args) -> int:
@@ -180,9 +166,6 @@ def _cmd_run_ghz(args) -> int:
         overrides["shots_z"], overrides["shots_x"] = args.basis_shots
     if args.seed is not None:
         overrides["seed"] = args.seed
-    threads = args.threads if args.threads is not None else _threads_from_env()
-    if threads is not None:
-        overrides["threads"] = threads
     if overrides:
         cfg = ex.RunConfig.from_dict({**cfg.to_dict(), **overrides})
     summary = ex.run(cfg, out_dir=args.out)
@@ -279,8 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     rg.add_argument("--mode")
     rg.add_argument("--basis-shots", type=_shot_pair, help="Nz,Nx")
     rg.add_argument("--seed", type=_number(int, 0, SEED_LIMIT))
-    rg.add_argument("--threads", type=_POSITIVE,
-                    help=f"worker processes; default ${DEFAULT_THREADS_ENV}, else the config")
     rg.add_argument("--out", help="output directory for summary and shot archive")
     rg.set_defaults(func=_cmd_run_ghz)
 
@@ -305,8 +286,9 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (_UsageError, OSError, ValueError, KeyError) as exc:
-        return _fail(str(exc))
+    except (_UsageError, OSError, ValueError, KeyError, MemoryError) as exc:
+        # numpy's MemoryError names the array it could not allocate; a bare one has no text
+        return _fail(str(exc) or type(exc).__name__)
 
 
 if __name__ == "__main__":

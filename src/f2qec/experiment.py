@@ -4,7 +4,7 @@ Runs the physical and logical pipelines under the three-rate noise model,
 applies postselection and decoding, and aggregates mismatch rates with
 binomial standard errors and GHZ fidelity bounds.  Each shot's verdict is
 a function of its key word, a fixed GF(2) map of its measurement record,
-so each distinct key word of a chunk is postselected and decoded once.
+so each distinct key word of a basis is postselected and decoded once.
 Shot records can be archived as JSON lines.
 
 What depends only on the configuration lives as long as the process: each
@@ -21,7 +21,6 @@ import json
 import math
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -66,7 +65,6 @@ class RunConfig:
     bp_iters: int = 10
     osd_depth: int = 14
     prior_mode: str = "marginal"
-    threads: int = 1
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -81,8 +79,6 @@ class RunConfig:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.prior_mode != "marginal":
             raise ValueError("prior_mode must be 'marginal'")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
     def to_dict(self) -> dict:
         return {
@@ -90,18 +86,16 @@ class RunConfig:
             "p1": self.noise.p1, "p2": self.noise.p2, "p_spam": self.noise.p_spam,
             "seed": self.seed, "l": self.l, "c": self.c,
             "bp_iters": self.bp_iters, "osd_depth": self.osd_depth,
-            "prior_mode": self.prior_mode, "threads": self.threads,
+            "prior_mode": self.prior_mode,
         }
 
     def digest(self) -> str:
-        """Hash of every field the results depend on (all but threads)."""
+        """Hash of every field: the results depend on each of them."""
         # imported here: hashlib loads OpenSSL, about 3.6 MB that only a
         # run's summary needs and decoding or fault analysis does not
         import hashlib
 
-        d = self.to_dict()
-        del d["threads"]
-        return hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()[:16]
+        return hashlib.sha256(json.dumps(self.to_dict(), sort_keys=True).encode()).hexdigest()[:16]
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
@@ -221,7 +215,11 @@ class RunSummary:
 
     @classmethod
     def from_json(cls, obj: dict) -> "RunSummary":
-        return cls(RunConfig.from_dict(obj["config"]), _basis_stats(obj, "z"), _basis_stats(obj, "x"))
+        """Inverse of to_json; a config_hash other than the config's digest is an error."""
+        config = RunConfig.from_dict(obj["config"])
+        if obj["config_hash"] != config.digest():
+            raise ValueError(f"config_hash {obj['config_hash']!r} is not its config's digest")
+        return cls(config, _basis_stats(obj, "z"), _basis_stats(obj, "x"))
 
 
 def _basis_stats(obj: dict, basis: str) -> BasisStats:
@@ -393,11 +391,11 @@ def _pipeline(mode: str, l: int, c: int, basis: str):
 def _classifier(cfg: RunConfig, basis: str) -> _Classifier:
     """The process's classifier of cfg's pipeline in one basis.
 
-    A verdict depends on neither the seed, the shot counts nor the thread
-    count, so configurations that differ only there share one classifier,
-    its decoder and the raw-bit flips of every syndrome it has decoded.
+    A verdict depends on neither the seed nor the shot counts, so
+    configurations that differ only there share one classifier, its
+    decoder and the raw-bit flips of every syndrome it has decoded.
     """
-    return _shared_classifier(replace(cfg, seed=0, shots_z=0, shots_x=0, threads=1), basis)
+    return _shared_classifier(replace(cfg, seed=0, shots_z=0, shots_x=0), basis)
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -409,8 +407,8 @@ def _basis_seed(cfg: RunConfig, basis: str):
     return (cfg.seed, 0 if basis == "z" else 1)
 
 
-def _archive_rows(basis: str, tags: tuple[str, ...], bits: np.ndarray, start: int) -> str:
-    """The shots.jsonl rows of the columns of bits (tags x shots), numbered from start.
+def _archive_rows(basis: str, tags: tuple[str, ...], bits: np.ndarray) -> str:
+    """The shots.jsonl rows of the columns of bits (tags x shots), shot i in column i.
 
     Each row is json.dumps({"basis", "outcomes", "shot"}, sort_keys=True) byte
     for byte.  The rows share one template, the ASCII-escaped keys in sorted
@@ -427,46 +425,28 @@ def _archive_rows(basis: str, tags: tuple[str, ...], bits: np.ndarray, start: in
     rows = np.tile(np.frombuffer(text.encode(), dtype=np.uint8), (bits.shape[1], 1))
     rows[:, offsets] = bits[order].T + ord("0")
     body, w = rows.tobytes().decode(), len(text)
-    return "".join(body[i * w:(i + 1) * w] + f"{start + i}}}\n" for i in range(bits.shape[1]))
+    return "".join(body[i * w:(i + 1) * w] + f"{i}}}\n" for i in range(bits.shape[1]))
 
 
-def _run_chunk(cfg: RunConfig, basis: str, start: int, count: int, keep_rows: bool):
+def _run_basis(cfg: RunConfig, basis: str, shots: int, keep_rows: bool):
+    """One basis of a run: its counts, and its archive rows when keep_rows is set."""
     circ, _ = build_pipeline(cfg, basis)
-    bits = ss.sample_outcomes(circ, cfg.noise, _basis_seed(cfg, basis), count, start=start)
+    bits = ss.sample_outcomes(circ, cfg.noise, _basis_seed(cfg, basis), shots)
     tally = Counter(_classifier(cfg, basis).classify(bits))
-    stats = BasisStats(shots=count, accepted=count - tally[None], mismatches=tally[True])
-    return stats, _archive_rows(basis, circ.tags(), bits, start) if keep_rows else None
+    stats = BasisStats(shots=shots, accepted=shots - tally[None], mismatches=tally[True])
+    return stats, _archive_rows(basis, circ.tags(), bits) if keep_rows else None
 
 
 def run(config: RunConfig, out_dir: str | None = None) -> RunSummary:
     """Simulate, postselect, decode, and aggregate one experiment.
 
-    With out_dir set, writes <out_dir>/<mode>/summary.json and a
-    shots.jsonl archive headed by the config hash.  Each basis is split
-    into config.threads contiguous chunks, run in at most as many worker
-    processes as there are chunks or CPUs; results and archive rows depend
-    only on the config (the sampler seeds fixed blocks of shots, not
-    chunks), not on the thread count.
+    Each basis is sampled, classified and archived in one call.  With
+    out_dir set, writes <out_dir>/<mode>/summary.json and a shots.jsonl
+    archive headed by the config hash; both depend only on the config.
     """
-    keep = out_dir is not None
-    jobs = []
-    for basis, shots in (("z", config.shots_z), ("x", config.shots_x)):
-        chunk = max(1, -(-shots // config.threads))
-        jobs += [(basis, start, min(chunk, shots - start)) for start in range(0, shots, chunk)]
-    workers = min(config.threads, len(jobs), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_chunk, config, *job, keep) for job in jobs]
-            results = [f.result() for f in futures]
-    else:
-        results = [_run_chunk(config, *job, keep) for job in jobs]
-    per_basis = {"z": BasisStats(), "x": BasisStats()}
-    for (basis, _, _), (stats, _) in zip(jobs, results):
-        total = per_basis[basis]
-        total.shots += stats.shots
-        total.accepted += stats.accepted
-        total.mismatches += stats.mismatches
-    summary = RunSummary(config, per_basis["z"], per_basis["x"])
+    (z, z_rows), (x, x_rows) = (_run_basis(config, basis, shots, out_dir is not None)
+                                for basis, shots in (("z", config.shots_z), ("x", config.shots_x)))
+    summary = RunSummary(config, z, x)
     if out_dir is not None:
         mode_dir = os.path.join(out_dir, config.mode)
         os.makedirs(mode_dir, exist_ok=True)
@@ -475,7 +455,7 @@ def run(config: RunConfig, out_dir: str | None = None) -> RunSummary:
         with open(os.path.join(mode_dir, "shots.jsonl"), "w") as fh:
             fh.write(json.dumps({"config_hash": config.digest(),
                                  "config": config.to_dict()}) + "\n")
-            fh.writelines(rows for _, rows in results)
+            fh.writelines((z_rows, x_rows))
     return summary
 
 

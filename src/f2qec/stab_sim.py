@@ -636,10 +636,9 @@ def _seed_key(seed) -> tuple[int, ...]:
     return tuple(int(s) & (SEED_LIMIT - 1) for s in seed)
 
 
-def sample_outcomes(circuit: Circuit, nm: NoiseModel, seed, shots: int,
-                    start: int = 0) -> np.ndarray:
-    """Outcome bits of shots start .. start + shots - 1: one row per record
-    tag, in circuit.tags() order, and one column per shot.
+def sample_outcomes(circuit: Circuit, nm: NoiseModel, seed, shots: int) -> np.ndarray:
+    """Outcome bits of shots 0 .. shots - 1: one row per record tag, in
+    circuit.tags() order, and one column per shot.
 
     Each fault location fails with its kind's rate, independently per shot,
     and a failing one draws one of its single faults uniformly.  Only the
@@ -650,8 +649,9 @@ def sample_outcomes(circuit: Circuit, nm: NoiseModel, seed, shots: int,
     constant bits XOR the draw coefficients of its set bits.  A shot is
     that record XOR the fault map rows of its faults.
     Each block of SHOT_BLOCK shots draws from its own generator, seeded by
-    (seed, block), and a range that starts or ends inside a block draws it
-    whole, so a shot depends only on (circuit, noise, seed, shot index).
+    (seed, block), and a partial last block draws the whole block, so a
+    shot depends only on (circuit, noise, seed, shot index): a shorter
+    run's shots are the first shots of a longer one.
     """
     meas = np.empty((len(circuit.tags()), max(shots, 0)), dtype=bool)
     if shots <= 0:
@@ -659,8 +659,7 @@ def sample_outcomes(circuit: Circuit, nm: NoiseModel, seed, shots: int,
     kinds, draws, const = circuit._noise_map
     rate = {"gate1": nm.p1, "gate2": nm.p2, "prep": nm.p_spam, "meas": nm.p_spam}
     noise = [(p, kinds[kind]) for kind, p in rate.items() if kind in kinds and p > 0.0]
-    stop = start + shots
-    for block in range(start // SHOT_BLOCK, (stop - 1) // SHOT_BLOCK + 1):
+    for block in range(-(-shots // SHOT_BLOCK)):
         rng = np.random.default_rng(list(_seed_key(seed)) + [0, block])
         counts = np.full((SHOT_BLOCK, len(meas)), const, dtype=np.float32)  # one row per shot
         for p, columns in noise:
@@ -673,15 +672,13 @@ def sample_outcomes(circuit: Circuit, nm: NoiseModel, seed, shots: int,
         bits = rng.integers(0, 2, (len(draws), SHOT_BLOCK), dtype=bool)
         counts += bits.T.astype(np.float32) @ draws
         base = block * SHOT_BLOCK
-        lo, hi = max(start, base), min(stop, base + SHOT_BLOCK)
-        meas[:, lo - start:hi - start] = (counts[lo - base:hi - base].astype(np.int32) & 1).T
+        meas[:, base:base + SHOT_BLOCK] = (counts[:shots - base].astype(np.int32) & 1).T
     return meas
 
 
-def sample_pauli_frame(circuit: Circuit, nm: NoiseModel, seed, shots: int,
-                       start: int = 0) -> list[dict[str, int]]:
+def sample_pauli_frame(circuit: Circuit, nm: NoiseModel, seed, shots: int) -> list[dict[str, int]]:
     """The shots of sample_outcomes as {tag: bit} dicts, one per shot."""
-    return outcome_dicts(circuit.tags(), sample_outcomes(circuit, nm, seed, shots, start))
+    return outcome_dicts(circuit.tags(), sample_outcomes(circuit, nm, seed, shots))
 
 
 # --- deterministic single-fault enumeration --------------------------------

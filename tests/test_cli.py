@@ -108,6 +108,24 @@ def test_run_ghz_unknown_config_key(tmp_path, capsys):
     assert main(["run-ghz", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "shot_z" in json.loads(err[0])["error"]
+    # threads is no config key: a run has one serial path
+    cfg.write_text("mode = physical\nthreads = 1\n")
+    assert main(["run-ghz", "--config", str(cfg)]) == 1
+    assert _one_line_error(capsys) == "unknown config key 'threads'"
+
+
+def test_run_ghz_reports_an_unallocatable_shot_count(tmp_path, capsys, monkeypatch):
+    # numpy raises a MemoryError for a shot array past the machine's memory;
+    # the stub raises one without allocating anything
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("mode = physical\nshots_z = 3000000000000\n")
+    for exc, words in ((MemoryError("Unable to allocate 68.2 TiB for an array"), "68.2 TiB"),
+                       (MemoryError(), "MemoryError")):
+        def raise_it(*args, **kwargs):
+            raise exc
+        monkeypatch.setattr(ex, "run", raise_it)
+        assert main(["run-ghz", "--config", str(cfg)]) == 1
+        assert words in _one_line_error(capsys)
 
 
 @pytest.mark.parametrize("line", ["bp_iters = -3", "osd_depth = -1"])
@@ -179,25 +197,6 @@ def _one_line_error(capsys) -> str:
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     return json.loads(err[0])["error"]
-
-
-def test_bad_threads_env_is_ignored_by_other_subcommands(tmp_path, capsys, monkeypatch):
-    for value in ("abc", "0", "-2"):
-        monkeypatch.setenv("F2QEC_THREADS", value)
-        # subcommands other than run-ghz never read the variable
-        assert main(["report", str(tmp_path)]) == 1
-        assert "no summaries" in _one_line_error(capsys)
-
-
-def test_run_ghz_rejects_bad_threads_env(tmp_path, capsys, monkeypatch):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("mode = physical\nshots_z = 5\nshots_x = 5\n")
-    for value in ("abc", "0", "-2", "1.5", "١"):
-        monkeypatch.setenv("F2QEC_THREADS", value)
-        assert main(["run-ghz", "--config", str(cfg)]) == 1
-        assert "F2QEC_THREADS" in _one_line_error(capsys)
-    # an explicit --threads wins and the variable is not read
-    assert main(["run-ghz", "--config", str(cfg), "--threads", "1"]) == 0
 
 
 def test_validate_schedule_rejects_malformed_schedule(tmp_path, capsys):
@@ -302,13 +301,16 @@ def test_validate_schedule_needs_primary_coordinates(tmp_path, capsys, coords):
     ("config", {"shots_z": 10.9}, "config key 'shots_z'"),           # int() would truncate it
     ("config", {"seed": -1}, "seed must be in [0, 2**48)"),
     ("config", {"seed": 2 ** 48}, "seed must be in [0, 2**48)"),
+    (None, {"config_hash": "0123456789abcdef"}, "config_hash '0123456789abcdef' is not"),
+    # a summary written while runs took a thread count
+    ("config", {"threads": 1}, "unknown config key 'threads'"),
 ], ids=["not-an-object", "accepted-text", "mismatches-bool", "shots-float", "accepted-over-shots",
         "mismatches-over-accepted", "mismatches-negative", "config-shots-float",
-        "config-seed-negative", "config-seed-too-wide"])
+        "config-seed-negative", "config-seed-too-wide", "config-hash-wrong", "config-threads"])
 def test_report_rejects_malformed_summary(tmp_path, capsys, part, counts, words):
     obj = ex.RunSummary(ex.RunConfig(), ex.BasisStats(50, 40, 3), ex.BasisStats(50, 40, 3)).to_json()
     if counts is not None:
-        obj[part].update(counts)
+        (obj if part is None else obj[part]).update(counts)
     (tmp_path / "physical").mkdir()
     (tmp_path / "physical" / "summary.json").write_text("[]" if counts is None else json.dumps(obj))
     assert main(["report", str(tmp_path)]) == 1
@@ -358,7 +360,8 @@ def test_help_still_exits_zero(capsys):
       "--out", "d.jsonl", "--bp-iters", "-1"], "--bp-iters"),
     (["decode", "--code", "CODE", "--basis", "z", "--syndromes", "s.jsonl",
       "--out", "d.jsonl", "--osd-depth", "-3"], "--osd-depth"),
-    (["run-ghz", "--config", "x.cfg", "--threads", "0"], "--threads"),
+    # run-ghz has no --threads: any value of it is a usage error naming it
+    (["run-ghz", "--config", "x.cfg", "--threads", "2"], "--threads"),
     (["run-ghz", "--config", "x.cfg", "--threads", "-4"], "--threads"),
     (["run-ghz", "--config", "x.cfg", "--basis-shots", "10,-1"], "--basis-shots"),
     (["run-ghz", "--config", "x.cfg", "--basis-shots", "10"], "--basis-shots"),

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import math
-from concurrent.futures import Future
 from dataclasses import replace
 
 import numpy as np
@@ -81,34 +80,24 @@ def test_noqec_consumes_identical_shot_records(tmp_path):
     assert rows_a == rows_b
 
 
-def test_run_determinism_and_thread_independence():
+def test_run_determinism_and_shot_prefixes(tmp_path):
+    # a shot depends only on its index: the archived rows of an N-shot run
+    # are the first N rows of an M-shot run in each basis, with N inside the
+    # first seeded block and M in the third
     nm = ss.NoiseModel(1e-3, 5e-3, 5e-3)
-    base = ex.RunConfig(mode="logical", shots_z=80, shots_x=80, noise=nm, seed=21)
-    s1 = ex.run(base)
-    s2 = ex.run(base)
-    assert s1.to_json() == s2.to_json()
-    s3 = ex.run(ex.RunConfig.from_dict({**base.to_dict(), "threads": 2}))
-    assert s3.z.mismatches == s1.z.mismatches
-    assert s3.x.mismatches == s1.x.mismatches
-
-
-def test_threads_with_archive_match_serial_run(tmp_path):
-    # three chunks per basis, two of them starting inside a seeded block and
-    # one crossing a block boundary: the files equal the serial run's byte
-    # for byte, apart from the recorded thread count
-    nm = ss.NoiseModel(1e-3, 5e-3, 5e-3)
-    shots = ss.SHOT_BLOCK + 76
-    base = ex.RunConfig(mode="logical", shots_z=shots, shots_x=shots - 1, noise=nm, seed=5)
-    three = ex.RunConfig.from_dict({**base.to_dict(), "threads": 3})
-    assert three.digest() == base.digest()
-    files = {}
-    for name, cfg in (("one", base), ("three", three)):
-        ex.run(cfg, out_dir=str(tmp_path / name))
-        mode_dir = tmp_path / name / "logical"
-        files[name] = [(mode_dir / f).read_text().replace('"threads": 3', '"threads": 1')
-                       for f in ("summary.json", "shots.jsonl")]
-    assert files["one"] == files["three"]
-    assert len(files["one"][1].splitlines()) == 1 + 2 * shots - 1
+    short = ex.RunConfig(mode="logical", shots_z=80, shots_x=79, noise=nm, seed=21)
+    long = replace(short, shots_z=2 * ss.SHOT_BLOCK + 5, shots_x=2 * ss.SHOT_BLOCK + 70)
+    assert ex.run(short).to_json() == ex.run(short).to_json()
+    rows = {}
+    for name, cfg in (("short", short), ("long", long)):
+        by_basis = {"z": [], "x": []}
+        for row in _archive_lines(tmp_path / name, cfg):
+            by_basis[row["basis"]].append(row)
+        assert [len(by_basis[b]) for b in "zx"] == [cfg.shots_z, cfg.shots_x]
+        rows[name] = by_basis
+    for basis in "zx":
+        assert rows["short"][basis] == rows["long"][basis][:len(rows["short"][basis])]
+    assert len({json.dumps(r["outcomes"]) for r in rows["long"]["z"]}) > 1
 
 
 def test_archive_header_and_summary(tmp_path):
@@ -139,7 +128,7 @@ def test_archive_of_a_basis_without_shots_has_only_the_other_basis(tmp_path):
 
 
 def test_archive_of_a_zero_shot_run_is_the_header_alone(tmp_path):
-    cfg = ex.RunConfig(mode="logical", shots_z=0, shots_x=0, threads=2)
+    cfg = ex.RunConfig(mode="logical", shots_z=0, shots_x=0)
     assert _archive_lines(tmp_path, cfg) == []
 
 
@@ -147,18 +136,18 @@ _TAG = st.text(alphabet=["a", "b", "0", "1", "9", "_", '"', "\\", "\u00e9"], min
 
 
 @given(basis=st.sampled_from("zx"), tags=st.lists(_TAG, unique=True, max_size=8),
-       shots=st.integers(0, 5), start=st.integers(0, 10 ** 12), seed=st.integers(0, 2 ** 32 - 1))
-@example(basis="z", tags=["b9", "b10", "a"], shots=3, start=0, seed=1)
-@example(basis="x", tags=['q"', "q\\", "\u00e9", "e"], shots=2, start=4095, seed=2)
-@example(basis="z", tags=["b1"], shots=0, start=7, seed=3)
-def test_archive_rows_equal_json_dumps_of_each_row(basis, tags, shots, start, seed):
+       shots=st.integers(0, 12), seed=st.integers(0, 2 ** 32 - 1))
+@example(basis="z", tags=["b9", "b10", "a"], shots=3, seed=1)
+@example(basis="x", tags=['q"', "q\\", "\u00e9", "e"], shots=2, seed=2)
+@example(basis="z", tags=["b1"], shots=0, seed=3)
+def test_archive_rows_equal_json_dumps_of_each_row(basis, tags, shots, seed):
     # the template writer against the definition: one sorted-key
     # json.dumps per shot, with escaping and non-ASCII tags
     bits = np.random.default_rng(seed).integers(0, 2, (len(tags), shots)).astype(bool)
-    want = "".join(json.dumps({"basis": basis, "shot": start + i, "outcomes": dict(zip(tags, col))},
+    want = "".join(json.dumps({"basis": basis, "shot": i, "outcomes": dict(zip(tags, col))},
                               sort_keys=True) + "\n"
                    for i, col in enumerate(bits.T.astype(np.uint8).tolist()))
-    assert ex._archive_rows(basis, tuple(tags), bits, start) == want
+    assert ex._archive_rows(basis, tuple(tags), bits) == want
 
 
 def test_zero_shot_run_reports_no_data():
@@ -202,7 +191,7 @@ def test_config_file_round_trip(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(
         "# comment\nmode = logical\nshots_z = 11\nshots_x = 7\n"
-        "p1 = 3e-5\np2 = 2e-3\np_spam = 2e-3\nseed = 4\nthreads = 1\n")
+        "p1 = 3e-5\np2 = 2e-3\np_spam = 2e-3\nseed = 4\n")
     cfg = ex.RunConfig.from_file(str(path))
     assert cfg.mode == "logical" and cfg.shots_z == 11 and cfg.shots_x == 7
     assert cfg.noise.p2 == pytest.approx(2e-3)
@@ -233,7 +222,7 @@ def test_config_validation():
             ex.RunConfig(prior_mode=prior_mode)
     # int() and float() take other scripts' digits, '_' groups and bools
     for key, value in [("shots_z", "١٠"), ("shots_x", "1_0"), ("seed", "٣"),
-                       ("p2", "0.00_2"), ("p1", "３e-5"), ("threads", True), ("l", False),
+                       ("p2", "0.00_2"), ("p1", "３e-5"), ("c", True), ("l", False),
                        # int() truncates a float
                        ("seed", 1.5), ("shots_z", 2.7), ("l", 4.0)]:
         with pytest.raises(ValueError, match="ASCII"):
@@ -287,21 +276,20 @@ def test_priors_reflect_gate_counts(flagship_code):
 
 
 _RUN_PINS = [
-    ("physical", 3, 1500, ("30343cc50dd2ae17", "e86ea93c9ba45bf3")),
-    ("logical", 3, 1500, ("b4f5487becdd7c55", "5fca13f4533cbcb9")),
-    ("logical-noqec", 3, 1500, ("3c1b12a8ad12dbb3", "d4d37f4df89ab952")),
-    ("generalized", 4, 1500, ("99c683e96b21f5a4", "cdbc2b8ebdac4609")),
+    ("physical", 3, 1500, ("6b7352b6f65eef60", "22651a796068fba0")),
+    ("logical", 3, 1500, ("98fb30f83f72d9a9", "78b9e169b3819724")),
+    ("logical-noqec", 3, 1500, ("3865a6875463d225", "ee29f0f772c56fd6")),
+    ("generalized", 4, 1500, ("4157fb5689c7e063", "7e0b01c8988c46d3")),
     # l = 20: a 68-bit Z key word, wider than any machine integer
-    ("generalized", 20, 300, ("ceb090a1c97de105", "0574697e22779ec7")),
+    ("generalized", 20, 300, ("d69f8978ac95821b", "64b7286b12ae5c1e")),
 ]
 
 
 def _pinned_run_digests(out_dir, cfg):
-    """Digests of the run's summary.json and shots.jsonl, read as if run on one thread."""
+    """Digests of the run's summary.json and shots.jsonl."""
     ex.run(cfg, out_dir=str(out_dir))
-    return tuple(hashlib.sha256((out_dir / cfg.mode / name).read_bytes().replace(
-        f'"threads": {cfg.threads}'.encode(), b'"threads": 1')).hexdigest()[:16]
-        for name in ("summary.json", "shots.jsonl"))
+    return tuple(hashlib.sha256((out_dir / cfg.mode / name).read_bytes()).hexdigest()[:16]
+                 for name in ("summary.json", "shots.jsonl"))
 
 
 @pytest.mark.parametrize("mode, l, shots, pinned", _RUN_PINS)
@@ -314,15 +302,13 @@ def test_seeded_run_files_are_pinned_byte_for_byte(tmp_path, mode, l, shots, pin
 @pytest.mark.parametrize("mode, l, shots, pinned", _RUN_PINS)
 def test_seeded_run_files_do_not_depend_on_earlier_runs(tmp_path, mode, l, shots, pinned):
     # cold: the process keeps no pipeline, classifier or record map of the
-    # config; warm: the config ran before with another seed, and then runs
-    # in two worker processes after the warm serial run
+    # config; warm: the config ran before with another seed
     cfg = ex.RunConfig(mode=mode, shots_z=shots, shots_x=shots,
                        noise=ss.NoiseModel(1e-3, 5e-3, 5e-3), seed=4, l=l)
     _forget_configurations()
     assert _pinned_run_digests(tmp_path / "cold", cfg) == pinned
     ex.run(replace(cfg, seed=11))
     assert _pinned_run_digests(tmp_path / "warm", cfg) == pinned
-    assert _pinned_run_digests(tmp_path / "two", replace(cfg, threads=2)) == pinned
 
 
 def test_ledger_does_not_depend_on_earlier_runs():
@@ -331,37 +317,6 @@ def test_ledger_does_not_depend_on_earlier_runs():
     ex.run(ex.RunConfig(mode="logical", shots_z=1500, shots_x=1500,
                         noise=ss.NoiseModel(3e-5, 2e-3, 2e-3), seed=6))
     assert [ex.fault_tolerance_ledger(basis).entries for basis in ("z", "x")] == cold
-
-
-@pytest.mark.parametrize("cpus, want", [(4, [4]), (64, [5]), (1, []), (None, [])])
-def test_run_starts_no_more_workers_than_chunks_or_cpus(monkeypatch, cpus, want):
-    # 100000 threads on 3 + 2 shots make five one-shot chunks; the recording
-    # executor runs each submitted chunk in this process and starts none
-    started = []
-
-    class RecordingExecutor:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            return future
-
-    monkeypatch.setattr(ex, "ProcessPoolExecutor", RecordingExecutor)
-    monkeypatch.setattr(ex.os, "cpu_count", lambda: cpus)
-    cfg = ex.RunConfig(mode="physical", shots_z=3, shots_x=2,
-                       noise=ss.NoiseModel(0.0, 0.1, 0.1), seed=2, threads=100000)
-    summary = ex.run(cfg)
-    assert started == want
-    assert summary.to_json() == {**ex.run(replace(cfg, threads=1)).to_json(),
-                                 "config": cfg.to_dict()}
 
 
 def _per_shot_verdict(cfg, basis, recipe, h, priors, rec):
@@ -493,12 +448,12 @@ def test_noiseless_key_words_change_no_verdict(mode, basis):
 @pytest.mark.parametrize("mode, l", [("physical", 3), ("logical", 3), ("generalized", 4)])
 def test_noiseless_samples_pass_the_per_shot_oracle(mode, l, basis):
     # a verdict reads only the fault flips, so no summary sees a wrong
-    # noiseless record: judge each zero-noise shot, over two blocks from a
-    # start inside the first, with the per-shot oracle instead
+    # noiseless record: judge each zero-noise shot, over a whole block and a
+    # partial second one, with the per-shot oracle instead
     from f2qec import protocol as pr
 
     circ, recipe = ex.build_pipeline(ex.RunConfig(mode=mode, l=l), basis)
-    shots = ss.sample_pauli_frame(circ, ss.NoiseModel.zero(), 6, ss.SHOT_BLOCK, ss.SHOT_BLOCK // 2)
+    shots = ss.sample_pauli_frame(circ, ss.NoiseModel.zero(), 6, ss.SHOT_BLOCK + 64)
     raws = set()
     for rec in shots:
         if recipe is None:

@@ -527,21 +527,16 @@ def test_frame_sampler_matches_tableau_with_h_relabel_and_inject():
 
 
 def test_shot_rng_partitionable():
-    # shot outcomes depend only on the shot index: any split of a range, and
-    # ranges that start or end inside a seeded block, give the same shots
+    # shot outcomes depend only on the shot index: a run that ends inside a
+    # seeded block, or on a block boundary, gives the first shots of a longer run
     circ = physical_ghz_circuit("z")
     nm = ss.NoiseModel(0.1, 0.2, 0.3)
     b = ss.SHOT_BLOCK
     whole = ss.sample_pauli_frame(circ, nm, 5, 2 * b + 100)
     assert len({tuple(o.values()) for o in whole}) > 8
-    for cuts in ((0, 300, 700), (0, 300, b + 50, 2 * b + 100), (0, b, 2 * b + 100)):
-        parts = []
-        for lo, hi in zip(cuts, cuts[1:]):
-            parts += ss.sample_pauli_frame(circ, nm, 5, hi - lo, start=lo)
-        assert parts == whole[:cuts[-1]]
-    mid = ss.sample_pauli_frame(circ, nm, 5, 20, start=b - 10)
-    assert mid == whole[b - 10:b + 10]
-    assert ss.sample_pauli_frame(circ, nm, 5, 0, start=7) == []
+    for shots in (1, 300, b - 1, b, b + 1, 2 * b + 99):
+        assert ss.sample_pauli_frame(circ, nm, 5, shots) == whole[:shots]
+    assert ss.sample_pauli_frame(circ, nm, 5, 0) == []
     assert whole != ss.sample_pauli_frame(circ, nm, 6, 2 * b + 100)
 
 
@@ -558,7 +553,7 @@ _EDGE_CIRCUITS = ("PREPZ 0\nH 0\nCNOT 0 1", "", "INJECT X 0\nRELABEL (0 1)",
                   "H 0\nCNOT 0 1\nINJECT Y 1", "INJECT X 0\nMEASZ 0 a\nH 1\nMEASZ 1 b")
 
 
-def _dense_flip_outcomes(circ, nm, seed, shots, start):
+def _dense_flip_outcomes(circ, nm, seed, shots):
     # the reference sampler: each block's flips drawn as one dense array and
     # propagated by the frame kernel, each shot's random outcomes put into
     # every tag's affine form of the record map one by one, and the two XORed
@@ -566,40 +561,38 @@ def _dense_flip_outcomes(circ, nm, seed, shots, start):
     from conftest import reference_noise_flips
 
     b = ss.SHOT_BLOCK
-    first, last = start // b, (start + shots - 1) // b
     flips, draws = zip(*(reference_noise_flips(circ, nm, np.random.default_rng([seed, 0, block]), b)
-                         for block in range(first, last + 1)))
-    lo = start - first * b
-    meas = np.hstack([ss._propagate(circ, f)[0] for f in flips])[:, lo:lo + shots]
+                         for block in range((shots - 1) // b + 1)))
+    meas = np.hstack([ss._propagate(circ, f)[0] for f in flips])[:, :shots]
     forms = circ._record_map[1]
     points = [1 | sum(bit << (j + 1) for j, bit in enumerate(col))
-              for col in np.hstack(draws)[:, lo:lo + shots].T.tolist()]
+              for col in np.hstack(draws)[:, :shots].T.tolist()]
     noiseless = [[(forms[t] & point).bit_count() & 1 for point in points] for t in circ.tags()]
     return meas ^ np.array(noiseless, dtype=bool).reshape(meas.shape)
 
 
-def _check_sampler_against_dense_flips(circ, rates, seed, start, shots):
+def _check_sampler_against_dense_flips(circ, rates, seed, shots):
     nm = ss.NoiseModel(*rates)
-    got = ss.sample_outcomes(circ, nm, seed, shots, start)
+    got = ss.sample_outcomes(circ, nm, seed, shots)
     assert got.shape == (len(circ.tags()), shots) and got.dtype == bool
-    assert (got == _dense_flip_outcomes(circ, nm, seed, shots, start)).all()
+    assert (got == _dense_flip_outcomes(circ, nm, seed, shots)).all()
 
 
 @settings(deadline=None)
 @given(_circuits(), st.tuples(*[st.sampled_from([0.0, 0.5]) | st.floats(0.0, 0.5)] * 3),
-       st.integers(0, 2 ** 32 - 1), st.integers(0, 3 * ss.SHOT_BLOCK), st.integers(1, 2 * ss.SHOT_BLOCK))
-def test_sampler_matches_the_dense_flip_kernel(circ, rates, seed, start, shots):
+       st.integers(0, 2 ** 32 - 1), st.integers(1, 3 * ss.SHOT_BLOCK))
+def test_sampler_matches_the_dense_flip_kernel(circ, rates, seed, shots):
     # the fault map and the record map read by the sampler give the shots
     # that propagating each block's dense flips onto the record map's value
     # at the block's random outcomes gives, bit for bit and draw for draw
-    _check_sampler_against_dense_flips(circ, rates, seed, start, shots)
+    _check_sampler_against_dense_flips(circ, rates, seed, shots)
 
 
 @pytest.mark.parametrize("text", _EDGE_CIRCUITS)
 def test_sampler_matches_the_dense_flip_kernel_on_edge_shapes(text):
     circ = ss.Circuit.from_text(f"QUBITS 2\n{text}\n")
-    for start, shots in ((0, 5), (ss.SHOT_BLOCK - 3, ss.SHOT_BLOCK + 6)):
-        _check_sampler_against_dense_flips(circ, (0.3, 0.4, 0.5), 7, start, shots)
+    for shots in (5, 2 * ss.SHOT_BLOCK + 3):
+        _check_sampler_against_dense_flips(circ, (0.3, 0.4, 0.5), 7, shots)
 
 
 def _faulted(circ, case):
@@ -659,8 +652,7 @@ def test_frame_kernel_runs_once_per_circuit(monkeypatch):
     text = "QUBITS 3\nPREPZ 0\nPREPX 1\nH 2\nCNOT 1 0\nCNOT 0 2\nMEASZ 0 a\nMEASX 1 b\nMEASZ 2 c\n"
     circ = ss.Circuit.from_text(text)
     nm = ss.NoiseModel(0.01, 0.02, 0.03)
-    assert ss.sample_outcomes(circ, nm, 1, 2 * ss.SHOT_BLOCK, start=ss.SHOT_BLOCK // 2).shape == (
-        3, 2 * ss.SHOT_BLOCK)  # three blocks
+    assert ss.sample_outcomes(circ, nm, 1, 3 * ss.SHOT_BLOCK).shape == (3, 3 * ss.SHOT_BLOCK)
     ss.sample_outcomes(circ, nm, 2, 10)
     ss.single_fault_table(circ)
     ss.enumerate_single_faults(circ)
