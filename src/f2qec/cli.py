@@ -176,7 +176,7 @@ def _cmd_run_ghz(args) -> int:
 def _cmd_decode(args) -> int:
     code = _load_code(args.code)
     h = code.hz if args.basis == "z" else code.hx
-    priors = (args.prior,) * h.cols
+    priors = DecodeProblem(h, (args.prior,) * h.cols, 0).priors
     out_lines = []
     with open(args.syndromes) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -213,7 +213,9 @@ def _cmd_report(args) -> int:
     for mode in ex.MODES:
         path = os.path.join(args.dir, mode, "summary.json")
         if os.path.exists(path):
-            summaries[mode] = _load_json(path, ex.RunSummary.from_json, "summary")
+            summary = summaries[mode] = _load_json(path, ex.RunSummary.from_json, "summary")
+            if summary.config.mode != mode:
+                return _fail(f"summary file {path}: mode {summary.config.mode!r} under {mode}/")
     if not summaries:
         return _fail(f"no summaries under {args.dir}")
     print(ex.report(summaries, args.format))

@@ -31,7 +31,7 @@ from . import stab_sim as ss
 from .code_factory import build_25_4_3, build_generalized
 from .css_code import CssCode
 from .decoder import MinSumDecoder, bp_then_osd
-from .f2linalg import BitMatrix, inverse_permutation, mask_to_support
+from .f2linalg import BitMatrix, inverse_permutation
 
 MODES = ("physical", "logical", "logical-noqec", "generalized")
 PRIOR_FLOOR = 1e-6
@@ -538,47 +538,35 @@ class LedgerEntry:
 
 @dataclass
 class LedgerReport:
-    basis: str
     entries: list
 
     def count(self, outcome: str) -> int:
         return sum(1 for e in self.entries if e.outcome == outcome)
 
-    def extras(self) -> list:
-        return [e for e in self.entries if e.outcome == "extra"]
-
 
 def fault_tolerance_ledger(basis: str) -> LedgerReport:
     """Classify every single fault in the logical pipeline at the paper rates.
 
-    Each fault either decodes correctly, is rejected by the triple
-    logical-X postselection, or corrupts the output.  The known
-    non-fault-tolerant channel of the unprotected logical measurement is
-    a Z-type component on the measured logical's support anywhere up to
-    the end of its gadget triple; such faults either flip all three
-    outcomes coherently (defeating the postselection) or leave the
-    measurement record inconsistent with the state.  Corrupting faults
-    outside that set are reported as "extra".
+    Each fault decodes correctly, is rejected by the triple logical-X
+    postselection, or corrupts the output.  An accepted fault flips all
+    three gadget outcomes or none; a corrupting one that flips them passes
+    postselection with the wrong logical-X outcome ("nonft-set", the
+    unprotected measurement's known channel); any other is "extra".
     """
     cfg = RunConfig(mode="logical", noise=ss.NoiseModel(3e-5, 2e-3, 2e-3))
     circ, recipe = build_pipeline(cfg, basis)
-    code = recipe.code
-    classifier = _classifier(cfg, basis)
-    xbar_support = set(mask_to_support(code.logicals_x[recipe.measured_logical]))
-    gadget_end = next(i for i, ins in enumerate(circ.instructions) if ins.op == "RELABEL")
     table = ss.single_fault_table(circ)
+    verdicts = _classifier(cfg, basis).classify(table.records)
+    xbar_flips = table.records[circ.tags().index(recipe.xbar_tags[0])]
     entries = []
-    for (index, kind, pauli), mismatch in zip(table.cases, classifier.classify(table.records)):
+    for (index, kind, pauli), mismatch, xbar_flip in zip(table.cases, verdicts, xbar_flips):
         if mismatch is None:
             outcome = "rejected"
         elif not mismatch:
             outcome = "correct"
-        elif index >= gadget_end:
-            outcome = "extra"
+        elif xbar_flip:
+            outcome = "nonft-set"
         else:
-            # one Pauli letter per qubit; a measurement's "flip" has no Z or Y
-            touches = zip(circ.instructions[index].qubits, pauli)
-            hit = any(q in xbar_support and p in ("Z", "Y") for q, p in touches)
-            outcome = "nonft-set" if hit else "extra"
+            outcome = "extra"
         entries.append(LedgerEntry(index, kind, pauli, outcome))
-    return LedgerReport(basis, entries)
+    return LedgerReport(entries)

@@ -135,7 +135,6 @@ class FrameRecipe:
     x_check_tags: tuple[str, ...]
     xbar_tags: tuple[str, ...]
     data_tags: tuple[str, ...]
-    measured_logical: int
     permutation: tuple[int, ...]      # composed data-qubit relabeling
     frame_map: BitMatrix              # recorded check outcomes -> final frame
     parity_check_coeffs: int          # stabilizer part of the pulled-back X product
@@ -226,7 +225,6 @@ def _ghz_pipeline(code: CssCode, basis: str, data_perms, measured_logical: int,
         x_check_tags=tuple(f"x{r}" for r in range(code.hx.rows)),
         xbar_tags=tuple(xbar_tags),
         data_tags=tuple(f"d{q}" for q in range(n)),
-        measured_logical=measured_logical,
         permutation=composed,
         frame_map=frame_map,
         parity_check_coeffs=lam,

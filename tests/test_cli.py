@@ -209,6 +209,21 @@ def test_validate_schedule_rejects_malformed_schedule(tmp_path, capsys):
     assert "schedule" in _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("lines", [0, 1])
+@pytest.mark.parametrize("prior", ["7", "0", "-1", "nan"])
+def test_decode_rejects_a_bad_prior_before_reading_the_stream(tmp_path, capsys, prior, lines):
+    code_path = str(tmp_path / "code.json")
+    main(["build-code", "--family", "paper2543", "--out", code_path])
+    capsys.readouterr()
+    stream = tmp_path / "syn.jsonl"
+    stream.write_text((json.dumps({"syndrome": [0] * 11}) + "\n") * lines)
+    out = tmp_path / "dec.jsonl"
+    assert main(["decode", "--code", code_path, "--basis", "z", "--syndromes", str(stream),
+                 "--out", str(out), "--prior", prior]) == 1
+    assert "prior" in _one_line_error(capsys)
+    assert not out.exists()
+
+
 def test_decode_rejects_malformed_syndrome_rows(tmp_path, capsys):
     code_path = str(tmp_path / "code.json")
     main(["build-code", "--family", "paper2543", "--out", code_path])
@@ -304,9 +319,12 @@ def test_validate_schedule_needs_primary_coordinates(tmp_path, capsys, coords):
     (None, {"config_hash": "0123456789abcdef"}, "config_hash '0123456789abcdef' is not"),
     # a summary written while runs took a thread count
     ("config", {"threads": 1}, "unknown config key 'threads'"),
+    # the unmodified fixture: a logical run's summary filed under physical/
+    (None, {}, "mode 'logical' under physical/"),
 ], ids=["not-an-object", "accepted-text", "mismatches-bool", "shots-float", "accepted-over-shots",
         "mismatches-over-accepted", "mismatches-negative", "config-shots-float",
-        "config-seed-negative", "config-seed-too-wide", "config-hash-wrong", "config-threads"])
+        "config-seed-negative", "config-seed-too-wide", "config-hash-wrong", "config-threads",
+        "another-mode"])
 def test_report_rejects_malformed_summary(tmp_path, capsys, part, counts, words):
     obj = ex.RunSummary(ex.RunConfig(), ex.BasisStats(50, 40, 3), ex.BasisStats(50, 40, 3)).to_json()
     if counts is not None:

@@ -422,6 +422,22 @@ def test_fault_tolerance_ledger_is_pinned_entry_by_entry():
 
 
 @pytest.mark.parametrize("basis", ["z", "x"])
+@pytest.mark.parametrize("mode", ["logical", "generalized"])
+def test_accepted_single_faults_flip_all_gadget_outcomes_or_none(mode, basis):
+    # the ledger reads one gadget outcome's flip: postselection accepts
+    # only equal outcomes, so an accepted fault flips all three or none
+    cfg = ex.RunConfig(mode=mode, noise=ss.NoiseModel(3e-5, 2e-3, 2e-3), l=4)
+    circ, recipe = ex.build_pipeline(cfg, basis)
+    table = ss.single_fault_table(circ)
+    verdicts = ex._Classifier(cfg, basis, circ, recipe).classify(table.records)
+    flips = table.records[[circ.tags().index(t) for t in recipe.xbar_tags]].T
+    accepted = [tuple(f) for f, v in zip(flips.tolist(), verdicts) if v is not None]
+    assert 0 < len(accepted) < len(verdicts)
+    assert set(accepted) <= {(False,) * 3, (True,) * 3}
+    assert (True,) * 3 in accepted
+
+
+@pytest.mark.parametrize("basis", ["z", "x"])
 @pytest.mark.parametrize("mode", ex.MODES)
 def test_noiseless_key_words_change_no_verdict(mode, basis):
     # the key word of a noiseless record is accepted, has no syndrome and
