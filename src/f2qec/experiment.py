@@ -3,9 +3,11 @@
 Runs the physical and logical pipelines under the three-rate noise model,
 applies postselection and decoding, and aggregates mismatch rates with
 binomial standard errors and GHZ fidelity bounds.  Each shot's verdict is
-a function of its key word, a fixed GF(2) map of its measurement record,
-so each distinct key word of a basis is postselected and decoded once.
-Shot records can be archived as JSON lines.
+a function of its key word, a fixed GF(2) map of its measurement record
+(taken as one float32 product through BLAS, exact at these widths), so
+each distinct key word of a basis is postselected and decoded once.
+Shot records can be archived as JSON lines, which are built whole as
+bytes in numpy, with no per-row Python work.
 
 What depends only on the configuration lives as long as the process: each
 pipeline (with the record map its circuit caches) and each classifier,
@@ -358,10 +360,12 @@ class _Classifier:
     def classify(self, bits: np.ndarray) -> list:
         """The verdict on each shot in bits (record tags x shots), in column order.
 
+        The key product runs in float32 through BLAS; it is exact, since
+        each sum counts at most one term per record tag, far below 2**24.
         Key words are Python ints, exact at any width, and each distinct
         word is judged once.
         """
-        words = ss.column_ints((self.key @ bits.astype(np.uint8)) & 1)
+        words = ss.column_ints((self.key @ bits.astype(np.float32)).astype(np.int32) & 1)
         judged = {w: self.verdict(w) for w in set(words)}
         return [judged[w] for w in words]
 
@@ -407,13 +411,15 @@ def _basis_seed(cfg: RunConfig, basis: str):
     return (cfg.seed, 0 if basis == "z" else 1)
 
 
-def _archive_rows(basis: str, tags: tuple[str, ...], bits: np.ndarray) -> str:
+def _archive_rows(basis: str, tags: tuple[str, ...], bits: np.ndarray) -> bytes:
     """The shots.jsonl rows of the columns of bits (tags x shots), shot i in column i.
 
     Each row is json.dumps({"basis", "outcomes", "shot"}, sort_keys=True) byte
-    for byte.  The rows share one template, the ASCII-escaped keys in sorted
-    order, and differ only in one digit per tag at fixed offsets and in the
-    trailing shot number.
+    for byte, encoded.  The rows share one template, the ASCII-escaped keys in
+    sorted order, and differ only in one digit per tag at fixed offsets and in
+    the trailing shot number.  Shots whose numbers have the same digit count
+    (0-9, 10-99, ...) have rows of one width, so each such group is built
+    whole as a uint8 array, in place in one buffer.
     """
     order = sorted(range(len(tags)), key=tags.__getitem__)
     text, offsets = f'{{"basis": {json.dumps(basis)}, "outcomes": {{', []
@@ -422,29 +428,43 @@ def _archive_rows(basis: str, tags: tuple[str, ...], bits: np.ndarray) -> str:
         offsets.append(len(text))
         text += "0"
     text += '}, "shot": '
-    rows = np.tile(np.frombuffer(text.encode(), dtype=np.uint8), (bits.shape[1], 1))
-    rows[:, offsets] = bits[order].T + ord("0")
-    body, w = rows.tobytes().decode(), len(text)
-    return "".join(body[i * w:(i + 1) * w] + f"{i}}}\n" for i in range(bits.shape[1]))
+    head, shots = np.frombuffer(text.encode(), dtype=np.uint8), bits.shape[1]
+    # (lo, hi, row width): shots lo .. hi-1 are the d-digit numbers
+    groups = [(0 if d == 1 else 10 ** (d - 1), min(10 ** d, shots), len(head) + d + 2)
+              for d in range(1, len(str(shots)) + 1)]
+    out = np.empty(sum((hi - lo) * width for lo, hi, width in groups), dtype=np.uint8)
+    at = 0
+    for lo, hi, width in groups:
+        rows = out[at:at + (hi - lo) * width].reshape(hi - lo, width)
+        at += rows.size
+        rows[:, :len(head)] = head
+        rows[:, offsets] = bits[order, lo:hi].T.astype(np.uint8) + ord("0")
+        shot = np.arange(lo, hi)
+        for k in range(width - len(head) - 2):
+            rows[:, -3 - k] = shot // 10 ** k % 10 + ord("0")
+        rows[:, -2:] = np.frombuffer(b"}\n", dtype=np.uint8)
+    return out.tobytes()
 
 
-def _run_basis(cfg: RunConfig, basis: str, shots: int, keep_rows: bool):
-    """One basis of a run: its counts, and its archive rows when keep_rows is set."""
+def _run_basis(cfg: RunConfig, basis: str, shots: int, keep_bits: bool):
+    """One basis of a run: its counts, and its outcome bits (record tags x shots)
+    when keep_bits is set."""
     circ, _ = build_pipeline(cfg, basis)
     bits = ss.sample_outcomes(circ, cfg.noise, _basis_seed(cfg, basis), shots)
     tally = Counter(_classifier(cfg, basis).classify(bits))
     stats = BasisStats(shots=shots, accepted=shots - tally[None], mismatches=tally[True])
-    return stats, _archive_rows(basis, circ.tags(), bits) if keep_rows else None
+    return stats, bits if keep_bits else None
 
 
 def run(config: RunConfig, out_dir: str | None = None) -> RunSummary:
     """Simulate, postselect, decode, and aggregate one experiment.
 
-    Each basis is sampled, classified and archived in one call.  With
-    out_dir set, writes <out_dir>/<mode>/summary.json and a shots.jsonl
-    archive headed by the config hash; both depend only on the config.
+    Each basis is sampled and classified in one call.  With out_dir set,
+    writes <out_dir>/<mode>/summary.json and a shots.jsonl archive headed by
+    the config hash; both depend only on the config.  The archive is written
+    in bytes, one basis at a time, once both bases have run.
     """
-    (z, z_rows), (x, x_rows) = (_run_basis(config, basis, shots, out_dir is not None)
+    (z, z_bits), (x, x_bits) = (_run_basis(config, basis, shots, out_dir is not None)
                                 for basis, shots in (("z", config.shots_z), ("x", config.shots_x)))
     summary = RunSummary(config, z, x)
     if out_dir is not None:
@@ -452,10 +472,11 @@ def run(config: RunConfig, out_dir: str | None = None) -> RunSummary:
         os.makedirs(mode_dir, exist_ok=True)
         with open(os.path.join(mode_dir, "summary.json"), "w") as fh:
             json.dump(summary.to_json(), fh, indent=1, sort_keys=True)
-        with open(os.path.join(mode_dir, "shots.jsonl"), "w") as fh:
+        with open(os.path.join(mode_dir, "shots.jsonl"), "wb") as fh:
             fh.write(json.dumps({"config_hash": config.digest(),
-                                 "config": config.to_dict()}) + "\n")
-            fh.writelines((z_rows, x_rows))
+                                 "config": config.to_dict()}).encode() + b"\n")
+            for basis, bits in (("z", z_bits), ("x", x_bits)):
+                fh.write(_archive_rows(basis, build_pipeline(config, basis)[0].tags(), bits))
     return summary
 
 

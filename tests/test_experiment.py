@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import math
@@ -147,7 +148,19 @@ def test_archive_rows_equal_json_dumps_of_each_row(basis, tags, shots, seed):
     want = "".join(json.dumps({"basis": basis, "shot": i, "outcomes": dict(zip(tags, col))},
                               sort_keys=True) + "\n"
                    for i, col in enumerate(bits.T.astype(np.uint8).tolist()))
-    assert ex._archive_rows(basis, tuple(tags), bits) == want
+    assert ex._archive_rows(basis, tuple(tags), bits) == want.encode()
+
+
+@pytest.mark.parametrize("shots", [0, 1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 10001])
+def test_archive_rows_across_shot_number_digit_counts(shots):
+    # rows are built in groups by the digit count of the shot number: each
+    # group boundary against one sorted-key json.dumps per shot
+    tags = ('q"', "q\\", "\u00e9", "e", "b9", "b10")
+    bits = np.random.default_rng(shots).integers(0, 2, (len(tags), shots)).astype(bool)
+    want = "".join(json.dumps({"basis": "x", "shot": i, "outcomes": dict(zip(tags, col))},
+                              sort_keys=True) + "\n"
+                   for i, col in enumerate(bits.T.astype(np.uint8).tolist()))
+    assert ex._archive_rows("x", tags, bits) == want.encode()
 
 
 def test_zero_shot_run_reports_no_data():
@@ -435,6 +448,33 @@ def test_accepted_single_faults_flip_all_gadget_outcomes_or_none(mode, basis):
     assert 0 < len(accepted) < len(verdicts)
     assert set(accepted) <= {(False,) * 3, (True,) * 3}
     assert (True,) * 3 in accepted
+
+
+def _key_words(classifier, bits):
+    """classify's key words: a copy of the classifier whose verdict is the word itself."""
+    probe = copy.copy(classifier)
+    probe.verdict = lambda word: word
+    return probe.classify(bits)
+
+
+@pytest.mark.parametrize("basis", ["z", "x"])
+def test_float32_key_product_is_exact_on_the_widest_key(basis):
+    # generalized l = 20 has the widest key (68 x 159 in Z, 48 x 159 in X):
+    # its key words, the all-ones column included, against the GF(2)
+    # product in Python ints
+    cfg = ex.RunConfig(mode="generalized", noise=ss.NoiseModel(1e-3, 5e-3, 5e-3), l=20)
+    classifier = ex._classifier(cfg, basis)
+    assert classifier.key.shape == ((68 if basis == "z" else 48), 159)
+    rows = ss.column_ints(classifier.key.T)
+    bits = np.random.default_rng(5).integers(0, 2, (159, 200)).astype(bool)
+    bits[:, 0] = True
+    want = [sum((row & col).bit_count() % 2 << r for r, row in enumerate(rows))
+            for col in ss.column_ints(bits)]
+    assert _key_words(classifier, bits) == want
+    # a parity past float16's 2048 exact integers stays exact
+    wide = copy.copy(classifier)
+    wide.key = np.ones((1, 4097), dtype=np.uint8)
+    assert _key_words(wide, np.ones((4097, 3), dtype=bool)) == [1, 1, 1]
 
 
 @pytest.mark.parametrize("basis", ["z", "x"])
