@@ -18,7 +18,7 @@ from . import experiment as ex
 from . import protocol as pr
 from .code_factory import build_25_4_3, build_34_4_3, build_generalized
 from .css_code import CssCode, distance, permutation_logical_action
-from .decoder import DecodeProblem, bp_osd, logical_correction
+from .decoder import DecodeProblem, MinSumDecoder, bp_then_osd, logical_correction
 from .f2linalg import vector_from_bits, vector_to_bits
 from .stab_sim import SEED_LIMIT, cycles_from_text
 
@@ -176,7 +176,10 @@ def _cmd_run_ghz(args) -> int:
 def _cmd_decode(args) -> int:
     code = _load_code(args.code)
     h = code.hz if args.basis == "z" else code.hx
+    # DecodeProblem checks the prior before any line is read; one decoder
+    # serves the whole stream
     priors = DecodeProblem(h, (args.prior,) * h.cols, 0).priors
+    bp = MinSumDecoder(h, priors, iters=args.bp_iters)
     out_lines = []
     with open(args.syndromes) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -192,8 +195,7 @@ def _cmd_decode(args) -> int:
                 raise ValueError(f"{args.syndromes} line {lineno}: expected "
                                  f'{{"syndrome": [...]}} with {h.rows} bits')
             syndrome = vector_from_bits(bits)
-            result = bp_osd(DecodeProblem(h, priors, syndrome),
-                            iters=args.bp_iters, depth=args.osd_depth)
+            result = bp_then_osd(bp, syndrome, args.osd_depth)
             mask = logical_correction(code, result.error_estimate, args.basis)
             out_lines.append(json.dumps({
                 "syndrome": bits,

@@ -2,11 +2,13 @@
 post-processing with a combination sweep, and an exhaustive minimum-weight
 oracle for ground truth on small codes.
 
-BP reads the Tanner graph of its check matrix from `BitMatrix.entries`,
-which is built once per matrix.  The sweep takes one BitMatrix reduction
-per call, of the ranked check matrix with the syndrome appended: every
-candidate is the zero-pattern solution XOR the flips of its free columns,
-all read off the reduced rows in one walk.
+BP reads the Tanner graph of its check matrix from `BitMatrix.entries`
+and the column masks from `BitMatrix.transpose()`, both built once per
+matrix; its stop test XORs the columns of the current estimate.  The
+sweep builds no matrix: it reduces the cached column masks in rank order
+into a greedy basis, which gives the zero-pattern solution and the flip
+of every free column, and every candidate is the zero pattern XOR the
+flips of its free columns.
 
 Error estimates and syndromes are packed bit masks.  Tie-breaking is
 always lowest-index-first so every decoder is deterministic.
@@ -81,8 +83,7 @@ class MinSumDecoder:
         columns, spans, by_column = self.h.entries
         checks = [(start, stop, -1.0 if (syndrome >> r) & 1 else 1.0)
                   for r, (start, stop) in enumerate(spans) if stop > start]
-        variables = list(zip(prior, by_column))
-        parities = [(row, (syndrome >> r) & 1) for r, row in enumerate(self.h.data)]
+        variables = list(zip(prior, by_column, self.h.transpose().data))
         v2c = [prior[j] for j in columns]
         c2v = [0.0] * len(columns)
         posteriors = list(prior)
@@ -110,8 +111,8 @@ class MinSumDecoder:
                     c2v[e] = pos if v >= 0 else neg
                     e += 1
                 c2v[start + arg1] = (sign if msgs[arg1] >= 0 else -sign) * min2
-            hard = 0
-            for j, (p, entries) in enumerate(variables):
+            hard = syn = 0
+            for j, (p, entries, column) in enumerate(variables):
                 # an explicit left-to-right sum: sum() compensates float
                 # rounding from Python 3.12 on, which would move the posteriors
                 s = 0
@@ -135,10 +136,8 @@ class MinSumDecoder:
                     v2c[e] = v
                 if total < 0:
                     hard |= 1 << j
-            for row, bit in parities:
-                if (row & hard).bit_count() & 1 != bit:
-                    break
-            else:
+                    syn ^= column
+            if syn == syndrome:
                 return DecodeResult(hard, True, "BP", _soft_weight(hard, prior), tuple(posteriors))
         return DecodeResult(hard, False, "BP", _soft_weight(hard, prior), tuple(posteriors))
 
@@ -151,17 +150,17 @@ def _soft_weight(estimate: int, llrs) -> float:
 
 
 def osd_combination_sweep(problem: DecodeProblem, bp_soft_output, depth: int = 14) -> DecodeResult:
-    """Ordered-statistics search seeded by BP posteriors, from one reduction.
+    """Ordered-statistics search seeded by BP posteriors, from one greedy basis.
 
     Columns are ranked most-likely-in-error first (ascending posterior
-    LLR, lowest index on ties).  One reduced row echelon form of the
-    ranked matrix with the syndrome appended as a last column gives
-    everything: its pivots are the solving basis (the first rank(h)
-    independent ranked columns), its syndrome column the zero-pattern
-    estimate, and each free column c the flip of c plus the basis columns
-    summing to it.  One walk over the reduced rows reads all of them off:
-    each row ORs its basis column into the zero pattern and the flips of
-    the free columns it contains.  Candidates are the zero pattern XOR
+    LLR, lowest index on ties).  The cached column masks are reduced in
+    rank order against the basis built so far: a column that stays
+    nonzero joins the basis (so the basis is the first rank(h)
+    independent ranked columns), and a column that reduces to zero is
+    free, its flip being the column plus the basis columns summing to
+    it (unique, as the basis is independent).  The syndrome, reduced the
+    same way, gives the zero-pattern estimate; a nonzero remainder means
+    it is outside the column space.  Candidates are the zero pattern XOR
     each single flip, then XOR each pair of the `depth` most-likely flips.
     They are scored by channel-prior log-likelihood (posteriors only order
     the columns, and a candidate that provably cannot win or tie is not
@@ -176,22 +175,29 @@ def _sweep(h: BitMatrix, syndrome: int, bp_soft_output, depth: int, prior_llrs) 
     """osd_combination_sweep on h and syndrome, scored by the given prior LLRs."""
     n = h.cols
     llrs = tuple(bp_soft_output)
-    order = [j for _, j in sorted(zip(llrs, range(n)))]
     columns = h.transpose().data
-    ranked = BitMatrix(n + 1, h.rows, tuple([columns[j] for j in order] + [syndrome]))
-    reduced, pivots = ranked.transpose().rref()
-    if pivots and pivots[-1] == n:
+    # basis entries (lead bit, reduced column, its columns of h): each
+    # entry's vector is clear at the lead bits of the entries before it,
+    # so one pass in insertion order clears every lead bit
+    basis = []
+    flips = []
+    for j in sorted(range(n), key=llrs.__getitem__):
+        v, support = columns[j], 1 << j
+        for lead, vec, sup in basis:
+            if v & lead:
+                v ^= vec
+                support ^= sup
+        if v:
+            basis.append((v & -v, v, support))
+        else:
+            flips.append(support)
+    v, zero = syndrome, 0
+    for lead, vec, sup in basis:
+        if v & lead:
+            v ^= vec
+            zero ^= sup
+    if v:
         raise ValueError("syndrome is inconsistent with the check matrix")
-    # flip[c]: ranked column c plus the basis columns summing to it, for
-    # each free column c; flip[n] is the zero pattern
-    flip = [1 << j for j in order] + [0]
-    for row, p in zip(reduced.data, pivots):
-        basis = 1 << order[p]
-        for c in mask_to_support(row):
-            flip[c] |= basis
-    zero = flip[n]
-    is_pivot = set(pivots)
-    flips = [f for c, f in enumerate(flip[:n]) if c not in is_pivot]
     candidates = [zero ^ f for f in flips]
     candidates += [zero ^ a ^ b for a, b in combinations(flips[:depth], 2)]
     # Float rounding is monotone, so a weight-k candidate scores at least

@@ -411,15 +411,16 @@ def _basis_seed(cfg: RunConfig, basis: str):
     return (cfg.seed, 0 if basis == "z" else 1)
 
 
-def _archive_rows(basis: str, tags: tuple[str, ...], bits: np.ndarray) -> bytes:
+def _archive_rows(basis: str, tags: tuple[str, ...], bits: np.ndarray) -> np.ndarray:
     """The shots.jsonl rows of the columns of bits (tags x shots), shot i in column i.
 
-    Each row is json.dumps({"basis", "outcomes", "shot"}, sort_keys=True) byte
-    for byte, encoded.  The rows share one template, the ASCII-escaped keys in
-    sorted order, and differ only in one digit per tag at fixed offsets and in
-    the trailing shot number.  Shots whose numbers have the same digit count
-    (0-9, 10-99, ...) have rows of one width, so each such group is built
-    whole as a uint8 array, in place in one buffer.
+    Returns the encoded rows as one uint8 buffer, which a binary file writes
+    as it is.  Each row is json.dumps({"basis", "outcomes", "shot"},
+    sort_keys=True) byte for byte, encoded.  The rows share one template, the
+    ASCII-escaped keys in sorted order, and differ only in one digit per tag
+    at fixed offsets and in the trailing shot number.  Shots whose numbers
+    have the same digit count (0-9, 10-99, ...) have rows of one width, so
+    each such group is built whole as a uint8 array, in place in one buffer.
     """
     order = sorted(range(len(tags)), key=tags.__getitem__)
     text, offsets = f'{{"basis": {json.dumps(basis)}, "outcomes": {{', []
@@ -443,7 +444,7 @@ def _archive_rows(basis: str, tags: tuple[str, ...], bits: np.ndarray) -> bytes:
         for k in range(width - len(head) - 2):
             rows[:, -3 - k] = shot // 10 ** k % 10 + ord("0")
         rows[:, -2:] = np.frombuffer(b"}\n", dtype=np.uint8)
-    return out.tobytes()
+    return out
 
 
 def _run_basis(cfg: RunConfig, basis: str, shots: int, keep_bits: bool):

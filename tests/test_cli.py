@@ -164,6 +164,51 @@ def test_decode_stream(tmp_path, capsys):
     assert len(row["logical_mask"]) == 4
 
 
+@pytest.mark.parametrize("basis", ["z", "x"])
+# weight-1..2 rows do not depend on a uniform prior below 0.5 or on
+# iterations past the first, so each flag is set where it moves some row:
+# a zero LLR ties every candidate, and zero iterations rank by index
+@pytest.mark.parametrize("prior, iters, depth", [(0.5, 4, 2), (0.03, 0, 5)])
+def test_decode_rows_equal_bp_osd_at_non_default_settings(tmp_path, capsys, basis,
+                                                          prior, iters, depth):
+    # one decoder serves the whole stream; each row must be what a fresh
+    # bp_osd call gives for its syndrome
+    from itertools import combinations
+
+    from f2qec.code_factory import build_25_4_3
+    from f2qec.decoder import DecodeProblem, bp_osd, logical_correction
+    from f2qec.f2linalg import vector_to_bits
+
+    code_path = str(tmp_path / "code.json")
+    main(["build-code", "--family", "paper2543", "--out", code_path])
+    code = build_25_4_3()
+    h = code.hz if basis == "z" else code.hx
+    syndromes = {}
+    for w in (1, 2):
+        for support in combinations(range(h.cols), w):
+            syndromes.setdefault(h.mul_vec(sum(1 << q for q in support)), None)
+    syndromes.pop(0, None)
+    stream = tmp_path / "syn.jsonl"
+    stream.write_text("".join(json.dumps({"syndrome": vector_to_bits(s, h.rows)}) + "\n"
+                              for s in syndromes))
+    out = tmp_path / "dec.jsonl"
+    assert main(["decode", "--code", code_path, "--basis", basis, "--syndromes", str(stream),
+                 "--out", str(out), "--prior", str(prior), "--bp-iters", str(iters),
+                 "--osd-depth", str(depth)]) == 0
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(rows) == len(syndromes) > 50
+    for s, row in zip(syndromes, rows):
+        want = bp_osd(DecodeProblem(h, (prior,) * h.cols, s), iters=iters, depth=depth)
+        assert row == {
+            "syndrome": vector_to_bits(s, h.rows),
+            "estimate": vector_to_bits(want.error_estimate, h.cols),
+            "logical_mask": vector_to_bits(logical_correction(code, want.error_estimate, basis),
+                                           code.k),
+            "converged": want.converged,
+            "method": want.method,
+        }
+
+
 @pytest.mark.parametrize("count", [0, 2])
 def test_decode_writes_one_line_per_syndrome(tmp_path, capsys, count):
     # an empty stream decodes to an empty file, not to a lone newline

@@ -7,7 +7,7 @@ from conftest import reference_min_sum, reference_osd
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from f2qec.code_factory import build_25_4_3
+from f2qec.code_factory import build_25_4_3, build_generalized
 from f2qec.decoder import (
     DecodeProblem,
     MinSumDecoder,
@@ -194,6 +194,22 @@ def test_decoder_outputs_are_pinned_by_digest(code):
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest().startswith("5b4a58ac0187e7c9")
 
 
+def _assert_sweep_matches_reference(h, priors, posteriors, syndrome, depth) -> bool:
+    """osd_combination_sweep against reference_osd; False when the syndrome
+    is outside the column space (and both raise)."""
+    problem = DecodeProblem(h, priors, syndrome)
+    try:
+        want = reference_osd(h, priors, posteriors, syndrome, depth)
+    except ValueError:
+        with pytest.raises(ValueError, match="inconsistent"):
+            osd_combination_sweep(problem, posteriors, depth)
+        return False
+    got = osd_combination_sweep(problem, posteriors, depth)
+    assert (got.error_estimate, got.soft_weight) == want
+    assert got.posteriors == posteriors and got.method == "BP+OSD"
+    return True
+
+
 def test_osd_matches_reference_on_random_small_matrices():
     # redundant rows, tied priors and tied posteriors on purpose; the
     # syndromes are arbitrary, so some are outside the column space
@@ -208,17 +224,7 @@ def test_osd_matches_reference_on_random_small_matrices():
         posteriors = tuple(float(rng.randint(-2, 3)) for _ in range(n))
         syndrome = rng.getrandbits(h.rows)
         for depth in (0, 2, 14):
-            problem = DecodeProblem(h, priors, syndrome)
-            try:
-                want = reference_osd(h, priors, posteriors, syndrome, depth)
-            except ValueError:
-                with pytest.raises(ValueError, match="inconsistent"):
-                    osd_combination_sweep(problem, posteriors, depth)
-                raised += 1
-                continue
-            got = osd_combination_sweep(problem, posteriors, depth)
-            assert (got.error_estimate, got.soft_weight) == want
-            assert got.posteriors == posteriors and got.method == "BP+OSD"
+            raised += not _assert_sweep_matches_reference(h, priors, posteriors, syndrome, depth)
     assert 0 < raised < 900
 
 
@@ -265,11 +271,9 @@ def _fields(r):
     return repr((r.error_estimate, r.converged, r.method, r.soft_weight, r.posteriors))
 
 
-@given(_decode_cases())
-# two degree-1 checks on one column disagree: their messages sum to inf - inf
-@example(case=(BitMatrix.from_ints([1, 1], 1), (0.01,), 0b01, 3, 0))
-def test_bp_and_bp_osd_match_the_reference_on_random_matrices(case):
-    h, priors, syndrome, iters, depth = case
+def _assert_matches_the_references(h, priors, syndrome, iters, depth) -> bool:
+    """BP and BP+OSD against reference_min_sum and reference_osd, every field;
+    False when the syndrome is outside the column space (and both raise)."""
     bp = reference_min_sum(h, priors, syndrome, iters)
     assert _fields(MinSumDecoder(h, priors, iters).decode(syndrome)) == repr(bp)
     problem = DecodeProblem(h, priors, syndrome)
@@ -278,6 +282,57 @@ def test_bp_and_bp_osd_match_the_reference_on_random_matrices(case):
     except ValueError:
         with pytest.raises(ValueError, match="inconsistent"):
             bp_osd(problem, iters, depth)
-        return
+        return False
     want = bp if bp[1] and bp[3] < weight - 1e-12 else (estimate, True, "BP+OSD", weight, bp[4])
     assert _fields(bp_osd(problem, iters, depth)) == repr(want)
+    return True
+
+
+@given(_decode_cases())
+# two degree-1 checks on one column disagree: their messages sum to inf - inf
+@example(case=(BitMatrix.from_ints([1, 1], 1), (0.01,), 0b01, 3, 0))
+def test_bp_and_bp_osd_match_the_reference_on_random_matrices(case):
+    _assert_matches_the_references(*case)
+
+
+@pytest.mark.parametrize("name", ["flagship hx|I", "(9,1) hz", "(9,1) hx|I", "(3,2) hx"])
+def test_bp_osd_matches_the_references_on_code_matrices(name):
+    # the decoding matrices of real codes, 35 to 62 columns: hx|I is the X
+    # basis matrix with one column per check outcome, and (3,2) is the
+    # 36-qubit distance-4 member
+    family, which = name.split()
+    code = build_25_4_3() if family == "flagship" else build_generalized(
+        *map(int, family.strip("()").split(",")))
+    h = code.hz if which == "hz" else code.hx
+    if which.endswith("|I"):
+        h = h.hstack(BitMatrix.identity(h.rows))
+    rng = random.Random(name)
+    errors = [1 << j for j in range(h.cols)]
+    errors += [sum(1 << j for j in rng.sample(range(h.cols), w))
+               for w in (2, 3, 4) for _ in range(8)]
+    for priors in ((0.01,) * h.cols, tuple(0.001 * (1 + j % 7) for j in range(h.cols))):
+        for e in errors:
+            assert _assert_matches_the_references(h, priors, h.mul_vec(e), 10, 14)
+
+
+def test_bp_osd_matches_the_references_on_matrices_wider_than_a_word():
+    # 65-130 columns, so estimates and flips span more than one 64-bit word;
+    # redundant rows, all-zero columns, tied priors, syndromes outside the
+    # column space, and a sweep on tied integer posteriors
+    rng = random.Random(11)
+    consistent = []
+    for _ in range(6):
+        n, m = rng.randint(65, 130), rng.randint(8, 16)
+        rows = [sum(1 << j for j in rng.sample(range(n), rng.randint(3, 9))) for _ in range(m)]
+        rows += [rows[0] ^ rows[1], rows[2] ^ rows[3] ^ rows[4]]
+        h = BitMatrix.from_ints(rows, n)
+        priors = tuple(rng.choice((0.01, 0.05, 0.2)) for _ in range(n))
+        syndromes = [h.mul_vec(sum(1 << j for j in rng.sample(range(n), w))) for w in (1, 2, 3, 5)]
+        syndromes += [rng.getrandbits(h.rows) for _ in range(2)]
+        for syndrome in syndromes:
+            for iters, depth in ((10, 14), (3, 4)):
+                consistent.append(_assert_matches_the_references(h, priors, syndrome,
+                                                                 iters, depth))
+            posteriors = tuple(float(rng.randint(-2, 3)) for _ in range(n))
+            _assert_sweep_matches_reference(h, priors, posteriors, syndrome, 14)
+    assert set(consistent) == {True, False}

@@ -148,7 +148,7 @@ def test_archive_rows_equal_json_dumps_of_each_row(basis, tags, shots, seed):
     want = "".join(json.dumps({"basis": basis, "shot": i, "outcomes": dict(zip(tags, col))},
                               sort_keys=True) + "\n"
                    for i, col in enumerate(bits.T.astype(np.uint8).tolist()))
-    assert ex._archive_rows(basis, tuple(tags), bits) == want.encode()
+    assert bytes(ex._archive_rows(basis, tuple(tags), bits)) == want.encode()
 
 
 @pytest.mark.parametrize("shots", [0, 1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 10001])
@@ -160,7 +160,7 @@ def test_archive_rows_across_shot_number_digit_counts(shots):
     want = "".join(json.dumps({"basis": "x", "shot": i, "outcomes": dict(zip(tags, col))},
                               sort_keys=True) + "\n"
                    for i, col in enumerate(bits.T.astype(np.uint8).tolist()))
-    assert ex._archive_rows("x", tags, bits) == want.encode()
+    assert bytes(ex._archive_rows("x", tags, bits)) == want.encode()
 
 
 def test_zero_shot_run_reports_no_data():
