@@ -274,7 +274,10 @@ def build_parser() -> argparse.ArgumentParser:
     dc.add_argument("--basis", required=True, choices=["z", "x"])
     dc.add_argument("--syndromes", required=True)
     dc.add_argument("--out", required=True)
-    dc.add_argument("--prior", type=_number(float), default=0.01)
+    dc.add_argument("--prior", type=_number(float), default=0.01,
+                    help="error probability in (0, 0.5], one prior set on every column; "
+                         "so any value in (0, 0.5) writes the same rows (short of the LLR "
+                         "clip, near 1e-13), while 0.5, a zero LLR, ties every candidate")
     dc.add_argument("--bp-iters", type=_NON_NEGATIVE, default=10)
     dc.add_argument("--osd-depth", type=_NON_NEGATIVE, default=14)
     dc.set_defaults(func=_cmd_decode)

@@ -370,38 +370,83 @@ def validate_schedule(code: CssCode, schedule: Schedule) -> ScheduleReport:
     first such q is reported.  Each question is a row-space membership or
     a syndrome test, so any stabilizer rank is fine.
 
-    The answers depend on v alone, and many faults leave the same v, so
-    each distinct v is decided once per type and its verdict is reported
-    for every fault that leaves it.  Stabilizers have zero opposite
-    syndrome (hx hz^T = 0), so the third question only concerns the
-    qubits whose column of the opposite checks equals the opposite
-    syndrome s of v.
+    The questions are asked of all faults at once, on the circuit's
+    bit-sliced data-qubit frames (stab_sim.single_fault_words: bit c of a
+    word is fault c).  A check's syndrome word is the XOR of the frame
+    words over its support.  v is a stabilizer when its parity against
+    every row of the same-type kernel basis is 0, as the row space is that
+    kernel's orthogonal complement.  The errors that one more fault at q
+    turns into a stabilizer are those whose syndrome and kernel-parity
+    words spell column q of the opposite checks and of the kernel basis.
+    Only the flagged faults become messages, in table order, X before Z.
     """
-    table = ss.single_fault_table(syndrome_extraction_circuit(code, schedule, which="both"))
-    data_mask = (1 << code.n) - 1
+    circuit = syndrome_extraction_circuit(code, schedule, which="both")
+    words = ss.single_fault_words(circuit)
     d = code.d if code.d is not None else 3
-
-    def decide(v, h_same, h_other, columns):
-        if h_same.in_row_space(v):
-            return None
-        s = h_other.mul_vec(v)
-        if s == 0:
-            return "single fault is a logical operator"
+    faults = (1 << len(words.cases)) - 1
+    messages = []
+    for frames, h_same, h_other in ((words.x, code.hx, code.hz), (words.z, code.hz, code.hx)):
+        kernel = h_same.kernel_basis()
+        syndrome = _words_over(frames, h_other.data)
+        parity = _words_over(frames, kernel.data)
+        syndrome_weight, parity_weight = _weight_words(syndrome), _weight_words(parity)
+        harmful = faults ^ _spelling(parity, parity_weight, 0, faults)
+        logical = _spelling(syndrome, syndrome_weight, 0, harmful)
+        flagged = dict.fromkeys(mask_to_support(logical), "single fault is a logical operator")
         if d >= 3:
-            qs = [q for q, col in enumerate(columns) if col == s]
-            if qs and not any(h_same.in_row_space(v ^ (1 << q)) for q in qs):
-                return f"one more fault at qubit {qs[0]} completes a logical"
-        return None
+            # the faults with a nonzero syndrome that one more fault at q
+            # brings back to zero, in ascending q, and those it makes a stabilizer
+            pending = harmful ^ logical
+            hooks, fixed = [], 0
+            for q, (column, kernel_column) in enumerate(zip(h_other.transpose().data,
+                                                            kernel.transpose().data)):
+                hit = _spelling(syndrome, syndrome_weight, column, pending)
+                if hit:
+                    hooks.append((q, hit))
+                    fixed |= _spelling(parity, parity_weight, kernel_column, hit)
+            for q, hit in hooks:
+                for c in mask_to_support(hit & ~fixed):
+                    flagged.setdefault(c, f"one more fault at qubit {q} completes a logical")
+        messages.append(flagged)
+    x_flagged, z_flagged = messages
+    return ScheduleReport([(*words.cases[c], flagged[c])
+                           for c in sorted(x_flagged.keys() | z_flagged.keys())
+                           for flagged in messages if c in flagged])
 
-    per_type = []
-    for final, h_same, h_other in ((table.final_x, code.hx, code.hz),
-                                   (table.final_z, code.hz, code.hx)):
-        columns = h_other.transpose().data
-        residuals = [v & data_mask for v in final]
-        # each distinct data residual -> its violation message, or None
-        verdict = {v: decide(v, h_same, h_other, columns) for v in set(residuals)}
-        per_type.append([verdict[v] for v in residuals])
-    violations = [(*fault, message)
-                  for fault, messages in zip(table.cases, zip(*per_type))
-                  for message in messages if message is not None]
-    return ScheduleReport(violations)
+
+def _words_over(words: list[int], rows: tuple[int, ...]) -> list[int]:
+    """The XOR of words over each row's support: fault c's parity against row r is bit c of word r."""
+    out = []
+    for row in rows:
+        w = 0
+        for q in mask_to_support(row):
+            w ^= words[q]
+        out.append(w)
+    return out
+
+
+def _weight_words(words: list[int]) -> list[int]:
+    """Bit-sliced weights: bit j of fault c's weight over words is bit c of word j."""
+    weight = []
+    for carry in words:
+        for j, w in enumerate(weight):
+            weight[j], carry = w ^ carry, w & carry
+            if not carry:
+                break
+        else:
+            if carry:
+                weight.append(carry)
+    return weight
+
+
+def _spelling(words: list[int], weight: list[int], pattern: int, among: int) -> int:
+    """The faults among `among` whose bits over words equal pattern: set in
+    every word of its support, with the pattern's weight."""
+    count = pattern.bit_count()
+    if count >> len(weight):
+        return 0
+    for r in mask_to_support(pattern):
+        among &= words[r]
+    for j, w in enumerate(weight):
+        among &= w if (count >> j) & 1 else ~w
+    return among

@@ -14,13 +14,17 @@ randomness: a seeded run, the reference run included, evaluates the map at
 the seed's draws, the same draws that a tableau taking them as it ran would
 have made, and the sampler evaluates it at fresh draws per shot.
 
-The frame kernel runs once per circuit too, one column per single fault,
-and the circuit keeps its fault map: one row per single fault, the outcome
-flips and residual frames that it causes alone.  The sampler XORs the map
-rows of the faults it draws in seeded blocks of SHOT_BLOCK shots onto each
-shot's noiseless record; single-fault enumeration reads one table off the
-map, with no tableau run: each case's location, its outcome flips as one
-bool array (record tags x cases) and its residual frames as packed ints.
+The frame kernel runs once per circuit too, on every single fault at
+once: each qubit's X and Z frame is one Python int, bit c for fault c, so
+a gate is a few word operations whatever the fault count.  The circuit
+keeps these fault words, and the fault map unpacked from them: one row per
+single fault, the outcome flips and residual frames that it causes alone.
+The sampler XORs the map rows of the faults it draws in seeded blocks of
+SHOT_BLOCK shots onto each shot's noiseless record; single-fault
+enumeration reads one table off the map, with no tableau run: each case's
+location, its outcome flips as one bool array (record tags x cases) and
+its residual frames as packed ints.  single_fault_words gives the same
+cases as the words themselves, for decisions taken on all faults at once.
 FaultCase objects are a per-case view, with absolute {tag: bit} records:
 the reference record XOR the flips.
 
@@ -174,18 +178,24 @@ class Circuit:
         return _tableau_pass(self)
 
     @cached_property
+    def _fault_words(self) -> tuple[list[int], list[int], list[int]]:
+        """The frame kernel run on the single faults, on first use: bit c
+        of each word is fault c in _sites order (see _propagate)."""
+        return _propagate(self)
+
+    @cached_property
     def _fault_map(self) -> np.ndarray:
-        """The frame kernel run on the single faults, on first use: one row per
-        fault, in _sites order, its record flips (one per tag), then its
-        residual X and residual Z frames (one per qubit)."""
-        sites = _sites(self)
-        index = [k for k, _, faults in sites for _ in faults]
-        codes = [code for _, _, faults in sites for _, code in faults]
-        flips = np.zeros((len(self.instructions), 4, len(index)), dtype=bool)
-        flips[index, :, np.arange(len(index))] = _FAULT_FLIPS[codes]
-        rows = np.hstack([r.T for r in _propagate(self, flips)])
-        rows.flags.writeable = False
-        return rows
+        """The fault words unpacked, on first use: one bool row per fault,
+        in _sites order, its record flips (one per tag), then its residual
+        X and residual Z frames (one per qubit)."""
+        words = [w for part in self._fault_words for w in part]
+        count = sum(len(faults) for _, _, faults in _sites(self))
+        width = -(-count // 8)
+        packed = np.frombuffer(b"".join(w.to_bytes(width, "little") for w in words), dtype=np.uint8)
+        bits = np.unpackbits(packed.reshape(len(words), width), axis=1, count=count,
+                             bitorder="little").view(bool)
+        bits.flags.writeable = False
+        return bits.T
 
     @cached_property
     def _noise_map(self) -> tuple[dict, np.ndarray, np.ndarray]:
@@ -480,15 +490,17 @@ def noisy_expansion(circuit: Circuit, nm: NoiseModel, rng) -> Circuit:
 
 # --- Pauli-frame sampler ---------------------------------------------------
 #
-# Frames propagate many at once, one bool column each (the Stim technique:
-# Gidney, Quantum 5, 497 (2021), arXiv:2103.02202).  Each qubit's X and Z
-# frame is a row over the columns: a CNOT is two row XORs, H swaps a
-# qubit's rows, a preparation overwrites them, a measurement reads one into
-# the record and RELABEL permutes them.  An INJECT is a Pauli gate, which
-# the noiseless records include; it leaves every frame as it is.  A fault
-# is a flip mask in the row of its instruction.  The kernel is linear and
-# runs once per circuit, one column per single fault (Circuit._fault_map);
-# the sampler and the single-fault table both read that map's rows.
+# Frames propagate many at once, bit-packed (the Stim technique: Gidney,
+# Quantum 5, 497 (2021), arXiv:2103.02202), here packed over the single
+# faults: each qubit's X and Z frame is one int word, bit c for fault c.
+# A CNOT is two word XORs, H swaps a qubit's words, a preparation
+# overwrites them, a measurement reads one into the record and RELABEL
+# permutes them.  An INJECT is a Pauli gate, which the noiseless records
+# include; it leaves every frame as it is.  Each op's faults take the next
+# bit columns, and their flips are the op's constant _SLOT_MASKS words
+# shifted there.  The kernel is linear and runs once per circuit
+# (Circuit._fault_words); the sampler and the single-fault table read the
+# rows of the map unpacked from its words, and validate_schedule the words.
 #
 # Frames carry the faults only.  A random outcome, such as an X
 # measurement after a Z preparation or of a qubit that no preparation
@@ -502,8 +514,8 @@ SHOT_BLOCK = 1024
 # A fault is a Pauli on an op's (first, second) qubit coded 4 * first +
 # second, with 0=I, 1=X, 2=Y, 3=Z as in _P1Q.  _FAULT_FLIPS[code] holds its
 # (x first, z first, x second, z second) frame flips.
-_FAULT_FLIPS = np.array([[p in (1, 2), p in (2, 3), q in (1, 2), q in (2, 3)]
-                         for p in range(4) for q in range(4)], dtype=bool)
+_FAULT_FLIPS = tuple((p in (1, 2), p in (2, 3), q in (1, 2), q in (2, 3))
+                     for p in range(4) for q in range(4))
 
 
 # (kind, ((label, Pauli code), ...)) of the single faults at each op.  Gate
@@ -520,54 +532,63 @@ _FAULTS = {
 }
 
 
+# Each faulty op's fault count, then its four slot words: bit j of word s
+# is slot s of the op's j-th fault, so one word shifted to the op's first
+# fault column flips that slot for all of its faults at once.
+_SLOT_MASKS = {op: (len(faults), *(sum(_FAULT_FLIPS[code][s] << j for j, (_, code) in enumerate(faults))
+                                   for s in range(4)))
+               for op, (_, faults) in _FAULTS.items()}
+
+
 def _sites(circuit: Circuit) -> list[tuple]:
     """(instruction index, kind, ((label, Pauli code), ...)) of each fault location."""
     return [(k, *_FAULTS[ins.op]) for k, ins in enumerate(circuit.instructions)
             if ins.op in _FAULTS]
 
 
-def _propagate(circuit: Circuit, flips: np.ndarray):
-    """Propagate Pauli frames through circuit, one column per flip pattern.
+def _propagate(circuit: Circuit) -> tuple[list[int], list[int], list[int]]:
+    """Propagate every single fault of circuit at once, one bit per fault.
 
-    Both frames start at 0: a frame holds faults only, and the noiseless
-    randomness is in the record map.  flips[k] (4 x columns) is applied at
-    instruction k as _FAULT_FLIPS describes; at a measurement, the measured
-    frame's slot flips the outcome and the other slot flips the other
-    frame.  Returns the measurement flips (one row per record tag) and the
-    residual X and Z frames (one row per qubit).
+    Bit c of each word is fault c in _sites order.  Both frames start at
+    0: a frame holds faults only, and the noiseless randomness is in the
+    record map.  An op's faults take the next columns, and its four
+    _SLOT_MASKS words, shifted there, flip the frames after the op; at a
+    measurement, the measured frame's slot flips the outcome and the other
+    slot flips the other frame.  Returns the measurement flips (one word
+    per record tag) and the residual X and Z frames (one word per qubit).
     """
-    x = np.zeros((circuit.n_qubits, flips.shape[-1]), dtype=bool)
-    z = np.zeros_like(x)
-    meas = np.empty((len(circuit.tags()), flips.shape[-1]), dtype=bool)
-    row = 0
-    for ins, f in zip(circuit.instructions, flips):
+    x = [0] * circuit.n_qubits
+    z = [0] * circuit.n_qubits
+    meas = []
+    column = 0
+    for ins in circuit.instructions:
         op, qs = ins.op, ins.qubits
+        if op in _SLOT_MASKS:
+            width, *slots = _SLOT_MASKS[op]
+            f0, f1, f2, f3 = (m << column for m in slots)
+            column += width
         if op == "CNOT":
             a, b = qs
-            x[b] ^= x[a]
-            z[a] ^= z[b]
-            x[a] ^= f[0]
-            z[a] ^= f[1]
-            x[b] ^= f[2]
-            z[b] ^= f[3]
+            x[b] ^= x[a] ^ f2
+            z[a] ^= z[b] ^ f1
+            x[a] ^= f0
+            z[b] ^= f3
         elif op == "MEASZ":
-            np.bitwise_xor(x[qs[0]], f[0], out=meas[row])
-            z[qs[0]] ^= f[1]
-            row += 1
+            meas.append(x[qs[0]] ^ f0)
+            z[qs[0]] ^= f1
         elif op == "MEASX":
-            np.bitwise_xor(z[qs[0]], f[1], out=meas[row])
-            x[qs[0]] ^= f[0]
-            row += 1
+            meas.append(z[qs[0]] ^ f1)
+            x[qs[0]] ^= f0
         elif op in ("PREPZ", "PREPX"):
-            x[qs[0]] = f[0]
-            z[qs[0]] = f[1]
+            x[qs[0]] = f0
+            z[qs[0]] = f1
         elif op == "H":
             a = qs[0]
-            x[a], z[a] = z[a] ^ f[0], x[a] ^ f[1]
+            x[a], z[a] = z[a] ^ f0, x[a] ^ f1
         elif op == "RELABEL":
             inv = inverse_permutation(ins.perm)
-            x = x[inv]
-            z = z[inv]
+            x = [x[q] for q in inv]
+            z = [z[q] for q in inv]
     return meas, x, z
 
 
@@ -721,10 +742,36 @@ def single_fault_table(circuit: Circuit) -> SingleFaultTable:
     map.  The residual frames are relative to the circuit as
     written, so they leave out the Paulis of its INJECTs.
     """
-    cases = [(k, kind, label) for k, kind, faults in _sites(circuit) for label, _ in faults]
     records, x, z = np.split(circuit._fault_map.T,
                              [len(circuit.tags()), len(circuit.tags()) + circuit.n_qubits])
-    return SingleFaultTable(cases, records, column_ints(x), column_ints(z))
+    return SingleFaultTable(_cases(circuit), records, column_ints(x), column_ints(z))
+
+
+class FaultWords(NamedTuple):
+    """Every single fault of a circuit, one bit per fault case in each word.
+
+    cases[c] is case c's (instruction_index, kind, pauli), as in
+    SingleFaultTable; bit c of records[t] is the flip of record tag t that
+    case c causes, and bit c of x[q] and z[q] its residual X and Z frame on
+    qubit q at the circuit end.
+    """
+
+    cases: list
+    records: list
+    x: list
+    z: list
+
+
+def single_fault_words(circuit: Circuit) -> FaultWords:
+    """The cases of single_fault_table(circuit) sliced the other way: one
+    int word per record tag and per qubit frame.  These are the frame
+    kernel's own output, kept on the circuit, so nothing is unpacked, and
+    a decision over the faults is a few word operations."""
+    return FaultWords(_cases(circuit), *circuit._fault_words)
+
+
+def _cases(circuit: Circuit) -> list[tuple]:
+    return [(k, kind, label) for k, kind, faults in _sites(circuit) for label, _ in faults]
 
 
 def enumerate_single_faults(circuit: Circuit) -> list[FaultCase]:

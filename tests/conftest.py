@@ -219,35 +219,145 @@ def reference_min_sum(h, priors, syndrome, iters):
     return hard, False, "BP", soft_weight(hard), tuple(posteriors)
 
 
+# A fault is a Pauli on an op's (first, second) qubit coded 4 * first +
+# second, with 0=I, 1=X, 2=Y, 3=Z; _FLIPS[code] holds its (x first,
+# z first, x second, z second) frame flips.  _FAULT_CODES gives each op's
+# fault kind and its faults in order: X, Y, Z after H; the 15 non-identity
+# pairs after a CNOT; X after PREPZ and Z after PREPX; the Pauli that
+# anticommutes with a measurement, which flips its outcome.
+_FLIPS = [[p in (1, 2), p in (2, 3), q in (1, 2), q in (2, 3)] for p in range(4) for q in range(4)]
+_FAULT_CODES = {"H": ("gate1", (4, 8, 12)), "CNOT": ("gate2", tuple(range(1, 16))),
+                "PREPZ": ("prep", (4,)), "PREPX": ("prep", (12,)),
+                "MEASZ": ("meas", (4,)), "MEASX": ("meas", (12,))}
+
+
+def reference_propagate(circuit, flips):
+    """Propagate Pauli frames through circuit, one bool column per flip pattern.
+
+    Each qubit's X and Z frame is a dense bool row over the columns, and
+    both start at 0.  flips[k] (4 x columns) flips the frames after
+    instruction k in the slots of _FLIPS; at a measurement, the measured
+    frame's slot flips the outcome and the other slot flips the other
+    frame.  A CNOT XORs the control's X row into the target's and the
+    target's Z row into the control's, H swaps a qubit's rows, a
+    preparation overwrites them, RELABEL moves qubit q's rows to perm[q]
+    and INJECT changes no frame.  Returns the measurement flips (one row
+    per record tag) and the residual X and Z frames (one row per qubit).
+    """
+    import numpy as np
+
+    x = np.zeros((circuit.n_qubits, flips.shape[-1]), dtype=bool)
+    z = np.zeros_like(x)
+    meas = []
+    for ins, f in zip(circuit.instructions, flips):
+        op, qs = ins.op, ins.qubits
+        if op == "CNOT":
+            a, b = qs
+            x[b] ^= x[a]
+            z[a] ^= z[b]
+            x[a] ^= f[0]
+            z[a] ^= f[1]
+            x[b] ^= f[2]
+            z[b] ^= f[3]
+        elif op == "MEASZ":
+            meas.append(x[qs[0]] ^ f[0])
+            z[qs[0]] ^= f[1]
+        elif op == "MEASX":
+            meas.append(z[qs[0]] ^ f[1])
+            x[qs[0]] ^= f[0]
+        elif op in ("PREPZ", "PREPX"):
+            x[qs[0]] = f[0]
+            z[qs[0]] = f[1]
+        elif op == "H":
+            a = qs[0]
+            x[a], z[a] = z[a] ^ f[0], x[a] ^ f[1]
+        elif op == "RELABEL":
+            inv = np.argsort(ins.perm)
+            x = x[inv]
+            z = z[inv]
+    return np.array(meas, dtype=bool).reshape(len(meas), flips.shape[-1]), x, z
+
+
+def reference_fault_map(circuit):
+    """The fault map from its definition: one bool row per single fault.
+
+    The faults are those of _FAULT_CODES at each instruction, in
+    instruction order.  Each is one column of a dense flip array
+    (instructions x 4 x faults) with its _FLIPS at its instruction, and
+    reference_propagate gives its row: its record flips (one per tag),
+    then its residual X and residual Z frames (one per qubit).
+    """
+    import numpy as np
+
+    columns = [(k, code) for k, ins in enumerate(circuit.instructions)
+               if ins.op in _FAULT_CODES for code in _FAULT_CODES[ins.op][1]]
+    flips = np.zeros((len(circuit.instructions), 4, len(columns)), dtype=bool)
+    for c, (k, code) in enumerate(columns):
+        flips[k, :, c] = _FLIPS[code]
+    return np.hstack([rows.T for rows in reference_propagate(circuit, flips)])
+
+
+def reference_schedule_violations(code, schedule):
+    """validate_schedule's violations from its definition, one residual at a time.
+
+    Each single fault of the extraction circuit leaves a data error v per
+    Pauli type.  If v is in the row space of the same-type checks, the
+    fault is harmless.  Otherwise, if the opposite-type syndrome s of v is
+    0, the fault is a logical operator.  Otherwise, for d >= 3 (3 when the
+    code does not know d), among the qubits q whose column of the opposite
+    checks is s, if there is one and no v ^ e_q is in the row space, the
+    first such q is reported.  Violations are in table order, X before Z.
+    """
+    from f2qec import protocol as pr
+    from f2qec import stab_sim as ss
+
+    table = ss.single_fault_table(pr.syndrome_extraction_circuit(code, schedule, which="both"))
+    d = code.d if code.d is not None else 3
+
+    def decide(v, h_same, h_other):
+        if h_same.in_row_space(v):
+            return None
+        s = h_other.mul_vec(v)
+        if s == 0:
+            return "single fault is a logical operator"
+        if d >= 3:
+            qs = [q for q in range(code.n) if h_other.mul_vec(1 << q) == s]
+            if qs and not any(h_same.in_row_space(v ^ (1 << q)) for q in qs):
+                return f"one more fault at qubit {qs[0]} completes a logical"
+        return None
+
+    data = (1 << code.n) - 1
+    violations = []
+    for fault, fx, fz in zip(table.cases, table.final_x, table.final_z):
+        for v, h_same, h_other in ((fx & data, code.hx, code.hz), (fz & data, code.hz, code.hx)):
+            message = decide(v, h_same, h_other)
+            if message is not None:
+                violations.append((*fault, message))
+    return violations
+
+
 def reference_noise_flips(circuit, nm, rng, shots):
     """One seeded block's noise as one dense flip array, and its random outcomes.
 
     Returns a bool array (instructions x 4 x shots) of flip slots (x first,
-    z first, x second, z second) per instruction and shot, for the frame
-    kernel to propagate from zero frames, and a bool array (k x shots) of
+    z first, x second, z second) per instruction and shot, for
+    reference_propagate to propagate from zero frames, and a bool array (k x shots) of
     the circuit's k random outcomes per shot.  The fault kinds are drawn
     in the order gate1 (H), gate2 (CNOT), prep, meas, each only when it
     has a location and a nonzero rate: a binomial number of failing (location, shot) cells,
     chosen without replacement, then one fault per cell, uniform over its
-    location's faults.  These are X, Y, Z after H; the 15 non-identity
-    Pauli pairs after a CNOT, coded 4 * first + second with 0=I, 1=X, 2=Y,
-    3=Z; X after PREPZ and Z after PREPX; the Pauli that anticommutes with
-    a measurement, which flips its outcome.  Then one draw gives k uniform
+    location's faults in _FAULT_CODES.  Then one draw gives k uniform
     bits per shot, k being the number of random outcomes in the circuit's
     record map.
     """
     import numpy as np
 
-    flips = np.array([[p in (1, 2), p in (2, 3), q in (1, 2), q in (2, 3)]
-                      for p in range(4) for q in range(4)], dtype=bool)
-    faults = {"H": ("gate1", (4, 8, 12)), "CNOT": ("gate2", tuple(range(1, 16))),
-              "PREPZ": ("prep", (4,)), "PREPX": ("prep", (12,)),
-              "MEASZ": ("meas", (4,)), "MEASX": ("meas", (12,))}
+    flips = np.array(_FLIPS, dtype=bool)
     rates = {"gate1": nm.p1, "gate2": nm.p2, "prep": nm.p_spam, "meas": nm.p_spam}
     out = np.zeros((len(circuit.instructions), 4, shots), dtype=bool)
     for kind, p in rates.items():
-        sites = [(k, faults[ins.op][1]) for k, ins in enumerate(circuit.instructions)
-                 if ins.op in faults and faults[ins.op][0] == kind]
+        sites = [(k, _FAULT_CODES[ins.op][1]) for k, ins in enumerate(circuit.instructions)
+                 if ins.op in _FAULT_CODES and _FAULT_CODES[ins.op][0] == kind]
         if not sites or p <= 0.0:
             continue
         pos = np.array([k for k, _ in sites])

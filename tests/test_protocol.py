@@ -1,7 +1,10 @@
+import functools
 import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from f2qec import protocol as pr
 from f2qec import stab_sim as ss
@@ -205,6 +208,43 @@ def test_validate_schedule_has_no_stabilizer_rank_limit():
     violations = pr.validate_schedule(code, pr.row_major_schedule(code)).violations
     assert len(violations) == 128
     assert {v[3] for v in violations} == {"single fault is a logical operator"}
+
+
+@pytest.mark.parametrize("l", range(3, 13))
+def test_validate_schedule_matches_the_per_residual_reference(l):
+    # the word-parallel decisions give the violations of deciding each
+    # fault's residual on its own, past the l <= 8 that the digests pin
+    from conftest import reference_schedule_violations
+
+    code = build_generalized(l, 1)
+    for make in (pr.zigzag_schedule, pr.row_major_schedule):
+        schedule = make(code)
+        assert pr.validate_schedule(code, schedule).violations == \
+            reference_schedule_violations(code, schedule)
+
+
+@functools.cache
+def _code(name):
+    return build_25_4_3() if name == "flagship" else build_generalized(name, 1)
+
+
+@st.composite
+def _shuffled_schedules(draw):
+    # each check's support in a drawn order
+    code = _code(draw(st.sampled_from(["flagship", 3, 4, 6])))
+    orders = [tuple(draw(st.permutations(mask_to_support(row))))
+              for h in (code.hx, code.hz) for row in h.data]
+    return code, pr.Schedule(tuple(orders[:code.hx.rows]), tuple(orders[code.hx.rows:]))
+
+
+@settings(deadline=None, max_examples=40)
+@given(_shuffled_schedules())
+def test_validate_schedule_matches_the_reference_on_drawn_schedules(code_and_schedule):
+    from conftest import reference_schedule_violations
+
+    code, schedule = code_and_schedule
+    assert pr.validate_schedule(code, schedule).violations == \
+        reference_schedule_violations(code, schedule)
 
 
 def test_postselection_rejects_disagreement(flagship_code):

@@ -128,13 +128,18 @@ def _instruction(n):
 
 
 @st.composite
-def _circuits(draw):
+def _circuits(draw, min_faults=0):
     n = draw(st.integers(2, 6))
     ins = []
     for k, item in enumerate(draw(st.lists(_instruction(n), max_size=25))):
         if isinstance(item, tuple):
             item = ss.Instruction(item[0], (item[1],), tag=f"m{k}")
         ins.append(item)
+    # CNOTs (15 faults each) at drawn places until there are min_faults faults
+    while sum(15 if i.op == "CNOT" else 3 if i.op == "H" else i.op[:4] in ("PREP", "MEAS")
+              for i in ins) < min_faults:
+        a, b = draw(st.permutations(range(n)))[:2]
+        ins.insert(draw(st.integers(0, len(ins))), ss.cnot(a, b))
     return ss.Circuit(n, tuple(ins))
 
 
@@ -555,15 +560,16 @@ _EDGE_CIRCUITS = ("PREPZ 0\nH 0\nCNOT 0 1", "", "INJECT X 0\nRELABEL (0 1)",
 
 def _dense_flip_outcomes(circ, nm, seed, shots):
     # the reference sampler: each block's flips drawn as one dense array and
-    # propagated by the frame kernel, each shot's random outcomes put into
-    # every tag's affine form of the record map one by one, and the two XORed
+    # propagated by the dense reference kernel, each shot's random outcomes
+    # put into every tag's affine form of the record map one by one, and
+    # the two XORed
     import numpy as np
-    from conftest import reference_noise_flips
+    from conftest import reference_noise_flips, reference_propagate
 
     b = ss.SHOT_BLOCK
     flips, draws = zip(*(reference_noise_flips(circ, nm, np.random.default_rng([seed, 0, block]), b)
                          for block in range((shots - 1) // b + 1)))
-    meas = np.hstack([ss._propagate(circ, f)[0] for f in flips])[:, :shots]
+    meas = np.hstack([reference_propagate(circ, f)[0] for f in flips])[:, :shots]
     forms = circ._record_map[1]
     points = [1 | sum(bit << (j + 1) for j, bit in enumerate(col))
               for col in np.hstack(draws)[:, :shots].T.tolist()]
@@ -655,12 +661,23 @@ def test_frame_kernel_runs_once_per_circuit(monkeypatch):
     assert ss.sample_outcomes(circ, nm, 1, 3 * ss.SHOT_BLOCK).shape == (3, 3 * ss.SHOT_BLOCK)
     ss.sample_outcomes(circ, nm, 2, 10)
     ss.single_fault_table(circ)
+    ss.single_fault_words(circ)
     ss.enumerate_single_faults(circ)
     assert len(calls) == 1
     again = ss.Circuit.from_text(text)
     assert again == circ
     ss.single_fault_table(again)
     assert len(calls) == 2
+    # validate_schedule runs the kernel once on the extraction circuit it
+    # builds, and its words and table on one circuit share that run
+    code = build_25_4_3()
+    schedule = zigzag_schedule(code)
+    assert pr.validate_schedule(code, schedule).ok
+    assert len(calls) == 3
+    extraction = syndrome_extraction_circuit(code, schedule, "both")
+    ss.single_fault_words(extraction)
+    ss.single_fault_table(extraction)
+    assert len(calls) == 4 and calls[-1] == (extraction,)
     kinds, draws, const = circ._noise_map
     for array in (circ._fault_map, draws, const, *kinds.values()):
         assert array.size
@@ -694,6 +711,43 @@ def test_fault_map_rows_are_the_mechanisms_in_order():
     assert np.shares_memory(table.records, circ._fault_map)
     with pytest.raises(ValueError):
         table.records[0, 0] = True
+
+
+def _check_fault_map_against_the_dense_reference(circ):
+    import numpy as np
+    from conftest import reference_fault_map
+
+    want = reference_fault_map(circ)
+    got = circ._fault_map
+    assert got.dtype == bool and got.shape == want.shape
+    assert (got == want).all()
+    # the words themselves, bit c = fault c, with no bit past the last fault
+    assert ss.single_fault_words(circ)[1:] == tuple(
+        [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little") for row in part]
+        for part in np.split(want.T, [len(circ.tags()), len(circ.tags()) + circ.n_qubits]))
+
+
+@settings(deadline=None)
+@given(st.sampled_from([0, 65, 129]).flatmap(lambda faults: _circuits(min_faults=faults)))
+def test_fault_map_matches_the_dense_reference_kernel(circ):
+    # the bit-sliced words, unpacked, are the rows that propagating one dense
+    # flip column per single fault gives, also past one and two 64-bit words
+    _check_fault_map_against_the_dense_reference(circ)
+
+
+def test_fault_map_matches_the_dense_reference_on_pipelines():
+    # the empty circuit, the flagship pipelines and extraction circuits, and
+    # generalized pipelines up to l = 20 (3,261 faults)
+    code = build_25_4_3()
+    circuits = [ss.Circuit(2, ()), physical_ghz_circuit("z"), physical_ghz_circuit("x")]
+    circuits += [pr.logical_ghz_circuit(code, b)[0] for b in "zx"]
+    circuits += [syndrome_extraction_circuit(code, make(code), which)
+                 for make in (zigzag_schedule, pr.row_major_schedule) for which in ("X", "Z", "both")]
+    for l in (4, 20):
+        circuits += [pr.generalized_ghz_circuit(build_generalized(l, 1), b)[0] for b in "zx"]
+    assert len(circuits[-1]._fault_map) == 3261
+    for circ in circuits:
+        _check_fault_map_against_the_dense_reference(circ)
 
 
 def test_a_site_at_rate_one_adds_one_of_its_rows_to_each_shot():
