@@ -19,6 +19,7 @@ the process ran before.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -357,17 +358,29 @@ class _Classifier:
             raw ^= self.decoded[syndrome]
         return raw not in self.targets
 
-    def classify(self, bits: np.ndarray) -> list:
-        """The verdict on each shot in bits (record tags x shots), in column order.
+    def _words(self, bits: np.ndarray) -> list:
+        """The key word of each shot in bits (record tags x shots), in column order.
 
         The key product runs in float32 through BLAS; it is exact, since
         each sum counts at most one term per record tag, far below 2**24.
-        Key words are Python ints, exact at any width, and each distinct
-        word is judged once.
+        Key words are Python ints, exact at any width.
         """
-        words = ss.column_ints((self.key @ bits.astype(np.float32)).astype(np.int32) & 1)
+        return ss.column_ints((self.key @ bits.astype(np.float32)).astype(np.int32) & 1)
+
+    def classify(self, bits: np.ndarray) -> list:
+        """The verdict on each shot in bits, in column order; each distinct
+        key word is judged once."""
+        words = self._words(bits)
         judged = {w: self.verdict(w) for w in set(words)}
         return [judged[w] for w in words]
+
+    def tally(self, bits: np.ndarray) -> Counter:
+        """How many shots in bits get each verdict, which is Counter(classify(bits)):
+        the words are counted, and each distinct word is judged once for all its shots."""
+        counts = Counter()
+        for word, n in Counter(self._words(bits)).items():
+            counts[self.verdict(word)] += n
+        return counts
 
 
 # --- running ------------------------------------------------------------------
@@ -411,17 +424,11 @@ def _basis_seed(cfg: RunConfig, basis: str):
     return (cfg.seed, 0 if basis == "z" else 1)
 
 
-def _archive_rows(basis: str, tags: tuple[str, ...], bits: np.ndarray) -> np.ndarray:
-    """The shots.jsonl rows of the columns of bits (tags x shots), shot i in column i.
-
-    Returns the encoded rows as one uint8 buffer, which a binary file writes
-    as it is.  Each row is json.dumps({"basis", "outcomes", "shot"},
-    sort_keys=True) byte for byte, encoded.  The rows share one template, the
-    ASCII-escaped keys in sorted order, and differ only in one digit per tag
-    at fixed offsets and in the trailing shot number.  Shots whose numbers
-    have the same digit count (0-9, 10-99, ...) have rows of one width, so
-    each such group is built whole as a uint8 array, in place in one buffer.
-    """
+@lru_cache(maxsize=_MEMO_SIZE)
+def _archive_head(basis: str, tags: tuple[str, ...]):
+    """The row template of one basis's archive, built once per pipeline: the
+    tags' sorted order, the encoded row up to its shot number (each outcome
+    digit "0") and the offsets of the outcome digits in it, all read-only."""
     order = sorted(range(len(tags)), key=tags.__getitem__)
     text, offsets = f'{{"basis": {json.dumps(basis)}, "outcomes": {{', []
     for j, t in enumerate(order):
@@ -429,7 +436,25 @@ def _archive_rows(basis: str, tags: tuple[str, ...], bits: np.ndarray) -> np.nda
         offsets.append(len(text))
         text += "0"
     text += '}, "shot": '
-    head, shots = np.frombuffer(text.encode(), dtype=np.uint8), bits.shape[1]
+    order, offsets = np.array(order, dtype=np.intp), np.array(offsets, dtype=np.intp)
+    order.flags.writeable = offsets.flags.writeable = False
+    return order, np.frombuffer(text.encode(), dtype=np.uint8), offsets
+
+
+def _archive_rows(basis: str, tags: tuple[str, ...], bits: np.ndarray) -> np.ndarray:
+    """The shots.jsonl rows of the columns of bits (tags x shots), shot i in column i.
+
+    Returns the encoded rows as one uint8 buffer, which a binary file writes
+    as it is.  Each row is json.dumps({"basis", "outcomes", "shot"},
+    sort_keys=True) byte for byte, encoded.  The rows share one template, the
+    ASCII-escaped keys in sorted order (_archive_head, built once per basis
+    and tags), and differ only in one digit per tag at fixed offsets and in
+    the trailing shot number.  Shots whose numbers have the same digit count
+    (0-9, 10-99, ...) have rows of one width, so each such group is built
+    whole as a uint8 array, in place in one buffer.
+    """
+    order, head, offsets = _archive_head(basis, tags)
+    shots = bits.shape[1]
     # (lo, hi, row width): shots lo .. hi-1 are the d-digit numbers
     groups = [(0 if d == 1 else 10 ** (d - 1), min(10 ** d, shots), len(head) + d + 2)
               for d in range(1, len(str(shots)) + 1)]
@@ -452,7 +477,7 @@ def _run_basis(cfg: RunConfig, basis: str, shots: int, keep_bits: bool):
     when keep_bits is set."""
     circ, _ = build_pipeline(cfg, basis)
     bits = ss.sample_outcomes(circ, cfg.noise, _basis_seed(cfg, basis), shots)
-    tally = Counter(_classifier(cfg, basis).classify(bits))
+    tally = _classifier(cfg, basis).tally(bits)
     stats = BasisStats(shots=shots, accepted=shots - tally[None], mismatches=tally[True])
     return stats, bits if keep_bits else None
 
@@ -464,6 +489,13 @@ def run(config: RunConfig, out_dir: str | None = None) -> RunSummary:
     writes <out_dir>/<mode>/summary.json and a shots.jsonl archive headed by
     the config hash; both depend only on the config.  The archive is written
     in bytes, one basis at a time, once both bases have run.
+
+    A rerun into the same out_dir removes both files and creates them anew,
+    so a link to an old file keeps the old bytes and is not written through.
+    (A file truncated in place is flushed when it is closed, on ext4 by
+    default; a new file's blocks are allocated lazily.)  The archive is
+    written before the summary, so a summary.json only ever sits next to a
+    complete archive of its own config.
     """
     (z, z_bits), (x, x_bits) = (_run_basis(config, basis, shots, out_dir is not None)
                                 for basis, shots in (("z", config.shots_z), ("x", config.shots_x)))
@@ -471,13 +503,18 @@ def run(config: RunConfig, out_dir: str | None = None) -> RunSummary:
     if out_dir is not None:
         mode_dir = os.path.join(out_dir, config.mode)
         os.makedirs(mode_dir, exist_ok=True)
-        with open(os.path.join(mode_dir, "summary.json"), "w") as fh:
-            json.dump(summary.to_json(), fh, indent=1, sort_keys=True)
-        with open(os.path.join(mode_dir, "shots.jsonl"), "wb") as fh:
+        summary_path, shots_path = (os.path.join(mode_dir, name)
+                                    for name in ("summary.json", "shots.jsonl"))
+        for path in (summary_path, shots_path):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
+        with open(shots_path, "wb") as fh:
             fh.write(json.dumps({"config_hash": config.digest(),
                                  "config": config.to_dict()}).encode() + b"\n")
             for basis, bits in (("z", z_bits), ("x", x_bits)):
                 fh.write(_archive_rows(basis, build_pipeline(config, basis)[0].tags(), bits))
+        with open(summary_path, "w") as fh:
+            fh.write(json.dumps(summary.to_json(), indent=1, sort_keys=True))
     return summary
 
 

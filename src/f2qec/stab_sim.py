@@ -203,8 +203,14 @@ class Circuit:
         rows and the record map's draw coefficients and constant bits."""
         return _noise_rows(self)
 
-    def tags(self) -> tuple[str, ...]:
+    @cached_property
+    def _tags(self) -> tuple[str, ...]:
         return tuple(i.tag for i in self.instructions if i.op in ("MEASZ", "MEASX"))
+
+    def tags(self) -> tuple[str, ...]:
+        """The measurement tags in record order, found on the first call and
+        then returned as the same tuple."""
+        return self._tags
 
     def two_qubit_gate_count(self) -> int:
         return sum(1 for i in self.instructions if i.op == "CNOT")

@@ -96,6 +96,18 @@ def test_run_ghz_and_report(tmp_path, capsys):
     assert "physical,z,50,50,0" in csv
 
 
+def test_run_ghz_reports_an_archive_path_that_is_a_directory(tmp_path, capsys):
+    # the run cannot remove a directory where shots.jsonl goes: exit status
+    # 1, one JSON line on stderr, and no summary.json
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mode = physical\nshots_z = 5\nshots_x = 5\nseed = 3\n")
+    mode_dir = tmp_path / "out" / "physical"
+    (mode_dir / "shots.jsonl").mkdir(parents=True)
+    assert main(["run-ghz", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert "shots.jsonl" in _one_line_error(capsys)
+    assert not (mode_dir / "summary.json").exists()
+
+
 def test_run_ghz_missing_config(capsys):
     assert main(["run-ghz", "--config", "does_not_exist.cfg"]) == 1
     err = capsys.readouterr().err

@@ -2,11 +2,13 @@ import copy
 import hashlib
 import json
 import math
+import os
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from f2qec import experiment as ex
@@ -131,6 +133,64 @@ def test_archive_of_a_basis_without_shots_has_only_the_other_basis(tmp_path):
 def test_archive_of_a_zero_shot_run_is_the_header_alone(tmp_path):
     cfg = ex.RunConfig(mode="logical", shots_z=0, shots_x=0)
     assert _archive_lines(tmp_path, cfg) == []
+
+
+def _run_files(out_dir, cfg):
+    return {name: (out_dir / cfg.mode / name).read_bytes()
+            for name in ("summary.json", "shots.jsonl")}
+
+
+def test_a_rerun_writes_the_files_of_a_run_into_a_fresh_directory(tmp_path):
+    # the same request twice, and after a run with more shots whose longer
+    # archive and other summary are in the way: each time the files are
+    # those of a run into an empty directory
+    nm = ss.NoiseModel(1e-3, 5e-3, 5e-3)
+    cfg = ex.RunConfig(mode="logical", shots_z=120, shots_x=90, noise=nm, seed=7)
+    longer = replace(cfg, shots_z=300, shots_x=250)
+    ex.run(cfg, out_dir=str(tmp_path / "fresh"))
+    fresh = _run_files(tmp_path / "fresh", cfg)
+    again = tmp_path / "again"
+    ex.run(cfg, out_dir=str(again))
+    ex.run(cfg, out_dir=str(again))
+    assert _run_files(again, cfg) == fresh
+    ex.run(longer, out_dir=str(again))
+    assert len(_run_files(again, cfg)["shots.jsonl"]) > len(fresh["shots.jsonl"])
+    ex.run(cfg, out_dir=str(again))
+    assert _run_files(again, cfg) == fresh
+    assert sorted(p.name for p in (again / cfg.mode).iterdir()) == ["shots.jsonl", "summary.json"]
+
+
+def test_a_rerun_replaces_the_files_instead_of_writing_through_them(tmp_path):
+    # a hard link to the old archive keeps the old bytes: the rerun wrote a
+    # new file at the path, not into the old one
+    cfg = ex.RunConfig(mode="physical", shots_z=40, shots_x=40,
+                       noise=ss.NoiseModel(0.0, 0.0, 0.1), seed=1)
+    ex.run(cfg, out_dir=str(tmp_path))
+    old = _run_files(tmp_path, cfg)
+    kept = tmp_path / "kept.jsonl"
+    os.link(tmp_path / cfg.mode / "shots.jsonl", kept)
+    other = replace(cfg, seed=2)
+    ex.run(other, out_dir=str(tmp_path))
+    new = _run_files(tmp_path, other)
+    assert kept.read_bytes() == old["shots.jsonl"] != new["shots.jsonl"]
+    assert not os.path.samefile(kept, tmp_path / cfg.mode / "shots.jsonl")
+
+
+def test_a_rerun_that_fails_while_archiving_leaves_no_summary(tmp_path, monkeypatch):
+    # the old summary is removed before the archive is written and the new
+    # one is written after it, so no summary.json sits next to an archive
+    # that is not its own
+    cfg = ex.RunConfig(mode="physical", shots_z=10, shots_x=10, seed=1)
+    ex.run(cfg, out_dir=str(tmp_path))
+    assert (tmp_path / cfg.mode / "summary.json").exists()
+
+    def fail(*args):
+        raise RuntimeError("archive failed")
+
+    monkeypatch.setattr(ex, "_archive_rows", fail)
+    with pytest.raises(RuntimeError, match="archive failed"):
+        ex.run(replace(cfg, seed=2), out_dir=str(tmp_path))
+    assert not (tmp_path / cfg.mode / "summary.json").exists()
 
 
 _TAG = st.text(alphabet=["a", "b", "0", "1", "9", "_", '"', "\\", "\u00e9"], min_size=1, max_size=4)
@@ -377,6 +437,24 @@ def test_key_word_verdicts_match_per_shot_reference(mode):
             assert verdict == _per_shot_verdict(cfg, basis, recipe, h, priors, rec)
             seen.add(verdict)
     assert seen == ({True, False} if mode == "physical" else {None, True, False})
+
+
+@settings(deadline=None, max_examples=60)
+@given(mode=st.sampled_from(ex.MODES), basis=st.sampled_from("zx"),
+       sampled=st.booleans(), shots=st.integers(0, 80), seed=st.integers(0, 2 ** 32 - 1))
+@example(mode="logical", basis="x", sampled=True, shots=0, seed=0)
+def test_tally_counts_the_verdicts_of_classify(mode, basis, sampled, shots, seed):
+    # a run counts verdicts by key word; the ledger reads them shot by shot:
+    # the counts agree on random bits (most rejected, many syndromes) and on
+    # sampled shots
+    cfg = ex.RunConfig(mode=mode, noise=ss.NoiseModel(1e-3, 5e-3, 5e-3), l=4)
+    circ, _ = ex.build_pipeline(cfg, basis)
+    classifier = ex._classifier(cfg, basis)
+    if sampled:
+        bits = ss.sample_outcomes(circ, cfg.noise, seed, shots)
+    else:
+        bits = np.random.default_rng(seed).integers(0, 2, (len(circ.tags()), shots)).astype(bool)
+    assert classifier.tally(bits) == Counter(classifier.classify(bits))
 
 
 def _walked_syndromes(cfg):

@@ -152,6 +152,15 @@ def test_text_ir_round_trip_property(circ):
     assert again.to_text() == text
 
 
+@settings(deadline=None)
+@given(_circuits())
+def test_tags_are_walked_once_per_circuit(circ):
+    # every call returns the one tuple of the first, equal to a fresh walk
+    tags = circ.tags()
+    assert circ.tags() is tags and type(tags) is tuple
+    assert tags == tuple(i.tag for i in circ.instructions if i.op in ("MEASZ", "MEASX"))
+
+
 def test_circuit_validation():
     with pytest.raises(ValueError):
         ss.Circuit(2, (ss.measz(0, "m"), ss.measz(1, "m")))  # duplicate tag
