@@ -269,7 +269,13 @@ def build_parser() -> argparse.ArgumentParser:
     rg.add_argument("--out", help="output directory for summary and shot archive")
     rg.set_defaults(func=_cmd_run_ghz)
 
-    dc = sub.add_parser("decode", help="decode a JSONL stream of syndromes")
+    dc = sub.add_parser("decode", help="decode a JSONL stream of syndromes",
+                        description="Decode a JSONL stream of syndromes with BP+OSD. "
+                                    "'converged' is true on every row: the returned "
+                                    "estimate always reproduces the syndrome. 'method' "
+                                    "says which answer was kept: 'BP' when BP's own "
+                                    "converged answer was kept, 'BP+OSD' when the "
+                                    "sweep's was.")
     dc.add_argument("--code", required=True)
     dc.add_argument("--basis", required=True, choices=["z", "x"])
     dc.add_argument("--syndromes", required=True)

@@ -22,10 +22,13 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import operator
 import os
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -358,14 +361,19 @@ class _Classifier:
             raw ^= self.decoded[syndrome]
         return raw not in self.targets
 
-    def _words(self, bits: np.ndarray) -> list:
-        """The key word of each shot in bits (record tags x shots), in column order.
+    def _key_bits(self, bits: np.ndarray) -> np.ndarray:
+        """The key bits of each shot in bits (record tags x shots): one row
+        per key bit, lowest first, and one column per shot.
 
         The key product runs in float32 through BLAS; it is exact, since
         each sum counts at most one term per record tag, far below 2**24.
-        Key words are Python ints, exact at any width.
         """
-        return ss.column_ints((self.key @ bits.astype(np.float32)).astype(np.int32) & 1)
+        return (self.key @ bits.astype(np.float32)).astype(np.int32) & 1
+
+    def _words(self, bits: np.ndarray) -> list:
+        """The key word of each shot in bits, in column order, as Python
+        ints, exact at any width."""
+        return ss.column_ints(self._key_bits(bits))
 
     def classify(self, bits: np.ndarray) -> list:
         """The verdict on each shot in bits, in column order; each distinct
@@ -587,8 +595,7 @@ def report(summaries, fmt: str = "text") -> str:
 # --- exhaustive single-fault ledger ---------------------------------------------
 
 
-@dataclass
-class LedgerEntry:
+class LedgerEntry(NamedTuple):
     instruction_index: int
     kind: str
     pauli: str
@@ -611,21 +618,36 @@ def fault_tolerance_ledger(basis: str) -> LedgerReport:
     three gadget outcomes or none; a corrupting one that flips them passes
     postselection with the wrong logical-X outcome ("nonft-set", the
     unprotected measurement's known channel); any other is "extra".
+
+    The faults are the columns of single_fault_table, whose case list the
+    circuit keeps.  A fault's outcome is a function of its key word and its
+    xbar_0 flip, taken together as one int with the flip above the key
+    bits.  Each distinct key word is judged once (the 799 faults have 52
+    distinct words in Z and 36 in X), each distinct (word, flip) pair is
+    labelled once, and the entries are built in one pass.
     """
     cfg = RunConfig(mode="logical", noise=ss.NoiseModel(3e-5, 2e-3, 2e-3))
     circ, recipe = build_pipeline(cfg, basis)
     table = ss.single_fault_table(circ)
-    verdicts = _classifier(cfg, basis).classify(table.records)
-    xbar_flips = table.records[circ.tags().index(recipe.xbar_tags[0])]
-    entries = []
-    for (index, kind, pauli), mismatch, xbar_flip in zip(table.cases, verdicts, xbar_flips):
+    classifier = _classifier(cfg, basis)
+    key_bits = classifier._key_bits(table.records)
+    width = len(key_bits)
+    # each fault's key word, with its xbar_0 flip as one more bit above it
+    keys = ss.column_ints(np.vstack([key_bits, table.records[circ.tags().index(recipe.xbar_tags[0])]]))
+    words = {key: key & ((1 << width) - 1) for key in set(keys)}
+    verdicts = {word: classifier.verdict(word) for word in set(words.values())}
+    outcomes = {}
+    for key, word in words.items():
+        mismatch = verdicts[word]
         if mismatch is None:
-            outcome = "rejected"
+            outcomes[key] = ("rejected",)
         elif not mismatch:
-            outcome = "correct"
-        elif xbar_flip:
-            outcome = "nonft-set"
+            outcomes[key] = ("correct",)
+        elif key >> width:
+            outcomes[key] = ("nonft-set",)
         else:
-            outcome = "extra"
-        entries.append(LedgerEntry(index, kind, pauli, outcome))
-    return LedgerReport(entries)
+            outcomes[key] = ("extra",)
+    # case + (outcome,) is an entry's fields; LedgerEntry._make(fields) is
+    # tuple.__new__(LedgerEntry, fields), called here without a Python frame per entry
+    fields = map(operator.add, table.cases, map(outcomes.__getitem__, keys))
+    return LedgerReport(list(map(tuple.__new__, repeat(LedgerEntry), fields)))

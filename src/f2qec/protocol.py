@@ -371,21 +371,25 @@ def validate_schedule(code: CssCode, schedule: Schedule) -> ScheduleReport:
     a syndrome test, so any stabilizer rank is fine.
 
     The questions are asked of all faults at once, on the circuit's
-    bit-sliced data-qubit frames (stab_sim.single_fault_words: bit c of a
-    word is fault c).  A check's syndrome word is the XOR of the frame
+    bit-sliced data-qubit frames (stab_sim.fault_words: bit c of a word is
+    fault c).  A check's syndrome word is the XOR of the frame
     words over its support.  v is a stabilizer when its parity against
     every row of the same-type kernel basis is 0, as the row space is that
     kernel's orthogonal complement.  The errors that one more fault at q
     turns into a stabilizer are those whose syndrome and kernel-parity
     words spell column q of the opposite checks and of the kernel basis.
-    Only the flagged faults become messages, in table order, X before Z.
+    Only the flagged faults are labelled (stab_sim.fault_labels) and become
+    messages, in table order, X before Z; a schedule with no violation
+    labels none.
     """
     circuit = syndrome_extraction_circuit(code, schedule, which="both")
-    words = ss.single_fault_words(circuit)
+    _, x_words, z_words = ss.fault_words(circuit)
     d = code.d if code.d is not None else 3
-    faults = (1 << len(words.cases)) - 1
+    # a fault that leaves no trace on any qubit is harmless, so the faults
+    # beyond the highest set bit of any frame word need not be named
+    faults = (1 << max(w.bit_length() for w in x_words + z_words)) - 1
     messages = []
-    for frames, h_same, h_other in ((words.x, code.hx, code.hz), (words.z, code.hz, code.hx)):
+    for frames, h_same, h_other in ((x_words, code.hx, code.hz), (z_words, code.hz, code.hx)):
         kernel = h_same.kernel_basis()
         syndrome = _words_over(frames, h_other.data)
         parity = _words_over(frames, kernel.data)
@@ -408,9 +412,9 @@ def validate_schedule(code: CssCode, schedule: Schedule) -> ScheduleReport:
                 for c in mask_to_support(hit & ~fixed):
                     flagged.setdefault(c, f"one more fault at qubit {q} completes a logical")
         messages.append(flagged)
-    x_flagged, z_flagged = messages
-    return ScheduleReport([(*words.cases[c], flagged[c])
-                           for c in sorted(x_flagged.keys() | z_flagged.keys())
+    columns = sorted(messages[0].keys() | messages[1].keys())
+    return ScheduleReport([(*label, flagged[c])
+                           for c, label in zip(columns, ss.fault_labels(circuit, columns))
                            for flagged in messages if c in flagged])
 
 

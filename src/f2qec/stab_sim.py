@@ -23,10 +23,13 @@ The sampler XORs the map rows of the faults it draws in seeded blocks of
 SHOT_BLOCK shots onto each shot's noiseless record; single-fault
 enumeration reads one table off the map, with no tableau run: each case's
 location, its outcome flips as one bool array (record tags x cases) and
-its residual frames as packed ints.  single_fault_words gives the same
-cases as the words themselves, for decisions taken on all faults at once.
-FaultCase objects are a per-case view, with absolute {tag: bit} records:
-the reference record XOR the flips.
+its residual frames as packed ints.  The case list and the packed frames
+are built once per circuit and kept on it, and each call returns fresh
+copies of them.  single_fault_words gives the same cases as the words
+themselves, for decisions taken on all faults at once; fault_words gives
+the words alone, and fault_labels names only the faults that such a
+decision picks.  FaultCase objects are a per-case view, with absolute
+{tag: bit} records: the reference record XOR the flips.
 
 Text IR (round-trip exact), one instruction per line after a header:
 
@@ -44,8 +47,10 @@ noise-free.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -178,6 +183,18 @@ class Circuit:
         return _tableau_pass(self)
 
     @cached_property
+    def _fault_sites(self) -> tuple[tuple, ...]:
+        """The fault locations (see _sites), walked on first use."""
+        return tuple(_sites(self))
+
+    @cached_property
+    def _fault_cases(self) -> tuple[tuple, ...]:
+        """(instruction index, kind, label) of each single fault, in _sites
+        order, built on first use."""
+        return tuple((k, kind, label) for k, kind, faults in self._fault_sites
+                     for label, _ in faults)
+
+    @cached_property
     def _fault_words(self) -> tuple[list[int], list[int], list[int]]:
         """The frame kernel run on the single faults, on first use: bit c
         of each word is fault c in _sites order (see _propagate)."""
@@ -189,13 +206,20 @@ class Circuit:
         in _sites order, its record flips (one per tag), then its residual
         X and residual Z frames (one per qubit)."""
         words = [w for part in self._fault_words for w in part]
-        count = sum(len(faults) for _, _, faults in _sites(self))
+        count = sum(len(faults) for _, _, faults in self._fault_sites)
         width = -(-count // 8)
         packed = np.frombuffer(b"".join(w.to_bytes(width, "little") for w in words), dtype=np.uint8)
         bits = np.unpackbits(packed.reshape(len(words), width), axis=1, count=count,
                              bitorder="little").view(bool)
         bits.flags.writeable = False
         return bits.T
+
+    @cached_property
+    def _fault_frames(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Each fault's residual X and Z frames packed as ints, bit q =
+        qubit q, on first use: the fault map's frame columns."""
+        frames = self._fault_map.T[len(self.tags()):]
+        return tuple(column_ints(frames[:self.n_qubits])), tuple(column_ints(frames[self.n_qubits:]))
 
     @cached_property
     def _noise_map(self) -> tuple[dict, np.ndarray, np.ndarray]:
@@ -570,8 +594,8 @@ def _propagate(circuit: Circuit) -> tuple[list[int], list[int], list[int]]:
     for ins in circuit.instructions:
         op, qs = ins.op, ins.qubits
         if op in _SLOT_MASKS:
-            width, *slots = _SLOT_MASKS[op]
-            f0, f1, f2, f3 = (m << column for m in slots)
+            width, m0, m1, m2, m3 = _SLOT_MASKS[op]
+            f0, f1, f2, f3 = m0 << column, m1 << column, m2 << column, m3 << column
             column += width
         if op == "CNOT":
             a, b = qs
@@ -606,7 +630,7 @@ def _noise_rows(circuit: Circuit) -> tuple[dict, np.ndarray, np.ndarray]:
     mod 2 is their XOR."""
     tags = circuit.tags()
     records = circuit._fault_map[:, :len(tags)]
-    sites, kinds = _sites(circuit), {}
+    sites, kinds = circuit._fault_sites, {}
     first = np.cumsum([0] + [len(faults) for _, _, faults in sites])  # each site's first row
     for kind in dict.fromkeys(kind for _, kind, _ in sites):
         mine = [i for i, site in enumerate(sites) if site[1] == kind]
@@ -745,12 +769,14 @@ def single_fault_table(circuit: Circuit) -> SingleFaultTable:
     pairs), after each preparation (the flip Pauli), and a flip on each
     measurement outcome.  The cases are the fault map's rows, so nothing
     propagates and no tableau runs, and records is a read-only view of the
-    map.  The residual frames are relative to the circuit as
-    written, so they leave out the Paulis of its INJECTs.
+    map.  The case list and the packed residual frames are built once per
+    circuit and kept on it; each call returns fresh list copies of them.
+    The residual frames are relative to the circuit as written, so they
+    leave out the Paulis of its INJECTs.
     """
-    records, x, z = np.split(circuit._fault_map.T,
-                             [len(circuit.tags()), len(circuit.tags()) + circuit.n_qubits])
-    return SingleFaultTable(_cases(circuit), records, column_ints(x), column_ints(z))
+    records = circuit._fault_map.T[:len(circuit.tags())]
+    final_x, final_z = circuit._fault_frames
+    return SingleFaultTable(list(circuit._fault_cases), records, list(final_x), list(final_z))
 
 
 class FaultWords(NamedTuple):
@@ -770,14 +796,33 @@ class FaultWords(NamedTuple):
 
 def single_fault_words(circuit: Circuit) -> FaultWords:
     """The cases of single_fault_table(circuit) sliced the other way: one
-    int word per record tag and per qubit frame.  These are the frame
-    kernel's own output, kept on the circuit, so nothing is unpacked, and
-    a decision over the faults is a few word operations."""
-    return FaultWords(_cases(circuit), *circuit._fault_words)
+    int word per record tag and per qubit frame, those of fault_words."""
+    return FaultWords(list(circuit._fault_cases), *fault_words(circuit))
 
 
-def _cases(circuit: Circuit) -> list[tuple]:
-    return [(k, kind, label) for k, kind, faults in _sites(circuit) for label, _ in faults]
+def fault_words(circuit: Circuit) -> tuple[list[int], list[int], list[int]]:
+    """The record, X and Z words of single_fault_words(circuit), without its
+    case list, as fresh lists.  These are the frame kernel's own output,
+    kept on the circuit, so nothing is unpacked, and a decision over the
+    faults is a few word operations; fault_labels names the faults it picks."""
+    return tuple(list(part) for part in circuit._fault_words)
+
+
+def fault_labels(circuit: Circuit, columns: Sequence[int]) -> list[tuple]:
+    """(instruction_index, kind, pauli) of the fault cases at the given
+    columns (bit positions in fault_words), in the order given.  Only those
+    cases are labelled: the circuit's case list is not built, and with no
+    column the fault locations are not walked either."""
+    if not columns:
+        return []
+    sites = circuit._fault_sites
+    first = list(accumulate((len(faults) for _, _, faults in sites), initial=0))
+    out = []
+    for c in columns:
+        i = bisect_right(first, c) - 1
+        k, kind, faults = sites[i]
+        out.append((k, kind, faults[c - first[i]][0]))
+    return out
 
 
 def enumerate_single_faults(circuit: Circuit) -> list[FaultCase]:

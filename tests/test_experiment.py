@@ -513,6 +513,32 @@ def test_fault_tolerance_ledger_is_pinned_entry_by_entry():
 
 
 @pytest.mark.parametrize("basis", ["z", "x"])
+def test_ledger_labels_each_fault_as_a_loop_over_its_cases(basis):
+    # the ledger labels each distinct (key word, xbar_0 flip) once; here each
+    # case is labelled on its own, from a fresh classifier's per-case verdict
+    cfg = ex.RunConfig(mode="logical", noise=ss.NoiseModel(3e-5, 2e-3, 2e-3))
+    circ, recipe = ex.build_pipeline(cfg, basis)
+    table = ss.single_fault_table(circ)
+    verdicts = ex._Classifier(cfg, basis, circ, recipe).classify(table.records)
+    xbar_flips = table.records[circ.tags().index(recipe.xbar_tags[0])]
+    want = []
+    for (index, kind, pauli), mismatch, xbar_flip in zip(table.cases, verdicts, xbar_flips):
+        if mismatch is None:
+            outcome = "rejected"
+        elif not mismatch:
+            outcome = "correct"
+        elif xbar_flip:
+            outcome = "nonft-set"
+        else:
+            outcome = "extra"
+        want.append((index, kind, pauli, outcome))
+    entries = ex.fault_tolerance_ledger(basis).entries
+    assert entries == want and {e.outcome for e in entries} >= {"correct", "rejected"}
+    assert all(type(e) is ex.LedgerEntry for e in entries)
+    assert ex.LedgerEntry._fields == ("instruction_index", "kind", "pauli", "outcome")
+
+
+@pytest.mark.parametrize("basis", ["z", "x"])
 @pytest.mark.parametrize("mode", ["logical", "generalized"])
 def test_accepted_single_faults_flip_all_gadget_outcomes_or_none(mode, basis):
     # the ledger reads one gadget outcome's flip: postselection accepts

@@ -161,6 +161,40 @@ def test_tags_are_walked_once_per_circuit(circ):
     assert tags == tuple(i.tag for i in circ.instructions if i.op in ("MEASZ", "MEASX"))
 
 
+def _fault_lists(circ):
+    """The lists of single_fault_table(circ) and single_fault_words(circ)."""
+    table = ss.single_fault_table(circ)
+    return [table.cases, table.final_x, table.final_z, *ss.single_fault_words(circ)]
+
+
+@settings(deadline=None)
+@given(_circuits())
+def test_fault_tables_are_fresh_lists_of_one_build_per_circuit(circ):
+    # two calls return equal lists that are not the same objects, and what a
+    # caller does to its lists does not reach the lists of a later call
+    parts, again = _fault_lists(circ), _fault_lists(circ)
+    for part, other in zip(parts, again):
+        assert type(part) is list and part == other and part is not other
+    want = [list(part) for part in parts]
+    for part in parts:
+        part.append(None)
+        part[0] = "changed"
+    assert _fault_lists(circ) == want
+    assert list(ss.fault_words(circ)) == want[4:]
+
+
+@settings(deadline=None)
+@given(_circuits(), st.randoms(use_true_random=False))
+def test_fault_labels_are_the_cases_at_the_columns(circ, rnd):
+    # any columns, in any order and repeated, without the case list
+    cases = ss.single_fault_table(circ).cases
+    columns = [rnd.randrange(len(cases)) for _ in range(len(cases) and 12)]
+    columns += sorted(rnd.sample(range(len(cases)), len(cases) // 2))
+    assert ss.fault_labels(circ, columns) == [cases[c] for c in columns]
+    assert ss.fault_labels(circ, range(len(cases))) == cases
+    assert ss.fault_labels(circ, []) == []
+
+
 def test_circuit_validation():
     with pytest.raises(ValueError):
         ss.Circuit(2, (ss.measz(0, "m"), ss.measz(1, "m")))  # duplicate tag
@@ -661,32 +695,45 @@ def test_x_measurement_of_an_unprepared_qubit_is_random():
 
 
 def test_frame_kernel_runs_once_per_circuit(monkeypatch):
-    calls = []
-    kernel = ss._propagate
-    monkeypatch.setattr(ss, "_propagate", lambda *args: calls.append(args) or kernel(*args))
+    # the kernel, the walk over the fault locations (_sites, from which the
+    # case list is built) and the packing of the residual frames (two
+    # column_ints calls) each run at most once per circuit
+    calls, walks, packs = [], [], []
+    for name, seen in (("_propagate", calls), ("_sites", walks), ("column_ints", packs)):
+        original = getattr(ss, name)
+        monkeypatch.setattr(ss, name, lambda *args, seen=seen, original=original:
+                            seen.append(args) or original(*args))
     text = "QUBITS 3\nPREPZ 0\nPREPX 1\nH 2\nCNOT 1 0\nCNOT 0 2\nMEASZ 0 a\nMEASX 1 b\nMEASZ 2 c\n"
     circ = ss.Circuit.from_text(text)
     nm = ss.NoiseModel(0.01, 0.02, 0.03)
     assert ss.sample_outcomes(circ, nm, 1, 3 * ss.SHOT_BLOCK).shape == (3, 3 * ss.SHOT_BLOCK)
     ss.sample_outcomes(circ, nm, 2, 10)
-    ss.single_fault_table(circ)
-    ss.single_fault_words(circ)
-    ss.enumerate_single_faults(circ)
-    assert len(calls) == 1
+    assert (len(calls), len(walks), len(packs)) == (1, 1, 0)
+    for _ in range(2):
+        ss.single_fault_table(circ)
+        ss.single_fault_words(circ)
+        ss.fault_words(circ)
+        ss.fault_labels(circ, [0, 3])
+        ss.enumerate_single_faults(circ)
+    assert (len(calls), len(walks), len(packs)) == (1, 1, 2)
     again = ss.Circuit.from_text(text)
     assert again == circ
     ss.single_fault_table(again)
-    assert len(calls) == 2
+    assert (len(calls), len(walks), len(packs)) == (2, 2, 4)
     # validate_schedule runs the kernel once on the extraction circuit it
-    # builds, and its words and table on one circuit share that run
+    # builds; it labels only the faults it flags, so a schedule with no
+    # violation never walks the fault locations, and its words and table
+    # on one circuit share that run
     code = build_25_4_3()
     schedule = zigzag_schedule(code)
     assert pr.validate_schedule(code, schedule).ok
-    assert len(calls) == 3
+    assert (len(calls), len(walks), len(packs)) == (3, 2, 4)
+    assert not pr.validate_schedule(code, pr.row_major_schedule(code)).ok
+    assert (len(calls), len(walks), len(packs)) == (4, 3, 4)
     extraction = syndrome_extraction_circuit(code, schedule, "both")
     ss.single_fault_words(extraction)
     ss.single_fault_table(extraction)
-    assert len(calls) == 4 and calls[-1] == (extraction,)
+    assert (len(calls), len(walks), len(packs)) == (5, 4, 6) and calls[-1] == (extraction,)
     kinds, draws, const = circ._noise_map
     for array in (circ._fault_map, draws, const, *kinds.values()):
         assert array.size
