@@ -2,12 +2,13 @@
 
 Runs the physical and logical pipelines under the three-rate noise model,
 applies postselection and decoding, and aggregates mismatch rates with
-binomial standard errors and GHZ fidelity bounds.  Each shot's verdict is
-a function of its key word, a fixed GF(2) map of its measurement record
-(taken as one float32 product through BLAS, exact at these widths), so
-each distinct key word of a basis is postselected and decoded once.
-Shot records can be archived as JSON lines, which are built whole as
-bytes in numpy, with no per-row Python work.
+binomial standard errors and GHZ fidelity bounds.  A shot stays one
+packed record word (stab_sim.sample_words) from the sampler to its
+verdict.  The verdict is a function of the shot's key word, a fixed GF(2)
+map of its record, read as one table lookup per record byte (exact at any
+width), so each distinct key word of a basis is postselected and decoded
+once.  Shot records can be archived as JSON lines, which are unpacked
+and built whole as bytes in numpy, with no per-row Python work.
 
 What depends only on the configuration lives as long as the process: each
 pipeline (with the record map its circuit caches) and each classifier,
@@ -295,7 +296,9 @@ class _Classifier:
     bits are applied; the flips are kept by syndrome, so words that differ
     only in their raw bits share one decode.  The readout matches the GHZ
     target when all raw bits are equal in Z, and when the raw parity bit
-    is 0 in X.
+    is 0 in X.  Shots come as packed record words, as the sampler gives
+    them, and their key words are read through byte tables of the key,
+    built once per classifier (see _key_words).
 
     A classifier's verdicts do not depend on what it judged before: the
     decoded table only saves repeating a deterministic decode.  So runs and
@@ -329,7 +332,9 @@ class _Classifier:
                 self._init_decoder(cfg, circuit)
         raw_ones = (1 << (key.rows - self.n_accept - self.n_syndrome)) - 1
         self.targets = (0, raw_ones) if basis == "z" else (0,)
-        self.key = np.array(key.to_lists(), dtype=np.uint8)
+        # row t: the key bits that record tag t enters, as key words
+        columns = np.array(key.transpose().to_lists(), dtype=bool).reshape(key.cols, key.rows)
+        self.key_tables = ss.byte_tables(ss.pack_words(columns))
 
     def _init_decoder(self, cfg: RunConfig, circuit: ss.Circuit):
         recipe, code = self.recipe, self.recipe.code
@@ -361,34 +366,37 @@ class _Classifier:
             raw ^= self.decoded[syndrome]
         return raw not in self.targets
 
-    def _key_bits(self, bits: np.ndarray) -> np.ndarray:
-        """The key bits of each shot in bits (record tags x shots): one row
-        per key bit, lowest first, and one column per shot.
+    def _key_words(self, records: np.ndarray) -> np.ndarray:
+        """The key word of each shot in records, packed record words (shots x
+        words, as stab_sim.sample_words gives them), as packed key words
+        (shots x words).
 
-        The key product runs in float32 through BLAS; it is exact, since
-        each sum counts at most one term per record tag, far below 2**24.
+        The key is linear, so a shot's key word is the XOR over its record
+        bytes of each byte's key word, looked up in the classifier's byte
+        tables: one gather per record byte, exact at any width.
         """
-        return (self.key @ bits.astype(np.float32)).astype(np.int32) & 1
+        out = np.zeros((len(records), self.key_tables.shape[2]), dtype="<u8")
+        return ss.fold_bytes(self.key_tables, records.view(np.uint8).T, out)
 
-    def _words(self, bits: np.ndarray) -> list:
-        """The key word of each shot in bits, in column order, as Python
-        ints, exact at any width."""
-        return ss.column_ints(self._key_bits(bits))
-
-    def classify(self, bits: np.ndarray) -> list:
-        """The verdict on each shot in bits, in column order; each distinct
-        key word is judged once."""
-        words = self._words(bits)
+    def classify(self, records: np.ndarray) -> list:
+        """The verdict on each shot in records (packed record words, one row
+        per shot), in row order; each distinct key word is judged once."""
+        words = ss.word_ints(self._key_words(records))
         judged = {w: self.verdict(w) for w in set(words)}
         return [judged[w] for w in words]
 
-    def tally(self, bits: np.ndarray) -> Counter:
-        """How many shots in bits get each verdict, which is Counter(classify(bits)):
-        the words are counted, and each distinct word is judged once for all its shots."""
-        counts = Counter()
-        for word, n in Counter(self._words(bits)).items():
-            counts[self.verdict(word)] += n
-        return counts
+    def tally(self, records: np.ndarray) -> Counter:
+        """How many shots in records get each verdict, which is Counter(classify(records)):
+        the packed words are counted, and each distinct word is judged once for all its shots."""
+        key_words = self._key_words(records)
+        # keys of one word sort as plain integers, many times faster than as rows
+        words, counts = (np.unique(key_words.ravel(), return_counts=True) if key_words.shape[1] == 1
+                         else np.unique(key_words, axis=0, return_counts=True))
+        tally = Counter()
+        for word, n in zip(ss.word_ints(words.reshape(len(words), key_words.shape[1])),
+                           counts.tolist()):
+            tally[self.verdict(word)] += n
+        return tally
 
 
 # --- running ------------------------------------------------------------------
@@ -435,34 +443,34 @@ def _basis_seed(cfg: RunConfig, basis: str):
 @lru_cache(maxsize=_MEMO_SIZE)
 def _archive_head(basis: str, tags: tuple[str, ...]):
     """The row template of one basis's archive, built once per pipeline: the
-    tags' sorted order, the encoded row up to its shot number (each outcome
-    digit "0") and the offsets of the outcome digits in it, all read-only."""
-    order = sorted(range(len(tags)), key=tags.__getitem__)
-    text, offsets = f'{{"basis": {json.dumps(basis)}, "outcomes": {{', []
-    for j, t in enumerate(order):
+    encoded row up to its shot number, its tags in sorted order and each
+    outcome digit "0", and the offset of each tag's digit in it, in record
+    order, both read-only."""
+    text, offsets = f'{{"basis": {json.dumps(basis)}, "outcomes": {{', [0] * len(tags)
+    for j, t in enumerate(sorted(range(len(tags)), key=tags.__getitem__)):
         text += (", " if j else "") + json.dumps(tags[t]) + ": "
-        offsets.append(len(text))
+        offsets[t] = len(text)
         text += "0"
     text += '}, "shot": '
-    order, offsets = np.array(order, dtype=np.intp), np.array(offsets, dtype=np.intp)
-    order.flags.writeable = offsets.flags.writeable = False
-    return order, np.frombuffer(text.encode(), dtype=np.uint8), offsets
+    offsets = np.array(offsets, dtype=np.intp)
+    offsets.flags.writeable = False
+    return np.frombuffer(text.encode(), dtype=np.uint8), offsets
 
 
 def _archive_rows(basis: str, tags: tuple[str, ...], bits: np.ndarray) -> np.ndarray:
-    """The shots.jsonl rows of the columns of bits (tags x shots), shot i in column i.
+    """The shots.jsonl rows of the rows of bits (shots x tags), shot i in row i.
 
     Returns the encoded rows as one uint8 buffer, which a binary file writes
     as it is.  Each row is json.dumps({"basis", "outcomes", "shot"},
     sort_keys=True) byte for byte, encoded.  The rows share one template, the
     ASCII-escaped keys in sorted order (_archive_head, built once per basis
-    and tags), and differ only in one digit per tag at fixed offsets and in
-    the trailing shot number.  Shots whose numbers have the same digit count
-    (0-9, 10-99, ...) have rows of one width, so each such group is built
-    whole as a uint8 array, in place in one buffer.
+    and tags), and differ only in one digit per tag, at the tag's fixed
+    offset, and in the trailing shot number.  Shots whose numbers have the
+    same digit count (0-9, 10-99, ...) have rows of one width, so each such
+    group is built whole as a uint8 array, in place in one buffer.
     """
-    order, head, offsets = _archive_head(basis, tags)
-    shots = bits.shape[1]
+    head, offsets = _archive_head(basis, tags)
+    shots = len(bits)
     # (lo, hi, row width): shots lo .. hi-1 are the d-digit numbers
     groups = [(0 if d == 1 else 10 ** (d - 1), min(10 ** d, shots), len(head) + d + 2)
               for d in range(1, len(str(shots)) + 1)]
@@ -472,7 +480,7 @@ def _archive_rows(basis: str, tags: tuple[str, ...], bits: np.ndarray) -> np.nda
         rows = out[at:at + (hi - lo) * width].reshape(hi - lo, width)
         at += rows.size
         rows[:, :len(head)] = head
-        rows[:, offsets] = bits[order, lo:hi].T.astype(np.uint8) + ord("0")
+        rows[:, offsets] = bits[lo:hi].view(np.uint8) + ord("0")
         shot = np.arange(lo, hi)
         for k in range(width - len(head) - 2):
             rows[:, -3 - k] = shot // 10 ** k % 10 + ord("0")
@@ -480,14 +488,15 @@ def _archive_rows(basis: str, tags: tuple[str, ...], bits: np.ndarray) -> np.nda
     return out
 
 
-def _run_basis(cfg: RunConfig, basis: str, shots: int, keep_bits: bool):
-    """One basis of a run: its counts, and its outcome bits (record tags x shots)
-    when keep_bits is set."""
+def _run_basis(cfg: RunConfig, basis: str, shots: int, keep_records: bool):
+    """One basis of a run: its counts, and its shots as packed record words
+    (stab_sim.sample_words) when keep_records is set.  The shots stay packed
+    from the sampler to the counts; only the archive unpacks them."""
     circ, _ = build_pipeline(cfg, basis)
-    bits = ss.sample_outcomes(circ, cfg.noise, _basis_seed(cfg, basis), shots)
-    tally = _classifier(cfg, basis).tally(bits)
+    records = ss.sample_words(circ, cfg.noise, _basis_seed(cfg, basis), shots)
+    tally = _classifier(cfg, basis).tally(records)
     stats = BasisStats(shots=shots, accepted=shots - tally[None], mismatches=tally[True])
-    return stats, bits if keep_bits else None
+    return stats, records if keep_records else None
 
 
 def run(config: RunConfig, out_dir: str | None = None) -> RunSummary:
@@ -505,8 +514,9 @@ def run(config: RunConfig, out_dir: str | None = None) -> RunSummary:
     written before the summary, so a summary.json only ever sits next to a
     complete archive of its own config.
     """
-    (z, z_bits), (x, x_bits) = (_run_basis(config, basis, shots, out_dir is not None)
-                                for basis, shots in (("z", config.shots_z), ("x", config.shots_x)))
+    (z, z_records), (x, x_records) = (
+        _run_basis(config, basis, shots, out_dir is not None)
+        for basis, shots in (("z", config.shots_z), ("x", config.shots_x)))
     summary = RunSummary(config, z, x)
     if out_dir is not None:
         mode_dir = os.path.join(out_dir, config.mode)
@@ -519,8 +529,9 @@ def run(config: RunConfig, out_dir: str | None = None) -> RunSummary:
         with open(shots_path, "wb") as fh:
             fh.write(json.dumps({"config_hash": config.digest(),
                                  "config": config.to_dict()}).encode() + b"\n")
-            for basis, bits in (("z", z_bits), ("x", x_bits)):
-                fh.write(_archive_rows(basis, build_pipeline(config, basis)[0].tags(), bits))
+            for basis, records in (("z", z_records), ("x", x_records)):
+                tags = build_pipeline(config, basis)[0].tags()
+                fh.write(_archive_rows(basis, tags, ss.unpack_words(records, len(tags))))
         with open(summary_path, "w") as fh:
             fh.write(json.dumps(summary.to_json(), indent=1, sort_keys=True))
     return summary
@@ -620,20 +631,23 @@ def fault_tolerance_ledger(basis: str) -> LedgerReport:
     unprotected measurement's known channel); any other is "extra".
 
     The faults are the columns of single_fault_table, whose case list the
-    circuit keeps.  A fault's outcome is a function of its key word and its
-    xbar_0 flip, taken together as one int with the flip above the key
-    bits.  Each distinct key word is judged once (the 799 faults have 52
-    distinct words in Z and 36 in X), each distinct (word, flip) pair is
-    labelled once, and the entries are built in one pass.
+    circuit keeps.  Their record flips, packed as records once per circuit
+    (stab_sim.fault_record_words), give their key words through the
+    classifier's byte tables, as a run's shots do.  A fault's outcome is a
+    function of its key word and its xbar_0 flip, taken together as one int
+    with the flip one 64-bit word above the key word.  Each distinct key
+    word is judged once (the 799 faults have 52 distinct words in Z and 36
+    in X), each distinct (word, flip) pair is labelled once, and the
+    entries are built in one pass.
     """
     cfg = RunConfig(mode="logical", noise=ss.NoiseModel(3e-5, 2e-3, 2e-3))
     circ, recipe = build_pipeline(cfg, basis)
-    table = ss.single_fault_table(circ)
-    classifier = _classifier(cfg, basis)
-    key_bits = classifier._key_bits(table.records)
-    width = len(key_bits)
-    # each fault's key word, with its xbar_0 flip as one more bit above it
-    keys = ss.column_ints(np.vstack([key_bits, table.records[circ.tags().index(recipe.xbar_tags[0])]]))
+    table, classifier = ss.single_fault_table(circ), _classifier(cfg, basis)
+    key_words = classifier._key_words(ss.fault_record_words(circ))
+    flips = table.records[circ.tags().index(recipe.xbar_tags[0])]
+    # each fault's key word, with its xbar_0 flip as one more word above it
+    keys = ss.word_ints(np.hstack([key_words, flips[:, None].astype(key_words.dtype)]))
+    width = 64 * key_words.shape[1]
     words = {key: key & ((1 << width) - 1) for key in set(keys)}
     verdicts = {word: classifier.verdict(word) for word in set(words.values())}
     outcomes = {}

@@ -7,8 +7,8 @@ helpers below are its one vocabulary.  All matrices are immutable after
 construction, so each is eliminated at most once and every reduced form,
 rank, kernel and solve reads that one cached reduction; elimination always
 picks the lowest-index pivot so reduced forms and pivot lists are
-reproducible.  The transpose and the numbering of the set entries are
-cached the same way.
+reproducible.  The transpose, the kernel basis and the numbering of the
+set entries are cached the same way.
 """
 
 from __future__ import annotations
@@ -262,7 +262,12 @@ class BitMatrix:
         return len(self._reduction[2])
 
     def kernel_basis(self) -> "BitMatrix":
-        """Rows form a basis of {x : self @ x = 0}."""
+        """Rows form a basis of {x : self @ x = 0}; computed once per matrix,
+        so its own cached transpose is built once too."""
+        return self._kernel
+
+    @cached_property
+    def _kernel(self) -> "BitMatrix":
         rows, _, pivots = self._reduction
         pivset = set(pivots)
         free = [c for c in range(self.cols) if c not in pivset]

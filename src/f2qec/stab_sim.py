@@ -19,8 +19,11 @@ once: each qubit's X and Z frame is one Python int, bit c for fault c, so
 a gate is a few word operations whatever the fault count.  The circuit
 keeps these fault words, and the fault map unpacked from them: one row per
 single fault, the outcome flips and residual frames that it causes alone.
-The sampler XORs the map rows of the faults it draws in seeded blocks of
-SHOT_BLOCK shots onto each shot's noiseless record; single-fault
+The sampler keeps each shot as packed record words (one 64-bit word per
+64 record tags, bit t = tag t) from the draws to the caller: it XORs the
+packed map rows of the faults it draws in seeded blocks of SHOT_BLOCK
+shots onto each shot's noiseless record, which it folds in from byte
+tables of the record map, eight draws per lookup; single-fault
 enumeration reads one table off the map, with no tableau run: each case's
 location, its outcome flips as one bool array (record tags x cases) and
 its residual frames as packed ints.  The case list and the packed frames
@@ -72,8 +75,7 @@ def _is_index(tok: str) -> bool:
     return tok.isascii() and tok.isdecimal()
 
 
-@dataclass(frozen=True)
-class Instruction:
+class Instruction(NamedTuple):
     op: str
     qubits: tuple[int, ...] = ()
     tag: str = ""
@@ -222,9 +224,18 @@ class Circuit:
         return tuple(column_ints(frames[:self.n_qubits])), tuple(column_ints(frames[self.n_qubits:]))
 
     @cached_property
+    def _fault_records(self) -> np.ndarray:
+        """The fault map's record rows packed as words, on first use (see
+        fault_record_words)."""
+        records = pack_words(self._fault_map[:, :len(self.tags())])
+        records.flags.writeable = False
+        return records
+
+    @cached_property
     def _noise_map(self) -> tuple[dict, np.ndarray, np.ndarray]:
         """What the sampler draws from, on first use: the fault map's record
-        rows and the record map's draw coefficients and constant bits."""
+        rows, the record map's constant bits and its draw coefficients'
+        byte tables, all as packed record words (see _noise_rows)."""
         return _noise_rows(self)
 
     @cached_property
@@ -529,8 +540,10 @@ def noisy_expansion(circuit: Circuit, nm: NoiseModel, rng) -> Circuit:
 # include; it leaves every frame as it is.  Each op's faults take the next
 # bit columns, and their flips are the op's constant _SLOT_MASKS words
 # shifted there.  The kernel is linear and runs once per circuit
-# (Circuit._fault_words); the sampler and the single-fault table read the
-# rows of the map unpacked from its words, and validate_schedule the words.
+# (Circuit._fault_words); the single-fault table reads the rows of the map
+# unpacked from its words, the sampler those rows' record flips packed
+# again per fault (as records are, one bit per tag), and validate_schedule
+# the words.
 #
 # Frames carry the faults only.  A random outcome, such as an X
 # measurement after a Z preparation or of a qubit that no preparation
@@ -540,6 +553,10 @@ def noisy_expansion(circuit: Circuit, nm: NoiseModel, rng) -> Circuit:
 
 # Shots per seeded block: shot s takes its draws from block s // SHOT_BLOCK's generator.
 SHOT_BLOCK = 1024
+# The shifts that pack eight rows of 0/1 bytes into one row of bytes.  They
+# act on 64-bit words, eight bytes at once: a 0/1 byte shifted by at most 7
+# stays in its byte.
+_BIT = np.arange(8, dtype=np.uint64)[:, None]
 
 # A fault is a Pauli on an op's (first, second) qubit coded 4 * first +
 # second, with 0=I, 1=X, 2=Y, 3=Z as in _P1Q.  _FAULT_FLIPS[code] holds its
@@ -623,26 +640,26 @@ def _propagate(circuit: Circuit) -> tuple[list[int], list[int], list[int]]:
 
 
 def _noise_rows(circuit: Circuit) -> tuple[dict, np.ndarray, np.ndarray]:
-    """The rows that the sampler adds: the fault map's record rows of each
-    kind's faults (sites x faults per site x tags), then the record map's
-    draw coefficients (k x tags: row j, the tags that random outcome j
-    enters) and constant bits (tags).  float32 0/1, so a sum of rows taken
-    mod 2 is their XOR."""
+    """What the sampler XORs onto a shot, as packed record words (bit t =
+    tag t, see pack_words): the fault map's record rows of each kind's
+    faults (sites x faults per site x words), the record map's constant
+    bits (words), and byte tables of its draw coefficients (see
+    byte_tables; draw j's row holds the tags that random outcome j enters)."""
     tags = circuit.tags()
-    records = circuit._fault_map[:, :len(tags)]
+    records = fault_record_words(circuit)
     sites, kinds = circuit._fault_sites, {}
     first = np.cumsum([0] + [len(faults) for _, _, faults in sites])  # each site's first row
     for kind in dict.fromkeys(kind for _, kind, _ in sites):
         mine = [i for i, site in enumerate(sites) if site[1] == kind]
-        kinds[kind] = records[first[mine, None] + np.arange(len(sites[mine[0]][2]))].astype(np.float32)
+        kinds[kind] = records[first[mine, None] + np.arange(len(sites[mine[0]][2]))]
     k, forms = circuit._record_map
     width = k // 8 + 1  # bytes of a form: its constant at bit 0, draw j at bit j + 1
     packed = np.frombuffer(b"".join(forms[t].to_bytes(width, "little") for t in tags), dtype=np.uint8)
     bits = np.unpackbits(packed.reshape(len(tags), width), axis=1, count=k + 1, bitorder="little")
-    const, draws = bits[:, 0].astype(np.float32), bits[:, 1:].T.astype(np.float32)
-    for array in (draws, const, *kinds.values()):
+    const, draws = pack_words(bits.T[:1])[0], byte_tables(pack_words(bits.T[1:]))
+    for array in (const, draws, *kinds.values()):
         array.flags.writeable = False
-    return kinds, draws, const
+    return kinds, const, draws
 
 
 def outcome_dicts(tags: tuple[str, ...], bits: np.ndarray) -> list[dict[str, int]]:
@@ -650,17 +667,54 @@ def outcome_dicts(tags: tuple[str, ...], bits: np.ndarray) -> list[dict[str, int
     return [dict(zip(tags, col)) for col in bits.T.astype(np.uint8).tolist()]
 
 
+def pack_words(bits: np.ndarray) -> np.ndarray:
+    """Each row of a (rows x bits) bit array as little-endian 64-bit words:
+    (rows x ceil(bits / 64)) '<u8', bit j of a row at bit j % 64 of its word j // 64."""
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    words = np.zeros((len(bits), -(-bits.shape[-1] // 64)), dtype="<u8")
+    words.view(np.uint8)[:, :packed.shape[-1]] = packed
+    return words
+
+
+def unpack_words(words: np.ndarray, count: int) -> np.ndarray:
+    """The first count bits of each row of pack_words' words: (rows x count) bool."""
+    return np.unpackbits(words.view(np.uint8), axis=-1, count=count, bitorder="little").view(bool)
+
+
+def word_ints(words: np.ndarray) -> list[int]:
+    """Each row of pack_words' words as one Python int, exact at any width."""
+    parts = words.T.tolist()
+    ints = parts[0] if parts else [0] * len(words)
+    for k, part in enumerate(parts[1:], 1):
+        ints = [a | b << (64 * k) for a, b in zip(ints, part)]
+    return ints
+
+
+def byte_tables(rows: np.ndarray) -> np.ndarray:
+    """XOR tables of a (rows x words) word array, one per eight rows: entry
+    [b, v] is the XOR of the rows 8b + i for the set bits i of byte v, so a
+    GF(2) combination of the rows is one lookup per byte of its coefficients
+    (see fold_bytes).  Rows past the last are zero."""
+    rows = np.concatenate([rows, np.zeros(((-len(rows)) % 8, rows.shape[1]), dtype=rows.dtype)])
+    eights = rows.reshape(len(rows) // 8, 8, rows.shape[1])
+    tables = np.zeros((len(eights), 256, rows.shape[1]), dtype=rows.dtype)
+    for i in range(8):
+        tables[:, 1 << i:2 << i] = tables[:, :1 << i] ^ eights[:, i, None]
+    return tables
+
+
+def fold_bytes(tables: np.ndarray, coefficients: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """XOR into out (columns x words) the combination of byte_tables' rows
+    that each column of coefficients (bytes x columns, byte b the
+    coefficients of rows 8b .. 8b + 7) selects: one gather per byte."""
+    for table, byte in zip(tables, coefficients):
+        out ^= table.take(byte, axis=0)  # take is the fast gather
+    return out
+
+
 def column_ints(rows: np.ndarray) -> list[int]:
     """Each column of a (rows x columns) bit array as an int, bit r = row r; exact at any width."""
-    packed = np.packbits(rows, axis=0, bitorder="little")
-    # the bytes of each column padded to 64-bit words: words[k] holds word k of every column
-    padded = np.zeros((rows.shape[1], -(-packed.shape[0] // 8) * 8), dtype=np.uint8)
-    padded[:, :packed.shape[0]] = packed.T
-    words = padded.view("<u8").T.tolist()
-    ints = words[0] if words else [0] * rows.shape[1]
-    for k, word in enumerate(words[1:], 1):
-        ints = [a | b << (64 * k) for a, b in zip(ints, word)]
-    return ints
+    return word_ints(pack_words(rows.T))
 
 
 def reference_record(circuit: Circuit, master_seed) -> dict[str, int]:
@@ -687,9 +741,9 @@ def _seed_key(seed) -> tuple[int, ...]:
     return tuple(int(s) & (SEED_LIMIT - 1) for s in seed)
 
 
-def sample_outcomes(circuit: Circuit, nm: NoiseModel, seed, shots: int) -> np.ndarray:
-    """Outcome bits of shots 0 .. shots - 1: one row per record tag, in
-    circuit.tags() order, and one column per shot.
+def sample_words(circuit: Circuit, nm: NoiseModel, seed, shots: int) -> np.ndarray:
+    """The records of shots 0 .. shots - 1 as packed words: one row per
+    shot, bit t = tag t in circuit.tags() order (see pack_words).
 
     Each fault location fails with its kind's rate, independently per shot,
     and a failing one draws one of its single faults uniformly.  Only the
@@ -697,34 +751,42 @@ def sample_outcomes(circuit: Circuit, nm: NoiseModel, seed, shots: int) -> np.nd
     a uniform subset, which is the law of an independent flip per cell.
     Then each shot draws the circuit's k random outcomes as k uniform bits,
     and its noiseless record is the tableau's record map at them: the
-    constant bits XOR the draw coefficients of its set bits.  A shot is
-    that record XOR the fault map rows of its faults.
+    constant bits XOR the draw coefficients of its set bits, taken eight
+    draws at a time from byte tables.  A shot is that record XOR the fault
+    map rows of its faults.
     Each block of SHOT_BLOCK shots draws from its own generator, seeded by
     (seed, block), and a partial last block draws the whole block, so a
     shot depends only on (circuit, noise, seed, shot index): a shorter
     run's shots are the first shots of a longer one.
     """
-    meas = np.empty((len(circuit.tags()), max(shots, 0)), dtype=bool)
-    if shots <= 0:
-        return meas
-    kinds, draws, const = circuit._noise_map
+    kinds, const, draws = circuit._noise_map
+    blocks = -(-max(shots, 0) // SHOT_BLOCK)
+    words = np.empty((blocks * SHOT_BLOCK, len(const)), dtype="<u8")
+    words[:] = const
     rate = {"gate1": nm.p1, "gate2": nm.p2, "prep": nm.p_spam, "meas": nm.p_spam}
     noise = [(p, kinds[kind]) for kind, p in rate.items() if kind in kinds and p > 0.0]
-    for block in range(-(-shots // SHOT_BLOCK)):
+    k = circuit._record_map[0]
+    coefficients = np.zeros((8 * len(draws), SHOT_BLOCK), dtype=np.uint8)
+    for block in range(blocks):
         rng = np.random.default_rng(list(_seed_key(seed)) + [0, block])
-        counts = np.full((SHOT_BLOCK, len(meas)), const, dtype=np.float32)  # one row per shot
-        for p, columns in noise:
-            cells = columns.shape[0] * SHOT_BLOCK
+        mine = words[block * SHOT_BLOCK:(block + 1) * SHOT_BLOCK]
+        for p, rows in noise:
+            cells = rows.shape[0] * SHOT_BLOCK
             site, shot = np.divmod(rng.choice(cells, rng.binomial(cells, p), replace=False),
                                    SHOT_BLOCK)
-            rows = columns[site, rng.integers(columns.shape[1], size=len(site))]
-            cell = shot[:, None] * len(meas) + np.arange(len(meas))  # 1-D add.at is the fast one
-            np.add.at(counts.reshape(-1), cell.reshape(-1), rows.reshape(-1))
-        bits = rng.integers(0, 2, (len(draws), SHOT_BLOCK), dtype=bool)
-        counts += bits.T.astype(np.float32) @ draws
-        base = block * SHOT_BLOCK
-        meas[:, base:base + SHOT_BLOCK] = (counts[:shots - base].astype(np.int32) & 1).T
-    return meas
+            np.bitwise_xor.at(mine, shot, rows[site, rng.integers(rows.shape[1], size=len(site))])
+        coefficients[:k] = rng.integers(0, 2, (k, SHOT_BLOCK), dtype=bool)
+        # byte b of a shot holds its draws 8b .. 8b + 7, as np.packbits along
+        # axis 0 would pack them, several times slower
+        eights = coefficients.view(np.uint64).reshape(len(draws), 8, SHOT_BLOCK // 8)
+        fold_bytes(draws, np.bitwise_or.reduce(eights << _BIT, axis=1).view(np.uint8), mine)
+    return words[:max(shots, 0)]
+
+
+def sample_outcomes(circuit: Circuit, nm: NoiseModel, seed, shots: int) -> np.ndarray:
+    """The shots of sample_words unpacked: one bool row per record tag, in
+    circuit.tags() order, and one column per shot."""
+    return unpack_words(sample_words(circuit, nm, seed, shots), len(circuit.tags())).T
 
 
 def sample_pauli_frame(circuit: Circuit, nm: NoiseModel, seed, shots: int) -> list[dict[str, int]]:
@@ -777,6 +839,13 @@ def single_fault_table(circuit: Circuit) -> SingleFaultTable:
     records = circuit._fault_map.T[:len(circuit.tags())]
     final_x, final_z = circuit._fault_frames
     return SingleFaultTable(list(circuit._fault_cases), records, list(final_x), list(final_z))
+
+
+def fault_record_words(circuit: Circuit) -> np.ndarray:
+    """The record flips of single_fault_table(circuit) packed as words: one
+    row per fault case, bit t = tag t (see pack_words), as sample_words
+    gives shots.  Packed once per circuit and kept on it, read-only."""
+    return circuit._fault_records
 
 
 class FaultWords(NamedTuple):

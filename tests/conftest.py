@@ -297,6 +297,56 @@ def reference_fault_map(circuit):
     return np.hstack([rows.T for rows in reference_propagate(circuit, flips)])
 
 
+def reference_sample_outcomes(circuit, nm, seed, shots):
+    """The frame sampler with float32 counts: outcome bits (record tags x shots).
+
+    Each block of SHOT_BLOCK shots draws from a generator seeded (seed, 0,
+    block).  For each fault kind with a location and a nonzero rate, in the
+    order gate1, gate2, prep, meas: a binomial number of failing (location,
+    shot) cells, chosen without replacement, then one fault per cell,
+    uniform over its location's faults in _FAULT_CODES; each fault's record
+    row of reference_fault_map is added to its shot's float32 counts.  Then
+    one draw gives the circuit's k random outcomes per shot, the record
+    map's draw coefficients of the set bits are added by one float32
+    product, on top of its constant bits, and a shot's outcomes are its
+    counts mod 2.  A partial last block draws the whole block.
+    """
+    import numpy as np
+
+    from f2qec.stab_sim import SHOT_BLOCK
+
+    tags = circuit.tags()
+    records = reference_fault_map(circuit)[:, :len(tags)].astype(np.float32)
+    kinds, first = {}, 0  # each kind's record rows, sites x faults per site x tags
+    for ins in circuit.instructions:
+        if ins.op in _FAULT_CODES:
+            kind, codes = _FAULT_CODES[ins.op]
+            kinds.setdefault(kind, []).append(records[first:first + len(codes)])
+            first += len(codes)
+    k, forms = circuit._record_map
+    const = np.array([forms[t] & 1 for t in tags], dtype=np.float32)
+    draws = np.array([[(forms[t] >> (j + 1)) & 1 for t in tags] for j in range(k)],
+                     dtype=np.float32).reshape(k, len(tags))
+    rates = {"gate1": nm.p1, "gate2": nm.p2, "prep": nm.p_spam, "meas": nm.p_spam}
+    noise = [(p, np.array(kinds[kind])) for kind, p in rates.items() if kind in kinds and p > 0.0]
+    meas = np.empty((len(tags), max(shots, 0)), dtype=bool)
+    for block in range(-(-shots // SHOT_BLOCK)):
+        rng = np.random.default_rng([seed, 0, block])
+        counts = np.full((SHOT_BLOCK, len(tags)), const, dtype=np.float32)  # one row per shot
+        for p, columns in noise:
+            cells = columns.shape[0] * SHOT_BLOCK
+            site, shot = np.divmod(rng.choice(cells, rng.binomial(cells, p), replace=False),
+                                   SHOT_BLOCK)
+            rows = columns[site, rng.integers(columns.shape[1], size=len(site))]
+            cell = shot[:, None] * len(tags) + np.arange(len(tags))
+            np.add.at(counts.reshape(-1), cell.reshape(-1), rows.reshape(-1))
+        bits = rng.integers(0, 2, (k, SHOT_BLOCK), dtype=bool)
+        counts += bits.T.astype(np.float32) @ draws
+        base = block * SHOT_BLOCK
+        meas[:, base:base + SHOT_BLOCK] = (counts[:shots - base].astype(np.int32) & 1).T
+    return meas
+
+
 def reference_schedule_violations(code, schedule):
     """validate_schedule's violations from its definition, one residual at a time.
 

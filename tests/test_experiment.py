@@ -208,7 +208,7 @@ def test_archive_rows_equal_json_dumps_of_each_row(basis, tags, shots, seed):
     want = "".join(json.dumps({"basis": basis, "shot": i, "outcomes": dict(zip(tags, col))},
                               sort_keys=True) + "\n"
                    for i, col in enumerate(bits.T.astype(np.uint8).tolist()))
-    assert bytes(ex._archive_rows(basis, tuple(tags), bits)) == want.encode()
+    assert bytes(ex._archive_rows(basis, tuple(tags), bits.T)) == want.encode()
 
 
 @pytest.mark.parametrize("shots", [0, 1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 10001])
@@ -220,7 +220,7 @@ def test_archive_rows_across_shot_number_digit_counts(shots):
     want = "".join(json.dumps({"basis": "x", "shot": i, "outcomes": dict(zip(tags, col))},
                               sort_keys=True) + "\n"
                    for i, col in enumerate(bits.T.astype(np.uint8).tolist()))
-    assert bytes(ex._archive_rows("x", tags, bits)) == want.encode()
+    assert bytes(ex._archive_rows("x", tags, bits.T)) == want.encode()
 
 
 def test_zero_shot_run_reports_no_data():
@@ -429,7 +429,7 @@ def test_key_word_verdicts_match_per_shot_reference(mode):
         classifier = ex._Classifier(cfg, basis, circ, recipe)
         records = ss.sample_pauli_frame(circ, cfg.noise, 8, 1200)
         bits = np.array([[rec[t] for t in circ.tags()] for rec in records], dtype=bool).T
-        verdicts = classifier.classify(bits)
+        verdicts = classifier.classify(ss.pack_words(bits.T))
         assert len(verdicts) == len(records)
         bp = classifier.bp
         h, priors = (None, None) if bp is None else (bp.h, bp.priors)
@@ -451,10 +451,11 @@ def test_tally_counts_the_verdicts_of_classify(mode, basis, sampled, shots, seed
     circ, _ = ex.build_pipeline(cfg, basis)
     classifier = ex._classifier(cfg, basis)
     if sampled:
-        bits = ss.sample_outcomes(circ, cfg.noise, seed, shots)
+        records = ss.sample_words(circ, cfg.noise, seed, shots)
     else:
-        bits = np.random.default_rng(seed).integers(0, 2, (len(circ.tags()), shots)).astype(bool)
-    assert classifier.tally(bits) == Counter(classifier.classify(bits))
+        bits = np.random.default_rng(seed).integers(0, 2, (shots, len(circ.tags()))).astype(bool)
+        records = ss.pack_words(bits)
+    assert classifier.tally(records) == Counter(classifier.classify(records))
 
 
 def _walked_syndromes(cfg):
@@ -519,7 +520,7 @@ def test_ledger_labels_each_fault_as_a_loop_over_its_cases(basis):
     cfg = ex.RunConfig(mode="logical", noise=ss.NoiseModel(3e-5, 2e-3, 2e-3))
     circ, recipe = ex.build_pipeline(cfg, basis)
     table = ss.single_fault_table(circ)
-    verdicts = ex._Classifier(cfg, basis, circ, recipe).classify(table.records)
+    verdicts = ex._Classifier(cfg, basis, circ, recipe).classify(ss.fault_record_words(circ))
     xbar_flips = table.records[circ.tags().index(recipe.xbar_tags[0])]
     want = []
     for (index, kind, pauli), mismatch, xbar_flip in zip(table.cases, verdicts, xbar_flips):
@@ -546,7 +547,7 @@ def test_accepted_single_faults_flip_all_gadget_outcomes_or_none(mode, basis):
     cfg = ex.RunConfig(mode=mode, noise=ss.NoiseModel(3e-5, 2e-3, 2e-3), l=4)
     circ, recipe = ex.build_pipeline(cfg, basis)
     table = ss.single_fault_table(circ)
-    verdicts = ex._Classifier(cfg, basis, circ, recipe).classify(table.records)
+    verdicts = ex._Classifier(cfg, basis, circ, recipe).classify(ss.fault_record_words(circ))
     flips = table.records[[circ.tags().index(t) for t in recipe.xbar_tags]].T
     accepted = [tuple(f) for f, v in zip(flips.tolist(), verdicts) if v is not None]
     assert 0 < len(accepted) < len(verdicts)
@@ -554,31 +555,50 @@ def test_accepted_single_faults_flip_all_gadget_outcomes_or_none(mode, basis):
     assert (True,) * 3 in accepted
 
 
-def _key_words(classifier, bits):
+def _key_words(classifier, records):
     """classify's key words: a copy of the classifier whose verdict is the word itself."""
     probe = copy.copy(classifier)
     probe.verdict = lambda word: word
-    return probe.classify(bits)
+    return probe.classify(records)
 
 
 @pytest.mark.parametrize("basis", ["z", "x"])
-def test_float32_key_product_is_exact_on_the_widest_key(basis):
+def test_table_key_words_are_exact_on_the_widest_key(basis):
     # generalized l = 20 has the widest key (68 x 159 in Z, 48 x 159 in X):
-    # its key words, the all-ones column included, against the GF(2)
+    # its key words, the all-ones record included, against the GF(2)
     # product in Python ints
     cfg = ex.RunConfig(mode="generalized", noise=ss.NoiseModel(1e-3, 5e-3, 5e-3), l=20)
+    key = ex.build_pipeline(cfg, basis)[1].key
+    assert (key.rows, key.cols) == ((68 if basis == "z" else 48), 159)
     classifier = ex._classifier(cfg, basis)
-    assert classifier.key.shape == ((68 if basis == "z" else 48), 159)
-    rows = ss.column_ints(classifier.key.T)
+    # one table per record byte, its entries key words of two 64-bit words in Z
+    assert classifier.key_tables.shape == (20, 256, 2 if basis == "z" else 1)
+    rows = key.data
     bits = np.random.default_rng(5).integers(0, 2, (159, 200)).astype(bool)
     bits[:, 0] = True
     want = [sum((row & col).bit_count() % 2 << r for r, row in enumerate(rows))
             for col in ss.column_ints(bits)]
-    assert _key_words(classifier, bits) == want
-    # a parity past float16's 2048 exact integers stays exact
+    assert _key_words(classifier, ss.pack_words(bits.T)) == want
+    # a parity over 4097 record tags, past float16's 2048 exact integers, stays exact
     wide = copy.copy(classifier)
-    wide.key = np.ones((1, 4097), dtype=np.uint8)
-    assert _key_words(wide, np.ones((4097, 3), dtype=bool)) == [1, 1, 1]
+    wide.key_tables = ss.byte_tables(ss.pack_words(np.ones((4097, 1), dtype=bool)))
+    assert _key_words(wide, ss.pack_words(np.ones((3, 4097), dtype=bool))) == [1, 1, 1]
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(65, 150), st.integers(0, 200), st.integers(0, 40),
+       st.integers(0, 2 ** 32 - 1))
+def test_table_key_words_equal_the_key_product_on_wide_keys(width, tags, shots, seed):
+    # keys wider than one 64-bit word, over any number of record tags: the
+    # byte-table key words against key @ bits mod 2, read as Python ints
+    rng = np.random.default_rng(seed)
+    key = rng.integers(0, 2, (width, tags)).astype(bool)
+    bits = rng.integers(0, 2, (tags, shots)).astype(bool)
+    probe = copy.copy(ex._classifier(ex.RunConfig(mode="physical"), "z"))
+    probe.key_tables = ss.byte_tables(ss.pack_words(key.T))
+    product = (key.astype(np.int64) @ bits.astype(np.int64)) % 2
+    want = [sum(int(b) << r for r, b in enumerate(col)) for col in product.T.tolist()]
+    assert _key_words(probe, ss.pack_words(bits.T)) == want
 
 
 @pytest.mark.parametrize("basis", ["z", "x"])
@@ -591,17 +611,17 @@ def test_noiseless_key_words_change_no_verdict(mode, basis):
     circ, recipe = ex.build_pipeline(cfg, basis)
     classifier = ex._Classifier(cfg, basis, circ, recipe)
     tags = circ.tags()
-    noiseless = np.array([[ss.simulate_tableau(circ, seed)[t] for t in tags]
-                          for seed in range(16)], dtype=bool).T
+    noiseless = ss.pack_words(np.array([[ss.simulate_tableau(circ, seed)[t] for t in tags]
+                                        for seed in range(16)], dtype=bool))
     low = classifier.n_accept + classifier.n_syndrome
-    for word in ss.column_ints((classifier.key @ noiseless.astype(np.uint8)) & 1):
+    for word in _key_words(classifier, noiseless):
         assert word & ((1 << low) - 1) == 0 and word >> low in classifier.targets
     assert classifier.classify(noiseless) == [False] * 16
-    bits = ss.sample_outcomes(circ, cfg.noise, 8, 1200)
-    verdicts = classifier.classify(bits)
+    records = ss.sample_words(circ, cfg.noise, 8, 1200)
+    verdicts = classifier.classify(records)
     assert len(set(verdicts)) > 1
-    for n in noiseless.T[:4]:
-        assert classifier.classify(bits ^ n[:, None]) == verdicts
+    for n in noiseless[:4]:
+        assert classifier.classify(records ^ n) == verdicts
 
 
 @pytest.mark.parametrize("basis", ["z", "x"])
@@ -639,7 +659,9 @@ def test_ledger_verdicts_on_flips_equal_those_on_absolute_records(basis):
     ref = ss.reference_record(circ, 0)
     assert any(ref.values())
     absolute = table.records ^ np.array([ref[t] for t in circ.tags()], dtype=bool)[:, None]
-    assert classifier.classify(absolute) == classifier.classify(table.records)
+    assert (ss.pack_words(table.records.T) == ss.fault_record_words(circ)).all()
+    assert classifier.classify(ss.pack_words(absolute.T)) == classifier.classify(
+        ss.fault_record_words(circ))
 
 
 def test_fault_analysis_runs_no_tableau(monkeypatch):

@@ -72,6 +72,17 @@ def test_kernel_of_single_parity_row_enumerated():
     assert kernel.rows == 2
 
 
+def test_kernel_basis_is_built_once_per_matrix():
+    # like the transpose: each call returns the one kernel of the first, so
+    # the kernel's own transpose is built once too; an equal matrix built
+    # anew gets an equal kernel of its own
+    h = BitMatrix.from_strings(["11000", "01110", "00011"])
+    kernel = h.kernel_basis()
+    assert h.kernel_basis() is kernel and kernel.transpose() is h.kernel_basis().transpose()
+    again = BitMatrix.from_strings(["11000", "01110", "00011"])
+    assert again.kernel_basis() == kernel and again.kernel_basis() is not kernel
+
+
 def test_kernel_identity_is_empty():
     assert BitMatrix.identity(4).kernel_basis().rows == 0
 

@@ -123,18 +123,24 @@ def _instruction(n):
     two = st.tuples(q, q).filter(lambda ab: ab[0] != ab[1]).map(lambda ab: ss.cnot(*ab))
     inject = st.builds(ss.inject, st.sampled_from("XYZ"), q)
     relabel = st.permutations(range(n)).map(ss.relabel)
-    meas = st.builds(lambda op, a: (op, a), st.sampled_from(["MEASZ", "MEASX"]), q)
+    # a measurement's tag is set by _circuits, which knows its place
+    meas = st.builds(lambda op, a: ss.Instruction(op, (a,)), st.sampled_from(["MEASZ", "MEASX"]), q)
     return st.one_of(single, two, inject, relabel, meas)
 
 
 @st.composite
-def _circuits(draw, min_faults=0):
+def _circuits(draw, min_faults=0, min_tags=0):
     n = draw(st.integers(2, 6))
     ins = []
     for k, item in enumerate(draw(st.lists(_instruction(n), max_size=25))):
-        if isinstance(item, tuple):
-            item = ss.Instruction(item[0], (item[1],), tag=f"m{k}")
+        if item.op in ("MEASZ", "MEASX"):
+            item = item._replace(tag=f"m{k}")
         ins.append(item)
+    # measurements at drawn places until there are min_tags record tags
+    for j in range(min_tags - sum(i.op in ("MEASZ", "MEASX") for i in ins)):
+        meas = ss.Instruction(draw(st.sampled_from(["MEASZ", "MEASX"])),
+                              (draw(st.integers(0, n - 1)),), tag=f"t{j}")
+        ins.insert(draw(st.integers(0, len(ins))), meas)
     # CNOTs (15 faults each) at drawn places until there are min_faults faults
     while sum(15 if i.op == "CNOT" else 3 if i.op == "H" else i.op[:4] in ("PREP", "MEAS")
               for i in ins) < min_faults:
@@ -637,6 +643,29 @@ def test_sampler_matches_the_dense_flip_kernel(circ, rates, seed, shots):
     _check_sampler_against_dense_flips(circ, rates, seed, shots)
 
 
+_BLOCK_EDGES = (0, 1, ss.SHOT_BLOCK - 1, ss.SHOT_BLOCK, ss.SHOT_BLOCK + 1, 2 * ss.SHOT_BLOCK + 7)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from([0, 65, 130]).flatmap(lambda tags: _circuits(min_tags=tags)),
+       st.tuples(*[st.sampled_from([0.0, 1e-3, 1.0])] * 3),
+       st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(_BLOCK_EDGES) | st.integers(0, 3 * ss.SHOT_BLOCK))
+def test_packed_sampler_matches_the_float32_reference(circ, rates, seed, shots):
+    # the packed sampler, unpacked, against the float32 count sampler, bit
+    # for bit and draw for draw: records of one to three 64-bit words, no
+    # noise, paper-sized noise and every site failing, over block edges
+    from conftest import reference_sample_outcomes
+
+    nm = ss.NoiseModel(*rates)
+    got = ss.sample_outcomes(circ, nm, seed, shots)
+    assert got.shape == (len(circ.tags()), shots) and got.dtype == bool
+    assert (got == reference_sample_outcomes(circ, nm, seed, shots)).all()
+    words = ss.sample_words(circ, nm, seed, shots)
+    assert words.shape == (shots, -(-len(circ.tags()) // 64)) and words.dtype == "<u8"
+    assert (ss.pack_words(got.T) == words).all()
+
+
 @pytest.mark.parametrize("text", _EDGE_CIRCUITS)
 def test_sampler_matches_the_dense_flip_kernel_on_edge_shapes(text):
     circ = ss.Circuit.from_text(f"QUBITS 2\n{text}\n")
@@ -664,6 +693,31 @@ def _draw_coefficients(circ):
     return [[(forms[t] >> (j + 1)) & 1 for t in circ.tags()] for j in range(k)]
 
 
+def _unpacked(words, count):
+    # packed record words (any leading shape x words) as bool rows of count bits
+    import math
+
+    return ss.unpack_words(words.reshape(math.prod(words.shape[:-1]), words.shape[-1]),
+                           count).reshape(*words.shape[:-1], count)
+
+
+def _draw_rows(circ):
+    # the draw coefficients that the sampler reads, unpacked from its byte
+    # tables: entry [b, 1 << i] is draw 8b + i's row, entry [b, v] the XOR
+    # of the rows that v selects, and the rows past the last draw are zero
+    import numpy as np
+
+    tables = circ._noise_map[2]
+    units = tables[:, 1 << np.arange(8)]
+    for v in range(256):
+        chosen = units[:, [i for i in range(8) if v >> i & 1]]
+        assert (tables[:, v] == np.bitwise_xor.reduce(chosen, axis=1)).all()
+    rows = units.reshape(8 * len(tables), tables.shape[2])
+    k = circ._record_map[0]
+    assert len(rows) == -(-k // 8) * 8 and not rows[k:].any()
+    return _unpacked(rows[:k], len(circ.tags()))
+
+
 @settings(deadline=None)
 @given(_circuits(), st.integers(0, 2 ** 32 - 1))
 def test_single_fault_table_matches_the_tableau(circ, seed):
@@ -682,7 +736,7 @@ def test_single_fault_table_matches_the_tableau(circ, seed):
         faulted = ss.simulate_tableau(_faulted(circ, case), seed)
         diff = [int(table.records[r, c]) ^ faulted[t] ^ clean[t] for r, t in enumerate(tags)]
         assert gauss_rank(draws + [diff]) == rank, case
-    assert circ._noise_map[1].tolist() == draws
+    assert _draw_rows(circ).astype(int).tolist() == draws
 
 
 def test_x_measurement_of_an_unprepared_qubit_is_random():
@@ -734,8 +788,8 @@ def test_frame_kernel_runs_once_per_circuit(monkeypatch):
     ss.single_fault_words(extraction)
     ss.single_fault_table(extraction)
     assert (len(calls), len(walks), len(packs)) == (5, 4, 6) and calls[-1] == (extraction,)
-    kinds, draws, const = circ._noise_map
-    for array in (circ._fault_map, draws, const, *kinds.values()):
+    kinds, const, draws = circ._noise_map
+    for array in (circ._fault_map, ss.fault_record_words(circ), const, draws, *kinds.values()):
         assert array.size
         with pytest.raises(ValueError):
             array[(0,) * array.ndim] = 1
@@ -755,11 +809,13 @@ def test_fault_map_rows_are_the_mechanisms_in_order():
             + cnot
             + [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0]])  # the outcome flips of a and b
     assert circ._fault_map.astype(int).tolist() == [list(map(int, row)) for row in rows]
-    kinds, draws, const = circ._noise_map
-    assert kinds["prep"].tolist() == [[[0, 1]]]
-    assert kinds["gate2"].tolist() == [[row[:2] for row in cnot]]
-    assert kinds["meas"].tolist() == [[[1, 0]], [[0, 1]]]
-    assert draws.tolist() == [[0, 0], [1, 0], [0, 1]] and const.tolist() == [0, 0]
+    kinds, const, draws = circ._noise_map
+    assert _unpacked(kinds["prep"], 2).tolist() == [[[0, 1]]]
+    assert _unpacked(kinds["gate2"], 2).tolist() == [[row[:2] for row in cnot]]
+    assert _unpacked(kinds["meas"], 2).tolist() == [[[1, 0]], [[0, 1]]]
+    assert _draw_rows(circ).tolist() == [[0, 0], [1, 0], [0, 1]]
+    assert _unpacked(const, 2).tolist() == [0, 0]
+    assert _unpacked(ss.fault_record_words(circ), 2).tolist() == [row[:2] for row in rows]
     table = ss.single_fault_table(circ)
     assert table.cases[:2] == [(0, "prep", "Z"), (1, "gate2", "IX")] and len(table.cases) == 18
     assert table.records.T.astype(int).tolist() == [row[:2] for row in rows]
@@ -816,7 +872,7 @@ def test_a_site_at_rate_one_adds_one_of_its_rows_to_each_shot():
     ref = ss.reference_record(circ, 4)
     flips = ss.sample_outcomes(circ, ss.NoiseModel(1.0, 0.0, 0.0), 4, 300) ^ np.array(
         [[ref["a"]], [ref["b"]]], dtype=bool)
-    rows = {tuple(row) for row in circ._noise_map[0]["gate1"][0].astype(bool).tolist()}
+    rows = {tuple(row) for row in _unpacked(circ._noise_map[0]["gate1"][0], 2).tolist()}
     assert rows == {(False, False), (True, False)}
     assert {tuple(shot) for shot in flips.T.tolist()} == rows
 
