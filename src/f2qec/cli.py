@@ -284,7 +284,12 @@ def build_parser() -> argparse.ArgumentParser:
                     help="error probability in (0, 0.5], one prior set on every column; "
                          "so any value in (0, 0.5) writes the same rows (short of the LLR "
                          "clip, near 1e-13), while 0.5, a zero LLR, ties every candidate")
-    dc.add_argument("--bp-iters", type=_NON_NEGATIVE, default=10)
+    dc.add_argument("--bp-iters", type=_NON_NEGATIVE, default=10,
+                    help="BP iterations at most; at its first repeated message state BP "
+                         "returns what its last iteration would return and counts as not "
+                         "converged, so the sweep decides the row; once the state repeats, "
+                         "further iterations cost nothing, and the states of one syndrome "
+                         "are kept only while it is decoded")
     dc.add_argument("--osd-depth", type=_NON_NEGATIVE, default=14)
     dc.set_defaults(func=_cmd_decode)
 

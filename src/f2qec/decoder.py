@@ -4,11 +4,17 @@ oracle for ground truth on small codes.
 
 BP reads the Tanner graph of its check matrix from `BitMatrix.entries`
 and the column masks from `BitMatrix.transpose()`, both built once per
-matrix; its stop test XORs the columns of the current estimate.  The
-sweep builds no matrix: it reduces the cached column masks in rank order
-into a greedy basis, which gives the zero-pattern solution and the flip
-of every free column, and every candidate is the zero pattern XOR the
-flips of its free columns.
+matrix; its stop test XORs the columns of the current estimate.  An
+iteration is a function of the variable-to-check messages it starts
+from, so at its first repeated message state BP returns what its last
+iteration would return, with `converged` false: once the state repeats,
+further iterations cost nothing.  The states of one call are kept only
+for that call.
+
+The sweep builds no matrix: it reduces the cached column masks in rank
+order into a greedy basis, which gives the zero-pattern solution and the
+flip of every free column, and every candidate is the zero pattern XOR
+the flips of its free columns.
 
 Error estimates and syndromes are packed bit masks.  Tie-breaking is
 always lowest-index-first so every decoder is deterministic.
@@ -56,7 +62,9 @@ def uniform_priors(n: int, p: float = 0.01) -> tuple[float, ...]:
 
 
 def _prior_llrs(priors) -> list[float]:
-    return [max(-LLR_CLIP, min(LLR_CLIP, math.log((1.0 - p) / p))) for p in priors]
+    # one log per distinct prior, so a uniform prior costs one
+    llr = {p: max(-LLR_CLIP, min(LLR_CLIP, math.log((1.0 - p) / p))) for p in set(priors)}
+    return [llr[p] for p in priors]
 
 
 class MinSumDecoder:
@@ -66,8 +74,16 @@ class MinSumDecoder:
     numbers the set entries of h: each check owns a contiguous run of
     entries and each variable lists its entries in ascending check order.
     That graph is computed once per matrix, so building a decoder costs
-    only the prior LLRs.  Posteriors are exposed for ordered-statistics
-    post-processing.
+    only the prior LLRs, one logarithm per distinct prior.  Posteriors are
+    exposed for ordered-statistics post-processing.
+
+    `decode` records the first iteration at which each variable-to-check
+    message state occurs, and each iteration's estimate and posteriors.
+    When a state occurs again, the iterations since its first occurrence
+    repeat without converging until `iters` runs out, so `decode` returns
+    at once the estimate and posteriors that its last iteration would
+    return, with `converged` false; a large `iters` costs nothing once
+    the state repeats.  The states and outputs are kept only for the call.
     """
 
     def __init__(self, h: BitMatrix, priors, iters: int = 10):
@@ -88,7 +104,18 @@ class MinSumDecoder:
         c2v = [0.0] * len(columns)
         posteriors = list(prior)
         hard = 0
-        for _ in range(self.iters):
+        # an iteration is a function of the v2c it starts from; v2c holds
+        # clipped differences of clipped totals, never NaN, and neither a
+        # prior nor a total is ever -0.0, so tuple equality is exact
+        first_seen = {}
+        outputs = []
+        for it in range(self.iters):
+            first = first_seen.setdefault(tuple(v2c), it)
+            if first < it:
+                # iterations first..it-1 repeat from here on without
+                # converging: return what the last iteration would
+                hard, posteriors = outputs[first + (self.iters - 1 - first) % (it - first)]
+                return DecodeResult(hard, False, "BP", _soft_weight(hard, prior), posteriors)
             for start, stop, sign in checks:
                 msgs = v2c[start:stop]
                 # sign picks up every incoming sign; the two smallest
@@ -139,6 +166,7 @@ class MinSumDecoder:
                     syn ^= column
             if syn == syndrome:
                 return DecodeResult(hard, True, "BP", _soft_weight(hard, prior), tuple(posteriors))
+            outputs.append((hard, tuple(posteriors)))
         return DecodeResult(hard, False, "BP", _soft_weight(hard, prior), tuple(posteriors))
 
 

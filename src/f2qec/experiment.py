@@ -526,14 +526,15 @@ def run(config: RunConfig, out_dir: str | None = None) -> RunSummary:
         for path in (summary_path, shots_path):
             with contextlib.suppress(FileNotFoundError):
                 os.remove(path)
+        doc = summary.to_json()
         with open(shots_path, "wb") as fh:
-            fh.write(json.dumps({"config_hash": config.digest(),
-                                 "config": config.to_dict()}).encode() + b"\n")
+            fh.write(json.dumps({"config_hash": doc["config_hash"],
+                                 "config": doc["config"]}).encode() + b"\n")
             for basis, records in (("z", z_records), ("x", x_records)):
                 tags = build_pipeline(config, basis)[0].tags()
                 fh.write(_archive_rows(basis, tags, ss.unpack_words(records, len(tags))))
         with open(summary_path, "w") as fh:
-            fh.write(json.dumps(summary.to_json(), indent=1, sort_keys=True))
+            fh.write(json.dumps(doc, indent=1, sort_keys=True))
     return summary
 
 

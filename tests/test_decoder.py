@@ -264,7 +264,9 @@ def _decode_cases(draw):
         syndrome = h.mul_vec(draw(st.integers(0, (1 << n) - 1)))
     else:
         syndrome = draw(st.integers(0, (1 << h.rows) - 1))
-    return h, priors, syndrome, draw(st.integers(0, 10)), draw(st.integers(0, 14))
+    # up to 40 iterations, so BP often repeats a message state early and the
+    # iterations after it are replayed from the cycle at every position
+    return h, priors, syndrome, draw(st.integers(0, 40)), draw(st.integers(0, 14))
 
 
 def _fields(r):
@@ -286,6 +288,35 @@ def _assert_matches_the_references(h, priors, syndrome, iters, depth) -> bool:
     want = bp if bp[1] and bp[3] < weight - 1e-12 else (estimate, True, "BP+OSD", weight, bp[4])
     assert _fields(bp_osd(problem, iters, depth)) == repr(want)
     return True
+
+
+# Flagship syndromes of weight-1..3 errors at prior 0.01 on which BP repeats
+# a message state: the matrix, the error's support, the first iteration of
+# the repeated state and the period.  A fixed point on each matrix, a 2-cycle,
+# and the longest period over all such syndromes of hz and hx|I.
+_REPEATING = [("hz", (0, 3), 5, 1), ("hx|I", (0,), 2, 1), ("hx|I", (5, 16), 1, 2),
+              ("hz", (5, 8, 11), 10, 8)]
+
+
+@pytest.mark.parametrize("name, support, first, period", _REPEATING,
+                         ids=["hz-fixed-point", "hx|I-fixed-point", "hx|I-2-cycle", "hz-8-cycle"])
+def test_bp_after_a_repeated_message_state_matches_the_reference(code, name, support,
+                                                                 first, period):
+    h = code.hz if name == "hz" else code.hx.hstack(BitMatrix.identity(code.hx.rows))
+    priors = (0.01,) * h.cols
+    syndrome = h.mul_vec(sum(1 << q for q in support))
+    want = [reference_min_sum(h, priors, syndrome, n) for n in range(31)]
+    # the reference never converges, and after iteration `first` its outputs
+    # cycle with the period, each position of the cycle a different output
+    assert not any(w[1] for w in want)
+    cycle = want[first + 1:first + 1 + period]
+    assert len(set(cycle)) == period
+    assert want[first + 1:] == (cycle * 31)[:30 - first]
+    for n, w in enumerate(want):
+        assert _fields(MinSumDecoder(h, priors, iters=n).decode(syndrome)) == repr(w)
+    n = 10**5
+    assert (_fields(MinSumDecoder(h, priors, iters=n).decode(syndrome))
+            == repr(cycle[(n - 1 - first) % period]))
 
 
 @given(_decode_cases())

@@ -160,6 +160,20 @@ def test_a_rerun_writes_the_files_of_a_run_into_a_fresh_directory(tmp_path):
     assert sorted(p.name for p in (again / cfg.mode).iterdir()) == ["shots.jsonl", "summary.json"]
 
 
+def test_an_archived_run_hashes_its_config_once(tmp_path, monkeypatch):
+    # the archive header and summary.json carry the one config_hash
+    cfg = ex.RunConfig(mode="logical", shots_z=30, shots_x=30,
+                       noise=ss.NoiseModel(1e-3, 5e-3, 5e-3), seed=7)
+    calls = []
+    digest = ex.RunConfig.digest
+    monkeypatch.setattr(ex.RunConfig, "digest", lambda self: calls.append(self) or digest(self))
+    ex.run(cfg, out_dir=str(tmp_path))
+    assert calls == [cfg]
+    files = _run_files(tmp_path, cfg)
+    header = json.loads(files["shots.jsonl"].split(b"\n")[0])
+    assert header["config_hash"] == json.loads(files["summary.json"])["config_hash"] == digest(cfg)
+
+
 def test_a_rerun_replaces_the_files_instead_of_writing_through_them(tmp_path):
     # a hard link to the old archive keeps the old bytes: the rerun wrote a
     # new file at the path, not into the old one
