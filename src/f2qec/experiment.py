@@ -308,7 +308,7 @@ class _Classifier:
     The key word of a noiseless record has acceptance 0, syndrome 0 and
     raw bits in the target coset, so XORing it into a word changes no
     verdict: shots can be classified by their absolute records or by their
-    flips from any noiseless record, such as single_fault_table's records.
+    flips from any noiseless record, such as stab_sim.fault_record_words.
 
     The Z basis decodes X errors on the plain Z-check matrix.  The X
     basis decodes the frame-corrected syndrome on the X-check matrix
@@ -631,23 +631,26 @@ def fault_tolerance_ledger(basis: str) -> LedgerReport:
     postselection with the wrong logical-X outcome ("nonft-set", the
     unprotected measurement's known channel); any other is "extra".
 
-    The faults are the columns of single_fault_table, whose case list the
-    circuit keeps.  Their record flips, packed as records once per circuit
-    (stab_sim.fault_record_words), give their key words through the
-    classifier's byte tables, as a run's shots do.  A fault's outcome is a
-    function of its key word and its xbar_0 flip, taken together as one int
-    with the flip one 64-bit word above the key word.  Each distinct key
-    word is judged once (the 799 faults have 52 distinct words in Z and 36
-    in X), each distinct (word, flip) pair is labelled once, and the
-    entries are built in one pass.
+    The faults are the circuit's cases (stab_sim.fault_cases).  Their
+    record flips, packed as records once per circuit from the frame
+    kernel's words (stab_sim.fault_record_words), give their key words
+    through the classifier's byte tables, as a run's shots do, and their
+    xbar_0 flips as one bit of those rows.  A fault's outcome is a function
+    of its key word and its xbar_0 flip, taken together as one int with the
+    flip one 64-bit word above the key word.  Each distinct key word is
+    judged once (the 799 faults have 52 distinct words in Z and 36 in X),
+    each distinct (word, flip) pair is labelled once, and the entries are
+    built in one pass.
     """
     cfg = RunConfig(mode="logical", noise=ss.NoiseModel(3e-5, 2e-3, 2e-3))
     circ, recipe = build_pipeline(cfg, basis)
-    table, classifier = ss.single_fault_table(circ), _classifier(cfg, basis)
-    key_words = classifier._key_words(ss.fault_record_words(circ))
-    flips = table.records[circ.tags().index(recipe.xbar_tags[0])]
+    records, classifier = ss.fault_record_words(circ), _classifier(cfg, basis)
+    key_words = classifier._key_words(records)
+    t = circ.tags().index(recipe.xbar_tags[0])
+    # np.uint64 operands keep the shift in uint64 under numpy 1.x promotion
+    flips = records[:, t // 64] >> np.uint64(t % 64) & np.uint64(1)
     # each fault's key word, with its xbar_0 flip as one more word above it
-    keys = ss.word_ints(np.hstack([key_words, flips[:, None].astype(key_words.dtype)]))
+    keys = ss.word_ints(np.hstack([key_words, flips[:, None]]))
     width = 64 * key_words.shape[1]
     words = {key: key & ((1 << width) - 1) for key in set(keys)}
     verdicts = {word: classifier.verdict(word) for word in set(words.values())}
@@ -664,5 +667,5 @@ def fault_tolerance_ledger(basis: str) -> LedgerReport:
             outcomes[key] = ("extra",)
     # case + (outcome,) is an entry's fields; LedgerEntry._make(fields) is
     # tuple.__new__(LedgerEntry, fields), called here without a Python frame per entry
-    fields = map(operator.add, table.cases, map(outcomes.__getitem__, keys))
+    fields = map(operator.add, ss.fault_cases(circ), map(outcomes.__getitem__, keys))
     return LedgerReport(list(map(tuple.__new__, repeat(LedgerEntry), fields)))

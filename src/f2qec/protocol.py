@@ -379,7 +379,7 @@ def validate_schedule(code: CssCode, schedule: Schedule) -> ScheduleReport:
     turns into a stabilizer are those whose syndrome and kernel-parity
     words spell column q of the opposite checks and of the kernel basis.
     Only the flagged faults are labelled (stab_sim.fault_labels) and become
-    messages, in table order, X before Z; a schedule with no violation
+    messages, in fault order, X before Z; a schedule with no violation
     labels none.
     """
     circuit = syndrome_extraction_circuit(code, schedule, which="both")

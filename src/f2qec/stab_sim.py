@@ -16,23 +16,19 @@ have made, and the sampler evaluates it at fresh draws per shot.
 
 The frame kernel runs once per circuit too, on every single fault at
 once: each qubit's X and Z frame is one Python int, bit c for fault c, so
-a gate is a few word operations whatever the fault count.  The circuit
-keeps these fault words, and the fault map unpacked from them: one row per
-single fault, the outcome flips and residual frames that it causes alone.
-The sampler keeps each shot as packed record words (one 64-bit word per
-64 record tags, bit t = tag t) from the draws to the caller: it XORs the
-packed map rows of the faults it draws in seeded blocks of SHOT_BLOCK
-shots onto each shot's noiseless record, which it folds in from byte
-tables of the record map, eight draws per lookup; single-fault
-enumeration reads one table off the map, with no tableau run: each case's
-location, its outcome flips as one bool array (record tags x cases) and
-its residual frames as packed ints.  The case list and the packed frames
-are built once per circuit and kept on it, and each call returns fresh
-copies of them.  single_fault_words gives the same cases as the words
-themselves, for decisions taken on all faults at once; fault_words gives
-the words alone, and fault_labels names only the faults that such a
-decision picks.  FaultCase objects are a per-case view, with absolute
-{tag: bit} records: the reference record XOR the flips.
+a gate is a few word operations whatever the fault count.  These fault
+words are the circuit's one single-fault table, kept on it: fault_words
+gives them, for decisions taken on all faults at once, and fault_labels
+names only the faults that such a decision picks.  fault_cases gives every
+case's location, and fault_record_words each case's outcome flips packed
+as a record, as the sampler keeps a shot: one 64-bit word per 64 record
+tags, bit t = tag t.  The sampler XORs the packed rows of the faults it
+draws in seeded blocks of SHOT_BLOCK shots onto each shot's noiseless
+record, which it folds in from byte tables of the record map, eight draws
+per lookup.  enumerate_single_faults is a per-case view, with no tableau
+run but the reference record's: FaultCase objects with absolute {tag:
+bit} records (the reference record XOR the flips) and residual frames as
+ints, unpacked from the words on each call.
 
 Text IR (round-trip exact), one instruction per line after a header:
 
@@ -203,37 +199,17 @@ class Circuit:
         return _propagate(self)
 
     @cached_property
-    def _fault_map(self) -> np.ndarray:
-        """The fault words unpacked, on first use: one bool row per fault,
-        in _sites order, its record flips (one per tag), then its residual
-        X and residual Z frames (one per qubit)."""
-        words = [w for part in self._fault_words for w in part]
-        count = sum(len(faults) for _, _, faults in self._fault_sites)
-        width = -(-count // 8)
-        packed = np.frombuffer(b"".join(w.to_bytes(width, "little") for w in words), dtype=np.uint8)
-        bits = np.unpackbits(packed.reshape(len(words), width), axis=1, count=count,
-                             bitorder="little").view(bool)
-        bits.flags.writeable = False
-        return bits.T
-
-    @cached_property
-    def _fault_frames(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Each fault's residual X and Z frames packed as ints, bit q =
-        qubit q, on first use: the fault map's frame columns."""
-        frames = self._fault_map.T[len(self.tags()):]
-        return tuple(column_ints(frames[:self.n_qubits])), tuple(column_ints(frames[self.n_qubits:]))
-
-    @cached_property
     def _fault_records(self) -> np.ndarray:
-        """The fault map's record rows packed as words, on first use (see
-        fault_record_words)."""
-        records = pack_words(self._fault_map[:, :len(self.tags())])
+        """The kernel's record words as one packed row per fault, on first
+        use (see fault_record_words)."""
+        count = sum(len(faults) for _, _, faults in self._fault_sites)
+        records = pack_words(_bit_rows(self._fault_words[0], count).T)
         records.flags.writeable = False
         return records
 
     @cached_property
     def _noise_map(self) -> tuple[dict, np.ndarray, np.ndarray]:
-        """What the sampler draws from, on first use: the fault map's record
+        """What the sampler draws from, on first use: the faults' record
         rows, the record map's constant bits and its draw coefficients'
         byte tables, all as packed record words (see _noise_rows)."""
         return _noise_rows(self)
@@ -540,10 +516,9 @@ def noisy_expansion(circuit: Circuit, nm: NoiseModel, rng) -> Circuit:
 # include; it leaves every frame as it is.  Each op's faults take the next
 # bit columns, and their flips are the op's constant _SLOT_MASKS words
 # shifted there.  The kernel is linear and runs once per circuit
-# (Circuit._fault_words); the single-fault table reads the rows of the map
-# unpacked from its words, the sampler those rows' record flips packed
-# again per fault (as records are, one bit per tag), and validate_schedule
-# the words.
+# (Circuit._fault_words); the sampler reads its record words packed again
+# per fault (as records are, one bit per tag), and validate_schedule and
+# enumerate_single_faults read the words.
 #
 # Frames carry the faults only.  A random outcome, such as an X
 # measurement after a Z preparation or of a qubit that no preparation
@@ -641,10 +616,10 @@ def _propagate(circuit: Circuit) -> tuple[list[int], list[int], list[int]]:
 
 def _noise_rows(circuit: Circuit) -> tuple[dict, np.ndarray, np.ndarray]:
     """What the sampler XORs onto a shot, as packed record words (bit t =
-    tag t, see pack_words): the fault map's record rows of each kind's
-    faults (sites x faults per site x words), the record map's constant
-    bits (words), and byte tables of its draw coefficients (see
-    byte_tables; draw j's row holds the tags that random outcome j enters)."""
+    tag t, see pack_words): the record rows of each kind's faults (sites x
+    faults per site x words), the record map's constant bits (words), and
+    byte tables of its draw coefficients (see byte_tables; draw j's row
+    holds the tags that random outcome j enters)."""
     tags = circuit.tags()
     records = fault_record_words(circuit)
     sites, kinds = circuit._fault_sites, {}
@@ -679,6 +654,14 @@ def pack_words(bits: np.ndarray) -> np.ndarray:
 def unpack_words(words: np.ndarray, count: int) -> np.ndarray:
     """The first count bits of each row of pack_words' words: (rows x count) bool."""
     return np.unpackbits(words.view(np.uint8), axis=-1, count=count, bitorder="little").view(bool)
+
+
+def _bit_rows(ints: Sequence[int], count: int) -> np.ndarray:
+    """Bits 0 .. count - 1 of each int as one bool row: (ints x count)."""
+    width = -(-count // 8)
+    packed = np.frombuffer(b"".join(i.to_bytes(width, "little") for i in ints), dtype=np.uint8)
+    return np.unpackbits(packed.reshape(len(ints), width), axis=1, count=count,
+                         bitorder="little").view(bool)
 
 
 def word_ints(words: np.ndarray) -> list[int]:
@@ -752,8 +735,8 @@ def sample_words(circuit: Circuit, nm: NoiseModel, seed, shots: int) -> np.ndarr
     Then each shot draws the circuit's k random outcomes as k uniform bits,
     and its noiseless record is the tableau's record map at them: the
     constant bits XOR the draw coefficients of its set bits, taken eight
-    draws at a time from byte tables.  A shot is that record XOR the fault
-    map rows of its faults.
+    draws at a time from byte tables.  A shot is that record XOR the record
+    rows of its faults (fault_record_words).
     Each block of SHOT_BLOCK shots draws from its own generator, seeded by
     (seed, block), and a partial last block draws the whole block, so a
     shot depends only on (circuit, noise, seed, shot index): a shorter
@@ -809,71 +792,32 @@ class FaultCase:
     final_z: int = 0
 
 
-class SingleFaultTable(NamedTuple):
-    """Every single fault of a circuit, one column per fault case.
-
-    cases[c] is case c's (instruction_index, kind, pauli); records[:, c]
-    the outcome flips it causes, one row per record tag (the faulted
-    record is a noiseless one, such as reference_record's, XOR these); final_x[c] and final_z[c] its
-    residual X and Z frames at the circuit end as ints, bit q = qubit q.
-    """
-
-    cases: list
-    records: np.ndarray
-    final_x: list
-    final_z: list
-
-
-def single_fault_table(circuit: Circuit) -> SingleFaultTable:
-    """Every single-Pauli fault location, in deterministic order, as one table.
-
-    Locations: after each 1q gate (3 Paulis), after each CNOT (15 Pauli
-    pairs), after each preparation (the flip Pauli), and a flip on each
-    measurement outcome.  The cases are the fault map's rows, so nothing
-    propagates and no tableau runs, and records is a read-only view of the
-    map.  The case list and the packed residual frames are built once per
-    circuit and kept on it; each call returns fresh list copies of them.
-    The residual frames are relative to the circuit as written, so they
-    leave out the Paulis of its INJECTs.
-    """
-    records = circuit._fault_map.T[:len(circuit.tags())]
-    final_x, final_z = circuit._fault_frames
-    return SingleFaultTable(list(circuit._fault_cases), records, list(final_x), list(final_z))
+def fault_cases(circuit: Circuit) -> tuple[tuple, ...]:
+    """(instruction_index, kind, pauli) of every single-Pauli fault, case c
+    at bit c of fault_words: after each 1q gate (3 Paulis), after each CNOT
+    (15 Pauli pairs), after each preparation (the flip Pauli), and a flip on
+    each measurement outcome, in instruction order.  Built once per circuit
+    and kept on it as this one immutable tuple."""
+    return circuit._fault_cases
 
 
 def fault_record_words(circuit: Circuit) -> np.ndarray:
-    """The record flips of single_fault_table(circuit) packed as words: one
-    row per fault case, bit t = tag t (see pack_words), as sample_words
-    gives shots.  Packed once per circuit and kept on it, read-only."""
+    """The record flips of each single fault packed as words: one row per
+    fault case, bit t = tag t (see pack_words), as sample_words gives shots.
+    Packed from fault_words' record words once per circuit and kept on it,
+    read-only; the case list is not built."""
     return circuit._fault_records
 
 
-class FaultWords(NamedTuple):
-    """Every single fault of a circuit, one bit per fault case in each word.
-
-    cases[c] is case c's (instruction_index, kind, pauli), as in
-    SingleFaultTable; bit c of records[t] is the flip of record tag t that
-    case c causes, and bit c of x[q] and z[q] its residual X and Z frame on
-    qubit q at the circuit end.
-    """
-
-    cases: list
-    records: list
-    x: list
-    z: list
-
-
-def single_fault_words(circuit: Circuit) -> FaultWords:
-    """The cases of single_fault_table(circuit) sliced the other way: one
-    int word per record tag and per qubit frame, those of fault_words."""
-    return FaultWords(list(circuit._fault_cases), *fault_words(circuit))
-
-
 def fault_words(circuit: Circuit) -> tuple[list[int], list[int], list[int]]:
-    """The record, X and Z words of single_fault_words(circuit), without its
-    case list, as fresh lists.  These are the frame kernel's own output,
-    kept on the circuit, so nothing is unpacked, and a decision over the
-    faults is a few word operations; fault_labels names the faults it picks."""
+    """Every single fault at once, as fresh lists of the frame kernel's
+    words: bit c of records[t] is the flip of record tag t that case c of
+    fault_cases causes, and bit c of x[q] and z[q] its residual X and Z
+    frame on qubit q at the circuit end.  The words are kept on the
+    circuit, so nothing is unpacked, and a decision over the faults is a
+    few word operations; fault_labels names the faults it picks.  The
+    residual frames are relative to the circuit as written, so they leave
+    out the Paulis of its INJECTs."""
     return tuple(list(part) for part in circuit._fault_words)
 
 
@@ -895,11 +839,14 @@ def fault_labels(circuit: Circuit, columns: Sequence[int]) -> list[tuple]:
 
 
 def enumerate_single_faults(circuit: Circuit) -> list[FaultCase]:
-    """The cases of single_fault_table(circuit) as FaultCase objects, with absolute
-    {tag: bit} records: reference_record(circuit, 0) XOR each case's flips."""
-    table, ref = single_fault_table(circuit), reference_record(circuit, 0)
-    records = table.records ^ np.array([ref[t] for t in circuit.tags()], dtype=bool)[:, None]
-    return [FaultCase(index, kind, pauli, record, fx, fz)
-            for (index, kind, pauli), record, fx, fz in zip(
-                table.cases, outcome_dicts(circuit.tags(), records),
-                table.final_x, table.final_z)]
+    """The cases of fault_cases(circuit) as FaultCase objects, with absolute
+    {tag: bit} records (reference_record(circuit, 0) XOR each case's flips)
+    and residual frames as ints (bit q = qubit q), unpacked from
+    fault_words on each call."""
+    tags, (records, x, z) = circuit.tags(), circuit._fault_words
+    cases = circuit._fault_cases
+    ref = reference_record(circuit, 0)
+    flips = _bit_rows(records, len(cases)) ^ np.array([ref[t] for t in tags], dtype=bool)[:, None]
+    final_x, final_z = (column_ints(_bit_rows(words, len(cases))) for words in (x, z))
+    return [FaultCase(*case, record, fx, fz) for case, record, fx, fz in zip(
+        cases, outcome_dicts(tags, flips), final_x, final_z)]

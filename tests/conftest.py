@@ -278,8 +278,8 @@ def reference_propagate(circuit, flips):
     return np.array(meas, dtype=bool).reshape(len(meas), flips.shape[-1]), x, z
 
 
-def reference_fault_map(circuit):
-    """The fault map from its definition: one bool row per single fault.
+def reference_fault_rows(circuit):
+    """The single faults from their definition: one bool row per fault.
 
     The faults are those of _FAULT_CODES at each instruction, in
     instruction order.  Each is one column of a dense flip array
@@ -305,7 +305,7 @@ def reference_sample_outcomes(circuit, nm, seed, shots):
     order gate1, gate2, prep, meas: a binomial number of failing (location,
     shot) cells, chosen without replacement, then one fault per cell,
     uniform over its location's faults in _FAULT_CODES; each fault's record
-    row of reference_fault_map is added to its shot's float32 counts.  Then
+    row of reference_fault_rows is added to its shot's float32 counts.  Then
     one draw gives the circuit's k random outcomes per shot, the record
     map's draw coefficients of the set bits are added by one float32
     product, on top of its constant bits, and a shot's outcomes are its
@@ -316,7 +316,7 @@ def reference_sample_outcomes(circuit, nm, seed, shots):
     from f2qec.stab_sim import SHOT_BLOCK
 
     tags = circuit.tags()
-    records = reference_fault_map(circuit)[:, :len(tags)].astype(np.float32)
+    records = reference_fault_rows(circuit)[:, :len(tags)].astype(np.float32)
     kinds, first = {}, 0  # each kind's record rows, sites x faults per site x tags
     for ins in circuit.instructions:
         if ins.op in _FAULT_CODES:
@@ -356,12 +356,12 @@ def reference_schedule_violations(code, schedule):
     0, the fault is a logical operator.  Otherwise, for d >= 3 (3 when the
     code does not know d), among the qubits q whose column of the opposite
     checks is s, if there is one and no v ^ e_q is in the row space, the
-    first such q is reported.  Violations are in table order, X before Z.
+    first such q is reported.  Violations are in case order, X before Z.
     """
     from f2qec import protocol as pr
     from f2qec import stab_sim as ss
 
-    table = ss.single_fault_table(pr.syndrome_extraction_circuit(code, schedule, which="both"))
+    cases = ss.enumerate_single_faults(pr.syndrome_extraction_circuit(code, schedule, which="both"))
     d = code.d if code.d is not None else 3
 
     def decide(v, h_same, h_other):
@@ -378,11 +378,12 @@ def reference_schedule_violations(code, schedule):
 
     data = (1 << code.n) - 1
     violations = []
-    for fault, fx, fz in zip(table.cases, table.final_x, table.final_z):
-        for v, h_same, h_other in ((fx & data, code.hx, code.hz), (fz & data, code.hz, code.hx)):
+    for c in cases:
+        for v, h_same, h_other in ((c.final_x & data, code.hx, code.hz),
+                                   (c.final_z & data, code.hz, code.hx)):
             message = decide(v, h_same, h_other)
             if message is not None:
-                violations.append((*fault, message))
+                violations.append((c.instruction_index, c.kind, c.pauli, message))
     return violations
 
 

@@ -322,6 +322,14 @@ def test_bp_after_a_repeated_message_state_matches_the_reference(code, name, sup
 @given(_decode_cases())
 # two degree-1 checks on one column disagree: their messages sum to inf - inf
 @example(case=(BitMatrix.from_ints([1, 1], 1), (0.01,), 0b01, 3, 0))
+# BP's message state repeats with period 2 (outputs from iteration 3 on)
+# and 4 (from iteration 0 and from iteration 4, on three columns): at these
+# iteration counts a replay index one off either way returns another output
+@example(case=(BitMatrix.from_ints([23, 24, 11, 16], 5), (0.05, 0.05, 0.01, 0.01, 0.2),
+               0b11, 5, 2))
+@example(case=(BitMatrix.from_ints([33, 37], 6), (0.05, 0.01, 0.05, 0.5, 0.5, 0.05),
+               0b1, 8, 2))
+@example(case=(BitMatrix.from_ints([6, 5, 1, 7], 3), (0.5, 0.001, 0.05), 0b110, 19, 2))
 def test_bp_and_bp_osd_match_the_reference_on_random_matrices(case):
     _assert_matches_the_references(*case)
 

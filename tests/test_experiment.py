@@ -533,11 +533,11 @@ def test_ledger_labels_each_fault_as_a_loop_over_its_cases(basis):
     # case is labelled on its own, from a fresh classifier's per-case verdict
     cfg = ex.RunConfig(mode="logical", noise=ss.NoiseModel(3e-5, 2e-3, 2e-3))
     circ, recipe = ex.build_pipeline(cfg, basis)
-    table = ss.single_fault_table(circ)
-    verdicts = ex._Classifier(cfg, basis, circ, recipe).classify(ss.fault_record_words(circ))
-    xbar_flips = table.records[circ.tags().index(recipe.xbar_tags[0])]
+    records, tags = ss.fault_record_words(circ), circ.tags()
+    verdicts = ex._Classifier(cfg, basis, circ, recipe).classify(records)
+    xbar_flips = ss.unpack_words(records, len(tags))[:, tags.index(recipe.xbar_tags[0])]
     want = []
-    for (index, kind, pauli), mismatch, xbar_flip in zip(table.cases, verdicts, xbar_flips):
+    for (index, kind, pauli), mismatch, xbar_flip in zip(ss.fault_cases(circ), verdicts, xbar_flips):
         if mismatch is None:
             outcome = "rejected"
         elif not mismatch:
@@ -560,9 +560,9 @@ def test_accepted_single_faults_flip_all_gadget_outcomes_or_none(mode, basis):
     # only equal outcomes, so an accepted fault flips all three or none
     cfg = ex.RunConfig(mode=mode, noise=ss.NoiseModel(3e-5, 2e-3, 2e-3), l=4)
     circ, recipe = ex.build_pipeline(cfg, basis)
-    table = ss.single_fault_table(circ)
-    verdicts = ex._Classifier(cfg, basis, circ, recipe).classify(ss.fault_record_words(circ))
-    flips = table.records[[circ.tags().index(t) for t in recipe.xbar_tags]].T
+    records, tags = ss.fault_record_words(circ), circ.tags()
+    verdicts = ex._Classifier(cfg, basis, circ, recipe).classify(records)
+    flips = ss.unpack_words(records, len(tags))[:, [tags.index(t) for t in recipe.xbar_tags]]
     accepted = [tuple(f) for f, v in zip(flips.tolist(), verdicts) if v is not None]
     assert 0 < len(accepted) < len(verdicts)
     assert set(accepted) <= {(False,) * 3, (True,) * 3}
@@ -669,18 +669,19 @@ def test_ledger_verdicts_on_flips_equal_those_on_absolute_records(basis):
     cfg = ex.RunConfig(mode="logical", noise=ss.NoiseModel(3e-5, 2e-3, 2e-3))
     circ, recipe = ex.build_pipeline(cfg, basis)
     classifier = ex._Classifier(cfg, basis, circ, recipe)
-    table = ss.single_fault_table(circ)
     ref = ss.reference_record(circ, 0)
     assert any(ref.values())
-    absolute = table.records ^ np.array([ref[t] for t in circ.tags()], dtype=bool)[:, None]
-    assert (ss.pack_words(table.records.T) == ss.fault_record_words(circ)).all()
-    assert classifier.classify(ss.pack_words(absolute.T)) == classifier.classify(
+    absolute = np.array([[case.record[t] for t in circ.tags()]
+                         for case in ss.enumerate_single_faults(circ)], dtype=bool)
+    flips = absolute ^ np.array([ref[t] for t in circ.tags()], dtype=bool)
+    assert (ss.pack_words(flips) == ss.fault_record_words(circ)).all()
+    assert classifier.classify(ss.pack_words(absolute)) == classifier.classify(
         ss.fault_record_words(circ))
 
 
 def test_fault_analysis_runs_no_tableau(monkeypatch):
-    # the ledger and validate_schedule read single_fault_table, which is
-    # built by the frame kernel alone
+    # the ledger and validate_schedule read the frame kernel's words and
+    # the case list, which no tableau run builds
     from f2qec import protocol as pr
     from f2qec.code_factory import build_25_4_3
 

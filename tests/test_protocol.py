@@ -267,7 +267,7 @@ def test_relabelings_are_noise_free(flagship_code):
     relabels = [i for i in circ.instructions if i.op == "RELABEL"]
     assert len(relabels) == 2
     # noise sites count only gates, preps, and measurements
-    assert len(ss.single_fault_table(circ).cases) == 47 * 15 + 6 * 3 + (25 + 13) + (13 + 25)
+    assert len(ss.fault_cases(circ)) == 47 * 15 + 6 * 3 + (25 + 13) + (13 + 25)
 
 
 def test_single_record_flip_maps_to_weight_one_correction(flagship_code):

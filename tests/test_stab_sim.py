@@ -167,37 +167,38 @@ def test_tags_are_walked_once_per_circuit(circ):
     assert tags == tuple(i.tag for i in circ.instructions if i.op in ("MEASZ", "MEASX"))
 
 
-def _fault_lists(circ):
-    """The lists of single_fault_table(circ) and single_fault_words(circ)."""
-    table = ss.single_fault_table(circ)
-    return [table.cases, table.final_x, table.final_z, *ss.single_fault_words(circ)]
-
-
 @settings(deadline=None)
 @given(_circuits())
 def test_fault_tables_are_fresh_lists_of_one_build_per_circuit(circ):
-    # two calls return equal lists that are not the same objects, and what a
-    # caller does to its lists does not reach the lists of a later call
-    parts, again = _fault_lists(circ), _fault_lists(circ)
+    # two fault_words calls return equal lists that are not the same
+    # objects, and what a caller does to its lists does not reach the lists
+    # of a later call; the case list and the record rows, which a caller
+    # cannot change, are one object per circuit
+    parts, again = ss.fault_words(circ), ss.fault_words(circ)
     for part, other in zip(parts, again):
         assert type(part) is list and part == other and part is not other
     want = [list(part) for part in parts]
     for part in parts:
         part.append(None)
         part[0] = "changed"
-    assert _fault_lists(circ) == want
-    assert list(ss.fault_words(circ)) == want[4:]
+    assert list(ss.fault_words(circ)) == want
+    cases = ss.fault_cases(circ)
+    assert type(cases) is tuple and ss.fault_cases(circ) is cases
+    assert all(type(case) is tuple for case in cases)
+    assert list(cases) == [(c.instruction_index, c.kind, c.pauli)
+                           for c in ss.enumerate_single_faults(circ)]
+    assert ss.fault_record_words(circ) is ss.fault_record_words(circ)
 
 
 @settings(deadline=None)
 @given(_circuits(), st.randoms(use_true_random=False))
 def test_fault_labels_are_the_cases_at_the_columns(circ, rnd):
     # any columns, in any order and repeated, without the case list
-    cases = ss.single_fault_table(circ).cases
+    cases = ss.fault_cases(circ)
     columns = [rnd.randrange(len(cases)) for _ in range(len(cases) and 12)]
     columns += sorted(rnd.sample(range(len(cases)), len(cases) // 2))
     assert ss.fault_labels(circ, columns) == [cases[c] for c in columns]
-    assert ss.fault_labels(circ, range(len(cases))) == cases
+    assert ss.fault_labels(circ, range(len(cases))) == list(cases)
     assert ss.fault_labels(circ, []) == []
 
 
@@ -271,15 +272,16 @@ def test_zero_noise_support_matches_tableau_per_op(op):
 def test_reference_record_applies_inject_and_residuals_exclude_it():
     # the INJECT is a Pauli gate of the circuit as written: the reference
     # record holds its effect and the residual frames of faults do not;
-    # the table holds each fault's flips, a FaultCase the absolute record
+    # the words hold each fault's flips, a FaultCase the absolute record
     circ = ss.Circuit.from_text("QUBITS 2\nPREPZ 0\nPREPZ 1\nINJECT X 0\nCNOT 0 1\nMEASZ 1 b\n")
     assert ss.reference_record(circ, 0) == {"b": 1}
     assert ss.sample_pauli_frame(circ, ss.NoiseModel.zero(), 0, 4) == [{"b": 1}] * 4
-    table = ss.single_fault_table(circ)
-    assert table.cases[:2] == [(0, "prep", "X"), (1, "prep", "X")]
-    assert table.final_x[:2] == [3, 2]
-    assert table.records[0, :2].tolist() == [True, True]
-    assert [c.record for c in ss.enumerate_single_faults(circ)[:2]] == [{"b": 0}] * 2
+    assert ss.fault_cases(circ)[:2] == ((0, "prep", "X"), (1, "prep", "X"))
+    [records], x, _ = ss.fault_words(circ)
+    assert records & 3 == 3 and [x[0] & 3, x[1] & 3] == [1, 3]
+    cases = ss.enumerate_single_faults(circ)[:2]
+    assert [c.final_x for c in cases] == [3, 2]
+    assert [c.record for c in cases] == [{"b": 0}] * 2
 
 
 # the INJECT circuits of this module's tests, plus one whose injections act
@@ -415,7 +417,7 @@ def test_fault_enumeration_count_formula():
     code = build_25_4_3()
     circ = syndrome_extraction_circuit(code, zigzag_schedule(code), "X")
     expected = 38 * 15 + 10 + 10  # CNOTs, ancilla preps, ancilla measurements
-    assert len(ss.single_fault_table(circ).cases) == expected
+    assert len(ss.fault_cases(circ)) == expected
     cases = ss.enumerate_single_faults(circ)
     assert len(cases) == expected
     # deterministic ordering
@@ -460,29 +462,32 @@ def test_fault_enumeration_is_pinned_byte_for_byte():
     ((ss.relabel((1, 0)),), (0, 0), []),
     ((ss.prepz(0),), (0, 1), [ss.FaultCase(0, "prep", "X", {}, final_x=1, final_z=0)]),
 ])
-def test_single_fault_table_edge_shapes(ops, shape, cases):
+def test_fault_words_edge_shapes(ops, shape, cases):
     # no fault site at all, and a fault site with no measurement to record it
     circ = ss.Circuit(2, ops)
-    table = ss.single_fault_table(circ)
-    assert table.records.shape == shape and table.records.dtype == bool
-    assert len(table.cases) == len(table.final_x) == len(table.final_z) == shape[1]
+    tags, faults = shape
+    records, x, z = ss.fault_words(circ)
+    assert len(records) == tags and len(x) == len(z) == 2
+    assert all(0 <= w < 1 << faults for w in records + x + z)
+    assert ss.fault_record_words(circ).shape == (faults, -(-tags // 64))
+    assert len(ss.fault_cases(circ)) == faults
     got = ss.enumerate_single_faults(circ)
     assert got == cases and [c.record for c in got] == [c.record for c in cases]
 
 
-def test_single_fault_table_frames_wider_than_a_word():
+def test_residual_frames_wider_than_a_word():
     # 130 qubits: each residual frame spans three 64-bit words
     n = 130
     circ = ss.Circuit(n, tuple(ss.prepz(q) for q in range(n)) + (ss.cnot(0, n - 1),))
-    table = ss.single_fault_table(circ)
-    assert table.cases == [(q, "prep", "X") for q in range(n)] + [
+    cases = ss.enumerate_single_faults(circ)
+    assert list(ss.fault_cases(circ)) == [(q, "prep", "X") for q in range(n)] + [
         (n, "gate2", a + b) for a in "IXYZ" for b in "IXYZ" if a + b != "II"]
     want_x = [1 | 1 << (n - 1)] + [1 << q for q in range(1, n)]
     want_z = [0] * n
-    for _, _, (a, b) in table.cases[n:]:
+    for _, _, (a, b) in ss.fault_cases(circ)[n:]:
         want_x.append((a in "XY") | (b in "XY") << (n - 1))
         want_z.append((a in "YZ") | (b in "YZ") << (n - 1))
-    assert (table.final_x, table.final_z) == (want_x, want_z)
+    assert [c.final_x for c in cases] == want_x and [c.final_z for c in cases] == want_z
 
 
 def test_ancilla_x_before_first_cnot_is_stabilizer():
@@ -720,7 +725,7 @@ def _draw_rows(circ):
 
 @settings(deadline=None)
 @given(_circuits(), st.integers(0, 2 ** 32 - 1))
-def test_single_fault_table_matches_the_tableau(circ, seed):
+def test_fault_record_words_match_the_tableau(circ, seed):
     # a case's record flips equal what the tableau shows for the faulted
     # circuit at the same seed, up to the random outcomes: their difference
     # lies in the span of the draws' coefficients in the record map, the
@@ -731,10 +736,10 @@ def test_single_fault_table_matches_the_tableau(circ, seed):
     draws = _draw_coefficients(circ)
     rank = gauss_rank(draws)
     clean = ss.simulate_tableau(circ, seed)
-    table = ss.single_fault_table(circ)
-    for c, case in enumerate(table.cases):
+    flips = _unpacked(ss.fault_record_words(circ), len(tags))
+    for c, case in enumerate(ss.fault_cases(circ)):
         faulted = ss.simulate_tableau(_faulted(circ, case), seed)
-        diff = [int(table.records[r, c]) ^ faulted[t] ^ clean[t] for r, t in enumerate(tags)]
+        diff = [int(flips[c, r]) ^ faulted[t] ^ clean[t] for r, t in enumerate(tags)]
         assert gauss_rank(draws + [diff]) == rank, case
     assert _draw_rows(circ).astype(int).tolist() == draws
 
@@ -749,11 +754,10 @@ def test_x_measurement_of_an_unprepared_qubit_is_random():
 
 
 def test_frame_kernel_runs_once_per_circuit(monkeypatch):
-    # the kernel, the walk over the fault locations (_sites, from which the
-    # case list is built) and the packing of the residual frames (two
-    # column_ints calls) each run at most once per circuit
-    calls, walks, packs = [], [], []
-    for name, seen in (("_propagate", calls), ("_sites", walks), ("column_ints", packs)):
+    # the kernel and the walk over the fault locations (_sites, from which
+    # the case list is built) each run at most once per circuit
+    calls, walks = [], []
+    for name, seen in (("_propagate", calls), ("_sites", walks)):
         original = getattr(ss, name)
         monkeypatch.setattr(ss, name, lambda *args, seen=seen, original=original:
                             seen.append(args) or original(*args))
@@ -762,45 +766,46 @@ def test_frame_kernel_runs_once_per_circuit(monkeypatch):
     nm = ss.NoiseModel(0.01, 0.02, 0.03)
     assert ss.sample_outcomes(circ, nm, 1, 3 * ss.SHOT_BLOCK).shape == (3, 3 * ss.SHOT_BLOCK)
     ss.sample_outcomes(circ, nm, 2, 10)
-    assert (len(calls), len(walks), len(packs)) == (1, 1, 0)
+    assert (len(calls), len(walks)) == (1, 1)
+    # the sampler counts the faults from the walk and builds no case list
+    assert "_fault_cases" not in vars(circ)
     for _ in range(2):
-        ss.single_fault_table(circ)
-        ss.single_fault_words(circ)
+        ss.fault_cases(circ)
+        ss.fault_record_words(circ)
         ss.fault_words(circ)
         ss.fault_labels(circ, [0, 3])
         ss.enumerate_single_faults(circ)
-    assert (len(calls), len(walks), len(packs)) == (1, 1, 2)
+    assert (len(calls), len(walks)) == (1, 1)
     again = ss.Circuit.from_text(text)
     assert again == circ
-    ss.single_fault_table(again)
-    assert (len(calls), len(walks), len(packs)) == (2, 2, 4)
+    ss.enumerate_single_faults(again)
+    assert (len(calls), len(walks)) == (2, 2)
     # validate_schedule runs the kernel once on the extraction circuit it
     # builds; it labels only the faults it flags, so a schedule with no
-    # violation never walks the fault locations, and its words and table
+    # violation never walks the fault locations, and its words and cases
     # on one circuit share that run
     code = build_25_4_3()
     schedule = zigzag_schedule(code)
     assert pr.validate_schedule(code, schedule).ok
-    assert (len(calls), len(walks), len(packs)) == (3, 2, 4)
+    assert (len(calls), len(walks)) == (3, 2)
     assert not pr.validate_schedule(code, pr.row_major_schedule(code)).ok
-    assert (len(calls), len(walks), len(packs)) == (4, 3, 4)
+    assert (len(calls), len(walks)) == (4, 3)
     extraction = syndrome_extraction_circuit(code, schedule, "both")
-    ss.single_fault_words(extraction)
-    ss.single_fault_table(extraction)
-    assert (len(calls), len(walks), len(packs)) == (5, 4, 6) and calls[-1] == (extraction,)
+    ss.fault_words(extraction)
+    ss.enumerate_single_faults(extraction)
+    assert (len(calls), len(walks)) == (5, 4) and calls[-1] == (extraction,)
     kinds, const, draws = circ._noise_map
-    for array in (circ._fault_map, ss.fault_record_words(circ), const, draws, *kinds.values()):
+    for array in (ss.fault_record_words(circ), const, draws, *kinds.values()):
         assert array.size
         with pytest.raises(ValueError):
             array[(0,) * array.ndim] = 1
 
 
-def test_fault_map_rows_are_the_mechanisms_in_order():
-    # one row per single fault, in _sites order; the columns are the records
-    # a and b, the residual X frame, the residual Z frame.  The random
-    # outcomes are the record map's: PREPX 0, then a, then b are draws 0, 1, 2
-    import numpy as np
-
+def test_fault_words_are_the_mechanisms_in_order():
+    # bit c of each word is single fault c, in _sites order; the words are
+    # the records a and b, the residual X frame, the residual Z frame.  The
+    # random outcomes are the record map's: PREPX 0, then a, then b are
+    # draws 0, 1, 2
     circ = ss.Circuit.from_text("QUBITS 2\nPREPX 0\nCNOT 0 1\nMEASZ 1 a\nMEASX 0 b\n")
     # a Pauli pair after the CNOT is the residual frame, and a and b read x1 and z0
     cnot = [[q in (1, 2), p in (2, 3), p in (1, 2), q in (1, 2), p in (2, 3), q in (2, 3)]
@@ -808,7 +813,8 @@ def test_fault_map_rows_are_the_mechanisms_in_order():
     rows = ([[0, 1, 0, 0, 1, 0]]  # Z after PREPX 0
             + cnot
             + [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0]])  # the outcome flips of a and b
-    assert circ._fault_map.astype(int).tolist() == [list(map(int, row)) for row in rows]
+    words = [w for part in ss.fault_words(circ) for w in part]
+    assert [[w >> c & 1 for w in words] for c in range(18)] == [list(map(int, row)) for row in rows]
     kinds, const, draws = circ._noise_map
     assert _unpacked(kinds["prep"], 2).tolist() == [[[0, 1]]]
     assert _unpacked(kinds["gate2"], 2).tolist() == [[row[:2] for row in cnot]]
@@ -816,38 +822,38 @@ def test_fault_map_rows_are_the_mechanisms_in_order():
     assert _draw_rows(circ).tolist() == [[0, 0], [1, 0], [0, 1]]
     assert _unpacked(const, 2).tolist() == [0, 0]
     assert _unpacked(ss.fault_record_words(circ), 2).tolist() == [row[:2] for row in rows]
-    table = ss.single_fault_table(circ)
-    assert table.cases[:2] == [(0, "prep", "Z"), (1, "gate2", "IX")] and len(table.cases) == 18
-    assert table.records.T.astype(int).tolist() == [row[:2] for row in rows]
-    assert table.final_x[0] == 0 and table.final_z[0] == 1
-    assert np.shares_memory(table.records, circ._fault_map)
-    with pytest.raises(ValueError):
-        table.records[0, 0] = True
+    cases = ss.fault_cases(circ)
+    assert cases[:2] == ((0, "prep", "Z"), (1, "gate2", "IX")) and len(cases) == 18
+    first = ss.enumerate_single_faults(circ)[0]
+    assert (first.final_x, first.final_z) == (0, 1)
 
 
-def _check_fault_map_against_the_dense_reference(circ):
+def _check_fault_words_against_the_dense_reference(circ):
     import numpy as np
-    from conftest import reference_fault_map
+    from conftest import reference_fault_rows
 
-    want = reference_fault_map(circ)
-    got = circ._fault_map
-    assert got.dtype == bool and got.shape == want.shape
-    assert (got == want).all()
+    want = reference_fault_rows(circ)
+    tags = len(circ.tags())
+    assert want.dtype == bool and want.shape[1] == tags + 2 * circ.n_qubits
     # the words themselves, bit c = fault c, with no bit past the last fault
-    assert ss.single_fault_words(circ)[1:] == tuple(
+    assert ss.fault_words(circ) == tuple(
         [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little") for row in part]
-        for part in np.split(want.T, [len(circ.tags()), len(circ.tags()) + circ.n_qubits]))
+        for part in np.split(want.T, [tags, tags + circ.n_qubits]))
+    # and the record rows packed from them
+    records = ss.fault_record_words(circ)
+    assert records.shape == (len(want), -(-tags // 64))
+    assert (records == ss.pack_words(want[:, :tags])).all()
 
 
 @settings(deadline=None)
 @given(st.sampled_from([0, 65, 129]).flatmap(lambda faults: _circuits(min_faults=faults)))
-def test_fault_map_matches_the_dense_reference_kernel(circ):
-    # the bit-sliced words, unpacked, are the rows that propagating one dense
-    # flip column per single fault gives, also past one and two 64-bit words
-    _check_fault_map_against_the_dense_reference(circ)
+def test_fault_words_match_the_dense_reference_kernel(circ):
+    # the bit-sliced words are the rows that propagating one dense flip
+    # column per single fault gives, also past one and two 64-bit words
+    _check_fault_words_against_the_dense_reference(circ)
 
 
-def test_fault_map_matches_the_dense_reference_on_pipelines():
+def test_fault_words_match_the_dense_reference_on_pipelines():
     # the empty circuit, the flagship pipelines and extraction circuits, and
     # generalized pipelines up to l = 20 (3,261 faults)
     code = build_25_4_3()
@@ -857,9 +863,9 @@ def test_fault_map_matches_the_dense_reference_on_pipelines():
                  for make in (zigzag_schedule, pr.row_major_schedule) for which in ("X", "Z", "both")]
     for l in (4, 20):
         circuits += [pr.generalized_ghz_circuit(build_generalized(l, 1), b)[0] for b in "zx"]
-    assert len(circuits[-1]._fault_map) == 3261
+    assert len(ss.fault_record_words(circuits[-1])) == 3261
     for circ in circuits:
-        _check_fault_map_against_the_dense_reference(circ)
+        _check_fault_words_against_the_dense_reference(circ)
 
 
 def test_a_site_at_rate_one_adds_one_of_its_rows_to_each_shot():
