@@ -10,23 +10,23 @@ transform reproduces its row spaces from the hypergraph product of the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import accumulate
 from operator import xor
 
 from .css_code import CssCode
-from .f2linalg import BitMatrix, support_to_mask
+from .f2linalg import BitMatrix, Frozen, support_to_mask
 
 MAX_CODEWORD_ENUM_K = 22
 
 
-@dataclass(frozen=True)
-class ClassicalCode:
+class ClassicalCode(Frozen):
     """Linear binary code given by its parity checks H."""
 
-    name: str
-    H: BitMatrix
+    _fields = ("name", "H")
+
+    def __init__(self, name: str, H: BitMatrix):
+        vars(self).update(name=name, H=H)
 
     @property
     def n(self) -> int:
@@ -112,7 +112,7 @@ def weight_reduce(l: int) -> ClassicalCode:
     if l < 3:
         raise ValueError("weight reduction needs l >= 3")
     if l == 3:
-        return replace(parity_code(3), name="weight_reduced_3")
+        return parity_code(3).replace(name="weight_reduced_3")
     n = 2 * l - 3
     aux = lambda t: l + t  # noqa: E731 - local index helper
     rows = [(1 << 0) | (1 << 1) | (1 << aux(0))]
@@ -155,7 +155,7 @@ def hypergraph_product(h: BitMatrix, h_second: BitMatrix | None = None) -> CssCo
     hh = h if h_second is None else h_second
     code = _product(h, hh)
     dv, dh = (min_codeword_weight(f.kernel_basis()) for f in (h, hh))
-    return replace(code, d=min(dv, dh) if dv is not None and dh is not None else None)
+    return code.replace(d=min(dv, dh) if dv is not None and dh is not None else None)
 
 
 def _product(hv: BitMatrix, hh: BitMatrix) -> CssCode:
@@ -228,8 +228,8 @@ def quantum_tanner_transform(code: CssCode) -> CssCode:
     for m in code.logicals_x + code.logicals_z:
         if m >> nprim:
             raise ValueError("logical operator touches the secondary lattice")
-    out = replace(code, n=nprim, hx=hx, hz=hz, name=code.name + "_qtt",
-                  coords=tuple(c for c in code.coords if c[0] == "P"))
+    out = code.replace(n=nprim, hx=hx, hz=hz, name=code.name + "_qtt",
+                       coords=tuple(c for c in code.coords if c[0] == "P"))
     if nprim - hx.rank() - hz.rank() != out.k:
         raise ValueError("transform changed the logical count")
     return out
@@ -286,7 +286,7 @@ def build_25_4_3() -> CssCode:
 
 def build_34_4_3() -> CssCode:
     """Hypergraph product of the [5,2,3] seed with itself (pre-transform)."""
-    return replace(hypergraph_product(parent_code_5_2_3().H), name="code_34_4_3")
+    return hypergraph_product(parent_code_5_2_3().H).replace(name="code_34_4_3")
 
 
 def build_generalized(l: int, c: int) -> CssCode:
@@ -303,8 +303,7 @@ def build_generalized(l: int, c: int) -> CssCode:
         raise ValueError("need c >= 1")
     vert = concatenate(weight_reduce(l), [repetition_code(c)] * (2 * l - 3))
     horiz = concatenate(parity_code(3), [repetition_code(c)] * 3)
-    return replace(
-        quantum_tanner_transform(_product(vert.H, horiz.H)),
+    return quantum_tanner_transform(_product(vert.H, horiz.H)).replace(
         d=2 * c, name=f"generalized_l{l}_c{c}",
         meta=tuple(sorted((("l", l), ("c", c), ("nv", vert.n), ("nh", horiz.n)))),
     )

@@ -9,29 +9,25 @@ the qubit indices (bit q = qubit q), with the mask helpers of f2linalg.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
-from .f2linalg import (BitMatrix, apply_permutation, inverse_permutation, mask_to_support,
-                       parity, support_to_mask)
+from .f2linalg import (BitMatrix, Frozen, apply_permutation, inverse_permutation,
+                       mask_to_support, parity, support_to_mask)
 
 MAX_DISTANCE_ENUM = 10**7
 
 
-@dataclass(frozen=True)
-class CssCode:
-    n: int
-    hx: BitMatrix
-    hz: BitMatrix
-    logicals_x: tuple[int, ...]  # one mask per logical qubit
-    logicals_z: tuple[int, ...]
-    coords: tuple[tuple, ...] = ()
-    d: int | None = None
-    name: str = ""
-    meta: tuple[tuple[str, int], ...] = ()
+class CssCode(Frozen):
+    _fields = ("n", "hx", "hz", "logicals_x", "logicals_z", "coords", "d", "name", "meta")
 
-    def __post_init__(self):
+    def __init__(self, n: int, hx: BitMatrix, hz: BitMatrix,
+                 logicals_x: tuple[int, ...],  # one mask per logical qubit
+                 logicals_z: tuple[int, ...], coords: tuple[tuple, ...] = (),
+                 d: int | None = None, name: str = "", meta: tuple[tuple[str, int], ...] = ()):
+        vars(self).update(n=n, hx=hx, hz=hz, logicals_x=logicals_x, logicals_z=logicals_z,
+                          coords=coords, d=d, name=name, meta=meta)
         if self.hx.cols != self.n or self.hz.cols != self.n:
             raise ValueError(f"check matrices have {self.hx.cols} and {self.hz.cols} "
                              f"columns, but n = {self.n!r}")
@@ -125,9 +121,8 @@ def _matrix(obj: dict, name: str) -> BitMatrix:
         raise ValueError(f"{name}: {exc}") from None
 
 
-@dataclass
-class Diagnostics:
-    failures: list[str] = field(default_factory=list)
+class Diagnostics(NamedTuple):
+    failures: list[str]
 
     @property
     def ok(self) -> bool:
@@ -140,7 +135,7 @@ class Diagnostics:
 
 def validate(code: CssCode) -> Diagnostics:
     """Check commutation, rank consistency, and symplectic pairing."""
-    diag = Diagnostics()
+    diag = Diagnostics([])
     for i, row in enumerate((code.hx @ code.hz.transpose()).data):
         for j in mask_to_support(row):
             diag.check(False, f"hx row {i} anticommutes with hz row {j}")
@@ -187,8 +182,7 @@ def _min_weight_logical(h_other: BitMatrix, h_same: BitMatrix, w_max: int) -> in
     return None
 
 
-@dataclass(frozen=True)
-class LogicalCliffordAction:
+class LogicalCliffordAction(NamedTuple):
     """Action of a qubit permutation on the logical algebra.
 
     Row i of x_matrix gives the image of logical X_i in the logical X

@@ -23,33 +23,30 @@ always lowest-index-first so every decoder is deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .css_code import CssCode
-from .f2linalg import BitMatrix, mask_to_support, parity, support_to_mask
+from .f2linalg import BitMatrix, Frozen, mask_to_support, parity, support_to_mask
 
 LLR_CLIP = 30.0
 
 
-@dataclass(frozen=True)
-class DecodeProblem:
-    h: BitMatrix
-    priors: tuple[float, ...]
-    syndrome: int
+class DecodeProblem(Frozen):
+    _fields = ("h", "priors", "syndrome")
 
-    def __post_init__(self):
-        if len(self.priors) != self.h.cols:
+    def __init__(self, h: BitMatrix, priors: tuple[float, ...], syndrome: int):
+        vars(self).update(h=h, priors=priors, syndrome=syndrome)
+        if len(priors) != h.cols:
             raise ValueError("one prior per column required")
-        for p in self.priors:
+        for p in priors:
             if not 0.0 < p <= 0.5:
                 raise ValueError(f"prior {p} outside (0, 0.5]")
-        if self.syndrome >> self.h.rows:
+        if syndrome >> h.rows:
             raise ValueError("syndrome longer than the check count")
 
 
-@dataclass
-class DecodeResult:
+class DecodeResult(NamedTuple):
     error_estimate: int
     converged: bool
     method: str

@@ -26,7 +26,6 @@ import math
 import operator
 import os
 from collections import Counter
-from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import repeat
 from typing import NamedTuple
@@ -38,7 +37,7 @@ from . import stab_sim as ss
 from .code_factory import build_25_4_3, build_generalized
 from .css_code import CssCode
 from .decoder import MinSumDecoder, bp_then_osd
-from .f2linalg import BitMatrix, inverse_permutation
+from .f2linalg import BitMatrix, Frozen, inverse_permutation
 
 MODES = ("physical", "logical", "logical-noqec", "generalized")
 PRIOR_FLOOR = 1e-6
@@ -60,20 +59,17 @@ def parse_number(kind, value):
     return kind(value)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    mode: str = "logical"
-    shots_z: int = 1000
-    shots_x: int = 1000
-    noise: ss.NoiseModel = ss.NoiseModel.zero()
-    seed: int = 0
-    l: int = 3
-    c: int = 1
-    bp_iters: int = 10
-    osd_depth: int = 14
-    prior_mode: str = "marginal"
+class RunConfig(Frozen):
+    _fields = ("mode", "shots_z", "shots_x", "noise", "seed", "l", "c", "bp_iters", "osd_depth",
+               "prior_mode")
 
-    def __post_init__(self):
+    def __init__(self, mode: str = "logical", shots_z: int = 1000, shots_x: int = 1000,
+                 noise: ss.NoiseModel = ss.NoiseModel.zero(), seed: int = 0, l: int = 3,
+                 c: int = 1, bp_iters: int = 10, osd_depth: int = 14,
+                 prior_mode: str = "marginal"):
+        vars(self).update(mode=mode, shots_z=shots_z, shots_x=shots_x, noise=noise, seed=seed,
+                          l=l, c=c, bp_iters=bp_iters, osd_depth=osd_depth,
+                          prior_mode=prior_mode)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         if self.shots_z < 0 or self.shots_x < 0:
@@ -148,8 +144,7 @@ def standard_error(p: float, n: int) -> float:
     return math.sqrt(p * (1.0 - p) / n)
 
 
-@dataclass(frozen=True)
-class FidelityBounds:
+class FidelityBounds(NamedTuple):
     lower: float
     upper: float
     sigma_lower: float
@@ -172,8 +167,7 @@ def fidelity_bounds(z_mismatch: float, x_mismatch: float,
     return FidelityBounds(lower, upper, math.hypot(sigma_z, sigma_x), sigma_z)
 
 
-@dataclass
-class BasisStats:
+class BasisStats(NamedTuple):
     shots: int = 0
     accepted: int = 0
     mismatches: int = 0
@@ -195,8 +189,7 @@ class BasisStats:
                 "mismatches": self.mismatches, "p": self.p, "sigma": self.sigma}
 
 
-@dataclass
-class RunSummary:
+class RunSummary(NamedTuple):
     config: RunConfig
     z: BasisStats
     x: BasisStats
@@ -428,7 +421,7 @@ def _classifier(cfg: RunConfig, basis: str) -> _Classifier:
     configurations that differ only there share one classifier, its
     decoder and the raw-bit flips of every syndrome it has decoded.
     """
-    return _shared_classifier(replace(cfg, seed=0, shots_z=0, shots_x=0), basis)
+    return _shared_classifier(cfg.replace(seed=0, shots_z=0, shots_x=0), basis)
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -614,8 +607,7 @@ class LedgerEntry(NamedTuple):
     outcome: str          # "correct" | "rejected" | "nonft-set" | "extra"
 
 
-@dataclass
-class LedgerReport:
+class LedgerReport(NamedTuple):
     entries: list
 
     def count(self, outcome: str) -> int:

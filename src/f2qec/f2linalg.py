@@ -14,7 +14,6 @@ set entries are cached the same way.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -62,19 +61,45 @@ def inverse_permutation(perm: Sequence[int]) -> list[int]:
     return inv
 
 
-@dataclass(frozen=True)
-class BitMatrix:
+class Frozen:
+    """Base of the classes that check their fields or cache results on the
+    instance, which a NamedTuple cannot.  __init__ sets the fields named in
+    _fields once; equality, hash and repr read them, and replace() builds a
+    changed copy through __init__, so its checks run again."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def replace(self, **changes):
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))
+
+
+class BitMatrix(Frozen):
     """Matrix over GF(2) with one packed integer per row."""
 
-    rows: int
-    cols: int
-    data: tuple[int, ...]
+    _fields = ("rows", "cols", "data")
 
-    def __post_init__(self):
-        if len(self.data) != self.rows:
-            raise ValueError(f"expected {self.rows} rows, got {len(self.data)}")
-        mask = (1 << self.cols) - 1
-        for r in self.data:
+    def __init__(self, rows: int, cols: int, data: tuple[int, ...]):
+        vars(self).update(rows=rows, cols=cols, data=data)
+        if len(data) != rows:
+            raise ValueError(f"expected {rows} rows, got {len(data)}")
+        mask = (1 << cols) - 1
+        for r in data:
             if r & ~mask:
                 raise ValueError("row has bits outside the column range")
 

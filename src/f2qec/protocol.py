@@ -10,7 +10,7 @@ syndromes and logical bits, per shot or as one GF(2) key matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import stab_sim as ss
 from .code_factory import build_25_4_3
@@ -21,8 +21,7 @@ from .f2linalg import (BitMatrix, apply_permutation, inverse_permutation, mask_t
 ANCILLA_COUNT = 6
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(NamedTuple):
     """Per-check CNOT orders; each entry is a permutation of the check support."""
 
     x_orders: tuple[tuple[int, ...], ...]
@@ -120,8 +119,7 @@ def physical_ghz_circuit(basis: str) -> ss.Circuit:
     return ss.Circuit(4, tuple(ins))
 
 
-@dataclass(frozen=True)
-class FrameRecipe:
+class FrameRecipe(NamedTuple):
     """Shot-independent bookkeeping for a logical GHZ pipeline.
 
     key maps the record bits (circuit tag order: extraction outcomes m,
@@ -142,8 +140,7 @@ class FrameRecipe:
     key: BitMatrix                    # record bits -> key word
 
 
-@dataclass(frozen=True)
-class FrameState:
+class FrameState(NamedTuple):
     """Per-shot frame: postselection verdict, mapped check frame, parity flip."""
 
     accepted: bool
@@ -349,8 +346,7 @@ def readout_reduce(code: CssCode, basis: str, data_bits, frame: FrameState | Non
 # --- schedule validation ------------------------------------------------------
 
 
-@dataclass
-class ScheduleReport:
+class ScheduleReport(NamedTuple):
     violations: list
 
     @property

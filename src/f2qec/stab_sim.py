@@ -47,14 +47,13 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .f2linalg import apply_permutation, inverse_permutation
+from .f2linalg import Frozen, apply_permutation, inverse_permutation
 
 _PAULIS_1Q = ("X", "Y", "Z")
 # two-qubit Paulis indexed 1..15 as (first, second) with 0=I,1=X,2=Y,3=Z
@@ -144,14 +143,13 @@ def cycles_from_text(text: str, n: int) -> tuple[int, ...]:
     return tuple(perm)
 
 
-@dataclass(frozen=True)
-class Circuit:
-    n_qubits: int
-    instructions: tuple[Instruction, ...]
+class Circuit(Frozen):
+    _fields = ("n_qubits", "instructions")
 
-    def __post_init__(self):
+    def __init__(self, n_qubits: int, instructions: tuple[Instruction, ...]):
+        vars(self).update(n_qubits=n_qubits, instructions=instructions)
         tags = set()
-        for ins in self.instructions:
+        for ins in instructions:
             if ins.op not in _ARITY:
                 raise ValueError(f"unknown op {ins.op!r}")
             if len(ins.qubits) != _ARITY[ins.op]:
@@ -261,21 +259,18 @@ class Circuit:
         return cls(n, tuple(out))
 
 
-@dataclass(frozen=True)
-class NoiseModel:
+class NoiseModel(Frozen):
     """Uniform depolarizing after gates plus preparation/measurement flips.
 
     Three aggregate rates only; there is no idle/memory term, and native
     X-basis preparation and readout each count as a single flip event.
     """
 
-    p1: float = 0.0
-    p2: float = 0.0
-    p_spam: float = 0.0
+    _fields = ("p1", "p2", "p_spam")
 
-    def __post_init__(self):
-        for name in ("p1", "p2", "p_spam"):
-            v = getattr(self, name)
+    def __init__(self, p1: float = 0.0, p2: float = 0.0, p_spam: float = 0.0):
+        vars(self).update(p1=p1, p2=p2, p_spam=p_spam)
+        for name, v in zip(self._fields, (p1, p2, p_spam)):
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be a probability, got {v}")
 
@@ -780,14 +775,13 @@ def sample_pauli_frame(circuit: Circuit, nm: NoiseModel, seed, shots: int) -> li
 # --- deterministic single-fault enumeration --------------------------------
 
 
-@dataclass(frozen=True)
-class FaultCase:
+class FaultCase(NamedTuple):
     """One injected fault, the shot record it produces, and the residual frame."""
 
     instruction_index: int
     kind: str          # "gate1", "gate2", "prep", "meas"
     pauli: str         # "X"/"Y"/"Z", two-letter pair, or "flip"
-    record: dict = field(compare=False)   # {tag: bit}
+    record: dict       # {tag: bit}
     final_x: int = 0   # residual X-frame at circuit end
     final_z: int = 0
 

@@ -4,7 +4,6 @@ import json
 import math
 import os
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -89,7 +88,7 @@ def test_run_determinism_and_shot_prefixes(tmp_path):
     # first seeded block and M in the third
     nm = ss.NoiseModel(1e-3, 5e-3, 5e-3)
     short = ex.RunConfig(mode="logical", shots_z=80, shots_x=79, noise=nm, seed=21)
-    long = replace(short, shots_z=2 * ss.SHOT_BLOCK + 5, shots_x=2 * ss.SHOT_BLOCK + 70)
+    long = short.replace(shots_z=2 * ss.SHOT_BLOCK + 5, shots_x=2 * ss.SHOT_BLOCK + 70)
     assert ex.run(short).to_json() == ex.run(short).to_json()
     rows = {}
     for name, cfg in (("short", short), ("long", long)):
@@ -146,7 +145,7 @@ def test_a_rerun_writes_the_files_of_a_run_into_a_fresh_directory(tmp_path):
     # those of a run into an empty directory
     nm = ss.NoiseModel(1e-3, 5e-3, 5e-3)
     cfg = ex.RunConfig(mode="logical", shots_z=120, shots_x=90, noise=nm, seed=7)
-    longer = replace(cfg, shots_z=300, shots_x=250)
+    longer = cfg.replace(shots_z=300, shots_x=250)
     ex.run(cfg, out_dir=str(tmp_path / "fresh"))
     fresh = _run_files(tmp_path / "fresh", cfg)
     again = tmp_path / "again"
@@ -183,7 +182,7 @@ def test_a_rerun_replaces_the_files_instead_of_writing_through_them(tmp_path):
     old = _run_files(tmp_path, cfg)
     kept = tmp_path / "kept.jsonl"
     os.link(tmp_path / cfg.mode / "shots.jsonl", kept)
-    other = replace(cfg, seed=2)
+    other = cfg.replace(seed=2)
     ex.run(other, out_dir=str(tmp_path))
     new = _run_files(tmp_path, other)
     assert kept.read_bytes() == old["shots.jsonl"] != new["shots.jsonl"]
@@ -203,7 +202,7 @@ def test_a_rerun_that_fails_while_archiving_leaves_no_summary(tmp_path, monkeypa
 
     monkeypatch.setattr(ex, "_archive_rows", fail)
     with pytest.raises(RuntimeError, match="archive failed"):
-        ex.run(replace(cfg, seed=2), out_dir=str(tmp_path))
+        ex.run(cfg.replace(seed=2), out_dir=str(tmp_path))
     assert not (tmp_path / cfg.mode / "summary.json").exists()
 
 
@@ -394,7 +393,7 @@ def test_seeded_run_files_do_not_depend_on_earlier_runs(tmp_path, mode, l, shots
                        noise=ss.NoiseModel(1e-3, 5e-3, 5e-3), seed=4, l=l)
     _forget_configurations()
     assert _pinned_run_digests(tmp_path / "cold", cfg) == pinned
-    ex.run(replace(cfg, seed=11))
+    ex.run(cfg.replace(seed=11))
     assert _pinned_run_digests(tmp_path / "warm", cfg) == pinned
 
 
@@ -451,6 +450,14 @@ def test_key_word_verdicts_match_per_shot_reference(mode):
             assert verdict == _per_shot_verdict(cfg, basis, recipe, h, priors, rec)
             seen.add(verdict)
     assert seen == ({True, False} if mode == "physical" else {None, True, False})
+
+
+def test_configs_that_differ_in_seed_or_shots_share_one_classifier():
+    # the classifier memo is keyed by the config's field values
+    cfg = ex.RunConfig(mode="physical", shots_z=10, noise=ss.NoiseModel(1e-3, 5e-3, 5e-3))
+    other = ex.RunConfig("physical", 20, 30, ss.NoiseModel(1e-3, 5e-3, 5e-3), seed=9)
+    assert ex._classifier(cfg, "z") is ex._classifier(other, "z")
+    assert ex._classifier(cfg, "z") is not ex._classifier(cfg.replace(bp_iters=11), "z")
 
 
 @settings(deadline=None, max_examples=60)
@@ -510,7 +517,7 @@ def test_each_distinct_syndrome_is_decoded_once(monkeypatch):
     first = _walked_syndromes(cfg)
     assert sorted(calls) == sorted(first)
     calls.clear()
-    again = replace(cfg, seed=5)
+    again = cfg.replace(seed=5)
     ex.run(again)
     new = _walked_syndromes(again) - first
     assert new and sorted(calls) == sorted(new)

@@ -285,3 +285,62 @@ def test_solve_single_error_syndrome_residual_in_kernel():
         x = hx.solve(s)
         assert x is not None and hx.mul_vec(x) == s
         assert kernel.in_row_space(x ^ (1 << q))
+
+
+def _frozen_values():
+    """One valid value of each Frozen class, and a field change that its checks reject."""
+    from f2qec import decoder, experiment, stab_sim
+    from f2qec.code_factory import build_25_4_3
+
+    code = build_25_4_3()
+    circuit = stab_sim.Circuit(2, (stab_sim.prepz(0), stab_sim.cnot(0, 1)))
+    bad_op = stab_sim.Instruction("SWAP", (0, 1))
+    return [
+        (experiment.RunConfig(), {"seed": 2 ** 48}),
+        (experiment.RunConfig(), {"mode": "quantum"}),
+        (stab_sim.NoiseModel(3e-5, 2e-3, 2e-3), {"p2": 2}),
+        (code, {"n": 24}),
+        (decoder.DecodeProblem(code.hz, (0.01,) * code.n, 0), {"priors": (0.7,) * code.n}),
+        (BitMatrix(2, 3, (0b101, 0b011)), {"data": (0b101, 0b1011)}),
+        (circuit, {"instructions": circuit.instructions + (bad_op,)}),
+    ]
+
+
+@pytest.mark.parametrize("index", range(7))
+def test_frozen_classes_check_their_fields_when_built_and_replaced(index):
+    value, bad = _frozen_values()[index]
+    fields = dict(zip(value._fields, value._values()))
+    assert type(value)(**fields) == value and value.replace() == value
+    with pytest.raises(ValueError):
+        type(value)(**{**fields, **bad})
+    with pytest.raises(ValueError):
+        value.replace(**bad)
+    with pytest.raises(AttributeError):
+        setattr(value, value._fields[0], fields[value._fields[0]])
+
+
+def test_equal_frozen_values_are_equal_and_hash_equal():
+    from f2qec.code_factory import build_25_4_3
+    from f2qec.css_code import CssCode
+    from f2qec.protocol import logical_ghz_circuit
+    from f2qec.stab_sim import Circuit
+
+    code = build_25_4_3()
+    circuit = logical_ghz_circuit(code, "z")[0]
+    # (a value, an equal one built another way, a value that differs in one field)
+    triples = [
+        (BitMatrix.from_strings(["110", "011"]), BitMatrix.from_ints([0b011, 0b110], 3),
+         BitMatrix.from_ints([0b011, 0b111], 3)),
+        (code, CssCode.loads(code.dumps()), code.replace(name="other")),
+        (circuit, Circuit.from_text(circuit.to_text()),
+         Circuit(circuit.n_qubits, circuit.instructions[:-1])),
+    ]
+    for a, b, other in triples:
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != other and hash(a) != hash(other)
+    # the cached transpose is not a field: computing it changes neither
+    m = BitMatrix.identity(3)
+    before = hash(m)
+    m.transpose()
+    assert hash(m) == before and m == BitMatrix.identity(3)
+    assert repr(BitMatrix(1, 2, (0b10,))) == "BitMatrix(rows=1, cols=2, data=(2,))"

@@ -1,5 +1,9 @@
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -122,3 +126,23 @@ def test_every_public_name_is_read():
     tests = set().union(*(read_names(p.read_text()) for p in (ROOT / "tests").glob("*.py")))
     defined = set().union(*(public_names(path.read_text()) for path in MODULES))
     assert ORACLES <= defined & tests
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    # a fresh interpreter, since pytest itself imports dataclasses; numpy and
+    # the standard modules that the package imports are loaded first, so
+    # only what the package's own import adds is checked
+    nodes = [node for path in MODULES for node in ast.walk(ast.parse(path.read_text()))]
+    used = {alias.name for node in nodes if isinstance(node, ast.Import) for alias in node.names}
+    used |= {node.module for node in nodes if isinstance(node, ast.ImportFrom) and not node.level}
+    script = (f"import json, sys\nfor name in {sorted(used - {'dataclasses'})!r}:\n"
+              "    __import__(name)\n"
+              "before = set(sys.modules)\n"
+              "import f2qec.cli\n"
+              "print(json.dumps(['dataclasses' in before, sorted(set(sys.modules) - before)]))\n")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    preloaded, added = json.loads(out)
+    assert not preloaded and "f2qec.cli" in added and "dataclasses" not in added
