@@ -190,10 +190,11 @@ def _cmd_decode(args) -> int:
                 row = json.loads(line)
             except json.JSONDecodeError:
                 row = None
-            bits = row.get("syndrome") if isinstance(row, dict) else None
+            # any other key is a mistake (a per-line prior, a misspelling)
+            bits = row["syndrome"] if isinstance(row, dict) and row.keys() == {"syndrome"} else None
             if not _is_int_list(bits) or len(bits) != h.rows or set(bits) - {0, 1}:
                 raise ValueError(f"{args.syndromes} line {lineno}: expected "
-                                 f'{{"syndrome": [...]}} with {h.rows} bits')
+                                 f'{{"syndrome": [...]}} with {h.rows} bits and no other key')
             syndrome = vector_from_bits(bits)
             result = bp_then_osd(bp, syndrome, args.osd_depth)
             mask = logical_correction(code, result.error_estimate, args.basis)

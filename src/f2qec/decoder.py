@@ -2,9 +2,11 @@
 post-processing with a combination sweep, and an exhaustive minimum-weight
 oracle for ground truth on small codes.
 
-BP reads the Tanner graph of its check matrix from `BitMatrix.entries`
-and the column masks from `BitMatrix.transpose()`, both built once per
-matrix; its stop test XORs the columns of the current estimate.  An
+BP reads the Tanner graph of its check matrix from `BitMatrix.entries`,
+grouped by node degree in `BitMatrix.degree_groups`, and the column masks
+from `BitMatrix.transpose()`, all built once per matrix; leaf and
+degree-2 nodes need no inner loop (see `MinSumDecoder` for why that is
+exact), and the stop test XORs the columns of the current estimate.  An
 iteration is a function of the variable-to-check messages it starts
 from, so at its first repeated message state BP returns what its last
 iteration would return, with `converged` false: once the state repeats,
@@ -70,9 +72,20 @@ class MinSumDecoder:
     Messages live in flat per-entry lists, numbered as `BitMatrix.entries`
     numbers the set entries of h: each check owns a contiguous run of
     entries and each variable lists its entries in ascending check order.
-    That graph is computed once per matrix, so building a decoder costs
-    only the prior LLRs, one logarithm per distinct prior.  Posteriors are
-    exposed for ordered-statistics post-processing.
+    That graph and its degree groups are computed once per matrix, so
+    building a decoder costs only the prior LLRs, one logarithm per
+    distinct prior.  Posteriors are exposed for ordered-statistics
+    post-processing.
+
+    A degree-1 variable's total is `p + c` and a degree-2 variable's
+    `p + (c1 + c2)`; other variables add their messages left to right
+    from 0, never with `sum()` (compensated from Python 3.12 on).  No
+    prior, total or v2c message is ever -0.0, so `(0 + c1) + c2` and
+    `c1 + c2` differ at most in the sign of a zero, which adding `p`
+    removes.  A degree-2 check sends each side its syndrome sign times the
+    other side's message, which is what the generic sign/min1/min2 loop
+    gives, the sign of a zero included.  Each node writes only its own
+    entries, so the group order changes no output bit.
 
     `decode` records the first iteration at which each variable-to-check
     message state occurs, and each iteration's estimate and posteriors.
@@ -93,13 +106,15 @@ class MinSumDecoder:
         prior = self.prior_llrs
         if syndrome == 0:
             return DecodeResult(0, True, "BP", 0.0, tuple(prior))
-        columns, spans, by_column = self.h.entries
+        pairs, rows, leaves, twos, others = self.h.degree_groups
+        pairs = [(a, b, -1.0 if (syndrome >> r) & 1 else 1.0) for r, a, b in pairs]
         checks = [(start, stop, -1.0 if (syndrome >> r) & 1 else 1.0)
-                  for r, (start, stop) in enumerate(spans) if stop > start]
-        variables = list(zip(prior, by_column, self.h.transpose().data))
+                  for r, start, stop in rows]
+        columns = self.h.entries[0]
         v2c = [prior[j] for j in columns]
         c2v = [0.0] * len(columns)
         posteriors = list(prior)
+        hi, lo = LLR_CLIP, -LLR_CLIP
         hard = 0
         # an iteration is a function of the v2c it starts from; v2c holds
         # clipped differences of clipped totals, never NaN, and neither a
@@ -113,6 +128,9 @@ class MinSumDecoder:
                 # converging: return what the last iteration would
                 hard, posteriors = outputs[first + (self.iters - 1 - first) % (it - first)]
                 return DecodeResult(hard, False, "BP", _soft_weight(hard, prior), posteriors)
+            for a, b, sign in pairs:
+                c2v[a] = sign * v2c[b]
+                c2v[b] = sign * v2c[a]
             for start, stop, sign in checks:
                 msgs = v2c[start:stop]
                 # sign picks up every incoming sign; the two smallest
@@ -136,28 +154,41 @@ class MinSumDecoder:
                     e += 1
                 c2v[start + arg1] = (sign if msgs[arg1] >= 0 else -sign) * min2
             hard = syn = 0
-            for j, (p, entries, column) in enumerate(variables):
-                # an explicit left-to-right sum: sum() compensates float
-                # rounding from Python 3.12 on, which would move the posteriors
+            # totals clip as max(lo, min(hi, total)) does: two degree-1 checks
+            # can send opposite infinite messages, and their NaN sum clips to hi
+            for j, e, column in leaves:
+                c = c2v[e]
+                total = prior[j] + c
+                total = lo if total < lo else total if total <= hi else hi
+                posteriors[j] = total
+                v = total - c
+                v2c[e] = hi if v > hi else lo if v < lo else v
+                if total < 0:
+                    hard |= 1 << j
+                    syn ^= column
+            for j, e, f, column in twos:
+                c, d = c2v[e], c2v[f]
+                total = prior[j] + (c + d)
+                total = lo if total < lo else total if total <= hi else hi
+                posteriors[j] = total
+                v = total - c
+                v2c[e] = hi if v > hi else lo if v < lo else v
+                v = total - d
+                v2c[f] = hi if v > hi else lo if v < lo else v
+                if total < 0:
+                    hard |= 1 << j
+                    syn ^= column
+            for j, entries, column in others:
+                # left to right from 0, never sum(), as the docstring says
                 s = 0
                 for e in entries:
                     s += c2v[e]
-                total = p + s
-                # clip as max(-LLR_CLIP, min(LLR_CLIP, total)) does: two degree-1
-                # checks can send opposite infinite messages, and their NaN sum
-                # clips to +LLR_CLIP
-                if total < -LLR_CLIP:
-                    total = -LLR_CLIP
-                elif not total <= LLR_CLIP:
-                    total = LLR_CLIP
+                total = prior[j] + s
+                total = lo if total < lo else total if total <= hi else hi
                 posteriors[j] = total
                 for e in entries:
                     v = total - c2v[e]
-                    if v > LLR_CLIP:
-                        v = LLR_CLIP
-                    elif v < -LLR_CLIP:
-                        v = -LLR_CLIP
-                    v2c[e] = v
+                    v2c[e] = hi if v > hi else lo if v < lo else v
                 if total < 0:
                     hard |= 1 << j
                     syn ^= column

@@ -7,8 +7,9 @@ helpers below are its one vocabulary.  All matrices are immutable after
 construction, so each is eliminated at most once and every reduced form,
 rank, kernel and solve reads that one cached reduction; elimination always
 picks the lowest-index pivot so reduced forms and pivot lists are
-reproducible.  The transpose, the kernel basis and the numbering of the
-set entries are cached the same way.
+reproducible.  The transpose, the kernel basis, the numbering of the set
+entries and their grouping by row and column weight are cached the same
+way.
 """
 
 from __future__ import annotations
@@ -182,6 +183,34 @@ class BitMatrix(Frozen):
                 columns.append(j)
             spans.append((start, len(columns)))
         return tuple(columns), tuple(spans), tuple(map(tuple, by_column))
+
+    @cached_property
+    def degree_groups(self) -> tuple[tuple[tuple, ...], ...]:
+        """The numbered entries grouped by the weight of their row and column.
+
+        Computed once per matrix, from `entries`: (row, first entry,
+        second entry) for each row of weight 2 and (row, start, stop) for
+        every other nonempty row; (column, entry, column mask) for each
+        column of weight 1, (column, first entry, second entry, column
+        mask) for each column of weight 2 and (column, entries, column
+        mask) for every other column.  Each set entry is in exactly one
+        row group and one column group.
+        """
+        _, spans, by_column = self.entries
+        pairs, rows, leaves, twos, others = [], [], [], [], []
+        for r, (start, stop) in enumerate(spans):
+            if stop - start == 2:
+                pairs.append((r, start, start + 1))
+            elif stop > start:
+                rows.append((r, start, stop))
+        for j, (entries, mask) in enumerate(zip(by_column, self.transpose().data)):
+            if len(entries) == 1:
+                leaves.append((j, entries[0], mask))
+            elif len(entries) == 2:
+                twos.append((j, *entries, mask))
+            else:
+                others.append((j, entries, mask))
+        return tuple(map(tuple, (pairs, rows, leaves, twos, others)))
 
     def __matmul__(self, other: "BitMatrix") -> "BitMatrix":
         if self.cols != other.rows:

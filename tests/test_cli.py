@@ -286,9 +286,12 @@ def test_decode_rejects_malformed_syndrome_rows(tmp_path, capsys):
     main(["build-code", "--family", "paper2543", "--out", code_path])
     capsys.readouterr()
     good = json.dumps({"syndrome": [0] * 11})
-    # each bad row follows two good ones; JSON booleans are not bits
+    # each bad row follows two good ones; JSON booleans are not bits, and a
+    # key besides "syndrome" is not ignored, whether a per-line prior or a typo
     for row in ({"syndrome": 5}, [1, 2], {"syndrome": [0] * 10}, {"syndrome": [2] * 11},
-                {"syndrome": [True] + [False] * 10}, "{syndrome: [0]}"):
+                {"syndrome": [True] + [False] * 10}, "{syndrome: [0]}",
+                {"syndrome": [0] * 11, "prior": 0.2}, {"syndrome": [0] * 11, "sydrome": [1] * 11},
+                {"syndromes": [0] * 11}, {}):
         stream = tmp_path / "syn.jsonl"
         text = row if isinstance(row, str) else json.dumps(row)
         stream.write_text(f"{good}\n{good}\n{text}\n")

@@ -330,8 +330,48 @@ def test_bp_after_a_repeated_message_state_matches_the_reference(code, name, sup
 @example(case=(BitMatrix.from_ints([33, 37], 6), (0.05, 0.01, 0.05, 0.5, 0.5, 0.05),
                0b1, 8, 2))
 @example(case=(BitMatrix.from_ints([6, 5, 1, 7], 3), (0.5, 0.001, 0.05), 0b110, 19, 2))
+# degree-2 checks between prior-0.5 columns send -0.0 (syndrome bit set) and
+# +0.0 (clear) to column 0, a degree-2 variable, and to columns 1 and 2,
+# degree-1 variables at prior 0.5: sums of signed zeros
+@example(case=(BitMatrix.from_ints([3, 5], 3), (0.5, 0.5, 0.5), 0b11, 3, 2))
+@example(case=(BitMatrix.from_ints([3, 5], 3), (0.5, 0.5, 0.5), 0b01, 3, 2))
+# a degree-1 variable at prior 0.5 beside a degree-3 check, which sends it -0.0
+@example(case=(BitMatrix.from_ints([7, 6], 3), (0.5, 0.5, 0.05), 0b01, 4, 2))
+# an all-zero column (3) and an empty row (1) beside degree-1 and -2 nodes
+@example(case=(BitMatrix.from_ints([5, 0, 3], 4), (0.05, 0.5, 0.01, 0.2), 0b101, 6, 3))
 def test_bp_and_bp_osd_match_the_reference_on_random_matrices(case):
     _assert_matches_the_references(*case)
+
+
+@pytest.mark.parametrize("name, sizes", [("flagship hz", (4, 7, 13, 10, 2)),
+                                         ("flagship hx|I", (0, 10, 24, 9, 2)),
+                                         ("(3,2) hx", (6, 10, 17, 16, 3)),
+                                         ("(20,1) hx", (0, 45, 50, 44, 17))])
+def test_degree_groups_cover_every_entry_once(name, sizes):
+    # sizes: rows of weight 2, other nonempty rows, columns of weight 1, of
+    # weight 2, and others; (20,1) is the generalized l = 20 member, with
+    # rows of weight 3 and 6 and columns of weight 3
+    family, which = name.split()
+    code = build_25_4_3() if family == "flagship" else build_generalized(
+        *map(int, family.strip("()").split(",")))
+    h = code.hz if which == "hz" else code.hx
+    if which.endswith("|I"):
+        h = h.hstack(BitMatrix.identity(h.rows))
+    columns, spans, by_column = h.entries
+    pairs, rows, leaves, twos, others = groups = h.degree_groups
+    assert tuple(map(len, groups)) == sizes and h.degree_groups is groups
+    runs = sorted([(r, (a, b)) for r, a, b in pairs]
+                  + [(r, tuple(range(start, stop))) for r, start, stop in rows])
+    assert runs == [(r, tuple(range(*span))) for r, span in enumerate(spans) if span[1] > span[0]]
+    assert all(stop - start != 2 for _, start, stop in rows)
+    cols = sorted([(j, (e,), mask) for j, e, mask in leaves]
+                  + [(j, (e, f), mask) for j, e, f, mask in twos] + list(others))
+    assert cols == [(j, entries, mask)
+                    for j, (entries, mask) in enumerate(zip(by_column, h.transpose().data))]
+    assert all(len(entries) not in (1, 2) for _, entries, _ in others)
+    # every entry exactly once on each side, so no node is dropped or doubled
+    for side in ([e for _, run in runs for e in run], [e for _, run, _ in cols for e in run]):
+        assert sorted(side) == list(range(len(columns)))
 
 
 @pytest.mark.parametrize("name", ["flagship hx|I", "(9,1) hz", "(9,1) hx|I", "(3,2) hx"])
