@@ -68,10 +68,24 @@ def _shot_pair(text: str) -> tuple[int, int]:
     return _NON_NEGATIVE(parts[0]), _NON_NEGATIVE(parts[1])
 
 
+def _unique_keys(pairs: list) -> dict:
+    """object_pairs_hook of every JSON input: a repeated key is an error, where
+    plain json keeps its last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {json.dumps(key)}")
+        obj[key] = value
+    return obj
+
+
 def _load_json(path: str, parse, what: str):
     """parse(JSON content of path), with a wrongly shaped document a ValueError."""
     with open(path) as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh, object_pairs_hook=_unique_keys)
+        except ValueError as exc:
+            raise ValueError(f"{what} file {path}: {exc}") from None
     try:
         return parse(obj)
     except (KeyError, TypeError, AttributeError) as exc:
@@ -187,9 +201,11 @@ def _cmd_decode(args) -> int:
             if not line:
                 continue
             try:
-                row = json.loads(line)
+                row = json.loads(line, object_pairs_hook=_unique_keys)
             except json.JSONDecodeError:
                 row = None
+            except ValueError as exc:
+                raise ValueError(f"{args.syndromes} line {lineno}: {exc}") from None
             # any other key is a mistake (a per-line prior, a misspelling)
             bits = row["syndrome"] if isinstance(row, dict) and row.keys() == {"syndrome"} else None
             if not _is_int_list(bits) or len(bits) != h.rows or set(bits) - {0, 1}:

@@ -326,8 +326,7 @@ class _Classifier:
         raw_ones = (1 << (key.rows - self.n_accept - self.n_syndrome)) - 1
         self.targets = (0, raw_ones) if basis == "z" else (0,)
         # row t: the key bits that record tag t enters, as key words
-        columns = np.array(key.transpose().to_lists(), dtype=bool).reshape(key.cols, key.rows)
-        self.key_tables = ss.byte_tables(ss.pack_words(columns))
+        self.key_tables = ss.byte_tables(ss.transpose_words(key.data, key.cols))
 
     def _init_decoder(self, cfg: RunConfig, circuit: ss.Circuit):
         recipe, code = self.recipe, self.recipe.code
@@ -607,6 +606,12 @@ class LedgerEntry(NamedTuple):
     outcome: str          # "correct" | "rejected" | "nonft-set" | "extra"
 
 
+# a fault's ledger outcome, as a one-field tuple, by (verdict, xbar_0 flip)
+_OUTCOMES = {(None, False): ("rejected",), (None, True): ("rejected",),
+             (False, False): ("correct",), (False, True): ("correct",),
+             (True, False): ("extra",), (True, True): ("nonft-set",)}
+
+
 class LedgerReport(NamedTuple):
     entries: list
 
@@ -623,41 +628,18 @@ def fault_tolerance_ledger(basis: str) -> LedgerReport:
     postselection with the wrong logical-X outcome ("nonft-set", the
     unprotected measurement's known channel); any other is "extra".
 
-    The faults are the circuit's cases (stab_sim.fault_cases).  Their
-    record flips, packed as records once per circuit from the frame
-    kernel's words (stab_sim.fault_record_words), give their key words
-    through the classifier's byte tables, as a run's shots do, and their
-    xbar_0 flips as one bit of those rows.  A fault's outcome is a function
-    of its key word and its xbar_0 flip, taken together as one int with the
-    flip one 64-bit word above the key word.  Each distinct key word is
-    judged once (the 799 faults have 52 distinct words in Z and 36 in X),
-    each distinct (word, flip) pair is labelled once, and the entries are
-    built in one pass.
+    The faults are the circuit's cases (stab_sim.fault_cases), and each
+    one's packed record flips (stab_sim.fault_record_words) are a shot: the
+    classifier judges them as it judges a run's.  A fault's outcome is a
+    function of its verdict and its xbar_0 flip (_OUTCOMES).
     """
     cfg = RunConfig(mode="logical", noise=ss.NoiseModel(3e-5, 2e-3, 2e-3))
     circ, recipe = build_pipeline(cfg, basis)
-    records, classifier = ss.fault_record_words(circ), _classifier(cfg, basis)
-    key_words = classifier._key_words(records)
-    t = circ.tags().index(recipe.xbar_tags[0])
-    # np.uint64 operands keep the shift in uint64 under numpy 1.x promotion
-    flips = records[:, t // 64] >> np.uint64(t % 64) & np.uint64(1)
-    # each fault's key word, with its xbar_0 flip as one more word above it
-    keys = ss.word_ints(np.hstack([key_words, flips[:, None]]))
-    width = 64 * key_words.shape[1]
-    words = {key: key & ((1 << width) - 1) for key in set(keys)}
-    verdicts = {word: classifier.verdict(word) for word in set(words.values())}
-    outcomes = {}
-    for key, word in words.items():
-        mismatch = verdicts[word]
-        if mismatch is None:
-            outcomes[key] = ("rejected",)
-        elif not mismatch:
-            outcomes[key] = ("correct",)
-        elif key >> width:
-            outcomes[key] = ("nonft-set",)
-        else:
-            outcomes[key] = ("extra",)
+    records, tags = ss.fault_record_words(circ), circ.tags()
+    verdicts = _classifier(cfg, basis).classify(records)
+    flips = ss.unpack_words(records, len(tags))[:, tags.index(recipe.xbar_tags[0])].tolist()
     # case + (outcome,) is an entry's fields; LedgerEntry._make(fields) is
     # tuple.__new__(LedgerEntry, fields), called here without a Python frame per entry
-    fields = map(operator.add, ss.fault_cases(circ), map(outcomes.__getitem__, keys))
+    fields = map(operator.add, ss.fault_cases(circ),
+                 map(_OUTCOMES.__getitem__, zip(verdicts, flips)))
     return LedgerReport(list(map(tuple.__new__, repeat(LedgerEntry), fields)))

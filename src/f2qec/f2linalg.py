@@ -1,9 +1,10 @@
 """Dense GF(2) linear algebra on bit-packed matrices.
 
 Rows are stored as Python integers (bit j = column j), so row XOR is a
-single word-level operation.  The same packed-int bit mask holds every
-Pauli operator, check and relabeled operator of the package; the mask
-helpers below are its one vocabulary.  All matrices are immutable after
+single word-level operation, and row i of a product A @ B is the XOR of
+B's rows over the support of A's row i.  The same packed-int bit mask
+holds every Pauli operator, check and relabeled operator of the package;
+the mask helpers below are its one vocabulary.  All matrices are immutable after
 construction, so each is eliminated at most once and every reduced form,
 rank, kernel and solve reads that one cached reduction; elimination always
 picks the lowest-index pivot so reduced forms and pivot lists are
@@ -99,9 +100,9 @@ class BitMatrix(Frozen):
         vars(self).update(rows=rows, cols=cols, data=data)
         if len(data) != rows:
             raise ValueError(f"expected {rows} rows, got {len(data)}")
-        mask = (1 << cols) - 1
         for r in data:
-            if r & ~mask:
+            # a negative row has bits past any column too
+            if r >> cols:
                 raise ValueError("row has bits outside the column range")
 
     # -- construction -------------------------------------------------
@@ -215,12 +216,15 @@ class BitMatrix(Frozen):
     def __matmul__(self, other: "BitMatrix") -> "BitMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
-        ot = other.transpose()
+        rows = other.data
         out = []
         for r in self.data:
+            # other's rows over r's support, lowest bit first; no tuple per row
             v = 0
-            for j, c in enumerate(ot.data):
-                v |= parity(r, c) << j
+            while r:
+                low = r & -r
+                v ^= rows[low.bit_length() - 1]
+                r ^= low
             out.append(v)
         return BitMatrix(self.rows, other.cols, tuple(out))
 

@@ -368,8 +368,9 @@ def validate_schedule(code: CssCode, schedule: Schedule) -> ScheduleReport:
 
     The questions are asked of all faults at once, on the circuit's
     bit-sliced data-qubit frames (stab_sim.fault_words: bit c of a word is
-    fault c).  A check's syndrome word is the XOR of the frame
-    words over its support.  v is a stabilizer when its parity against
+    fault c), taken as the rows of one matrix: the opposite checks times it
+    give the syndrome words, the same-type kernel basis times it the
+    kernel-parity words.  v is a stabilizer when its parity against
     every row of the same-type kernel basis is 0, as the row space is that
     kernel's orthogonal complement.  The errors that one more fault at q
     turns into a stabilizer are those whose syndrome and kernel-parity
@@ -383,12 +384,13 @@ def validate_schedule(code: CssCode, schedule: Schedule) -> ScheduleReport:
     d = code.d if code.d is not None else 3
     # a fault that leaves no trace on any qubit is harmless, so the faults
     # beyond the highest set bit of any frame word need not be named
-    faults = (1 << max(w.bit_length() for w in x_words + z_words)) - 1
+    width = max(w.bit_length() for w in x_words + z_words)
+    faults = (1 << width) - 1
     messages = []
     for frames, h_same, h_other in ((x_words, code.hx, code.hz), (z_words, code.hz, code.hx)):
         kernel = h_same.kernel_basis()
-        syndrome = _words_over(frames, h_other.data)
-        parity = _words_over(frames, kernel.data)
+        words = BitMatrix(code.n, width, tuple(frames[:code.n]))
+        syndrome, parity = (h_other @ words).data, (kernel @ words).data
         syndrome_weight, parity_weight = _weight_words(syndrome), _weight_words(parity)
         harmful = faults ^ _spelling(parity, parity_weight, 0, faults)
         logical = _spelling(syndrome, syndrome_weight, 0, harmful)
@@ -412,17 +414,6 @@ def validate_schedule(code: CssCode, schedule: Schedule) -> ScheduleReport:
     return ScheduleReport([(*label, flagged[c])
                            for c, label in zip(columns, ss.fault_labels(circuit, columns))
                            for flagged in messages if c in flagged])
-
-
-def _words_over(words: list[int], rows: tuple[int, ...]) -> list[int]:
-    """The XOR of words over each row's support: fault c's parity against row r is bit c of word r."""
-    out = []
-    for row in rows:
-        w = 0
-        for q in mask_to_support(row):
-            w ^= words[q]
-        out.append(w)
-    return out
 
 
 def _weight_words(words: list[int]) -> list[int]:

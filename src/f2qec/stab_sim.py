@@ -201,7 +201,7 @@ class Circuit(Frozen):
         """The kernel's record words as one packed row per fault, on first
         use (see fault_record_words)."""
         count = sum(len(faults) for _, _, faults in self._fault_sites)
-        records = pack_words(_bit_rows(self._fault_words[0], count).T)
+        records = transpose_words(self._fault_words[0], count)
         records.flags.writeable = False
         return records
 
@@ -623,10 +623,9 @@ def _noise_rows(circuit: Circuit) -> tuple[dict, np.ndarray, np.ndarray]:
         mine = [i for i, site in enumerate(sites) if site[1] == kind]
         kinds[kind] = records[first[mine, None] + np.arange(len(sites[mine[0]][2]))]
     k, forms = circuit._record_map
-    width = k // 8 + 1  # bytes of a form: its constant at bit 0, draw j at bit j + 1
-    packed = np.frombuffer(b"".join(forms[t].to_bytes(width, "little") for t in tags), dtype=np.uint8)
-    bits = np.unpackbits(packed.reshape(len(tags), width), axis=1, count=k + 1, bitorder="little")
-    const, draws = pack_words(bits.T[:1])[0], byte_tables(pack_words(bits.T[1:]))
+    # row 0 holds the forms' constants (bit 0), row j + 1 their draw j coefficients
+    rows = transpose_words([forms[t] for t in tags], k + 1)
+    const, draws = rows[0], byte_tables(rows[1:])
     for array in (const, draws, *kinds.values()):
         array.flags.writeable = False
     return kinds, const, draws
@@ -651,12 +650,20 @@ def unpack_words(words: np.ndarray, count: int) -> np.ndarray:
     return np.unpackbits(words.view(np.uint8), axis=-1, count=count, bitorder="little").view(bool)
 
 
-def _bit_rows(ints: Sequence[int], count: int) -> np.ndarray:
-    """Bits 0 .. count - 1 of each int as one bool row: (ints x count)."""
-    width = -(-count // 8)
-    packed = np.frombuffer(b"".join(i.to_bytes(width, "little") for i in ints), dtype=np.uint8)
-    return np.unpackbits(packed.reshape(len(ints), width), axis=1, count=count,
-                         bitorder="little").view(bool)
+def int_words(ints: Sequence[int], count: int) -> np.ndarray:
+    """Each int in [0, 2**count) as one row of pack_words' words: (ints x
+    ceil(count / 64)), read-only.  An int's little-endian bytes are its
+    packed words, so no bit is unpacked."""
+    width = 8 * -(-count // 64)
+    data = b"".join(i.to_bytes(width, "little") for i in ints)
+    return np.frombuffer(data, dtype="<u8").reshape(len(ints), width // 8)
+
+
+def transpose_words(ints: Sequence[int], count: int) -> np.ndarray:
+    """The transpose of the bit matrix whose row i is ints[i] (bits 0 ..
+    count - 1, each int in [0, 2**count)) as pack_words' words: row j holds
+    bit j of every int, bit i for int i, (count x ceil(len(ints) / 64))."""
+    return pack_words(unpack_words(int_words(ints, count), count).T)
 
 
 def word_ints(words: np.ndarray) -> list[int]:
@@ -688,11 +695,6 @@ def fold_bytes(tables: np.ndarray, coefficients: np.ndarray, out: np.ndarray) ->
     for table, byte in zip(tables, coefficients):
         out ^= table.take(byte, axis=0)  # take is the fast gather
     return out
-
-
-def column_ints(rows: np.ndarray) -> list[int]:
-    """Each column of a (rows x columns) bit array as an int, bit r = row r; exact at any width."""
-    return word_ints(pack_words(rows.T))
 
 
 def reference_record(circuit: Circuit, master_seed) -> dict[str, int]:
@@ -834,13 +836,13 @@ def fault_labels(circuit: Circuit, columns: Sequence[int]) -> list[tuple]:
 
 def enumerate_single_faults(circuit: Circuit) -> list[FaultCase]:
     """The cases of fault_cases(circuit) as FaultCase objects, with absolute
-    {tag: bit} records (reference_record(circuit, 0) XOR each case's flips)
-    and residual frames as ints (bit q = qubit q), unpacked from
-    fault_words on each call."""
-    tags, (records, x, z) = circuit.tags(), circuit._fault_words
-    cases = circuit._fault_cases
+    {tag: bit} records (reference_record(circuit, 0) XOR each case's row of
+    fault_record_words) and residual frames as ints (bit q = qubit q),
+    transposed from fault_words on each call."""
+    tags, (_, x, z), cases = circuit.tags(), circuit._fault_words, circuit._fault_cases
     ref = reference_record(circuit, 0)
-    flips = _bit_rows(records, len(cases)) ^ np.array([ref[t] for t in tags], dtype=bool)[:, None]
-    final_x, final_z = (column_ints(_bit_rows(words, len(cases))) for words in (x, z))
+    flips = unpack_words(fault_record_words(circuit), len(tags)) ^ np.array(
+        [ref[t] for t in tags], dtype=bool)
+    final_x, final_z = (word_ints(transpose_words(words, len(cases))) for words in (x, z))
     return [FaultCase(*case, record, fx, fz) for case, record, fx, fz in zip(
-        cases, outcome_dicts(tags, flips), final_x, final_z)]
+        cases, outcome_dicts(tags, flips.T), final_x, final_z)]

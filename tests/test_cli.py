@@ -4,7 +4,9 @@ from pathlib import Path
 import pytest
 
 from f2qec import experiment as ex
+from f2qec import protocol as pr
 from f2qec.cli import main
+from f2qec.css_code import CssCode
 
 
 def test_build_and_distance(tmp_path, capsys):
@@ -299,6 +301,49 @@ def test_decode_rejects_malformed_syndrome_rows(tmp_path, capsys):
                      "--syndromes", str(stream), "--out", str(tmp_path / "dec.jsonl")]) == 1
         error = _one_line_error(capsys)
         assert "syndrome" in error and f"{stream} line 3" in error
+
+
+def _twice(text: str, key: str, value) -> str:
+    """The text of a JSON object with key given once more, first: plain json keeps the
+    last of repeated keys, here the object's own value."""
+    return text.replace("{", "{" + json.dumps(key) + ": " + json.dumps(value) + ", ", 1)
+
+
+@pytest.mark.parametrize("kind", ["code", "schedule", "summary", "decode"])
+def test_repeated_json_keys_are_errors(tmp_path, capsys, kind):
+    # each input reads with exit status 0 as written, and fails naming the
+    # file (and a decode line) once a key is repeated before its own value
+    code_path = tmp_path / "code.json"
+    main(["build-code", "--family", "paper2543", "--out", str(code_path)])
+    capsys.readouterr()
+    text = code_path.read_text()
+    if kind == "code":
+        key, value, path = "n", 99, tmp_path / "copy.json"
+        argv = ["distance", str(path), "--wmax", "2"]
+    elif kind == "schedule":
+        schedule = pr.zigzag_schedule(CssCode.from_json(json.loads(text)))
+        text = json.dumps({"x": schedule.x_orders, "z": schedule.z_orders})
+        key, value, path = "x", [[0]], tmp_path / "schedule.json"
+        argv = ["validate-schedule", str(code_path), "--schedule", str(path)]
+    elif kind == "summary":
+        summary = ex.RunSummary(ex.RunConfig(), ex.BasisStats(50, 40, 3), ex.BasisStats(50, 40, 3))
+        text = json.dumps(summary.to_json())
+        key, value, path = "config_hash", "0" * 16, tmp_path / "logical" / "summary.json"
+        path.parent.mkdir()
+        argv = ["report", str(tmp_path)]
+    else:
+        text = json.dumps({"syndrome": [0] * 11})
+        key, value, path = "syndrome", [1] * 11, tmp_path / "syn.jsonl"
+        argv = ["decode", "--code", str(code_path), "--basis", "z", "--syndromes", str(path),
+                "--out", str(tmp_path / "dec.jsonl")]
+    path.write_text(text)
+    assert main(argv) == 0
+    capsys.readouterr()
+    path.write_text(_twice(text, key, value))
+    assert main(argv) == 1
+    error = _one_line_error(capsys)
+    assert f"repeated key {json.dumps(key)}" in error
+    assert f"{path} line 1" in error if kind == "decode" else str(path) in error
 
 
 def test_distance_rejects_malformed_code_file(tmp_path, capsys):

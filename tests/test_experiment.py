@@ -536,8 +536,8 @@ def test_fault_tolerance_ledger_is_pinned_entry_by_entry():
 
 @pytest.mark.parametrize("basis", ["z", "x"])
 def test_ledger_labels_each_fault_as_a_loop_over_its_cases(basis):
-    # the ledger labels each distinct (key word, xbar_0 flip) once; here each
-    # case is labelled on its own, from a fresh classifier's per-case verdict
+    # the ledger reads the shared classifier's verdicts through one outcome
+    # table; here each case is labelled on its own, from a fresh classifier
     cfg = ex.RunConfig(mode="logical", noise=ss.NoiseModel(3e-5, 2e-3, 2e-3))
     circ, recipe = ex.build_pipeline(cfg, basis)
     records, tags = ss.fault_record_words(circ), circ.tags()
@@ -558,6 +558,29 @@ def test_ledger_labels_each_fault_as_a_loop_over_its_cases(basis):
     assert entries == want and {e.outcome for e in entries} >= {"correct", "rejected"}
     assert all(type(e) is ex.LedgerEntry for e in entries)
     assert ex.LedgerEntry._fields == ("instruction_index", "kind", "pauli", "outcome")
+
+
+@pytest.mark.parametrize("basis", ["z", "x"])
+def test_ledger_reads_extra_for_accepted_mismatches_that_flip_no_gadget(basis, monkeypatch):
+    # no single fault of the paper's pipeline reads "extra", so here every
+    # accepted word mismatches: the faults that flip xbar_0 read "nonft-set",
+    # the others "extra", and the rejected ones still "rejected"
+    verdict = ex._Classifier.verdict
+
+    def mismatching(self, word):
+        return None if verdict(self, word) is None else True
+
+    monkeypatch.setattr(ex._Classifier, "verdict", mismatching)
+    cfg = ex.RunConfig(mode="logical", noise=ss.NoiseModel(3e-5, 2e-3, 2e-3))
+    circ, recipe = ex.build_pipeline(cfg, basis)
+    records, tags = ss.fault_record_words(circ), circ.tags()
+    flips = ss.unpack_words(records, len(tags))[:, tags.index(recipe.xbar_tags[0])]
+    entries = ex.fault_tolerance_ledger(basis).entries
+    accepted = [(e.outcome, flip) for e, flip in zip(entries, flips.tolist())
+                if e.outcome != "rejected"]
+    assert sum(e.outcome == "rejected" for e in entries) == 102
+    assert {outcome for outcome, _ in accepted} == {"extra", "nonft-set"}
+    assert all(outcome == ("nonft-set" if flip else "extra") for outcome, flip in accepted)
 
 
 @pytest.mark.parametrize("basis", ["z", "x"])
@@ -598,7 +621,7 @@ def test_table_key_words_are_exact_on_the_widest_key(basis):
     bits = np.random.default_rng(5).integers(0, 2, (159, 200)).astype(bool)
     bits[:, 0] = True
     want = [sum((row & col).bit_count() % 2 << r for r, row in enumerate(rows))
-            for col in ss.column_ints(bits)]
+            for col in ss.word_ints(ss.pack_words(bits.T))]
     assert _key_words(classifier, ss.pack_words(bits.T)) == want
     # a parity over 4097 record tags, past float16's 2048 exact integers, stays exact
     wide = copy.copy(classifier)

@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from f2qec.f2linalg import (
@@ -184,6 +184,33 @@ def test_matmul_transpose_kron_against_lists():
 
 
 @st.composite
+def _factor_pairs(draw):
+    # (a, b) with a.cols == b.rows, b up to 130 columns wide
+    rows, inner, cols = draw(st.integers(0, 5)), draw(st.integers(0, 6)), draw(st.integers(0, 130))
+    a = draw(st.lists(st.integers(0, (1 << inner) - 1), min_size=rows, max_size=rows))
+    b = draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=inner, max_size=inner))
+    return BitMatrix.from_ints(a, inner), BitMatrix.from_ints(b, cols)
+
+
+@given(_factor_pairs())
+@example((BitMatrix.zeros(0, 3), BitMatrix.from_ints([1 << 69, 5, (1 << 70) - 1], 70)))
+@example((BitMatrix.from_ints([0b11, 0b10], 2), BitMatrix.zeros(2, 0)))
+@example((BitMatrix.zeros(4, 0), BitMatrix.zeros(0, 65)))
+@example((BitMatrix.from_ints([0b101, 0b111], 3),
+          BitMatrix.from_ints([(1 << 129) - 1, 1 << 64, 1 << 128], 129)))
+def test_matmul_against_the_entrywise_product(pair):
+    # beside test_matmul_transpose_kron_against_lists: zero-row, zero-column
+    # and zero-inner factors, and products wider than one 64-bit word
+    a, b = pair
+    prod = a @ b
+    assert (prod.rows, prod.cols) == (a.rows, b.cols)
+    assert all(prod.get(i, j) == sum(a.get(i, t) & b.get(t, j) for t in range(a.cols)) % 2
+               for i in range(a.rows) for j in range(b.cols))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        BitMatrix.zeros(a.rows, a.cols + 1) @ b
+
+
+@st.composite
 def bit_matrices(draw, max_rows=6, max_cols=7):
     rows = draw(st.integers(0, max_rows))
     cols = draw(st.integers(1, max_cols))
@@ -303,10 +330,12 @@ def _frozen_values():
         (decoder.DecodeProblem(code.hz, (0.01,) * code.n, 0), {"priors": (0.7,) * code.n}),
         (BitMatrix(2, 3, (0b101, 0b011)), {"data": (0b101, 0b1011)}),
         (circuit, {"instructions": circuit.instructions + (bad_op,)}),
+        # a negative row has bits past every column
+        (BitMatrix(2, 3, (0b101, 0b011)), {"data": (0b101, -1)}),
     ]
 
 
-@pytest.mark.parametrize("index", range(7))
+@pytest.mark.parametrize("index", range(8))
 def test_frozen_classes_check_their_fields_when_built_and_replaced(index):
     value, bad = _frozen_values()[index]
     fields = dict(zip(value._fields, value._values()))

@@ -2,7 +2,7 @@ import hashlib
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from f2qec import stab_sim as ss
@@ -897,3 +897,45 @@ def test_unprepared_data_qubits_make_x_check_outcomes_random(flagship_code):
     draws, shots = _draw_coefficients(circ), flips.T.astype(int).tolist()
     assert gauss_rank(draws) > 0
     assert gauss_rank(shots) == gauss_rank(draws) == gauss_rank(draws + shots)
+
+
+_WORD_COUNTS = (0, 1, 63, 64, 65, 129)
+
+
+@st.composite
+def _ints_below(draw):
+    # (count, ints), each int in [0, 2**count); up to 130 ints, so the
+    # transpose is up to three words wide too
+    count = draw(st.sampled_from(_WORD_COUNTS))
+    return count, draw(st.lists(st.integers(0, (1 << count) - 1), max_size=130))
+
+
+def _reference_words(rows, width):
+    # each row of 0/1 lists as 64-bit words, bit b of word w = entry 64w + b
+    return [[sum(bit << b for b, bit in enumerate(row[64 * w:64 * (w + 1)]))
+             for w in range(-(-width // 64))] for row in rows]
+
+
+@settings(deadline=None)
+@given(_ints_below())
+@example((0, []))
+@example((0, [0, 0]))
+@example((129, []))
+@example((1, [1]))
+@example((63, [1 << 62]))
+@example((64, [1 << 63, 1]))
+@example((65, [1 << 64] * 65))
+@example((129, [1 << 128, (1 << 129) - 1]))
+def test_int_words_and_transpose_words_against_bits(case):
+    # the ints' bit matrix, from Python shifts, packed into words by Python
+    # sums: int_words packs its rows, transpose_words its columns
+    count, ints = case
+    bits = [[(i >> j) & 1 for j in range(count)] for i in ints]
+    words = ss.int_words(ints, count)
+    assert words.dtype == "<u8" and words.shape == (len(ints), -(-count // 64))
+    assert words.tolist() == _reference_words(bits, count)
+    transposed = ss.transpose_words(ints, count)
+    assert transposed.dtype == "<u8" and transposed.shape == (count, -(-len(ints) // 64))
+    assert transposed.tolist() == _reference_words([list(col) for col in zip(*bits)]
+                                                   if ints else [[]] * count, len(ints))
+    assert ss.word_ints(words) == list(ints)
