@@ -19,7 +19,7 @@ from . import protocol as pr
 from .code_factory import build_25_4_3, build_34_4_3, build_generalized
 from .css_code import CssCode, distance, permutation_logical_action
 from .decoder import DecodeProblem, MinSumDecoder, bp_then_osd, logical_correction
-from .f2linalg import vector_from_bits, vector_to_bits
+from .f2linalg import reject_unknown_keys, vector_from_bits, vector_to_bits
 from .stab_sim import SEED_LIMIT, cycles_from_text
 
 
@@ -104,6 +104,7 @@ def _is_int_list(v) -> bool:
 
 
 def _schedule_from_json(raw) -> pr.Schedule:
+    reject_unknown_keys(raw, ("x", "z"), "schedule")
     if not all(_is_int_list(order) for key in ("x", "z") for order in raw[key]):
         raise ValueError("schedule orders must be lists of qubit indices")
     return pr.Schedule(tuple(map(tuple, raw["x"])), tuple(map(tuple, raw["z"])))

@@ -111,15 +111,14 @@ def weight_reduce(l: int) -> ClassicalCode:
     """
     if l < 3:
         raise ValueError("weight reduction needs l >= 3")
-    if l == 3:
-        return parity_code(3).replace(name="weight_reduced_3")
-    n = 2 * l - 3
-    aux = lambda t: l + t  # noqa: E731 - local index helper
-    rows = [(1 << 0) | (1 << 1) | (1 << aux(0))]
-    for t in range(1, l - 3):
-        rows.append((1 << aux(t - 1)) | (1 << (t + 1)) | (1 << aux(t)))
-    rows.append((1 << aux(l - 4)) | (1 << (l - 2)) | (1 << (l - 1)))
-    return ClassicalCode(f"weight_reduced_{l}", BitMatrix.from_ints(rows, n))
+    # link is what a check shares with the one before it: data bits 0 and 1
+    # for the first, then auxiliary bit l + t and data bit t + 2
+    rows, link = [], 0b11
+    for t in range(l - 3):
+        rows.append(link | 1 << (l + t))
+        link = 1 << (l + t) | 1 << (t + 2)
+    rows.append(link | 1 << (l - 1))
+    return ClassicalCode(f"weight_reduced_{l}", BitMatrix.from_ints(rows, 2 * l - 3))
 
 
 def parent_code_5_2_3() -> ClassicalCode:
@@ -136,8 +135,14 @@ def parent_code_5_2_3() -> ClassicalCode:
 # --- hypergraph product ------------------------------------------------
 
 
-def hypergraph_product(h: BitMatrix, h_second: BitMatrix | None = None) -> CssCode:
-    """Hypergraph product of two classical check matrices (self-product by default).
+def hypergraph_product(h: BitMatrix) -> CssCode:
+    """Hypergraph product of a classical check matrix with itself (see
+    `_product`); the distance d is the classical distance of h."""
+    return _product(h, h).replace(d=min_codeword_weight(h.kernel_basis()))
+
+
+def _product(hv: BitMatrix, hh: BitMatrix) -> CssCode:
+    """Hypergraph product of two classical check matrices, without its distance.
 
     The first factor runs vertically (primary rows), the second
     horizontally (primary columns).  Primary qubits are labeled
@@ -150,16 +155,7 @@ def hypergraph_product(h: BitMatrix, h_second: BitMatrix | None = None) -> CssCo
     hx = [Hv (x) I_nh | I_mv (x) Hh^T], hz = [I_nv (x) Hh | Hv^T (x) I_mh];
     logical X (a, b) is e_pv[a] (x) gh_b and logical Z (a, b) is
     gv_a (x) e_ph[b], where g are the reduced kernel bases and p their pivots.
-    The distance d is the smaller classical distance of the two factors.
     """
-    hh = h if h_second is None else h_second
-    code = _product(h, hh)
-    dv, dh = (min_codeword_weight(f.kernel_basis()) for f in (h, hh))
-    return code.replace(d=min(dv, dh) if dv is not None and dh is not None else None)
-
-
-def _product(hv: BitMatrix, hh: BitMatrix) -> CssCode:
-    """The hypergraph product without its distance (see hypergraph_product)."""
     mv, nv = hv.rows, hv.cols
     mh, nh = hh.rows, hh.cols
     if hv.rank() != mv or hh.rank() != mh:

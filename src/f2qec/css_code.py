@@ -14,7 +14,7 @@ from math import comb
 from typing import NamedTuple
 
 from .f2linalg import (BitMatrix, Frozen, apply_permutation, inverse_permutation,
-                       mask_to_support, parity, support_to_mask)
+                       mask_to_support, parity, reject_unknown_keys, support_to_mask)
 
 MAX_DISTANCE_ENUM = 10**7
 
@@ -78,6 +78,10 @@ class CssCode(Frozen):
 
     @classmethod
     def from_json(cls, obj: dict) -> "CssCode":
+        """Inverse of to_json; k, d, name, coords and meta may be left out."""
+        reject_unknown_keys(obj, ("n", "k", "d", "name", "coords", "hx", "hz", "logicals", "meta"),
+                            "code")
+        reject_unknown_keys(obj["logicals"], ("x", "z"), "logicals")
         lx = tuple(_support_mask(s, "x") for s in obj["logicals"]["x"])
         lz = tuple(_support_mask(s, "z") for s in obj["logicals"]["z"])
         k = obj.get("k", len(lx))
@@ -254,17 +258,3 @@ def _action_rows(h: BitMatrix, logicals, perm, n: int) -> BitMatrix:
             raise ValueError("permuted logical leaves the stabilizer+logical span")
         rows.append(coeff >> h.rows)
     return BitMatrix.from_ints(rows, len(logicals))
-
-
-def single_check_flip_witness(code: CssCode) -> dict:
-    """Per check row, a qubit whose single opposite-type error flips only it.
-
-    Returns {"x": {row: qubit or None}, "z": {row: qubit or None}}; a Z
-    error at the reported qubit flips exactly that hx row (and dually).
-    """
-    out = {"x": {}, "z": {}}
-    for key, h in (("x", code.hx), ("z", code.hz)):
-        cols = h.transpose().data
-        for r in range(h.rows):
-            out[key][r] = next((q for q, col in enumerate(cols) if col == 1 << r), None)
-    return out

@@ -1,6 +1,6 @@
-"""Syndrome decoding: min-sum belief propagation, ordered-statistics
-post-processing with a combination sweep, and an exhaustive minimum-weight
-oracle for ground truth on small codes.
+"""Syndrome decoding: min-sum belief propagation and ordered-statistics
+post-processing with a combination sweep.  The exhaustive minimum-weight
+decoder that the tests check them against lives with the tests.
 
 BP reads the Tanner graph of its check matrix from `BitMatrix.entries`,
 grouped by node degree in `BitMatrix.degree_groups`, and the column masks
@@ -29,7 +29,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .css_code import CssCode
-from .f2linalg import BitMatrix, Frozen, mask_to_support, parity, support_to_mask
+from .f2linalg import BitMatrix, Frozen, mask_to_support, parity
 
 LLR_CLIP = 30.0
 
@@ -295,24 +295,6 @@ def bp_osd(problem: DecodeProblem, iters: int = 10, depth: int = 14) -> DecodeRe
     """Min-sum BP with ordered-statistics post-processing (see bp_then_osd)."""
     return bp_then_osd(MinSumDecoder(problem.h, problem.priors, iters=iters),
                        problem.syndrome, depth)
-
-
-def mwe_oracle(problem: DecodeProblem, w_max: int) -> DecodeResult:
-    """Exhaustive minimum-weight decoding, lexicographic tie-break."""
-    h = problem.h
-    if problem.syndrome == 0:
-        return DecodeResult(0, True, "MWE", 0.0)
-    cols = h.transpose().data
-    for w in range(1, w_max + 1):
-        for combo in combinations(range(h.cols), w):
-            syn = 0
-            for j in combo:
-                syn ^= cols[j]
-            if syn == problem.syndrome:
-                e = support_to_mask(combo)
-                llrs = [math.log((1 - p) / p) for p in problem.priors]
-                return DecodeResult(e, True, "MWE", _soft_weight(e, llrs))
-    raise ValueError(f"no solution of weight <= {w_max}")
 
 
 def logical_correction(code: CssCode, error_estimate: int, basis: str) -> int:

@@ -37,7 +37,7 @@ from . import stab_sim as ss
 from .code_factory import build_25_4_3, build_generalized
 from .css_code import CssCode
 from .decoder import MinSumDecoder, bp_then_osd
-from .f2linalg import BitMatrix, Frozen, inverse_permutation
+from .f2linalg import BitMatrix, Frozen, inverse_permutation, reject_unknown_keys
 
 MODES = ("physical", "logical", "logical-noqec", "generalized")
 PRIOR_FLOOR = 1e-6
@@ -104,9 +104,7 @@ class RunConfig(Frozen):
     def from_dict(cls, d: dict) -> "RunConfig":
         """Inverse of to_dict; missing keys take the defaults, unknown keys are an error."""
         fields = cls().to_dict()
-        unknown = sorted(set(d) - set(fields))
-        if unknown:
-            raise ValueError(f"unknown config key {unknown[0]!r}")
+        reject_unknown_keys(d, fields, "config")
         fields.update(d)
 
         def number(kind, key):
@@ -216,6 +214,7 @@ class RunSummary(NamedTuple):
     @classmethod
     def from_json(cls, obj: dict) -> "RunSummary":
         """Inverse of to_json; a config_hash other than the config's digest is an error."""
+        reject_unknown_keys(obj, ("config", "config_hash", "z", "x", "fidelity"), "summary")
         config = RunConfig.from_dict(obj["config"])
         if obj["config_hash"] != config.digest():
             raise ValueError(f"config_hash {obj['config_hash']!r} is not its config's digest")
@@ -224,6 +223,8 @@ class RunSummary(NamedTuple):
 
 def _basis_stats(obj: dict, basis: str) -> BasisStats:
     """One basis's counts of a summary file: ints with 0 <= mismatches <= accepted <= shots."""
+    reject_unknown_keys(obj[basis], ("shots", "accepted", "mismatches", "p", "sigma"),
+                        f"summary {basis}")
     counts = {name: obj[basis][name] for name in ("shots", "accepted", "mismatches")}
     for name, value in counts.items():
         # true and false are not integers here

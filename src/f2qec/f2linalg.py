@@ -6,7 +6,7 @@ B's rows over the support of A's row i.  The same packed-int bit mask
 holds every Pauli operator, check and relabeled operator of the package;
 the mask helpers below are its one vocabulary.  All matrices are immutable after
 construction, so each is eliminated at most once and every reduced form,
-rank, kernel and solve reads that one cached reduction; elimination always
+rank, kernel and solution reads that one cached reduction; elimination always
 picks the lowest-index pivot so reduced forms and pivot lists are
 reproducible.  The transpose, the kernel basis, the numbering of the set
 entries and their grouping by row and column weight are cached the same
@@ -15,7 +15,6 @@ way.
 
 from __future__ import annotations
 
-import json
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -91,6 +90,17 @@ class Frozen:
         return type(self)(**dict(zip(self._fields, self._values()), **changes))
 
 
+def reject_unknown_keys(obj: dict, keys: Iterable[str], what: str) -> None:
+    """Raise a ValueError naming the first key of obj, in sorted order, outside
+    keys (in an input file an unknown key is a typo, not something to
+    ignore), and a TypeError when obj is not a dict."""
+    if not isinstance(obj, dict):
+        raise TypeError(f"{what} must be a JSON object")
+    unknown = sorted(set(obj) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown {what} key {unknown[0]!r}")
+
+
 class BitMatrix(Frozen):
     """Matrix over GF(2) with one packed integer per row."""
 
@@ -145,9 +155,6 @@ class BitMatrix(Frozen):
 
     def get(self, i: int, j: int) -> int:
         return (self.data[i] >> j) & 1
-
-    def to_lists(self) -> list[list[int]]:
-        return [vector_to_bits(r, self.cols) for r in self.data]
 
     def row_strings(self) -> list[str]:
         return ["".join(str((r >> j) & 1) for j in range(self.cols)) for r in self.data]
@@ -345,10 +352,6 @@ class BitMatrix(Frozen):
             return False
         return self.vstack(other).rank() == ra
 
-    def solve(self, s: int) -> int | None:
-        """Any x with self @ x = s, or None when inconsistent."""
-        return self.transpose().solution_with_coefficients(s)
-
     def solution_with_coefficients(self, s: int) -> int | None:
         """Coefficient mask c with XOR of rows {i : bit i of c} = s, or None."""
         rows, tags, pivots = self._reduction
@@ -366,15 +369,8 @@ class BitMatrix(Frozen):
 
     @classmethod
     def from_json(cls, obj: dict) -> "BitMatrix":
+        reject_unknown_keys(obj, ("rows", "cols", "data"), "matrix")
         m = cls.from_strings(obj["data"]) if obj["data"] else cls.zeros(0, obj["cols"])
         if m.rows != obj["rows"] or m.cols != obj["cols"]:
             raise ValueError("inconsistent shape in serialized matrix")
         return m
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json())
-
-    @classmethod
-    def loads(cls, s: str) -> "BitMatrix":
-        return cls.from_json(json.loads(s))
-

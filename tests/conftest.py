@@ -9,6 +9,11 @@ from itertools import combinations
 import pytest
 
 
+def to_lists(m):
+    """A BitMatrix as one list of 0/1 ints per row, bit j of a row in column j."""
+    return [[(r >> j) & 1 for j in range(m.cols)] for r in m.data]
+
+
 def gauss_jordan(rows):
     """Textbook Gauss-Jordan elimination on lists, lowest-index pivot row first.
 
@@ -96,11 +101,53 @@ def min_codeword_weight_bruteforce(g_rows):
     return best
 
 
+def single_check_flip_witness(code):
+    """Per check row, a qubit whose single opposite-type error flips only it.
+
+    Returns {"x": {row: qubit or None}, "z": {row: qubit or None}}; a Z
+    error at the reported qubit flips exactly that hx row (and dually).
+    """
+    out = {"x": {}, "z": {}}
+    for key, h in (("x", code.hx), ("z", code.hz)):
+        cols = h.transpose().data
+        for r in range(h.rows):
+            out[key][r] = next((q for q, col in enumerate(cols) if col == 1 << r), None)
+    return out
+
+
 @pytest.fixture(scope="session")
 def flagship_code():
     from f2qec import build_25_4_3
 
     return build_25_4_3()
+
+
+def mwe_oracle(problem, w_max):
+    """Exhaustive minimum-weight decoding, lexicographic tie-break.
+
+    The soft weight sums the unclipped prior LLRs of the estimate left to
+    right in ascending column order, as the decoder's own soft weight does.
+    """
+    import math
+
+    from f2qec.decoder import DecodeResult
+
+    h = problem.h
+    if problem.syndrome == 0:
+        return DecodeResult(0, True, "MWE", 0.0)
+    cols = h.transpose().data
+    for w in range(1, w_max + 1):
+        for combo in combinations(range(h.cols), w):
+            syn = 0
+            for j in combo:
+                syn ^= cols[j]
+            if syn == problem.syndrome:
+                llrs = [math.log((1 - p) / p) for p in problem.priors]
+                weight = 0.0
+                for j in combo:  # left to right: sum() compensates rounding from Python 3.12 on
+                    weight += llrs[j]
+                return DecodeResult(sum(1 << j for j in combo), True, "MWE", weight)
+    raise ValueError(f"no solution of weight <= {w_max}")
 
 
 def reference_osd(h, priors, posteriors, syndrome, depth):
@@ -134,7 +181,7 @@ def reference_osd(h, priors, posteriors, syndrome, depth):
         rhs = syndrome
         for j in pattern:
             rhs ^= column[j]
-        x = on_basis.solve(rhs)
+        x = on_basis.transpose().solution_with_coefficients(rhs)
         if x is None:
             raise ValueError("syndrome is not in the column space")
         support = sorted(list(pattern) + [basis[i] for i in range(len(basis)) if (x >> i) & 1])

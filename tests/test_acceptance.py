@@ -19,7 +19,9 @@ from f2qec.code_factory import (
     quantum_tanner_transform,
 )
 from f2qec.css_code import distance, permutation_logical_action, validate
-from f2qec.decoder import DecodeProblem, bp_osd, logical_correction, mwe_oracle, uniform_priors
+from f2qec.decoder import DecodeProblem, bp_osd, logical_correction, uniform_priors
+
+from conftest import mwe_oracle, single_check_flip_witness
 
 RATES = ss.NoiseModel(p1=3e-5, p2=2e-3, p_spam=2e-3)
 
@@ -112,8 +114,6 @@ def test_criterion_5_fault_tolerance_ledger():
     assert totals["z"] == {"correct": 697, "rejected": 102, "nonft-set": 0, "extra": 0}
     assert totals["x"] == {"correct": 665, "rejected": 102, "nonft-set": 32, "extra": 0}
     # every X-check record flip decodes to at most a weight-1 correction
-    from f2qec.css_code import single_check_flip_witness
-
     witnesses = single_check_flip_witness(code)
     assert all(q is not None for q in witnesses["x"].values())
     zig = pr.validate_schedule(code, pr.zigzag_schedule(code))

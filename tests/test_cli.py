@@ -346,6 +346,48 @@ def test_repeated_json_keys_are_errors(tmp_path, capsys, kind):
     assert f"{path} line 1" in error if kind == "decode" else str(path) in error
 
 
+@pytest.mark.parametrize("kind, where, old, key, words", [
+    ("code", (), "d", "dist", "unknown code key 'dist'"),
+    ("code", ("hx",), None, "colz", "hx: unknown matrix key 'colz'"),
+    ("code", ("logicals",), None, "y", "unknown logicals key 'y'"),
+    ("schedule", (), None, "zz", "unknown schedule key 'zz'"),
+    ("summary", (), "fidelity", "fidelty", "unknown summary key 'fidelty'"),
+    ("summary", ("z",), "accepted", "acepted", "unknown summary z key 'acepted'"),
+], ids=["code-d-misspelt", "matrix-extra", "logicals-extra", "schedule-extra",
+        "summary-fidelity-misspelt", "summary-accepted-misspelt"])
+def test_unknown_json_keys_are_errors(tmp_path, capsys, kind, where, old, key, words):
+    # each input reads with exit status 0 as the program writes it: a built
+    # code, a dumped zigzag schedule and a run's own summary.json; with a key
+    # misspelt or one more key, it fails naming the file and the key
+    code_path = tmp_path / "code.json"
+    main(["build-code", "--family", "paper2543", "--out", str(code_path)])
+    if kind == "code":
+        path, argv = code_path, ["distance", str(code_path), "--wmax", "2"]
+    elif kind == "schedule":
+        schedule = pr.zigzag_schedule(CssCode.from_json(json.loads(code_path.read_text())))
+        path = tmp_path / "schedule.json"
+        path.write_text(json.dumps({"x": schedule.x_orders, "z": schedule.z_orders}))
+        argv = ["validate-schedule", str(code_path), "--schedule", str(path)]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mode = logical\nshots_z = 20\nshots_x = 20\nseed = 3\n")
+        assert main(["run-ghz", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        path = tmp_path / "out" / "logical" / "summary.json"
+        argv = ["report", str(tmp_path / "out")]
+    capsys.readouterr()
+    assert main(argv) == 0
+    capsys.readouterr()
+    obj = json.loads(path.read_text())
+    target = obj
+    for part in where:
+        target = target[part]
+    target[key] = target.pop(old) if old else 0
+    path.write_text(json.dumps(obj))
+    assert main(argv) == 1
+    error = _one_line_error(capsys)
+    assert words in error and str(path) in error
+
+
 def test_distance_rejects_malformed_code_file(tmp_path, capsys):
     code_path = tmp_path / "code.json"
     code_path.write_text("[]")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from f2qec.code_factory import (
     ClassicalCode,
+    _product,
     build_25_4_3,
     build_34_4_3,
     build_generalized,
@@ -22,7 +23,7 @@ from f2qec.code_factory import (
 from f2qec.css_code import validate
 from f2qec.f2linalg import BitMatrix, mask_to_support
 
-from conftest import code_distances, gauss_rank, min_codeword_weight_bruteforce
+from conftest import code_distances, gauss_rank, min_codeword_weight_bruteforce, to_lists
 
 
 def test_parity_code_examples():
@@ -74,7 +75,7 @@ def test_concatenate_generalized_family_parameters():
     for l, c in ((3, 2), (4, 2), (5, 3)):
         vert = concatenate(weight_reduce(l), [repetition_code(c)] * (2 * l - 3))
         assert (vert.n, vert.k, vert.d) == ((2 * l - 3) * c, l - 1, 2 * c)
-        assert vert.d == min_codeword_weight_bruteforce(vert.G.to_lists())
+        assert vert.d == min_codeword_weight_bruteforce(to_lists(vert.G))
 
 
 def test_concatenate_shape_mismatch():
@@ -94,7 +95,7 @@ def test_weight_reduce_small_cases():
     assert (w5.n, w5.k, w5.d) == (7, 4, 2)
     assert w5.H.rows == 3
     assert all(w5.H.row(r).bit_count() <= 3 for r in range(3))
-    assert w5.d == min_codeword_weight_bruteforce(w5.G.to_lists())
+    assert w5.d == min_codeword_weight_bruteforce(to_lists(w5.G))
 
 
 def test_weight_reduce_last_pair_swap_is_automorphism():
@@ -121,9 +122,9 @@ def test_parent_code_matches_generator_orthogonality(h):
     c = ClassicalCode("random", h)
     prod = c.H @ c.G.transpose()
     assert all(r == 0 for r in prod.data)
-    assert gauss_rank(c.G.to_lists()) == c.G.rows == c.k
-    assert c.k == c.n - gauss_rank(h.to_lists())
-    assert c.d == min_codeword_weight_bruteforce(c.G.to_lists())
+    assert gauss_rank(to_lists(c.G)) == c.G.rows == c.k
+    assert c.k == c.n - gauss_rank(to_lists(h))
+    assert c.d == min_codeword_weight_bruteforce(to_lists(c.G))
 
 
 @given(_check_matrices.filter(lambda h: h.cols <= 4), st.data())
@@ -174,7 +175,7 @@ def test_hypergraph_product_formula_random_small_inputs():
         if h.rank() != m:
             continue
         g = h.kernel_basis()
-        d_classical = min_codeword_weight_bruteforce(g.to_lists())
+        d_classical = min_codeword_weight_bruteforce(to_lists(g))
         if d_classical is None:
             continue
         code = hypergraph_product(h)
@@ -220,7 +221,7 @@ def test_hypergraph_product_matches_entrywise_definition():
         if all(f.rank() == f.rows for f in h):
             pairs.append(tuple(h))
     for hv, hh in pairs:
-        code = hypergraph_product(hv, hh)
+        code = _product(hv, hh)  # the two-factor product that build_generalized takes
         hx, hz, lx, lz = _hgp_entrywise(hv, hh)
         assert list(code.hx.data) == hx and list(code.hz.data) == hz
         assert list(code.logicals_x) == lx and list(code.logicals_z) == lz

@@ -8,11 +8,12 @@ from f2qec.css_code import (
     distance,
     is_automorphism,
     permutation_logical_action,
-    single_check_flip_witness,
     validate,
 )
 from f2qec.f2linalg import BitMatrix, apply_permutation
 from f2qec.protocol import horizontal_fold_swap, vertical_fold_swap
+
+from conftest import single_check_flip_witness
 
 
 def brick(i, j):

@@ -3,7 +3,7 @@ import random
 from itertools import combinations
 
 import pytest
-from conftest import reference_min_sum, reference_osd
+from conftest import mwe_oracle, reference_min_sum, reference_osd
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -13,7 +13,6 @@ from f2qec.decoder import (
     MinSumDecoder,
     bp_osd,
     logical_correction,
-    mwe_oracle,
     osd_combination_sweep,
     uniform_priors,
 )
