@@ -18,7 +18,8 @@ from . import experiment as ex
 from . import protocol as pr
 from .code_factory import build_25_4_3, build_34_4_3, build_generalized
 from .css_code import CssCode, distance, permutation_logical_action
-from .decoder import DecodeProblem, MinSumDecoder, bp_then_osd, logical_correction
+from .decoder import (BP_ITERS, OSD_DEPTH, PRIOR, DecodeProblem, MinSumDecoder, bp_then_osd,
+                      logical_correction)
 from .f2linalg import reject_unknown_keys, vector_from_bits, vector_to_bits
 from .stab_sim import SEED_LIMIT, cycles_from_text
 
@@ -298,17 +299,17 @@ def build_parser() -> argparse.ArgumentParser:
     dc.add_argument("--basis", required=True, choices=["z", "x"])
     dc.add_argument("--syndromes", required=True)
     dc.add_argument("--out", required=True)
-    dc.add_argument("--prior", type=_number(float), default=0.01,
+    dc.add_argument("--prior", type=_number(float), default=PRIOR,
                     help="error probability in (0, 0.5], one prior set on every column; "
                          "so any value in (0, 0.5) writes the same rows (short of the LLR "
                          "clip, near 1e-13), while 0.5, a zero LLR, ties every candidate")
-    dc.add_argument("--bp-iters", type=_NON_NEGATIVE, default=10,
+    dc.add_argument("--bp-iters", type=_NON_NEGATIVE, default=BP_ITERS,
                     help="BP iterations at most; at its first repeated message state BP "
                          "returns what its last iteration would return and counts as not "
                          "converged, so the sweep decides the row; once the state repeats, "
                          "further iterations cost nothing, and the states of one syndrome "
                          "are kept only while it is decoded")
-    dc.add_argument("--osd-depth", type=_NON_NEGATIVE, default=14)
+    dc.add_argument("--osd-depth", type=_NON_NEGATIVE, default=OSD_DEPTH)
     dc.set_defaults(func=_cmd_decode)
 
     rp = sub.add_parser("report", help="render summaries from a run directory")

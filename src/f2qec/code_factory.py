@@ -41,11 +41,6 @@ class ClassicalCode(Frozen):
     def k(self) -> int:
         return self.G.rows
 
-    @cached_property
-    def d(self) -> int | None:
-        """Minimum distance, enumerated on first use (see min_codeword_weight)."""
-        return min_codeword_weight(self.G)
-
 
 def min_codeword_weight(G: BitMatrix) -> int | None:
     """Exact minimum weight over nonzero codewords, or None if k too large."""

@@ -32,6 +32,9 @@ from .css_code import CssCode
 from .f2linalg import BitMatrix, Frozen, mask_to_support, parity
 
 LLR_CLIP = 30.0
+# the decode defaults of every entry point: BP iterations at most, the OSD
+# sweep's pair depth and the uniform prior
+BP_ITERS, OSD_DEPTH, PRIOR = 10, 14, 0.01
 
 
 class DecodeProblem(Frozen):
@@ -56,7 +59,7 @@ class DecodeResult(NamedTuple):
     posteriors: tuple[float, ...] = ()
 
 
-def uniform_priors(n: int, p: float = 0.01) -> tuple[float, ...]:
+def uniform_priors(n: int, p: float = PRIOR) -> tuple[float, ...]:
     return (p,) * n
 
 
@@ -96,7 +99,7 @@ class MinSumDecoder:
     the state repeats.  The states and outputs are kept only for the call.
     """
 
-    def __init__(self, h: BitMatrix, priors, iters: int = 10):
+    def __init__(self, h: BitMatrix, priors, iters: int = BP_ITERS):
         self.h = h
         self.iters = iters
         self.priors = tuple(priors)
@@ -205,7 +208,7 @@ def _soft_weight(estimate: int, llrs) -> float:
     return total
 
 
-def osd_combination_sweep(problem: DecodeProblem, bp_soft_output, depth: int = 14) -> DecodeResult:
+def osd_combination_sweep(problem: DecodeProblem, bp_soft_output, depth: int = OSD_DEPTH) -> DecodeResult:
     """Ordered-statistics search seeded by BP posteriors, from one greedy basis.
 
     Columns are ranked most-likely-in-error first (ascending posterior
@@ -275,7 +278,7 @@ def _sweep(h: BitMatrix, syndrome: int, bp_soft_output, depth: int, prior_llrs) 
     return DecodeResult(best, True, "BP+OSD", best_w, llrs)
 
 
-def bp_then_osd(bp: MinSumDecoder, syndrome: int, depth: int = 14) -> DecodeResult:
+def bp_then_osd(bp: MinSumDecoder, syndrome: int, depth: int = OSD_DEPTH) -> DecodeResult:
     """BP on a prebuilt decoder, then the ordered-statistics sweep on the
     decoder's own check matrix and prior LLRs.
 
@@ -291,7 +294,7 @@ def bp_then_osd(bp: MinSumDecoder, syndrome: int, depth: int = 14) -> DecodeResu
     return osd
 
 
-def bp_osd(problem: DecodeProblem, iters: int = 10, depth: int = 14) -> DecodeResult:
+def bp_osd(problem: DecodeProblem, iters: int = BP_ITERS, depth: int = OSD_DEPTH) -> DecodeResult:
     """Min-sum BP with ordered-statistics post-processing (see bp_then_osd)."""
     return bp_then_osd(MinSumDecoder(problem.h, problem.priors, iters=iters),
                        problem.syndrome, depth)

@@ -36,7 +36,7 @@ from . import protocol as pr
 from . import stab_sim as ss
 from .code_factory import build_25_4_3, build_generalized
 from .css_code import CssCode
-from .decoder import MinSumDecoder, bp_then_osd
+from .decoder import BP_ITERS, OSD_DEPTH, MinSumDecoder, bp_then_osd
 from .f2linalg import BitMatrix, Frozen, inverse_permutation, reject_unknown_keys
 
 MODES = ("physical", "logical", "logical-noqec", "generalized")
@@ -64,8 +64,8 @@ class RunConfig(Frozen):
                "prior_mode")
 
     def __init__(self, mode: str = "logical", shots_z: int = 1000, shots_x: int = 1000,
-                 noise: ss.NoiseModel = ss.NoiseModel.zero(), seed: int = 0, l: int = 3,
-                 c: int = 1, bp_iters: int = 10, osd_depth: int = 14,
+                 noise: ss.NoiseModel = ss.NoiseModel(), seed: int = 0, l: int = 3,
+                 c: int = 1, bp_iters: int = BP_ITERS, osd_depth: int = OSD_DEPTH,
                  prior_mode: str = "marginal"):
         vars(self).update(mode=mode, shots_z=shots_z, shots_x=shots_x, noise=noise, seed=seed,
                           l=l, c=c, bp_iters=bp_iters, osd_depth=osd_depth,
@@ -302,7 +302,7 @@ class _Classifier:
     The key word of a noiseless record has acceptance 0, syndrome 0 and
     raw bits in the target coset, so XORing it into a word changes no
     verdict: shots can be classified by their absolute records or by their
-    flips from any noiseless record, such as stab_sim.fault_record_words.
+    flips from any noiseless record, such as Circuit.fault_record_words.
 
     The Z basis decodes X errors on the plain Z-check matrix.  The X
     basis decodes the frame-corrected syndrome on the X-check matrix
@@ -524,7 +524,7 @@ def run(config: RunConfig, out_dir: str | None = None) -> RunSummary:
             fh.write(json.dumps({"config_hash": doc["config_hash"],
                                  "config": doc["config"]}).encode() + b"\n")
             for basis, records in (("z", z_records), ("x", x_records)):
-                tags = build_pipeline(config, basis)[0].tags()
+                tags = build_pipeline(config, basis)[0].tags
                 fh.write(_archive_rows(basis, tags, ss.unpack_words(records, len(tags))))
         with open(summary_path, "w") as fh:
             fh.write(json.dumps(doc, indent=1, sort_keys=True))
@@ -629,18 +629,18 @@ def fault_tolerance_ledger(basis: str) -> LedgerReport:
     postselection with the wrong logical-X outcome ("nonft-set", the
     unprotected measurement's known channel); any other is "extra".
 
-    The faults are the circuit's cases (stab_sim.fault_cases), and each
-    one's packed record flips (stab_sim.fault_record_words) are a shot: the
+    The faults are the circuit's cases (Circuit.fault_cases), and each
+    one's packed record flips (Circuit.fault_record_words) are a shot: the
     classifier judges them as it judges a run's.  A fault's outcome is a
     function of its verdict and its xbar_0 flip (_OUTCOMES).
     """
     cfg = RunConfig(mode="logical", noise=ss.NoiseModel(3e-5, 2e-3, 2e-3))
     circ, recipe = build_pipeline(cfg, basis)
-    records, tags = ss.fault_record_words(circ), circ.tags()
+    records, tags = circ.fault_record_words, circ.tags
     verdicts = _classifier(cfg, basis).classify(records)
     flips = ss.unpack_words(records, len(tags))[:, tags.index(recipe.xbar_tags[0])].tolist()
     # case + (outcome,) is an entry's fields; LedgerEntry._make(fields) is
     # tuple.__new__(LedgerEntry, fields), called here without a Python frame per entry
-    fields = map(operator.add, ss.fault_cases(circ),
+    fields = map(operator.add, circ.fault_cases,
                  map(_OUTCOMES.__getitem__, zip(verdicts, flips)))
     return LedgerReport(list(map(tuple.__new__, repeat(LedgerEntry), fields)))

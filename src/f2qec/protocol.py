@@ -298,7 +298,7 @@ def circuit_report(circuit: ss.Circuit) -> dict:
     return {
         "data_qubits": len(data),
         "ancilla_qubits": len(used - data),
-        "two_qubit_gates": circuit.two_qubit_gate_count(),
+        "two_qubit_gates": sum(1 for i in circuit.instructions if i.op == "CNOT"),
     }
 
 
@@ -367,7 +367,7 @@ def validate_schedule(code: CssCode, schedule: Schedule) -> ScheduleReport:
     a syndrome test, so any stabilizer rank is fine.
 
     The questions are asked of all faults at once, on the circuit's
-    bit-sliced data-qubit frames (stab_sim.fault_words: bit c of a word is
+    bit-sliced data-qubit frames (Circuit.fault_words: bit c of a word is
     fault c), taken as the rows of one matrix: the opposite checks times it
     give the syndrome words, the same-type kernel basis times it the
     kernel-parity words.  v is a stabilizer when its parity against
@@ -380,7 +380,7 @@ def validate_schedule(code: CssCode, schedule: Schedule) -> ScheduleReport:
     labels none.
     """
     circuit = syndrome_extraction_circuit(code, schedule, which="both")
-    _, x_words, z_words = ss.fault_words(circuit)
+    _, x_words, z_words = circuit.fault_words
     d = code.d if code.d is not None else 3
     # a fault that leaves no trace on any qubit is harmless, so the faults
     # beyond the highest set bit of any frame word need not be named

@@ -16,19 +16,20 @@ have made, and the sampler evaluates it at fresh draws per shot.
 
 The frame kernel runs once per circuit too, on every single fault at
 once: each qubit's X and Z frame is one Python int, bit c for fault c, so
-a gate is a few word operations whatever the fault count.  These fault
-words are the circuit's one single-fault table, kept on it: fault_words
-gives them, for decisions taken on all faults at once, and fault_labels
-names only the faults that such a decision picks.  fault_cases gives every
-case's location, and fault_record_words each case's outcome flips packed
-as a record, as the sampler keeps a shot: one 64-bit word per 64 record
-tags, bit t = tag t.  The sampler XORs the packed rows of the faults it
-draws in seeded blocks of SHOT_BLOCK shots onto each shot's noiseless
-record, which it folds in from byte tables of the record map, eight draws
-per lookup.  enumerate_single_faults is a per-case view, with no tableau
-run but the reference record's: FaultCase objects with absolute {tag:
-bit} records (the reference record XOR the flips) and residual frames as
-ints, unpacked from the words on each call.
+a gate is a few word operations whatever the fault count.  The circuit
+keeps what it derives as attributes, each built on first use and
+immutable: its tags, its fault_sites, and the single-fault tables.
+fault_words are the kernel's words, for decisions taken on all faults at
+once, and fault_labels names only the faults that such a decision picks.
+fault_cases holds every case's location, and fault_record_words each
+case's outcome flips packed as a record, as the sampler keeps a shot: one
+64-bit word per 64 record tags, bit t = tag t.  The sampler XORs the
+packed rows of the faults it draws in seeded blocks of SHOT_BLOCK shots
+onto each shot's noiseless record, which it folds in from byte tables of
+the record map, eight draws per lookup.  enumerate_single_faults is a
+per-case view, with no tableau run but the reference record's: FaultCase
+objects with absolute {tag: bit} records (the reference record XOR the
+flips) and residual frames as ints, unpacked from the words on each call.
 
 Text IR (round-trip exact), one instruction per line after a header:
 
@@ -179,29 +180,45 @@ class Circuit(Frozen):
         return _tableau_pass(self)
 
     @cached_property
-    def _fault_sites(self) -> tuple[tuple, ...]:
-        """The fault locations (see _sites), walked on first use."""
+    def tags(self) -> tuple[str, ...]:
+        """The measurement tags in record order."""
+        return tuple(i.tag for i in self.instructions if i.op in ("MEASZ", "MEASX"))
+
+    @cached_property
+    def fault_sites(self) -> tuple[tuple, ...]:
+        """(instruction index, kind, ((label, Pauli code), ...)) of each fault
+        location, in instruction order (see _sites)."""
         return tuple(_sites(self))
 
     @cached_property
-    def _fault_cases(self) -> tuple[tuple, ...]:
-        """(instruction index, kind, label) of each single fault, in _sites
-        order, built on first use."""
-        return tuple((k, kind, label) for k, kind, faults in self._fault_sites
+    def fault_cases(self) -> tuple[tuple, ...]:
+        """(instruction_index, kind, pauli) of every single-Pauli fault, case
+        c at bit c of fault_words: after each 1q gate (3 Paulis), after each
+        CNOT (15 Pauli pairs), after each preparation (the flip Pauli), and a
+        flip on each measurement outcome, in instruction order."""
+        return tuple((k, kind, label) for k, kind, faults in self.fault_sites
                      for label, _ in faults)
 
     @cached_property
-    def _fault_words(self) -> tuple[list[int], list[int], list[int]]:
-        """The frame kernel run on the single faults, on first use: bit c
-        of each word is fault c in _sites order (see _propagate)."""
+    def fault_words(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """Every single fault at once, as the frame kernel's words (records,
+        x, z): bit c of records[t] is the flip of record tag t that case c
+        of fault_cases causes, and bit c of x[q] and z[q] its residual X and
+        Z frame on qubit q at the circuit end (see _propagate).  Nothing is
+        unpacked, so a decision over the faults is a few word operations;
+        fault_labels names the faults it picks.  The residual frames are
+        relative to the circuit as written, so they leave out the Paulis of
+        its INJECTs."""
         return _propagate(self)
 
     @cached_property
-    def _fault_records(self) -> np.ndarray:
-        """The kernel's record words as one packed row per fault, on first
-        use (see fault_record_words)."""
-        count = sum(len(faults) for _, _, faults in self._fault_sites)
-        records = transpose_words(self._fault_words[0], count)
+    def fault_record_words(self) -> np.ndarray:
+        """The record flips of each single fault packed as words, read-only:
+        one row per fault case, bit t = tag t (see pack_words), as
+        sample_words gives shots.  The rows are counted from fault_sites, so
+        the case list is not built."""
+        count = sum(len(faults) for _, _, faults in self.fault_sites)
+        records = transpose_words(self.fault_words[0], count)
         records.flags.writeable = False
         return records
 
@@ -211,18 +228,6 @@ class Circuit(Frozen):
         rows, the record map's constant bits and its draw coefficients'
         byte tables, all as packed record words (see _noise_rows)."""
         return _noise_rows(self)
-
-    @cached_property
-    def _tags(self) -> tuple[str, ...]:
-        return tuple(i.tag for i in self.instructions if i.op in ("MEASZ", "MEASX"))
-
-    def tags(self) -> tuple[str, ...]:
-        """The measurement tags in record order, found on the first call and
-        then returned as the same tuple."""
-        return self._tags
-
-    def two_qubit_gate_count(self) -> int:
-        return sum(1 for i in self.instructions if i.op == "CNOT")
 
     def to_text(self) -> str:
         lines = [f"QUBITS {self.n_qubits}"]
@@ -273,10 +278,6 @@ class NoiseModel(Frozen):
         for name, v in zip(self._fields, (p1, p2, p_spam)):
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be a probability, got {v}")
-
-    @classmethod
-    def zero(cls) -> "NoiseModel":
-        return cls(0.0, 0.0, 0.0)
 
 
 # --- exact tableau engine -------------------------------------------------
@@ -511,7 +512,7 @@ def noisy_expansion(circuit: Circuit, nm: NoiseModel, rng) -> Circuit:
 # include; it leaves every frame as it is.  Each op's faults take the next
 # bit columns, and their flips are the op's constant _SLOT_MASKS words
 # shifted there.  The kernel is linear and runs once per circuit
-# (Circuit._fault_words); the sampler reads its record words packed again
+# (Circuit.fault_words); the sampler reads its record words packed again
 # per fault (as records are, one bit per tag), and validate_schedule and
 # enumerate_single_faults read the words.
 #
@@ -563,7 +564,7 @@ def _sites(circuit: Circuit) -> list[tuple]:
             if ins.op in _FAULTS]
 
 
-def _propagate(circuit: Circuit) -> tuple[list[int], list[int], list[int]]:
+def _propagate(circuit: Circuit) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """Propagate every single fault of circuit at once, one bit per fault.
 
     Bit c of each word is fault c in _sites order.  Both frames start at
@@ -572,7 +573,9 @@ def _propagate(circuit: Circuit) -> tuple[list[int], list[int], list[int]]:
     _SLOT_MASKS words, shifted there, flip the frames after the op; at a
     measurement, the measured frame's slot flips the outcome and the other
     slot flips the other frame.  Returns the measurement flips (one word
-    per record tag) and the residual X and Z frames (one word per qubit).
+    per record tag) and the residual X and Z frames (one word per qubit),
+    as tuples: the circuit keeps them (Circuit.fault_words) and no caller
+    can change them.
     """
     x = [0] * circuit.n_qubits
     z = [0] * circuit.n_qubits
@@ -606,7 +609,7 @@ def _propagate(circuit: Circuit) -> tuple[list[int], list[int], list[int]]:
             inv = inverse_permutation(ins.perm)
             x = [x[q] for q in inv]
             z = [z[q] for q in inv]
-    return meas, x, z
+    return tuple(meas), tuple(x), tuple(z)
 
 
 def _noise_rows(circuit: Circuit) -> tuple[dict, np.ndarray, np.ndarray]:
@@ -615,9 +618,8 @@ def _noise_rows(circuit: Circuit) -> tuple[dict, np.ndarray, np.ndarray]:
     faults per site x words), the record map's constant bits (words), and
     byte tables of its draw coefficients (see byte_tables; draw j's row
     holds the tags that random outcome j enters)."""
-    tags = circuit.tags()
-    records = fault_record_words(circuit)
-    sites, kinds = circuit._fault_sites, {}
+    tags, records = circuit.tags, circuit.fault_record_words
+    sites, kinds = circuit.fault_sites, {}
     first = np.cumsum([0] + [len(faults) for _, _, faults in sites])  # each site's first row
     for kind in dict.fromkeys(kind for _, kind, _ in sites):
         mine = [i for i, site in enumerate(sites) if site[1] == kind]
@@ -723,7 +725,7 @@ def _seed_key(seed) -> tuple[int, ...]:
 
 def sample_words(circuit: Circuit, nm: NoiseModel, seed, shots: int) -> np.ndarray:
     """The records of shots 0 .. shots - 1 as packed words: one row per
-    shot, bit t = tag t in circuit.tags() order (see pack_words).
+    shot, bit t = tag t in circuit.tags order (see pack_words).
 
     Each fault location fails with its kind's rate, independently per shot,
     and a failing one draws one of its single faults uniformly.  Only the
@@ -733,7 +735,7 @@ def sample_words(circuit: Circuit, nm: NoiseModel, seed, shots: int) -> np.ndarr
     and its noiseless record is the tableau's record map at them: the
     constant bits XOR the draw coefficients of its set bits, taken eight
     draws at a time from byte tables.  A shot is that record XOR the record
-    rows of its faults (fault_record_words).
+    rows of its faults (Circuit.fault_record_words).
     Each block of SHOT_BLOCK shots draws from its own generator, seeded by
     (seed, block), and a partial last block draws the whole block, so a
     shot depends only on (circuit, noise, seed, shot index): a shorter
@@ -765,13 +767,13 @@ def sample_words(circuit: Circuit, nm: NoiseModel, seed, shots: int) -> np.ndarr
 
 def sample_outcomes(circuit: Circuit, nm: NoiseModel, seed, shots: int) -> np.ndarray:
     """The shots of sample_words unpacked: one bool row per record tag, in
-    circuit.tags() order, and one column per shot."""
-    return unpack_words(sample_words(circuit, nm, seed, shots), len(circuit.tags())).T
+    circuit.tags order, and one column per shot."""
+    return unpack_words(sample_words(circuit, nm, seed, shots), len(circuit.tags)).T
 
 
 def sample_pauli_frame(circuit: Circuit, nm: NoiseModel, seed, shots: int) -> list[dict[str, int]]:
     """The shots of sample_outcomes as {tag: bit} dicts, one per shot."""
-    return outcome_dicts(circuit.tags(), sample_outcomes(circuit, nm, seed, shots))
+    return outcome_dicts(circuit.tags, sample_outcomes(circuit, nm, seed, shots))
 
 
 # --- deterministic single-fault enumeration --------------------------------
@@ -788,43 +790,14 @@ class FaultCase(NamedTuple):
     final_z: int = 0
 
 
-def fault_cases(circuit: Circuit) -> tuple[tuple, ...]:
-    """(instruction_index, kind, pauli) of every single-Pauli fault, case c
-    at bit c of fault_words: after each 1q gate (3 Paulis), after each CNOT
-    (15 Pauli pairs), after each preparation (the flip Pauli), and a flip on
-    each measurement outcome, in instruction order.  Built once per circuit
-    and kept on it as this one immutable tuple."""
-    return circuit._fault_cases
-
-
-def fault_record_words(circuit: Circuit) -> np.ndarray:
-    """The record flips of each single fault packed as words: one row per
-    fault case, bit t = tag t (see pack_words), as sample_words gives shots.
-    Packed from fault_words' record words once per circuit and kept on it,
-    read-only; the case list is not built."""
-    return circuit._fault_records
-
-
-def fault_words(circuit: Circuit) -> tuple[list[int], list[int], list[int]]:
-    """Every single fault at once, as fresh lists of the frame kernel's
-    words: bit c of records[t] is the flip of record tag t that case c of
-    fault_cases causes, and bit c of x[q] and z[q] its residual X and Z
-    frame on qubit q at the circuit end.  The words are kept on the
-    circuit, so nothing is unpacked, and a decision over the faults is a
-    few word operations; fault_labels names the faults it picks.  The
-    residual frames are relative to the circuit as written, so they leave
-    out the Paulis of its INJECTs."""
-    return tuple(list(part) for part in circuit._fault_words)
-
-
 def fault_labels(circuit: Circuit, columns: Sequence[int]) -> list[tuple]:
     """(instruction_index, kind, pauli) of the fault cases at the given
-    columns (bit positions in fault_words), in the order given.  Only those
+    columns (bit positions in Circuit.fault_words), in the order given.  Only those
     cases are labelled: the circuit's case list is not built, and with no
     column the fault locations are not walked either."""
     if not columns:
         return []
-    sites = circuit._fault_sites
+    sites = circuit.fault_sites
     first = list(accumulate((len(faults) for _, _, faults in sites), initial=0))
     out = []
     for c in columns:
@@ -835,13 +808,13 @@ def fault_labels(circuit: Circuit, columns: Sequence[int]) -> list[tuple]:
 
 
 def enumerate_single_faults(circuit: Circuit) -> list[FaultCase]:
-    """The cases of fault_cases(circuit) as FaultCase objects, with absolute
-    {tag: bit} records (reference_record(circuit, 0) XOR each case's row of
+    """The circuit's fault_cases as FaultCase objects, with absolute {tag:
+    bit} records (reference_record(circuit, 0) XOR each case's row of
     fault_record_words) and residual frames as ints (bit q = qubit q),
     transposed from fault_words on each call."""
-    tags, (_, x, z), cases = circuit.tags(), circuit._fault_words, circuit._fault_cases
+    tags, (_, x, z), cases = circuit.tags, circuit.fault_words, circuit.fault_cases
     ref = reference_record(circuit, 0)
-    flips = unpack_words(fault_record_words(circuit), len(tags)) ^ np.array(
+    flips = unpack_words(circuit.fault_record_words, len(tags)) ^ np.array(
         [ref[t] for t in tags], dtype=bool)
     final_x, final_z = (word_ints(transpose_words(words, len(cases))) for words in (x, z))
     return [FaultCase(*case, record, fx, fz) for case, record, fx, fz in zip(

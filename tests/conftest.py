@@ -362,7 +362,7 @@ def reference_sample_outcomes(circuit, nm, seed, shots):
 
     from f2qec.stab_sim import SHOT_BLOCK
 
-    tags = circuit.tags()
+    tags = circuit.tags
     records = reference_fault_rows(circuit)[:, :len(tags)].astype(np.float32)
     kinds, first = {}, 0  # each kind's record rows, sites x faults per site x tags
     for ins in circuit.instructions:

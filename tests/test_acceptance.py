@@ -238,7 +238,7 @@ def test_criterion_9_simulator_oracle_equivalence():
     shots = 100000
     nm = ss.NoiseModel(0.05, 0.05, 0.05)
     for name, circ in _oracle_circuits().items():
-        tags = circ.tags()
+        tags = circ.tags
         frame_counts = {}
         for rec in ss.sample_pauli_frame(circ, nm, 13, shots):
             key = tuple(rec[t] for t in tags)

@@ -82,8 +82,10 @@ def test_emit_circuit_round_trip(tmp_path, capsys):
     assert main(["emit-circuit", "--mode", "logical", "--basis", "x", "--out", out]) == 0
     from f2qec.stab_sim import Circuit
 
-    circ = Circuit.from_text(Path(out).read_text())
-    assert circ.two_qubit_gate_count() == 47
+    text = Path(out).read_text()
+    assert Circuit.from_text(text).to_text() == text
+    assert capsys.readouterr().out == (
+        f"wrote logical/x circuit to {out}: 25 data, 6 ancilla, 47 two-qubit gates\n")
 
 
 def test_run_ghz_and_report(tmp_path, capsys):

@@ -14,6 +14,7 @@ from f2qec.code_factory import (
     build_generalized,
     concatenate,
     hypergraph_product,
+    min_codeword_weight,
     parent_code_5_2_3,
     parity_code,
     quantum_tanner_transform,
@@ -28,13 +29,13 @@ from conftest import code_distances, gauss_rank, min_codeword_weight_bruteforce,
 
 def test_parity_code_examples():
     c3 = parity_code(3)
-    assert (c3.n, c3.k, c3.d) == (3, 2, 2)
+    assert (c3.n, c3.k, min_codeword_weight(c3.G)) == (3, 2, 2)
     assert c3.H.row_strings() == ["111"]
     c2 = parity_code(2)
-    assert (c2.n, c2.k, c2.d) == (2, 1, 2)
+    assert (c2.n, c2.k, min_codeword_weight(c2.G)) == (2, 1, 2)
     assert c2.H.row_strings() == ["11"]
     c5 = parity_code(5)
-    assert (c5.n, c5.k, c5.d) == (5, 4, 2)
+    assert (c5.n, c5.k, min_codeword_weight(c5.G)) == (5, 4, 2)
     assert c5.H.row_strings() == ["11111"]
     with pytest.raises(ValueError):
         parity_code(1)
@@ -42,19 +43,19 @@ def test_parity_code_examples():
 
 def test_repetition_code_examples():
     c1 = repetition_code(1)
-    assert (c1.n, c1.k, c1.d) == (1, 1, 1)
+    assert (c1.n, c1.k, min_codeword_weight(c1.G)) == (1, 1, 1)
     assert c1.H.rows == 0
     c2 = repetition_code(2)
     assert c2.H.row_strings() == ["11"]
-    assert (c2.n, c2.k, c2.d) == (2, 1, 2)
+    assert (c2.n, c2.k, min_codeword_weight(c2.G)) == (2, 1, 2)
     c3 = repetition_code(3)
     assert c3.H.row_strings() == ["110", "011"]
-    assert (c3.n, c3.k, c3.d) == (3, 1, 3)
+    assert (c3.n, c3.k, min_codeword_weight(c3.G)) == (3, 1, 3)
 
 
 def test_concatenate_parity_with_repetition_pairs():
     out = concatenate(parity_code(3), [repetition_code(2), repetition_code(2), repetition_code(1)])
-    assert (out.n, out.k, out.d) == (5, 2, 3)
+    assert (out.n, out.k, min_codeword_weight(out.G)) == (5, 2, 3)
     # documented column relabeling onto the canonical [5,2,3] ordering:
     # canonical column j holds our column perm[j]
     perm = [1, 0, 4, 2, 3]
@@ -68,14 +69,14 @@ def test_concatenate_trivial_inners_is_identity():
     base = parity_code(4)
     out = concatenate(base, [repetition_code(1)] * 4)
     assert out.H.data == base.H.data
-    assert (out.n, out.k, out.d) == (base.n, base.k, base.d)
+    assert (out.n, out.k, min_codeword_weight(out.G)) == (base.n, base.k, min_codeword_weight(base.G))
 
 
 def test_concatenate_generalized_family_parameters():
     for l, c in ((3, 2), (4, 2), (5, 3)):
         vert = concatenate(weight_reduce(l), [repetition_code(c)] * (2 * l - 3))
-        assert (vert.n, vert.k, vert.d) == ((2 * l - 3) * c, l - 1, 2 * c)
-        assert vert.d == min_codeword_weight_bruteforce(to_lists(vert.G))
+        assert (vert.n, vert.k, min_codeword_weight(vert.G)) == ((2 * l - 3) * c, l - 1, 2 * c)
+        assert min_codeword_weight(vert.G) == min_codeword_weight_bruteforce(to_lists(vert.G))
 
 
 def test_concatenate_shape_mismatch():
@@ -85,17 +86,17 @@ def test_concatenate_shape_mismatch():
 
 def test_weight_reduce_small_cases():
     w3 = weight_reduce(3)
-    assert (w3.n, w3.k, w3.d) == (3, 2, 2)
+    assert (w3.n, w3.k, min_codeword_weight(w3.G)) == (3, 2, 2)
     assert w3.H.row_strings() == ["111"]
     w4 = weight_reduce(4)
-    assert (w4.n, w4.k, w4.d) == (5, 3, 2)
+    assert (w4.n, w4.k, min_codeword_weight(w4.G)) == (5, 3, 2)
     assert w4.H.rows == 2
     assert all(w4.H.row(r).bit_count() <= 3 for r in range(2))
     w5 = weight_reduce(5)
-    assert (w5.n, w5.k, w5.d) == (7, 4, 2)
+    assert (w5.n, w5.k, min_codeword_weight(w5.G)) == (7, 4, 2)
     assert w5.H.rows == 3
     assert all(w5.H.row(r).bit_count() <= 3 for r in range(3))
-    assert w5.d == min_codeword_weight_bruteforce(to_lists(w5.G))
+    assert min_codeword_weight(w5.G) == min_codeword_weight_bruteforce(to_lists(w5.G))
 
 
 def test_weight_reduce_last_pair_swap_is_automorphism():
@@ -124,7 +125,7 @@ def test_parent_code_matches_generator_orthogonality(h):
     assert all(r == 0 for r in prod.data)
     assert gauss_rank(to_lists(c.G)) == c.G.rows == c.k
     assert c.k == c.n - gauss_rank(to_lists(h))
-    assert c.d == min_codeword_weight_bruteforce(to_lists(c.G))
+    assert min_codeword_weight(c.G) == min_codeword_weight_bruteforce(to_lists(c.G))
 
 
 @given(_check_matrices.filter(lambda h: h.cols <= 4), st.data())

@@ -59,12 +59,12 @@ def test_fidelity_bound_identity_and_quadrature():
 
 def test_noiseless_runs_are_exact():
     cfg = ex.RunConfig(mode="logical", shots_z=25, shots_x=25,
-                       noise=ss.NoiseModel.zero(), seed=1)
+                       noise=ss.NoiseModel(), seed=1)
     s = ex.run(cfg)
     assert s.z.p == 0.0 and s.x.p == 0.0
     assert s.z.acceptance == 1.0 and s.x.acceptance == 1.0
     gen = ex.run(ex.RunConfig(mode="generalized", shots_z=10, shots_x=10,
-                              noise=ss.NoiseModel.zero(), seed=1, l=4, c=1))
+                              noise=ss.NoiseModel(), seed=1, l=4, c=1))
     assert gen.z.p == 0.0 and gen.x.p == 0.0
 
 
@@ -104,7 +104,7 @@ def test_run_determinism_and_shot_prefixes(tmp_path):
 
 def test_archive_header_and_summary(tmp_path):
     cfg = ex.RunConfig(mode="physical", shots_z=20, shots_x=10,
-                       noise=ss.NoiseModel.zero(), seed=2)
+                       noise=ss.NoiseModel(), seed=2)
     s = ex.run(cfg, out_dir=str(tmp_path))
     lines = (tmp_path / "physical" / "shots.jsonl").read_text().splitlines()
     head = json.loads(lines[0])
@@ -441,7 +441,7 @@ def test_key_word_verdicts_match_per_shot_reference(mode):
         circ, recipe = ex.build_pipeline(cfg, basis)
         classifier = ex._Classifier(cfg, basis, circ, recipe)
         records = ss.sample_pauli_frame(circ, cfg.noise, 8, 1200)
-        bits = np.array([[rec[t] for t in circ.tags()] for rec in records], dtype=bool).T
+        bits = np.array([[rec[t] for t in circ.tags] for rec in records], dtype=bool).T
         verdicts = classifier.classify(ss.pack_words(bits.T))
         assert len(verdicts) == len(records)
         bp = classifier.bp
@@ -474,7 +474,7 @@ def test_tally_counts_the_verdicts_of_classify(mode, basis, sampled, shots, seed
     if sampled:
         records = ss.sample_words(circ, cfg.noise, seed, shots)
     else:
-        bits = np.random.default_rng(seed).integers(0, 2, (shots, len(circ.tags()))).astype(bool)
+        bits = np.random.default_rng(seed).integers(0, 2, (shots, len(circ.tags))).astype(bool)
         records = ss.pack_words(bits)
     assert classifier.tally(records) == Counter(classifier.classify(records))
 
@@ -489,7 +489,7 @@ def _walked_syndromes(cfg):
         circ, recipe = ex.build_pipeline(cfg, basis)
         bits = ss.sample_outcomes(circ, cfg.noise, ex._basis_seed(cfg, basis), shots)
         cols = recipe.code.n + (recipe.code.hx.rows if basis == "x" else 0)
-        for rec in ss.outcome_dicts(circ.tags(), bits):
+        for rec in ss.outcome_dicts(circ.tags, bits):
             frame = pr.frame_from_shot(recipe, rec)
             if frame.accepted:
                 data = [rec[t] for t in recipe.data_tags]
@@ -540,11 +540,11 @@ def test_ledger_labels_each_fault_as_a_loop_over_its_cases(basis):
     # table; here each case is labelled on its own, from a fresh classifier
     cfg = ex.RunConfig(mode="logical", noise=ss.NoiseModel(3e-5, 2e-3, 2e-3))
     circ, recipe = ex.build_pipeline(cfg, basis)
-    records, tags = ss.fault_record_words(circ), circ.tags()
+    records, tags = circ.fault_record_words, circ.tags
     verdicts = ex._Classifier(cfg, basis, circ, recipe).classify(records)
     xbar_flips = ss.unpack_words(records, len(tags))[:, tags.index(recipe.xbar_tags[0])]
     want = []
-    for (index, kind, pauli), mismatch, xbar_flip in zip(ss.fault_cases(circ), verdicts, xbar_flips):
+    for (index, kind, pauli), mismatch, xbar_flip in zip(circ.fault_cases, verdicts, xbar_flips):
         if mismatch is None:
             outcome = "rejected"
         elif not mismatch:
@@ -573,7 +573,7 @@ def test_ledger_reads_extra_for_accepted_mismatches_that_flip_no_gadget(basis, m
     monkeypatch.setattr(ex._Classifier, "verdict", mismatching)
     cfg = ex.RunConfig(mode="logical", noise=ss.NoiseModel(3e-5, 2e-3, 2e-3))
     circ, recipe = ex.build_pipeline(cfg, basis)
-    records, tags = ss.fault_record_words(circ), circ.tags()
+    records, tags = circ.fault_record_words, circ.tags
     flips = ss.unpack_words(records, len(tags))[:, tags.index(recipe.xbar_tags[0])]
     entries = ex.fault_tolerance_ledger(basis).entries
     accepted = [(e.outcome, flip) for e, flip in zip(entries, flips.tolist())
@@ -590,7 +590,7 @@ def test_accepted_single_faults_flip_all_gadget_outcomes_or_none(mode, basis):
     # only equal outcomes, so an accepted fault flips all three or none
     cfg = ex.RunConfig(mode=mode, noise=ss.NoiseModel(3e-5, 2e-3, 2e-3), l=4)
     circ, recipe = ex.build_pipeline(cfg, basis)
-    records, tags = ss.fault_record_words(circ), circ.tags()
+    records, tags = circ.fault_record_words, circ.tags
     verdicts = ex._Classifier(cfg, basis, circ, recipe).classify(records)
     flips = ss.unpack_words(records, len(tags))[:, [tags.index(t) for t in recipe.xbar_tags]]
     accepted = [tuple(f) for f, v in zip(flips.tolist(), verdicts) if v is not None]
@@ -654,7 +654,7 @@ def test_noiseless_key_words_change_no_verdict(mode, basis):
     cfg = ex.RunConfig(mode=mode, noise=ss.NoiseModel(1e-3, 5e-3, 5e-3), l=4)
     circ, recipe = ex.build_pipeline(cfg, basis)
     classifier = ex._Classifier(cfg, basis, circ, recipe)
-    tags = circ.tags()
+    tags = circ.tags
     noiseless = ss.pack_words(np.array([[ss.simulate_tableau(circ, seed)[t] for t in tags]
                                         for seed in range(16)], dtype=bool))
     low = classifier.n_accept + classifier.n_syndrome
@@ -677,7 +677,7 @@ def test_noiseless_samples_pass_the_per_shot_oracle(mode, l, basis):
     from f2qec import protocol as pr
 
     circ, recipe = ex.build_pipeline(ex.RunConfig(mode=mode, l=l), basis)
-    shots = ss.sample_pauli_frame(circ, ss.NoiseModel.zero(), 6, ss.SHOT_BLOCK + 64)
+    shots = ss.sample_pauli_frame(circ, ss.NoiseModel(), 6, ss.SHOT_BLOCK + 64)
     raws = set()
     for rec in shots:
         if recipe is None:
@@ -701,12 +701,12 @@ def test_ledger_verdicts_on_flips_equal_those_on_absolute_records(basis):
     classifier = ex._Classifier(cfg, basis, circ, recipe)
     ref = ss.reference_record(circ, 0)
     assert any(ref.values())
-    absolute = np.array([[case.record[t] for t in circ.tags()]
+    absolute = np.array([[case.record[t] for t in circ.tags]
                          for case in ss.enumerate_single_faults(circ)], dtype=bool)
-    flips = absolute ^ np.array([ref[t] for t in circ.tags()], dtype=bool)
-    assert (ss.pack_words(flips) == ss.fault_record_words(circ)).all()
+    flips = absolute ^ np.array([ref[t] for t in circ.tags], dtype=bool)
+    assert (ss.pack_words(flips) == circ.fault_record_words).all()
     assert classifier.classify(ss.pack_words(absolute)) == classifier.classify(
-        ss.fault_record_words(circ))
+        circ.fault_record_words)
 
 
 def test_fault_analysis_runs_no_tableau(monkeypatch):

@@ -32,10 +32,10 @@ def test_zigzag_schedule_covers_checks(flagship_code):
 def test_extraction_circuit_counts(flagship_code):
     sched = pr.zigzag_schedule(flagship_code)
     ext = pr.syndrome_extraction_circuit(flagship_code, sched, "X")
-    assert ext.two_qubit_gate_count() == 38
+    assert pr.circuit_report(ext)["two_qubit_gates"] == 38
     assert len([i for i in ext.instructions if i.op == "MEASX"]) == 10
     both = pr.syndrome_extraction_circuit(flagship_code, sched, "both")
-    assert both.two_qubit_gate_count() == 38 + sum(
+    assert pr.circuit_report(both)["two_qubit_gates"] == 38 + sum(
         flagship_code.hz.row(r).bit_count() for r in range(11))
 
 
@@ -267,7 +267,7 @@ def test_relabelings_are_noise_free(flagship_code):
     relabels = [i for i in circ.instructions if i.op == "RELABEL"]
     assert len(relabels) == 2
     # noise sites count only gates, preps, and measurements
-    assert len(ss.fault_cases(circ)) == 47 * 15 + 6 * 3 + (25 + 13) + (13 + 25)
+    assert len(circ.fault_cases) == 47 * 15 + 6 * 3 + (25 + 13) + (13 + 25)
 
 
 def test_single_record_flip_maps_to_weight_one_correction(flagship_code):

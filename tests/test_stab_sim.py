@@ -162,39 +162,42 @@ def test_text_ir_round_trip_property(circ):
 @given(_circuits())
 def test_tags_are_walked_once_per_circuit(circ):
     # every call returns the one tuple of the first, equal to a fresh walk
-    tags = circ.tags()
-    assert circ.tags() is tags and type(tags) is tuple
+    tags = circ.tags
+    assert circ.tags is tags and type(tags) is tuple
     assert tags == tuple(i.tag for i in circ.instructions if i.op in ("MEASZ", "MEASX"))
 
 
 @settings(deadline=None)
 @given(_circuits())
-def test_fault_tables_are_fresh_lists_of_one_build_per_circuit(circ):
-    # two fault_words calls return equal lists that are not the same
-    # objects, and what a caller does to its lists does not reach the lists
-    # of a later call; the case list and the record rows, which a caller
-    # cannot change, are one object per circuit
-    parts, again = ss.fault_words(circ), ss.fault_words(circ)
-    for part, other in zip(parts, again):
-        assert type(part) is list and part == other and part is not other
-    want = [list(part) for part in parts]
-    for part in parts:
-        part.append(None)
-        part[0] = "changed"
-    assert list(ss.fault_words(circ)) == want
-    cases = ss.fault_cases(circ)
-    assert type(cases) is tuple and ss.fault_cases(circ) is cases
-    assert all(type(case) is tuple for case in cases)
+def test_fault_tables_are_immutable_and_one_build_per_circuit(circ):
+    # each table is one object per circuit, which no caller can change:
+    # tuples of ints, a read-only record array, and attributes that cannot
+    # be assigned
+    names = ("tags", "fault_sites", "fault_cases", "fault_words", "fault_record_words")
+    first = [getattr(circ, name) for name in names]
+    assert all(getattr(circ, name) is table for name, table in zip(names, first))
+    sites, cases, words, records = first[1:]
+    assert type(sites) is tuple and all(type(site) is tuple for site in sites)
+    assert type(cases) is tuple and all(type(case) is tuple for case in cases)
     assert list(cases) == [(c.instruction_index, c.kind, c.pauli)
                            for c in ss.enumerate_single_faults(circ)]
-    assert ss.fault_record_words(circ) is ss.fault_record_words(circ)
+    assert type(words) is tuple and len(words) == 3
+    for part in words:
+        assert type(part) is tuple and all(type(w) is int for w in part)
+    assert not records.flags.writeable
+    with pytest.raises(ValueError):
+        records[...] = 0
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(circ, name, None)
+    assert all(getattr(circ, name) is table for name, table in zip(names, first))
 
 
 @settings(deadline=None)
 @given(_circuits(), st.randoms(use_true_random=False))
 def test_fault_labels_are_the_cases_at_the_columns(circ, rnd):
     # any columns, in any order and repeated, without the case list
-    cases = ss.fault_cases(circ)
+    cases = circ.fault_cases
     columns = [rnd.randrange(len(cases)) for _ in range(len(cases) and 12)]
     columns += sorted(rnd.sample(range(len(cases)), len(cases) // 2))
     assert ss.fault_labels(circ, columns) == [cases[c] for c in columns]
@@ -233,8 +236,8 @@ def test_zero_noise_random_outcomes_match_tableau(name):
         "prepz-measx-measz": ss.Circuit(1, (ss.prepz(0), ss.measx(0, "a"), ss.measz(0, "b"))),
     }[name]
     shots = 2000
-    tags = circ.tags()
-    frame = _outcome_freqs(ss.sample_pauli_frame(circ, ss.NoiseModel.zero(), 9, shots), tags)
+    tags = circ.tags
+    frame = _outcome_freqs(ss.sample_pauli_frame(circ, ss.NoiseModel(), 9, shots), tags)
     tab = _outcome_freqs([ss.simulate_tableau(circ, seed) for seed in range(shots)], tags)
     assert set(frame) == set(tab)
     for key in tab:
@@ -261,10 +264,10 @@ _OP_SUPPORT_CASES = {
 def test_zero_noise_support_matches_tableau_per_op(op):
     circ = ss.Circuit.from_text("QUBITS 2\n" + _OP_SUPPORT_CASES[op])
     assert op in {ins.op for ins in circ.instructions}
-    tags = circ.tags()
+    tags = circ.tags
     shots = 200
     frame = {tuple(rec[t] for t in tags)
-             for rec in ss.sample_pauli_frame(circ, ss.NoiseModel.zero(), 3, shots)}
+             for rec in ss.sample_pauli_frame(circ, ss.NoiseModel(), 3, shots)}
     tab = {tuple(ss.simulate_tableau(circ, seed)[t] for t in tags) for seed in range(shots)}
     assert frame == tab
 
@@ -275,9 +278,9 @@ def test_reference_record_applies_inject_and_residuals_exclude_it():
     # the words hold each fault's flips, a FaultCase the absolute record
     circ = ss.Circuit.from_text("QUBITS 2\nPREPZ 0\nPREPZ 1\nINJECT X 0\nCNOT 0 1\nMEASZ 1 b\n")
     assert ss.reference_record(circ, 0) == {"b": 1}
-    assert ss.sample_pauli_frame(circ, ss.NoiseModel.zero(), 0, 4) == [{"b": 1}] * 4
-    assert ss.fault_cases(circ)[:2] == ((0, "prep", "X"), (1, "prep", "X"))
-    [records], x, _ = ss.fault_words(circ)
+    assert ss.sample_pauli_frame(circ, ss.NoiseModel(), 0, 4) == [{"b": 1}] * 4
+    assert circ.fault_cases[:2] == ((0, "prep", "X"), (1, "prep", "X"))
+    [records], x, _ = circ.fault_words
     assert records & 3 == 3 and [x[0] & 3, x[1] & 3] == [1, 3]
     cases = ss.enumerate_single_faults(circ)[:2]
     assert [c.final_x for c in cases] == [3, 2]
@@ -379,7 +382,7 @@ def test_inject_pauli_flip_base_case():
                           ss.measz(0, "a"), ss.measz(1, "b")))
     rec = ss.simulate_tableau(circ, 0)
     assert rec["a"] == 1 and rec["b"] == 0
-    frame = ss.sample_pauli_frame(circ, ss.NoiseModel.zero(), 0, 1)[0]
+    frame = ss.sample_pauli_frame(circ, ss.NoiseModel(), 0, 1)[0]
     assert frame["a"] == 1 and frame["b"] == 0
 
 
@@ -417,7 +420,7 @@ def test_fault_enumeration_count_formula():
     code = build_25_4_3()
     circ = syndrome_extraction_circuit(code, zigzag_schedule(code), "X")
     expected = 38 * 15 + 10 + 10  # CNOTs, ancilla preps, ancilla measurements
-    assert len(ss.fault_cases(circ)) == expected
+    assert len(circ.fault_cases) == expected
     cases = ss.enumerate_single_faults(circ)
     assert len(cases) == expected
     # deterministic ordering
@@ -466,11 +469,11 @@ def test_fault_words_edge_shapes(ops, shape, cases):
     # no fault site at all, and a fault site with no measurement to record it
     circ = ss.Circuit(2, ops)
     tags, faults = shape
-    records, x, z = ss.fault_words(circ)
+    records, x, z = circ.fault_words
     assert len(records) == tags and len(x) == len(z) == 2
     assert all(0 <= w < 1 << faults for w in records + x + z)
-    assert ss.fault_record_words(circ).shape == (faults, -(-tags // 64))
-    assert len(ss.fault_cases(circ)) == faults
+    assert circ.fault_record_words.shape == (faults, -(-tags // 64))
+    assert len(circ.fault_cases) == faults
     got = ss.enumerate_single_faults(circ)
     assert got == cases and [c.record for c in got] == [c.record for c in cases]
 
@@ -480,11 +483,11 @@ def test_residual_frames_wider_than_a_word():
     n = 130
     circ = ss.Circuit(n, tuple(ss.prepz(q) for q in range(n)) + (ss.cnot(0, n - 1),))
     cases = ss.enumerate_single_faults(circ)
-    assert list(ss.fault_cases(circ)) == [(q, "prep", "X") for q in range(n)] + [
+    assert list(circ.fault_cases) == [(q, "prep", "X") for q in range(n)] + [
         (n, "gate2", a + b) for a in "IXYZ" for b in "IXYZ" if a + b != "II"]
     want_x = [1 | 1 << (n - 1)] + [1 << q for q in range(1, n)]
     want_z = [0] * n
-    for _, _, (a, b) in ss.fault_cases(circ)[n:]:
+    for _, _, (a, b) in circ.fault_cases[n:]:
         want_x.append((a in "XY") | (b in "XY") << (n - 1))
         want_z.append((a in "YZ") | (b in "YZ") << (n - 1))
     assert [c.final_x for c in cases] == want_x and [c.final_z for c in cases] == want_z
@@ -515,7 +518,7 @@ def test_ancilla_z_mid_gadget_flips_only_that_outcome():
     flip_cases = [c for c in ss.enumerate_single_faults(circ)
                   if c.kind == "gate2" and c.pauli == "ZI"]
     case = flip_cases[0]
-    diff = {t for t in circ.tags() if case.record[t] != ref[t]}
+    diff = {t for t in circ.tags if case.record[t] != ref[t]}
     assert len(diff) == 1
 
 
@@ -533,7 +536,7 @@ def test_noisy_expansion_matches_frame_sampler_statistically():
     nm = ss.NoiseModel(0.05, 0.05, 0.05)
     shots = 4000
     for circ in (chain, physical_ghz_circuit("z")):
-        tags = circ.tags()
+        tags = circ.tags
         frame_rate = sum(
             any(rec[t] for t in tags)
             for rec in ss.sample_pauli_frame(circ, nm, 1, shots)) / shots
@@ -544,7 +547,7 @@ def test_noisy_expansion_matches_frame_sampler_statistically():
             hits += any(rec[t] for t in tags)
         tableau_rate = hits / shots
         sigma = (frame_rate * (1 - frame_rate) / shots) ** 0.5 * 2 ** 0.5
-        assert abs(frame_rate - tableau_rate) < 5 * max(sigma, 1e-3), circ.tags()
+        assert abs(frame_rate - tableau_rate) < 5 * max(sigma, 1e-3), circ.tags
 
 
 def test_frame_sampler_matches_tableau_with_h_relabel_and_inject():
@@ -567,7 +570,7 @@ def test_frame_sampler_matches_tableau_with_h_relabel_and_inject():
     shots = 20000
     for circ, noiseless in ((mixed, {(0, 0, 1, 0)}),
                             (physical_ghz_circuit("z"), {(0, 0, 0, 0), (1, 1, 1, 1)})):
-        tags = circ.tags()
+        tags = circ.tags
         frame, tab = {}, {}
         for rec in ss.sample_pauli_frame(circ, nm, 17, shots):
             key = tuple(rec[t] for t in tags)
@@ -627,14 +630,14 @@ def _dense_flip_outcomes(circ, nm, seed, shots):
     forms = circ._record_map[1]
     points = [1 | sum(bit << (j + 1) for j, bit in enumerate(col))
               for col in np.hstack(draws)[:, :shots].T.tolist()]
-    noiseless = [[(forms[t] & point).bit_count() & 1 for point in points] for t in circ.tags()]
+    noiseless = [[(forms[t] & point).bit_count() & 1 for point in points] for t in circ.tags]
     return meas ^ np.array(noiseless, dtype=bool).reshape(meas.shape)
 
 
 def _check_sampler_against_dense_flips(circ, rates, seed, shots):
     nm = ss.NoiseModel(*rates)
     got = ss.sample_outcomes(circ, nm, seed, shots)
-    assert got.shape == (len(circ.tags()), shots) and got.dtype == bool
+    assert got.shape == (len(circ.tags), shots) and got.dtype == bool
     assert (got == _dense_flip_outcomes(circ, nm, seed, shots)).all()
 
 
@@ -664,10 +667,10 @@ def test_packed_sampler_matches_the_float32_reference(circ, rates, seed, shots):
 
     nm = ss.NoiseModel(*rates)
     got = ss.sample_outcomes(circ, nm, seed, shots)
-    assert got.shape == (len(circ.tags()), shots) and got.dtype == bool
+    assert got.shape == (len(circ.tags), shots) and got.dtype == bool
     assert (got == reference_sample_outcomes(circ, nm, seed, shots)).all()
     words = ss.sample_words(circ, nm, seed, shots)
-    assert words.shape == (shots, -(-len(circ.tags()) // 64)) and words.dtype == "<u8"
+    assert words.shape == (shots, -(-len(circ.tags) // 64)) and words.dtype == "<u8"
     assert (ss.pack_words(got.T) == words).all()
 
 
@@ -695,7 +698,7 @@ def _faulted(circ, case):
 def _draw_coefficients(circ):
     # row j: which record tags the circuit's j-th random outcome enters, in the record map
     k, forms = circ._record_map
-    return [[(forms[t] >> (j + 1)) & 1 for t in circ.tags()] for j in range(k)]
+    return [[(forms[t] >> (j + 1)) & 1 for t in circ.tags] for j in range(k)]
 
 
 def _unpacked(words, count):
@@ -720,7 +723,7 @@ def _draw_rows(circ):
     rows = units.reshape(8 * len(tables), tables.shape[2])
     k = circ._record_map[0]
     assert len(rows) == -(-k // 8) * 8 and not rows[k:].any()
-    return _unpacked(rows[:k], len(circ.tags()))
+    return _unpacked(rows[:k], len(circ.tags))
 
 
 @settings(deadline=None)
@@ -732,12 +735,12 @@ def test_fault_record_words_match_the_tableau(circ, seed):
     # coefficients that the sampler draws through
     from conftest import gauss_rank
 
-    tags = circ.tags()
+    tags = circ.tags
     draws = _draw_coefficients(circ)
     rank = gauss_rank(draws)
     clean = ss.simulate_tableau(circ, seed)
-    flips = _unpacked(ss.fault_record_words(circ), len(tags))
-    for c, case in enumerate(ss.fault_cases(circ)):
+    flips = _unpacked(circ.fault_record_words, len(tags))
+    for c, case in enumerate(circ.fault_cases):
         faulted = ss.simulate_tableau(_faulted(circ, case), seed)
         diff = [int(flips[c, r]) ^ faulted[t] ^ clean[t] for r, t in enumerate(tags)]
         assert gauss_rank(draws + [diff]) == rank, case
@@ -750,7 +753,7 @@ def test_x_measurement_of_an_unprepared_qubit_is_random():
     # the map's random outcomes per shot, so it is random there too
     circ = ss.Circuit.from_text("QUBITS 1\nMEASX 0 a\n")
     assert {ss.simulate_tableau(circ, seed)["a"] for seed in range(20)} == {0, 1}
-    assert set(ss.sample_outcomes(circ, ss.NoiseModel.zero(), 3, 200)[0].tolist()) == {False, True}
+    assert set(ss.sample_outcomes(circ, ss.NoiseModel(), 3, 200)[0].tolist()) == {False, True}
 
 
 def test_frame_kernel_runs_once_per_circuit(monkeypatch):
@@ -768,11 +771,11 @@ def test_frame_kernel_runs_once_per_circuit(monkeypatch):
     ss.sample_outcomes(circ, nm, 2, 10)
     assert (len(calls), len(walks)) == (1, 1)
     # the sampler counts the faults from the walk and builds no case list
-    assert "_fault_cases" not in vars(circ)
+    assert "fault_cases" not in vars(circ)
     for _ in range(2):
-        ss.fault_cases(circ)
-        ss.fault_record_words(circ)
-        ss.fault_words(circ)
+        circ.fault_cases
+        circ.fault_record_words
+        circ.fault_words
         ss.fault_labels(circ, [0, 3])
         ss.enumerate_single_faults(circ)
     assert (len(calls), len(walks)) == (1, 1)
@@ -791,11 +794,11 @@ def test_frame_kernel_runs_once_per_circuit(monkeypatch):
     assert not pr.validate_schedule(code, pr.row_major_schedule(code)).ok
     assert (len(calls), len(walks)) == (4, 3)
     extraction = syndrome_extraction_circuit(code, schedule, "both")
-    ss.fault_words(extraction)
+    extraction.fault_words
     ss.enumerate_single_faults(extraction)
     assert (len(calls), len(walks)) == (5, 4) and calls[-1] == (extraction,)
     kinds, const, draws = circ._noise_map
-    for array in (ss.fault_record_words(circ), const, draws, *kinds.values()):
+    for array in (circ.fault_record_words, const, draws, *kinds.values()):
         assert array.size
         with pytest.raises(ValueError):
             array[(0,) * array.ndim] = 1
@@ -813,7 +816,7 @@ def test_fault_words_are_the_mechanisms_in_order():
     rows = ([[0, 1, 0, 0, 1, 0]]  # Z after PREPX 0
             + cnot
             + [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0]])  # the outcome flips of a and b
-    words = [w for part in ss.fault_words(circ) for w in part]
+    words = [w for part in circ.fault_words for w in part]
     assert [[w >> c & 1 for w in words] for c in range(18)] == [list(map(int, row)) for row in rows]
     kinds, const, draws = circ._noise_map
     assert _unpacked(kinds["prep"], 2).tolist() == [[[0, 1]]]
@@ -821,8 +824,8 @@ def test_fault_words_are_the_mechanisms_in_order():
     assert _unpacked(kinds["meas"], 2).tolist() == [[[1, 0]], [[0, 1]]]
     assert _draw_rows(circ).tolist() == [[0, 0], [1, 0], [0, 1]]
     assert _unpacked(const, 2).tolist() == [0, 0]
-    assert _unpacked(ss.fault_record_words(circ), 2).tolist() == [row[:2] for row in rows]
-    cases = ss.fault_cases(circ)
+    assert _unpacked(circ.fault_record_words, 2).tolist() == [row[:2] for row in rows]
+    cases = circ.fault_cases
     assert cases[:2] == ((0, "prep", "Z"), (1, "gate2", "IX")) and len(cases) == 18
     first = ss.enumerate_single_faults(circ)[0]
     assert (first.final_x, first.final_z) == (0, 1)
@@ -833,14 +836,14 @@ def _check_fault_words_against_the_dense_reference(circ):
     from conftest import reference_fault_rows
 
     want = reference_fault_rows(circ)
-    tags = len(circ.tags())
+    tags = len(circ.tags)
     assert want.dtype == bool and want.shape[1] == tags + 2 * circ.n_qubits
     # the words themselves, bit c = fault c, with no bit past the last fault
-    assert ss.fault_words(circ) == tuple(
-        [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little") for row in part]
+    assert circ.fault_words == tuple(
+        tuple(int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little") for row in part)
         for part in np.split(want.T, [tags, tags + circ.n_qubits]))
     # and the record rows packed from them
-    records = ss.fault_record_words(circ)
+    records = circ.fault_record_words
     assert records.shape == (len(want), -(-tags // 64))
     assert (records == ss.pack_words(want[:, :tags])).all()
 
@@ -863,7 +866,7 @@ def test_fault_words_match_the_dense_reference_on_pipelines():
                  for make in (zigzag_schedule, pr.row_major_schedule) for which in ("X", "Z", "both")]
     for l in (4, 20):
         circuits += [pr.generalized_ghz_circuit(build_generalized(l, 1), b)[0] for b in "zx"]
-    assert len(ss.fault_record_words(circuits[-1])) == 3261
+    assert len(circuits[-1].fault_record_words) == 3261
     for circ in circuits:
         _check_fault_words_against_the_dense_reference(circ)
 
@@ -892,8 +895,8 @@ def test_unprepared_data_qubits_make_x_check_outcomes_random(flagship_code):
 
     circ = syndrome_extraction_circuit(flagship_code, zigzag_schedule(flagship_code), "both")
     ref = ss.reference_record(circ, 9)
-    flips = ss.sample_outcomes(circ, ss.NoiseModel.zero(), 9, 200) ^ np.array(
-        [[ref[t]] for t in circ.tags()], dtype=bool)
+    flips = ss.sample_outcomes(circ, ss.NoiseModel(), 9, 200) ^ np.array(
+        [[ref[t]] for t in circ.tags], dtype=bool)
     draws, shots = _draw_coefficients(circ), flips.T.astype(int).tolist()
     assert gauss_rank(draws) > 0
     assert gauss_rank(shots) == gauss_rank(draws) == gauss_rank(draws + shots)
