@@ -17,9 +17,8 @@ import sys
 from . import experiment as ex
 from . import protocol as pr
 from .code_factory import build_25_4_3, build_34_4_3, build_generalized
-from .css_code import CssCode, distance, permutation_logical_action
-from .decoder import (BP_ITERS, OSD_DEPTH, PRIOR, DecodeProblem, MinSumDecoder, bp_then_osd,
-                      logical_correction)
+from .css_code import CssCode, distance, permutation_logical_action, validate
+from .decoder import BP_ITERS, OSD_DEPTH, PRIOR, MinSumDecoder, bp_then_osd, logical_correction
 from .f2linalg import reject_unknown_keys, vector_from_bits, vector_to_bits
 from .stab_sim import SEED_LIMIT, cycles_from_text
 
@@ -96,7 +95,11 @@ def _load_json(path: str, parse, what: str):
 
 
 def _load_code(path: str) -> CssCode:
-    return _load_json(path, CssCode.from_json, "code")
+    code = _load_json(path, CssCode.from_json, "code")
+    failures = validate(code).failures
+    if failures:
+        raise ValueError(f"code file {path}: {failures[0]}")
+    return code
 
 
 def _is_int_list(v) -> bool:
@@ -192,10 +195,8 @@ def _cmd_run_ghz(args) -> int:
 def _cmd_decode(args) -> int:
     code = _load_code(args.code)
     h = code.hz if args.basis == "z" else code.hx
-    # DecodeProblem checks the prior before any line is read; one decoder
-    # serves the whole stream
-    priors = DecodeProblem(h, (args.prior,) * h.cols, 0).priors
-    bp = MinSumDecoder(h, priors, iters=args.bp_iters)
+    # one decoder, its prior checked before any line is read, serves the stream
+    bp = MinSumDecoder(h, (args.prior,) * h.cols, iters=args.bp_iters)
     out_lines = []
     with open(args.syndromes) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -300,9 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
     dc.add_argument("--syndromes", required=True)
     dc.add_argument("--out", required=True)
     dc.add_argument("--prior", type=_number(float), default=PRIOR,
-                    help="error probability in (0, 0.5], one prior set on every column; "
-                         "so any value in (0, 0.5) writes the same rows (short of the LLR "
-                         "clip, near 1e-13), while 0.5, a zero LLR, ties every candidate")
+                    help="error probability in (0, 0.5], one prior set on every column; it "
+                         "acts only through the +-30 LLR clip and the 1e-12 tie margin, and "
+                         "0.5, a zero LLR, ties every candidate")
     dc.add_argument("--bp-iters", type=_NON_NEGATIVE, default=BP_ITERS,
                     help="BP iterations at most; at its first repeated message state BP "
                          "returns what its last iteration would return and counts as not "

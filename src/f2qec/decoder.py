@@ -44,9 +44,7 @@ class DecodeProblem(Frozen):
         vars(self).update(h=h, priors=priors, syndrome=syndrome)
         if len(priors) != h.cols:
             raise ValueError("one prior per column required")
-        for p in priors:
-            if not 0.0 < p <= 0.5:
-                raise ValueError(f"prior {p} outside (0, 0.5]")
+        _prior_llrs(set(priors))  # the range check, once per distinct prior
         if syndrome >> h.rows:
             raise ValueError("syndrome longer than the check count")
 
@@ -64,9 +62,13 @@ def uniform_priors(n: int, p: float = PRIOR) -> tuple[float, ...]:
 
 
 def _prior_llrs(priors) -> list[float]:
-    # one log per distinct prior, so a uniform prior costs one
-    llr = {p: max(-LLR_CLIP, min(LLR_CLIP, math.log((1.0 - p) / p))) for p in set(priors)}
-    return [llr[p] for p in priors]
+    # check and log each distinct prior once; no LLR is negative, so no lower clip
+    llr = {}
+    for p in set(priors):
+        if not 0.0 < p <= 0.5:
+            raise ValueError(f"prior {p} outside (0, 0.5]")
+        llr[p] = min(LLR_CLIP, math.log((1.0 - p) / p))
+    return list(map(llr.__getitem__, priors))
 
 
 class MinSumDecoder:
@@ -76,8 +78,8 @@ class MinSumDecoder:
     numbers the set entries of h: each check owns a contiguous run of
     entries and each variable lists its entries in ascending check order.
     That graph and its degree groups are computed once per matrix, so
-    building a decoder costs only the prior LLRs, one logarithm per
-    distinct prior.  Posteriors are exposed for ordered-statistics
+    building a decoder costs only the prior LLRs (see _prior_llrs, which
+    also checks each prior).  Posteriors are exposed for ordered-statistics
     post-processing.
 
     A degree-1 variable's total is `p + c` and a degree-2 variable's
@@ -280,13 +282,9 @@ def _sweep(h: BitMatrix, syndrome: int, bp_soft_output, depth: int, prior_llrs) 
 
 def bp_then_osd(bp: MinSumDecoder, syndrome: int, depth: int = OSD_DEPTH) -> DecodeResult:
     """BP on a prebuilt decoder, then the ordered-statistics sweep on the
-    decoder's own check matrix and prior LLRs.
-
-    A non-converged BP answer is always replaced by the sweep result; a
-    converged one is kept only while no sweep candidate beats its
-    channel-prior score, which keeps the combined soft weight at or
-    below the plain OSD-0 solution.
-    """
+    decoder's own check matrix and prior LLRs: a converged BP answer scoring
+    more than 1e-12 below the sweep's is kept (the sweep's swaps to tied
+    candidates of lower support can chain above it), otherwise the sweep's."""
     res = bp.decode(syndrome)
     osd = _sweep(bp.h, syndrome, res.posteriors, depth, bp.prior_llrs)
     if res.converged and res.soft_weight < osd.soft_weight - 1e-12:

@@ -465,3 +465,66 @@ def reference_noise_flips(circuit, nm, rng, shots):
         pick = codes[site, rng.integers(codes.shape[1], size=len(site))]
         out[pos[site], :, shot] = flips[pick]
     return out, rng.integers(0, 2, (circuit._record_map[0], shots), dtype=bool)
+
+
+def reference_statevector(circuit, draws):
+    """A dense statevector run from |0...0> of a circuit on at most 5 qubits:
+    ({tag: (probability of outcome 1, outcome)}, the number of random outcomes).
+
+    Bit q of a basis-state index is qubit q.  A measurement whose outcome
+    has probability 1/2 is random and takes the next of draws; PREPZ and
+    PREPX measure (a random outcome taking a draw, as in the tableau) and
+    then flip the qubit to |0> or |+>.  MEASX and PREPX measure between two
+    Hadamards, and RELABEL moves qubit q to perm[q]."""
+    import numpy as np
+
+    n = circuit.n_qubits
+    assert n <= 5
+    index = np.arange(1 << n)
+    psi = np.zeros(1 << n, dtype=complex)
+    psi[0] = 1.0
+    used = 0
+    records = {}
+
+    def bit(q):
+        return (index >> q) & 1
+
+    def hadamard(q):
+        lo, hi = psi[bit(q) == 0], psi[bit(q) == 1]
+        psi[bit(q) == 0], psi[bit(q) == 1] = (lo + hi) / np.sqrt(2), (lo - hi) / np.sqrt(2)
+
+    def measure_z(q):
+        nonlocal psi, used
+        p1 = float(np.sum(np.abs(psi[bit(q) == 1]) ** 2))
+        if abs(p1 - 0.5) < 1e-9:
+            outcome = draws[used]
+            used += 1
+        else:
+            assert min(p1, 1.0 - p1) < 1e-9, p1
+            outcome = round(p1)
+        psi = np.where(bit(q) == outcome, psi, 0.0)
+        psi /= np.linalg.norm(psi)
+        return p1, outcome
+
+    for ins in circuit.instructions:
+        op, qs = ins.op, ins.qubits
+        if op in ("H", "MEASX", "PREPX"):
+            hadamard(qs[0])
+        if op in ("MEASZ", "MEASX"):
+            records[ins.tag] = measure_z(qs[0])
+        elif op in ("PREPZ", "PREPX") and measure_z(qs[0])[1]:
+            psi = psi[index ^ (1 << qs[0])]
+        elif op == "CNOT":
+            psi = psi[index ^ (bit(qs[0]) << qs[1])]
+        elif op == "INJECT":
+            if ins.pauli in "XY":
+                psi = psi[index ^ (1 << qs[0])]
+            if ins.pauli in "YZ":
+                psi = psi * (1 - 2 * bit(qs[0]))
+        elif op == "RELABEL":
+            moved = np.zeros_like(psi)
+            moved[sum(bit(q) << p for q, p in enumerate(ins.perm))] = psi
+            psi = moved
+        if op in ("MEASX", "PREPX"):
+            hadamard(qs[0])
+    return records, used

@@ -112,6 +112,24 @@ def test_run_ghz_reports_an_archive_path_that_is_a_directory(tmp_path, capsys):
     assert not (mode_dir / "summary.json").exists()
 
 
+def test_run_ghz_flags_override_the_config(tmp_path, capsys):
+    # --mode, --basis-shots and --seed replace the config's values: the run
+    # writes what a config stating those values writes, byte for byte
+    rates = "p1 = 3e-5\np2 = 2e-3\np_spam = 2e-3\n"
+    base, stated = tmp_path / "base.cfg", tmp_path / "stated.cfg"
+    base.write_text("mode = logical\nshots_z = 30\nshots_x = 40\nseed = 1\n" + rates)
+    stated.write_text("mode = logical-noqec\nshots_z = 120\nshots_x = 80\nseed = 9\n" + rates)
+    assert main(["run-ghz", "--config", str(base), "--mode", "logical-noqec",
+                 "--basis-shots", "120,80", "--seed", "9", "--out", str(tmp_path / "a")]) == 0
+    assert main(["run-ghz", "--config", str(stated), "--out", str(tmp_path / "b")]) == 0
+    capsys.readouterr()
+    for name in ("summary.json", "shots.jsonl"):
+        got, want = (tmp_path / d / "logical-noqec" / name for d in "ab")
+        assert got.read_bytes() == want.read_bytes()
+    assert json.loads((tmp_path / "a" / "logical-noqec" / "summary.json").read_text())[
+        "config"]["seed"] == 9
+
+
 def test_run_ghz_missing_config(capsys):
     assert main(["run-ghz", "--config", "does_not_exist.cfg"]) == 1
     err = capsys.readouterr().err
@@ -223,6 +241,36 @@ def test_decode_rows_equal_bp_osd_at_non_default_settings(tmp_path, capsys, basi
             "converged": want.converged,
             "method": want.method,
         }
+
+
+def test_decode_prior_acts_only_through_the_llr_clip(tmp_path, capsys):
+    # three weight-3 flagship Z syndromes (0-based positions 803, 975 and
+    # 1084 of the weight-3 supports in combinations order) on which a prior
+    # of 1e-7 and the default 0.01 give the same rows at 10 BP iterations,
+    # but different estimates and logical masks at 1000, where the messages
+    # reach the LLR clip
+    from itertools import combinations
+
+    from f2qec.code_factory import build_25_4_3
+    from f2qec.f2linalg import vector_to_bits
+
+    code_path = str(tmp_path / "code.json")
+    main(["build-code", "--family", "paper2543", "--out", code_path])
+    hz = build_25_4_3().hz
+    supports = list(combinations(range(25), 3))
+    stream = tmp_path / "syn.jsonl"
+    stream.write_text("".join(json.dumps({"syndrome": vector_to_bits(
+        hz.mul_vec(sum(1 << q for q in supports[i])), hz.rows)}) + "\n" for i in (803, 975, 1084)))
+
+    def rows(prior, iters):
+        out = tmp_path / "dec.jsonl"
+        assert main(["decode", "--code", code_path, "--basis", "z", "--syndromes", str(stream),
+                     "--out", str(out), "--prior", prior, "--bp-iters", iters]) == 0
+        return [json.loads(line) for line in out.read_text().splitlines()]
+
+    assert rows("1e-7", "10") == rows("0.01", "10")
+    for a, b in zip(rows("1e-7", "1000"), rows("0.01", "1000")):
+        assert a["estimate"] != b["estimate"] and a["logical_mask"] != b["logical_mask"]
 
 
 @pytest.mark.parametrize("count", [0, 2])
@@ -424,10 +472,13 @@ def _cut_hz(obj):
      "logicals.z"),                                               # repeated qubit
     (lambda obj: obj["logicals"]["x"][0].append(-1), "logicals.x"),
     (lambda obj: obj["logicals"]["z"].__setitem__(1, "0 1"), "logicals.z"),  # not a list
+    # well formed, but not a CSS code: css_code.validate's first failure
+    (lambda obj: obj["hx"]["data"].__setitem__(0, "1" + "0" * 24),
+     "hx row 0 anticommutes with hz row 0"),
 ], ids=["n", "hz-width", "logical-range", "d-bool", "d-float", "d-text", "d-negative",
         "coord-empty", "coord-pair", "coords-short", "hx-digit-2", "hz-non-ascii",
         "k-mismatch", "k-bool", "logical-bool", "logical-repeat", "logical-negative",
-        "logical-text"])
+        "logical-text", "hx-anticommutes"])
 def test_distance_rejects_code_file_out_of_shape(tmp_path, capsys, spoil, words):
     code_path = tmp_path / "code.json"
     main(["build-code", "--family", "paper2543", "--out", str(code_path)])

@@ -167,6 +167,15 @@ def test_decode_problem_validation(code):
         DecodeProblem(code.hz, uniform_priors(25), 1 << 20)
 
 
+@pytest.mark.parametrize("p", [0.0, 0.7, 1.0, float("nan")])
+def test_min_sum_decoder_checks_its_priors_as_decode_problem_does(code, p):
+    # one check for both, so every decoder the program builds has prior LLRs >= 0
+    for build in (lambda priors: DecodeProblem(code.hz, priors, 0),
+                  lambda priors: MinSumDecoder(code.hz, priors)):
+        with pytest.raises(ValueError, match=r"outside \(0, 0\.5\]"):
+            build((0.01,) * 24 + (p,))
+
+
 def test_min_sum_decoder_reusable(code):
     dec = MinSumDecoder(code.hz, uniform_priors(25))
     syn = code.hz.mul_vec(1 << 7)
@@ -247,7 +256,7 @@ def test_bp_osd_outputs_on_weight_three_syndromes_are_pinned_by_digest(code):
 
 
 @st.composite
-def _decode_cases(draw):
+def _decode_cases(draw, prior=st.sampled_from((0.5, 0.2, 0.05, 0.01, 0.001))):
     """Small check matrices with redundant rows and all-zero columns, priors
     that include 0.5 (a zero LLR, so signed zeros), and syndromes that may
     lie outside the column space."""
@@ -257,8 +266,7 @@ def _decode_cases(draw):
         st.tuples(st.integers(0, len(rows) - 1), st.integers(0, len(rows) - 1)), max_size=2))]
     dead = draw(st.integers(0, (1 << n) - 1))  # columns cleared in every row
     h = BitMatrix.from_ints([r & ~dead for r in rows], n)
-    priors = tuple(draw(st.lists(st.sampled_from((0.5, 0.2, 0.05, 0.01, 0.001)),
-                                 min_size=n, max_size=n)))
+    priors = tuple(draw(st.lists(prior, min_size=n, max_size=n)))
     if draw(st.booleans()):
         syndrome = h.mul_vec(draw(st.integers(0, (1 << n) - 1)))
     else:
@@ -338,7 +346,19 @@ def test_bp_after_a_repeated_message_state_matches_the_reference(code, name, sup
 @example(case=(BitMatrix.from_ints([7, 6], 3), (0.5, 0.5, 0.05), 0b01, 4, 2))
 # an all-zero column (3) and an empty row (1) beside degree-1 and -2 nodes
 @example(case=(BitMatrix.from_ints([5, 0, 3], 4), (0.05, 0.5, 0.01, 0.2), 0b101, 6, 3))
+# LLRs of about 1.5e-12, 0.8e-12 and 0: BP converges at once to {2}, and the
+# sweep's zero pattern {2} gives way to the tied {1}, then to the tied {0},
+# 1.5e-12 above BP's answer, which is therefore kept
+@example(case=(BitMatrix.from_ints([7], 3), (0.5 - 3.75e-13, 0.5 - 2e-13, 0.5), 0b1, 10, 14))
 def test_bp_and_bp_osd_match_the_reference_on_random_matrices(case):
+    _assert_matches_the_references(*case)
+
+
+# a continuous prior in (0, 0.5] beside 0.5, 0.5 - 2e-13 and 1e-12 (LLRs 0,
+# 8e-13, under the 1e-12 tie margin, and 27.6)
+@given(_decode_cases(prior=st.one_of(st.sampled_from((0.5, 0.5 - 2e-13, 1e-12, 0.01)),
+                                     st.floats(0.0, 0.5, exclude_min=True))))
+def test_bp_and_bp_osd_match_the_reference_at_any_accepted_prior(case):
     _assert_matches_the_references(*case)
 
 

@@ -129,10 +129,18 @@ def _instruction(n):
 
 
 @st.composite
-def _circuits(draw, min_faults=0, min_tags=0):
-    n = draw(st.integers(2, 6))
+def _circuits(draw, min_faults=0, min_tags=0, max_qubits=6, gate_weight=0):
+    # gate_weight more draws of H, CNOT and INJECT beside each of _instruction's
+    n = draw(st.integers(2, max_qubits))
+    instruction = _instruction(n)
+    if gate_weight:
+        q = st.integers(0, n - 1)
+        gates = st.one_of(st.builds(ss.h, q),
+                          st.permutations(range(n)).map(lambda p: ss.cnot(p[0], p[1])),
+                          st.builds(ss.inject, st.sampled_from("XYZ"), q))
+        instruction = st.one_of(*[gates] * gate_weight, instruction)
     ins = []
-    for k, item in enumerate(draw(st.lists(_instruction(n), max_size=25))):
+    for k, item in enumerate(draw(st.lists(instruction, max_size=25))):
         if item.op in ("MEASZ", "MEASX"):
             item = item._replace(tag=f"m{k}")
         ins.append(item)
@@ -745,6 +753,38 @@ def test_fault_record_words_match_the_tableau(circ, seed):
         diff = [int(flips[c, r]) ^ faulted[t] ^ clean[t] for r, t in enumerate(tags)]
         assert gauss_rank(draws + [diff]) == rank, case
     assert _draw_rows(circ).astype(int).tolist() == draws
+
+
+def _form_value(form: int, draws: int) -> int:
+    """A record-map form at an assignment of the draws (draw j at bit j)."""
+    return (form & 1) ^ (((form >> 1) & draws).bit_count() & 1)
+
+
+@settings(deadline=None)
+@given(_circuits(max_qubits=5, gate_weight=3),
+       st.lists(st.sampled_from(["MEASZ", "MEASX"]), min_size=5, max_size=5))
+# a Bell pair made through X0 Z1, which CNOT 0 1 takes to -Y0 Y1: its two Z
+# outcomes are equal only if the CNOT flips that row's sign
+@example(circ=ss.Circuit.from_text("QUBITS 2\nCNOT 0 1\nH 0\nCNOT 0 1\n"),
+         last=["MEASZ", "MEASZ"])
+def test_record_map_matches_the_dense_statevector(circ, last):
+    # each qubit is measured once more at the end, in the drawn basis; at
+    # every assignment of the record map's k draws (of the first 8 when
+    # k > 8), the statevector run that takes its random outcomes from those
+    # draws measures each random outcome with probability 1/2, k of them,
+    # and each determined outcome equal to its form
+    from conftest import reference_statevector
+
+    circ = ss.Circuit(circ.n_qubits, circ.instructions + tuple(
+        ss.Instruction(op, (q,), tag=f"end{q}") for q, op in enumerate(last[:circ.n_qubits])))
+    k, forms = circ._record_map
+    for draws in range(1 << min(k, 8)):
+        records, used = reference_statevector(circ, [(draws >> j) & 1 for j in range(k)])
+        assert used == k
+        for tag, (p1, outcome) in records.items():
+            assert _form_value(forms[tag], draws) == outcome, (tag, p1)
+            # an outcome random here is a function of the draws in the tableau
+            assert forms[tag] >> 1 or abs(p1 - 0.5) > 1e-9, tag
 
 
 def test_x_measurement_of_an_unprepared_qubit_is_random():
