@@ -161,9 +161,12 @@ def validate(code: CssCode) -> Diagnostics:
 def distance(code: CssCode, w_max: int) -> tuple[int | None, int | None]:
     """Minimum logical operator weights (d_x, d_z) by exhaustive search.
 
-    Enumerates supports of increasing weight; None means no logical of
-    weight <= w_max exists.  Refuses searches beyond MAX_DISTANCE_ENUM
-    candidate supports.
+    Searches supports of increasing weight; None means no logical of
+    weight <= w_max exists.  A weight-w support has zero syndrome exactly
+    when its last column's syndrome is the XOR of the other w - 1
+    columns', so only the (w - 1)-subsets are enumerated and the last
+    column is looked up by syndrome, above the subset's last index.
+    Refuses searches beyond MAX_DISTANCE_ENUM candidate supports.
     """
     total = sum(comb(code.n, w) for w in range(1, w_max + 1))
     if total > MAX_DISTANCE_ENUM:
@@ -174,15 +177,22 @@ def distance(code: CssCode, w_max: int) -> tuple[int | None, int | None]:
 
 
 def _min_weight_logical(h_other: BitMatrix, h_same: BitMatrix, w_max: int) -> int | None:
-    # Column syndromes against the opposite-type checks.
+    # Column syndromes against the opposite-type checks, and the columns of
+    # each syndrome in ascending order.
     cols = h_other.transpose().data
+    by_syndrome = {}
+    for q, syn in enumerate(cols):
+        by_syndrome.setdefault(syn, []).append(q)
     for w in range(1, w_max + 1):
-        for combo in combinations(range(len(cols)), w):
+        # the last column lies above the subset's, so the subset ends below n - 1
+        for combo in combinations(range(len(cols) - 1), w - 1):
             syn = 0
             for q in combo:
                 syn ^= cols[q]
-            if syn == 0 and not h_same.in_row_space(support_to_mask(combo)):
-                return w
+            last = combo[-1] if combo else -1
+            for q in by_syndrome.get(syn, ()):
+                if q > last and not h_same.in_row_space(support_to_mask(combo) | 1 << q):
+                    return w
     return None
 
 

@@ -78,9 +78,9 @@ class MinSumDecoder:
     numbers the set entries of h: each check owns a contiguous run of
     entries and each variable lists its entries in ascending check order.
     That graph and its degree groups are computed once per matrix, so
-    building a decoder costs only the prior LLRs (see _prior_llrs, which
-    also checks each prior).  Posteriors are exposed for ordered-statistics
-    post-processing.
+    building a decoder costs only the check that there is one prior per
+    column and the prior LLRs (see _prior_llrs, which also checks each
+    prior).  Posteriors are exposed for ordered-statistics post-processing.
 
     A degree-1 variable's total is `p + c` and a degree-2 variable's
     `p + (c1 + c2)`; other variables add their messages left to right
@@ -105,6 +105,8 @@ class MinSumDecoder:
         self.h = h
         self.iters = iters
         self.priors = tuple(priors)
+        if len(self.priors) != h.cols:
+            raise ValueError("one prior per column required")
         self.prior_llrs = _prior_llrs(self.priors)
 
     def decode(self, syndrome: int) -> DecodeResult:

@@ -638,7 +638,9 @@ def fault_tolerance_ledger(basis: str) -> LedgerReport:
     circ, recipe = build_pipeline(cfg, basis)
     records, tags = circ.fault_record_words, circ.tags
     verdicts = _classifier(cfg, basis).classify(records)
-    flips = ss.unpack_words(records, len(tags))[:, tags.index(recipe.xbar_tags[0])].tolist()
+    # each fault's xbar_0 flip, read from its packed record words
+    t = tags.index(recipe.xbar_tags[0])
+    flips = ((records[:, t >> 6] >> np.uint64(t & 63)) & np.uint64(1)).tolist()
     # case + (outcome,) is an entry's fields; LedgerEntry._make(fields) is
     # tuple.__new__(LedgerEntry, fields), called here without a Python frame per entry
     fields = map(operator.add, circ.fault_cases,

@@ -169,8 +169,12 @@ class BitMatrix(Frozen):
     def _transposed(self) -> "BitMatrix":
         out = [0] * self.cols
         for i, r in enumerate(self.data):
-            for j in mask_to_support(r):
-                out[j] |= 1 << i
+            # r's bits lowest first, as __matmul__ walks them; no tuple per row
+            bit = 1 << i
+            while r:
+                low = r & -r
+                out[low.bit_length() - 1] |= bit
+                r ^= low
         return BitMatrix(self.cols, self.rows, tuple(out))
 
     @cached_property
@@ -336,8 +340,14 @@ class BitMatrix(Frozen):
         rows, _, pivots = self._reduction
         pivset = set(pivots)
         free = [c for c in range(self.cols) if c not in pivset]
-        basis = [(1 << f) | support_to_mask(p for row, p in zip(rows, pivots) if (row >> f) & 1)
-                 for f in free]
+        # free column f and the pivot of each reduced row with f set
+        basis = []
+        for f in free:
+            v = 1 << f
+            for row, p in zip(rows, pivots):
+                if (row >> f) & 1:
+                    v |= 1 << p
+            basis.append(v)
         return BitMatrix(len(basis), self.cols, tuple(basis))
 
     def in_row_space(self, v: int) -> bool:

@@ -43,13 +43,15 @@ def zigzag_schedule(code: CssCode) -> Schedule:
     two sites wide along its own grain.
     """
     coords = _coord_map(code)
+    # In (site, line) coordinates an X check's lines are its columns; a Z
+    # check's are its rows.
+    points = {"X": coords, "Z": {q: (col, row) for q, (row, col) in coords.items()}}
 
     def serpentine(kind, h, r):
-        # In (site, line) coordinates an X check's lines are its columns;
-        # a Z check's are its rows.  The points are distinct, so they fill
-        # the rectangle exactly when their count is #sites x #lines.
-        pts = {(coords[q] if kind == "X" else coords[q][::-1]): q
-               for q in mask_to_support(h.row(r))}
+        # The points are distinct, so they fill the rectangle exactly when
+        # their count is #sites x #lines.
+        place = points[kind]
+        pts = {place[q]: q for q in mask_to_support(h.row(r))}
         sites = sorted({s for s, _ in pts})
         lines = sorted({ln for _, ln in pts})
         if len(pts) != len(sites) * len(lines) or len(lines) > 2:
@@ -93,7 +95,9 @@ def syndrome_extraction_circuit(code: CssCode, schedule: Schedule, which: str = 
     g = 0
     for kind, h, orders in (("X", code.hx, schedule.x_orders), ("Z", code.hz, schedule.z_orders)):
         for r, order in enumerate(orders):
-            if tuple(sorted(order)) != mask_to_support(h.row(r)):
+            # a permutation: as many entries as the support, and the same set
+            row = h.row(r)
+            if len(order) != row.bit_count() or set(order) != set(mask_to_support(row)):
                 raise ValueError(f"{kind} order {r} is not a permutation of the check support")
             if which not in (kind, "both"):
                 continue
@@ -436,8 +440,10 @@ def _spelling(words: list[int], weight: list[int], pattern: int, among: int) -> 
     count = pattern.bit_count()
     if count >> len(weight):
         return 0
-    for r in mask_to_support(pattern):
-        among &= words[r]
+    while pattern:
+        low = pattern & -pattern
+        among &= words[low.bit_length() - 1]
+        pattern ^= low
     for j, w in enumerate(weight):
         among &= w if (count >> j) & 1 else ~w
     return among

@@ -85,14 +85,16 @@ class Instruction(NamedTuple):
         return " ".join(w for w in (self.op, self.pauli, *map(str, self.qubits), self.tag) if w)
 
 
-def prepz(q): return Instruction("PREPZ", (q,))
-def prepx(q): return Instruction("PREPX", (q,))
-def h(q): return Instruction("H", (q,))
-def cnot(c, t): return Instruction("CNOT", (c, t))
-def measz(q, tag): return Instruction("MEASZ", (q,), tag=tag)
-def measx(q, tag): return Instruction("MEASX", (q,), tag=tag)
-def inject(pauli, q): return Instruction("INJECT", (q,), pauli=pauli)
-def relabel(perm): return Instruction("RELABEL", perm=tuple(perm))
+# tuple.__new__(Instruction, fields) builds the record with every field
+# given, without the NamedTuple's Python-level __new__
+def prepz(q): return tuple.__new__(Instruction, ("PREPZ", (q,), "", "", ()))
+def prepx(q): return tuple.__new__(Instruction, ("PREPX", (q,), "", "", ()))
+def h(q): return tuple.__new__(Instruction, ("H", (q,), "", "", ()))
+def cnot(c, t): return tuple.__new__(Instruction, ("CNOT", (c, t), "", "", ()))
+def measz(q, tag): return tuple.__new__(Instruction, ("MEASZ", (q,), tag, "", ()))
+def measx(q, tag): return tuple.__new__(Instruction, ("MEASX", (q,), tag, "", ()))
+def inject(pauli, q): return tuple.__new__(Instruction, ("INJECT", (q,), "", pauli, ()))
+def relabel(perm): return tuple.__new__(Instruction, ("RELABEL", (), "", "", tuple(perm)))
 
 
 def cycles_to_text(perm: tuple[int, ...]) -> str:
@@ -150,29 +152,30 @@ class Circuit(Frozen):
     def __init__(self, n_qubits: int, instructions: tuple[Instruction, ...]):
         vars(self).update(n_qubits=n_qubits, instructions=instructions)
         tags = set()
-        for ins in instructions:
-            if ins.op not in _ARITY:
-                raise ValueError(f"unknown op {ins.op!r}")
-            if len(ins.qubits) != _ARITY[ins.op]:
-                raise ValueError(f"{ins.op} acts on {_ARITY[ins.op]} qubit(s), got {len(ins.qubits)}")
-            for name in ("tag", "pauli", "perm"):
-                if getattr(ins, name) and _OPERAND.get(ins.op) != name:
-                    raise ValueError(f"{ins.op} takes no {name}, got {getattr(ins, name)!r}")
-            for q in ins.qubits:
-                if not 0 <= q < self.n_qubits:
+        for op, qubits, tag, pauli, perm in instructions:
+            if op not in _ARITY:
+                raise ValueError(f"unknown op {op!r}")
+            if len(qubits) != _ARITY[op]:
+                raise ValueError(f"{op} acts on {_ARITY[op]} qubit(s), got {len(qubits)}")
+            if tag or pauli or perm:
+                for name, value in (("tag", tag), ("pauli", pauli), ("perm", perm)):
+                    if value and _OPERAND.get(op) != name:
+                        raise ValueError(f"{op} takes no {name}, got {value!r}")
+            for q in qubits:
+                if not 0 <= q < n_qubits:
                     raise ValueError(f"qubit {q} out of range")
-            if ins.op in ("MEASZ", "MEASX"):
-                if ins.tag.split() != [ins.tag]:
-                    raise ValueError(f"measurement tag must be one word, got {ins.tag!r}")
-                if ins.tag in tags:
-                    raise ValueError(f"duplicate measurement tag {ins.tag}")
-                tags.add(ins.tag)
-            if ins.op == "RELABEL" and sorted(ins.perm) != list(range(self.n_qubits)):
+            if op in ("MEASZ", "MEASX"):
+                if tag.split() != [tag]:
+                    raise ValueError(f"measurement tag must be one word, got {tag!r}")
+                if tag in tags:
+                    raise ValueError(f"duplicate measurement tag {tag}")
+                tags.add(tag)
+            elif op == "RELABEL" and sorted(perm) != list(range(n_qubits)):
                 raise ValueError("relabel is not a permutation of all qubits")
-            if ins.op == "CNOT" and ins.qubits[0] == ins.qubits[1]:
+            elif op == "CNOT" and qubits[0] == qubits[1]:
                 raise ValueError("CNOT needs distinct qubits")
-            if ins.op == "INJECT" and ins.pauli not in _PAULIS_1Q:
-                raise ValueError(f"INJECT Pauli must be X, Y or Z, got {ins.pauli!r}")
+            elif op == "INJECT" and pauli not in _PAULIS_1Q:
+                raise ValueError(f"INJECT Pauli must be X, Y or Z, got {pauli!r}")
 
     @cached_property
     def _record_map(self) -> tuple[int, dict[str, int]]:

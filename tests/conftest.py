@@ -92,6 +92,24 @@ def code_distances(code_json, wmax):
     return dx, dz
 
 
+def reference_min_weight(code, w_max):
+    """(d_x, d_z) by enumerating every support of each weight up to w_max,
+    as css_code.distance did before it looked up the last column by
+    syndrome; None means no logical of weight <= w_max."""
+    def search(h_other, h_same):
+        cols = h_other.transpose().data
+        for w in range(1, w_max + 1):
+            for combo in combinations(range(len(cols)), w):
+                syn = 0
+                for q in combo:
+                    syn ^= cols[q]
+                if syn == 0 and not h_same.in_row_space(sum(1 << q for q in combo)):
+                    return w
+        return None
+
+    return search(code.hz, code.hx), search(code.hx, code.hz)
+
+
 def min_codeword_weight_bruteforce(g_rows):
     best = None
     for v in all_span_vectors(g_rows):

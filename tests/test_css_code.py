@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from f2qec.code_factory import build_25_4_3, build_34_4_3, build_generalized, hypergraph_product, parity_code
@@ -10,10 +10,10 @@ from f2qec.css_code import (
     permutation_logical_action,
     validate,
 )
-from f2qec.f2linalg import BitMatrix, apply_permutation
+from f2qec.f2linalg import BitMatrix, apply_permutation, inverse_permutation
 from f2qec.protocol import horizontal_fold_swap, vertical_fold_swap
 
-from conftest import single_check_flip_witness
+from conftest import reference_min_weight, single_check_flip_witness
 
 
 def brick(i, j):
@@ -83,6 +83,57 @@ def test_distance_generalized_double_repetition():
 def test_distance_reports_not_found():
     code = build_25_4_3()
     assert distance(code, 2) == (None, None)
+
+
+# every built member: the flagship, its pre-transform parent, generalized
+# (l, 1) for l = 3..8 and the distance-4 members (3, 2) and (4, 2)
+MEMBERS = ["flagship", "34_4_3", *((l, 1) for l in range(3, 9)), (3, 2), (4, 2)]
+
+
+@pytest.mark.parametrize("w_max", range(5))
+@pytest.mark.parametrize("member", MEMBERS, ids=str)
+def test_distance_matches_the_enumeration_on_every_member(member, w_max):
+    code = ({"flagship": build_25_4_3, "34_4_3": build_34_4_3}[member]() if isinstance(member, str)
+            else build_generalized(*member))
+    assert distance(code, w_max) == reference_min_weight(code, w_max)
+
+
+@st.composite
+def random_products(draw):
+    """The hypergraph product of a random full-rank classical matrix, its
+    qubits relabeled at random, so that its lightest logicals sit anywhere."""
+    # with nonzero columns the classical distance, which is the product's, is
+    # at least 2, and at least 3 when they are distinct
+    rows = draw(st.integers(1, 3))
+    lowest = draw(st.integers(0, 1))
+    h = draw(st.lists(st.integers(lowest, (1 << rows) - 1), min_size=rows, max_size=5,
+                      unique=draw(st.booleans()))
+             .map(lambda cols: BitMatrix.from_ints(cols, rows).transpose())
+             .filter(lambda t: t.rank() == rows))
+    code = hypergraph_product(h)
+    perm = draw(st.permutations(range(code.n)))
+    inverse = inverse_permutation(perm)
+    return code.replace(hx=code.hx.permute_columns(inverse), hz=code.hz.permute_columns(inverse),
+                        logicals_x=tuple(apply_permutation(m, perm) for m in code.logicals_x),
+                        logicals_z=tuple(apply_permutation(m, perm) for m in code.logicals_z))
+
+
+@settings(deadline=None, max_examples=80)
+@given(random_products(), st.integers(0, 4))
+def test_distance_matches_the_enumeration_on_random_products(code, w_max):
+    assert distance(code, w_max) == reference_min_weight(code, w_max)
+
+
+@pytest.mark.parametrize("hz, want", [
+    # the one weight-2 X logical is on the last two qubits
+    ("11", (2, 1)),
+    # the one weight-1 Z logical is on qubit 0
+    ("01", (1, 1)),
+    ("10", (1, 1)),
+])
+def test_distance_finds_logicals_at_either_end(hz, want):
+    code = CssCode(2, BitMatrix.zeros(0, 2), BitMatrix.from_strings([hz]), (), ())
+    assert distance(code, 2) == reference_min_weight(code, 2) == want
 
 
 def test_distance_feasibility_guard(flagship_code):

@@ -176,6 +176,16 @@ def test_min_sum_decoder_checks_its_priors_as_decode_problem_does(code, p):
             build((0.01,) * 24 + (p,))
 
 
+@pytest.mark.parametrize("count", [20, 30])
+def test_min_sum_decoder_needs_one_prior_per_column_as_decode_problem_does(code, count):
+    # 30 priors on the 25 columns of hz used to decode, the 5 extra LLRs
+    # kept, and 20 to fail inside decode with an IndexError
+    for build in (lambda priors: DecodeProblem(code.hz, priors, 0),
+                  lambda priors: MinSumDecoder(code.hz, priors)):
+        with pytest.raises(ValueError, match=r"^one prior per column required$"):
+            build(uniform_priors(count))
+
+
 def test_min_sum_decoder_reusable(code):
     dec = MinSumDecoder(code.hz, uniform_priors(25))
     syn = code.hz.mul_vec(1 << 7)

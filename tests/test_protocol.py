@@ -63,6 +63,28 @@ def test_schedule_mismatch_rejected(flagship_code):
         pr.syndrome_extraction_circuit(flagship_code, broken, "X")
 
 
+@pytest.mark.parametrize("kind", ["X", "Z"])
+@pytest.mark.parametrize("edit", [
+    lambda order, qubit: order[:-1] + order[:1],        # a repeated qubit, at the right length
+    lambda order, qubit: order[:-1],                    # a missing qubit
+    lambda order, qubit: order[:-1] + (qubit,),         # a qubit outside the support
+    lambda order, qubit: order[:-1] + (-1,),
+    lambda order, qubit: order + order[:1],             # one entry too many
+], ids=["repeated", "missing", "foreign", "minus-one", "extra"])
+def test_extraction_order_rejections_name_the_check(flagship_code, kind, edit):
+    code, sched = flagship_code, pr.zigzag_schedule(flagship_code)
+    row = 3
+    h = code.hx if kind == "X" else code.hz
+    foreign = next(q for q in range(code.n) if not (h.row(row) >> q) & 1)
+    orders = sched.x_orders if kind == "X" else sched.z_orders
+    orders = orders[:row] + (edit(orders[row], foreign),) + orders[row + 1:]
+    broken = pr.Schedule(orders, sched.z_orders) if kind == "X" else pr.Schedule(sched.x_orders, orders)
+    # every order is checked, whichever checks are selected
+    for which in ("X", "Z", "both"):
+        with pytest.raises(ValueError, match=f"^{kind} order 3 is not a permutation of the check support$"):
+            pr.syndrome_extraction_circuit(code, broken, which)
+
+
 def test_pipeline_gate_counts(flagship_code):
     circ, _ = pr.logical_ghz_circuit(flagship_code, "z")
     rep = pr.circuit_report(circ)

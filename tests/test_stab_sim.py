@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -84,6 +85,45 @@ def test_text_ir_rejects_garbage():
                 ss.Instruction("RELABEL", perm=(1, 0), tag="t")):
         with pytest.raises(ValueError):
             ss.Circuit(2, (ins,))
+
+
+I = ss.Instruction
+
+
+@pytest.mark.parametrize("ins, message", [
+    (I("FOO", (0,)), "unknown op 'FOO'"),
+    (I("CNOT", (0,)), "CNOT acts on 2 qubit(s), got 1"),
+    (I("H", ()), "H acts on 1 qubit(s), got 0"),
+    (I("RELABEL", (0,), perm=(0, 1)), "RELABEL acts on 0 qubit(s), got 1"),
+    # the qubit count is checked before the operands, the operands before the qubits
+    (I("H", (0, 1), tag="x"), "H acts on 1 qubit(s), got 2"),
+    (I("H", (0,), tag="x"), "H takes no tag, got 'x'"),
+    (I("H", (7,), tag="x"), "H takes no tag, got 'x'"),
+    (I("CNOT", (0, 1), pauli="X"), "CNOT takes no pauli, got 'X'"),
+    (I("PREPZ", (0,), perm=(1, 0)), "PREPZ takes no perm, got (1, 0)"),
+    (I("MEASZ", (0,), tag="m", pauli="Z"), "MEASZ takes no pauli, got 'Z'"),
+    (I("RELABEL", perm=(1, 0), tag="t"), "RELABEL takes no tag, got 't'"),
+    (I("INJECT", (0,), tag="t", perm=(1, 0)), "INJECT takes no tag, got 't'"),
+    (ss.h(2), "qubit 2 out of range"),
+    (ss.cnot(0, -1), "qubit -1 out of range"),
+    (ss.measz(5, "a b"), "qubit 5 out of range"),
+    (ss.measz(0, "a b"), "measurement tag must be one word, got 'a b'"),
+    (ss.measx(0, ""), "measurement tag must be one word, got ''"),
+    (ss.relabel((0, 0)), "relabel is not a permutation of all qubits"),
+    (ss.relabel((0,)), "relabel is not a permutation of all qubits"),
+    (ss.cnot(1, 1), "CNOT needs distinct qubits"),
+    (ss.inject("W", 0), "INJECT Pauli must be X, Y or Z, got 'W'"),
+    (I("INJECT", (0,)), "INJECT Pauli must be X, Y or Z, got ''"),
+])
+def test_circuit_rejections_name_the_failed_check(ins, message):
+    # the first failing check of the instruction names the rejection
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ss.Circuit(2, (ss.prepz(0), ins))
+
+
+def test_circuit_rejects_a_duplicate_measurement_tag():
+    with pytest.raises(ValueError, match="^duplicate measurement tag m$"):
+        ss.Circuit(2, (ss.measz(0, "m"), ss.measx(1, "m")))
 
 
 @pytest.mark.parametrize("text", [
