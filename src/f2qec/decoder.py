@@ -2,16 +2,18 @@
 post-processing with a combination sweep.  The exhaustive minimum-weight
 decoder that the tests check them against lives with the tests.
 
-BP reads the Tanner graph of its check matrix from `BitMatrix.entries`,
-grouped by node degree in `BitMatrix.degree_groups`, and the column masks
-from `BitMatrix.transpose()`, all built once per matrix; leaf and
-degree-2 nodes need no inner loop (see `MinSumDecoder` for why that is
-exact), and the stop test XORs the columns of the current estimate.  An
-iteration is a function of the variable-to-check messages it starts
-from, so at its first repeated message state BP returns what its last
-iteration would return, with `converged` false: once the state repeats,
-further iterations cost nothing.  The states of one call are kept only
-for that call.
+BP runs in one straight-line Python function per check matrix, generated
+from the Tanner graph of `BitMatrix.entries` grouped by node degree in
+`BitMatrix.degree_groups`: every message, prior LLR, total and check sign
+is a local variable and each node's rule is written out (see
+`MinSumDecoder` for why that is exact).  It is compiled once per matrix
+and process, at the matrix's first nonzero-syndrome decode, and the stop
+test XORs the column masks of the current estimate.  An iteration is a
+function of the variable-to-check messages it starts from, so at its
+first repeated message state BP returns what its last iteration would
+return, with `converged` false: once the state repeats, further
+iterations cost nothing.  The states of one call are kept only for that
+call.
 
 The sweep builds no matrix: it reduces the cached column masks in rank
 order into a greedy basis, which gives the zero-pattern solution and the
@@ -25,6 +27,7 @@ always lowest-index-first so every decoder is deterministic.
 from __future__ import annotations
 
 import math
+import weakref
 from itertools import combinations
 from typing import NamedTuple
 
@@ -74,23 +77,36 @@ def _prior_llrs(priors) -> list[float]:
 class MinSumDecoder:
     """Reusable plain min-sum BP instance for one check matrix and prior vector.
 
-    Messages live in flat per-entry lists, numbered as `BitMatrix.entries`
-    numbers the set entries of h: each check owns a contiguous run of
-    entries and each variable lists its entries in ascending check order.
-    That graph and its degree groups are computed once per matrix, so
-    building a decoder costs only the check that there is one prior per
-    column and the prior LLRs (see _prior_llrs, which also checks each
-    prior).  Posteriors are exposed for ordered-statistics post-processing.
+    BP runs in one function per check matrix, compiled from text at the
+    matrix's first nonzero-syndrome decode, never in `__init__`, and shared
+    by every decoder on an equal matrix for the life of the matrix that
+    built it: compiling costs about 4 ms for flagship hz or hx, 5.5 ms for
+    hx|I and 20-25 ms for the l = 20 member's matrices, which `bp_osd`,
+    building a decoder per call, must not pay per call.  So building a
+    decoder costs only the check that there is one prior per column and
+    the prior LLRs (see _prior_llrs, which also checks each prior).
+    Posteriors are exposed for ordered-statistics post-processing.
 
-    A degree-1 variable's total is `p + c` and a degree-2 variable's
-    `p + (c1 + c2)`; other variables add their messages left to right
-    from 0, never with `sum()` (compensated from Python 3.12 on).  No
-    prior, total or v2c message is ever -0.0, so `(0 + c1) + c2` and
-    `c1 + c2` differ at most in the sign of a zero, which adding `p`
-    removes.  A degree-2 check sends each side its syndrome sign times the
-    other side's message, which is what the generic sign/min1/min2 loop
-    gives, the sign of a zero included.  Each node writes only its own
-    entries, so the group order changes no output bit.
+    The function keeps every message, prior LLR, total and check sign in
+    a local variable, with messages numbered as `BitMatrix.entries`
+    numbers the set entries of h, and writes out each node's rule as its
+    degree (`BitMatrix.degree_groups`) allows:
+    - a check sends each entry its syndrome sign times the signs and the
+      smallest magnitude of the other entries' messages.  A degree-2
+      check's value is its sign times the other message, the sign of a
+      zero included, and a degree-1 check's is its sign times inf; other
+      checks read each smallest magnitude from prefix and suffix minima,
+      which is one value whichever entry attains it, since no magnitude
+      is ever NaN or -0.0.
+    - a degree-1 variable's total is `p + c` and a degree-2 variable's
+      `p + (c1 + c2)`; other variables add their messages left to right
+      from 0, one `s += c` statement each, never with `sum()`
+      (compensated from Python 3.12 on) or one nested expression (the
+      parser refuses about 200 levels).  No prior, total or v2c message
+      is ever -0.0, so `(0 + c1) + c2` and `c1 + c2` differ at most in
+      the sign of a zero, which adding `p` removes.
+    Each node writes only its own entries, so the node order changes no
+    output bit.
 
     `decode` records the first iteration at which each variable-to-check
     message state occurs, and each iteration's estimate and posteriors.
@@ -113,96 +129,109 @@ class MinSumDecoder:
         prior = self.prior_llrs
         if syndrome == 0:
             return DecodeResult(0, True, "BP", 0.0, tuple(prior))
-        pairs, rows, leaves, twos, others = self.h.degree_groups
-        pairs = [(a, b, -1.0 if (syndrome >> r) & 1 else 1.0) for r, a, b in pairs]
-        checks = [(start, stop, -1.0 if (syndrome >> r) & 1 else 1.0)
-                  for r, start, stop in rows]
-        columns = self.h.entries[0]
-        v2c = [prior[j] for j in columns]
-        c2v = [0.0] * len(columns)
-        posteriors = list(prior)
-        hi, lo = LLR_CLIP, -LLR_CLIP
-        hard = 0
-        # an iteration is a function of the v2c it starts from; v2c holds
-        # clipped differences of clipped totals, never NaN, and neither a
-        # prior nor a total is ever -0.0, so tuple equality is exact
-        first_seen = {}
-        outputs = []
-        for it in range(self.iters):
-            first = first_seen.setdefault(tuple(v2c), it)
-            if first < it:
-                # iterations first..it-1 repeat from here on without
-                # converging: return what the last iteration would
-                hard, posteriors = outputs[first + (self.iters - 1 - first) % (it - first)]
-                return DecodeResult(hard, False, "BP", _soft_weight(hard, prior), posteriors)
-            for a, b, sign in pairs:
-                c2v[a] = sign * v2c[b]
-                c2v[b] = sign * v2c[a]
-            for start, stop, sign in checks:
-                msgs = v2c[start:stop]
-                # sign picks up every incoming sign; the two smallest
-                # magnitudes give every leave-one-out minimum
-                min1 = min2 = math.inf
-                arg1 = 0
-                for idx, v in enumerate(msgs):
-                    if v < 0:
-                        sign = -sign
-                        v = -v
-                    if v < min1:
-                        min2 = min1
-                        min1 = v
-                        arg1 = idx
-                    elif v < min2:
-                        min2 = v
-                pos, neg = sign * min1, -sign * min1
-                e = start
-                for v in msgs:
-                    c2v[e] = pos if v >= 0 else neg
-                    e += 1
-                c2v[start + arg1] = (sign if msgs[arg1] >= 0 else -sign) * min2
-            hard = syn = 0
-            # totals clip as max(lo, min(hi, total)) does: two degree-1 checks
-            # can send opposite infinite messages, and their NaN sum clips to hi
-            for j, e, column in leaves:
-                c = c2v[e]
-                total = prior[j] + c
-                total = lo if total < lo else total if total <= hi else hi
-                posteriors[j] = total
-                v = total - c
-                v2c[e] = hi if v > hi else lo if v < lo else v
-                if total < 0:
-                    hard |= 1 << j
-                    syn ^= column
-            for j, e, f, column in twos:
-                c, d = c2v[e], c2v[f]
-                total = prior[j] + (c + d)
-                total = lo if total < lo else total if total <= hi else hi
-                posteriors[j] = total
-                v = total - c
-                v2c[e] = hi if v > hi else lo if v < lo else v
-                v = total - d
-                v2c[f] = hi if v > hi else lo if v < lo else v
-                if total < 0:
-                    hard |= 1 << j
-                    syn ^= column
-            for j, entries, column in others:
-                # left to right from 0, never sum(), as the docstring says
-                s = 0
-                for e in entries:
-                    s += c2v[e]
-                total = prior[j] + s
-                total = lo if total < lo else total if total <= hi else hi
-                posteriors[j] = total
-                for e in entries:
-                    v = total - c2v[e]
-                    v2c[e] = hi if v > hi else lo if v < lo else v
-                if total < 0:
-                    hard |= 1 << j
-                    syn ^= column
-            if syn == syndrome:
-                return DecodeResult(hard, True, "BP", _soft_weight(hard, prior), tuple(posteriors))
-            outputs.append((hard, tuple(posteriors)))
-        return DecodeResult(hard, False, "BP", _soft_weight(hard, prior), tuple(posteriors))
+        # the basic weak reference to a live matrix is one object, so a
+        # decoder on the matrix that built the kernel finds it by identity
+        key = weakref.ref(self.h)
+        kernel = _KERNELS.get(key)
+        if kernel is None:
+            kernel = _KERNELS[key] = _min_sum_kernel(self.h)
+            weakref.finalize(self.h, _KERNELS.pop, key)
+        hard, converged, posteriors = kernel(syndrome, prior, self.iters)
+        return DecodeResult(hard, converged, "BP", _soft_weight(hard, prior), posteriors)
+
+
+# one compiled min-sum kernel per check matrix, keyed by a weak reference to
+# the matrix that built it: an equal matrix finds it too (a reference to a
+# live matrix hashes and compares as the matrix, which does so by value), and
+# the entry goes when that matrix does
+_KERNELS = {}
+
+
+def _min_sum_kernel(h: BitMatrix):
+    """Min-sum BP on h compiled into one straight-line function
+    `(syndrome, prior LLRs, iterations) -> (estimate, converged, posteriors)`.
+
+    Message e's v2c is the local `v<e>` and its c2v `c<e>`, column j's
+    prior LLR `p<j>` and total `t<j>`, row r's syndrome sign `s<r>`; `sg`,
+    `x`, `s`, `m`, `a<i>`, `f<i>` and `g<i>` are temporaries that every
+    node reuses.  The text holds only integer literals and fixed names.
+    """
+    pairs, rows, leaves, twos, others = h.degree_groups
+    columns = h.entries[0]
+    v2c = "".join(f"v{e}, " for e in range(len(columns)))
+    totals = "".join(f"t{j}, " for j in range(h.cols))
+    body = ["hi, lo, zero, plus, minus, inf = CONSTANTS",
+            f"({''.join(f'p{j}, ' for j in range(h.cols))}) = ({totals}) = prior"]
+    for r, _, _ in pairs + rows:
+        body.append(f"s{r} = minus if syndrome >> {r} & 1 else plus")
+    # a check on one variable sends its sign times the empty minimum, inf
+    body += [f"c{start} = s{r} * inf" for r, start, stop in rows if stop - start == 1]
+    body += [f"v{e} = p{j}" for e, j in enumerate(columns)]
+    body += ["hard = 0", "first_seen = {}", "outputs = []", "for it in range(iters):"]
+    # an iteration is a function of the v2c it starts from; v2c holds clipped
+    # differences of clipped totals, never NaN, and neither a prior nor a
+    # total is ever -0.0, so tuple equality is exact.  At a repeated state,
+    # iterations first..it-1 repeat without converging: return what the last
+    # iteration would
+    loop = [f"first = first_seen.setdefault(({v2c}), it)",
+            "if first < it:",
+            " hard, posteriors = outputs[first + (iters - 1 - first) % (it - first)]",
+            " return hard, False, posteriors"]
+    for r, a, b in pairs:
+        loop += [f"c{a} = s{r} * v{b}", f"c{b} = s{r} * v{a}"]
+    for r, start, stop in rows:
+        k = stop - start
+        if k == 1:
+            continue
+        # sg picks up every incoming sign and a<i> is entry i's magnitude;
+        # the minimum over the entries before i is a0 or f<i>, the one over
+        # those after it a<k-1> or g<i>
+        pre = ["", "a0", *(f"f{i}" for i in range(2, k))]
+        post = [*(f"g{i}" for i in range(k - 2)), f"a{k - 1}"]
+        loop.append(f"sg = s{r}")
+        for i, e in enumerate(range(start, stop)):
+            loop += [f"if v{e} < zero:", " sg = -sg", f" a{i} = -v{e}", "else:", f" a{i} = v{e}"]
+        for i in range(2, k):
+            loop.append(f"{pre[i]} = {pre[i - 1]} if {pre[i - 1]} < a{i - 1} else a{i - 1}")
+        for i in range(k - 3, -1, -1):
+            loop.append(f"{post[i]} = a{i + 1} if a{i + 1} < {post[i + 1]} else {post[i + 1]}")
+        for i, e in enumerate(range(start, stop)):
+            if i == 0:
+                m = post[0]
+            elif i == k - 1:
+                m = pre[i]
+            else:
+                loop.append(f"m = {pre[i]} if {pre[i]} < {post[i]} else {post[i]}")
+                m = "m"
+            loop.append(f"c{e} = sg * {m} if v{e} >= zero else -sg * {m}")
+    loop.append("hard = syn = 0")
+
+    def variable(j, total, entries, mask):
+        # totals clip as max(lo, min(hi, total)) does: two degree-1 checks
+        # can send opposite infinite messages, and their NaN sum clips to hi
+        out = [*total, f"t{j} = lo if t{j} < lo else t{j} if t{j} <= hi else hi"]
+        for e in entries:
+            out += [f"x = t{j} - c{e}", f"v{e} = hi if x > hi else lo if x < lo else x"]
+        return out + [f"if t{j} < zero:", f" hard |= {1 << j}", f" syn ^= {mask}"]
+
+    for j, e, mask in leaves:
+        loop += variable(j, [f"t{j} = p{j} + c{e}"], (e,), mask)
+    for j, e, f, mask in twos:
+        loop += variable(j, [f"t{j} = p{j} + (c{e} + c{f})"], (e, f), mask)
+    for j, entries, mask in others:
+        # left to right from 0, never sum(), as MinSumDecoder's docstring says
+        loop += variable(j, ["s = 0", *(f"s += c{e}" for e in entries), f"t{j} = p{j} + s"],
+                         entries, mask)
+    loop += [f"posteriors = ({totals})",
+             "if syn == syndrome:",
+             " return hard, True, posteriors",
+             "outputs.append((hard, posteriors))"]
+    body += [" " + line for line in loop]
+    body.append(f"return hard, False, ({totals})")
+    text = "def min_sum(syndrome, prior, iters):\n" + "".join(f" {line}\n" for line in body)
+    namespace = {"CONSTANTS": (LLR_CLIP, -LLR_CLIP, 0.0, 1.0, -1.0, math.inf)}
+    exec(compile(text, "<min-sum kernel>", "exec"), namespace)
+    return namespace.pop("min_sum")
 
 
 def _soft_weight(estimate: int, llrs) -> float:

@@ -95,9 +95,11 @@ def syndrome_extraction_circuit(code: CssCode, schedule: Schedule, which: str = 
     g = 0
     for kind, h, orders in (("X", code.hx, schedule.x_orders), ("Z", code.hz, schedule.z_orders)):
         for r, order in enumerate(orders):
-            # a permutation: as many entries as the support, and the same set
+            # a permutation: as many int entries as the support, and the same set
+            # (1.0 == 1, so the set alone lets a float through)
             row = h.row(r)
-            if len(order) != row.bit_count() or set(order) != set(mask_to_support(row)):
+            if (len(order) != row.bit_count() or set(order) != set(mask_to_support(row))
+                    or any(type(q) is not int for q in order)):
                 raise ValueError(f"{kind} order {r} is not a permutation of the check support")
             if which not in (kind, "both"):
                 continue

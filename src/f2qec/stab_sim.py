@@ -162,6 +162,9 @@ class Circuit(Frozen):
                     if value and _OPERAND.get(op) != name:
                         raise ValueError(f"{op} takes no {name}, got {value!r}")
             for q in qubits:
+                # a float or bool index would write circuit text that from_text refuses
+                if type(q) is not int:
+                    raise ValueError(f"qubit {q!r} is not an int")
                 if not 0 <= q < n_qubits:
                     raise ValueError(f"qubit {q} out of range")
             if op in ("MEASZ", "MEASX"):
@@ -170,7 +173,8 @@ class Circuit(Frozen):
                 if tag in tags:
                     raise ValueError(f"duplicate measurement tag {tag}")
                 tags.add(tag)
-            elif op == "RELABEL" and sorted(perm) != list(range(n_qubits)):
+            elif op == "RELABEL" and (sorted(perm) != list(range(n_qubits))
+                                      or any(type(q) is not int for q in perm)):
                 raise ValueError("relabel is not a permutation of all qubits")
             elif op == "CNOT" and qubits[0] == qubits[1]:
                 raise ValueError("CNOT needs distinct qubits")

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import random
+import weakref
 from itertools import combinations
 
 import pytest
@@ -444,3 +446,60 @@ def test_bp_osd_matches_the_references_on_matrices_wider_than_a_word():
             posteriors = tuple(float(rng.randint(-2, 3)) for _ in range(n))
             _assert_sweep_matches_reference(h, priors, posteriors, syndrome, 14)
     assert set(consistent) == {True, False}
+
+
+def test_bp_matches_the_reference_on_a_column_and_a_row_of_degree_201():
+    # the compiled kernel writes each node's rule out entry by entry: here a
+    # check on all 201 columns (200 prefix and 200 suffix minima), a column on
+    # 201 checks (201 statements of its sum), degree-2 and degree-1 checks
+    # beside them, and message states of 605 entries
+    n = 201
+    rows = [(1 << n) - 1] + [1 | (1 << j) for j in range(1, n)]
+    rows += [(1 << 5) | (1 << 9) | (1 << 77), 1 << 3]
+    h = BitMatrix.from_ints(rows, n)
+    priors = (0.01,) * n
+    for support in ((0,), (3, 77), (0, 1, 2)):
+        syndrome = h.mul_vec(sum(1 << q for q in support))
+        for iters in (1, 2, 3):
+            assert (_fields(MinSumDecoder(h, priors, iters).decode(syndrome))
+                    == repr(reference_min_sum(h, priors, syndrome, iters)))
+    # the big check's bit and the degree-1 check's: no estimate reproduces
+    # both, and from iteration 4 on the outputs alternate with period 2
+    syndrome = 1 | 1 << 202
+    want = {iters: reference_min_sum(h, priors, syndrome, iters) for iters in (1, 2, 4, 5, 6, 7)}
+    assert not any(w[1] for w in want.values())
+    assert want[4] != want[5] and want[6] == want[4] and want[7] == want[5]
+    for iters, w in want.items():
+        assert _fields(MinSumDecoder(h, priors, iters).decode(syndrome)) == repr(w)
+    # a million iterations end at the repeated message state
+    assert _fields(MinSumDecoder(h, priors, 10**6).decode(syndrome)) == repr(want[4])
+
+
+def test_a_kernel_is_compiled_at_the_first_nonzero_syndrome_and_shared(monkeypatch):
+    import f2qec.decoder as decoder
+
+    compiled = []
+    compile_kernel = decoder._min_sum_kernel
+    monkeypatch.setattr(decoder, "_min_sum_kernel",
+                        lambda h: compiled.append(h.cols) or compile_kernel(h))
+    # a matrix that no other test decodes on, and an equal copy of it
+    h = BitMatrix.from_ints([0b00111, 0b11100, 0b10001], 5)
+    twin = BitMatrix.from_ints([0b00111, 0b11100, 0b10001], 5)
+    assert twin == h and twin is not h
+    first = MinSumDecoder(h, uniform_priors(5))
+    second = MinSumDecoder(twin, uniform_priors(5, 0.05), iters=3)
+    assert compiled == []
+    assert first.decode(0).converged and compiled == []
+    cases = [(first, 0b011), (second, 0b101), (first, 0b110)]
+    for dec, syndrome in cases:
+        assert (_fields(dec.decode(syndrome))
+                == repr(reference_min_sum(dec.h, dec.priors, syndrome, dec.iters)))
+    assert compiled == [5]
+    # the kernel goes with the matrix that compiled it
+    key = weakref.ref(h)
+    assert key in decoder._KERNELS
+    del first, h, cases, dec
+    gc.collect()
+    assert key() is None and key not in decoder._KERNELS
+    second.decode(0b101)
+    assert compiled == [5, 5]

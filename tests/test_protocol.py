@@ -70,7 +70,8 @@ def test_schedule_mismatch_rejected(flagship_code):
     lambda order, qubit: order[:-1] + (qubit,),         # a qubit outside the support
     lambda order, qubit: order[:-1] + (-1,),
     lambda order, qubit: order + order[:1],             # one entry too many
-], ids=["repeated", "missing", "foreign", "minus-one", "extra"])
+    lambda order, qubit: order[:-1] + (float(order[-1]),),  # equal as a number, not an int
+], ids=["repeated", "missing", "foreign", "minus-one", "extra", "float"])
 def test_extraction_order_rejections_name_the_check(flagship_code, kind, edit):
     code, sched = flagship_code, pr.zigzag_schedule(flagship_code)
     row = 3

@@ -114,6 +114,13 @@ I = ss.Instruction
     (ss.cnot(1, 1), "CNOT needs distinct qubits"),
     (ss.inject("W", 0), "INJECT Pauli must be X, Y or Z, got 'W'"),
     (I("INJECT", (0,)), "INJECT Pauli must be X, Y or Z, got ''"),
+    # an index must be an int: Circuit.from_text refuses "CNOT 0 1.0" and
+    # "MEASZ True m"; the type is checked before the range
+    (ss.cnot(0, 1.0), "qubit 1.0 is not an int"),
+    (ss.measz(True, "m"), "qubit True is not an int"),
+    (ss.h(2.0), "qubit 2.0 is not an int"),
+    (ss.relabel((1.0, 0)), "relabel is not a permutation of all qubits"),
+    (ss.relabel((True, 0)), "relabel is not a permutation of all qubits"),
 ])
 def test_circuit_rejections_name_the_failed_check(ins, message):
     # the first failing check of the instruction names the rejection
