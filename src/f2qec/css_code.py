@@ -28,6 +28,9 @@ class CssCode(Frozen):
                  d: int | None = None, name: str = "", meta: tuple[tuple[str, int], ...] = ()):
         vars(self).update(n=n, hx=hx, hz=hz, logicals_x=logicals_x, logicals_z=logicals_z,
                           coords=coords, d=d, name=name, meta=meta)
+        # true and false are not integers here
+        if type(self.n) is not int:
+            raise ValueError(f"n must be an int, got {self.n!r}")
         if self.hx.cols != self.n or self.hz.cols != self.n:
             raise ValueError(f"check matrices have {self.hx.cols} and {self.hz.cols} "
                              f"columns, but n = {self.n!r}")

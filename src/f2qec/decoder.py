@@ -3,12 +3,12 @@ post-processing with a combination sweep.  The exhaustive minimum-weight
 decoder that the tests check them against lives with the tests.
 
 BP runs in one straight-line Python function per check matrix, generated
-from the Tanner graph of `BitMatrix.entries` grouped by node degree in
-`BitMatrix.degree_groups`: every message, prior LLR, total and check sign
-is a local variable and each node's rule is written out (see
-`MinSumDecoder` for why that is exact).  It is compiled once per matrix
-and process, at the matrix's first nonzero-syndrome decode, and the stop
-test XORs the column masks of the current estimate.  An iteration is a
+from h's Tanner graph with h's set entries numbered row by row: every
+message, prior LLR, total and check sign is a local variable and each
+node's rule, chosen by its degree, is written out (see `MinSumDecoder` for
+why that is exact).  It is compiled at a matrix's first nonzero-syndrome
+decode and kept in a bounded LRU memo that equal matrices share, and the
+stop test XORs the column masks of the current estimate.  An iteration is a
 function of the variable-to-check messages it starts from, so at its
 first repeated message state BP returns what its last iteration would
 return, with `converged` false: once the state repeats, further
@@ -27,7 +27,7 @@ always lowest-index-first so every decoder is deterministic.
 from __future__ import annotations
 
 import math
-import weakref
+from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
@@ -78,19 +78,18 @@ class MinSumDecoder:
     """Reusable plain min-sum BP instance for one check matrix and prior vector.
 
     BP runs in one function per check matrix, compiled from text at the
-    matrix's first nonzero-syndrome decode, never in `__init__`, and shared
-    by every decoder on an equal matrix for the life of the matrix that
-    built it: compiling costs about 4 ms for flagship hz or hx, 5.5 ms for
-    hx|I and 20-25 ms for the l = 20 member's matrices, which `bp_osd`,
-    building a decoder per call, must not pay per call.  So building a
-    decoder costs only the check that there is one prior per column and
-    the prior LLRs (see _prior_llrs, which also checks each prior).
-    Posteriors are exposed for ordered-statistics post-processing.
+    matrix's first nonzero-syndrome decode, never in `__init__`, and kept
+    in a bounded LRU memo that every decoder on an equal matrix shares:
+    compiling costs about 4 ms for flagship hz or hx, 5.5 ms for hx|I and
+    20-25 ms for the l = 20 member's matrices, which `bp_osd`, building a
+    decoder per call, must not pay per call.  So building a decoder costs
+    only the check that there is one prior per column and the prior LLRs
+    (see _prior_llrs, which also checks each prior).  Posteriors are
+    exposed for ordered-statistics post-processing.
 
     The function keeps every message, prior LLR, total and check sign in
-    a local variable, with messages numbered as `BitMatrix.entries`
-    numbers the set entries of h, and writes out each node's rule as its
-    degree (`BitMatrix.degree_groups`) allows:
+    a local variable, one message per set entry of h, numbered row by row,
+    and writes out each node's rule as its degree allows:
     - a check sends each entry its syndrome sign times the signs and the
       smallest magnitude of the other entries' messages.  A degree-2
       check's value is its sign times the other message, the sign of a
@@ -129,45 +128,33 @@ class MinSumDecoder:
         prior = self.prior_llrs
         if syndrome == 0:
             return DecodeResult(0, True, "BP", 0.0, tuple(prior))
-        # the basic weak reference to a live matrix is one object, so a
-        # decoder on the matrix that built the kernel finds it by identity
-        key = weakref.ref(self.h)
-        kernel = _KERNELS.get(key)
-        if kernel is None:
-            kernel = _KERNELS[key] = _min_sum_kernel(self.h)
-            weakref.finalize(self.h, _KERNELS.pop, key)
-        hard, converged, posteriors = kernel(syndrome, prior, self.iters)
+        hard, converged, posteriors = _min_sum_kernel(self.h)(syndrome, prior, self.iters)
         return DecodeResult(hard, converged, "BP", _soft_weight(hard, prior), posteriors)
 
 
-# one compiled min-sum kernel per check matrix, keyed by a weak reference to
-# the matrix that built it: an equal matrix finds it too (a reference to a
-# live matrix hashes and compares as the matrix, which does so by value), and
-# the entry goes when that matrix does
-_KERNELS = {}
-
-
+@lru_cache(maxsize=16)
 def _min_sum_kernel(h: BitMatrix):
     """Min-sum BP on h compiled into one straight-line function
-    `(syndrome, prior LLRs, iterations) -> (estimate, converged, posteriors)`.
+    `(syndrome, prior LLRs, iterations) -> (estimate, converged, posteriors)`,
+    kept in a bounded LRU memo that equal matrices share.
 
-    Message e's v2c is the local `v<e>` and its c2v `c<e>`, column j's
-    prior LLR `p<j>` and total `t<j>`, row r's syndrome sign `s<r>`; `sg`,
-    `x`, `s`, `m`, `a<i>`, `f<i>` and `g<i>` are temporaries that every
-    node reuses.  The text holds only integer literals and fixed names.
+    The set entries of h are numbered row by row, ascending column within
+    a row.  Message e's v2c is the local `v<e>` and its c2v `c<e>`, column
+    j's prior LLR `p<j>` and total `t<j>`, row r's syndrome sign `s<r>`;
+    `sg`, `x`, `s`, `m`, `a<i>`, `f<i>` and `g<i>` are temporaries that
+    every node reuses.  The text holds only integer literals and fixed names.
     """
-    pairs, rows, leaves, twos, others = h.degree_groups
-    columns = h.entries[0]
+    columns, by_row, by_column = [], [], [[] for _ in range(h.cols)]
+    for r in h.data:
+        by_row.append(range(len(columns), len(columns) + r.bit_count()))
+        for j in mask_to_support(r):
+            by_column[j].append(len(columns))
+            columns.append(j)
     v2c = "".join(f"v{e}, " for e in range(len(columns)))
     totals = "".join(f"t{j}, " for j in range(h.cols))
     body = ["hi, lo, zero, plus, minus, inf = CONSTANTS",
             f"({''.join(f'p{j}, ' for j in range(h.cols))}) = ({totals}) = prior"]
-    for r, _, _ in pairs + rows:
-        body.append(f"s{r} = minus if syndrome >> {r} & 1 else plus")
-    # a check on one variable sends its sign times the empty minimum, inf
-    body += [f"c{start} = s{r} * inf" for r, start, stop in rows if stop - start == 1]
     body += [f"v{e} = p{j}" for e, j in enumerate(columns)]
-    body += ["hard = 0", "first_seen = {}", "outputs = []", "for it in range(iters):"]
     # an iteration is a function of the v2c it starts from; v2c holds clipped
     # differences of clipped totals, never NaN, and neither a prior nor a
     # total is ever -0.0, so tuple equality is exact.  At a repeated state,
@@ -177,55 +164,59 @@ def _min_sum_kernel(h: BitMatrix):
             "if first < it:",
             " hard, posteriors = outputs[first + (iters - 1 - first) % (it - first)]",
             " return hard, False, posteriors"]
-    for r, a, b in pairs:
-        loop += [f"c{a} = s{r} * v{b}", f"c{b} = s{r} * v{a}"]
-    for r, start, stop in rows:
-        k = stop - start
-        if k == 1:
+    for r, entries in enumerate(by_row):
+        k = len(entries)
+        if not k:
             continue
-        # sg picks up every incoming sign and a<i> is entry i's magnitude;
-        # the minimum over the entries before i is a0 or f<i>, the one over
-        # those after it a<k-1> or g<i>
-        pre = ["", "a0", *(f"f{i}" for i in range(2, k))]
-        post = [*(f"g{i}" for i in range(k - 2)), f"a{k - 1}"]
-        loop.append(f"sg = s{r}")
-        for i, e in enumerate(range(start, stop)):
-            loop += [f"if v{e} < zero:", " sg = -sg", f" a{i} = -v{e}", "else:", f" a{i} = v{e}"]
-        for i in range(2, k):
-            loop.append(f"{pre[i]} = {pre[i - 1]} if {pre[i - 1]} < a{i - 1} else a{i - 1}")
-        for i in range(k - 3, -1, -1):
-            loop.append(f"{post[i]} = a{i + 1} if a{i + 1} < {post[i + 1]} else {post[i + 1]}")
-        for i, e in enumerate(range(start, stop)):
-            if i == 0:
-                m = post[0]
-            elif i == k - 1:
-                m = pre[i]
-            else:
-                loop.append(f"m = {pre[i]} if {pre[i]} < {post[i]} else {post[i]}")
-                m = "m"
-            loop.append(f"c{e} = sg * {m} if v{e} >= zero else -sg * {m}")
+        body.append(f"s{r} = minus if syndrome >> {r} & 1 else plus")
+        if k == 1:
+            # a check on one variable sends its sign times the empty minimum, inf
+            body.append(f"c{entries[0]} = s{r} * inf")
+        elif k == 2:
+            a, b = entries
+            loop += [f"c{a} = s{r} * v{b}", f"c{b} = s{r} * v{a}"]
+        else:
+            # sg picks up every incoming sign and a<i> is entry i's magnitude;
+            # the minimum over the entries before i is a0 or f<i>, the one
+            # over those after it a<k-1> or g<i>
+            pre = ["", "a0", *(f"f{i}" for i in range(2, k))]
+            post = [*(f"g{i}" for i in range(k - 2)), f"a{k - 1}"]
+            loop.append(f"sg = s{r}")
+            for i, e in enumerate(entries):
+                loop += [f"if v{e} < zero:", " sg = -sg", f" a{i} = -v{e}", "else:", f" a{i} = v{e}"]
+            for i in range(2, k):
+                loop.append(f"{pre[i]} = {pre[i - 1]} if {pre[i - 1]} < a{i - 1} else a{i - 1}")
+            for i in range(k - 3, -1, -1):
+                loop.append(f"{post[i]} = a{i + 1} if a{i + 1} < {post[i + 1]} else {post[i + 1]}")
+            for i, e in enumerate(entries):
+                if i == 0:
+                    m = post[0]
+                elif i == k - 1:
+                    m = pre[i]
+                else:
+                    loop.append(f"m = {pre[i]} if {pre[i]} < {post[i]} else {post[i]}")
+                    m = "m"
+                loop.append(f"c{e} = sg * {m} if v{e} >= zero else -sg * {m}")
     loop.append("hard = syn = 0")
-
-    def variable(j, total, entries, mask):
-        # totals clip as max(lo, min(hi, total)) does: two degree-1 checks
-        # can send opposite infinite messages, and their NaN sum clips to hi
-        out = [*total, f"t{j} = lo if t{j} < lo else t{j} if t{j} <= hi else hi"]
+    for j, (entries, mask) in enumerate(zip(by_column, h.transpose().data)):
+        if len(entries) == 1:
+            loop.append(f"t{j} = p{j} + c{entries[0]}")
+        elif len(entries) == 2:
+            loop.append(f"t{j} = p{j} + (c{entries[0]} + c{entries[1]})")
+        else:
+            # left to right from 0, never sum(), as MinSumDecoder's docstring says
+            loop += ["s = 0", *(f"s += c{e}" for e in entries), f"t{j} = p{j} + s"]
+        # totals clip as max(lo, min(hi, total)) does: two degree-1 checks can
+        # send opposite infinite messages, and their NaN sum clips to hi
+        loop.append(f"t{j} = lo if t{j} < lo else t{j} if t{j} <= hi else hi")
         for e in entries:
-            out += [f"x = t{j} - c{e}", f"v{e} = hi if x > hi else lo if x < lo else x"]
-        return out + [f"if t{j} < zero:", f" hard |= {1 << j}", f" syn ^= {mask}"]
-
-    for j, e, mask in leaves:
-        loop += variable(j, [f"t{j} = p{j} + c{e}"], (e,), mask)
-    for j, e, f, mask in twos:
-        loop += variable(j, [f"t{j} = p{j} + (c{e} + c{f})"], (e, f), mask)
-    for j, entries, mask in others:
-        # left to right from 0, never sum(), as MinSumDecoder's docstring says
-        loop += variable(j, ["s = 0", *(f"s += c{e}" for e in entries), f"t{j} = p{j} + s"],
-                         entries, mask)
+            loop += [f"x = t{j} - c{e}", f"v{e} = hi if x > hi else lo if x < lo else x"]
+        loop += [f"if t{j} < zero:", f" hard |= {1 << j}", f" syn ^= {mask}"]
     loop += [f"posteriors = ({totals})",
              "if syn == syndrome:",
              " return hard, True, posteriors",
              "outputs.append((hard, posteriors))"]
+    body += ["hard = 0", "first_seen = {}", "outputs = []", "for it in range(iters):"]
     body += [" " + line for line in loop]
     body.append(f"return hard, False, ({totals})")
     text = "def min_sum(syndrome, prior, iters):\n" + "".join(f" {line}\n" for line in body)

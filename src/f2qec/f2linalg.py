@@ -8,9 +8,7 @@ the mask helpers below are its one vocabulary.  All matrices are immutable after
 construction, so each is eliminated at most once and every reduced form,
 rank, kernel and solution reads that one cached reduction; elimination always
 picks the lowest-index pivot so reduced forms and pivot lists are
-reproducible.  The transpose, the kernel basis, the numbering of the set
-entries and their grouping by row and column weight are cached the same
-way.
+reproducible.  The transpose and the kernel basis are cached the same way.
 """
 
 from __future__ import annotations
@@ -177,53 +175,6 @@ class BitMatrix(Frozen):
                 r ^= low
         return BitMatrix(self.cols, self.rows, tuple(out))
 
-    @cached_property
-    def entries(self) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...],
-                               tuple[tuple[int, ...], ...]]:
-        """The set entries numbered row by row, ascending column within a row.
-
-        Computed once per matrix: the column of each entry, the (start,
-        stop) entry numbers of each row, and the entry numbers of each
-        column in ascending row order.
-        """
-        columns, spans = [], []
-        by_column = [[] for _ in range(self.cols)]
-        for r in self.data:
-            start = len(columns)
-            for j in mask_to_support(r):
-                by_column[j].append(len(columns))
-                columns.append(j)
-            spans.append((start, len(columns)))
-        return tuple(columns), tuple(spans), tuple(map(tuple, by_column))
-
-    @cached_property
-    def degree_groups(self) -> tuple[tuple[tuple, ...], ...]:
-        """The numbered entries grouped by the weight of their row and column.
-
-        Computed once per matrix, from `entries`: (row, first entry,
-        second entry) for each row of weight 2 and (row, start, stop) for
-        every other nonempty row; (column, entry, column mask) for each
-        column of weight 1, (column, first entry, second entry, column
-        mask) for each column of weight 2 and (column, entries, column
-        mask) for every other column.  Each set entry is in exactly one
-        row group and one column group.
-        """
-        _, spans, by_column = self.entries
-        pairs, rows, leaves, twos, others = [], [], [], [], []
-        for r, (start, stop) in enumerate(spans):
-            if stop - start == 2:
-                pairs.append((r, start, start + 1))
-            elif stop > start:
-                rows.append((r, start, stop))
-        for j, (entries, mask) in enumerate(zip(by_column, self.transpose().data)):
-            if len(entries) == 1:
-                leaves.append((j, entries[0], mask))
-            elif len(entries) == 2:
-                twos.append((j, *entries, mask))
-            else:
-                others.append((j, entries, mask))
-        return tuple(map(tuple, (pairs, rows, leaves, twos, others)))
-
     def __matmul__(self, other: "BitMatrix") -> "BitMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
@@ -380,6 +331,10 @@ class BitMatrix(Frozen):
     @classmethod
     def from_json(cls, obj: dict) -> "BitMatrix":
         reject_unknown_keys(obj, ("rows", "cols", "data"), "matrix")
+        for key in ("rows", "cols"):
+            # true and false are not integers here
+            if type(obj[key]) is not int:
+                raise ValueError(f"matrix {key} must be an int, got {obj[key]!r}")
         m = cls.from_strings(obj["data"]) if obj["data"] else cls.zeros(0, obj["cols"])
         if m.rows != obj["rows"] or m.cols != obj["cols"]:
             raise ValueError("inconsistent shape in serialized matrix")

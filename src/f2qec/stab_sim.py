@@ -151,6 +151,10 @@ class Circuit(Frozen):
 
     def __init__(self, n_qubits: int, instructions: tuple[Instruction, ...]):
         vars(self).update(n_qubits=n_qubits, instructions=instructions)
+        # a float, bool or negative count would write a QUBITS header that
+        # from_text refuses
+        if type(n_qubits) is not int or n_qubits < 0:
+            raise ValueError(f"qubit count {n_qubits!r} is not a non-negative int")
         tags = set()
         for op, qubits, tag, pauli, perm in instructions:
             if op not in _ARITY:

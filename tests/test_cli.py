@@ -475,10 +475,15 @@ def _cut_hz(obj):
     # well formed, but not a CSS code: css_code.validate's first failure
     (lambda obj: obj["hx"]["data"].__setitem__(0, "1" + "0" * 24),
      "hx row 0 anticommutes with hz row 0"),
+    # a shape field must be an int, not a float
+    (lambda obj: obj["hx"].update(cols=25.0), "hx: matrix cols must be an int, got 25.0"),
+    (lambda obj: obj.update(hz={"rows": 0, "cols": 5.0, "data": []}),
+     "hz: matrix cols must be an int, got 5.0"),
+    (lambda obj: obj.update(n=25.0), "n must be an int, got 25.0"),
 ], ids=["n", "hz-width", "logical-range", "d-bool", "d-float", "d-text", "d-negative",
         "coord-empty", "coord-pair", "coords-short", "hx-digit-2", "hz-non-ascii",
         "k-mismatch", "k-bool", "logical-bool", "logical-repeat", "logical-negative",
-        "logical-text", "hx-anticommutes"])
+        "logical-text", "hx-anticommutes", "hx-cols-float", "hz-empty-cols-float", "n-float"])
 def test_distance_rejects_code_file_out_of_shape(tmp_path, capsys, spoil, words):
     code_path = tmp_path / "code.json"
     main(["build-code", "--family", "paper2543", "--out", str(code_path)])

@@ -232,16 +232,6 @@ def test_transpose_against_bits(m):
     assert all(t.get(j, i) == m.get(i, j) for i in range(m.rows) for j in range(m.cols))
 
 
-@given(bit_matrices())
-def test_entries_number_the_set_bits_row_by_row(m):
-    columns, spans, by_column = m.entries
-    stops = [stop for _, stop in spans]
-    assert [start for start, _ in spans] == ([0] + stops)[:len(spans)]
-    assert [columns[start:stop] for start, stop in spans] == [mask_to_support(r) for r in m.data]
-    assert by_column == tuple(tuple(e for e, c in enumerate(columns) if c == j)
-                              for j in range(m.cols))
-
-
 @given(bit_matrices(max_rows=8))
 def test_reduction_matches_textbook_elimination(m):
     rows, tags, pivots = gauss_jordan(to_lists(m))

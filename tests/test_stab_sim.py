@@ -128,6 +128,17 @@ def test_circuit_rejections_name_the_failed_check(ins, message):
         ss.Circuit(2, (ss.prepz(0), ins))
 
 
+@pytest.mark.parametrize("n_qubits, instructions", [(2.0, (ss.prepz(0),)), (True, (ss.prepz(0),)),
+                                                     (-1, ()), ("3", (ss.prepz(0),))],
+                         ids=["float", "bool", "negative", "text"])
+def test_circuit_rejects_a_qubit_count_that_is_not_a_non_negative_int(n_qubits, instructions):
+    # a float, bool or negative count would write a QUBITS header that
+    # Circuit.from_text refuses; the message is one ValueError for all four
+    with pytest.raises(ValueError, match=f"^qubit count {re.escape(repr(n_qubits))} "
+                                         "is not a non-negative int$"):
+        ss.Circuit(n_qubits, instructions)
+
+
 def test_circuit_rejects_a_duplicate_measurement_tag():
     with pytest.raises(ValueError, match="^duplicate measurement tag m$"):
         ss.Circuit(2, (ss.measz(0, "m"), ss.measx(1, "m")))
